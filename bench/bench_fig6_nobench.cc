@@ -1,14 +1,10 @@
 // Figures 6a/6b: NoBench query performance (Q1-Q10) across the four
 // systems, at two dataset scales ("small" fits the paper's in-memory case,
 // "large" is 4x). Prints one row per query with per-system execution time in
-// milliseconds — the series plotted in Figures 6a and 6b. A fifth column,
-// "Sinew-row1", runs the same Sinew configuration with the vectorized
-// executor disabled (batch_size = 1), so every run measures the
-// batch-at-a-time speedup in the same process on the same data. A sixth,
-// "Sinew-treewalk", disables expression compilation only (batched tree-walk
-// evaluation) — the per-query baseline for the bytecode regression gate:
-//   python3 bench/compare_bench.py BENCH_fig6_nobench.json
-//           --configs=small.Sinew-treewalk,small.Sinew
+// milliseconds — the series plotted in Figures 6a and 6b. Diff two runs'
+// sidecars with
+//   python3 bench/compare_bench.py base/BENCH_fig6_nobench.json
+//           new/BENCH_fig6_nobench.json
 //
 // --threads=N sets Sinew's Gather parallelism; --metrics-out=<path> appends
 // the metrics-registry JSON; --bench-out=<dir> places the
@@ -42,19 +38,6 @@ void RunScale(const char* label, const char* tag, uint64_t records,
   sinew::SinewOptions sinew_options;
   sinew_options.parallelism = threads;
   auto runners = nb::MakeAllRunners(sinew_options);
-  // Same Sinew configuration minus the vectorized executor: the row-at-a-
-  // time baseline for the batch-execution speedup column.
-  sinew::SinewOptions row_options = sinew_options;
-  row_options.exec.batch_size = 1;
-  runners.push_back(std::make_unique<nb::SinewRunner>(row_options,
-                                                      "Sinew-row1"));
-  // And minus expression compilation: batched tree-walk evaluation, the
-  // baseline for the bytecode gate (compare_bench.py
-  // --configs=small.Sinew-treewalk,small.Sinew).
-  sinew::SinewOptions treewalk_options = sinew_options;
-  treewalk_options.planner.enable_bytecode = false;
-  runners.push_back(std::make_unique<nb::SinewRunner>(treewalk_options,
-                                                      "Sinew-treewalk"));
   for (auto& runner : runners) {
     sinew::Status st = runner->Load(docs);
     if (st.ok()) st = runner->Prepare();
@@ -72,11 +55,8 @@ void RunScale(const char* label, const char* tag, uint64_t records,
     std::printf(" %16s", std::string(runner->name()).c_str());
   }
   std::printf("   (ms; lower is better)\n");
-  double best_speedup = 0;
-  int best_speedup_q = 0;
   for (int q = 1; q <= 10; ++q) {
     std::printf("Q%-3d", q);
-    double sinew_ms = -1, sinew_row_ms = -1;
     for (auto& runner : runners) {
       // Best of `reps` runs: a single scheduler hiccup must not read as a
       // regression in the compare_bench.py gate.
@@ -96,27 +76,11 @@ void RunScale(const char* label, const char* tag, uint64_t records,
         std::printf(" %16.1f", ms);
       }
       const std::string name(runner->name());
-      if (name == "Sinew") sinew_ms = ms;
-      if (name == "Sinew-row1") sinew_row_ms = ms;
-      bench_records->push_back({"Q" + std::to_string(q),
-                                std::string(tag) + "." + name, ms, records,
-                                threads,
-                                name == "Sinew" || name == "Sinew-treewalk"
-                                    ? sinew_options.exec.batch_size
-                                : name == "Sinew-row1" ? 1
-                                                       : 0});
-    }
-    if (sinew_ms > 0 && sinew_row_ms > 0 &&
-        sinew_row_ms / sinew_ms > best_speedup) {
-      best_speedup = sinew_row_ms / sinew_ms;
-      best_speedup_q = q;
+      bench_records->push_back(
+          {"Q" + std::to_string(q), std::string(tag) + "." + name, ms, records,
+           threads, name == "Sinew" ? sinew_options.exec.batch_size : 0});
     }
     std::printf("\n");
-  }
-  if (best_speedup > 0) {
-    std::printf("batch executor vs row-at-a-time (Sinew-row1/Sinew): best "
-                "%.2fx on Q%d\n",
-                best_speedup, best_speedup_q);
   }
   sinew::bench::MaybeWriteMetrics(metrics_out, std::string("fig6.") + tag);
 }

@@ -1,10 +1,10 @@
-// Micro-benchmark: compiled postfix bytecode vs. the tree-walk batch
-// evaluator, isolated at the expression-evaluation layer. Full queries are
-// scan-dominated, so this harness evaluates bound expressions directly over
-// pre-built synthetic RowBatches — the same entry points the executor uses
-// (EvalPredicateBatch / EvalExprBatch for the tree walk,
-// bytecode::ExecPredicateBatch / ExecBatch for the compiled programs) — and
-// reports ns/lane per shape:
+// Micro-benchmark: the compiled bytecode VM vs. its semantic reference, the
+// scalar evaluator, isolated at the expression-evaluation layer. Full
+// queries are scan-dominated, so this harness evaluates bound expressions
+// directly over pre-built synthetic RowBatches — through the executor's
+// entry points (bytecode::ExecPredicateBatch / ExecBatch) and through
+// EvalPredicate / EvalExpr over each lane's row — and reports ns/lane per
+// shape:
 //
 //   colref_cmp_lit     c0 < lit                 (fused kColCmpLit; the
 //                                               select-mode fast path)
@@ -15,28 +15,26 @@
 //   is_null            c2 IS NULL               (fused kColIsNull)
 //   arith_project      c0 * 3 + c1              (generic kArith kernels)
 //   concat_project     c2 || lit                (generic kConcat)
-//   case_project       CASE WHEN ... END        (kFallbackLane both ways —
-//                                               pins the fallback overhead)
+//   case_project       CASE WHEN ... END        (kFallbackLane — pins the
+//                                               fallback overhead)
 //   *_dbl              c4 variants              (monomorphic double kernels)
 //   colref_cmp_lit_mixed  c5 < lit              (type-flipping column: the
 //                                               profile must fail and the
-//                                               boxed loop run at parity)
+//                                               boxed loop take over)
 //
-// Three configs per shape: "treewalk" is the PR 5 batch evaluator baseline;
-// "boxed" is the compiled program with the typed kernels force-disabled (the
-// PR 9 VM); "typed" is the compiled program with the monomorphic kernels on,
+// Two configs per shape: "scalar" runs the reference evaluator lane by lane
+// over a copy of each lane's row; "bytecode" runs the compiled program,
 // measured with column tags cached (the strip-seeded steady state — the
 // warm-up pass pays any profile, as SinewExtract's ColumnStrip::type seeding
-// does in the executor). compare_bench.py gates both steps:
+// does in the executor). compare_bench.py gates the VM against the
+// reference:
 //
 //   ./build/bench/bench_micro_eval --bench-out=/tmp/e
-//   python3 bench/compare_bench.py /tmp/e/BENCH_micro_eval.json \
-//           --configs=treewalk,boxed     # compiled never loses to the tree
-//   python3 bench/compare_bench.py /tmp/e/BENCH_micro_eval.json \
-//           --configs=boxed,typed        # typed never loses to boxed
+//   python3 bench/compare_bench.py --configs=scalar,bytecode
+//           /tmp/e/BENCH_micro_eval.json
 //
-// Each flags any shape where the candidate config is >10% slower than the
-// baseline (exit non-zero). --bench-out=<dir> places BENCH_micro_eval.json;
+// It flags any shape where the VM is >10% slower than the scalar evaluator
+// (exit non-zero). --bench-out=<dir> places BENCH_micro_eval.json;
 // SINEW_BENCH_SCALE scales the lane count.
 
 #include <cstdint>
@@ -189,28 +187,28 @@ std::vector<Shape> MakeShapes() {
   return shapes;
 }
 
-/// Evaluates one shape over the whole corpus `reps` times; returns seconds.
-double RunTreewalk(const Shape& shape, std::vector<eng::RowBatch>& corpus,
-                   const eng::UdfRegistry* udfs, int reps) {
-  std::vector<uint32_t> sel;
-  std::vector<eng::Datum> out;
+/// Reports a failed evaluation; returns the harness's failure time.
+double Failed(const Shape& shape, const sinew::Status& st) {
+  std::fprintf(stderr, "%s: %s\n", shape.name.c_str(), st.ToString().c_str());
+  return -1;
+}
+
+/// Runs the scalar evaluator over every lane's row, `reps` passes over the
+/// corpus; returns seconds.
+double RunScalar(const Shape& shape, const std::vector<eng::RowBatch>& corpus,
+                 const eng::UdfRegistry* udfs, int reps) {
+  eng::DatumRow row;
   Timer timer;
   for (int r = 0; r < reps; ++r) {
-    for (eng::RowBatch& b : corpus) {
-      if (shape.predicate) {
-        sel = b.sel;
-        sinew::Status st = EvalPredicateBatch(*shape.expr, b, udfs, &sel);
-        if (!st.ok()) {
-          std::fprintf(stderr, "%s: %s\n", shape.name.c_str(),
-                       st.ToString().c_str());
-          return -1;
-        }
-      } else {
-        sinew::Status st = EvalExprBatch(*shape.expr, b, b.sel, udfs, &out);
-        if (!st.ok()) {
-          std::fprintf(stderr, "%s: %s\n", shape.name.c_str(),
-                       st.ToString().c_str());
-          return -1;
+    for (const eng::RowBatch& b : corpus) {
+      for (uint32_t lane : b.sel) {
+        b.CopyRow(lane, &row);
+        if (shape.predicate) {
+          sinew::Result<bool> keep = EvalPredicate(*shape.expr, row, udfs);
+          if (!keep.ok()) return Failed(shape, keep.status());
+        } else {
+          sinew::Result<eng::Datum> v = EvalExpr(*shape.expr, row, udfs);
+          if (!v.ok()) return Failed(shape, v.status());
         }
       }
     }
@@ -218,50 +216,34 @@ double RunTreewalk(const Shape& shape, std::vector<eng::RowBatch>& corpus,
   return timer.Seconds();
 }
 
-/// `typed` toggles the monomorphic kernels (the switch is restored before
-/// returning, so runs never overlap). Column tags persist across passes:
-/// after the caller's warm-up rep every batch carries cached tags, modeling
-/// the production strip-fed path where SinewExtract seeds the tag from
-/// ColumnStrip::type and no profile pass runs at all. (The profile itself is
-/// one-pass O(n) and amortizes over the instructions of real multi-op
-/// programs; single-instruction micro shapes would overstate it.)
+/// Runs the compiled program, `reps` passes over the corpus; returns
+/// seconds. Column tags persist across passes: after the caller's warm-up
+/// rep every batch carries cached tags, modeling the production strip-fed
+/// path where SinewExtract seeds the tag from ColumnStrip::type and no
+/// profile pass runs at all. (The profile itself is one-pass O(n) and
+/// amortizes over the instructions of real multi-op programs;
+/// single-instruction micro shapes would overstate it.)
 double RunBytecode(const Shape& shape, std::vector<eng::RowBatch>& corpus,
-                   const eng::UdfRegistry* udfs, int reps, bool typed) {
+                   const eng::UdfRegistry* udfs, int reps) {
   std::shared_ptr<const bc::Program> prog =
       bc::Compile(*shape.expr, kCorpusWidth, udfs);
-  if (prog == nullptr) {
-    std::fprintf(stderr, "%s: did not compile\n", shape.name.c_str());
-    return -1;
-  }
-  bc::SetTypedKernelsEnabled(typed);
   bc::ExecState state;
   std::vector<uint32_t> sel;
   std::vector<eng::Datum> out;
   Timer timer;
   for (int r = 0; r < reps; ++r) {
     for (eng::RowBatch& b : corpus) {
+      sinew::Status st;
       if (shape.predicate) {
         sel = b.sel;
-        sinew::Status st = bc::ExecPredicateBatch(*prog, b, udfs, &state,
-                                                  &sel);
-        if (!st.ok()) {
-          std::fprintf(stderr, "%s: %s\n", shape.name.c_str(),
-                       st.ToString().c_str());
-          return -1;
-        }
+        st = bc::ExecPredicateBatch(*prog, b, udfs, &state, &sel);
       } else {
-        sinew::Status st = bc::ExecBatch(*prog, b, b.sel, udfs, &state, &out);
-        if (!st.ok()) {
-          std::fprintf(stderr, "%s: %s\n", shape.name.c_str(),
-                       st.ToString().c_str());
-          return -1;
-        }
+        st = bc::ExecBatch(*prog, b, b.sel, udfs, &state, &out);
       }
+      if (!st.ok()) return Failed(shape, st);
     }
   }
-  const double seconds = timer.Seconds();
-  bc::SetTypedKernelsEnabled(true);
-  return seconds;
+  return timer.Seconds();
 }
 
 }  // namespace
@@ -282,37 +264,30 @@ int main(int argc, char** argv) {
                 });
 
   std::vector<Shape> shapes = MakeShapes();
-  // Match the executor: the tree walk gets its bind-time slot caches too.
-  for (Shape& s : shapes) eng::RefreshFallbackSlotCaches(s.expr.get());
 
   const uint64_t total = lanes * static_cast<uint64_t>(reps);
   std::vector<BenchRecord> records;
-  PrintHeader(
-      "micro_eval: tree-walk vs. boxed vs. typed bytecode (ns/lane)");
-  std::printf("%-20s %10s %10s %10s %9s\n", "shape", "treewalk", "boxed",
-              "typed", "typ/box");
+  PrintHeader("micro_eval: scalar evaluator vs. bytecode VM (ns/lane)");
+  std::printf("%-20s %10s %10s %9s\n", "shape", "scalar", "bytecode",
+              "speedup");
   for (const Shape& shape : shapes) {
-    // Warm-up pass per engine, then the measured runs.
-    RunTreewalk(shape, corpus, &udfs, 1);
-    const double tree_s = RunTreewalk(shape, corpus, &udfs, reps);
-    RunBytecode(shape, corpus, &udfs, 1, false);
-    const double boxed_s = RunBytecode(shape, corpus, &udfs, reps, false);
-    RunBytecode(shape, corpus, &udfs, 1, true);
-    const double typed_s = RunBytecode(shape, corpus, &udfs, reps, true);
+    // Warm-up pass per evaluator, then the measured runs.
+    RunScalar(shape, corpus, &udfs, 1);
+    const double scalar_s = RunScalar(shape, corpus, &udfs, reps);
+    RunBytecode(shape, corpus, &udfs, 1);
+    const double bytecode_s = RunBytecode(shape, corpus, &udfs, reps);
     auto per_lane = [total](double s) {
       return s > 0 ? s * 1e9 / static_cast<double>(total) : -1;
     };
-    const double tree_ns = per_lane(tree_s);
-    const double boxed_ns = per_lane(boxed_s);
-    const double typed_ns = per_lane(typed_s);
-    std::printf("%-20s %10.2f %10.2f %10.2f %8.2fx\n", shape.name.c_str(),
-                tree_ns, boxed_ns, typed_ns,
-                boxed_ns > 0 && typed_ns > 0 ? boxed_ns / typed_ns : 0.0);
-    records.push_back({shape.name, "treewalk", tree_s * 1e3, total, 1,
+    const double scalar_ns = per_lane(scalar_s);
+    const double bytecode_ns = per_lane(bytecode_s);
+    std::printf("%-20s %10.2f %10.2f %8.2fx\n", shape.name.c_str(), scalar_ns,
+                bytecode_ns,
+                scalar_ns > 0 && bytecode_ns > 0 ? scalar_ns / bytecode_ns
+                                                 : 0.0);
+    records.push_back({shape.name, "scalar", scalar_s * 1e3, total, 1,
                        kBatchSize});
-    records.push_back({shape.name, "boxed", boxed_s * 1e3, total, 1,
-                       kBatchSize});
-    records.push_back({shape.name, "typed", typed_s * 1e3, total, 1,
+    records.push_back({shape.name, "bytecode", bytecode_s * 1e3, total, 1,
                        kBatchSize});
   }
 

@@ -1,7 +1,5 @@
 // Micro-benchmark: single-pass batched reservoir extraction vs. the
-// per-attribute chain-UDF baseline, at 1, 8 and 32 extracted attributes —
-// and the vectorized batch executor (batch_size=1024, the default) vs. the
-// row-at-a-time Volcano loop (batch_size=1) over the same batched plans.
+// per-attribute chain-UDF baseline, at 1, 8 and 32 extracted attributes.
 //
 // Every document carries 32 scalar attributes plus a nested object, so the
 // 32-attribute query touches the whole header. The per-attribute path
@@ -9,9 +7,7 @@
 // path (planner kExtract + DocumentView::ExtractMany) walks the header once
 // per row and merge-joins all wanted ids. `reservoir.decodes` makes the
 // difference observable: decodes/row == 1 batched, == k per-attribute.
-// The batch-executor column isolates the vectorization win on top of that:
-// same plan, same decodes, but operator dispatch, extraction entry and
-// stats updates amortize over 1024-row batches.
+// --batch-size=N sweeps the executor's batch size.
 //
 // --threads=N runs all configurations under Gather parallelism;
 // --metrics-out=<path> appends the metrics-registry JSON sidecar;
@@ -84,22 +80,17 @@ int main(int argc, char** argv) {
   const uint64_t rows = Scaled(20000);
   PrintHeader("Micro: batched vs. per-attribute reservoir extraction");
 
-  sinew::SinewOptions batched_options;  // vectorized executor, batched extract
+  sinew::SinewOptions batched_options;  // batched extract
   batched_options.parallelism = threads;
-  // --batch-size=N sweeps the vectorization knob for the "batch" column.
   if (uint64_t bs = sinew::bench::BatchSizeFromArgs(argc, argv)) {
     batched_options.exec.batch_size = bs;
   }
-  sinew::SinewOptions row_options = batched_options;
-  row_options.exec.batch_size = 1;  // row-at-a-time loop, same batched plans
   sinew::SinewOptions per_attr_options = batched_options;
   per_attr_options.planner.enable_batched_extraction = false;
   sinew::SinewDb batched_db(batched_options);
-  sinew::SinewDb row_db(row_options);
   sinew::SinewDb per_attr_db(per_attr_options);
   const std::string docs = GenerateDocs(rows);
   if (!batched_db.LoadJsonLines("docs", docs).ok() ||
-      !row_db.LoadJsonLines("docs", docs).ok() ||
       !per_attr_db.LoadJsonLines("docs", docs).ok()) {
     std::printf("load failed\n");
     return 1;
@@ -119,9 +110,8 @@ int main(int argc, char** argv) {
                     double ms, uint64_t batch) {
     records.push_back({query, config, ms, rows, threads, batch});
   };
-  std::printf("%-8s %11s %11s %12s %9s %9s | %12s %12s\n", "Attrs",
-              "Batch(ms)", "Row(ms)", "Per-attr(ms)", "b/row", "b/attr",
-              "decodes/r(b)", "decodes/r(p)");
+  std::printf("%-8s %11s %12s %9s | %12s %12s\n", "Attrs", "Batch(ms)",
+              "Per-attr(ms)", "b/attr", "decodes/r(b)", "decodes/r(p)");
   for (int attrs : {1, 8, 32}) {
     const std::string sql = ProjectionSql(attrs);
     const std::string query = "project" + std::to_string(attrs);
@@ -129,16 +119,13 @@ int main(int argc, char** argv) {
     double b = BestOfRuns(&batched_db, sql, kRuns);
     double b_decodes =
         static_cast<double>(decodes->value() - before) / kRuns / rows;
-    double r = BestOfRuns(&row_db, sql, kRuns);
     before = decodes->value();
     double p = BestOfRuns(&per_attr_db, sql, kRuns);
     double p_decodes =
         static_cast<double>(decodes->value() - before) / kRuns / rows;
-    std::printf("%-8d %11.1f %11.1f %12.1f %8.2fx %8.2fx | %12.2f %12.2f\n",
-                attrs, b, r, p, b > 0 ? r / b : 0.0, b > 0 ? p / b : 0.0,
-                b_decodes, p_decodes);
+    std::printf("%-8d %11.1f %12.1f %8.2fx | %12.2f %12.2f\n", attrs, b, p,
+                b > 0 ? p / b : 0.0, b_decodes, p_decodes);
     record(query, "batch" + std::to_string(batch_rows), b, batch_rows);
-    record(query, "row1", r, 1);
     record(query, "per-attr", p, batch_rows);
   }
 
@@ -152,15 +139,10 @@ int main(int argc, char** argv) {
   double nested = BestOfRuns(&batched_db, nested_sql, kRuns);
   double nested_decodes =
       static_cast<double>(decodes->value() - before) / kRuns / rows;
-  double nested_row = BestOfRuns(&row_db, nested_sql, kRuns);
-  std::printf("%-8s %11.1f %11.1f %12s %8.2fx %9s | %12.2f\n", "nested",
-              nested, nested_row, "-",
-              nested > 0 ? nested_row / nested : 0.0, "-", nested_decodes);
+  std::printf("%-8s %11.1f %12s %9s | %12.2f\n", "nested", nested, "-", "-",
+              nested_decodes);
   record("nested", "batch" + std::to_string(batch_rows), nested, batch_rows);
-  record("nested", "row1", nested_row, 1);
-  std::printf(
-      "b/row = batched-executor speedup over the row-at-a-time loop (same\n"
-      "plans); b/attr = batched-extraction speedup over per-attribute UDFs.\n");
+  std::printf("b/attr = batched-extraction speedup over per-attribute UDFs.\n");
 
   sinew::bench::WriteBenchJson(sinew::bench::BenchOutDirFromArgs(argc, argv),
                                "micro_extract", records);

@@ -71,7 +71,7 @@ inline int ThreadsFromArgs(int argc, char** argv) {
 
 /// Executor batch size override: `--batch-size=N` on the command line, else
 /// SINEW_BENCH_BATCH_SIZE, else 0 (keep the engine default). Lets one
-/// binary sweep the vectorization knob (1 = row-at-a-time).
+/// binary sweep the vectorization knob (1 = one-row batches).
 inline uint64_t BatchSizeFromArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -152,7 +152,7 @@ inline void MaybeWriteTrace(const std::string& path) {
 /// (bench/compare_bench.py) never recomputes them differently.
 struct BenchRecord {
   std::string query;   // e.g. "Q3", "project8", "nested"
-  std::string config;  // e.g. "Sinew", "Sinew-row1", "batch1024"
+  std::string config;  // e.g. "Sinew", "batch1024"
   double ms = -1;      // wall time of the measured run; < 0 = failed
   uint64_t rows = 0;   // rows processed (dataset size for scans; 0 unknown)
   int threads = 1;

@@ -1,7 +1,6 @@
 #include "engine/bytecode.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <optional>
@@ -12,18 +11,6 @@
 #include "engine/typed_kernels.h"
 
 namespace sinew::engine::bytecode {
-
-namespace {
-std::atomic<bool> g_typed_kernels{true};
-}  // namespace
-
-bool TypedKernelsEnabled() {
-  return g_typed_kernels.load(std::memory_order_relaxed);
-}
-
-void SetTypedKernelsEnabled(bool enabled) {
-  g_typed_kernels.store(enabled, std::memory_order_relaxed);
-}
 
 const char* OpCodeName(OpCode op) {
   switch (op) {
@@ -51,7 +38,8 @@ const char* OpCodeName(OpCode op) {
 namespace {
 
 // Register/literal pools are uint16-indexed; real expressions sit far below
-// these, so hitting a cap means "stay on the tree walk", not an error.
+// these, so hitting a cap means "run the whole expression as one fallback
+// lane", not an error.
 constexpr size_t kMaxRegs = 4096;
 constexpr size_t kMaxLiterals = 4096;
 constexpr size_t kMaxAux = 0xFFFF;
@@ -117,7 +105,7 @@ void CollectSlots(const Expr& e, std::vector<int>* slots) {
 }
 
 /// The fallback-free operand forms: operands that cannot error and carry no
-/// evaluation-order footprint (same rule as the tree walk's IsSimpleOperand).
+/// evaluation-order footprint.
 bool IsSimpleOperand(const Expr& e) {
   return e.kind == ExprKind::kLiteral ||
          (e.kind == ExprKind::kColumnRef && e.bound_slot >= 0);
@@ -128,10 +116,18 @@ class Compiler {
   Compiler(size_t input_width, const UdfRegistry* udfs)
       : width_(input_width), udfs_(udfs) {}
 
+  /// Compiles `expr`; nullptr when it has a shape without an instruction
+  /// form (a star, an unbound or out-of-range column) or overflows a pool.
   std::shared_ptr<const Program> Run(const Expr& expr) {
     std::optional<Operand> result = CompileNode(expr);
     if (!result.has_value() || failed_) return nullptr;
     return Finish(*result);
+  }
+
+  /// Compiles `expr` as a single fallback lane: the scalar evaluator then
+  /// produces its exact result or error text at run time.
+  std::shared_ptr<const Program> RunFallback(const Expr& expr) {
+    return Finish(EmitFallback(expr));
   }
 
  private:
@@ -167,8 +163,8 @@ class Compiler {
   }
 
   /// Operand for a simple (literal / bound colref) expression. Bails when a
-  /// bound slot lies outside the compile-time schema — the tree walk owns
-  /// the error text for that.
+  /// bound slot lies outside the compile-time schema — the scalar evaluator
+  /// owns the error text for that.
   std::optional<Operand> SimpleOperand(const Expr& e) {
     if (e.kind == ExprKind::kLiteral) {
       return Operand{Operand::Kind::kLit, InternLiteral(e.literal)};
@@ -190,7 +186,6 @@ class Compiler {
     CollectSlots(e, &slots);
     std::sort(slots.begin(), slots.end());
     slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-    if (slots.size() > 0xFFFF) failed_ = true;
     fb_slot_sets_.push_back(std::move(slots));
     ins.dst = AllocResult({});
     instrs_.push_back(ins);
@@ -323,9 +318,8 @@ class Compiler {
         return Reg(ins.dst);
       }
       case ExprKind::kInList: {
-        // The row path stops evaluating list items after a match, so only
-        // items that cannot error may run eagerly — the same rule as the
-        // tree walk's batch kernel.
+        // The scalar evaluator stops evaluating list items after a match, so
+        // only items that cannot error may run eagerly.
         for (size_t i = 1; i < e.args.size(); ++i) {
           if (!IsSimpleOperand(*e.args[i])) return EmitFallback(e);
         }
@@ -417,7 +411,7 @@ class Compiler {
               arena.AllocateArray<int>(std::max<size_t>(slots.size(), 1));
           std::copy(slots.begin(), slots.end(), arr);
           ins.fb_slots = arr;
-          ins.fb_slot_count = static_cast<uint16_t>(slots.size());
+          ins.fb_slot_count = static_cast<uint32_t>(slots.size());
           break;
         }
         default:
@@ -457,27 +451,14 @@ class Compiler {
 /// Column access for batch execution: cols[slot][lane].
 struct BatchSrc {
   const RowBatch* batch;
-  static constexpr bool kIsRow = false;
-  const Datum& Col(uint16_t slot, uint32_t lane) const {
+  const Datum& Col(size_t slot, uint32_t lane) const {
     return batch->cols[slot][lane];
   }
   size_t width() const { return batch->num_cols(); }
-  const DatumRow* full_row() const { return nullptr; }
 };
 
-/// Column access for row execution (scan phase-1 filters): one lane, lane
-/// index ignored.
-struct RowSrc {
-  const DatumRow* row;
-  static constexpr bool kIsRow = true;
-  const Datum& Col(uint16_t slot, uint32_t) const { return (*row)[slot]; }
-  size_t width() const { return row->size(); }
-  const DatumRow* full_row() const { return row; }
-};
-
-template <typename Src>
 const Datum& ReadOperand(const Operand& op, const Program& prog,
-                         const Src& src, const ExecState& st,
+                         const BatchSrc& src, const ExecState& st,
                          const std::vector<uint32_t>& lanes, size_t i) {
   switch (op.kind) {
     case Operand::Kind::kReg: return st.regs[op.index][i];
@@ -523,7 +504,7 @@ void CountBoxedLanes(ExecState* st, size_t n) {
 /// covers at least half the batch (tags are cached on the batch, so any
 /// later instruction or operator reuses the proof for free).
 const ColTag* TagOf(const RowBatch* batch, uint16_t slot, size_t num_lanes) {
-  if (batch == nullptr || !TypedKernelsEnabled()) return nullptr;
+  if (batch == nullptr) return nullptr;
   if (slot >= batch->cols.size()) return nullptr;
   if (const ColTag* t = batch->TagFor(slot)) return t->typed() ? t : nullptr;
   if (num_lanes * 2 < batch->size) return nullptr;
@@ -960,18 +941,14 @@ bool TypedArith(const Instr& ins, const Program& prog, const RowBatch* batch,
 /// The switch loop: executes every instruction over the current lane set,
 /// leaving per-lane values in registers. kBoolFork narrows the lane set to
 /// the undecided rows (frame stack); the matching kBoolJoin restores it.
-template <typename Src>
-Status RunProgram(const Program& prog, const Src& src,
+Status RunProgram(const Program& prog, const BatchSrc& src,
                   const std::vector<uint32_t>& lanes_in,
                   const UdfRegistry* udfs, ExecState* st) {
   if (prog.min_width > src.width()) {
     return Status::Internal("bytecode program compiled for wider input");
   }
   st->regs.resize(prog.num_regs);
-  if constexpr (!Src::kIsRow) {
-    // Row mode never runs typed kernels, so the tag vector is batch-only.
-    st->reg_tags.assign(prog.num_regs, {});
-  }
+  st->reg_tags.assign(prog.num_regs, {});
   st->frame_depth = 0;
   auto cur_lanes = [&]() -> const std::vector<uint32_t>& {
     return st->frame_depth == 0 ? lanes_in
@@ -979,7 +956,7 @@ Status RunProgram(const Program& prog, const Src& src,
   };
   for (uint32_t pc = 0; pc < prog.num_instrs; ++pc) {
     const Instr& ins = prog.instrs[pc];
-    if constexpr (!Src::kIsRow) st->reg_tag_set = false;
+    st->reg_tag_set = false;
     switch (ins.op) {
       case OpCode::kColCmpLit: {
         const std::vector<uint32_t>& L = cur_lanes();
@@ -987,14 +964,12 @@ Status RunProgram(const Program& prog, const Src& src,
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
         const Datum& lit = prog.literals[ins.b.index];
-        if constexpr (!Src::kIsRow) {
-          const ColTag* tag = TagOf(src.batch, ins.a.index, n);
-          if (tag != nullptr && TypedValCmpLit(ins, *src.batch, *tag, lit, L,
-                                               st)) {
-            break;
-          }
-          CountBoxedLanes(st, n);
+        const ColTag* tag = TagOf(src.batch, ins.a.index, n);
+        if (tag != nullptr &&
+            TypedValCmpLit(ins, *src.batch, *tag, lit, L, st)) {
+          break;
         }
+        CountBoxedLanes(st, n);
         for (size_t i = 0; i < n; ++i) {
           dst[i] = eval_detail::CompareOp(ins.bop, src.Col(ins.a.index, L[i]),
                                           lit);
@@ -1033,13 +1008,11 @@ Status RunProgram(const Program& prog, const Src& src,
         dst.resize(n);
         const Datum& lo = prog.literals[ins.b.index];
         const Datum& hi = prog.literals[ins.c.index];
-        if constexpr (!Src::kIsRow) {
-          const ColTag* tag = TagOf(src.batch, ins.a.index, n);
-          if (tag != nullptr && TypedValBetween(ins, *tag, lo, hi, L, st)) {
-            break;
-          }
-          CountBoxedLanes(st, n);
+        const ColTag* tag = TagOf(src.batch, ins.a.index, n);
+        if (tag != nullptr && TypedValBetween(ins, *tag, lo, hi, L, st)) {
+          break;
         }
+        CountBoxedLanes(st, n);
         for (size_t i = 0; i < n; ++i) {
           const Datum& t = src.Col(ins.a.index, L[i]);
           Datum ge = eval_detail::CompareOp(BinaryOp::kGe, t, lo);
@@ -1058,16 +1031,13 @@ Status RunProgram(const Program& prog, const Src& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
-        if constexpr (!Src::kIsRow) {
-          const ColTag* tag = TagOf(src.batch, ins.a.index, n);
-          if (tag != nullptr) {
-            typed::ValueIsNull(*tag, ins.negated, L, &dst);
-            CountTypedLanes(st, n);
-            SetRegTag(st, ins.dst, ColTag::Type::kBool);
-            break;
-          }
-          CountBoxedLanes(st, n);
+        if (const ColTag* tag = TagOf(src.batch, ins.a.index, n)) {
+          typed::ValueIsNull(*tag, ins.negated, L, &dst);
+          CountTypedLanes(st, n);
+          SetRegTag(st, ins.dst, ColTag::Type::kBool);
+          break;
         }
+        CountBoxedLanes(st, n);
         for (size_t i = 0; i < n; ++i) {
           bool null = src.Col(ins.a.index, L[i]).is_null();
           dst[i] = Datum::Bool(ins.negated ? !null : null);
@@ -1131,13 +1101,8 @@ Status RunProgram(const Program& prog, const Src& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
-        if constexpr (!Src::kIsRow) {
-          if (TypedKernelsEnabled() &&
-              TypedCompare(ins, prog, src.batch, L, st)) {
-            break;
-          }
-          CountBoxedLanes(st, n);
-        }
+        if (TypedCompare(ins, prog, src.batch, L, st)) break;
+        CountBoxedLanes(st, n);
         for (size_t i = 0; i < n; ++i) {
           dst[i] = eval_detail::CompareOp(
               ins.bop, ReadOperand(ins.a, prog, src, *st, L, i),
@@ -1150,16 +1115,12 @@ Status RunProgram(const Program& prog, const Src& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
-        if constexpr (!Src::kIsRow) {
-          if (TypedKernelsEnabled()) {
-            Status typed_status = Status::OK();
-            if (TypedArith(ins, prog, src.batch, L, st, &typed_status)) {
-              RETURN_NOT_OK(typed_status);
-              break;
-            }
-          }
-          CountBoxedLanes(st, n);
+        Status typed_status = Status::OK();
+        if (TypedArith(ins, prog, src.batch, L, st, &typed_status)) {
+          RETURN_NOT_OK(typed_status);
+          break;
         }
+        CountBoxedLanes(st, n);
         for (size_t i = 0; i < n; ++i) {
           ASSIGN_OR_RETURN(
               Datum v, eval_detail::ArithmeticOp(
@@ -1307,39 +1268,29 @@ Status RunProgram(const Program& prog, const Src& src,
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
         CountFallbackLanes(st, n);
-        if constexpr (Src::kIsRow) {
-          for (size_t i = 0; i < n; ++i) {
-            ASSIGN_OR_RETURN(Datum v,
-                             EvalExpr(*ins.fallback, *src.full_row(), udfs));
-            dst[i] = std::move(v);
-          }
-        } else {
-          DatumRow& scratch = st->scratch;
-          scratch.resize(src.width());
-          for (size_t i = 0; i < n; ++i) {
-            for (uint16_t k = 0; k < ins.fb_slot_count; ++k) {
-              const int s = ins.fb_slots[k];
-              // Out-of-range slots stay uncopied; the scalar evaluator
-              // reports them with the row path's own error text.
-              if (static_cast<size_t>(s) < scratch.size()) {
-                scratch[s] = src.Col(static_cast<uint16_t>(s), L[i]);
-              }
+        DatumRow& scratch = st->scratch;
+        scratch.resize(src.width());
+        for (size_t i = 0; i < n; ++i) {
+          for (uint32_t k = 0; k < ins.fb_slot_count; ++k) {
+            const int s = ins.fb_slots[k];
+            // Out-of-range slots stay uncopied; the scalar evaluator reports
+            // them with its own error text.
+            if (static_cast<size_t>(s) < scratch.size()) {
+              scratch[s] = src.Col(static_cast<size_t>(s), L[i]);
             }
-            ASSIGN_OR_RETURN(Datum v, EvalExpr(*ins.fallback, scratch, udfs));
-            dst[i] = std::move(v);
           }
+          ASSIGN_OR_RETURN(Datum v, EvalExpr(*ins.fallback, scratch, udfs));
+          dst[i] = std::move(v);
         }
         break;
       }
     }
-    if constexpr (!Src::kIsRow) {
-      // A dst written by an untyped path loses any stale tag. This must run
-      // *after* the instruction: the compiler's stack discipline routinely
-      // reuses an operand register as dst, so clearing up front would erase
-      // an operand's tag before the typed kernels could read it.
-      if (!st->reg_tag_set && ins.dst < st->reg_tags.size()) {
-        st->reg_tags[ins.dst].type = ColTag::Type::kUnknown;
-      }
+    // A dst written by an untyped path loses any stale tag. This must run
+    // *after* the instruction: the compiler's stack discipline routinely
+    // reuses an operand register as dst, so clearing up front would erase an
+    // operand's tag before the typed kernels could read it.
+    if (!st->reg_tag_set && ins.dst < st->reg_tags.size()) {
+      st->reg_tags[ins.dst].type = ColTag::Type::kUnknown;
     }
   }
   return Status::OK();
@@ -1354,12 +1305,13 @@ std::shared_ptr<const Program> Compile(const Expr& expr, size_t input_width,
   static metrics::Counter* compile_ns_total =
       metrics::GetCounter("bytecode.compile_ns_total");
   const uint64_t start = metrics::NowNanos();
-  Compiler compiler(input_width, udfs);
-  std::shared_ptr<const Program> program = compiler.Run(expr);
-  if (program != nullptr) {
-    programs_total->Increment();
-    compile_ns_total->Add(metrics::NowNanos() - start);
+  std::shared_ptr<const Program> program =
+      Compiler(input_width, udfs).Run(expr);
+  if (program == nullptr) {
+    program = Compiler(input_width, udfs).RunFallback(expr);
   }
+  programs_total->Increment();
+  compile_ns_total->Add(metrics::NowNanos() - start);
   return program;
 }
 
@@ -1491,32 +1443,6 @@ Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
   }
   sel->resize(kept);
   return Status::OK();
-}
-
-Result<bool> ExecPredicateRow(const Program& program, const DatumRow& row,
-                              const UdfRegistry* udfs, ExecState* state) {
-  RowSrc src{&row};
-  if (program.min_width > row.size()) {
-    return Status::Internal("bytecode program compiled for wider input");
-  }
-  if (program.num_instrs == 1 && program.result.is_reg()) {
-    const Instr& ins = program.instrs[0];
-    if (ins.op == OpCode::kColCmpLit) {
-      Datum v = eval_detail::CompareOp(ins.bop, row[ins.a.index],
-                                       program.literals[ins.b.index]);
-      return !v.is_null() && v.bool_value();
-    }
-  }
-  static const std::vector<uint32_t> kLane0{0};
-  Status s = RunProgram(program, src, kLane0, udfs, state);
-  if (!s.ok()) return s;
-  const Datum& v =
-      ReadOperand(program.result, program, src, *state, kLane0, 0);
-  if (v.is_null()) return false;
-  if (!v.is_bool()) {
-    return Status::TypeError("predicate did not evaluate to a boolean");
-  }
-  return v.bool_value();
 }
 
 }  // namespace sinew::engine::bytecode

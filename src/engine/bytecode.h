@@ -1,5 +1,6 @@
 // Query compilation: bound expression trees flattened into postfix bytecode
-// executed over RowBatch columns.
+// executed over RowBatch columns — the executor's only batch evaluator. The
+// scalar EvalExpr (engine/eval.h) is its semantic reference.
 //
 // At plan time `Compile` walks a bound Expr once and emits a flat array of
 // tagged-union instructions (`Instr`) that reference batch column slots,
@@ -17,9 +18,8 @@
 //   - kBoolFork/kBoolJoin implement Kleene AND/OR by lane partitioning: the
 //     fork evaluates the left side, writes decided lanes (false AND _,
 //     true OR _) and narrows the lane set to the undecided rows for the
-//     right-side region, exactly mirroring the tree-walk EvalBinaryBatch —
-//     a right-side runtime error fires for the same rows it would
-//     row-at-a-time.
+//     right-side region — a right-side runtime error fires for exactly the
+//     rows scalar EvalExpr would evaluate it on.
 //   - kFallbackLane covers everything without a vector kernel (CASE,
 //     coalesce, UDF calls with non-trivial arguments, IN lists with
 //     evaluable items): it runs the scalar evaluator per lane over a scratch
@@ -35,9 +35,10 @@
 // instances over the same plan share one program; all mutable execution
 // scratch lives in the per-operator-instance ExecState.
 //
-// `Compile` returns nullptr when the expression contains a shape the
-// compiler does not handle (unbound references, stars, pathological depth);
-// callers then stay on the tree-walk evaluator, whose error text is the
+// `Compile` always returns a program: an expression containing a shape with
+// no instruction form (an unbound or out-of-range reference, a star) or
+// overflowing a register/literal pool compiles to one whole-expression
+// kFallbackLane, so the scalar evaluator's result or error text is the
 // contract.
 
 #ifndef SINEW_ENGINE_BYTECODE_H_
@@ -110,7 +111,7 @@ struct Instr {
   const UdfFn* fn = nullptr;     // kCallUdf / kUdfCmpLit
   const Expr* fallback = nullptr;    // kFallbackLane: the original subtree
   const int* fb_slots = nullptr;     // sorted unique bound slots of fallback
-  uint16_t fb_slot_count = 0;
+  uint32_t fb_slot_count = 0;
 };
 
 /// A compiled, immutable expression program. All referenced memory (instrs,
@@ -172,7 +173,7 @@ struct ExecState {
   std::vector<Frame> frames;  // high-water storage; frame_depth is live size
   size_t frame_depth = 0;
 
-  DatumRow scratch;        // kFallbackLane scratch row (batch source)
+  DatumRow scratch;        // kFallbackLane scratch row
   UdfArgs udf_args;        // kCallUdf / kUdfCmpLit argument pointers
   std::vector<Datum> vals; // predicate-mode value column (generic path)
 
@@ -221,41 +222,27 @@ struct ExecState {
   }
 };
 
-/// Process-wide kill switch for the typed kernels (default on). Off forces
-/// every instruction onto the boxed per-lane Datum loops — the PR 9
-/// behavior — used by the differential suite and the boxed/typed bench
-/// configs. Reads are relaxed; flip it only from test/bench setup code.
-bool TypedKernelsEnabled();
-void SetTypedKernelsEnabled(bool enabled);
-
 /// Compiles a bound expression into a program executable over batches whose
 /// columns match the schema the expression was bound against (`input_width`
 /// slots). `udfs` resolves function calls at compile time; the resolved
 /// UdfFn pointers stay valid for the registry's lifetime (std::map nodes).
-/// Returns nullptr when the expression cannot be compiled — the caller keeps
-/// using the tree-walk evaluator.
+/// Never returns nullptr (see the fallback contract above).
 std::shared_ptr<const Program> Compile(const Expr& expr, size_t input_width,
                                        const UdfRegistry* udfs);
 
 /// Evaluates the program for every lane in `lanes` (physical row indices
-/// into `batch`), one datum per lane into `*out` — the compiled counterpart
-/// of EvalExprBatch.
+/// into `batch`), one datum per lane into `*out`.
 Status ExecBatch(const Program& program, const RowBatch& batch,
                  const std::vector<uint32_t>& lanes, const UdfRegistry* udfs,
                  ExecState* state, std::vector<Datum>* out);
 
 /// Predicate mode: evaluates over the lanes in `*sel` and keeps only the
-/// TRUE lanes (NULL filters, non-boolean errors), preserving order — the
-/// compiled EvalPredicateBatch. Single-instruction fused programs refine the
-/// selection vector directly without materializing a boolean column.
+/// TRUE lanes (NULL filters, non-boolean errors, as in EvalPredicate),
+/// preserving order. Single-instruction fused programs refine the selection
+/// vector directly without materializing a boolean column.
 Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
                           const UdfRegistry* udfs, ExecState* state,
                           std::vector<uint32_t>* sel);
-
-/// Row mode: the compiled EvalPredicate, used by the scan's phase-1 decode
-/// filter where rows are materialized one at a time.
-Result<bool> ExecPredicateRow(const Program& program, const DatumRow& row,
-                              const UdfRegistry* udfs, ExecState* state);
 
 }  // namespace sinew::engine::bytecode
 

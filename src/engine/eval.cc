@@ -3,36 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/metrics.h"
 #include "common/str_util.h"
-#include "engine/bytecode.h"
 
 namespace sinew::engine {
-
-namespace {
-
-void CollectBoundSlots(const Expr& expr, std::vector<int>* slots) {
-  if (expr.kind == ExprKind::kColumnRef && expr.bound_slot >= 0) {
-    slots->push_back(expr.bound_slot);
-  }
-  for (const ExprPtr& arg : expr.args) CollectBoundSlots(*arg, slots);
-}
-
-/// (Re)computes Expr::cached_fallback_slots: the subtree's sorted unique
-/// bound slots, consumed by per-lane batch fallbacks.
-void CacheFallbackSlots(Expr* expr) {
-  expr->cached_fallback_slots.clear();
-  CollectBoundSlots(*expr, &expr->cached_fallback_slots);
-  std::sort(expr->cached_fallback_slots.begin(),
-            expr->cached_fallback_slots.end());
-  expr->cached_fallback_slots.erase(
-      std::unique(expr->cached_fallback_slots.begin(),
-                  expr->cached_fallback_slots.end()),
-      expr->cached_fallback_slots.end());
-  expr->fallback_slots_cached = true;
-}
-
-}  // namespace
 
 Result<size_t> ExecSchema::Resolve(const std::string& table,
                                    const std::string& name) const {
@@ -81,25 +54,7 @@ Status BindExpr(Expr* expr, const ExecSchema& schema,
   for (ExprPtr& arg : expr->args) {
     RETURN_NOT_OK(BindExpr(arg.get(), schema, aliases));
   }
-  // Nodes the batch path evaluates per lane cache their subtree's bound
-  // slots here, once, instead of re-collecting them every batch. Later
-  // passes may replace argument subtrees with literals (constant folding),
-  // leaving a stale superset — harmless: the extra lanes copy an unused
-  // column. Rewrites that *redirect* slots (extraction hoisting) must call
-  // RefreshFallbackSlotCaches afterwards; re-binding also overwrites.
-  if (expr->kind == ExprKind::kFunction || expr->kind == ExprKind::kCase ||
-      expr->kind == ExprKind::kInList) {
-    CacheFallbackSlots(expr);
-  }
   return Status::OK();
-}
-
-void RefreshFallbackSlotCaches(Expr* expr) {
-  for (ExprPtr& arg : expr->args) RefreshFallbackSlotCaches(arg.get());
-  if (expr->kind == ExprKind::kFunction || expr->kind == ExprKind::kCase ||
-      expr->kind == ExprKind::kInList) {
-    CacheFallbackSlots(expr);
-  }
 }
 
 namespace {
@@ -383,365 +338,8 @@ Result<Datum> EvalBinary(const Expr& expr, const DatumRow& row,
   }
 }
 
-// ------------------------------------------------------------- batch eval
-
-/// Lane-addressable view of one operand of a vectorized kernel. Literals and
-/// bound column refs are served by reference (the batch analogue of EvalRef:
-/// no per-lane string copies); anything else evaluates into owned storage.
-class BatchArg {
- public:
-  Status Init(const Expr& expr, const RowBatch& batch,
-              const std::vector<uint32_t>& lanes, const UdfRegistry* udfs) {
-    if (expr.kind == ExprKind::kLiteral) {
-      literal_ = &expr.literal;
-      return Status::OK();
-    }
-    if (expr.kind == ExprKind::kColumnRef && expr.bound_slot >= 0 &&
-        static_cast<size_t>(expr.bound_slot) < batch.num_cols()) {
-      col_ = &batch.cols[expr.bound_slot];
-      return Status::OK();
-    }
-    return EvalExprBatch(expr, batch, lanes, udfs, &storage_);
-  }
-
-  /// Operand value for the i-th lane (physical row `lane`).
-  const Datum& At(size_t i, uint32_t lane) const {
-    if (literal_ != nullptr) return *literal_;
-    if (col_ != nullptr) return (*col_)[lane];
-    return storage_[i];
-  }
-
- private:
-  const Datum* literal_ = nullptr;
-  const std::vector<Datum>* col_ = nullptr;
-  std::vector<Datum> storage_;
-};
-
-/// Exact per-lane fallback for nodes without a column kernel (functions,
-/// CASE, IN lists with evaluable items): copies only the slots the subtree
-/// references into a scratch row and runs the scalar evaluator, so
-/// evaluation order *within* a lane — short-circuits, which argument's error
-/// fires — is identical to the row path by construction.
-Status EvalBatchPerLane(const Expr& expr, const RowBatch& batch,
-                        const std::vector<uint32_t>& lanes,
-                        const UdfRegistry* udfs, std::vector<Datum>* out) {
-  static metrics::Counter* fallback_lanes =
-      metrics::GetCounter("eval.fallback_lanes");
-  fallback_lanes->Add(lanes.size());
-  // BindExpr caches the sorted slot set on the node; collecting here only
-  // covers expressions evaluated without a binding pass (tests, ad hoc).
-  std::vector<int> local_slots;
-  if (!expr.fallback_slots_cached) {
-    CollectBoundSlots(expr, &local_slots);
-    std::sort(local_slots.begin(), local_slots.end());
-    local_slots.erase(std::unique(local_slots.begin(), local_slots.end()),
-                      local_slots.end());
-  }
-  const std::vector<int>& slots =
-      expr.fallback_slots_cached ? expr.cached_fallback_slots : local_slots;
-  DatumRow scratch(batch.num_cols());
-  out->reserve(lanes.size());
-  for (uint32_t lane : lanes) {
-    for (int s : slots) {
-      // Out-of-range slots stay uncopied; the scalar evaluator reports them
-      // with the row path's own "unbound column reference" error.
-      if (static_cast<size_t>(s) < batch.num_cols()) {
-        scratch[s] = batch.cols[s][lane];
-      }
-    }
-    ASSIGN_OR_RETURN(Datum v, EvalExpr(expr, scratch, udfs));
-    out->push_back(std::move(v));
-  }
-  return Status::OK();
-}
-
-/// True when the expression cannot error and has no evaluation-order
-/// footprint (literal or bound column ref) — the precondition for running
-/// short-circuiting constructs' operands eagerly as columns.
-bool IsSimpleOperand(const Expr& expr) {
-  return expr.kind == ExprKind::kLiteral ||
-         (expr.kind == ExprKind::kColumnRef && expr.bound_slot >= 0);
-}
-
-Status EvalBinaryBatch(const Expr& expr, const RowBatch& batch,
-                       const std::vector<uint32_t>& lanes,
-                       const UdfRegistry* udfs, std::vector<Datum>* out) {
-  const size_t n = lanes.size();
-  if (expr.bop == BinaryOp::kAnd || expr.bop == BinaryOp::kOr) {
-    // Kleene AND/OR with the row path's short-circuit: lanes the left side
-    // decides (false AND _, true OR _) never evaluate the right side, so a
-    // right-side runtime error fires for exactly the same rows it would
-    // row-at-a-time.
-    const bool is_and = expr.bop == BinaryOp::kAnd;
-    std::vector<Datum> lhs;
-    RETURN_NOT_OK(EvalExprBatch(*expr.args[0], batch, lanes, udfs, &lhs));
-    std::vector<uint32_t> undecided;
-    std::vector<size_t> undecided_pos;
-    out->assign(n, Datum::Null());
-    for (size_t i = 0; i < n; ++i) {
-      const Datum& l = lhs[i];
-      if (!l.is_null() && l.is_bool() && l.bool_value() != is_and) {
-        (*out)[i] = Datum::Bool(!is_and);
-      } else {
-        undecided.push_back(lanes[i]);
-        undecided_pos.push_back(i);
-      }
-    }
-    if (undecided.empty()) return Status::OK();
-    std::vector<Datum> rhs;
-    RETURN_NOT_OK(EvalExprBatch(*expr.args[1], batch, undecided, udfs, &rhs));
-    for (size_t k = 0; k < undecided_pos.size(); ++k) {
-      const Datum& l = lhs[undecided_pos[k]];
-      const Datum& r = rhs[k];
-      Datum& o = (*out)[undecided_pos[k]];
-      if (!r.is_null() && r.is_bool() && r.bool_value() != is_and) {
-        o = Datum::Bool(!is_and);
-      } else if (l.is_null() || r.is_null()) {
-        o = Datum::Null();
-      } else if (!l.is_bool() || !r.is_bool()) {
-        return Status::TypeError("AND/OR on non-boolean");
-      } else {
-        o = Datum::Bool(is_and);
-      }
-    }
-    return Status::OK();
-  }
-  // The row path evaluates both operands unconditionally, so eager column
-  // evaluation preserves semantics for every remaining binary op.
-  BatchArg lhs, rhs;
-  RETURN_NOT_OK(lhs.Init(*expr.args[0], batch, lanes, udfs));
-  RETURN_NOT_OK(rhs.Init(*expr.args[1], batch, lanes, udfs));
-  out->reserve(n);
-  switch (expr.bop) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNe:
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-    case BinaryOp::kGt:
-    case BinaryOp::kGe:
-      for (size_t i = 0; i < n; ++i) {
-        ASSIGN_OR_RETURN(
-            Datum v, EvalCompareOp(expr.bop, lhs.At(i, lanes[i]),
-                                   rhs.At(i, lanes[i])));
-        out->push_back(std::move(v));
-      }
-      return Status::OK();
-    case BinaryOp::kAdd:
-    case BinaryOp::kSub:
-    case BinaryOp::kMul:
-    case BinaryOp::kDiv:
-    case BinaryOp::kMod:
-      for (size_t i = 0; i < n; ++i) {
-        ASSIGN_OR_RETURN(
-            Datum v, EvalArithmetic(expr.bop, lhs.At(i, lanes[i]),
-                                    rhs.At(i, lanes[i])));
-        out->push_back(std::move(v));
-      }
-      return Status::OK();
-    case BinaryOp::kLike:
-      for (size_t i = 0; i < n; ++i) {
-        const Datum& l = lhs.At(i, lanes[i]);
-        const Datum& r = rhs.At(i, lanes[i]);
-        if (l.is_null() || r.is_null()) {
-          out->push_back(Datum::Null());
-          continue;
-        }
-        if (!l.is_text() || !r.is_text()) {
-          return Status::TypeError("LIKE on non-text values");
-        }
-        out->push_back(Datum::Bool(LikeMatch(l.str(), r.str())));
-      }
-      return Status::OK();
-    case BinaryOp::kConcat:
-      for (size_t i = 0; i < n; ++i) {
-        const Datum& l = lhs.At(i, lanes[i]);
-        const Datum& r = rhs.At(i, lanes[i]);
-        if (l.is_null() || r.is_null()) {
-          out->push_back(Datum::Null());
-          continue;
-        }
-        out->push_back(Datum::Text(l.ToString() + r.ToString()));
-      }
-      return Status::OK();
-    default:
-      return Status::Internal("unhandled binary op");
-  }
-}
 
 }  // namespace
-
-Status EvalExprBatch(const Expr& expr, const RowBatch& batch,
-                     const std::vector<uint32_t>& lanes,
-                     const UdfRegistry* udfs, std::vector<Datum>* out) {
-  out->clear();
-  const size_t n = lanes.size();
-  switch (expr.kind) {
-    case ExprKind::kLiteral:
-      out->assign(n, expr.literal);
-      return Status::OK();
-    case ExprKind::kColumnRef: {
-      if (expr.bound_slot < 0 ||
-          static_cast<size_t>(expr.bound_slot) >= batch.num_cols()) {
-        return Status::Internal("unbound column reference ", expr.column);
-      }
-      const std::vector<Datum>& col = batch.cols[expr.bound_slot];
-      out->reserve(n);
-      for (uint32_t lane : lanes) out->push_back(col[lane]);
-      return Status::OK();
-    }
-    case ExprKind::kStar:
-      return Status::Internal("star expression reached the evaluator");
-    case ExprKind::kUnary: {
-      std::vector<Datum> vals;
-      RETURN_NOT_OK(EvalExprBatch(*expr.args[0], batch, lanes, udfs, &vals));
-      out->reserve(n);
-      for (Datum& v : vals) {
-        if (expr.uop == UnaryOp::kNot) {
-          if (v.is_null()) {
-            out->push_back(Datum::Null());
-          } else if (!v.is_bool()) {
-            return Status::TypeError("NOT on non-boolean");
-          } else {
-            out->push_back(Datum::Bool(!v.bool_value()));
-          }
-          continue;
-        }
-        if (v.is_null()) {
-          out->push_back(Datum::Null());
-        } else if (v.is_int()) {
-          out->push_back(Datum::Int(-v.int_value()));
-        } else if (v.is_double()) {
-          out->push_back(Datum::Double(-v.double_value()));
-        } else {
-          return Status::TypeError("unary minus on non-numeric");
-        }
-      }
-      return Status::OK();
-    }
-    case ExprKind::kBinary:
-      return EvalBinaryBatch(expr, batch, lanes, udfs, out);
-    case ExprKind::kBetween: {
-      // The row path evaluates target, lo and hi unconditionally, so column
-      // evaluation of all three preserves semantics.
-      BatchArg target, lo, hi;
-      RETURN_NOT_OK(target.Init(*expr.args[0], batch, lanes, udfs));
-      RETURN_NOT_OK(lo.Init(*expr.args[1], batch, lanes, udfs));
-      RETURN_NOT_OK(hi.Init(*expr.args[2], batch, lanes, udfs));
-      out->reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        const Datum& t = target.At(i, lanes[i]);
-        ASSIGN_OR_RETURN(Datum ge,
-                         EvalCompareOp(BinaryOp::kGe, t, lo.At(i, lanes[i])));
-        ASSIGN_OR_RETURN(Datum le,
-                         EvalCompareOp(BinaryOp::kLe, t, hi.At(i, lanes[i])));
-        if (ge.is_null() || le.is_null()) {
-          out->push_back(Datum::Null());
-          continue;
-        }
-        bool in_range = ge.bool_value() && le.bool_value();
-        out->push_back(Datum::Bool(expr.negated ? !in_range : in_range));
-      }
-      return Status::OK();
-    }
-    case ExprKind::kInList: {
-      // The row path stops evaluating list items after a match; only items
-      // that cannot error (literals/column refs) may be evaluated eagerly.
-      for (size_t i = 1; i < expr.args.size(); ++i) {
-        if (!IsSimpleOperand(*expr.args[i])) {
-          return EvalBatchPerLane(expr, batch, lanes, udfs, out);
-        }
-      }
-      BatchArg target;
-      RETURN_NOT_OK(target.Init(*expr.args[0], batch, lanes, udfs));
-      std::vector<BatchArg> items(expr.args.size() - 1);
-      for (size_t i = 1; i < expr.args.size(); ++i) {
-        RETURN_NOT_OK(items[i - 1].Init(*expr.args[i], batch, lanes, udfs));
-      }
-      out->reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        const Datum& t = target.At(i, lanes[i]);
-        if (t.is_null()) {
-          out->push_back(Datum::Null());
-          continue;
-        }
-        bool matched = false, saw_null = false;
-        for (const BatchArg& item : items) {
-          ASSIGN_OR_RETURN(
-              Datum eq, EvalCompareOp(BinaryOp::kEq, t, item.At(i, lanes[i])));
-          if (eq.is_null()) {
-            saw_null = true;
-          } else if (eq.bool_value()) {
-            matched = true;
-            break;
-          }
-        }
-        if (matched) {
-          out->push_back(Datum::Bool(!expr.negated));
-        } else if (saw_null) {
-          out->push_back(Datum::Null());
-        } else {
-          out->push_back(Datum::Bool(expr.negated));
-        }
-      }
-      return Status::OK();
-    }
-    case ExprKind::kIsNull: {
-      BatchArg arg;
-      RETURN_NOT_OK(arg.Init(*expr.args[0], batch, lanes, udfs));
-      out->reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        bool null = arg.At(i, lanes[i]).is_null();
-        out->push_back(Datum::Bool(expr.negated ? !null : null));
-      }
-      return Status::OK();
-    }
-    case ExprKind::kFunction:
-    case ExprKind::kCase:
-      // Argument short-circuits (coalesce, CASE branches) and UDF dispatch
-      // stay on the scalar evaluator, one lane at a time.
-      return EvalBatchPerLane(expr, batch, lanes, udfs, out);
-  }
-  return Status::Internal("unreachable expression kind");
-}
-
-Status EvalPredicateBatch(const Expr& expr, const RowBatch& batch,
-                          const UdfRegistry* udfs,
-                          std::vector<uint32_t>* sel) {
-  if (sel->empty()) return Status::OK();
-  std::vector<Datum> vals;
-  RETURN_NOT_OK(EvalExprBatch(expr, batch, *sel, udfs, &vals));
-  size_t kept = 0;
-  for (size_t i = 0; i < sel->size(); ++i) {
-    const Datum& v = vals[i];
-    if (v.is_null()) continue;  // NULL filters, as in EvalPredicate
-    if (!v.is_bool()) {
-      return Status::TypeError("predicate did not evaluate to a boolean");
-    }
-    if (v.bool_value()) (*sel)[kept++] = (*sel)[i];
-  }
-  sel->resize(kept);
-  return Status::OK();
-}
-
-Status EvalExprBatch(const Expr& expr, const bytecode::Program* program,
-                     bytecode::ExecState* state, const RowBatch& batch,
-                     const std::vector<uint32_t>& lanes,
-                     const UdfRegistry* udfs, std::vector<Datum>* out) {
-  if (program != nullptr && state != nullptr) {
-    return bytecode::ExecBatch(*program, batch, lanes, udfs, state, out);
-  }
-  return EvalExprBatch(expr, batch, lanes, udfs, out);
-}
-
-Status EvalPredicateBatch(const Expr& expr, const bytecode::Program* program,
-                          bytecode::ExecState* state, const RowBatch& batch,
-                          const UdfRegistry* udfs,
-                          std::vector<uint32_t>* sel) {
-  if (program != nullptr && state != nullptr) {
-    return bytecode::ExecPredicateBatch(*program, batch, udfs, state, sel);
-  }
-  return EvalPredicateBatch(expr, batch, udfs, sel);
-}
 
 Result<bool> EvalPredicate(const Expr& expr, const DatumRow& row,
                            const UdfRegistry* udfs) {

@@ -9,15 +9,9 @@
 #include "common/result.h"
 #include "engine/datum.h"
 #include "engine/expr.h"
-#include "engine/row_batch.h"
 #include "engine/udf.h"
 
 namespace sinew::engine {
-
-namespace bytecode {
-struct Program;
-struct ExecState;
-}  // namespace bytecode
 
 /// The column layout flowing between executor operators. Every operator
 /// declares one; expressions bind against it by (table alias, column name).
@@ -42,61 +36,20 @@ struct ExecSchema {
 Status BindExpr(Expr* expr, const ExecSchema& schema,
                 const std::vector<std::string>& aliases);
 
-/// Recomputes the cached fallback slot sets (Expr::cached_fallback_slots)
-/// for every kFunction/kCase/kInList node in the tree. BindExpr fills the
-/// caches as it binds; plan rewrites that change bound slots afterwards
-/// (e.g. extraction hoisting redirecting colrefs at extract-node outputs)
-/// must refresh them — the planner runs this over every expression slot as
-/// a final pass, after all rewrites.
-void RefreshFallbackSlotCaches(Expr* expr);
-
 /// Evaluates a bound expression over a row. SQL three-valued logic: NULL
 /// operands propagate through comparisons and arithmetic; AND/OR implement
 /// Kleene logic. Cross-kind comparisons between non-numeric kinds yield NULL
 /// (so a predicate over a multi-typed attribute filters rather than errors —
-/// paper Section 3.2.2).
+/// paper Section 3.2.2). This scalar evaluator is the semantic reference:
+/// the bytecode VM (engine/bytecode.h), the only batch evaluator, calls it
+/// for every shape it has no kernel for and must agree with it lane for
+/// lane.
 Result<Datum> EvalExpr(const Expr& expr, const DatumRow& row,
                        const UdfRegistry* udfs);
 
 /// Evaluates a bound predicate to a filter decision (NULL => false).
 Result<bool> EvalPredicate(const Expr& expr, const DatumRow& row,
                            const UdfRegistry* udfs);
-
-/// Batch evaluation: computes `expr` for every lane in `lanes` (physical row
-/// indices into `batch`), writing one datum per lane into `*out`. Literals,
-/// column refs, comparisons, arithmetic, LIKE/concat, BETWEEN, IS NULL and
-/// literal-only IN lists run as column kernels; AND/OR recurse on the
-/// undecided lane subset so short-circuit semantics (including which side's
-/// runtime errors can fire) match the row evaluator; functions and CASE fall
-/// back to the scalar evaluator per lane, so semantics are identical by
-/// construction. The only permitted deviation from row-at-a-time execution
-/// is *which* lane's error surfaces first when several lanes would error.
-Status EvalExprBatch(const Expr& expr, const RowBatch& batch,
-                     const std::vector<uint32_t>& lanes,
-                     const UdfRegistry* udfs, std::vector<Datum>* out);
-
-/// Batch predicate: evaluates `expr` over the lanes in `*sel` and keeps only
-/// the lanes where it is TRUE (NULL filters, non-boolean errors), preserving
-/// order — the vectorized EvalPredicate.
-Status EvalPredicateBatch(const Expr& expr, const RowBatch& batch,
-                          const UdfRegistry* udfs,
-                          std::vector<uint32_t>* sel);
-
-/// Program-aware dispatch: runs the compiled bytecode program when one is
-/// attached (engine/bytecode.h), else the tree-walk kernels above. The two
-/// paths agree lane-for-lane; the only permitted deviation is *which* lane's
-/// error surfaces first.
-Status EvalExprBatch(const Expr& expr, const bytecode::Program* program,
-                     bytecode::ExecState* state, const RowBatch& batch,
-                     const std::vector<uint32_t>& lanes,
-                     const UdfRegistry* udfs, std::vector<Datum>* out);
-
-/// Program-aware EvalPredicateBatch: single-instruction fused programs
-/// refine `*sel` in place without materializing a boolean column.
-Status EvalPredicateBatch(const Expr& expr, const bytecode::Program* program,
-                          bytecode::ExecState* state, const RowBatch& batch,
-                          const UdfRegistry* udfs,
-                          std::vector<uint32_t>* sel);
 
 /// Result type inference for a bound expression (best effort; used to label
 /// output columns).

@@ -32,7 +32,7 @@ struct ExecContext {
   ThreadPool* pool = nullptr;
   // Per-node actuals (EXPLAIN ANALYZE); nullptr = don't instrument.
   PlanStats* stats = nullptr;
-  // Rows per RowBatch; 1 = row-at-a-time Volcano (see ExecOptions).
+  // Rows per RowBatch (see ExecOptions).
   size_t batch_size = 1;
   // Record per-call wall clock into OperatorStats.next_ns.
   bool time_ops = false;
@@ -69,66 +69,76 @@ struct MorselSource {
   }
 };
 
+/// The one streaming protocol: every operator produces RowBatches.
 class Operator {
  public:
   virtual ~Operator() = default;
   virtual Status Open() = 0;
-  /// Fills `row` and returns true, or returns false at end-of-stream.
-  virtual Result<bool> Next(DatumRow* row) = 0;
 
-  /// Fills `batch` with up to batch_capacity() rows and returns true, or
+  /// Fills `batch` with up to the batch capacity of rows and returns true, or
   /// returns false at end-of-stream. Batches may return with an empty
   /// selection (every row filtered out); callers keep pulling until false.
-  /// The default adapts row-only operators (sort, joins, aggregates) to
-  /// batch consumers by draining Next(), so plan coverage is total without
-  /// touching the blocking operators.
-  virtual Result<bool> NextBatch(RowBatch* batch) {
-    batch->Reset(batch->num_cols());
-    DatumRow row;
-    while (batch->size < batch_capacity_) {
-      ASSIGN_OR_RETURN(bool has, Next(&row));
-      if (!has) break;
-      batch->AppendRow(std::move(row));
-    }
-    return batch->size > 0;
-  }
+  virtual Result<bool> NextBatch(RowBatch* batch) = 0;
 
-  size_t batch_capacity() const { return batch_capacity_; }
   void set_batch_capacity(size_t rows) {
     batch_capacity_ = std::max<size_t>(1, rows);
   }
 
  protected:
-  /// Row-at-a-time view over this operator's own NextBatch output.
-  /// Batch-native operators implement Next() with this when running in
-  /// batch mode, so row-only parents (a sort above a filter, a join build
-  /// side) transparently drain the vectorized pipeline below them. Only
-  /// operators that override NextBatch may call it (the default NextBatch
-  /// calls Next, which would recurse).
-  Result<bool> NextFromOwnBatch(DatumRow* out) {
-    while (drain_pos_ >= drain_batch_.active()) {
-      ASSIGN_OR_RETURN(bool has, NextBatch(&drain_batch_));
-      if (!has) return false;
-      drain_pos_ = 0;
-    }
-    drain_batch_.MoveRow(drain_batch_.sel[drain_pos_++], out);
-    return true;
-  }
-
   size_t batch_capacity_ = 1;
-
- private:
-  RowBatch drain_batch_;
-  size_t drain_pos_ = 0;
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// EXPLAIN ANALYZE shim: times Open/Next and counts emitted rows into the
-/// plan node's shared OperatorStats. Gather worker clones of the same plan
-/// subtree all wrap the same stats object (fields are atomic), so per-worker
-/// activity aggregates onto the one printed tree node. Times are inclusive
-/// of children, PostgreSQL-style.
+/// Base of the blocking operators (sort, joins, aggregation, DISTINCT),
+/// which compute one output row at a time: NextBatch packs NextRow's rows.
+class RowOperator : public Operator {
+ public:
+  Result<bool> NextBatch(RowBatch* batch) final {
+    batch->Reset(batch->num_cols());
+    while (batch->size < batch_capacity_) {
+      ASSIGN_OR_RETURN(bool has, NextRow(&row_));
+      if (!has) break;
+      batch->AppendRow(std::move(row_));
+    }
+    return batch->size > 0;
+  }
+
+ protected:
+  /// Fills `row` and returns true, or returns false at end-of-stream.
+  virtual Result<bool> NextRow(DatumRow* row) = 0;
+
+ private:
+  DatumRow row_;
+};
+
+/// Row-at-a-time view over a child's batches: the one adapter through which
+/// the blocking operators consume their inputs.
+class RowReader {
+ public:
+  explicit RowReader(Operator* child) : child_(child) {}
+
+  Result<bool> Next(DatumRow* row) {
+    while (pos_ >= batch_.active()) {
+      ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch_));
+      if (!has) return false;
+      pos_ = 0;
+    }
+    batch_.MoveRow(batch_.sel[pos_++], row);
+    return true;
+  }
+
+ private:
+  Operator* child_;
+  RowBatch batch_;
+  size_t pos_ = 0;
+};
+
+/// EXPLAIN ANALYZE shim: times Open/NextBatch and counts emitted rows into
+/// the plan node's shared OperatorStats. Gather worker clones of the same
+/// plan subtree all wrap the same stats object (fields are atomic), so
+/// per-worker activity aggregates onto the one printed tree node. Times are
+/// inclusive of children, PostgreSQL-style.
 class InstrumentedOp : public Operator {
  public:
   InstrumentedOp(OperatorPtr inner, OperatorStats* stats, bool time_ops)
@@ -141,23 +151,6 @@ class InstrumentedOp : public Operator {
     stats_->open_ns.fetch_add(metrics::NowNanos() - start,
                               std::memory_order_relaxed);
     return st;
-  }
-
-  Result<bool> Next(DatumRow* row) override {
-    stats_->next_calls.fetch_add(1, std::memory_order_relaxed);
-    if (!time_) {
-      Result<bool> has = inner_->Next(row);
-      if (has.ok() && *has) {
-        stats_->rows.fetch_add(1, std::memory_order_relaxed);
-      }
-      return has;
-    }
-    const uint64_t start = metrics::NowNanos();
-    Result<bool> has = inner_->Next(row);
-    stats_->next_ns.fetch_add(metrics::NowNanos() - start,
-                              std::memory_order_relaxed);
-    if (has.ok() && *has) stats_->rows.fetch_add(1, std::memory_order_relaxed);
-    return has;
   }
 
   /// Batch-granularity accounting: one next_calls tick, one timing pair and
@@ -234,7 +227,10 @@ class ScanOp : public Operator {
     live_slots_ = schema_.LiveSlots();
     end_ = morsels_ != nullptr ? 0 : table->RowSlotCountUnlocked();
     rid_ = 0;
-    const size_t rid_position = live_slots_.size();
+    rid_position_ = live_slots_.size();
+    if (node_.scan_filter != nullptr && node_.scan_filter_program == nullptr) {
+      return Status::Internal("scan filter has no compiled program");
+    }
     // The plan was built against an earlier schema snapshot; if a
     // concurrent ADD/DROP COLUMN changed the live layout in between,
     // silently decoding would misalign columns — fail fast instead (the
@@ -255,7 +251,7 @@ class ScanOp : public Operator {
     auto to_table_slots = [&](const std::vector<size_t>& positions) {
       std::vector<size_t> slots;
       for (size_t pos : positions) {
-        if (pos < rid_position) slots.push_back(live_slots_[pos]);
+        if (pos < rid_position_) slots.push_back(live_slots_[pos]);
       }
       std::sort(slots.begin(), slots.end());
       return slots;
@@ -267,12 +263,6 @@ class ScanOp : public Operator {
       filter_slots_ = live_slots_;
       std::sort(filter_slots_.begin(), filter_slots_.end());
       output_slots_.clear();
-    }
-    // With no dropped columns, output position == table slot, so rows can be
-    // decoded in place without the intermediate full-width buffer.
-    identity_ = live_slots_.size() == schema_.num_slots();
-    for (size_t i = 0; identity_ && i < live_slots_.size(); ++i) {
-      identity_ = live_slots_[i] == i;
     }
     // Deferred-bytes pushdown: a lazy source survives Open only when its
     // column is decoded exclusively in phase 2 (the pushed-down filter never
@@ -307,40 +297,36 @@ class ScanOp : public Operator {
         }
       }
     }
+    auto sources_for = [&](const std::vector<size_t>& out_slots) {
+      std::vector<Source> sources(rid_position_, Source::kNull);
+      for (size_t i = 0; i < rid_position_; ++i) {
+        const size_t slot = live_slots_[i];
+        if (std::binary_search(filter_slots_.begin(), filter_slots_.end(),
+                               slot)) {
+          sources[i] = Source::kFilter;
+        } else if (std::binary_search(out_slots.begin(), out_slots.end(),
+                                      slot)) {
+          sources[i] = Source::kOutput;
+        }
+      }
+      return sources;
+    };
+    sources_ = sources_for(output_slots_);
+    sources_lazy_ = sources_for(output_slots_lazy_);
+    filter_positions_.clear();
+    for (size_t i = 0; i < rid_position_; ++i) {
+      if (sources_[i] == Source::kFilter) filter_positions_.push_back(i);
+    }
+    scratch_.assign(schema_.num_slots(), Datum());
     return Status::OK();
   }
 
-  Result<bool> Next(DatumRow* out) override {
-    Table* table = node_.table;
-    lazy_active_ = false;  // row-at-a-time consumers always get real bytes
-    while (rid_ < end_ ||
-           (morsels_ != nullptr && morsels_->Claim(&rid_, &end_))) {
-      // Chunked shared latching: hold the latch for up to kScanChunk rows so
-      // the background materializer's row updates can interleave.
-      std::shared_lock lock(table->latch());
-      if (!node_.zone_filters.empty()) {
-        SkipZonedStripsUnlocked(table);
-        if (rid_ >= end_) continue;
-      }
-      uint64_t chunk_end = std::min(end_, rid_ + kScanChunk);
-      for (; rid_ < chunk_end; ++rid_) {
-        ASSIGN_OR_RETURN(bool has, DecodeRowUnlocked(rid_, out));
-        if (!has) continue;
-        ++rid_;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Batch scan: one latch acquisition covers a whole batch worth of rows
-  /// (the row path re-latches per emitted row), decoding straight into the
-  /// batch's columns.
+  /// Chunked shared latching: one latch acquisition covers up to kScanChunk
+  /// rows (one strip), so the background materializer's row updates can
+  /// interleave between chunks. Batches carry surviving rows only.
   Result<bool> NextBatch(RowBatch* batch) override {
     Table* table = node_.table;
-    const size_t rid_position = live_slots_.size();
-    batch->Reset(rid_position + 1);
-    DatumRow row;
+    batch->Reset(rid_position_ + 1);
     while (batch->size < batch_capacity_ &&
            (rid_ < end_ ||
             (morsels_ != nullptr && morsels_->Claim(&rid_, &end_)))) {
@@ -350,10 +336,11 @@ class ScanOp : public Operator {
         if (rid_ >= end_) continue;
       }
       RefreshLazyStateUnlocked(table, batch);
-      uint64_t chunk_end = std::min(end_, rid_ + kScanChunk);
-      for (; rid_ < chunk_end && batch->size < batch_capacity_; ++rid_) {
-        ASSIGN_OR_RETURN(bool has, DecodeRowUnlocked(rid_, &row));
-        if (has) batch->AppendRow(std::move(row));
+      const uint64_t chunk_end = std::min(end_, rid_ + kScanChunk);
+      while (rid_ < chunk_end && batch->size < batch_capacity_) {
+        RETURN_NOT_OK(node_.scan_filter == nullptr
+                          ? DecodeUnlocked(chunk_end, batch)
+                          : DecodeFilteredUnlocked(chunk_end, batch));
       }
     }
     lazy_active_ = false;
@@ -437,76 +424,118 @@ class ScanOp : public Operator {
     }
   }
 
-  /// Decodes row slot `rid` into `*out` (survivor of the deleted-row check
-  /// and the pushed-down filter), exactly the row-at-a-time inner loop.
-  /// Caller holds the table latch.
-  Result<bool> DecodeRowUnlocked(uint64_t rid, DatumRow* out) {
-    Table* table = node_.table;
-    const size_t rid_position = live_slots_.size();
-    const std::string& raw = table->RawRowUnlocked(rid);
-    if (raw.empty()) return false;  // deleted
-    // Decode straight into the caller's buffer — the batch path hands the
-    // same scratch row back in every iteration, so the steady state reuses
-    // its capacity instead of allocating a fresh row per decode.
-    DatumRow& row = *out;
-    row.assign(rid_position + 1, Datum());
-    // Phase 1: decode only the columns the pushed-down filter touches.
-    if (identity_) {
-      RETURN_NOT_OK(DecodeRowSlots(schema_, raw, filter_slots_, &row));
-    } else {
-      full_scratch_.assign(schema_.num_slots(), Datum());
-      RETURN_NOT_OK(
-          DecodeRowSlots(schema_, raw, filter_slots_, &full_scratch_));
-      for (size_t i = 0; i < rid_position; ++i) {
-        row[i] = std::move(full_scratch_[live_slots_[i]]);
-      }
-    }
-    row[rid_position] = Datum::Int(static_cast<int64_t>(rid));
-    if (node_.scan_filter != nullptr) {
-      bool keep;
-      if (node_.scan_filter_program != nullptr) {
-        ASSIGN_OR_RETURN(keep,
-                         bytecode::ExecPredicateRow(*node_.scan_filter_program,
-                                                    row, ctx_->udfs,
-                                                    &bc_state_));
-      } else {
-        ASSIGN_OR_RETURN(keep,
-                         EvalPredicate(*node_.scan_filter, row, ctx_->udfs));
-      }
-      if (!keep) return false;
-    }
-    // Phase 2: decode the remaining referenced columns for survivors. A
-    // deferring chunk (RefreshLazyStateUnlocked) narrows the slot list for
-    // segment-covered rows: the strips above serve those columns instead.
-    const std::vector<size_t>& out_slots =
-        lazy_active_ && rid < lazy_limit_ ? output_slots_lazy_
-                                          : output_slots_;
-    if (!out_slots.empty()) {
-      if (identity_) {
-        RETURN_NOT_OK(DecodeRowSlots(schema_, raw, out_slots, &row));
-      } else {
-        full_scratch_.assign(schema_.num_slots(), Datum());
-        RETURN_NOT_OK(
-            DecodeRowSlots(schema_, raw, out_slots, &full_scratch_));
-        for (size_t i = 0; i < rid_position; ++i) {
-          if (row[i].is_null()) {
-            row[i] = std::move(full_scratch_[live_slots_[i]]);
-          }
+  /// Unfiltered scan: decodes the live rows of [rid_, chunk_end) straight
+  /// into `batch` until it is full. Caller holds the table latch.
+  Status DecodeUnlocked(uint64_t chunk_end, RowBatch* batch) {
+    for (; rid_ < chunk_end && batch->size < batch_capacity_; ++rid_) {
+      const std::string& raw = node_.table->RawRowUnlocked(rid_);
+      if (raw.empty()) continue;  // deleted
+      const bool lazy = DefersRow(rid_);
+      RETURN_NOT_OK(DecodeRowSlots(schema_, raw, filter_slots_, &scratch_));
+      RETURN_NOT_OK(DecodeRowSlots(
+          schema_, raw, lazy ? output_slots_lazy_ : output_slots_, &scratch_));
+      const std::vector<Source>& sources = lazy ? sources_lazy_ : sources_;
+      for (size_t i = 0; i < rid_position_; ++i) {
+        if (sources[i] == Source::kNull) {
+          batch->cols[i].emplace_back();
+        } else {
+          batch->cols[i].push_back(std::move(scratch_[live_slots_[i]]));
         }
       }
+      AppendRid(rid_, batch);
     }
-    return true;
+    return Status::OK();
   }
+
+  /// Filtered scan, one round: phase 1 decodes only the filter columns of up
+  /// to a batch's worth of live rows into the probe batch (its other columns
+  /// stay empty — the compiled filter reads only the filter columns and
+  /// __rid); the filter refines the probe's selection in one select-mode
+  /// call, so typed kernels apply; phase 2 decodes the survivors' remaining
+  /// columns and appends them to `batch`. Survivors that do not fit are
+  /// rescanned by the next call: rid_ rewinds to the first of them. Caller
+  /// holds the table latch, which keeps the raw row bytes the probe lanes
+  /// point at stable across phases.
+  Status DecodeFilteredUnlocked(uint64_t chunk_end, RowBatch* batch) {
+    probe_.Reset(rid_position_ + 1);
+    probe_raws_.clear();
+    for (; rid_ < chunk_end && probe_.size < batch_capacity_; ++rid_) {
+      const std::string& raw = node_.table->RawRowUnlocked(rid_);
+      if (raw.empty()) continue;  // deleted
+      RETURN_NOT_OK(DecodeRowSlots(schema_, raw, filter_slots_, &scratch_));
+      for (size_t i : filter_positions_) {
+        probe_.cols[i].push_back(std::move(scratch_[live_slots_[i]]));
+      }
+      AppendRid(rid_, &probe_);
+      probe_raws_.push_back(&raw);
+    }
+    RETURN_NOT_OK(bytecode::ExecPredicateBatch(*node_.scan_filter_program,
+                                               probe_, ctx_->udfs,
+                                               &bc_state_, &probe_.sel));
+    for (uint32_t lane : probe_.sel) {
+      const auto rid =
+          static_cast<uint64_t>(probe_.cols[rid_position_][lane].int_value());
+      if (batch->size == batch_capacity_) {
+        rid_ = rid;
+        break;
+      }
+      const bool lazy = DefersRow(rid);
+      RETURN_NOT_OK(DecodeRowSlots(schema_, *probe_raws_[lane],
+                                   lazy ? output_slots_lazy_ : output_slots_,
+                                   &scratch_));
+      const std::vector<Source>& sources = lazy ? sources_lazy_ : sources_;
+      for (size_t i = 0; i < rid_position_; ++i) {
+        switch (sources[i]) {
+          case Source::kFilter:
+            batch->cols[i].push_back(std::move(probe_.cols[i][lane]));
+            break;
+          case Source::kOutput:
+            batch->cols[i].push_back(std::move(scratch_[live_slots_[i]]));
+            break;
+          case Source::kNull:
+            batch->cols[i].emplace_back();
+            break;
+        }
+      }
+      AppendRid(rid, batch);
+    }
+    return Status::OK();
+  }
+
+  /// True when a deferring chunk (RefreshLazyStateUnlocked) skips the lazy
+  /// columns of row `rid`: the strips above serve them instead.
+  bool DefersRow(uint64_t rid) const {
+    return lazy_active_ && rid < lazy_limit_;
+  }
+
+  /// Completes a row appended column by column: its __rid and selection.
+  void AppendRid(uint64_t rid, RowBatch* batch) const {
+    batch->cols[rid_position_].push_back(
+        Datum::Int(static_cast<int64_t>(rid)));
+    batch->sel.push_back(static_cast<uint32_t>(batch->size++));
+  }
+
   const PlanNode& node_;
   ExecContext* ctx_;
   MorselSource* morsels_;
   Schema schema_;
   std::vector<size_t> live_slots_;
+  size_t rid_position_ = 0;  // scan output position of __rid
   std::vector<size_t> filter_slots_;
   std::vector<size_t> output_slots_;
-  bool identity_ = false;
-  /// Full-width decode buffer for non-identity layouts, reused across rows.
-  DatumRow full_scratch_;
+  /// Where each output position's value comes from: the phase-1 (filter)
+  /// decode, the phase-2 (output) decode, or nowhere (unreferenced, NULL).
+  /// The lazy variant applies to rows a deferring chunk covers.
+  enum class Source : uint8_t { kNull, kFilter, kOutput };
+  std::vector<Source> sources_, sources_lazy_;
+  std::vector<size_t> filter_positions_;  // positions with Source::kFilter
+  /// Table-slot-indexed decode buffer, reused across rows: DecodeRowSlots
+  /// rewrites every requested slot, and values move out into batch columns.
+  DatumRow scratch_;
+  /// Filtered scans: phase-1 rows awaiting the filter, and the raw bytes of
+  /// each probe lane for phase 2.
+  RowBatch probe_;
+  std::vector<const std::string*> probe_raws_;
   uint64_t rid_ = 0;
   uint64_t end_ = 0;
   /// Zone filter -> strip column resolution, rebuilt per latch acquisition
@@ -517,7 +546,7 @@ class ScanOp : public Operator {
   /// Bytecode scratch for the compiled scan filter (per operator instance;
   /// the program itself is shared across Gather workers via the plan node).
   bytecode::ExecState bc_state_;
-  // Deferred-bytes pushdown state (node_.lazy_sources; batch path only).
+  // Deferred-bytes pushdown state (node_.lazy_sources).
   bool lazy_eligible_ = false;      // Open-time checks passed
   bool lazy_active_ = false;        // current chunk skips the lazy columns
   uint64_t lazy_limit_ = 0;         // segment row_count for current chunk
@@ -539,36 +568,22 @@ class FilterOp : public Operator {
 
   ~FilterOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
 
-  Status Open() override { return child_->Open(); }
-
-  Result<bool> Next(DatumRow* out) override {
-    if (batch_capacity_ > 1) return NextFromOwnBatch(out);
-    while (true) {
-      ASSIGN_OR_RETURN(bool has, child_->Next(out));
-      if (!has) return false;
-      bool keep;
-      if (node_.predicate_program != nullptr) {
-        ASSIGN_OR_RETURN(keep,
-                         bytecode::ExecPredicateRow(*node_.predicate_program,
-                                                    *out, ctx_->udfs,
-                                                    &bc_state_));
-      } else {
-        ASSIGN_OR_RETURN(keep,
-                         EvalPredicate(*node_.predicate, *out, ctx_->udfs));
-      }
-      if (keep) return true;
+  Status Open() override {
+    if (node_.predicate_program == nullptr) {
+      return Status::Internal("filter predicate has no compiled program");
     }
+    return child_->Open();
   }
 
-  /// Vectorized filter: refines the selection vector in place. Batches that
-  /// end up with an empty selection are still passed through (downstream
-  /// operators must handle them; the root drain skips them).
+  /// Refines the selection vector in place. Batches that end up with an
+  /// empty selection are still passed through (downstream operators must
+  /// handle them; the root drain skips them).
   Result<bool> NextBatch(RowBatch* batch) override {
     ASSIGN_OR_RETURN(bool has, child_->NextBatch(batch));
     if (!has) return false;
-    RETURN_NOT_OK(EvalPredicateBatch(*node_.predicate,
-                                     node_.predicate_program.get(), &bc_state_,
-                                     *batch, ctx_->udfs, &batch->sel));
+    RETURN_NOT_OK(bytecode::ExecPredicateBatch(*node_.predicate_program,
+                                               *batch, ctx_->udfs, &bc_state_,
+                                               &batch->sel));
     return true;
   }
 
@@ -588,27 +603,17 @@ class ProjectOp : public Operator {
 
   ~ProjectOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
 
-  Status Open() override { return child_->Open(); }
-
-  Result<bool> Next(DatumRow* out) override {
-    if (batch_capacity_ > 1) return NextFromOwnBatch(out);
-    DatumRow in;
-    ASSIGN_OR_RETURN(bool has, child_->Next(&in));
-    if (!has) return false;
-    DatumRow row;
-    row.reserve(node_.projections.size());
-    for (const ExprPtr& p : node_.projections) {
-      ASSIGN_OR_RETURN(Datum v, EvalExpr(*p, in, ctx_->udfs));
-      row.push_back(std::move(v));
+  Status Open() override {
+    if (node_.projection_programs.size() != node_.projections.size()) {
+      return Status::Internal("projections have no compiled programs");
     }
-    *out = std::move(row);
-    return true;
+    return child_->Open();
   }
 
-  /// Vectorized projection: each projection expression runs once over the
-  /// input batch's selected lanes into one output column. The output batch
-  /// is compacted (identity selection), since dead input lanes carry nothing
-  /// worth preserving past a projection.
+  /// Each projection expression runs once over the input batch's selected
+  /// lanes into one output column. The output batch is compacted (identity
+  /// selection), since dead input lanes carry nothing worth preserving past
+  /// a projection.
   Result<bool> NextBatch(RowBatch* batch) override {
     ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in_));
     if (!has) return false;
@@ -643,12 +648,9 @@ class ProjectOp : public Operator {
         }
         continue;
       }
-      const bytecode::Program* prog =
-          c < node_.projection_programs.size()
-              ? node_.projection_programs[c].get()
-              : nullptr;
-      RETURN_NOT_OK(EvalExprBatch(p, prog, &bc_state_, in_, in_.sel,
-                                  ctx_->udfs, &batch->cols[c]));
+      RETURN_NOT_OK(bytecode::ExecBatch(*node_.projection_programs[c], in_,
+                                        in_.sel, ctx_->udfs, &bc_state_,
+                                        &batch->cols[c]));
     }
     batch->size = in_.active();
     batch->sel.resize(batch->size);
@@ -714,7 +716,6 @@ class ExtractOp : public Operator {
       return Status::Internal("batch extract function ", node_.extract_fn,
                               " is not registered");
     }
-    rows_fn_ = ctx_->udfs->FindBatchExtractRows(node_.extract_fn);
     BindColumnarSegment();
     // Attribute heat telemetry is armed only when a sink is installed and
     // the extraction is attributable to a base table; otherwise every
@@ -727,30 +728,12 @@ class ExtractOp : public Operator {
     return child_->Open();
   }
 
-  Result<bool> Next(DatumRow* out) override {
-    if (batch_capacity_ > 1) return NextFromOwnBatch(out);
-    ASSIGN_OR_RETURN(bool has, child_->Next(out));
-    if (!has) return false;
-    const uint64_t heat_t0 = heat_enabled_ ? metrics::NowNanos() : 0;
-    RETURN_NOT_OK((*fn_)(*out, node_.extract_targets, &outs_, &stats_));
-    if (heat_enabled_) {
-      decode_ns_ += metrics::NowNanos() - heat_t0;
-      for (TargetHeat& h : heat_) {
-        ++h.requests;
-        ++h.reservoir_served;
-      }
-    }
-    out->reserve(out->size() + outs_.size());
-    for (Datum& d : outs_) out->push_back(std::move(d));
-    return true;
-  }
-
-  /// Vectorized extraction: one batch-of-rows call serves every selected
-  /// lane (amortizing the std::function dispatch and, per source column,
-  /// decoding each reservoir once). Extracted values scatter into full-size
-  /// NULL-padded output columns so physical lane indices stay aligned with
-  /// the child batch — the selection vector may be sparse here when the
-  /// extraction sits above a filter.
+  /// One batch-extract call serves every selected lane (amortizing the
+  /// std::function dispatch and, per source column, decoding each reservoir
+  /// once). Extracted values scatter into full-size NULL-padded output
+  /// columns so physical lane indices stay aligned with the child batch —
+  /// the selection vector may be sparse here when the extraction sits above
+  /// a filter.
   Result<bool> NextBatch(RowBatch* batch) override {
     ASSIGN_OR_RETURN(bool has, child_->NextBatch(batch));
     if (!has) return false;
@@ -761,48 +744,15 @@ class ExtractOp : public Operator {
       }
       return true;
     }
-    strips_pure_ = false;
-    if (rows_fn_ != nullptr) {
-      ASSIGN_OR_RETURN(bool columnar, TryServeFromStrips(batch));
-      // Every selected lane either came from a strip or is NULL (no hot
-      // reservoir rows): servable output columns carry the strip's declared
-      // type, so the batch tags can be seeded below.
-      strips_pure_ = columnar && hot_k_.empty();
-      if (!columnar) {
-        const uint64_t heat_t0 = heat_enabled_ ? metrics::NowNanos() : 0;
-        RETURN_NOT_OK((*rows_fn_)(*batch, batch->sel, node_.extract_targets,
-                                  &out_cols_, &stats_));
-        if (heat_enabled_) {
-          decode_ns_ += metrics::NowNanos() - heat_t0;
-          for (TargetHeat& h : heat_) {
-            h.requests += batch->sel.size();
-            h.reservoir_served += batch->sel.size();
-          }
-        }
-      }
-    } else {
-      // No batch-of-rows entry point registered: run the row-level function
-      // per selected lane over a scratch row of the child's width. Deferred
-      // batches can't take this path — the scan only defers for the batch
-      // extractor — but guard anyway: serving from NULL bytes would be
-      // silent corruption, an abort is a replan.
-      if (batch->lazy_seg != nullptr && SourcesLazyColumn(*batch)) {
-        return Status::Aborted(
-            "columnar segment changed concurrently; replan");
-      }
-      out_cols_.resize(num_targets);
-      for (std::vector<Datum>& col : out_cols_) {
-        col.assign(batch->active(), Datum::Null());
-      }
+    ASSIGN_OR_RETURN(bool columnar, TryServeFromStrips(batch));
+    // Every selected lane either came from a strip or is NULL (no hot
+    // reservoir rows): servable output columns carry the strip's declared
+    // type, so the batch tags can be seeded below.
+    strips_pure_ = columnar && hot_k_.empty();
+    if (!columnar) {
       const uint64_t heat_t0 = heat_enabled_ ? metrics::NowNanos() : 0;
-      DatumRow scratch;
-      for (size_t k = 0; k < batch->sel.size(); ++k) {
-        batch->CopyRow(batch->sel[k], &scratch);
-        RETURN_NOT_OK((*fn_)(scratch, node_.extract_targets, &outs_, &stats_));
-        for (size_t t = 0; t < num_targets; ++t) {
-          out_cols_[t][k] = std::move(outs_[t]);
-        }
-      }
+      RETURN_NOT_OK((*fn_)(*batch, batch->sel, node_.extract_targets,
+                           &out_cols_, &stats_));
       if (heat_enabled_) {
         decode_ns_ += metrics::NowNanos() - heat_t0;
         for (TargetHeat& h : heat_) {
@@ -855,7 +805,7 @@ class ExtractOp : public Operator {
     unservable_targets_.clear();
     unservable_index_.clear();
     if (node_.extract_table == nullptr || node_.extract_rid_slot < 0 ||
-        rows_fn_ == nullptr || node_.children.empty()) {
+        node_.children.empty()) {
       return;
     }
     open_version_ = node_.extract_table->MutationVersion();
@@ -972,8 +922,8 @@ class ExtractOp : public Operator {
     if (hits != 0) strip_hits->Add(hits);
     if (!unservable_targets_.empty()) {
       const uint64_t heat_t0 = heat_enabled_ ? metrics::NowNanos() : 0;
-      RETURN_NOT_OK((*rows_fn_)(*batch, batch->sel, unservable_targets_,
-                                &sub_cols_, &stats_));
+      RETURN_NOT_OK((*fn_)(*batch, batch->sel, unservable_targets_,
+                           &sub_cols_, &stats_));
       if (heat_enabled_) decode_ns_ += metrics::NowNanos() - heat_t0;
       for (size_t u = 0; u < unservable_index_.size(); ++u) {
         out_cols_[unservable_index_[u]] = std::move(sub_cols_[u]);
@@ -983,8 +933,8 @@ class ExtractOp : public Operator {
       hot_lanes_.clear();
       for (size_t k : hot_k_) hot_lanes_.push_back(batch->sel[k]);
       const uint64_t heat_t0 = heat_enabled_ ? metrics::NowNanos() : 0;
-      RETURN_NOT_OK((*rows_fn_)(*batch, hot_lanes_, servable_targets_,
-                                &sub_cols_, &stats_));
+      RETURN_NOT_OK((*fn_)(*batch, hot_lanes_, servable_targets_,
+                           &sub_cols_, &stats_));
       if (heat_enabled_) decode_ns_ += metrics::NowNanos() - heat_t0;
       for (size_t v = 0; v < servable_.size(); ++v) {
         std::vector<Datum>& out = out_cols_[servable_[v].first];
@@ -1042,8 +992,6 @@ class ExtractOp : public Operator {
   OperatorPtr child_;
   ExecContext* ctx_;
   const BatchExtractFn* fn_ = nullptr;
-  const BatchExtractRowsFn* rows_fn_ = nullptr;
-  std::vector<Datum> outs_;
   std::vector<std::vector<Datum>> out_cols_;
   BatchExtractStats stats_;
   // Columnar strip serving state (BindColumnarSegment).
@@ -1074,16 +1022,17 @@ class ExtractOp : public Operator {
 
 // ---------------------------------------------------------------- Sort
 
-class SortOp : public Operator {
+class SortOp : public RowOperator {
  public:
   SortOp(const PlanNode& node, OperatorPtr child, ExecContext* ctx)
       : node_(node), child_(std::move(child)), ctx_(ctx) {}
 
   Status Open() override {
     RETURN_NOT_OK(child_->Open());
+    RowReader in(child_.get());
     DatumRow row;
     while (true) {
-      ASSIGN_OR_RETURN(bool has, child_->Next(&row));
+      ASSIGN_OR_RETURN(bool has, in.Next(&row));
       if (!has) break;
       DatumRow keys;
       keys.reserve(node_.sort_keys.size());
@@ -1109,16 +1058,12 @@ class SortOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> Next(DatumRow* out) override {
+  Result<bool> NextRow(DatumRow* out) override {
     if (pos_ >= rows_.size()) return false;
     *out = std::move(rows_[pos_].second);
     ++pos_;
     return true;
   }
-
-  /// Sort key values of the row last returned by Next (merge join uses this
-  /// to avoid re-evaluating keys).
-  const DatumRow& LastKeys() const { return rows_[pos_ - 1].first; }
 
  private:
   const PlanNode& node_;
@@ -1143,7 +1088,7 @@ struct RowEq {
   }
 };
 
-class HashJoinOp : public Operator {
+class HashJoinOp : public RowOperator {
  public:
   HashJoinOp(const PlanNode& node, OperatorPtr probe, OperatorPtr build,
              ExecContext* ctx)
@@ -1152,11 +1097,17 @@ class HashJoinOp : public Operator {
         build_(std::move(build)),
         ctx_(ctx) {}
 
+  ~HashJoinOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
+
   Status Open() override {
+    if (node_.probe_key_programs.size() != node_.left_keys.size()) {
+      return Status::Internal("join probe keys have no compiled programs");
+    }
     RETURN_NOT_OK(build_->Open());
+    RowReader build(build_.get());
     DatumRow row;
     while (true) {
-      ASSIGN_OR_RETURN(bool has, build_->Next(&row));
+      ASSIGN_OR_RETURN(bool has, build.Next(&row));
       if (!has) break;
       DatumRow keys;
       keys.reserve(node_.right_keys.size());
@@ -1173,7 +1124,7 @@ class HashJoinOp : public Operator {
     return probe_->Open();
   }
 
-  Result<bool> Next(DatumRow* out) override {
+  Result<bool> NextRow(DatumRow* out) override {
     while (true) {
       if (matches_ != nullptr && match_pos_ < matches_->size()) {
         DatumRow combined = probe_row_;
@@ -1189,30 +1140,57 @@ class HashJoinOp : public Operator {
         return true;
       }
       matches_ = nullptr;
-      ASSIGN_OR_RETURN(bool has, probe_->Next(&probe_row_));
-      if (!has) return false;
-      DatumRow keys;
-      keys.reserve(node_.left_keys.size());
-      bool has_null = false;
-      for (const ExprPtr& k : node_.left_keys) {
-        ASSIGN_OR_RETURN(Datum v, EvalExpr(*k, probe_row_, ctx_->udfs));
-        has_null |= v.is_null();
-        keys.push_back(std::move(v));
-      }
-      if (has_null) continue;
-      auto it = table_.find(keys);
-      if (it == table_.end()) continue;
-      matches_ = &it->second;
-      match_pos_ = 0;
+      ASSIGN_OR_RETURN(bool found, NextProbeMatch());
+      if (!found) return false;
     }
   }
 
  private:
+  /// Positions the probe side at its next row whose keys hit the hash table.
+  /// Probe keys evaluate a batch at a time through their compiled programs,
+  /// so only matching lanes are ever materialized as rows.
+  Result<bool> NextProbeMatch() {
+    while (true) {
+      while (probe_pos_ < probe_batch_.sel.size()) {
+        const size_t k = probe_pos_++;
+        keys_.clear();
+        bool has_null = false;
+        for (std::vector<Datum>& col : key_cols_) {
+          has_null |= col[k].is_null();
+          keys_.push_back(std::move(col[k]));
+        }
+        if (has_null) continue;  // NULL never equi-joins
+        auto it = table_.find(keys_);
+        if (it == table_.end()) continue;
+        probe_batch_.MoveRow(probe_batch_.sel[k], &probe_row_);
+        matches_ = &it->second;
+        match_pos_ = 0;
+        return true;
+      }
+      ASSIGN_OR_RETURN(bool has, probe_->NextBatch(&probe_batch_));
+      if (!has) return false;
+      probe_pos_ = 0;
+      key_cols_.resize(node_.probe_key_programs.size());
+      for (size_t i = 0; i < key_cols_.size(); ++i) {
+        RETURN_NOT_OK(bytecode::ExecBatch(
+            *node_.probe_key_programs[i], probe_batch_, probe_batch_.sel,
+            ctx_->udfs, &bc_state_, &key_cols_[i]));
+      }
+    }
+  }
+
   const PlanNode& node_;
   OperatorPtr probe_;
   OperatorPtr build_;
   ExecContext* ctx_;
   std::unordered_map<DatumRow, std::vector<DatumRow>, RowHasher, RowEq> table_;
+  bytecode::ExecState bc_state_;
+  RowBatch probe_batch_;
+  /// Probe key values, one column per key, one entry per selected lane of
+  /// probe_batch_; probe_pos_ is the next lane to look up.
+  std::vector<std::vector<Datum>> key_cols_;
+  size_t probe_pos_ = 0;
+  DatumRow keys_;
   DatumRow probe_row_;
   const std::vector<DatumRow>* matches_ = nullptr;
   size_t match_pos_ = 0;
@@ -1221,7 +1199,7 @@ class HashJoinOp : public Operator {
 /// Classic sorted merge join over duplicate key groups. Children are Sort
 /// nodes keyed on the join keys. Both inputs are materialized (the right
 /// group must be re-scannable anyway).
-class MergeJoinOp : public Operator {
+class MergeJoinOp : public RowOperator {
  public:
   MergeJoinOp(const PlanNode& node, OperatorPtr left, OperatorPtr right,
               ExecContext* ctx)
@@ -1240,7 +1218,7 @@ class MergeJoinOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> Next(DatumRow* out) override {
+  Result<bool> NextRow(DatumRow* out) override {
     while (true) {
       if (in_group_) {
         if (emit_r_ < group_end_r_) {
@@ -1321,9 +1299,10 @@ class MergeJoinOp : public Operator {
   Status Drain(Operator* child, const std::vector<ExprPtr>& keys,
                std::vector<std::pair<DatumRow, DatumRow>>* out) {
     RETURN_NOT_OK(child->Open());
+    RowReader in(child);
     DatumRow row;
     while (true) {
-      ASSIGN_OR_RETURN(bool has, child->Next(&row));
+      ASSIGN_OR_RETURN(bool has, in.Next(&row));
       if (!has) break;
       DatumRow key_values;
       key_values.reserve(keys.size());
@@ -1348,7 +1327,7 @@ class MergeJoinOp : public Operator {
   bool in_group_ = false;
 };
 
-class NestedLoopJoinOp : public Operator {
+class NestedLoopJoinOp : public RowOperator {
  public:
   NestedLoopJoinOp(const PlanNode& node, OperatorPtr outer, OperatorPtr inner,
                    ExecContext* ctx)
@@ -1359,9 +1338,10 @@ class NestedLoopJoinOp : public Operator {
 
   Status Open() override {
     RETURN_NOT_OK(inner_->Open());
+    RowReader inner(inner_.get());
     DatumRow row;
     while (true) {
-      ASSIGN_OR_RETURN(bool has, inner_->Next(&row));
+      ASSIGN_OR_RETURN(bool has, inner.Next(&row));
       if (!has) break;
       RETURN_NOT_OK(ctx_->Charge(RowBytes(row)));
       inner_rows_.push_back(std::move(row));
@@ -1371,7 +1351,7 @@ class NestedLoopJoinOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> Next(DatumRow* out) override {
+  Result<bool> NextRow(DatumRow* out) override {
     while (true) {
       if (inner_pos_ < inner_rows_.size()) {
         DatumRow combined = outer_row_;
@@ -1386,7 +1366,7 @@ class NestedLoopJoinOp : public Operator {
         *out = std::move(combined);
         return true;
       }
-      ASSIGN_OR_RETURN(bool has, outer_->Next(&outer_row_));
+      ASSIGN_OR_RETURN(bool has, outer_in_.Next(&outer_row_));
       if (!has) return false;
       inner_pos_ = 0;
     }
@@ -1397,6 +1377,7 @@ class NestedLoopJoinOp : public Operator {
   OperatorPtr outer_;
   OperatorPtr inner_;
   ExecContext* ctx_;
+  RowReader outer_in_{outer_.get()};
   std::vector<DatumRow> inner_rows_;
   DatumRow outer_row_;
   size_t inner_pos_ = 0;
@@ -1520,17 +1501,18 @@ Status AccumulateRow(const PlanNode& node, const DatumRow& row,
   return Status::OK();
 }
 
-class HashAggregateOp : public Operator {
+class HashAggregateOp : public RowOperator {
  public:
   HashAggregateOp(const PlanNode& node, OperatorPtr child, ExecContext* ctx)
       : node_(node), child_(std::move(child)), ctx_(ctx) {}
 
   Status Open() override {
     RETURN_NOT_OK(child_->Open());
+    RowReader in(child_.get());
     DatumRow row;
     bool saw_rows = false;
     while (true) {
-      ASSIGN_OR_RETURN(bool has, child_->Next(&row));
+      ASSIGN_OR_RETURN(bool has, in.Next(&row));
       if (!has) break;
       saw_rows = true;
       DatumRow keys;
@@ -1561,7 +1543,7 @@ class HashAggregateOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> Next(DatumRow* out) override {
+  Result<bool> NextRow(DatumRow* out) override {
     if (pos_ >= results_.size()) return false;
     *out = std::move(results_[pos_]);
     ++pos_;
@@ -1580,7 +1562,7 @@ class HashAggregateOp : public Operator {
 /// Aggregation over input sorted by the group keys (the planner puts a Sort
 /// underneath). Streams one group at a time — the memory-safe plan shape for
 /// high-cardinality grouping.
-class GroupAggregateOp : public Operator {
+class GroupAggregateOp : public RowOperator {
  public:
   GroupAggregateOp(const PlanNode& node, OperatorPtr child, ExecContext* ctx)
       : node_(node), child_(std::move(child)), ctx_(ctx) {}
@@ -1591,7 +1573,7 @@ class GroupAggregateOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> Next(DatumRow* out) override {
+  Result<bool> NextRow(DatumRow* out) override {
     if (!pending_.has_value()) return false;
     DatumRow group_keys = pending_->first;
     GroupState state;
@@ -1608,7 +1590,7 @@ class GroupAggregateOp : public Operator {
  private:
   Result<std::optional<std::pair<DatumRow, DatumRow>>> ReadOne() {
     DatumRow row;
-    ASSIGN_OR_RETURN(bool has, child_->Next(&row));
+    ASSIGN_OR_RETURN(bool has, in_.Next(&row));
     if (!has) return std::optional<std::pair<DatumRow, DatumRow>>();
     DatumRow keys;
     keys.reserve(node_.group_keys.size());
@@ -1622,11 +1604,12 @@ class GroupAggregateOp : public Operator {
   const PlanNode& node_;
   OperatorPtr child_;
   ExecContext* ctx_;
+  RowReader in_{child_.get()};
   std::optional<std::pair<DatumRow, DatumRow>> pending_;
 };
 
 /// DISTINCT over sorted input.
-class UniqueOp : public Operator {
+class UniqueOp : public RowOperator {
  public:
   UniqueOp(OperatorPtr child) : child_(std::move(child)) {}
 
@@ -1636,10 +1619,10 @@ class UniqueOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> Next(DatumRow* out) override {
+  Result<bool> NextRow(DatumRow* out) override {
     DatumRow row;
     while (true) {
-      ASSIGN_OR_RETURN(bool has, child_->Next(&row));
+      ASSIGN_OR_RETURN(bool has, in_.Next(&row));
       if (!has) return false;
       if (have_prev_ && RowEq()(row, prev_)) continue;
       prev_ = row;
@@ -1651,6 +1634,7 @@ class UniqueOp : public Operator {
 
  private:
   OperatorPtr child_;
+  RowReader in_{child_.get()};
   DatumRow prev_;
   bool have_prev_ = false;
 };
@@ -1665,17 +1649,8 @@ class LimitOp : public Operator {
     return child_->Open();
   }
 
-  Result<bool> Next(DatumRow* out) override {
-    if (batch_capacity_ > 1) return NextFromOwnBatch(out);
-    if (emitted_ >= node_.limit) return false;
-    ASSIGN_OR_RETURN(bool has, child_->Next(out));
-    if (!has) return false;
-    ++emitted_;
-    return true;
-  }
-
-  /// Vectorized limit: truncates the batch's selection vector mid-batch
-  /// when the remaining quota is smaller than the batch.
+  /// Truncates the batch's selection vector mid-batch when the remaining
+  /// quota is smaller than the batch.
   Result<bool> NextBatch(RowBatch* batch) override {
     if (emitted_ >= node_.limit) return false;
     ASSIGN_OR_RETURN(bool has, child_->NextBatch(batch));
@@ -1703,12 +1678,13 @@ Result<OperatorPtr> BuildOperatorInner(const PlanNode& node, ExecContext* ctx,
 // instantiating its own operator tree over a shared MorselSource, and merges
 // the worker streams:
 //  - streaming mode (child is a scan/filter/project chain): workers push
-//    rows into a bounded queue; Next() pops in arrival order. Row order is
-//    nondeterministic — the planner only parallelizes where order is free.
+//    whole batches into a bounded queue; NextBatch() pops them in arrival
+//    order. Row order is nondeterministic — the planner only parallelizes
+//    where order is free.
 //  - partial-aggregation mode (child is a HashAggregate): each worker runs
 //    the aggregate's input pipeline into a private group map; Open() merges
 //    the raw accumulators at the barrier (so AVG/SUM merge exactly, not via
-//    finalized values) and Next() drains the finalized groups.
+//    finalized values) and NextBatch() drains the finalized groups.
 class GatherOp : public Operator {
  public:
   GatherOp(const PlanNode& node, ExecContext* ctx) : node_(node), ctx_(ctx) {}
@@ -1791,35 +1767,8 @@ class GatherOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> Next(DatumRow* out) override {
-    // In batch mode workers ship whole batches, so the row queue stays
-    // empty — a row-at-a-time parent (e.g. a Sort above the Gather) must
-    // drain through the batch queue.
-    if (batch_capacity_ > 1) return NextFromOwnBatch(out);
-    if (partial_agg_) {
-      if (agg_pos_ >= agg_results_.size()) return false;
-      *out = std::move(agg_results_[agg_pos_]);
-      ++agg_pos_;
-      return true;
-    }
-    std::unique_lock lock(mu_);
-    while (true) {
-      if (!worker_status_.ok()) return worker_status_;
-      if (!queue_.empty()) {
-        *out = std::move(queue_.front());
-        queue_.pop_front();
-        not_full_.notify_one();
-        return true;
-      }
-      if (active_workers_ == 0) return false;
-      not_empty_.wait(lock);
-    }
-  }
-
   Result<bool> NextBatch(RowBatch* batch) override {
     if (partial_agg_) {
-      // Drain the finalized groups directly: the base-class adapter would
-      // call Next(), whose batch-mode guard routes back here.
       batch->Reset(0);
       while (batch->size < batch_capacity_ && agg_pos_ < agg_results_.size()) {
         batch->AppendRow(std::move(agg_results_[agg_pos_]));
@@ -1842,9 +1791,8 @@ class GatherOp : public Operator {
   }
 
  private:
-  static constexpr size_t kQueueCap = 1024;
-  // Batch mode ships up-to-batch_size-row units, so a much shorter queue
-  // provides the same buffering (8 * 1024 rows vs 1024 rows).
+  /// Queue depth in batches: enough buffering to decouple producers from
+  /// the consumer without pinning much memory.
   static constexpr size_t kBatchQueueCap = 8;
 
   Status RunWorker() {
@@ -1869,40 +1817,23 @@ class GatherOp : public Operator {
     ASSIGN_OR_RETURN(OperatorPtr op,
                      BuildOperator(*node_.children[0], ctx_, &morsels_));
     RETURN_NOT_OK(op->Open());
-    if (ctx_->batch_size > 1) {
-      // Batch mode: the bounded queue carries whole RowBatches, so the
-      // mutex is taken once per batch instead of once per row.
-      RowBatch local;
-      while (true) {
-        ASSIGN_OR_RETURN(bool has, op->NextBatch(&local));
-        if (!has) return Status::OK();
-        if (local.active() == 0) continue;  // fully filtered batch
-        std::unique_lock lock(mu_);
-        if (!cancelled_ && batch_queue_.size() >= kBatchQueueCap) {
-          stalls_.fetch_add(1, std::memory_order_relaxed);
-          not_full_.wait(lock, [this] {
-            return cancelled_ || batch_queue_.size() < kBatchQueueCap;
-          });
-        }
-        if (cancelled_) return Status::OK();
-        batch_queue_.push_back(std::move(local));
-        not_empty_.notify_one();
-      }
-    }
-    DatumRow row;
+    // The bounded queue carries whole RowBatches, so the mutex is taken once
+    // per batch instead of once per row.
+    RowBatch local;
     while (true) {
-      ASSIGN_OR_RETURN(bool has, op->Next(&row));
+      ASSIGN_OR_RETURN(bool has, op->NextBatch(&local));
       if (!has) return Status::OK();
+      if (local.active() == 0) continue;  // fully filtered batch
       std::unique_lock lock(mu_);
-      if (!cancelled_ && queue_.size() >= kQueueCap) {
+      if (!cancelled_ && batch_queue_.size() >= kBatchQueueCap) {
         // Consumer backpressure: the bounded queue is full.
         stalls_.fetch_add(1, std::memory_order_relaxed);
         not_full_.wait(lock, [this] {
-          return cancelled_ || queue_.size() < kQueueCap;
+          return cancelled_ || batch_queue_.size() < kBatchQueueCap;
         });
       }
       if (cancelled_) return Status::OK();
-      queue_.push_back(std::move(row));
+      batch_queue_.push_back(std::move(local));
       not_empty_.notify_one();
     }
   }
@@ -1926,23 +1857,12 @@ class GatherOp : public Operator {
       }
       return AccumulateRow(agg, row, &it->second, ctx_);
     };
+    RowReader in(op.get());
     DatumRow row;
-    if (ctx_->batch_size > 1) {
-      RowBatch batch;
-      while (true) {
-        ASSIGN_OR_RETURN(bool has, op->NextBatch(&batch));
-        if (!has) break;
-        for (uint32_t lane : batch.sel) {
-          batch.MoveRow(lane, &row);
-          RETURN_NOT_OK(accumulate(row));
-        }
-      }
-    } else {
-      while (true) {
-        ASSIGN_OR_RETURN(bool has, op->Next(&row));
-        if (!has) break;
-        RETURN_NOT_OK(accumulate(row));
-      }
+    while (true) {
+      ASSIGN_OR_RETURN(bool has, in.Next(&row));
+      if (!has) break;
+      RETURN_NOT_OK(accumulate(row));
     }
     std::lock_guard lock(agg_mu_);
     for (auto& [keys, state] : local) {
@@ -1990,8 +1910,7 @@ class GatherOp : public Operator {
   // Streaming-mode merge state (all guarded by mu_).
   std::mutex mu_;
   std::condition_variable not_empty_, not_full_;
-  std::deque<DatumRow> queue_;        // row mode (batch_size == 1)
-  std::deque<RowBatch> batch_queue_;  // batch mode
+  std::deque<RowBatch> batch_queue_;
   size_t active_workers_ = 0;
   bool cancelled_ = false;
   Status worker_status_;
@@ -2097,28 +2016,19 @@ Result<QueryResult> ExecutePlan(const PlanNode& plan, const UdfRegistry* udfs,
       result.column_names.push_back(col.name);
       result.column_types.push_back(col.type);
     }
-    if (ctx.batch_size > 1) {
-      static metrics::Counter* batches_total =
-          metrics::GetCounter("exec.batches_total");
-      static metrics::Histogram* batch_rows_hist =
-          metrics::GetHistogram("exec.batch_rows");
-      RowBatch batch;
-      DatumRow row;
-      while (true) {
-        ASSIGN_OR_RETURN(bool has, root->NextBatch(&batch));
-        if (!has) break;
-        batches_total->Increment();
-        batch_rows_hist->Observe(batch.active());
-        for (uint32_t lane : batch.sel) {
-          batch.MoveRow(lane, &row);
-          result.rows.push_back(std::move(row));
-        }
-      }
-    } else {
-      DatumRow row;
-      while (true) {
-        ASSIGN_OR_RETURN(bool has, root->Next(&row));
-        if (!has) break;
+    static metrics::Counter* batches_total =
+        metrics::GetCounter("exec.batches_total");
+    static metrics::Histogram* batch_rows_hist =
+        metrics::GetHistogram("exec.batch_rows");
+    RowBatch batch;
+    DatumRow row;
+    while (true) {
+      ASSIGN_OR_RETURN(bool has, root->NextBatch(&batch));
+      if (!has) break;
+      batches_total->Increment();
+      batch_rows_hist->Observe(batch.active());
+      for (uint32_t lane : batch.sel) {
+        batch.MoveRow(lane, &row);
         result.rows.push_back(std::move(row));
       }
     }
@@ -2165,7 +2075,7 @@ void AppendAnalyzedNode(const PlanNode& node, const PlanStats& stats,
              << s->zone_skips.load(std::memory_order_relaxed) << ")";
       }
       // Compiled-expression shape: static opcode counts from the attached
-      // program(s) plus the lanes that escaped to the tree-walk evaluator.
+      // program(s) plus the lanes that escaped to the scalar evaluator.
       {
         uint64_t ops = 0, fused = 0;
         bool compiled = false;
@@ -2178,6 +2088,7 @@ void AppendAnalyzedNode(const PlanNode& node, const PlanStats& stats,
         add(node.predicate_program.get());
         add(node.scan_filter_program.get());
         for (const auto& p : node.projection_programs) add(p.get());
+        for (const auto& p : node.probe_key_programs) add(p.get());
         if (compiled) {
           *out << " (bytecode ops=" << ops << " fused=" << fused
                << " typed=" << s->bc_typed_lanes.load(std::memory_order_relaxed)

@@ -1,8 +1,9 @@
-// Volcano-style plan executor.
+// Volcano-style plan executor over RowBatches.
 //
-// Streaming operators (scan, filter, project, limit) pull row-at-a-time;
-// blocking operators (sort, hash join build, aggregation) materialize and
-// charge an intermediate-state memory budget. Exceeding the budget aborts
+// Every operator streams batches (scan, extract, filter, project, limit and
+// Gather natively); blocking operators (sort, hash join build, aggregation)
+// consume rows through one batch-to-row adapter, materialize and charge an
+// intermediate-state memory budget. Exceeding the budget aborts
 // the query with Status::Aborted — the mechanism used to reproduce the
 // paper's "could not complete for lack of disk space" outcomes for the EAV
 // and MongoDB joins honestly rather than by special-casing.
@@ -33,8 +34,8 @@ namespace sinew::engine {
 /// node it was built from, which is exactly how EXPLAIN ANALYZE aggregates
 /// per-worker activity back onto the printed tree.
 struct OperatorStats {
-  std::atomic<uint64_t> rows{0};        // rows emitted by Next()/NextBatch()
-  std::atomic<uint64_t> next_calls{0};  // Next()/NextBatch() calls (incl. EOF)
+  std::atomic<uint64_t> rows{0};        // rows emitted by NextBatch()
+  std::atomic<uint64_t> next_calls{0};  // NextBatch() calls (incl. EOF)
   std::atomic<uint64_t> batches{0};     // non-empty NextBatch() returns
   std::atomic<uint64_t> open_ns{0};
   std::atomic<uint64_t> next_ns{0};     // cumulative across instances
@@ -49,7 +50,7 @@ struct OperatorStats {
   // kSeqScan only:
   std::atomic<uint64_t> zone_skips{0};  // strips skipped via zone maps
   // bytecode-compiled nodes only:
-  std::atomic<uint64_t> bc_fallback_lanes{0};  // lanes routed to tree walk
+  std::atomic<uint64_t> bc_fallback_lanes{0};  // lanes on scalar EvalExpr
   std::atomic<uint64_t> bc_typed_lanes{0};     // lanes on monomorphic kernels
   std::atomic<uint64_t> bc_boxed_lanes{0};     // specializable lanes left boxed
 };
@@ -92,16 +93,13 @@ struct ExecOptions {
   /// When set, every operator is wrapped to record actuals here (EXPLAIN
   /// ANALYZE). Must outlive the ExecutePlan call. nullptr = no overhead.
   PlanStats* stats = nullptr;
-  /// Rows per RowBatch on the vectorized path. Values > 1 (the default) run
-  /// the scan→extract→filter→project→limit pipeline — and Gather's bounded
-  /// queue — batch-at-a-time; 1 restores the row-at-a-time Volcano loop
-  /// exactly (blocking operators always consume rows either way, through
-  /// the row↔batch adapters). 256 is the sweet spot of the
-  /// bench_micro_extract --batch-size sweep: big enough to amortize
-  /// per-batch dispatch, small enough that a wide batch's columns stay
-  /// cache-resident (1024 measures ~8% slower on 33-column projections).
+  /// Rows per RowBatch. Every size runs the same code; 1 makes one-row
+  /// batches. 256 is the sweet spot of the bench_micro_extract
+  /// --batch-size sweep: big enough to amortize per-batch dispatch, small
+  /// enough that a wide batch's columns stay cache-resident (1024 measures
+  /// ~8% slower on 33-column projections).
   size_t batch_size = 256;
-  /// Record per-Next()/per-batch wall clock into OperatorStats.next_ns.
+  /// Record per-batch wall clock into OperatorStats.next_ns.
   /// Costs two steady_clock reads per call per operator, so EXPLAIN ANALYZE
   /// turns it on and steady-state queries leave it off; row and batch
   /// counts are collected whenever `stats` is set regardless.

@@ -125,8 +125,6 @@ ExprPtr Expr::Clone() const {
   e->bop = bop;
   e->negated = negated;
   e->fname = fname;
-  e->cached_fallback_slots = cached_fallback_slots;
-  e->fallback_slots_cached = fallback_slots_cached;
   e->args.reserve(args.size());
   for (const ExprPtr& a : args) e->args.push_back(a->Clone());
   return e;

@@ -78,13 +78,6 @@ struct Expr {
 
   std::vector<ExprPtr> args;
 
-  // kFunction / kCase / kInList: the subtree's sorted, deduplicated bound
-  // slots, cached by BindExpr so per-lane batch fallbacks (engine/eval.cc,
-  // engine/bytecode.cc) do not re-collect them every batch. Overwritten on
-  // re-bind; may be a stale superset after constant folding (harmless).
-  std::vector<int> cached_fallback_slots;
-  bool fallback_slots_cached = false;
-
   // --- constructors ---
   static ExprPtr Literal(Datum value);
   static ExprPtr Column(std::string table, std::string column);

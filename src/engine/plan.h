@@ -152,12 +152,14 @@ struct PlanNode {
   // planner's compile pass after every plan rewrite has run so the Expr
   // trees they alias are final. Immutable; Gather workers instantiate
   // operators over the same PlanNode and share them (per-instance scratch
-  // lives in each operator's bytecode::ExecState). Null entries mean "use
-  // the tree-walk evaluator".
+  // lives in each operator's bytecode::ExecState). Set for every expression
+  // slot of the streaming operators.
   std::shared_ptr<const bytecode::Program> predicate_program;    // kFilter
   std::shared_ptr<const bytecode::Program> scan_filter_program;  // kSeqScan
   std::vector<std::shared_ptr<const bytecode::Program>>
       projection_programs;  // kProject, parallel to `projections`
+  std::vector<std::shared_ptr<const bytecode::Program>>
+      probe_key_programs;  // kHashJoin, parallel to `left_keys`
 
   /// EXPLAIN rendering (multi-line tree).
   std::string DebugString() const;

@@ -103,33 +103,13 @@ void FoldPlanConstants(PlanNode* node) {
   for (PlanPtr& child : node->children) FoldPlanConstants(child.get());
 }
 
-/// Recomputes the per-lane fallback slot caches of every expression in the
-/// plan. Plan rewrites after binding (extraction hoisting in particular)
-/// redirect colref bound slots in place, which silently invalidates the
-/// caches BindExpr filled; this runs after the last rewrite so the batch
-/// evaluator and the bytecode compiler see current slot sets.
-void RefreshPlanSlotCaches(PlanNode* node) {
-  auto refresh = [](const ExprPtr& e) {
-    if (e != nullptr) RefreshFallbackSlotCaches(e.get());
-  };
-  refresh(node->scan_filter);
-  refresh(node->predicate);
-  refresh(node->residual);
-  for (const ExprPtr& e : node->projections) refresh(e);
-  for (const ExprPtr& e : node->sort_keys) refresh(e);
-  for (const ExprPtr& e : node->group_keys) refresh(e);
-  for (const ExprPtr& e : node->left_keys) refresh(e);
-  for (const ExprPtr& e : node->right_keys) refresh(e);
-  for (AggSpec& agg : node->aggs) refresh(agg.arg);
-  for (PlanPtr& child : node->children) RefreshPlanSlotCaches(child.get());
-}
-
-/// Final planning pass: compile the hot per-row expression slots — scan
-/// filters, filter predicates, projections — to bytecode programs
-/// (engine/bytecode.h). Runs after every plan rewrite (constant folding,
-/// zone-filter attachment, extraction hoisting, parallelization) so the
-/// Expr trees the programs alias are final. Expressions the compiler
-/// declines stay on the tree-walk evaluator (nullptr program).
+/// Final planning pass: compile the streaming operators' expression slots —
+/// scan filters, filter predicates, projections, hash-join probe keys — to
+/// bytecode programs (engine/bytecode.h), the executor's only batch
+/// evaluator. Runs after every plan rewrite (constant folding, zone-filter
+/// attachment, extraction hoisting, parallelization) so the Expr trees the
+/// programs alias, and the bound slots the compiler collects for fallback
+/// lanes, are final.
 void CompilePlanPrograms(PlanNode* node, const UdfRegistry* udfs) {
   switch (node->kind) {
     case PlanKind::kSeqScan:
@@ -152,6 +132,16 @@ void CompilePlanPrograms(PlanNode* node, const UdfRegistry* udfs) {
         for (size_t i = 0; i < node->projections.size(); ++i) {
           node->projection_programs[i] =
               bytecode::Compile(*node->projections[i], width, udfs);
+        }
+      }
+      break;
+    case PlanKind::kHashJoin:
+      if (!node->children.empty()) {
+        const size_t width = node->children[0]->output_schema.cols.size();
+        node->probe_key_programs.resize(node->left_keys.size());
+        for (size_t i = 0; i < node->left_keys.size(); ++i) {
+          node->probe_key_programs[i] =
+              bytecode::Compile(*node->left_keys[i], width, udfs);
         }
       }
       break;
@@ -1582,8 +1572,7 @@ Result<PlanPtr> Planner::SelectPlanner::Plan() {
     HoistBatchedExtraction(&root);
   }
   if (options_.parallelism > 1) ParallelizePlan(&root);
-  RefreshPlanSlotCaches(root.get());
-  if (options_.enable_bytecode) CompilePlanPrograms(root.get(), udfs_);
+  CompilePlanPrograms(root.get(), udfs_);
   return root;
 }
 

@@ -52,12 +52,6 @@ struct PlannerOptions {
   /// base table has at least this many rows per worker, so the chosen degree
   /// is min(parallelism, ceil(rows / parallel_min_rows)).
   double parallel_min_rows = 8192;
-  /// Compile filter predicates, scan filters and projections to postfix
-  /// bytecode (engine/bytecode.h) executed over RowBatch columns. Runs as
-  /// the last planning pass; expressions the compiler cannot handle keep
-  /// the tree-walk evaluator. Off restores pure tree walking (differential
-  /// testing).
-  bool enable_bytecode = true;
 };
 
 class Planner {

@@ -60,22 +60,13 @@ struct AttrAccessSample {
 /// thread; implementations must be thread-safe across concurrent queries.
 using HeatSinkFn = std::function<void(const std::vector<AttrAccessSample>&)>;
 
-/// Batched extraction function: fills (*outs)[i] from targets[i] for one
-/// row. The planner guarantees targets arrive grouped by source_slot and
-/// sorted by (prefix_ids, attr_id), so implementations can decode each
-/// source once and merge-join all wanted ids in a single header pass.
-using BatchExtractFn =
-    std::function<Status(const DatumRow& row,
-                         const std::vector<ExtractTarget>& targets,
-                         std::vector<Datum>* outs, BatchExtractStats* stats)>;
-
-/// Vectorized variant: serves every listed lane of a RowBatch in one call,
-/// filling (*out_cols)[t][k] from targets[t] for the k-th entry of `lanes`
-/// (NULL-source lanes stay NULL). One call amortizes the std::function
-/// dispatch of BatchExtractFn over the whole batch; per-row guarantees
-/// (targets grouped by source, sorted ids, one decode per source) carry
-/// over unchanged.
-using BatchExtractRowsFn = std::function<Status(
+/// Batched extraction function: serves every listed lane of a RowBatch in
+/// one call, filling (*out_cols)[t][k] from targets[t] for the k-th entry of
+/// `lanes` (NULL-source lanes stay NULL). The planner guarantees targets
+/// arrive grouped by source_slot and sorted by (prefix_ids, attr_id), so
+/// implementations can decode each source once per lane and merge-join all
+/// wanted ids in a single header pass.
+using BatchExtractFn = std::function<Status(
     const RowBatch& batch, const std::vector<uint32_t>& lanes,
     const std::vector<ExtractTarget>& targets,
     std::vector<std::vector<Datum>>* out_cols, BatchExtractStats* stats)>;
@@ -106,18 +97,6 @@ class UdfRegistry {
     return it == batch_extract_.end() ? nullptr : &it->second;
   }
 
-  /// Registers (or replaces) the batch-of-rows extraction entry point the
-  /// vectorized executor prefers; the row-level BatchExtractFn remains the
-  /// fallback (and the batch_size=1 path).
-  void RegisterBatchExtractRows(std::string name, BatchExtractRowsFn fn) {
-    batch_extract_rows_[std::move(name)] = std::move(fn);
-  }
-
-  const BatchExtractRowsFn* FindBatchExtractRows(std::string_view name) const {
-    auto it = batch_extract_rows_.find(name);
-    return it == batch_extract_rows_.end() ? nullptr : &it->second;
-  }
-
   /// Installs the attribute-heat sink (RegisterSinewFunctions points it at
   /// the AttributeCatalog). Unset by default: the extract operator skips all
   /// heat accounting when no sink is present.
@@ -130,7 +109,6 @@ class UdfRegistry {
  private:
   std::map<std::string, UdfFn, std::less<>> fns_;
   std::map<std::string, BatchExtractFn, std::less<>> batch_extract_;
-  std::map<std::string, BatchExtractRowsFn, std::less<>> batch_extract_rows_;
   HeatSinkFn heat_sink_;
 };
 

@@ -154,17 +154,16 @@ engine::UdfFn MakeTypedExtractor(AttributeCatalog* catalog,
 }
 
 /// Extracts targets [i, j) — one source-slot group — from a single
-/// serialized document, writing each decoded value through `out_at(k)`
-/// (a Datum* for target index k; absent attributes are never written, so
-/// callers pre-fill NULLs). Targets sharing a prefix chain share one
-/// nested-object descent, and all attribute ids under a chain resolve in a
-/// single header pass (DocumentView::ExtractMany). The shared core of the
-/// row-level and batch-of-rows extraction entry points.
-template <typename OutAt>
+/// serialized document, writing target k's decoded value to
+/// (*out_cols)[k][lane] (absent attributes are never written, so callers
+/// pre-fill NULLs). Targets sharing a prefix chain share one nested-object
+/// descent, and all attribute ids under a chain resolve in a single header
+/// pass (DocumentView::ExtractMany).
 Status ExtractGroupFromDoc(const AttributeCatalog& catalog,
                            const std::vector<engine::ExtractTarget>& targets,
                            size_t i, size_t j, std::string_view doc,
-                           OutAt&& out_at) {
+                           std::vector<std::vector<Datum>>* out_cols,
+                           size_t lane) {
   size_t g = i;
   while (g < j) {
     size_t h = g;
@@ -198,16 +197,17 @@ Status ExtractGroupFromDoc(const AttributeCatalog& catalog,
       if (!bytes.has_value()) continue;
       const engine::ExtractTarget& t = targets[k];
       if (t.raw_bytes) {
-        *out_at(k) = Datum::Bytes(std::string(*bytes));
+        (*out_cols)[k][lane] = Datum::Bytes(std::string(*bytes));
         continue;
       }
       ValueType type = static_cast<ValueType>(t.type_tag);
       if (type == ValueType::kObject || type == ValueType::kArray) {
         ASSIGN_OR_RETURN(Value v,
                          serial::DecodeValueBody(type, *bytes, catalog));
-        *out_at(k) = Datum::Text(v.ToJson());
+        (*out_cols)[k][lane] = Datum::Text(v.ToJson());
       } else {
-        ASSIGN_OR_RETURN(*out_at(k), DecodeScalarTyped(catalog, type, *bytes));
+        ASSIGN_OR_RETURN((*out_cols)[k][lane],
+                         DecodeScalarTyped(catalog, type, *bytes));
       }
     }
     g = h;
@@ -215,59 +215,14 @@ Status ExtractGroupFromDoc(const AttributeCatalog& catalog,
   return Status::OK();
 }
 
-/// The batched fast path behind the planner's kExtract node: decodes each
-/// row's reservoir header once per source column and serves every wanted
-/// attribute from that single pass (DocumentView::ExtractMany). Targets
-/// arrive grouped by source slot and sorted by (prefix chain, attr id);
-/// equal prefix chains share one descent.
+/// The batched fast path behind the planner's kExtract node: one call serves
+/// every selected lane of a RowBatch, decoding each lane's reservoir header
+/// once per source column and serving every wanted attribute from that
+/// single pass (DocumentView::ExtractMany). Targets arrive grouped by source
+/// slot and sorted by (prefix chain, attr id); equal prefix chains share one
+/// descent. Dispatch, target grouping, slot checks and stats/metrics updates
+/// amortize over the whole batch.
 engine::BatchExtractFn MakeBatchExtractor(AttributeCatalog* catalog) {
-  return [catalog](const engine::DatumRow& row,
-                   const std::vector<engine::ExtractTarget>& targets,
-                   std::vector<Datum>* outs,
-                   engine::BatchExtractStats* stats) -> Status {
-    static metrics::Counter* decodes_counter =
-        metrics::GetCounter("reservoir.decodes");
-    static metrics::Histogram* attrs_hist =
-        metrics::GetHistogram("reservoir.attrs_per_decode");
-    outs->assign(targets.size(), Datum::Null());
-    size_t i = 0;
-    while (i < targets.size()) {
-      const int slot = targets[i].source_slot;
-      size_t j = i;
-      while (j < targets.size() && targets[j].source_slot == slot) ++j;
-      if (slot < 0 || static_cast<size_t>(slot) >= row.size()) {
-        return Status::Internal("sinew_extract_many: source slot ", slot,
-                                " out of range");
-      }
-      const Datum& src = row[slot];
-      if (src.is_null()) {
-        i = j;
-        continue;
-      }
-      if (!src.is_bytes()) {
-        return Status::TypeError(
-            "sinew_extract_many: source must be serialized data");
-      }
-      stats->decodes += 1;
-      stats->attrs += j - i;
-      decodes_counter->Increment();
-      attrs_hist->Observe(j - i);
-      RETURN_NOT_OK(ExtractGroupFromDoc(
-          *catalog, targets, i, j, src.str(),
-          [outs](size_t k) { return &(*outs)[k]; }));
-      i = j;
-    }
-    return Status::OK();
-  };
-}
-
-/// The vectorized entry point the batch executor prefers: one call serves
-/// every selected lane of a RowBatch. Per source-slot group, the loop over
-/// lanes is the only addition — the per-document work is the same shared
-/// core — but the std::function dispatch, target grouping and slot checks
-/// amortize over the whole batch, and stats/metrics updates collapse from
-/// one per row to one per batch.
-engine::BatchExtractRowsFn MakeBatchRowsExtractor(AttributeCatalog* catalog) {
   return [catalog](const engine::RowBatch& batch,
                    const std::vector<uint32_t>& lanes,
                    const std::vector<engine::ExtractTarget>& targets,
@@ -300,9 +255,8 @@ engine::BatchExtractRowsFn MakeBatchRowsExtractor(AttributeCatalog* catalog) {
               "sinew_extract_many: source must be serialized data");
         }
         ++decoded;
-        RETURN_NOT_OK(ExtractGroupFromDoc(
-            *catalog, targets, i, j, src.str(),
-            [out_cols, n](size_t k) { return &(*out_cols)[k][n]; }));
+        RETURN_NOT_OK(ExtractGroupFromDoc(*catalog, targets, i, j, src.str(),
+                                          out_cols, n));
       }
       stats->decodes += decoded;
       stats->attrs += decoded * (j - i);
@@ -407,13 +361,9 @@ void RegisterSinewFunctions(engine::UdfRegistry* registry,
       });
 
   // Batched extraction behind the planner's SinewExtract node: one reservoir
-  // decode per row serves every hoisted virtual-attribute reference. The
-  // batch-of-rows variant additionally amortizes dispatch and stats over a
-  // whole RowBatch on the vectorized executor path.
+  // decode per row serves every hoisted virtual-attribute reference.
   registry->RegisterBatchExtract("sinew_extract_many",
                                  MakeBatchExtractor(catalog));
-  registry->RegisterBatchExtractRows("sinew_extract_many",
-                                     MakeBatchRowsExtractor(catalog));
 
   // Chain extraction: the query rewriter resolves a dotted path to the
   // attribute-ID descent chain at rewrite time, so the per-row work is pure

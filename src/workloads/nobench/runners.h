@@ -55,7 +55,7 @@ class SystemRunner {
 class SinewRunner : public SystemRunner {
  public:
   /// `label` names the configuration in benchmark tables when several Sinew
-  /// instances run side by side (e.g. "Sinew-row1" for batch_size = 1).
+  /// instances run side by side (e.g. "Sinew-t4" for parallelism 4).
   explicit SinewRunner(sinew::SinewOptions options = {},
                        std::string label = "Sinew");
   std::string_view name() const override { return label_; }

@@ -1,17 +1,16 @@
-// Batched vs. row-at-a-time differential tests: every query must return the
-// same multiset of rows whether the executor runs the vectorized
-// NextBatch(RowBatch) pipeline (batch_size > 1, the default) or the classic
-// row-at-a-time Volcano loop (batch_size = 1), serially and under Gather.
-// The corpus is the NoBench generator's, and the query set is every NoBench
-// task shape (Q1..Q11: projections, deep paths, multi-typed filters, array
-// containment, group-by, joins) plus targeted shapes the row path can't get
-// wrong but the batch path could: LIMIT truncating mid-batch, predicates
-// that empty a batch's selection vector entirely, DISTINCT, ORDER BY, and
-// plan-time-folded constant predicates.
+// Batch-size differential tests: every query must return the same multiset
+// of rows at every batch size, serially and under Gather, and match the
+// scalar oracle (tests/scalar_oracle.h) wherever its reach allows. The
+// corpus is the NoBench generator's, and the query set is every NoBench task
+// shape (Q1..Q11: projections, deep paths, multi-typed filters, array
+// containment, group-by, joins) plus targeted shapes batching could get
+// wrong: LIMIT truncating mid-batch, predicates that empty a batch's
+// selection vector entirely, DISTINCT, ORDER BY, and plan-time-folded
+// constant predicates.
 //
 // Batch size 3 is deliberately adversarial at 2000 rows: every morsel ends
 // in a partial batch, LIMIT 7 splits a batch, and the queue fills. 1024 is
-// the production default; 1 is the golden row executor.
+// oversized; 1 makes one-row batches through the same code.
 // SINEW_DIFF_PARALLELISM overrides the Gather degree (default 4), and CMake
 // registers the suite a second time at degree 2. Under SINEW_SANITIZE=thread
 // builds the suite doubles as a race detector for the batch queue.
@@ -26,6 +25,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "scalar_oracle.h"
 #include "sinew/sinew_db.h"
 #include "workloads/nobench/generator.h"
 #include "workloads/nobench/runners.h"
@@ -108,11 +108,11 @@ class BatchDifferentialTest : public ::testing::Test {
 
     const int deg = ParallelDegree();
     configs_ = new std::vector<NamedRunner>{
-        // Index 0 is the golden: today's serial row-at-a-time executor.
-        {"row-serial", 1, 1},
+        // Index 0 answers for the oracle-less shapes.
+        {"batch1-serial", 1, 1},
         {"batch3-serial", 3, 1},
         {"batch1024-serial", 1024, 1},
-        {"row-parallel", 1, deg},
+        {"batch1-parallel", 1, deg},
         {"batch3-parallel", 3, deg},
         {"batch1024-parallel", 1024, deg},
     };
@@ -137,20 +137,19 @@ class BatchDifferentialTest : public ::testing::Test {
     docs_ = nullptr;
   }
 
-  /// Asserts every configuration returns the row-serial golden's multiset
-  /// for a direct SQL query.
+  /// Asserts every configuration returns the golden multiset for a direct
+  /// SQL query: the scalar oracle's, or configuration 0's for shapes outside
+  /// the oracle's reach.
   void ExpectSameAcrossConfigs(const std::string& sql) {
     SCOPED_TRACE(sql);
-    std::vector<std::string> golden;
-    for (size_t i = 0; i < configs_->size(); ++i) {
-      NamedRunner& c = (*configs_)[i];
+    Result<engine::QueryResult> golden =
+        oracle::GoldenQuery((*configs_)[0].runner->db(), sql);
+    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+    const std::vector<std::string> golden_rows = CanonicalRows(*golden);
+    for (NamedRunner& c : *configs_) {
       Result<engine::QueryResult> got = c.runner->db()->Query(sql);
       ASSERT_TRUE(got.ok()) << c.label << ": " << got.status().ToString();
-      if (i == 0) {
-        golden = CanonicalRows(*got);
-      } else {
-        EXPECT_EQ(CanonicalRows(*got), golden) << c.label << " drifted";
-      }
+      EXPECT_EQ(CanonicalRows(*got), golden_rows) << c.label << " drifted";
     }
   }
 
@@ -243,8 +242,8 @@ TEST_F(BatchDifferentialTest, AggregationAndGroupBy) {
 }
 
 TEST_F(BatchDifferentialTest, FoldedConstantPredicatesKeepSemantics) {
-  // These predicates fold at plan time (satellite: planner constant
-  // folding); the folded plans must agree with the row executor's results.
+  // These predicates fold at plan time (planner constant folding); the
+  // folded plans must agree with the oracle, which never folds.
   ExpectSameAcrossConfigs(
       "SELECT num AS n FROM nobench_main WHERE 1 + 1 = 2 AND num < 10");
   ExpectSameAcrossConfigs(
@@ -257,22 +256,21 @@ TEST_F(BatchDifferentialTest, FoldedConstantPredicatesKeepSemantics) {
 
 #if !defined(SINEW_METRICS_DISABLED)
 TEST_F(BatchDifferentialTest, BatchedConfigsActuallyBatch) {
-  // Guard against diffing the row executor against itself: batch_size=1024
-  // must drive the NextBatch pipeline (exec.batches_total grows), and
-  // batch_size=1 must not.
+  // Guard against diffing one batch size against itself: batch_size=1024
+  // delivers the 2000 rows in two batches, batch_size=1 in one batch per row.
   metrics::Counter* batches = metrics::GetCounter("exec.batches_total");
   const uint64_t before = batches->value();
   ASSERT_TRUE((*configs_)[2]
                   .runner->db()
                   ->Query("SELECT num AS n FROM nobench_main")
                   .ok());
-  EXPECT_GT(batches->value(), before) << "batch1024-serial ran row-at-a-time";
+  EXPECT_EQ(batches->value() - before, 2u) << "batch1024-serial";
   const uint64_t mid = batches->value();
   ASSERT_TRUE((*configs_)[0]
                   .runner->db()
                   ->Query("SELECT num AS n FROM nobench_main")
                   .ok());
-  EXPECT_EQ(batches->value(), mid) << "row-serial ran batched";
+  EXPECT_EQ(batches->value() - mid, kRecords) << "batch1-serial";
 }
 #endif
 

@@ -1,21 +1,24 @@
-// Bytecode vs. tree-walk differential tests: every query must return the
-// same multiset of rows (and surface the same errors) whether expressions
-// run as compiled postfix bytecode (planner.enable_bytecode = true, the
-// default) or through the tree-walk evaluator, row-at-a-time and batched,
-// serially and under Gather. The corpus is the NoBench generator's and the
-// query set is every NoBench task shape plus targeted shapes where a
-// compiled evaluator classically drifts from an interpreter: Kleene AND/OR
-// over NULL-producing sparse attributes, short-circuit regions guarding
-// runtime errors (the right side of a decided AND must never fire), fused
-// BETWEEN / IS NULL / IN forms and their NOT variants, CASE and coalesce
-// fallback lanes, and error queries whose message text must match exactly.
+// Bytecode differential tests: every query must return the same multiset
+// of rows (and surface the same errors) as the scalar oracle
+// (tests/scalar_oracle.h), which evaluates the rewritten statement with
+// scalar EvalExpr row by row and no executor at all; shapes beyond the
+// oracle's reach diff the configurations against each other. Every
+// configuration runs the compiled bytecode VM, the only batch evaluator, at
+// batch sizes 1/3/256/1024, serially and under Gather. The corpus is the
+// NoBench generator's and the query set is every NoBench task shape plus
+// targeted shapes where a compiled evaluator classically drifts from an
+// interpreter: Kleene AND/OR over NULL-producing sparse attributes,
+// short-circuit regions guarding runtime errors (the right side of a decided
+// AND must never fire), fused BETWEEN / IS NULL / IN forms and their NOT
+// variants, CASE and coalesce fallback lanes, typed-kernel edge values, and
+// error queries whose message text must match exactly.
 //
 // Batch size 3 is adversarial (every morsel ends in a partial batch), 256 is
-// the production default, 1024 oversized, 1 the row-at-a-time Volcano loop
-// (which exercises the compiled scan-filter row path). SINEW_DIFF_PARALLELISM
-// overrides the Gather degree (default 4); CMake registers the suite a
-// second time at degree 2. Under SINEW_SANITIZE=thread the suite doubles as
-// a race detector for the shared Program attached to the plan node.
+// the production default, 1024 oversized and 1 makes one-row batches.
+// SINEW_DIFF_PARALLELISM overrides the Gather degree (default 4); CMake
+// registers the suite a second time at degree 2. Under SINEW_SANITIZE=thread
+// the suite doubles as a race detector for the shared Program attached to
+// the plan node.
 
 #include <gtest/gtest.h>
 
@@ -29,7 +32,7 @@
 
 #include "common/metrics.h"
 #include "common/value.h"
-#include "engine/bytecode.h"
+#include "scalar_oracle.h"
 #include "sinew/sinew_db.h"
 #include "workloads/nobench/generator.h"
 #include "workloads/nobench/runners.h"
@@ -46,16 +49,6 @@ int ParallelDegree() {
   }
   return 4;
 }
-
-/// Scopes a typed-kernel toggle: the monomorphic kernels are a process-wide
-/// switch, so tests that exercise the boxed path restore the default on exit.
-class TypedKernelsGuard {
- public:
-  explicit TypedKernelsGuard(bool enabled) {
-    engine::bytecode::SetTypedKernelsEnabled(enabled);
-  }
-  ~TypedKernelsGuard() { engine::bytecode::SetTypedKernelsEnabled(true); }
-};
 
 /// Poison corpus for the typed kernels: documents whose attributes defeat
 /// every per-batch monomorphism proof the VM can attempt.
@@ -140,10 +133,10 @@ std::vector<std::string> RenderValues(const std::vector<Value>& rows) {
 class BytecodeDifferentialTest : public ::testing::Test {
  protected:
   static constexpr uint64_t kRecords = 2000;
+  static constexpr size_t kBatch256Serial = 2;  // index into configs_
 
   struct NamedRunner {
     std::string label;
-    bool bytecode = true;
     size_t batch_size = 1;
     int parallelism = 1;
     nb::SinewRunner* runner = nullptr;
@@ -158,23 +151,20 @@ class BytecodeDifferentialTest : public ::testing::Test {
 
     const int deg = ParallelDegree();
     configs_ = new std::vector<NamedRunner>{
-        // Index 0 is the golden: tree-walk, serial, row-at-a-time.
-        {"tree-row-serial", false, 1, 1},
-        {"tree-batch256-serial", false, 256, 1},
-        {"bc-row-serial", true, 1, 1},
-        {"bc-batch3-serial", true, 3, 1},
-        {"bc-batch256-serial", true, 256, 1},
-        {"bc-batch1024-serial", true, 1024, 1},
-        {"bc-row-parallel", true, 1, deg},
-        {"bc-batch3-parallel", true, 3, deg},
-        {"bc-batch256-parallel", true, 256, deg},
+        // Index 0 answers for the oracle-less shapes.
+        {"batch1-serial", 1, 1},
+        {"batch3-serial", 3, 1},
+        {"batch256-serial", 256, 1},
+        {"batch1024-serial", 1024, 1},
+        {"batch1-parallel", 1, deg},
+        {"batch3-parallel", 3, deg},
+        {"batch256-parallel", 256, deg},
     };
     const std::vector<Value> poison = MakePoisonDocs(160);
     for (NamedRunner& c : *configs_) {
       SinewOptions options;
       options.parallelism = c.parallelism;
       options.planner.parallel_min_rows = 1;  // force Gather at test scale
-      options.planner.enable_bytecode = c.bytecode;
       options.exec.batch_size = c.batch_size;
       c.runner = new nb::SinewRunner(options);
       ASSERT_TRUE(c.runner->Load(*docs_).ok()) << c.label;
@@ -195,37 +185,37 @@ class BytecodeDifferentialTest : public ::testing::Test {
     docs_ = nullptr;
   }
 
-  /// Asserts every configuration returns the tree-walk golden's multiset.
+  /// The reference answer, asked of configuration 0's database.
+  static Result<engine::QueryResult> Golden(const std::string& sql) {
+    return oracle::GoldenQuery((*configs_)[0].runner->db(), sql);
+  }
+
+  /// Asserts every configuration returns the golden multiset.
   void ExpectSameAcrossConfigs(const std::string& sql) {
     SCOPED_TRACE(sql);
-    std::vector<std::string> golden;
-    for (size_t i = 0; i < configs_->size(); ++i) {
-      NamedRunner& c = (*configs_)[i];
+    Result<engine::QueryResult> golden = Golden(sql);
+    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+    const std::vector<std::string> golden_rows = CanonicalRows(*golden);
+    for (NamedRunner& c : *configs_) {
       Result<engine::QueryResult> got = c.runner->db()->Query(sql);
       ASSERT_TRUE(got.ok()) << c.label << ": " << got.status().ToString();
-      if (i == 0) {
-        golden = CanonicalRows(*got);
-      } else {
-        EXPECT_EQ(CanonicalRows(*got), golden) << c.label << " drifted";
-      }
+      EXPECT_EQ(CanonicalRows(*got), golden_rows) << c.label << " drifted";
     }
   }
 
-  /// Asserts every configuration fails the query with the same status text.
-  /// (The permitted deviation between the evaluators is only *which lane's*
-  /// error surfaces first; these queries error identically on every lane.)
+  /// Asserts every configuration fails the query with the golden's status
+  /// text. (The permitted deviation from the scalar evaluator is only *which
+  /// lane's* error surfaces first; these queries error identically on every
+  /// lane.)
   void ExpectSameErrorAcrossConfigs(const std::string& sql) {
     SCOPED_TRACE(sql);
-    std::string golden;
-    for (size_t i = 0; i < configs_->size(); ++i) {
-      NamedRunner& c = (*configs_)[i];
+    Result<engine::QueryResult> golden = Golden(sql);
+    ASSERT_FALSE(golden.ok()) << "golden unexpectedly succeeded";
+    for (NamedRunner& c : *configs_) {
       Result<engine::QueryResult> got = c.runner->db()->Query(sql);
       ASSERT_FALSE(got.ok()) << c.label << " unexpectedly succeeded";
-      if (i == 0) {
-        golden = got.status().ToString();
-      } else {
-        EXPECT_EQ(got.status().ToString(), golden) << c.label << " drifted";
-      }
+      EXPECT_EQ(got.status().ToString(), golden.status().ToString())
+          << c.label << " drifted";
     }
   }
 
@@ -297,7 +287,7 @@ TEST_F(BytecodeDifferentialTest, KleeneNullLogic) {
   // of rows, so these predicates exercise every row of the Kleene tables:
   // NULL AND TRUE -> NULL (filtered), NULL OR TRUE -> TRUE (kept), and the
   // NOT of each. The fork/join lane partitioning must agree with the
-  // tree-walk evaluator lane for lane.
+  // scalar evaluator lane for lane.
   ExpectSameAcrossConfigs(
       "SELECT num AS n FROM nobench_main "
       "WHERE sparse_110 = 'GBRDCMJR' OR num < 100");
@@ -331,7 +321,8 @@ TEST_F(BytecodeDifferentialTest, ShortCircuitGuardsRuntimeErrors) {
 
 TEST_F(BytecodeDifferentialTest, ErrorsSurfaceIdentically) {
   // Every lane errors, so the permitted which-lane-first deviation cannot
-  // change the surfaced status; message text must match the tree walk's.
+  // change the surfaced status; message text must match the scalar
+  // evaluator's.
   ExpectSameErrorAcrossConfigs(
       "SELECT num / 0 AS x FROM nobench_main WHERE num < 10");
   ExpectSameErrorAcrossConfigs(
@@ -396,23 +387,18 @@ TEST_F(BytecodeDifferentialTest, ExtractionChainsUnderBytecode) {
 TEST_F(BytecodeDifferentialTest, PoisonMixedTypeColumnsStayExact) {
   // `v` changes Datum kind on consecutive rows, so no batch is ever
   // monomorphic: the typed profile must classify it kMixed and the boxed
-  // loops must produce the tree walk's exact Kleene/comparability verdicts
-  // (string lanes compare NULL against numeric literals and are filtered).
-  // Run the shapes with the kernels enabled and force-disabled: both paths
-  // feed the same differential against the tree-walk golden.
-  for (bool typed : {true, false}) {
-    TypedKernelsGuard guard(typed);
-    SCOPED_TRACE(typed ? "typed-on" : "typed-off");
-    ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE v < 100");
-    ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE v = 33");
-    ExpectSameAcrossConfigs(
-        "SELECT id AS i FROM poison WHERE v BETWEEN 10 AND 40");
-    ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE v IS NOT NULL");
-    ExpectSameAcrossConfigs(
-        "SELECT v AS x, id AS i FROM poison WHERE id < 50");
-    ExpectSameAcrossConfigs(
-        "SELECT id AS i FROM poison WHERE v = 's3' OR v < 10");
-  }
+  // loops must produce the scalar evaluator's exact Kleene/comparability
+  // verdicts (string lanes compare NULL against numeric literals and are
+  // filtered).
+  ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE v < 100");
+  ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE v = 33");
+  ExpectSameAcrossConfigs(
+      "SELECT id AS i FROM poison WHERE v BETWEEN 10 AND 40");
+  ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE v IS NOT NULL");
+  ExpectSameAcrossConfigs(
+      "SELECT v AS x, id AS i FROM poison WHERE id < 50");
+  ExpectSameAcrossConfigs(
+      "SELECT id AS i FROM poison WHERE v = 's3' OR v < 10");
 }
 
 TEST_F(BytecodeDifferentialTest, PoisonDoubleEdgeValuesStayExact) {
@@ -420,54 +406,44 @@ TEST_F(BytecodeDifferentialTest, PoisonDoubleEdgeValuesStayExact) {
   // holding NaN, -0.0 and +0.0. SQL comparison treats NaN as equal to
   // everything and -0.0 == +0.0, so `d = 0` keeps the NaN and both zero
   // lanes, and BETWEEN keeps NaN (both bound checks "tie"). A kernel built
-  // on IEEE == / < would drift here; these pin it against the tree walk.
-  for (bool typed : {true, false}) {
-    TypedKernelsGuard guard(typed);
-    SCOPED_TRACE(typed ? "typed-on" : "typed-off");
-    ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE d = 0");
-    ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE d < 1.5");
-    ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE d >= 0");
-    ExpectSameAcrossConfigs(
-        "SELECT id AS i FROM poison WHERE d BETWEEN -0.5 AND 0.5");
-    ExpectSameAcrossConfigs(
-        "SELECT id AS i FROM poison WHERE d NOT BETWEEN -0.5 AND 0.5");
-    // Int column vs double literal promotes per-lane; double col vs int lit
-    // promotes the literal. Both cross-domain fused forms.
-    ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE k < 4.5");
-    ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE d < 1");
-    // NaN flows through typed arithmetic unchanged.
-    ExpectSameAcrossConfigs("SELECT d + 1.0 AS x FROM poison WHERE id < 40");
-  }
+  // on IEEE == / < would drift here; these pin it against the oracle.
+  ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE d = 0");
+  ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE d < 1.5");
+  ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE d >= 0");
+  ExpectSameAcrossConfigs(
+      "SELECT id AS i FROM poison WHERE d BETWEEN -0.5 AND 0.5");
+  ExpectSameAcrossConfigs(
+      "SELECT id AS i FROM poison WHERE d NOT BETWEEN -0.5 AND 0.5");
+  // Int column vs double literal promotes per-lane; double col vs int lit
+  // promotes the literal. Both cross-domain fused forms.
+  ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE k < 4.5");
+  ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE d < 1");
+  // NaN flows through typed arithmetic unchanged.
+  ExpectSameAcrossConfigs("SELECT d + 1.0 AS x FROM poison WHERE id < 40");
 }
 
 TEST_F(BytecodeDifferentialTest, PoisonInt64ExtremesCompareExact) {
   // INT64_MIN / INT64_MAX lanes in comparison shapes only — arithmetic or
-  // negation on them is signed-overflow UB on the boxed evaluator too, so
+  // negation on them is signed-overflow UB on the scalar evaluator too, so
   // the differential keeps to the comparison domain where behavior is
   // defined. The int64 kernels must compare exactly (no double rounding:
   // 2^63 - 1 is not representable as a double).
-  for (bool typed : {true, false}) {
-    TypedKernelsGuard guard(typed);
-    SCOPED_TRACE(typed ? "typed-on" : "typed-off");
-    ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE big < 0");
-    ExpectSameAcrossConfigs(
-        "SELECT id AS i FROM poison WHERE big >= 9223372036854775807");
-    ExpectSameAcrossConfigs(
-        "SELECT id AS i FROM poison WHERE big <= -9223372036854775807");
-    ExpectSameAcrossConfigs(
-        "SELECT id AS i FROM poison "
-        "WHERE big BETWEEN -9223372036854775807 AND 1000");
-    ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE big <> 0");
-    ExpectSameAcrossConfigs(
-        "SELECT big AS x FROM poison WHERE id BETWEEN 3 AND 120");
-  }
+  ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE big < 0");
+  ExpectSameAcrossConfigs(
+      "SELECT id AS i FROM poison WHERE big >= 9223372036854775807");
+  ExpectSameAcrossConfigs(
+      "SELECT id AS i FROM poison WHERE big <= -9223372036854775807");
+  ExpectSameAcrossConfigs(
+      "SELECT id AS i FROM poison "
+      "WHERE big BETWEEN -9223372036854775807 AND 1000");
+  ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE big <> 0");
+  ExpectSameAcrossConfigs(
+      "SELECT big AS x FROM poison WHERE id BETWEEN 3 AND 120");
 }
 
-TEST_F(BytecodeDifferentialTest, TypedKernelSwitchCoversNoBenchShapes) {
-  // The monomorphic NoBench shapes (where the typed kernels actually fire)
-  // re-run with the kernels force-disabled: the boxed fallback must be a
-  // complete evaluator on its own, not just an error path.
-  TypedKernelsGuard guard(false);
+TEST_F(BytecodeDifferentialTest, TypedNoBenchShapesMatchScalarOracle) {
+  // The monomorphic NoBench shapes where the typed kernels actually fire,
+  // pinned against the scalar oracle.
   ExpectSameAcrossConfigs("SELECT num AS n FROM nobench_main WHERE num < 40");
   ExpectSameAcrossConfigs(
       "SELECT num AS n FROM nobench_main WHERE num BETWEEN 100 AND 140");
@@ -479,43 +455,47 @@ TEST_F(BytecodeDifferentialTest, TypedKernelSwitchCoversNoBenchShapes) {
       "SELECT num / 0 AS x FROM nobench_main WHERE num < 10");
 }
 
+TEST_F(BytecodeDifferentialTest, ScalarOracleAnswersSingleTableShapes) {
+  // Guard against the golden silently degrading to configuration 0: the
+  // oracle answers a filtered single-table projection itself.
+  Result<engine::QueryResult> got = oracle::ScalarOracleQuery(
+      (*configs_)[0].runner->db(),
+      "SELECT num AS n, str1 AS s FROM nobench_main WHERE num < 100");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_FALSE(got->rows.empty());
+  EXPECT_LT(got->rows.size(), kRecords);
+}
+
 #if !defined(SINEW_METRICS_DISABLED)
-TEST_F(BytecodeDifferentialTest, TypedLanesCountedOnlyWhenEnabled) {
-  // A monomorphic int projection must grow eval.typed_lanes when the
-  // kernels are on and eval.boxed_lanes (not typed) when forced off.
+TEST_F(BytecodeDifferentialTest, TypedLanesCountedOnlyForMonomorphicColumns) {
+  // A monomorphic int projection grows eval.typed_lanes; the poison table's
+  // kind-flipping `v` can never be proven monomorphic, so its comparison
+  // grows eval.boxed_lanes and not eval.typed_lanes.
   metrics::Counter* typed_lanes = metrics::GetCounter("eval.typed_lanes");
   metrics::Counter* boxed_lanes = metrics::GetCounter("eval.boxed_lanes");
-  nb::SinewRunner* runner = (*configs_)[4].runner;  // bc-batch256-serial
-  const std::string sql =
-      "SELECT num + 1 AS x FROM nobench_main WHERE num >= 0";
+  SinewDb* db = (*configs_)[kBatch256Serial].runner->db();
   const uint64_t typed_before = typed_lanes->value();
-  ASSERT_TRUE(runner->db()->Query(sql).ok());
+  ASSERT_TRUE(
+      db->Query("SELECT num + 1 AS x FROM nobench_main WHERE num >= 0").ok());
   EXPECT_GT(typed_lanes->value(), typed_before) << "typed lanes uncounted";
 
-  TypedKernelsGuard guard(false);
   const uint64_t typed_mid = typed_lanes->value();
   const uint64_t boxed_mid = boxed_lanes->value();
-  ASSERT_TRUE(runner->db()->Query(sql).ok());
-  EXPECT_EQ(typed_lanes->value(), typed_mid) << "kill switch ignored";
+  ASSERT_TRUE(db->Query("SELECT id AS i FROM poison WHERE v < 100").ok());
+  EXPECT_EQ(typed_lanes->value(), typed_mid) << "mixed column ran typed";
   EXPECT_GT(boxed_lanes->value(), boxed_mid) << "boxed lanes uncounted";
 }
 
 TEST_F(BytecodeDifferentialTest, BytecodeConfigsActuallyCompile) {
-  // Guard against diffing the tree walk against itself: a bytecode config
-  // must compile programs at plan time, a tree-walk config must not.
+  // Every configuration compiles its expressions at plan time.
   metrics::Counter* programs = metrics::GetCounter("bytecode.programs_total");
-  const uint64_t before = programs->value();
-  ASSERT_TRUE((*configs_)[4]  // bc-batch256-serial
-                  .runner->db()
-                  ->Query("SELECT num AS n FROM nobench_main WHERE num < 10")
-                  .ok());
-  EXPECT_GT(programs->value(), before) << "bytecode config never compiled";
-  const uint64_t mid = programs->value();
-  ASSERT_TRUE((*configs_)[0]  // tree-row-serial
-                  .runner->db()
-                  ->Query("SELECT num AS n FROM nobench_main WHERE num < 10")
-                  .ok());
-  EXPECT_EQ(programs->value(), mid) << "tree-walk config compiled programs";
+  for (NamedRunner& c : *configs_) {
+    const uint64_t before = programs->value();
+    ASSERT_TRUE(c.runner->db()
+                    ->Query("SELECT num AS n FROM nobench_main WHERE num < 10")
+                    .ok());
+    EXPECT_GT(programs->value(), before) << c.label << " never compiled";
+  }
 }
 
 TEST_F(BytecodeDifferentialTest, FallbackLanesAreCounted) {
@@ -523,7 +503,7 @@ TEST_F(BytecodeDifferentialTest, FallbackLanesAreCounted) {
   // eval.fallback_lanes counter (satellite: interpreter residue visible).
   metrics::Counter* fallback = metrics::GetCounter("eval.fallback_lanes");
   const uint64_t before = fallback->value();
-  ASSERT_TRUE((*configs_)[4]
+  ASSERT_TRUE((*configs_)[kBatch256Serial]
                   .runner->db()
                   ->Query("SELECT num AS n FROM nobench_main "
                           "WHERE CASE WHEN num < 500 THEN 1 = 1 "

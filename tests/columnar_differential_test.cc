@@ -1,7 +1,8 @@
 // Columnar-segment differential tests: every query must return the same
 // multiset of rows whether cold-segment extraction is served from shredded
 // column strips (enable_columnar_segments + BuildColumnarSegments) or purely
-// from the row reservoir. The corpus is NoBench-shaped: multi-typed keys
+// from the row reservoir — the scalar oracle's (tests/scalar_oracle.h)
+// wherever its reach allows. The corpus is NoBench-shaped: multi-typed keys
 // (excluded from strips, always reservoir-served), nested objects, arrays,
 // sparse/absent paths — so each query mixes strip-served and
 // reservoir-served attributes in one plan.
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "scalar_oracle.h"
 #include "sinew/sinew_db.h"
 #include "workloads/nobench/generator.h"
 
@@ -140,23 +142,27 @@ class ColumnarDifferentialTest : public ::testing::Test {
     return options;
   }
 
-  /// Asserts the strip-serving and row-reservoir paths agree serially, agree
-  /// under Gather, and that the two strip configurations agree with each
-  /// other.
+  /// Asserts the strip-serving and row-reservoir paths, serially and under
+  /// Gather, all return the golden multiset: the scalar oracle's
+  /// (tests/scalar_oracle.h), or the rows configuration's for shapes outside
+  /// its reach.
   void ExpectSameResults(const std::string& sql) {
     SCOPED_TRACE(sql);
+    Result<engine::QueryResult> golden = oracle::GoldenQuery(rows_serial_, sql);
     Result<engine::QueryResult> ss = strips_serial_->Query(sql);
     Result<engine::QueryResult> rs = rows_serial_->Query(sql);
     Result<engine::QueryResult> sp = strips_parallel_->Query(sql);
     Result<engine::QueryResult> rp = rows_parallel_->Query(sql);
+    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
     ASSERT_TRUE(ss.ok()) << ss.status().ToString();
     ASSERT_TRUE(rs.ok()) << rs.status().ToString();
     ASSERT_TRUE(sp.ok()) << sp.status().ToString();
     ASSERT_TRUE(rp.ok()) << rp.status().ToString();
-    std::vector<std::string> golden = CanonicalRows(*rs);
-    EXPECT_EQ(CanonicalRows(*ss), golden) << "strips vs rows, serial";
-    EXPECT_EQ(CanonicalRows(*sp), golden) << "strips vs rows, parallel";
-    EXPECT_EQ(CanonicalRows(*rp), golden) << "rows parallel drifted";
+    const std::vector<std::string> golden_rows = CanonicalRows(*golden);
+    EXPECT_EQ(CanonicalRows(*ss), golden_rows) << "strips, serial";
+    EXPECT_EQ(CanonicalRows(*rs), golden_rows) << "rows, serial";
+    EXPECT_EQ(CanonicalRows(*sp), golden_rows) << "strips, parallel";
+    EXPECT_EQ(CanonicalRows(*rp), golden_rows) << "rows, parallel";
   }
 
   static std::vector<Value>* docs_;

@@ -2,7 +2,8 @@
 // expression shapes, literal-pool interning, register reuse, the fallback
 // contract, and direct VM execution over synthetic batches (including the
 // select-mode fast path that refines the selection vector without
-// materializing a boolean column).
+// materializing a boolean column). Every result is checked against the one
+// semantic reference, scalar EvalExpr/EvalPredicate.
 
 #include "engine/bytecode.h"
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "engine/datum.h"
+#include "engine/eval.h"
 #include "engine/expr.h"
 #include "engine/row_batch.h"
 #include "engine/udf.h"
@@ -55,6 +57,20 @@ RowBatch MakeBatch(size_t n) {
   }
   b.size = n;
   return b;
+}
+
+/// The reference verdict: the lanes of `b.sel` where scalar EvalPredicate
+/// over the lane's row is TRUE.
+std::vector<uint32_t> ScalarSelect(const Expr& e, const RowBatch& b) {
+  std::vector<uint32_t> kept;
+  for (uint32_t lane : b.sel) {
+    DatumRow row;
+    b.CopyRow(lane, &row);
+    Result<bool> keep = EvalPredicate(e, row, nullptr);
+    EXPECT_TRUE(keep.ok()) << e.ToString() << ": " << keep.status().ToString();
+    if (keep.ok() && *keep) kept.push_back(lane);
+  }
+  return kept;
 }
 
 TEST(BytecodeCompile, ColCmpLitFusesBothOperandOrders) {
@@ -204,7 +220,7 @@ TEST(BytecodeCompile, FallbackShapesAndSlotCollection) {
   EXPECT_EQ(q->instrs[0].op, bc::OpCode::kFallbackLane);
 
   // An unregistered function still compiles — to a fallback lane, so the
-  // tree-walk evaluator's unknown-function error surfaces at runtime.
+  // scalar evaluator's unknown-function error surfaces at runtime.
   ExprPtr unknown = Expr::Function("no_such_fn", {});
   unknown->args.push_back(Col(0));
   auto u = MustCompile(unknown, 4, &udfs);
@@ -212,11 +228,30 @@ TEST(BytecodeCompile, FallbackShapesAndSlotCollection) {
   EXPECT_EQ(u->instrs[0].op, bc::OpCode::kFallbackLane);
 }
 
-TEST(BytecodeCompile, UnboundAndOutOfRangeColumnsDoNotCompile) {
-  ExprPtr unbound = Expr::Column("", "x");  // bound_slot = -1
-  EXPECT_EQ(bc::Compile(*unbound, 4, nullptr), nullptr);
-  EXPECT_EQ(bc::Compile(*Col(7), 4, nullptr), nullptr);  // width is 4
-  EXPECT_EQ(bc::Compile(*Expr::Star(""), 4, nullptr), nullptr);
+TEST(BytecodeCompile, UncompilableShapesBecomeOneFallbackLane) {
+  // Unbound and out-of-range columns and stars have no instruction form: the
+  // whole expression compiles to one fallback lane, so running it surfaces
+  // the scalar evaluator's own error text.
+  RowBatch b = MakeBatch(3);
+  ExprPtr unbound = Expr::Binary(BinaryOp::kLt, Expr::Column("", "x"), Lit(1));
+  ExprPtr out_of_range = Expr::Binary(BinaryOp::kLt, Col(7), Lit(1));
+  for (const ExprPtr* e : {&unbound, &out_of_range}) {
+    auto p = MustCompile(*e, 2);
+    ASSERT_EQ(p->num_instrs, 1u);
+    EXPECT_EQ(p->instrs[0].op, bc::OpCode::kFallbackLane);
+    bc::ExecState st;
+    std::vector<uint32_t> sel = b.sel;
+    Status s = bc::ExecPredicateBatch(*p, b, nullptr, &st, &sel);
+    DatumRow row;
+    b.CopyRow(0, &row);
+    Result<bool> scalar = EvalPredicate(**e, row, nullptr);
+    ASSERT_FALSE(s.ok());
+    ASSERT_FALSE(scalar.ok());
+    EXPECT_EQ(s.ToString(), scalar.status().ToString());
+  }
+  auto star = MustCompile(Expr::Star(""), 2);
+  ASSERT_EQ(star->num_instrs, 1u);
+  EXPECT_EQ(star->instrs[0].op, bc::OpCode::kFallbackLane);
 }
 
 TEST(BytecodeExec, FusedPredicateRefinesSelection) {
@@ -288,6 +323,8 @@ TEST(BytecodeExec, ShortCircuitSkipsErroringRegion) {
 }
 
 TEST(BytecodeExec, ExprModeAndRowModeAgree) {
+  // Value mode and predicate mode of the VM agree with the scalar
+  // evaluator run row by row.
   RowBatch b = MakeBatch(8);
   ExprPtr e = Expr::Binary(
       BinaryOp::kAdd, Expr::Binary(BinaryOp::kMul, Col(0), Lit(3)), Lit(1));
@@ -296,27 +333,23 @@ TEST(BytecodeExec, ExprModeAndRowModeAgree) {
   std::vector<Datum> out;
   ASSERT_TRUE(bc::ExecBatch(*p, b, b.sel, nullptr, &st, &out).ok());
   ASSERT_EQ(out.size(), 8u);
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].int_value(), static_cast<int64_t>(i) * 3 + 1);
-  }
-
-  auto pred = MustCompile(Expr::Binary(BinaryOp::kGt, Col(0), Lit(5)), 2);
-  for (uint32_t i = 0; i < 8; ++i) {
+  for (uint32_t i = 0; i < out.size(); ++i) {
     DatumRow row;
     b.CopyRow(i, &row);
-    Result<bool> keep = bc::ExecPredicateRow(*pred, row, nullptr, &st);
-    ASSERT_TRUE(keep.ok());
-    EXPECT_EQ(*keep, i > 5);
+    Result<Datum> scalar = EvalExpr(*e, row, nullptr);
+    ASSERT_TRUE(scalar.ok());
+    EXPECT_EQ(Datum::Compare(out[i], *scalar), 0) << "lane " << i;
   }
+
+  ExprPtr pred_expr = Expr::Binary(BinaryOp::kGt, Col(0), Lit(5));
+  auto pred = MustCompile(pred_expr, 2);
+  std::vector<uint32_t> sel = b.sel;
+  ASSERT_TRUE(bc::ExecPredicateBatch(*pred, b, nullptr, &st, &sel).ok());
+  EXPECT_EQ(sel, ScalarSelect(*pred_expr, b));
+  EXPECT_EQ(sel, (std::vector<uint32_t>{6, 7}));
 }
 
 // ------------------------------------------------------------ typed kernels
-
-/// Forces the typed-kernel kill switch for one scope (default back on).
-struct TypedKernelsGuard {
-  explicit TypedKernelsGuard(bool on) { bc::SetTypedKernelsEnabled(on); }
-  ~TypedKernelsGuard() { bc::SetTypedKernelsEnabled(true); }
-};
 
 /// A one-column batch of doubles (all lanes selected).
 RowBatch DoubleBatch(std::initializer_list<double> vals) {
@@ -362,7 +395,8 @@ TEST(TypedKernels, ProfileColumnClassifiesValidatesAndInvalidates) {
 }
 
 TEST(TypedKernels, MonomorphicLanesAreCountedAndMatchBoxed) {
-  auto p = MustCompile(Expr::Binary(BinaryOp::kLt, Col(0), Lit(9)), 2);
+  ExprPtr e = Expr::Binary(BinaryOp::kLt, Col(0), Lit(9));
+  auto p = MustCompile(e, 2);
   RowBatch b = MakeBatch(16);
   bc::ExecState typed_st;
   std::vector<uint32_t> typed_sel = b.sel;
@@ -370,16 +404,7 @@ TEST(TypedKernels, MonomorphicLanesAreCountedAndMatchBoxed) {
       bc::ExecPredicateBatch(*p, b, nullptr, &typed_st, &typed_sel).ok());
   EXPECT_EQ(typed_st.typed_lanes, 16u);
   EXPECT_EQ(typed_st.boxed_lanes, 0u);
-
-  TypedKernelsGuard off(false);
-  RowBatch b2 = MakeBatch(16);  // fresh batch: no cached tags
-  bc::ExecState boxed_st;
-  std::vector<uint32_t> boxed_sel = b2.sel;
-  ASSERT_TRUE(
-      bc::ExecPredicateBatch(*p, b2, nullptr, &boxed_st, &boxed_sel).ok());
-  EXPECT_EQ(boxed_st.typed_lanes, 0u);
-  EXPECT_EQ(boxed_st.boxed_lanes, 16u);
-  EXPECT_EQ(typed_sel, boxed_sel);
+  EXPECT_EQ(typed_sel, ScalarSelect(*e, MakeBatch(16)));
 }
 
 TEST(TypedKernels, NaNNegZeroAndPromotionMatchBoxedSemantics) {
@@ -402,19 +427,16 @@ TEST(TypedKernels, NaNNegZeroAndPromotionMatchBoxedSemantics) {
   }();
   for (const ExprPtr& e : preds) {
     auto p = MustCompile(e, 1);
-    std::vector<uint32_t> sels[2];
-    for (int cfg = 0; cfg < 2; ++cfg) {
-      TypedKernelsGuard g(cfg == 0);
-      RowBatch b = DoubleBatch({1.0, nan, -0.0, 0.0, -2.5});
-      bc::ExecState st;
-      sels[cfg] = b.sel;
-      ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, nullptr, &st, &sels[cfg]).ok())
-          << e->ToString();
-    }
-    EXPECT_EQ(sels[0], sels[1]) << e->ToString();
+    RowBatch b = DoubleBatch({1.0, nan, -0.0, 0.0, -2.5});
+    bc::ExecState st;
+    std::vector<uint32_t> sel = b.sel;
+    ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, nullptr, &st, &sel).ok())
+        << e->ToString();
+    EXPECT_GT(st.typed_lanes, 0u) << e->ToString();
+    EXPECT_EQ(sel, ScalarSelect(*e, b)) << e->ToString();
   }
-  // Spot-check one absolute verdict so both configs can't be wrong together:
-  // NaN "equals" 0.0 under Cmp(), so kEq keeps the NaN lane.
+  // Spot-check one absolute verdict so kernel and reference can't be wrong
+  // together: NaN "equals" 0.0 under Cmp(), so kEq keeps the NaN lane.
   auto eq = MustCompile(
       Expr::Binary(BinaryOp::kEq, Col(0), Expr::Literal(Datum::Double(0.0))),
       1);
@@ -435,7 +457,8 @@ TEST(TypedKernels, MixedColumnStaysBoxedWithIdenticalResults) {
     b.sel = {0, 1, 2, 3};
     return b;
   };
-  auto p = MustCompile(Expr::Binary(BinaryOp::kGe, Col(0), Lit(2)), 1);
+  ExprPtr e = Expr::Binary(BinaryOp::kGe, Col(0), Lit(2));
+  auto p = MustCompile(e, 1);
   RowBatch b = mixed_batch();
   bc::ExecState st;
   std::vector<uint32_t> sel = b.sel;
@@ -444,33 +467,24 @@ TEST(TypedKernels, MixedColumnStaysBoxedWithIdenticalResults) {
   EXPECT_EQ(st.boxed_lanes, 4u);
   ASSERT_NE(b.TagFor(0), nullptr);
   EXPECT_EQ(b.TagFor(0)->type, ColTag::Type::kMixed);
-
-  TypedKernelsGuard off(false);
-  RowBatch b2 = mixed_batch();
-  bc::ExecState boxed_st;
-  std::vector<uint32_t> boxed_sel = b2.sel;
-  ASSERT_TRUE(
-      bc::ExecPredicateBatch(*p, b2, nullptr, &boxed_st, &boxed_sel).ok());
-  EXPECT_EQ(sel, boxed_sel);
+  EXPECT_EQ(sel, ScalarSelect(*e, mixed_batch()));
 }
 
 TEST(TypedKernels, ArithmeticErrorTextMatchesBoxedPath) {
-  auto p = MustCompile(
-      Expr::Binary(BinaryOp::kEq,
-                   Expr::Binary(BinaryOp::kDiv, Col(0), Lit(0)), Lit(1)),
-      2);
-  std::string texts[2];
-  for (int cfg = 0; cfg < 2; ++cfg) {
-    TypedKernelsGuard g(cfg == 0);
-    RowBatch b = MakeBatch(4);
-    bc::ExecState st;
-    std::vector<uint32_t> sel = b.sel;
-    Status s = bc::ExecPredicateBatch(*p, b, nullptr, &st, &sel);
-    ASSERT_FALSE(s.ok());
-    texts[cfg] = s.ToString();
-  }
-  EXPECT_EQ(texts[0], texts[1]);
-  EXPECT_NE(texts[0].find("division by zero"), std::string::npos);
+  ExprPtr e = Expr::Binary(
+      BinaryOp::kEq, Expr::Binary(BinaryOp::kDiv, Col(0), Lit(0)), Lit(1));
+  auto p = MustCompile(e, 2);
+  RowBatch b = MakeBatch(4);
+  bc::ExecState st;
+  std::vector<uint32_t> sel = b.sel;
+  Status s = bc::ExecPredicateBatch(*p, b, nullptr, &st, &sel);
+  ASSERT_FALSE(s.ok());
+  DatumRow row;
+  b.CopyRow(0, &row);
+  Result<bool> scalar = EvalPredicate(*e, row, nullptr);
+  ASSERT_FALSE(scalar.ok());
+  EXPECT_EQ(s.ToString(), scalar.status().ToString());
+  EXPECT_NE(s.ToString().find("division by zero"), std::string::npos);
 }
 
 TEST(TypedKernels, RegisterTagsKeepInstructionChainsTyped) {

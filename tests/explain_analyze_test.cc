@@ -121,16 +121,16 @@ TEST(ExplainTest, ExplainAnalyzeReportsBytecodeShape) {
   FillTable(&db, 100);
 
   // The pushed-down scan filter compiles to one fused colref-cmp-literal
-  // instruction; it runs in row mode during decode, where typed kernels
-  // never apply (typed=0). The projection `a + 1` compiles to one (unfused)
-  // arithmetic op over the 50 surviving lanes; column `a` is a monomorphic
-  // int column, so every lane runs on the typed kernel (typed=50). No lane
-  // ever needs the tree-walk fallback.
+  // instruction; it runs in select mode over each probe batch of decoded
+  // filter columns, and column `a` is a monomorphic int column, so all 100
+  // scanned lanes run on the typed kernel (typed=100). The projection
+  // `a + 1` compiles to one (unfused) arithmetic op over the 50 surviving
+  // lanes, also typed (typed=50). No lane ever needs the scalar fallback.
   auto result =
       db.Execute("EXPLAIN ANALYZE SELECT a + 1 AS x FROM t WHERE a < 50");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   std::string text = ExplainText(*result);
-  EXPECT_NE(text.find("(bytecode ops=1 fused=1 typed=0 fallback_lanes=0)"),
+  EXPECT_NE(text.find("(bytecode ops=1 fused=1 typed=100 fallback_lanes=0)"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("(bytecode ops=1 fused=0 typed=50 fallback_lanes=0)"),
@@ -149,16 +149,6 @@ TEST(ExplainTest, ExplainAnalyzeReportsBytecodeShape) {
             std::string::npos)
       << fb_text;
 
-  // With compilation disabled the annotation disappears entirely.
-  engine::PlannerOptions planner;
-  planner.enable_bytecode = false;
-  engine::Database tree_db(planner);
-  FillTable(&tree_db, 100);
-  auto plain =
-      tree_db.Execute("EXPLAIN ANALYZE SELECT a + 1 AS x FROM t WHERE a < 50");
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-  EXPECT_EQ(ExplainText(*plain).find("(bytecode"), std::string::npos)
-      << ExplainText(*plain);
 }
 
 TEST(ExplainTest, CreateTableRejectsReservedMetricsName) {

@@ -1,8 +1,9 @@
 // Extraction-equivalence differential tests: every query must return the
-// same multiset of rows whether virtual attributes are extracted through the
-// batched SinewExtract node (planner hoist + DocumentView::ExtractMany, the
-// default) or through one chain-UDF call per reference
-// (enable_batched_extraction = false). The corpus is NoBench-shaped:
+// scalar oracle's multiset of rows (tests/scalar_oracle.h; the per-attribute
+// configuration's for shapes outside its reach) whether virtual attributes
+// are extracted through the batched SinewExtract node (planner hoist +
+// DocumentView::ExtractMany, the default) or through one chain-UDF call per
+// reference (enable_batched_extraction = false). The corpus is NoBench-shaped:
 // multi-typed keys, nested objects, arrays, sparse/absent paths — plus a
 // dirty partially-materialized column so the COALESCE(column, extract(...))
 // form runs above the batched node.
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "scalar_oracle.h"
 #include "sinew/sinew_db.h"
 #include "workloads/nobench/generator.h"
 
@@ -130,22 +132,26 @@ class ExtractionDifferentialTest : public ::testing::Test {
     return options;
   }
 
-  /// Asserts the batched and per-attribute paths agree serially, agree under
-  /// Gather, and that the two batched configurations agree with each other.
+  /// Asserts the batched and per-attribute paths, serially and under
+  /// Gather, all return the golden multiset.
   void ExpectSameResults(const std::string& sql) {
     SCOPED_TRACE(sql);
+    Result<engine::QueryResult> golden =
+        oracle::GoldenQuery(per_attr_serial_, sql);
     Result<engine::QueryResult> bs = batched_serial_->Query(sql);
     Result<engine::QueryResult> ps = per_attr_serial_->Query(sql);
     Result<engine::QueryResult> bp = batched_parallel_->Query(sql);
     Result<engine::QueryResult> pp = per_attr_parallel_->Query(sql);
+    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
     ASSERT_TRUE(bs.ok()) << bs.status().ToString();
     ASSERT_TRUE(ps.ok()) << ps.status().ToString();
     ASSERT_TRUE(bp.ok()) << bp.status().ToString();
     ASSERT_TRUE(pp.ok()) << pp.status().ToString();
-    std::vector<std::string> golden = CanonicalRows(*ps);
-    EXPECT_EQ(CanonicalRows(*bs), golden) << "batched vs per-attr, serial";
-    EXPECT_EQ(CanonicalRows(*bp), golden) << "batched vs per-attr, parallel";
-    EXPECT_EQ(CanonicalRows(*pp), golden) << "per-attr parallel drifted";
+    const std::vector<std::string> golden_rows = CanonicalRows(*golden);
+    EXPECT_EQ(CanonicalRows(*bs), golden_rows) << "batched, serial";
+    EXPECT_EQ(CanonicalRows(*ps), golden_rows) << "per-attr, serial";
+    EXPECT_EQ(CanonicalRows(*bp), golden_rows) << "batched, parallel";
+    EXPECT_EQ(CanonicalRows(*pp), golden_rows) << "per-attr, parallel";
   }
 
   static std::vector<Value>* docs_;

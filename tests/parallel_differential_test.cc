@@ -1,5 +1,6 @@
 // Serial/parallel differential tests: every query in the corpus must return
-// the same multiset of rows at parallelism 1 and parallelism N. The corpus
+// the same multiset of rows at parallelism 1 and parallelism N — the scalar
+// oracle's (tests/scalar_oracle.h) wherever its reach allows. The corpus
 // covers the shapes the Gather operator parallelizes (scans, filters,
 // virtual-column extraction through the reservoir, hash aggregation) plus
 // shapes that stay serial (joins, ORDER BY) but read through the same
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "engine/table.h"
+#include "scalar_oracle.h"
 #include "sinew/sinew_db.h"
 #include "workloads/nobench/generator.h"
 
@@ -120,15 +122,21 @@ class ParallelDifferentialTest : public ::testing::Test {
     return options;
   }
 
-  /// Runs `sql` on both instances and asserts multiset equality.
+  /// Runs `sql` on both instances and asserts each returns the golden
+  /// multiset: the scalar oracle's (tests/scalar_oracle.h), or the serial
+  /// instance's for shapes outside its reach.
   void ExpectSameResults(const std::string& sql) {
     SCOPED_TRACE(sql);
+    Result<engine::QueryResult> golden = oracle::GoldenQuery(serial_, sql);
     Result<engine::QueryResult> s = serial_->Query(sql);
     Result<engine::QueryResult> p = parallel_->Query(sql);
+    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
     ASSERT_TRUE(s.ok()) << s.status().ToString();
     ASSERT_TRUE(p.ok()) << p.status().ToString();
     EXPECT_EQ(s->rows.size(), p->rows.size());
-    EXPECT_EQ(CanonicalRows(*s), CanonicalRows(*p));
+    const std::vector<std::string> golden_rows = CanonicalRows(*golden);
+    EXPECT_EQ(CanonicalRows(*s), golden_rows) << "serial";
+    EXPECT_EQ(CanonicalRows(*p), golden_rows) << "parallel";
   }
 
   static std::vector<Value>* docs_;
