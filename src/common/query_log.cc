@@ -10,6 +10,10 @@ bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
+/// Chars that end or start a word-like token: whitespace between two of
+/// them is significant and collapses to one space ("select ?", "a "b"").
+bool IsWordChar(char c) { return IsIdentChar(c) || c == '?' || c == '"'; }
+
 bool IsNumberStart(char c, char prev_significant) {
   if (std::isdigit(static_cast<unsigned char>(c)) == 0) return false;
   // A digit continuing an identifier (t2, col_3) is not a literal.
@@ -27,8 +31,7 @@ std::string NormalizeFingerprint(std::string_view sql) {
     if (pending_space) {
       // Collapse runs of whitespace to one space, and drop it entirely at
       // token boundaries where it carries no meaning ("a , b" == "a,b").
-      if (!out.empty() && (IsIdentChar(prev) || prev == '?') &&
-          (IsIdentChar(c) || c == '?')) {
+      if (!out.empty() && IsWordChar(prev) && IsWordChar(c)) {
         out.push_back(' ');
       }
       pending_space = false;
@@ -45,14 +48,15 @@ std::string NormalizeFingerprint(std::string_view sql) {
       continue;
     }
     if (c == '\'' || c == '"') {
-      // Quoted literal (or quoted identifier — normalizing both to '?' errs
-      // toward merging, which is what a workload fingerprint wants for
-      // values; doubled quotes escape).
-      const char quote = c;
+      // A single-quoted string is a value and becomes '?'. A double-quoted
+      // identifier names an attribute ("nested_obj.str") and is kept
+      // verbatim, case and all, so queries over different attributes never
+      // share a fingerprint. Doubled quotes escape in both.
+      const size_t start = i;
       ++i;
       while (i < sql.size()) {
-        if (sql[i] == quote) {
-          if (i + 1 < sql.size() && sql[i + 1] == quote) {
+        if (sql[i] == c) {
+          if (i + 1 < sql.size() && sql[i + 1] == c) {
             i += 2;
             continue;
           }
@@ -61,7 +65,13 @@ std::string NormalizeFingerprint(std::string_view sql) {
         }
         ++i;
       }
-      emit('?');
+      if (c == '\'') {
+        emit('?');
+      } else {
+        emit('"');
+        out.append(sql.substr(start + 1, i - start - 1));
+        prev = '"';
+      }
       continue;
     }
     // Whitespace is a token break: in "LIMIT 10" the digit starts a literal

@@ -4,8 +4,8 @@
 //
 // Each record carries a literal-normalized statement fingerprint (so
 // parameter-varied statements collapse onto one workload class), a plan
-// hash, the parse/plan/exec timing breakdown, cardinality actuals (rows
-// in/out, batches, zone skips), the replan-retry count and the final
+// hash, the parse/rewrite/plan/exec timing breakdown, cardinality actuals
+// (rows in/out, batches, zone skips), the replan-retry count and the final
 // status. SinewDb::Query appends one record per call; the engine surfaces
 // the ring as the queryable `sinew_query_log` system table next to
 // `sinew_metrics` (engine/database.cc).
@@ -34,7 +34,8 @@ struct QueryRecord {
   uint64_t fingerprint_hash = 0;
   uint64_t plan_hash = 0;      // hash of the plan tree text; 0 = no plan
   uint64_t trace_id = 0;       // joins against the span ring / trace export
-  uint64_t parse_ns = 0;       // rewrite + parse phase
+  uint64_t parse_ns = 0;       // SQL text -> statement
+  uint64_t rewrite_ns = 0;     // logical -> physical schema (sinew rewriter)
   uint64_t plan_ns = 0;
   uint64_t exec_ns = 0;
   uint64_t total_ns = 0;
@@ -48,7 +49,8 @@ struct QueryRecord {
 };
 
 /// Literal-normalized statement fingerprint: whitespace collapsed, keywords
-/// and identifiers case-folded, string and numeric literals replaced by '?'.
+/// and bare identifiers case-folded, single-quoted string and numeric
+/// literals replaced by '?'. Double-quoted identifiers stay verbatim.
 /// Statements differing only in parameter values share a fingerprint.
 std::string NormalizeFingerprint(std::string_view sql);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/bytes.h"
 
@@ -10,6 +11,11 @@ namespace sinew::engine {
 namespace {
 
 constexpr uint8_t kSegmentFormatVersion = 1;
+
+/// ColumnarSegment's index key for a strip column.
+std::pair<uint32_t, ValueType> AttrKey(const StripColumn& col) {
+  return {col.attr_id, col.type};
+}
 
 Datum StripValueAt(const ColumnStrip& s, uint32_t dense_idx) {
   switch (s.type) {
@@ -189,13 +195,34 @@ Datum StripColumn::GetDatum(uint64_t rid) const {
   return ref.GetDatum(static_cast<uint32_t>(offset));
 }
 
+ColumnarSegment::ColumnarSegment(uint64_t row_count,
+                                 std::vector<StripColumn> columns)
+    : row_count_(row_count), columns_(std::move(columns)) {
+  by_attr_.resize(columns_.size());
+  for (size_t i = 0; i < by_attr_.size(); ++i) {
+    by_attr_[i] = static_cast<uint32_t>(i);
+  }
+  // Stable: columns sharing a key keep their order, so Find returns the
+  // first match exactly as a front-to-back scan would.
+  std::stable_sort(by_attr_.begin(), by_attr_.end(),
+                   [this](uint32_t a, uint32_t b) {
+                     return AttrKey(columns_[a]) < AttrKey(columns_[b]);
+                   });
+}
+
 const StripColumn* ColumnarSegment::Find(std::string_view source_column,
                                          const std::vector<uint32_t>& prefix_ids,
                                          uint32_t attr_id,
                                          ValueType type) const {
-  for (const StripColumn& col : columns_) {
-    if (col.attr_id == attr_id && col.type == type &&
-        col.source_column == source_column && col.prefix_ids == prefix_ids) {
+  const std::pair<uint32_t, ValueType> key{attr_id, type};
+  auto it = std::lower_bound(
+      by_attr_.begin(), by_attr_.end(), key,
+      [this](uint32_t i, const std::pair<uint32_t, ValueType>& k) {
+        return AttrKey(columns_[i]) < k;
+      });
+  for (; it != by_attr_.end() && AttrKey(columns_[*it]) == key; ++it) {
+    const StripColumn& col = columns_[*it];
+    if (col.source_column == source_column && col.prefix_ids == prefix_ids) {
       return &col;
     }
   }

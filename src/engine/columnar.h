@@ -111,13 +111,13 @@ inline ColTag::Type StripTagType(ValueType type) {
 /// bytes it was shredded from.
 class ColumnarSegment {
  public:
-  ColumnarSegment(uint64_t row_count, std::vector<StripColumn> columns)
-      : row_count_(row_count), columns_(std::move(columns)) {}
+  ColumnarSegment(uint64_t row_count, std::vector<StripColumn> columns);
 
   uint64_t row_count() const { return row_count_; }
   const std::vector<StripColumn>& columns() const { return columns_; }
 
   /// Exact-key lookup; nullptr = not shredded, use the row reservoir.
+  /// O(log columns) through the (attr id, type) index.
   const StripColumn* Find(std::string_view source_column,
                           const std::vector<uint32_t>& prefix_ids,
                           uint32_t attr_id, ValueType type) const;
@@ -134,6 +134,9 @@ class ColumnarSegment {
  private:
   uint64_t row_count_ = 0;
   std::vector<StripColumn> columns_;
+  /// Positions in columns_ sorted by (attr id, type): Find binary-searches
+  /// the key and compares source column and prefix chain only within it.
+  std::vector<uint32_t> by_attr_;
 };
 
 }  // namespace sinew::engine

@@ -604,76 +604,97 @@ class ProjectOp : public Operator {
   ~ProjectOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
 
   Status Open() override {
-    if (node_.projection_programs.size() != node_.projections.size()) {
+    const size_t n = node_.projections.size();
+    if (node_.projection_programs.size() != n) {
       return Status::Internal("projections have no compiled programs");
+    }
+    // Which bare column-ref projections are the last reader of their input
+    // slot (their column can then be moved rather than copied): one
+    // reverse pass marking the slots every later projection reads.
+    last_reader_.assign(n, false);
+    std::vector<bool> read_later;
+    for (size_t c = n; c-- > 0;) {
+      const Expr& p = *node_.projections[c];
+      if (p.IsBoundColumnRef()) {
+        const size_t slot = static_cast<size_t>(p.bound_slot);
+        last_reader_[c] = slot >= read_later.size() || !read_later[slot];
+      } else if (node_.projection_programs[c] == nullptr) {
+        return Status::Internal("projection ", c, " has no compiled program");
+      }
+      MarkReadSlots(p, &read_later);
     }
     return child_->Open();
   }
 
-  /// Each projection expression runs once over the input batch's selected
-  /// lanes into one output column. The output batch is compacted (identity
-  /// selection), since dead input lanes carry nothing worth preserving past
-  /// a projection.
+  /// Each projection runs once over the input batch's selected lanes into
+  /// one output column: a bare column ref moves (last reader) or copies
+  /// the input column, gathering the selected lanes when the selection is
+  /// sparse; anything else runs its compiled program. The output batch is
+  /// compacted (identity selection), since dead input lanes carry nothing
+  /// worth preserving past a projection.
   Result<bool> NextBatch(RowBatch* batch) override {
     ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in_));
     if (!has) return false;
-    batch->Reset(node_.projections.size());
-    // Dense input (selection vector == identity, the no-filter common case):
-    // a bare column-ref projection can take the whole input column instead
-    // of copying per lane — moved on its last referencing projection, copied
-    // before that. The selection vector is always an ascending subset of the
-    // physical lanes, so dense implies identity.
-    const bool dense = in_.active() == in_.size;
-    for (size_t c = 0; c < node_.projections.size(); ++c) {
+    const size_t n = node_.projections.size();
+    batch->Reset(n);
+    // The selection vector is always an ascending subset of the physical
+    // lanes, so a dense selection is the identity.
+    const size_t active = in_.active();
+    const bool dense = active == in_.size;
+    for (size_t c = 0; c < n; ++c) {
       const Expr& p = *node_.projections[c];
-      if (dense && p.kind == ExprKind::kColumnRef && p.bound_slot >= 0 &&
-          static_cast<size_t>(p.bound_slot) < in_.num_cols()) {
-        // The column travels verbatim (dense implies identical physical
-        // rows), so its batch type proof stays valid — carry the tag across
-        // and downstream programs skip re-profiling.
-        const bool used_after = SlotUsedAfter(c, p.bound_slot);
-        const ColTag* tag = in_.TagFor(p.bound_slot);
-        if (tag != nullptr && batch->tags.size() < node_.projections.size()) {
-          batch->tags.resize(node_.projections.size());
-        }
-        if (used_after) {
-          batch->cols[c] = in_.cols[p.bound_slot];
-          if (tag != nullptr) batch->tags[c] = *tag;
-        } else {
-          batch->cols[c] = std::move(in_.cols[p.bound_slot]);
-          if (tag != nullptr) {
-            batch->tags[c] = std::move(in_.tags[p.bound_slot]);
-            in_.InvalidateTag(p.bound_slot);
-          }
+      if (!p.IsBoundColumnRef()) {
+        RETURN_NOT_OK(bytecode::ExecBatch(*node_.projection_programs[c], in_,
+                                          in_.sel, ctx_->udfs, &bc_state_,
+                                          &batch->cols[c]));
+        continue;
+      }
+      const size_t slot = static_cast<size_t>(p.bound_slot);
+      if (slot >= in_.num_cols()) {
+        return Status::Internal("projection ", c, " reads slot ", slot,
+                                " of a ", in_.num_cols(), "-column batch");
+      }
+      std::vector<Datum>& src = in_.cols[slot];
+      std::vector<Datum>& dst = batch->cols[c];
+      if (!dense) {
+        dst.reserve(active);
+        for (uint32_t r : in_.sel) {
+          dst.push_back(last_reader_[c] ? std::move(src[r]) : src[r]);
         }
         continue;
       }
-      RETURN_NOT_OK(bytecode::ExecBatch(*node_.projection_programs[c], in_,
-                                        in_.sel, ctx_->udfs, &bc_state_,
-                                        &batch->cols[c]));
+      // Dense: the column travels verbatim (identical physical rows), so
+      // its batch type proof stays valid — carry the tag across and
+      // downstream programs skip re-profiling.
+      const ColTag* tag = in_.TagFor(slot);
+      if (tag != nullptr && batch->tags.size() < n) batch->tags.resize(n);
+      if (!last_reader_[c]) {
+        dst = src;
+        if (tag != nullptr) batch->tags[c] = *tag;
+      } else {
+        dst = std::move(src);
+        if (tag != nullptr) {
+          batch->tags[c] = std::move(in_.tags[slot]);
+          in_.InvalidateTag(slot);
+        }
+      }
     }
-    batch->size = in_.active();
-    batch->sel.resize(batch->size);
-    for (size_t i = 0; i < batch->size; ++i) {
+    batch->size = active;
+    batch->sel.resize(active);
+    for (size_t i = 0; i < active; ++i) {
       batch->sel[i] = static_cast<uint32_t>(i);
     }
     return true;
   }
 
  private:
-  static bool UsesSlot(const Expr& e, int slot) {
-    if (e.kind == ExprKind::kColumnRef) return e.bound_slot == slot;
-    for (const ExprPtr& a : e.args) {
-      if (UsesSlot(*a, slot)) return true;
+  static void MarkReadSlots(const Expr& e, std::vector<bool>* read) {
+    if (e.IsBoundColumnRef()) {
+      const size_t slot = static_cast<size_t>(e.bound_slot);
+      if (slot >= read->size()) read->resize(slot + 1, false);
+      (*read)[slot] = true;
     }
-    return false;
-  }
-
-  bool SlotUsedAfter(size_t c, int slot) const {
-    for (size_t k = c + 1; k < node_.projections.size(); ++k) {
-      if (UsesSlot(*node_.projections[k], slot)) return true;
-    }
-    return false;
+    for (const ExprPtr& a : e.args) MarkReadSlots(*a, read);
   }
 
   const PlanNode& node_;
@@ -681,6 +702,8 @@ class ProjectOp : public Operator {
   ExecContext* ctx_;
   RowBatch in_;
   bytecode::ExecState bc_state_;
+  /// Per projection: a bare column ref no later projection reads (Open).
+  std::vector<bool> last_reader_;
 };
 
 // ---------------------------------------------------------------- Extract

@@ -187,7 +187,8 @@ std::string Expr::ToString() const {
 }
 
 bool Expr::IsAggregateCall() const {
-  if (kind != ExprKind::kFunction) return false;
+  // Every aggregate name has at most five letters.
+  if (kind != ExprKind::kFunction || fname.size() > 5) return false;
   return fname == "count" || fname == "sum" || fname == "avg" ||
          fname == "min" || fname == "max";
 }

@@ -101,6 +101,10 @@ struct Expr {
   bool ContainsAggregate() const;
   /// True if any node is a kColumnRef.
   bool ContainsColumnRef() const;
+  /// True for a kColumnRef bound to an input slot.
+  bool IsBoundColumnRef() const {
+    return kind == ExprKind::kColumnRef && bound_slot >= 0;
+  }
   /// True if any node is a kFunction that is not an aggregate (i.e. a UDF
   /// the optimizer has no statistics for).
   bool ContainsNonAggregateFunction() const;

@@ -1,6 +1,7 @@
 #include "engine/parser.h"
 
 #include <charconv>
+#include <limits>
 
 #include "common/str_util.h"
 #include "engine/lexer.h"
@@ -111,6 +112,17 @@ class Parser {
                               Peek().text, "')");
   }
 
+  /// A lexed integer token as int64; InvalidArgument when it overflows.
+  static Result<int64_t> IntegerLiteral(const std::string& text) {
+    int64_t v = 0;
+    if (std::from_chars(text.data(), text.data() + text.size(), v).ec !=
+        std::errc()) {
+      return Status::InvalidArgument("integer literal ", text,
+                                     " is out of range");
+    }
+    return v;
+  }
+
   // --- statements ---
   Result<SelectStatement> ParseSelect() {
     RETURN_NOT_OK(ExpectKeyword("SELECT"));
@@ -181,7 +193,7 @@ class Parser {
     if (ConsumeKeyword("LIMIT")) {
       const Token& t = Peek();
       if (t.type != TokenType::kInteger) return Error("expected LIMIT count");
-      sel.limit = std::stoll(t.text);
+      ASSIGN_OR_RETURN(sel.limit, IntegerLiteral(t.text));
       ++pos_;
     }
     return sel;
@@ -451,6 +463,19 @@ class Parser {
 
   Result<ExprPtr> ParseUnary() {
     if (ConsumeSymbol("-")) {
+      // INT64_MIN's magnitude alone overflows int64, so its sign folds
+      // into the literal; every other negation stays a unary minus.
+      const Token& t = Peek();
+      uint64_t magnitude = 0;
+      if (t.type == TokenType::kInteger &&
+          std::from_chars(t.text.data(), t.text.data() + t.text.size(),
+                          magnitude)
+                  .ec == std::errc() &&
+          magnitude == uint64_t{1} << 63) {
+        ++pos_;
+        return Expr::Literal(
+            Datum::Int(std::numeric_limits<int64_t>::min()));
+      }
       ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
       return Expr::Unary(UnaryOp::kNeg, std::move(operand));
     }
@@ -465,12 +490,19 @@ class Parser {
         return Expr::Literal(Datum::Text(t.text));
       }
       case TokenType::kInteger: {
+        ASSIGN_OR_RETURN(int64_t v, IntegerLiteral(t.text));
         ++pos_;
-        return Expr::Literal(Datum::Int(std::stoll(t.text)));
+        return Expr::Literal(Datum::Int(v));
       }
       case TokenType::kFloat: {
+        double v = 0;
+        if (std::from_chars(t.text.data(), t.text.data() + t.text.size(), v)
+                .ec != std::errc()) {
+          return Status::InvalidArgument("numeric literal ", t.text,
+                                         " is out of range");
+        }
         ++pos_;
-        return Expr::Literal(Datum::Double(std::stod(t.text)));
+        return Expr::Literal(Datum::Double(v));
       }
       case TokenType::kSymbol:
         if (t.IsSymbol("(")) {

@@ -153,7 +153,9 @@ struct PlanNode {
   // trees they alias are final. Immutable; Gather workers instantiate
   // operators over the same PlanNode and share them (per-instance scratch
   // lives in each operator's bytecode::ExecState). Set for every expression
-  // slot of the streaming operators.
+  // slot of the streaming operators, except a projection that is a bare
+  // bound column ref (its program stays null; the project operator moves or
+  // gathers the input column).
   std::shared_ptr<const bytecode::Program> predicate_program;    // kFilter
   std::shared_ptr<const bytecode::Program> scan_filter_program;  // kSeqScan
   std::vector<std::shared_ptr<const bytecode::Program>>

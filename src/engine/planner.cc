@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "common/metrics.h"
 #include "common/value.h"
@@ -130,6 +131,9 @@ void CompilePlanPrograms(PlanNode* node, const UdfRegistry* udfs) {
         const size_t width = node->children[0]->output_schema.cols.size();
         node->projection_programs.resize(node->projections.size());
         for (size_t i = 0; i < node->projections.size(); ++i) {
+          // A bare bound column ref needs no program: the project operator
+          // moves or gathers the input column itself.
+          if (node->projections[i]->IsBoundColumnRef()) continue;
           node->projection_programs[i] =
               bytecode::Compile(*node->projections[i], width, udfs);
         }
@@ -293,12 +297,23 @@ Status Planner::SelectPlanner::CollectColumnUsage() {
     }
   };
   // Clone-free best-effort resolution for the (possibly very wide) select
-  // list: resolve each reference name against the scan schemas directly; an
-  // unresolvable unqualified name falls back to conservative marking.
+  // list: resolve each reference name against the scan schemas directly,
+  // through a per-scan name index built once; an unresolvable unqualified
+  // name falls back to conservative marking.
+  std::vector<std::unordered_multimap<std::string_view, size_t>> positions(
+      scans_.size());
+  for (size_t s = 0; s < scans_.size(); ++s) {
+    const std::vector<ExecSchema::Col>& cols = scans_[s].schema.cols;
+    positions[s].reserve(cols.size());
+    for (size_t i = 0; i < cols.size(); ++i) {
+      positions[s].emplace(cols[i].name, i);
+    }
+  }
   auto note_light = [&](auto&& self, const Expr& e) -> void {
     if (e.kind == ExprKind::kColumnRef) {
       bool found = false;
-      for (const ScanInfo& scan : scans_) {
+      for (size_t s = 0; s < scans_.size(); ++s) {
+        const ScanInfo& scan = scans_[s];
         // Peel a leading "alias." segment off unqualified dotted names.
         std::string_view column = e.column;
         std::string_view qualifier = e.table;
@@ -311,40 +326,30 @@ Status Planner::SelectPlanner::CollectColumnUsage() {
           }
         }
         if (!qualifier.empty() && qualifier != scan.alias) continue;
-        for (size_t i = 0; i < scan.schema.cols.size(); ++i) {
-          if (scan.schema.cols[i].name == column) {
-            needed_positions_[scan.alias].insert(i);
-            found = true;
-          }
+        auto [begin, end] = positions[s].equal_range(column);
+        for (auto it = begin; it != end; ++it) {
+          needed_positions_[scan.alias].insert(it->second);
+          found = true;
         }
       }
       if (!found) mark_all("");
       return;
     }
     for (const ExprPtr& a : e.args) {
-      if (e.IsAggregateCall() && a->kind == ExprKind::kStar) continue;
       if (a->kind == ExprKind::kStar) {
-        mark_all(a->table);
+        if (!e.IsAggregateCall()) mark_all(a->table);
         continue;
       }
       self(self, *a);
     }
   };
   // Stars anywhere in an expression need the whole relation — except
-  // COUNT(*), which needs no columns at all.
-  auto mark_stars = [&](auto&& self, const Expr& e) -> void {
-    if (e.kind == ExprKind::kStar) mark_all(e.table);
-    for (const ExprPtr& a : e.args) {
-      if (e.IsAggregateCall() && a->kind == ExprKind::kStar) continue;
-      self(self, *a);
-    }
-  };
+  // COUNT(*), which needs no columns at all (note_light marks nested ones).
   auto consider = [&](const Expr& e) {
     if (e.kind == ExprKind::kStar) {
       mark_all(e.table);
       return;
     }
-    mark_stars(mark_stars, e);
     note_light(note_light, e);
   };
   for (const SelectItem& item : stmt_.items) consider(*item.expr);
@@ -1065,6 +1070,18 @@ ExtractTarget TargetFromCall(const Expr& call) {
   return t;
 }
 
+/// Total order on extract targets: (source, prefix chain, attr id, raw
+/// bytes, type tag) — the BatchExtractFn contract that lets the
+/// implementation decode each source once and merge-join all wanted ids in
+/// a single ascending pass.
+bool TargetLess(const ExtractTarget& a, const ExtractTarget& b) {
+  if (a.source_slot != b.source_slot) return a.source_slot < b.source_slot;
+  if (a.prefix_ids != b.prefix_ids) return a.prefix_ids < b.prefix_ids;
+  if (a.attr_id != b.attr_id) return a.attr_id < b.attr_id;
+  if (a.raw_bytes != b.raw_bytes) return a.raw_bytes < b.raw_bytes;
+  return a.type_tag < b.type_tag;
+}
+
 /// A hoistable decode-to-value chain call over a scalar type tag — the only
 /// calls whose comparisons a column strip's zone map can reason about (the
 /// _bytes variant and object/array extractions have no strip columns).
@@ -1254,85 +1271,80 @@ void Planner::SelectPlanner::TryHoistBatchedExtraction(PlanNode* cap) const {
     moved.clear();  // conjuncts stay in the scan filter, on the chain path
   }
 
-  // Dedupe call sites by structural equality. A site that appears in both
-  // a predicate and the projection lands in the below group: predicate and
+  // Dedupe call sites by extract target (the call's source slot, prefix
+  // chain, attr id and form): sorted by target, equal targets are adjacent
+  // and share one output column, and each group is already in the
+  // BatchExtractFn order (see TargetLess). A site that appears in both a
+  // predicate and the projection lands in the below group: predicate and
   // projection then share one decode through the same output column.
-  std::vector<ExprPtr> below_templates, above_templates;
-  std::vector<std::string> below_texts, above_texts;
-  for (ExprPtr* site : below_sites) {
-    std::string text = (*site)->ToString();
-    if (std::find(below_texts.begin(), below_texts.end(), text) ==
-        below_texts.end()) {
-      below_texts.push_back(std::move(text));
-      below_templates.push_back((*site)->Clone());
-    }
-  }
+  struct Site {
+    ExtractTarget target;
+    ExprPtr* expr;
+    int slot = -1;  // output column, once its extract node is built
+  };
+  auto sort_sites = [](const std::vector<ExprPtr*>& exprs) {
+    std::vector<Site> sites;
+    sites.reserve(exprs.size());
+    for (ExprPtr* e : exprs) sites.push_back(Site{TargetFromCall(**e), e});
+    std::sort(sites.begin(), sites.end(), [](const Site& a, const Site& b) {
+      return TargetLess(a.target, b.target);
+    });
+    return sites;
+  };
+  std::vector<Site> below = sort_sites(below_sites);
+  auto find_below = [&below](const ExtractTarget& t) -> const Site* {
+    auto it = std::lower_bound(
+        below.begin(), below.end(), t,
+        [](const Site& s, const ExtractTarget& x) {
+          return TargetLess(s.target, x);
+        });
+    return it != below.end() && !TargetLess(t, it->target) ? &*it : nullptr;
+  };
 
-  // Above-group sites whose text matches a predicate target reuse its
+  // Above-group sites whose target matches a predicate target reuse its
   // output column for free. A single remaining fresh site stays on the
   // chain path for the same lone-site reason; two or more batch into one
   // decode per filter-surviving row.
-  std::vector<ExprPtr*> shared_above, fresh_above;
+  std::vector<Site> shared_above;
+  std::vector<ExprPtr*> fresh_exprs;
+  fresh_exprs.reserve(above_sites.size());
   for (ExprPtr* site : above_sites) {
-    bool is_shared = std::find(below_texts.begin(), below_texts.end(),
-                               (*site)->ToString()) != below_texts.end();
-    (is_shared ? shared_above : fresh_above).push_back(site);
-  }
-  const bool hoist_above = fresh_above.size() >= 2;
-  if (below_sites.empty() && !hoist_above) return;
-  if (hoist_above) {
-    for (ExprPtr* site : fresh_above) {
-      std::string text = (*site)->ToString();
-      if (std::find(above_texts.begin(), above_texts.end(), text) ==
-          above_texts.end()) {
-        above_texts.push_back(std::move(text));
-        above_templates.push_back((*site)->Clone());
-      }
+    ExtractTarget t = TargetFromCall(**site);
+    if (find_below(t) != nullptr) {
+      shared_above.push_back(Site{std::move(t), site});
+    } else {
+      fresh_exprs.push_back(site);
     }
   }
+  const bool hoist_above = fresh_exprs.size() >= 2;
+  if (below.empty() && !hoist_above) return;
+  std::vector<Site> fresh_above;
+  if (hoist_above) fresh_above = sort_sites(fresh_exprs);
 
-  // call text -> (output slot, column name), across both extract nodes.
-  std::map<std::string, std::pair<size_t, std::string>> out_by_text;
   size_t next_rank = 0;
-  // Builds one kExtract node appending the group's targets to in_schema.
-  // Targets are ordered by (source, prefix chain, attr id): the
-  // BatchExtractFn contract that lets the implementation decode each source
-  // once and merge-join all wanted ids in a single ascending pass.
-  auto make_extract = [&](std::vector<ExprPtr>* templates,
-                          std::vector<std::string>* texts,
-                          const ExecSchema& in_schema,
-                          double est_rows) -> PlanPtr {
-    std::vector<ExtractTarget> targets;
-    targets.reserve(templates->size());
-    for (const ExprPtr& t : *templates) targets.push_back(TargetFromCall(*t));
-    std::vector<size_t> order(templates->size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      const ExtractTarget& ta = targets[a];
-      const ExtractTarget& tb = targets[b];
-      if (ta.source_slot != tb.source_slot) {
-        return ta.source_slot < tb.source_slot;
-      }
-      if (ta.prefix_ids != tb.prefix_ids) {
-        return ta.prefix_ids < tb.prefix_ids;
-      }
-      if (ta.attr_id != tb.attr_id) return ta.attr_id < tb.attr_id;
-      return ta.raw_bytes < tb.raw_bytes;
-    });
+  // Builds one kExtract node appending one output column per distinct
+  // target of the (sorted) sites to in_schema, and records each site's
+  // output column.
+  auto make_extract = [&](std::vector<Site>* sites,
+                          const ExecSchema& in_schema) -> PlanPtr {
     auto extract = std::make_unique<PlanNode>();
     extract->kind = PlanKind::kExtract;
     extract->extract_fn = std::string(kBatchExtractFnName);
     extract->extract_table = scan->table;
     extract->extract_rid_slot = rid_slot;
     extract->output_schema = in_schema;
-    extract->est_rows = est_rows;
-    for (size_t i : order) {
-      std::string name = "$x" + std::to_string(next_rank++);
-      out_by_text[(*texts)[i]] = {extract->output_schema.cols.size(), name};
-      extract->output_schema.cols.push_back(ExecSchema::Col{
-          "", std::move(name), InferType(*(*templates)[i],
-                                         scan->output_schema)});
-      extract->extract_targets.push_back(std::move(targets[i]));
+    extract->est_rows = scan->est_rows;
+    std::vector<ExecSchema::Col>& cols = extract->output_schema.cols;
+    cols.reserve(in_schema.cols.size() + sites->size());
+    for (size_t i = 0; i < sites->size(); ++i) {
+      Site& site = (*sites)[i];
+      if (i == 0 || TargetLess((*sites)[i - 1].target, site.target)) {
+        cols.push_back(ExecSchema::Col{
+            "", "$x" + std::to_string(next_rank++),
+            InferType(**site.expr, scan->output_schema)});
+        extract->extract_targets.push_back(site.target);
+      }
+      site.slot = static_cast<int>(cols.size() - 1);
     }
     return extract;
   };
@@ -1366,31 +1378,30 @@ void Planner::SelectPlanner::TryHoistBatchedExtraction(PlanNode* cap) const {
   // below node's outputs), then swap call sites while the moved conjuncts
   // are still intact, then splice.
   PlanPtr below_node, above_node;
-  if (!below_templates.empty()) {
-    below_node = make_extract(&below_templates, &below_texts,
-                              scan->output_schema, scan->est_rows);
-  }
-  if (!above_templates.empty()) {
+  if (!below.empty()) below_node = make_extract(&below, scan->output_schema);
+  for (Site& site : shared_above) site.slot = find_below(site.target)->slot;
+  if (hoist_above) {
     above_node = make_extract(
-        &above_templates, &above_texts,
-        below_node ? below_node->output_schema : scan->output_schema,
-        scan->est_rows);
+        &fresh_above,
+        below_node ? below_node->output_schema : scan->output_schema);
   }
 
   // Swap every call site for a reference to its extract output column.
   // Below-group outputs flow through the filter and the above node, so a
   // projection referencing a predicate attribute reuses the below decode.
-  auto swap_sites = [&](std::vector<ExprPtr*>* sites) {
-    for (ExprPtr* site : *sites) {
-      const auto& out = out_by_text[(*site)->ToString()];
-      ExprPtr ref = Expr::Column("", out.second);
-      ref->bound_slot = static_cast<int>(out.first);
-      *site = std::move(ref);
+  const ExecSchema& spliced_schema =
+      (above_node ? above_node : below_node)->output_schema;
+  for (const std::vector<Site>* group : {&below, &shared_above, &fresh_above}) {
+    for (const Site& site : *group) {
+      // The call node itself becomes the column ref (its arguments go).
+      Expr& e = **site.expr;
+      e.kind = ExprKind::kColumnRef;
+      e.fname.clear();
+      e.args.clear();
+      e.column = spliced_schema.cols[static_cast<size_t>(site.slot)].name;
+      e.bound_slot = site.slot;
     }
-  };
-  swap_sites(&below_sites);
-  swap_sites(&shared_above);
-  if (hoist_above) swap_sites(&fresh_above);
+  }
 
   // Splice: scan -> extract(predicate attrs) [-> filter with the moved
   // conjuncts] [-> extract(projection-only attrs)], and widen the schemas
@@ -1445,23 +1456,31 @@ void Planner::SelectPlanner::TryHoistBatchedExtraction(PlanNode* cap) const {
       for (const ExprPtr& k : m->sort_keys) collect(k);
     }
     std::map<int, std::vector<ExtractTarget>> candidates;
-    std::set<int> disqualified;
+    // Only scan positions can be deferred; references to columns the
+    // extract nodes appended lie beyond them.
+    std::vector<bool> disqualified(scan->output_schema.cols.size(), false);
+    auto disqualify = [&disqualified](int pos) {
+      if (pos >= 0 && static_cast<size_t>(pos) < disqualified.size()) {
+        disqualified[static_cast<size_t>(pos)] = true;
+      }
+    };
     for (PlanNode* n = slot->get(); n != scan;
          n = n->children[0].get()) {
       if (n->kind == PlanKind::kFilter) collect(n->predicate);
       if (n->kind != PlanKind::kExtract) continue;
       for (const ExtractTarget& t : n->extract_targets) {
         if (t.source_slot < 0) continue;
-        if (t.raw_bytes) disqualified.insert(t.source_slot);
+        if (t.raw_bytes) disqualify(t.source_slot);
         candidates[t.source_slot].push_back(t);
       }
     }
     collect(scan->scan_filter);
-    for (const Expr* ref : refs) {
-      if (ref->bound_slot >= 0) disqualified.insert(ref->bound_slot);
-    }
+    for (const Expr* ref : refs) disqualify(ref->bound_slot);
     for (auto& [pos, targets] : candidates) {
-      if (disqualified.count(pos) != 0) continue;
+      if (static_cast<size_t>(pos) >= disqualified.size() ||
+          disqualified[static_cast<size_t>(pos)]) {
+        continue;
+      }
       LazyScanSource source;
       source.output_pos = pos;
       source.targets = std::move(targets);

@@ -62,6 +62,10 @@ class SimpleDictionary : public AttributeDictionary {
     auto it = ids_.find(LookupKey{key, type});
     if (it != ids_.end()) return it->second;
     uint32_t id = static_cast<uint32_t>(attrs_.size());
+    auto same_key = by_name_.find(key);
+    key_heads_.push_back(same_key == by_name_.end()
+                             ? id
+                             : key_heads_[same_key->second]);
     attrs_.push_back(Attribute{id, std::string(key), type});
     ids_.emplace(StoredKey{std::string(key), type}, id);
     by_name_.emplace(std::string(key), id);
@@ -96,10 +100,16 @@ class SimpleDictionary : public AttributeDictionary {
 
   const std::vector<Attribute>& attributes() const { return attrs_; }
 
+  /// The lowest id registered for the key of attribute `id` (its first
+  /// typed variant): equal for exactly the attributes sharing a key name.
+  /// `id` must have been allocated.
+  uint32_t KeyHead(uint32_t id) const { return key_heads_[id]; }
+
   /// Forgets every attribute. IDs restart at 0 — only safe when all documents
   /// encoded against the old IDs are discarded too (persistence rollback).
   void Clear() {
     attrs_.clear();
+    key_heads_.clear();
     ids_.clear();
     by_name_.clear();
   }
@@ -125,6 +135,7 @@ class SimpleDictionary : public AttributeDictionary {
   };
 
   std::vector<Attribute> attrs_;
+  std::vector<uint32_t> key_heads_;  // parallel to attrs_ (KeyHead)
   std::map<StoredKey, uint32_t, KeyLess> ids_;
   std::multimap<std::string, uint32_t, std::less<>> by_name_;
 };

@@ -190,6 +190,51 @@ AttributeCatalog::ResolveBatch(const std::string& table,
   return out;
 }
 
+AttributeCatalog::TopLevelKeys AttributeCatalog::ResolveTopLevel(
+    const std::string& table) const {
+  std::lock_guard lock(mutex_);
+  TopLevelKeys out;
+  auto t = tables_.find(table);
+  if (t == tables_.end()) return out;
+  const std::vector<serial::Attribute>& attrs = dict_.attributes();
+  // Pass 1: number the keys in first-observed order and count variants.
+  // Variants of one key share the dictionary's key head, so a key's group
+  // is found by array index, not by hashing its name.
+  struct Seen {
+    uint32_t key;
+    const serial::Attribute* attr;
+    const AttributeState* state;
+  };
+  std::vector<Seen> seen;
+  seen.reserve(t->second.size());
+  std::vector<int32_t> key_of_head(attrs.size(), -1);
+  std::vector<uint32_t> counts;
+  for (const auto& [id, state] : t->second) {
+    if (id >= attrs.size()) continue;
+    const serial::Attribute& attr = attrs[id];
+    if (attr.key.find('.') != std::string::npos) continue;  // nested subkey
+    int32_t& key = key_of_head[dict_.KeyHead(id)];
+    if (key < 0) {
+      key = static_cast<int32_t>(counts.size());
+      counts.push_back(0);
+    }
+    ++counts[static_cast<size_t>(key)];
+    seen.push_back(Seen{static_cast<uint32_t>(key), &attr, &state});
+  }
+  // Pass 2: lay the variants out grouped by key (id order within a key).
+  out.keys.reserve(counts.size());
+  uint32_t begin = 0;
+  for (uint32_t n : counts) {
+    out.keys.emplace_back(begin, begin);
+    begin += n;
+  }
+  out.variants.resize(seen.size());
+  for (const Seen& v : seen) {
+    out.variants[out.keys[v.key].second++] = KeyVariant{*v.attr, *v.state};
+  }
+  return out;
+}
+
 void AttributeCatalog::Clear() {
   std::lock_guard lock(mutex_);
   dict_.Clear();

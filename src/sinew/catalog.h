@@ -22,6 +22,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -83,6 +84,24 @@ class AttributeCatalog : public serial::AttributeDictionary {
   /// lookup kind per row. The rewriter calls this once per query.
   std::map<std::string, ResolvedPath, std::less<>> ResolveBatch(
       const std::string& table, const std::vector<std::string>& paths) const;
+
+  /// One typed variant of a key as a table holds it.
+  struct KeyVariant {
+    serial::Attribute attr;
+    AttributeState state;
+  };
+  /// Every top-level (dot-free) key of a table with its variants.
+  struct TopLevelKeys {
+    /// Variants grouped by key, in attribute-id order within a key.
+    std::vector<KeyVariant> variants;
+    /// Per key, in column order: its [begin, end) range of `variants`.
+    std::vector<std::pair<uint32_t, uint32_t>> keys;
+  };
+
+  /// SELECT * resolution in one pass under a single mutex acquisition.
+  /// Keys come in first-observed order (by the lowest attribute id among
+  /// their variants); only variants the table holds are listed.
+  TopLevelKeys ResolveTopLevel(const std::string& table) const;
 
   // --- per-table state ---
   /// Registers a table (idempotent).

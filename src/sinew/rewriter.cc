@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <unordered_set>
 
 #include "common/metrics.h"
 #include "engine/parser.h"
@@ -41,11 +43,16 @@ Hint HintFromExpr(const Expr& e) {
 
 class QueryRewriter::Impl {
  public:
+  using KeyVariant = AttributeCatalog::KeyVariant;
+
   struct ScopeTable {
     std::string name;
     std::string alias;
     bool is_sinew = false;
     engine::Table* engine_table = nullptr;
+    /// Live physical column names, snapshotted once per statement. Grows
+    /// when the rewrite itself adds a column (RewriteAttribute).
+    mutable std::unordered_set<std::string> columns;
   };
 
   Impl(engine::Database* db, AttributeCatalog* catalog,
@@ -58,7 +65,13 @@ class QueryRewriter::Impl {
     st.alias = alias;
     st.is_sinew = catalog_->HasTable(table_name);
     Result<engine::Table*> t = db_->catalog()->GetTable(table_name);
-    if (t.ok()) st.engine_table = *t;
+    if (t.ok()) {
+      st.engine_table = *t;
+      const engine::Schema schema = st.engine_table->SchemaSnapshot();
+      for (size_t slot : schema.LiveSlots()) {
+        st.columns.insert(schema.columns()[slot].name);
+      }
+    }
     scope_.push_back(std::move(st));
     return Status::OK();
   }
@@ -116,8 +129,12 @@ class QueryRewriter::Impl {
     return std::make_pair(found, path);
   }
 
+  static bool ColumnExists(const ScopeTable& st, const std::string& path) {
+    return st.columns.count(path) != 0;
+  }
+
   bool HasColumn(const ScopeTable& st, const std::string& path) const {
-    if (path == kReservoirColumn || path == "__rid") {
+    if (IsPseudoColumn(path)) {
       return st.engine_table != nullptr;
     }
     if (st.is_sinew) {
@@ -132,11 +149,7 @@ class QueryRewriter::Impl {
         }
       }
     }
-    if (st.engine_table != nullptr &&
-        st.engine_table->FindColumnLatched(path).has_value()) {
-      return true;
-    }
-    return false;
+    return ColumnExists(st, path);
   }
 
   // ------------------------------------------- bind-time batch resolution
@@ -353,8 +366,8 @@ class QueryRewriter::Impl {
     }
     std::optional<uint32_t> id;
     std::optional<AttributeState> state;
-    if (const AttributeCatalog::ResolvedPath* rp =
-            FindResolved(st->name, path)) {
+    const AttributeCatalog::ResolvedPath* rp = FindResolved(st->name, path);
+    if (rp != nullptr) {
       for (size_t i = 0; i < rp->types.size(); ++i) {
         if (rp->types[i].type == ValueType::kArray) {
           id = rp->types[i].id;
@@ -372,8 +385,7 @@ class QueryRewriter::Impl {
     // column yet means the first materializer pass has not run; the values
     // are still all in the reservoir.
     if (state.has_value() && state->materialized &&
-        st->engine_table != nullptr &&
-        st->engine_table->FindColumnLatched(path).has_value()) {
+        ColumnExists(*st, path)) {
       ExprPtr col = Expr::Column(st->alias, path);
       if (state->dirty) {
         std::vector<ExprPtr> extract_args;
@@ -396,7 +408,7 @@ class QueryRewriter::Impl {
         args.push_back(
             Expr::Column(st->alias, std::string(kReservoirColumn)));
         args.push_back(std::move(expr.args[1]));
-        for (uint32_t pid : ChainPrefixIds(*st, path, "")) {
+        for (uint32_t pid : ChainPrefixIds(path, rp, "")) {
           args.push_back(Expr::Literal(engine::Datum::Int(pid)));
         }
         args.push_back(Expr::Literal(engine::Datum::Int(*id)));
@@ -415,14 +427,8 @@ class QueryRewriter::Impl {
   }
 
   Status RewriteColumnRef(ExprPtr* e, Hint hint) {
-    // Serving mix per query: a reference resolving to a physical engine
-    // column counts as physical; one answered via reservoir extraction
-    // (including the dirty COALESCE form) counts as virtual. This ratio is
-    // the signal the paper's materializer exists to improve.
     static metrics::Counter* physical_refs =
         metrics::GetCounter("rewriter.physical_refs_total");
-    static metrics::Counter* virtual_refs =
-        metrics::GetCounter("rewriter.virtual_refs_total");
     if ((*e)->table.empty() && output_aliases_.count((*e)->column) != 0) {
       return Status::OK();  // select-list alias; the planner resolves it
     }
@@ -434,44 +440,70 @@ class QueryRewriter::Impl {
       physical_refs->Increment();
       return Status::OK();
     }
-    if (path == kReservoirColumn || path == "__rid") {
-      (*e)->table = st->alias;
-      (*e)->column = path;
-      return Status::OK();
-    }
-    // Attributes registered for this key name in this table, from the
-    // bind-time snapshot when the path was prefetched.
-    struct Candidate {
-      serial::Attribute attr;
-      AttributeState state;
-    };
-    std::vector<Candidate> candidates;
-    if (const AttributeCatalog::ResolvedPath* rp =
-            FindResolved(st->name, path)) {
+    const AttributeCatalog::ResolvedPath* rp = FindResolved(st->name, path);
+    std::vector<KeyVariant> variants = Variants(*st, path, rp);
+    ASSIGN_OR_RETURN(*e, RewriteAttribute(*st, path, rp, variants, hint));
+    return Status::OK();
+  }
+
+  /// The variants of `path` that table `st` holds, from the bind-time
+  /// resolution `rp` when there is one, else from the catalog. Pseudo
+  /// columns (the reservoir, __rid) have none.
+  std::vector<KeyVariant> Variants(const ScopeTable& st,
+                                   const std::string& path,
+                                   const AttributeCatalog::ResolvedPath* rp) {
+    std::vector<KeyVariant> out;
+    if (IsPseudoColumn(path)) return out;
+    if (rp != nullptr) {
+      out.reserve(rp->types.size());
       for (size_t i = 0; i < rp->types.size(); ++i) {
         if (rp->states[i].has_value()) {
-          candidates.push_back(Candidate{rp->types[i], *rp->states[i]});
+          out.push_back(KeyVariant{rp->types[i], *rp->states[i]});
         }
       }
-    } else {
-      for (const serial::Attribute& attr : catalog_->FindAllTypes(path)) {
-        std::optional<AttributeState> state =
-            catalog_->GetState(st->name, attr.id);
-        if (state.has_value()) candidates.push_back(Candidate{attr, *state});
-      }
+      return out;
     }
+    for (const serial::Attribute& attr : catalog_->FindAllTypes(path)) {
+      std::optional<AttributeState> state =
+          catalog_->GetState(st.name, attr.id);
+      if (state.has_value()) out.push_back(KeyVariant{attr, *state});
+    }
+    return out;
+  }
+
+  static bool IsPseudoColumn(const std::string& path) {
+    return path == kReservoirColumn || path == "__rid";
+  }
+
+  /// The rewrite of one reference to `path` in sinew table `st`: the single
+  /// decision shared by explicit column references and SELECT * columns.
+  /// `candidates` are the variants the table holds (Variants); `rp` is the
+  /// path's bind-time resolution, consulted for its dotted prefixes
+  /// (nullptr: ask the catalog).
+  Result<ExprPtr> RewriteAttribute(const ScopeTable& st,
+                                   const std::string& path,
+                                   const AttributeCatalog::ResolvedPath* rp,
+                                   std::span<const KeyVariant> candidates,
+                                   Hint hint) {
+    // Serving mix per query: a reference resolving to a physical engine
+    // column counts as physical; one answered via reservoir extraction
+    // (including the dirty COALESCE form) counts as virtual. This ratio is
+    // the signal the paper's materializer exists to improve.
+    static metrics::Counter* physical_refs =
+        metrics::GetCounter("rewriter.physical_refs_total");
+    static metrics::Counter* virtual_refs =
+        metrics::GetCounter("rewriter.virtual_refs_total");
+    if (IsPseudoColumn(path)) return Expr::Column(st.alias, path);
+    bool column_exists = ColumnExists(st, path);
     if (candidates.empty()) {
       // Plain relational column of a hybrid table?
-      if (st->engine_table != nullptr &&
-          st->engine_table->FindColumnLatched(path).has_value()) {
-        (*e)->table = st->alias;
-        (*e)->column = path;
+      if (column_exists) {
         physical_refs->Increment();
-        return Status::OK();
+        return Expr::Column(st.alias, path);
       }
       return Status::NotFound("column \"", path,
                               "\" does not exist in the logical schema of ",
-                              st->name);
+                              st.name);
     }
     // Single-typed attribute with data possibly split between a physical
     // column and the reservoir. Correctness at every point of incremental
@@ -483,21 +515,21 @@ class QueryRewriter::Impl {
     //    not exist yet, create it (empty) NOW so the coalesce form is
     //    bindable and stays correct even if the materializer starts moving
     //    rows after this query is planned.
-    bool column_exists =
-        st->engine_table != nullptr &&
-        st->engine_table->FindColumnLatched(path).has_value();
     if (candidates.size() == 1 && candidates[0].state.materialized &&
-        !column_exists && st->engine_table != nullptr) {
-      Status added = st->engine_table->AddColumn(engine::Column{
+        !column_exists && st.engine_table != nullptr) {
+      Status added = st.engine_table->AddColumn(engine::Column{
           path, engine::ColumnTypeForValueType(candidates[0].attr.type),
           false});
-      if (added.ok() || added.IsAlreadyExists()) column_exists = true;
+      if (added.ok() || added.IsAlreadyExists()) {
+        column_exists = true;
+        st.columns.insert(path);
+      }
     }
     bool use_column =
         candidates.size() == 1 && column_exists &&
         (candidates[0].state.materialized || candidates[0].state.dirty);
     if (use_column) {
-      ExprPtr col = Expr::Column(st->alias, path);
+      ExprPtr col = Expr::Column(st.alias, path);
       ValueType attr_type = candidates[0].attr.type;
       bool is_collection =
           attr_type == ValueType::kObject || attr_type == ValueType::kArray;
@@ -510,53 +542,47 @@ class QueryRewriter::Impl {
           // the untyped extractor does for virtual collections.
           std::vector<ExprPtr> args;
           args.push_back(std::move(col));
-          *e = Expr::Function(attr_type == ValueType::kObject
-                                  ? "sinew_render_object"
-                                  : "sinew_render_array",
-                              std::move(args));
-          return Status::OK();
+          return Expr::Function(attr_type == ValueType::kObject
+                                    ? "sinew_render_object"
+                                    : "sinew_render_array",
+                                std::move(args));
         }
-        *e = std::move(col);
-        return Status::OK();
+        return col;
       }
       if (is_collection && hint != Hint::kBytes) {
         // Dirty collection: coalesce raw bytes first, then render.
         ExprPtr extraction =
-            MakeExtraction(*st, path, Hint::kBytes, candidates);
+            MakeExtraction(st, path, rp, Hint::kBytes, candidates);
         std::vector<ExprPtr> cargs;
         cargs.push_back(std::move(col));
         cargs.push_back(std::move(extraction));
         std::vector<ExprPtr> rargs;
         rargs.push_back(Expr::Function("coalesce", std::move(cargs)));
-        *e = Expr::Function(attr_type == ValueType::kObject
-                                ? "sinew_render_object"
-                                : "sinew_render_array",
-                            std::move(rargs));
-        return Status::OK();
+        return Expr::Function(attr_type == ValueType::kObject
+                                  ? "sinew_render_object"
+                                  : "sinew_render_array",
+                              std::move(rargs));
       }
       // Dirty scalar: COALESCE(col, extract(reservoir)) — Section 3.2.2.
-      ExprPtr extraction = MakeExtraction(*st, path, hint, candidates);
+      ExprPtr extraction = MakeExtraction(st, path, rp, hint, candidates);
       std::vector<ExprPtr> args;
       args.push_back(std::move(col));
       args.push_back(std::move(extraction));
-      *e = Expr::Function("coalesce", std::move(args));
-      return Status::OK();
+      return Expr::Function("coalesce", std::move(args));
     }
     virtual_refs->Increment();
-    *e = MakeExtraction(*st, path, hint, candidates);
-    return Status::OK();
+    return MakeExtraction(st, path, rp, hint, candidates);
   }
 
   /// Object-typed attribute ids for each dotted prefix of `path` strictly
   /// inside `ancestor` (the static descent chain, resolved at rewrite time).
-  /// Served from the bind-time snapshot when available: the snapshot's
+  /// Served from `path`'s bind-time resolution `rp` when available: its
   /// prefix_ids array holds one entry per dot of `path`, in order.
-  std::vector<uint32_t> ChainPrefixIds(const ScopeTable& st,
-                                       const std::string& path,
-                                       const std::string& ancestor) {
+  std::vector<uint32_t> ChainPrefixIds(
+      const std::string& path, const AttributeCatalog::ResolvedPath* rp,
+      const std::string& ancestor) const {
     std::vector<uint32_t> ids;
     const size_t start = ancestor.empty() ? 0 : ancestor.size() + 1;
-    const AttributeCatalog::ResolvedPath* rp = FindResolved(st.name, path);
     size_t prefix_idx = 0;
     for (size_t dot = path.find('.'); dot != std::string::npos;
          dot = path.find('.', dot + 1), ++prefix_idx) {
@@ -574,9 +600,9 @@ class QueryRewriter::Impl {
   /// materialized nested-object ancestor's column, else the reservoir.
   /// Sets *ancestor to the chosen prefix ("" for the reservoir).
   ExprPtr ExtractionSource(const ScopeTable& st, const std::string& path,
+                           const AttributeCatalog::ResolvedPath* rp,
                            std::string* ancestor) {
     ancestor->clear();
-    const AttributeCatalog::ResolvedPath* rp = FindResolved(st.name, path);
     // Map each dot position to its index in the snapshot's prefix arrays.
     std::vector<size_t> dots;
     for (size_t d = path.find('.'); d != std::string::npos;
@@ -600,13 +626,13 @@ class QueryRewriter::Impl {
         // materialized and that point the values are all still in the
         // reservoir, so fall through to reservoir extraction.
         if (pstate.has_value() && pstate->materialized &&
-            st.engine_table != nullptr &&
-            st.engine_table->FindColumnLatched(prefix).has_value()) {
+            ColumnExists(st, prefix)) {
           ExprPtr col = Expr::Column(st.alias, prefix);
           *ancestor = prefix;
           if (!pstate->dirty) return col;
           // Dirty ancestor: coalesce its column with reservoir extraction.
-          std::vector<uint32_t> chain = ChainPrefixIds(st, prefix, "");
+          std::vector<uint32_t> chain =
+              ChainPrefixIds(prefix, FindResolved(st.name, prefix), "");
           std::vector<ExprPtr> eargs;
           eargs.push_back(
               Expr::Column(st.alias, std::string(kReservoirColumn)));
@@ -633,6 +659,7 @@ class QueryRewriter::Impl {
                         const std::vector<uint32_t>& prefix_ids, uint32_t id,
                         bool raw_bytes) {
     std::vector<ExprPtr> args;
+    args.reserve(prefix_ids.size() + 3);
     args.push_back(std::move(source));
     args.push_back(
         Expr::Literal(engine::Datum::Int(static_cast<int64_t>(type))));
@@ -649,16 +676,17 @@ class QueryRewriter::Impl {
   /// by the query's type evidence, each resolved to a static ID chain; the
   /// multi-typed case coalesces the typed extractions in type order —
   /// exactly sinew_extract_any's semantics, minus all dictionary lookups.
-  template <typename Candidates>
   ExprPtr MakeExtraction(const ScopeTable& st, const std::string& path,
-                         Hint hint, const Candidates& candidates) {
+                         const AttributeCatalog::ResolvedPath* rp, Hint hint,
+                         std::span<const KeyVariant> candidates) {
     std::string ancestor;
-    ExprPtr source = ExtractionSource(st, path, &ancestor);
-    std::vector<uint32_t> prefix_ids = ChainPrefixIds(st, path, ancestor);
+    ExprPtr source = ExtractionSource(st, path, rp, &ancestor);
+    std::vector<uint32_t> prefix_ids = ChainPrefixIds(path, rp, ancestor);
 
     // Filter candidates by type evidence.
     std::vector<std::pair<ValueType, uint32_t>> typed;
-    for (const auto& c : candidates) {
+    typed.reserve(candidates.size());
+    for (const KeyVariant& c : candidates) {
       ValueType t = c.attr.type;
       bool keep = false;
       switch (hint) {
@@ -715,59 +743,15 @@ class QueryRewriter::Impl {
       resolved_;
 };
 
-std::vector<std::string> QueryRewriter::TopLevelLogicalColumns(
-    const std::string& table) const {
-  std::vector<std::string> out;
-  std::set<std::string> seen;
-  for (const AttributeState& state : catalog_->TableAttributes(table)) {
-    Result<serial::Attribute> attr = catalog_->Lookup(state.attr_id);
-    if (!attr.ok()) continue;
-    const std::string& key = attr->key;
-    if (key.find('.') != std::string::npos) continue;  // nested subkey
-    if (seen.insert(key).second) out.push_back(key);
-  }
-  return out;
-}
-
 Status QueryRewriter::RewriteSelect(engine::SelectStatement* stmt) const {
   Impl impl(db_, catalog_, indexes_);
   for (const engine::TableRef& ref : stmt->from) {
     RETURN_NOT_OK(impl.AddScope(ref.table_name, ref.effective_alias()));
   }
-  // Expand stars over sinew tables into explicit logical columns.
-  std::vector<engine::SelectItem> items;
-  for (engine::SelectItem& item : stmt->items) {
-    if (item.expr->kind == ExprKind::kStar) {
-      const std::string& want = item.expr->table;
-      bool expanded = false;
-      for (const Impl::ScopeTable& st : impl.scope()) {
-        if (!want.empty() && st.alias != want) continue;
-        if (!st.is_sinew) {
-          engine::SelectItem pass;
-          pass.expr = Expr::Star(st.alias);
-          items.push_back(std::move(pass));
-          expanded = true;
-          continue;
-        }
-        for (const std::string& key : TopLevelLogicalColumns(st.name)) {
-          engine::SelectItem out;
-          out.expr = Expr::Column(st.alias, key);
-          out.alias = key;
-          items.push_back(std::move(out));
-        }
-        expanded = true;
-      }
-      if (!expanded) {
-        return Status::NotFound("star target ", want, " not in scope");
-      }
-      continue;
-    }
-    items.push_back(std::move(item));
-  }
-  stmt->items = std::move(items);
 
   // Bind-time attribute resolution: collect every path the statement
-  // references and resolve them all under one catalog latch per table.
+  // references explicitly and resolve them all under one catalog latch per
+  // table. Star items are resolved separately, below.
   std::map<std::string, std::vector<std::string>> referenced;
   for (const engine::SelectItem& item : stmt->items) {
     if (item.expr->kind != ExprKind::kStar) {
@@ -782,27 +766,78 @@ Status QueryRewriter::RewriteSelect(engine::SelectStatement* stmt) const {
   }
   impl.PrefetchResolutions(referenced);
 
+  // Rewrite the select list. A star over a sinew table expands in one pass:
+  // one catalog call yields every top-level key with its resolution, in
+  // column order, and each key goes through the same decision as an
+  // explicit reference to it. A bare reference is named after its
+  // attribute, as a star column is; those names are applied last, since
+  // GROUP BY / HAVING / ORDER BY resolve bare names against written
+  // aliases (and star columns) only.
+  std::vector<engine::SelectItem> items;
+  items.reserve(stmt->items.size());
+  std::vector<std::pair<size_t, std::string>> implicit_names;
   for (engine::SelectItem& item : stmt->items) {
-    if (item.expr->kind == ExprKind::kStar) continue;
-    RETURN_NOT_OK(impl.RewriteExpr(&item.expr, Hint::kAny));
+    if (item.expr->kind != ExprKind::kStar) {
+      if (item.alias.empty() && item.expr->kind == ExprKind::kColumnRef) {
+        ASSIGN_OR_RETURN(auto resolved, impl.ResolveRef(*item.expr));
+        implicit_names.emplace_back(items.size(), resolved.second);
+      }
+      RETURN_NOT_OK(impl.RewriteExpr(&item.expr, Hint::kAny));
+      items.push_back(std::move(item));
+      continue;
+    }
+    const std::string& want = item.expr->table;
+    bool expanded = false;
+    for (const Impl::ScopeTable& st : impl.scope()) {
+      if (!want.empty() && st.alias != want) continue;
+      expanded = true;
+      if (!st.is_sinew) {
+        engine::SelectItem pass;
+        pass.expr = Expr::Star(st.alias);
+        items.push_back(std::move(pass));
+        continue;
+      }
+      const AttributeCatalog::TopLevelKeys top =
+          catalog_->ResolveTopLevel(st.name);
+      items.reserve(items.size() + top.keys.size() + stmt->items.size());
+      for (const auto& [begin, end] : top.keys) {
+        std::span<const Impl::KeyVariant> variants(top.variants.data() + begin,
+                                                   end - begin);
+        const std::string& key = variants.front().attr.key;
+        engine::SelectItem out;
+        ASSIGN_OR_RETURN(out.expr, impl.RewriteAttribute(st, key, nullptr,
+                                                         variants, Hint::kAny));
+        out.alias = key;
+        items.push_back(std::move(out));
+      }
+    }
+    if (!expanded) {
+      return Status::NotFound("star target ", want, " not in scope");
+    }
   }
+  stmt->items = std::move(items);
+
   if (stmt->where != nullptr) {
     RETURN_NOT_OK(impl.RewriteExpr(&stmt->where, Hint::kBool));
   }
-  std::set<std::string> aliases;
-  for (const engine::SelectItem& item : stmt->items) {
-    if (!item.alias.empty()) aliases.insert(item.alias);
+  if (!stmt->group_by.empty() || stmt->having != nullptr ||
+      !stmt->order_by.empty()) {
+    std::set<std::string> aliases;
+    for (const engine::SelectItem& item : stmt->items) {
+      if (!item.alias.empty()) aliases.insert(item.alias);
+    }
+    impl.set_output_aliases(std::move(aliases));
+    for (ExprPtr& g : stmt->group_by) {
+      RETURN_NOT_OK(impl.RewriteExpr(&g, Hint::kAny));
+    }
+    if (stmt->having != nullptr) {
+      RETURN_NOT_OK(impl.RewriteExpr(&stmt->having, Hint::kBool));
+    }
+    for (engine::OrderItem& item : stmt->order_by) {
+      RETURN_NOT_OK(impl.RewriteExpr(&item.expr, Hint::kAny));
+    }
   }
-  impl.set_output_aliases(std::move(aliases));
-  for (ExprPtr& g : stmt->group_by) {
-    RETURN_NOT_OK(impl.RewriteExpr(&g, Hint::kAny));
-  }
-  if (stmt->having != nullptr) {
-    RETURN_NOT_OK(impl.RewriteExpr(&stmt->having, Hint::kBool));
-  }
-  for (engine::OrderItem& item : stmt->order_by) {
-    RETURN_NOT_OK(impl.RewriteExpr(&item.expr, Hint::kAny));
-  }
+  for (auto& [i, name] : implicit_names) stmt->items[i].alias = std::move(name);
   return Status::OK();
 }
 
@@ -841,8 +876,7 @@ Status QueryRewriter::RewriteUpdate(engine::UpdateStatement* stmt) const {
       // Only treat the target as physical once the column actually exists
       // (the materializer creates it on its first pass); before that, the
       // value lives in the reservoir like any virtual column.
-      if (state->materialized && st.engine_table != nullptr &&
-          st.engine_table->FindColumnLatched(column).has_value()) {
+      if (state->materialized && Impl::ColumnExists(st, column)) {
         physical = true;
         dirty = state->dirty;
       }
@@ -903,28 +937,29 @@ struct ScopedNsCounter {
 
 }  // namespace
 
-Result<engine::Statement> QueryRewriter::Rewrite(std::string_view sql) const {
+Status QueryRewriter::RewriteStatement(engine::Statement* stmt) const {
   static metrics::Counter* queries_total =
       metrics::GetCounter("rewriter.queries_total");
   static metrics::Counter* rewrite_ns_total =
       metrics::GetCounter("rewriter.rewrite_ns_total");
   queries_total->Increment();
   ScopedNsCounter timer(rewrite_ns_total);
-  ASSIGN_OR_RETURN(engine::Statement stmt, engine::ParseSql(sql));
-  switch (stmt.kind) {
+  switch (stmt->kind) {
     case engine::StatementKind::kSelect:
     case engine::StatementKind::kExplain:
-      RETURN_NOT_OK(RewriteSelect(stmt.select.get()));
-      break;
+      return RewriteSelect(stmt->select.get());
     case engine::StatementKind::kUpdate:
-      RETURN_NOT_OK(RewriteUpdate(stmt.update.get()));
-      break;
+      return RewriteUpdate(stmt->update.get());
     case engine::StatementKind::kDelete:
-      RETURN_NOT_OK(RewriteDelete(stmt.del.get()));
-      break;
+      return RewriteDelete(stmt->del.get());
     default:
-      break;  // CREATE/INSERT/ANALYZE pass through
+      return Status::OK();  // CREATE/INSERT/ANALYZE pass through
   }
+}
+
+Result<engine::Statement> QueryRewriter::Rewrite(std::string_view sql) const {
+  ASSIGN_OR_RETURN(engine::Statement stmt, engine::ParseSql(sql));
+  RETURN_NOT_OK(RewriteStatement(&stmt));
   return stmt;
 }
 

@@ -11,7 +11,9 @@
 //     extractor for projections;
 //   - references under a materialized nested object extract from that
 //     object's serialized column instead of the whole reservoir;
-//   - SELECT * expands to the table's top-level logical columns;
+//   - SELECT * expands to the table's top-level logical columns, resolved
+//     in one catalog pass and rewritten by the same per-attribute decision
+//     as explicit references;
 //   - matches(keys, 'query') resolves against the table's inverted text
 //     index at rewrite time and becomes `__rid IN (...)` (Section 4.3);
 //   - UPDATE ... SET over virtual columns folds into functional updates of
@@ -41,17 +43,15 @@ class QueryRewriter {
                 const TextIndexMap* indexes)
       : db_(db), catalog_(catalog), indexes_(indexes) {}
 
-  /// Parses `sql` and rewrites it in place against the physical schema.
+  /// Parses `sql` and rewrites it against the physical schema.
   Result<engine::Statement> Rewrite(std::string_view sql) const;
+  /// Rewrites a parsed statement in place (CREATE/INSERT/ANALYZE pass
+  /// through unchanged).
+  Status RewriteStatement(engine::Statement* stmt) const;
 
   Status RewriteSelect(engine::SelectStatement* stmt) const;
   Status RewriteUpdate(engine::UpdateStatement* stmt) const;
   Status RewriteDelete(engine::DeleteStatement* stmt) const;
-
-  /// Top-level logical column names of a table (SELECT * expansion order:
-  /// first-observed attribute order, one entry per key name).
-  std::vector<std::string> TopLevelLogicalColumns(
-      const std::string& table) const;
 
  private:
   class Impl;

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "common/query_log.h"
+#include "engine/parser.h"
 #include "engine/table.h"
 #include "json/json.h"
 #include "serial/sinew_format.h"
@@ -150,13 +151,17 @@ Result<engine::QueryResult> SinewDb::Query(std::string_view sql) {
     return r;
   };
   for (int attempt = 0; attempt < 4; ++attempt) {
+    const uint64_t parse_start = metrics::NowNanos();
+    Result<engine::Statement> stmt_or = engine::ParseSql(sql);
     const uint64_t rewrite_start = metrics::NowNanos();
+    record.parse_ns += rewrite_start - parse_start;
+    if (!stmt_or.ok()) return finish(stmt_or.status());
     metrics::TraceContext::Span rewrite_span =
         query_trace_.StartSpan("query.rewrite");
-    Result<engine::Statement> stmt_or = rewriter_.Rewrite(sql);
+    Status rewritten = rewriter_.RewriteStatement(&*stmt_or);
     rewrite_span.End();
-    record.parse_ns += metrics::NowNanos() - rewrite_start;
-    if (!stmt_or.ok()) return finish(stmt_or.status());
+    record.rewrite_ns += metrics::NowNanos() - rewrite_start;
+    if (!rewritten.ok()) return finish(rewritten);
     Status stats_refresh = MaybeRefreshAttributeStatsTable(*stmt_or);
     if (!stats_refresh.ok()) return finish(stats_refresh);
     if (write_hook_ != nullptr && !logged && IsDmlStatement(stmt_or->kind)) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "engine/lexer.h"
 #include "engine/parser.h"
 
@@ -161,6 +163,41 @@ TEST(Parser, Errors) {
   for (const char* sql : bad) {
     EXPECT_FALSE(ParseSql(sql).ok()) << sql;
   }
+}
+
+TEST(Parser, OutOfRangeNumbersAreInvalidArgument) {
+  const char* bad[] = {
+      "SELECT 9223372036854775808 FROM t",
+      "SELECT 1e309 FROM t",
+      "SELECT a FROM t LIMIT 99999999999999999999",
+      "SELECT a FROM t WHERE a > -9223372036854775809",
+  };
+  for (const char* sql : bad) {
+    Result<Statement> stmt = ParseSql(sql);
+    ASSERT_FALSE(stmt.ok()) << sql;
+    EXPECT_TRUE(stmt.status().IsInvalidArgument())
+        << sql << " -> " << stmt.status().ToString();
+  }
+}
+
+TEST(Parser, Int64BoundsAreWritable) {
+  auto min = ParseSql("SELECT -9223372036854775808 FROM t");
+  ASSERT_TRUE(min.ok()) << min.status().ToString();
+  const Expr& lit = *min->select->items[0].expr;
+  ASSERT_EQ(lit.kind, ExprKind::kLiteral);
+  EXPECT_EQ(lit.literal.int_value(), std::numeric_limits<int64_t>::min());
+
+  auto max = ParseSql(
+      "SELECT 9223372036854775807 FROM t LIMIT 9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->select->items[0].expr->literal.int_value(),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(max->select->limit, std::numeric_limits<int64_t>::max());
+
+  // Other negations keep their unary-minus shape.
+  auto neg = ParseSql("SELECT -5 FROM t");
+  ASSERT_TRUE(neg.ok());
+  EXPECT_EQ(neg->select->items[0].expr->kind, ExprKind::kUnary);
 }
 
 TEST(Expr, CloneIsDeepAndEqual) {

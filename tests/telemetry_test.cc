@@ -39,6 +39,25 @@ TEST(Fingerprint, GoldenForms) {
   // Digits inside identifiers survive; they are not literals.
   EXPECT_EQ(NormalizeFingerprint("SELECT col_3 FROM t2"),
             "select col_3 from t2");
+  // Double-quoted identifiers stay verbatim (case, dots and all).
+  EXPECT_EQ(NormalizeFingerprint(
+                "SELECT \"nested_obj.str\" , \"Num\" FROM t WHERE s = 'x'"),
+            "select \"nested_obj.str\",\"Num\" from t where s=?");
+  EXPECT_EQ(NormalizeFingerprint("SELECT \"a\"\"b\" FROM t"),
+            "select \"a\"\"b\" from t");
+}
+
+TEST(Fingerprint, QuotedAttributesDoNotCollide) {
+  // Queries over different nested attributes are different workload
+  // classes; the same attribute with different literals is one class.
+  EXPECT_NE(NormalizeFingerprint("SELECT \"nested_obj.str\" FROM t"),
+            NormalizeFingerprint("SELECT \"nested_obj.num\" FROM t"));
+  EXPECT_NE(
+      NormalizeFingerprint("SELECT a FROM t WHERE \"nested_obj.str\" = 'x'"),
+      NormalizeFingerprint("SELECT a FROM t WHERE \"nested_obj.num\" = 'x'"));
+  EXPECT_EQ(
+      NormalizeFingerprint("SELECT a FROM t WHERE \"nested_obj.num\" > 5"),
+      NormalizeFingerprint("SELECT a FROM t WHERE \"nested_obj.num\" > 77"));
 }
 
 TEST(Fingerprint, ParameterVariedStatementsCollapse) {
@@ -153,6 +172,23 @@ TEST_F(TelemetryTablesTest, QueryLogTableIsWhereAndJoinComposable) {
                 "WHERE status <> 'ok'");
   ASSERT_GE(errs.rows.size(), 1u);
   EXPECT_NE(errs.rows[0][1].str(), "");
+}
+
+TEST_F(TelemetryTablesTest, QueryLogSplitsParseFromRewrite) {
+  Q("SELECT url FROM logs WHERE hits > 20");
+  auto r = Q("SELECT parse_ns, rewrite_ns, plan_ns, exec_ns, total_ns "
+             "FROM sinew_query_log WHERE rows_out = 2");
+  ASSERT_EQ(r.column_names,
+            (std::vector<std::string>{"parse_ns", "rewrite_ns", "plan_ns",
+                                      "exec_ns", "total_ns"}));
+  ASSERT_GE(r.rows.size(), 1u);
+  const auto& row = r.rows[0];
+  EXPECT_GT(row[0].int_value(), 0);  // parse measured on its own
+  EXPECT_GT(row[1].int_value(), 0);  // rewrite measured on its own
+  // The phases are disjoint parts of the whole.
+  EXPECT_LE(row[0].int_value() + row[1].int_value() + row[2].int_value() +
+                row[3].int_value(),
+            row[4].int_value());
 }
 
 TEST_F(TelemetryTablesTest, QueryLogRecordsTraceAndPlanIdentity) {

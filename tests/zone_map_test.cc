@@ -332,5 +332,57 @@ TEST(ZoneMapTest, MultiTypedAttributeIsNeverShredded) {
   EXPECT_EQ(seg->columns()[0].type, ValueType::kInt);
 }
 
+TEST(ColumnarSegmentTest, IndexedFindMatchesLinearSearch) {
+  // Columns deliberately collide on attr id (and on (attr id, type)) while
+  // differing in source column or prefix chain, plus one exact duplicate
+  // key, so the index must still compare the full key and return the first
+  // match in column order — exactly what a front-to-back scan returns.
+  const std::string sources[] = {"_data", "user"};
+  const std::vector<uint32_t> prefixes[] = {{}, {3}, {3, 9}};
+  const ValueType types[] = {ValueType::kInt, ValueType::kString};
+  std::mt19937 rng(7);
+  std::vector<engine::StripColumn> columns;
+  for (int i = 0; i < 300; ++i) {
+    engine::StripColumn col;
+    col.source_column = sources[rng() % 2];
+    col.prefix_ids = prefixes[rng() % 3];
+    col.attr_id = static_cast<uint32_t>(rng() % 40);
+    col.type = types[rng() % 2];
+    columns.push_back(std::move(col));
+  }
+  columns.push_back(columns[17]);  // exact duplicate: the first must win
+  const std::vector<engine::StripColumn> reference = columns;
+  const engine::ColumnarSegment seg(0, std::move(columns));
+
+  size_t hits = 0;
+  for (const std::string& source : sources) {
+    for (const std::vector<uint32_t>& prefix : prefixes) {
+      for (uint32_t attr = 0; attr < 42; ++attr) {
+        for (ValueType type : types) {
+          const engine::StripColumn* got =
+              seg.Find(source, prefix, attr, type);
+          ptrdiff_t want = -1;
+          for (size_t i = 0; i < reference.size(); ++i) {
+            const engine::StripColumn& c = reference[i];
+            if (c.attr_id == attr && c.type == type &&
+                c.source_column == source && c.prefix_ids == prefix) {
+              want = static_cast<ptrdiff_t>(i);
+              break;
+            }
+          }
+          if (want < 0) {
+            EXPECT_EQ(got, nullptr) << source << " " << attr;
+            continue;
+          }
+          ++hits;
+          ASSERT_NE(got, nullptr) << source << " " << attr;
+          EXPECT_EQ(got - seg.columns().data(), want) << source << " " << attr;
+        }
+      }
+    }
+  }
+  EXPECT_GT(hits, 100u);  // the key space is dense enough to exercise hits
+}
+
 }  // namespace
 }  // namespace sinew
