@@ -3,8 +3,8 @@
 // attribute virtual (no analyzer/materializer pass), so reservoir
 // extraction is the whole query cost and the strip-serving path is the only
 // difference: the ON db shreds its loaded rows into column strips with zone
-// maps (BuildColumnarSegments) and SinewExtract copies cold-row values out
-// of the typed vectors; the OFF db decodes every row from the reservoir.
+// maps (BuildColumnarSegments) and the scan copies cold-row values out of
+// the typed vectors; the OFF db decodes every row from the reservoir.
 //
 // Prints per-query times and the strips-off/strips-on speedup, then the
 // EXPLAIN ANALYZE of a projection and a range query on the ON db so the

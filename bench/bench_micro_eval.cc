@@ -25,7 +25,7 @@
 // Two configs per shape: "scalar" runs the reference evaluator lane by lane
 // over a copy of each lane's row; "bytecode" runs the compiled program,
 // measured with column tags cached (the strip-seeded steady state — the
-// warm-up pass pays any profile, as SinewExtract's ColumnStrip::type seeding
+// warm-up pass pays any profile, as the scan's ColumnStrip::type seeding
 // does in the executor). compare_bench.py gates the VM against the
 // reference:
 //
@@ -219,7 +219,7 @@ double RunScalar(const Shape& shape, const std::vector<eng::RowBatch>& corpus,
 /// Runs the compiled program, `reps` passes over the corpus; returns
 /// seconds. Column tags persist across passes: after the caller's warm-up
 /// rep every batch carries cached tags, modeling the production strip-fed
-/// path where SinewExtract seeds the tag from ColumnStrip::type and no
+/// path where the scan seeds the tag from ColumnStrip::type and no
 /// profile pass runs at all. (The profile itself is one-pass O(n) and
 /// amortizes over the instructions of real multi-op programs;
 /// single-instruction micro shapes would overstate it.)

@@ -1,13 +1,13 @@
-// Micro-benchmark: single-pass batched reservoir extraction vs. the
-// per-attribute chain-UDF baseline, at 1, 8 and 32 extracted attributes.
+// Micro-benchmark: single-pass batched reservoir extraction at 1, 8 and 32
+// extracted attributes.
 //
 // Every document carries 32 scalar attributes plus a nested object, so the
-// 32-attribute query touches the whole header. The per-attribute path
-// re-decodes the row's reservoir once per referenced attribute; the batched
-// path (planner kExtract + DocumentView::ExtractMany) walks the header once
-// per row and merge-joins all wanted ids. `reservoir.decodes` makes the
-// difference observable: decodes/row == 1 batched, == k per-attribute.
-// --batch-size=N sweeps the executor's batch size.
+// 32-attribute query touches the whole header. The scan produces every
+// virtual column itself (DocumentView::ExtractMany over a view of the row
+// bytes): it walks the header once per row and merge-joins all wanted ids.
+// `reservoir.decodes` makes the decode-once invariant observable:
+// decodes/row == 1 at every width. --batch-size=N sweeps the executor's
+// batch size.
 //
 // --threads=N runs all configurations under Gather parallelism;
 // --metrics-out=<path> appends the metrics-registry JSON sidecar;
@@ -78,25 +78,20 @@ double BestOfRuns(sinew::SinewDb* db, const std::string& sql, int runs) {
 int main(int argc, char** argv) {
   const int threads = sinew::bench::ThreadsFromArgs(argc, argv);
   const uint64_t rows = Scaled(20000);
-  PrintHeader("Micro: batched vs. per-attribute reservoir extraction");
+  PrintHeader("Micro: batched reservoir extraction by width");
 
-  sinew::SinewOptions batched_options;  // batched extract
-  batched_options.parallelism = threads;
+  sinew::SinewOptions options;
+  options.parallelism = threads;
   if (uint64_t bs = sinew::bench::BatchSizeFromArgs(argc, argv)) {
-    batched_options.exec.batch_size = bs;
+    options.exec.batch_size = bs;
   }
-  sinew::SinewOptions per_attr_options = batched_options;
-  per_attr_options.planner.enable_batched_extraction = false;
-  sinew::SinewDb batched_db(batched_options);
-  sinew::SinewDb per_attr_db(per_attr_options);
-  const std::string docs = GenerateDocs(rows);
-  if (!batched_db.LoadJsonLines("docs", docs).ok() ||
-      !per_attr_db.LoadJsonLines("docs", docs).ok()) {
+  sinew::SinewDb db(options);
+  if (!db.LoadJsonLines("docs", GenerateDocs(rows)).ok()) {
     std::printf("load failed\n");
     return 1;
   }
 
-  const uint64_t batch_rows = batched_options.exec.batch_size;
+  const uint64_t batch_rows = options.exec.batch_size;
   std::printf("%llu docs x 32 attrs; %d thread%s; batch_size=%llu; best of 5 "
               "runs\n",
               static_cast<unsigned long long>(rows), threads,
@@ -106,43 +101,26 @@ int main(int argc, char** argv) {
       sinew::metrics::GetCounter("reservoir.decodes");
   const int kRuns = 5;
   std::vector<BenchRecord> records;
-  auto record = [&](const std::string& query, const std::string& config,
-                    double ms, uint64_t batch) {
-    records.push_back({query, config, ms, rows, threads, batch});
+  auto run = [&](const std::string& label, const std::string& query,
+                 const std::string& sql) {
+    const uint64_t before = decodes->value();
+    const double ms = BestOfRuns(&db, sql, kRuns);
+    const double per_row =
+        static_cast<double>(decodes->value() - before) / kRuns / rows;
+    std::printf("%-8s %11.1f | %12.2f\n", label.c_str(), ms, per_row);
+    records.push_back({query, "batch" + std::to_string(batch_rows), ms, rows,
+                       threads, batch_rows});
   };
-  std::printf("%-8s %11s %12s %9s | %12s %12s\n", "Attrs", "Batch(ms)",
-              "Per-attr(ms)", "b/attr", "decodes/r(b)", "decodes/r(p)");
+  std::printf("%-8s %11s | %12s\n", "Attrs", "Time(ms)", "decodes/row");
   for (int attrs : {1, 8, 32}) {
-    const std::string sql = ProjectionSql(attrs);
-    const std::string query = "project" + std::to_string(attrs);
-    uint64_t before = decodes->value();
-    double b = BestOfRuns(&batched_db, sql, kRuns);
-    double b_decodes =
-        static_cast<double>(decodes->value() - before) / kRuns / rows;
-    before = decodes->value();
-    double p = BestOfRuns(&per_attr_db, sql, kRuns);
-    double p_decodes =
-        static_cast<double>(decodes->value() - before) / kRuns / rows;
-    std::printf("%-8d %11.1f %12.1f %8.2fx | %12.2f %12.2f\n", attrs, b, p,
-                b > 0 ? p / b : 0.0, b_decodes, p_decodes);
-    record(query, "batch" + std::to_string(batch_rows), b, batch_rows);
-    record(query, "per-attr", p, batch_rows);
+    run(std::to_string(attrs), "project" + std::to_string(attrs),
+        ProjectionSql(attrs));
   }
-
-  // Nested-object descent shares the projection decode too: meta.kind and
-  // meta.weight descend once per filter-surviving row, while the lone
-  // predicate site stays on the scan's chain path (~1.5 decodes/row at 50%
-  // selectivity).
-  const std::string nested_sql =
-      "SELECT \"meta.kind\", \"meta.weight\", a0 FROM docs WHERE a1 < 500";
-  uint64_t before = decodes->value();
-  double nested = BestOfRuns(&batched_db, nested_sql, kRuns);
-  double nested_decodes =
-      static_cast<double>(decodes->value() - before) / kRuns / rows;
-  std::printf("%-8s %11.1f %12s %9s | %12.2f\n", "nested", nested, "-", "-",
-              nested_decodes);
-  record("nested", "batch" + std::to_string(batch_rows), nested, batch_rows);
-  std::printf("b/attr = batched-extraction speedup over per-attribute UDFs.\n");
+  // Nested-object descent shares the decode too: a1 is extracted for every
+  // row before the filter runs, meta.kind, meta.weight and a0 once per
+  // surviving row (~1.5 decodes/row at 50% selectivity).
+  run("nested", "nested",
+      "SELECT \"meta.kind\", \"meta.weight\", a0 FROM docs WHERE a1 < 500");
 
   sinew::bench::WriteBenchJson(sinew::bench::BenchOutDirFromArgs(argc, argv),
                                "micro_extract", records);

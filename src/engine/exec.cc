@@ -212,11 +212,18 @@ class ScanOp : public Operator {
       : node_(node), ctx_(ctx), morsels_(morsels) {}
 
   ~ScanOp() override {
-    if (ctx_->stats != nullptr && zone_skips_ != 0) {
+    if (ctx_->stats != nullptr) {
       if (OperatorStats* s = ctx_->stats->For(node_)) {
         s->zone_skips.fetch_add(zone_skips_, std::memory_order_relaxed);
+        s->decodes.fetch_add(extract_stats_.decodes,
+                             std::memory_order_relaxed);
+        s->attrs.fetch_add(extract_stats_.attrs, std::memory_order_relaxed);
+        s->columnar_hits.fetch_add(columnar_hits_,
+                                   std::memory_order_relaxed);
+        s->extract_ns.fetch_add(extract_ns_, std::memory_order_relaxed);
       }
     }
+    FlushHeat();
     FlushBytecodeState(node_, ctx_, &bc_state_);
   }
 
@@ -228,6 +235,7 @@ class ScanOp : public Operator {
     end_ = morsels_ != nullptr ? 0 : table->RowSlotCountUnlocked();
     rid_ = 0;
     rid_position_ = live_slots_.size();
+    const size_t width = node_.output_schema.cols.size();
     if (node_.scan_filter != nullptr && node_.scan_filter_program == nullptr) {
       return Status::Internal("scan filter has no compiled program");
     }
@@ -235,98 +243,87 @@ class ScanOp : public Operator {
     // concurrent ADD/DROP COLUMN changed the live layout in between,
     // silently decoding would misalign columns — fail fast instead (the
     // caller retries with a fresh plan).
-    if (node_.scan_projected) {
-      if (live_slots_.size() + 1 != node_.output_schema.cols.size()) {
-        return Status::Aborted("schema changed concurrently; replan");
-      }
-      for (size_t i = 0; i < live_slots_.size(); ++i) {
-        if (schema_.columns()[live_slots_[i]].name !=
-            node_.output_schema.cols[i].name) {
-          return Status::Aborted("schema changed concurrently; replan");
-        }
-      }
+    bool same_layout =
+        rid_position_ + 1 + node_.extract_targets.size() == width;
+    for (size_t i = 0; same_layout && i < rid_position_; ++i) {
+      same_layout = schema_.columns()[live_slots_[i]].name ==
+                    node_.output_schema.cols[i].name;
     }
-    // Map scan output positions to physical table slots for the pushed-down
-    // projection (the __rid pseudo-column is computed, not decoded).
-    auto to_table_slots = [&](const std::vector<size_t>& positions) {
-      std::vector<size_t> slots;
-      for (size_t pos : positions) {
-        if (pos < rid_position_) slots.push_back(live_slots_[pos]);
-      }
-      std::sort(slots.begin(), slots.end());
-      return slots;
-    };
+    if (!same_layout) {
+      return Status::Aborted("schema changed concurrently; replan");
+    }
+    // Which phase produces each output position: the filter columns before
+    // the pushed-down filter runs, the output columns for survivors only.
+    std::vector<Source> sources(width, Source::kNull);
     if (node_.scan_projected) {
-      filter_slots_ = to_table_slots(node_.scan_filter_cols);
-      output_slots_ = to_table_slots(node_.scan_output_cols);
+      for (size_t pos : node_.scan_output_cols) sources[pos] = Source::kOutput;
+      for (size_t pos : node_.scan_filter_cols) sources[pos] = Source::kFilter;
     } else {
-      filter_slots_ = live_slots_;
-      std::sort(filter_slots_.begin(), filter_slots_.end());
-      output_slots_.clear();
+      std::fill(sources.begin(), sources.begin() + rid_position_,
+                Source::kFilter);
     }
-    // Deferred-bytes pushdown: a lazy source survives Open only when its
-    // column is decoded exclusively in phase 2 (the pushed-down filter never
-    // reads it), so skipping the decode cannot change which rows survive.
-    lazy_eligible_ = false;
-    lazy_positions_.clear();
-    lazy_req_.clear();
-    output_slots_lazy_.clear();
-    for (const LazyScanSource& src : node_.lazy_sources) {
-      if (src.output_pos < 0 ||
-          static_cast<size_t>(src.output_pos) >= live_slots_.size()) {
-        continue;
-      }
-      const size_t table_slot = live_slots_[src.output_pos];
-      if (std::binary_search(filter_slots_.begin(), filter_slots_.end(),
-                             table_slot) ||
-          !std::binary_search(output_slots_.begin(), output_slots_.end(),
-                              table_slot)) {
-        continue;
-      }
-      lazy_positions_.push_back(src.output_pos);
-      lazy_req_.emplace_back(node_.output_schema.cols[src.output_pos].name,
-                             &src);
-      lazy_table_slots_.push_back(table_slot);
-    }
-    if (!lazy_req_.empty()) {
-      lazy_eligible_ = true;
-      for (size_t s : output_slots_) {
-        if (std::find(lazy_table_slots_.begin(), lazy_table_slots_.end(),
-                      s) == lazy_table_slots_.end()) {
-          output_slots_lazy_.push_back(s);
-        }
-      }
-    }
-    auto sources_for = [&](const std::vector<size_t>& out_slots) {
-      std::vector<Source> sources(rid_position_, Source::kNull);
-      for (size_t i = 0; i < rid_position_; ++i) {
-        const size_t slot = live_slots_[i];
-        if (std::binary_search(filter_slots_.begin(), filter_slots_.end(),
-                               slot)) {
-          sources[i] = Source::kFilter;
-        } else if (std::binary_search(out_slots.begin(), out_slots.end(),
-                                      slot)) {
-          sources[i] = Source::kOutput;
-        }
-      }
-      return sources;
-    };
-    sources_ = sources_for(output_slots_);
-    sources_lazy_ = sources_for(output_slots_lazy_);
+    sources_.assign(sources.begin(), sources.begin() + rid_position_);
+    filter_slots_.clear();
+    output_slots_.clear();
     filter_positions_.clear();
     for (size_t i = 0; i < rid_position_; ++i) {
-      if (sources_[i] == Source::kFilter) filter_positions_.push_back(i);
+      if (sources_[i] == Source::kFilter) {
+        filter_slots_.push_back(live_slots_[i]);
+        filter_positions_.push_back(i);
+      } else if (sources_[i] == Source::kOutput) {
+        output_slots_.push_back(live_slots_[i]);
+      }
     }
+    std::sort(filter_slots_.begin(), filter_slots_.end());
+    std::sort(output_slots_.begin(), output_slots_.end());
+    // Virtual columns, grouped by (phase, source column) in target order.
+    filter_groups_.clear();
+    output_groups_.clear();
+    const std::vector<ExtractTarget>& targets = node_.extract_targets;
+    for (size_t t = 0; t < targets.size(); ++t) {
+      const int src = targets[t].source_slot;
+      if (src < 0 || static_cast<size_t>(src) >= rid_position_) {
+        return Status::Internal("extract target reads scan position ", src);
+      }
+      if (schema_.columns()[live_slots_[src]].type != ColumnType::kBytes) {
+        return Status::TypeError(
+            "virtual column source must be serialized data");
+      }
+      std::vector<ExtractGroup>& groups =
+          sources[ExtractPosition(t)] == Source::kFilter ? filter_groups_
+                                                         : output_groups_;
+      if (groups.empty() || groups.back().source_slot != src) {
+        groups.emplace_back();
+        groups.back().source_slot = src;
+        groups.back().table_slot = live_slots_[src];
+      }
+      groups.back().index.push_back(t);
+      groups.back().targets.push_back(targets[t]);
+    }
+    if (!targets.empty()) {
+      fn_ = ctx_->udfs == nullptr ? nullptr : ctx_->udfs->batch_extract();
+      if (fn_ == nullptr) {
+        return Status::Internal("no batch extractor is registered");
+      }
+      // Attribute heat telemetry is armed only when a sink is installed;
+      // otherwise every accounting branch is a predicted-false check.
+      heat_enabled_ = ctx_->udfs->heat_sink() != nullptr;
+      if (heat_enabled_) heat_.assign(targets.size(), TargetHeat{});
+    }
+    seg_.reset();
+    seg_rows_ = 0;
     scratch_.assign(schema_.num_slots(), Datum());
     return Status::OK();
   }
 
   /// Chunked shared latching: one latch acquisition covers up to kScanChunk
   /// rows (one strip), so the background materializer's row updates can
-  /// interleave between chunks. Batches carry surviving rows only.
+  /// interleave between chunks. Everything read from the table — row bytes,
+  /// strips, zone maps — is read under that one acquisition, so it all
+  /// describes the same table state. Batches carry surviving rows only.
   Result<bool> NextBatch(RowBatch* batch) override {
     Table* table = node_.table;
-    batch->Reset(rid_position_ + 1);
+    batch->Reset(node_.output_schema.cols.size());
     while (batch->size < batch_capacity_ &&
            (rid_ < end_ ||
             (morsels_ != nullptr && morsels_->Claim(&rid_, &end_)))) {
@@ -335,19 +332,46 @@ class ScanOp : public Operator {
         SkipZonedStripsUnlocked(table);
         if (rid_ >= end_) continue;
       }
-      RefreshLazyStateUnlocked(table, batch);
+      RefreshStripsUnlocked(table);
       const uint64_t chunk_end = std::min(end_, rid_ + kScanChunk);
+      const size_t from = batch->size;
+      lane_raws_.clear();
       while (rid_ < chunk_end && batch->size < batch_capacity_) {
         RETURN_NOT_OK(node_.scan_filter == nullptr
                           ? DecodeUnlocked(chunk_end, batch)
                           : DecodeFilteredUnlocked(chunk_end, batch));
       }
+      RETURN_NOT_OK(
+          ExtractUnlocked(&output_groups_, batch, from, lane_raws_));
     }
-    lazy_active_ = false;
+    MaterializeExtracted(&output_groups_, batch, /*seed_tags=*/false);
     return batch->size > 0;
   }
 
  private:
+  /// Where an output position's value comes from: the phase-1 (filter)
+  /// pass, the phase-2 (output) pass, or nowhere (unreferenced, NULL).
+  enum class Source : uint8_t { kNull, kFilter, kOutput };
+
+  /// Virtual columns of one phase read from one source column: `targets`
+  /// (the BatchExtractFn argument) are extract_targets[index[k]].
+  struct ExtractGroup {
+    int source_slot = -1;   // scan output position of the source
+    size_t table_slot = 0;  // its physical slot in the row encoding
+    std::vector<size_t> index;
+    std::vector<ExtractTarget> targets;
+    /// Strip column per target in the current segment; empty unless every
+    /// target has one (a reservoir decode per lane would be paid anyway).
+    std::vector<const StripColumn*> strips;
+    /// Values found but not yet in the batch, `doc` being the batch lane.
+    std::vector<ExtractedValue> values;
+    bool strips_only = false;  // the last extraction read no row bytes
+  };
+
+  size_t ExtractPosition(size_t target) const {
+    return rid_position_ + 1 + target;
+  }
+
   /// Advances rid_ past leading column strips whose zone maps prove no row
   /// can pass the pushed-down filter. Caller holds the table latch, which is
   /// what makes the consult sound: mutators detach the columnar segment
@@ -387,77 +411,166 @@ class ScanOp : public Operator {
     }
   }
 
-  /// Decides, per latch chunk, whether phase-2 decode may skip the lazy
-  /// bytes columns: the attached columnar segment must resolve every
-  /// extract target the plan routed through them, and one batch defers
-  /// against exactly one segment (pointer identity, recorded on the batch —
-  /// the extract above re-verifies it before serving). Caller holds the
-  /// table latch.
-  void RefreshLazyStateUnlocked(Table* table, RowBatch* batch) {
-    lazy_active_ = false;
-    if (!lazy_eligible_) return;
+  /// Resolves every extraction group against the table's attached columnar
+  /// segment, once per segment (the held pointer pins the address the
+  /// resolution is keyed on). Caller holds the table latch: under it the
+  /// segment agrees with every row it covers, so a covered lane may be
+  /// served from the strips instead of its row bytes.
+  void RefreshStripsUnlocked(Table* table) {
+    if (filter_groups_.empty() && output_groups_.empty()) return;
     const std::shared_ptr<const ColumnarSegment>& seg =
         table->ColumnarSegmentUnlocked();
-    if (seg == nullptr) return;
-    if (batch->lazy_seg != nullptr && batch->lazy_seg != seg.get()) return;
-    if (seg != lazy_resolved_hold_) {
-      lazy_resolved_hold_ = seg;  // pins the address the cache is keyed on
-      lazy_resolved_ok_ = true;
-      for (const auto& [name, src] : lazy_req_) {
-        for (const ExtractTarget& t : src->targets) {
-          if (seg->Find(name, t.prefix_ids, t.attr_id,
-                        static_cast<ValueType>(t.type_tag)) == nullptr) {
-            lazy_resolved_ok_ = false;
+    if (seg == seg_) return;
+    seg_ = seg;
+    seg_rows_ = seg == nullptr ? 0 : seg->row_count();
+    for (std::vector<ExtractGroup>* groups :
+         {&filter_groups_, &output_groups_}) {
+      for (ExtractGroup& g : *groups) {
+        g.strips.clear();
+        if (seg == nullptr) continue;
+        const std::string& source =
+            node_.output_schema.cols[static_cast<size_t>(g.source_slot)].name;
+        for (const ExtractTarget& t : g.targets) {
+          const StripColumn* col =
+              t.raw_bytes ? nullptr
+                          : seg->Find(source, t.prefix_ids, t.attr_id,
+                                      static_cast<ValueType>(t.type_tag));
+          if (col == nullptr) {
+            g.strips.clear();
             break;
           }
+          g.strips.push_back(col);
         }
-        if (!lazy_resolved_ok_) break;
       }
     }
-    if (!lazy_resolved_ok_) return;
-    lazy_active_ = true;
-    lazy_limit_ = seg->row_count();
-    if (batch->lazy_seg == nullptr) {
-      batch->lazy_seg = seg.get();
-      batch->lazy_limit = seg->row_count();
-      batch->lazy_cols.assign(lazy_positions_.begin(), lazy_positions_.end());
+  }
+
+  /// Extracts the virtual columns of `groups` for lanes [from, b->size) of
+  /// `b`, whose row bytes are raws[lane - from], into each group's pending
+  /// values (MaterializeExtracted moves them into the batch's columns).
+  /// Lanes the attached segment covers are served from strips when the
+  /// group has them; the rest hand the extractor a view of the source
+  /// column inside the row bytes, so the reservoir is never copied. Caller
+  /// holds the table latch.
+  Status ExtractUnlocked(std::vector<ExtractGroup>* groups, RowBatch* b,
+                         size_t from,
+                         const std::vector<const std::string*>& raws) {
+    static metrics::Counter* strip_hits =
+        metrics::GetCounter("extract.columnar_hits");
+    const size_t n = b->size - from;
+    if (groups->empty() || n == 0) return Status::OK();
+    const uint64_t start = ctx_->stats != nullptr ? metrics::NowNanos() : 0;
+    const std::vector<Datum>& rids = b->cols[rid_position_];
+    auto rid = [&](size_t k) {
+      return static_cast<uint64_t>(rids[from + k].int_value());
+    };
+    for (ExtractGroup& g : *groups) {
+      // Lanes ascend by rid, so the ones the segment covers lead.
+      size_t cold = 0;
+      if (!g.strips.empty()) {
+        while (cold < n && rid(cold) < seg_rows_) ++cold;
+        for (size_t k = 0; k < cold; ++k) {
+          for (size_t j = 0; j < g.strips.size(); ++j) {
+            Datum v = g.strips[j]->GetDatum(rid(k));
+            if (v.is_null()) continue;
+            g.values.push_back(ExtractedValue{static_cast<uint32_t>(from + k),
+                                              static_cast<uint32_t>(j),
+                                              std::move(v)});
+          }
+        }
+        columnar_hits_ += cold * g.strips.size();
+        strip_hits->Add(cold * g.strips.size());
+      }
+      const size_t hot = n - cold;
+      g.strips_only = hot == 0;
+      if (hot != 0) {
+        docs_.clear();
+        for (size_t k = cold; k < n; ++k) {
+          ASSIGN_OR_RETURN(std::string_view doc,
+                           RowSlotBytes(schema_, *raws[k], g.table_slot));
+          docs_.push_back(doc);
+        }
+        const size_t found = g.values.size();
+        const uint64_t t0 = heat_enabled_ ? metrics::NowNanos() : 0;
+        RETURN_NOT_OK((*fn_)(docs_, g.targets, &g.values, &extract_stats_));
+        if (heat_enabled_) decode_ns_ += metrics::NowNanos() - t0;
+        // Documents are numbered from the first hot lane.
+        for (size_t i = found; i < g.values.size(); ++i) {
+          g.values[i].doc += static_cast<uint32_t>(from + cold);
+        }
+      }
+      if (heat_enabled_) {
+        for (size_t t : g.index) {
+          heat_[t].requests += n;
+          heat_[t].strip_served += cold;
+          heat_[t].reservoir_served += hot;
+        }
+      }
+    }
+    if (ctx_->stats != nullptr) extract_ns_ += metrics::NowNanos() - start;
+    return Status::OK();
+  }
+
+  /// Moves every group's pending values into the batch's virtual columns,
+  /// which are NULL wherever nothing was found. With `seed_tags`, a column
+  /// served entirely from strips by the last extraction seeds its batch type
+  /// tag from the strip type (the batch must not grow afterwards).
+  void MaterializeExtracted(std::vector<ExtractGroup>* groups, RowBatch* b,
+                            bool seed_tags) {
+    for (ExtractGroup& g : *groups) {
+      for (size_t t : g.index) b->cols[ExtractPosition(t)].resize(b->size);
+      for (ExtractedValue& e : g.values) {
+        b->cols[ExtractPosition(g.index[e.target])][e.doc] =
+            std::move(e.value);
+      }
+      g.values.clear();
+      if (seed_tags && g.strips_only && !g.strips.empty()) {
+        // The profile pass still validates every lane (a mismatched strip
+        // type just degrades to kMixed), but it never has to classify.
+        for (size_t j = 0; j < g.strips.size(); ++j) {
+          const ColTag::Type want = StripTagType(g.strips[j]->type);
+          if (want != ColTag::Type::kUnknown) {
+            b->ProfileColumn(ExtractPosition(g.index[j]), want);
+          }
+        }
+      }
     }
   }
 
   /// Unfiltered scan: decodes the live rows of [rid_, chunk_end) straight
-  /// into `batch` until it is full. Caller holds the table latch.
+  /// into `batch` until it is full, recording each lane's row bytes for
+  /// phase-2 extraction. Caller holds the table latch.
   Status DecodeUnlocked(uint64_t chunk_end, RowBatch* batch) {
     for (; rid_ < chunk_end && batch->size < batch_capacity_; ++rid_) {
       const std::string& raw = node_.table->RawRowUnlocked(rid_);
       if (raw.empty()) continue;  // deleted
-      const bool lazy = DefersRow(rid_);
       RETURN_NOT_OK(DecodeRowSlots(schema_, raw, filter_slots_, &scratch_));
-      RETURN_NOT_OK(DecodeRowSlots(
-          schema_, raw, lazy ? output_slots_lazy_ : output_slots_, &scratch_));
-      const std::vector<Source>& sources = lazy ? sources_lazy_ : sources_;
+      RETURN_NOT_OK(DecodeRowSlots(schema_, raw, output_slots_, &scratch_));
       for (size_t i = 0; i < rid_position_; ++i) {
-        if (sources[i] == Source::kNull) {
+        if (sources_[i] == Source::kNull) {
           batch->cols[i].emplace_back();
         } else {
           batch->cols[i].push_back(std::move(scratch_[live_slots_[i]]));
         }
       }
       AppendRid(rid_, batch);
+      lane_raws_.push_back(&raw);
     }
     return Status::OK();
   }
 
   /// Filtered scan, one round: phase 1 decodes only the filter columns of up
-  /// to a batch's worth of live rows into the probe batch (its other columns
-  /// stay empty — the compiled filter reads only the filter columns and
-  /// __rid); the filter refines the probe's selection in one select-mode
-  /// call, so typed kernels apply; phase 2 decodes the survivors' remaining
-  /// columns and appends them to `batch`. Survivors that do not fit are
-  /// rescanned by the next call: rid_ rewinds to the first of them. Caller
-  /// holds the table latch, which keeps the raw row bytes the probe lanes
-  /// point at stable across phases.
+  /// to a batch's worth of live rows into the probe batch and extracts its
+  /// filter targets (its other columns stay empty — the compiled filter
+  /// reads only those and __rid); the filter refines the probe's selection
+  /// in one select-mode call, so typed kernels apply; phase 2 decodes the
+  /// survivors' remaining columns into `batch` and records their row bytes
+  /// for phase-2 extraction. Survivors that do not fit are rescanned by the
+  /// next call: rid_ rewinds to the first of them. Caller holds the table
+  /// latch, which keeps the raw row bytes the probe lanes point at stable
+  /// across phases.
   Status DecodeFilteredUnlocked(uint64_t chunk_end, RowBatch* batch) {
-    probe_.Reset(rid_position_ + 1);
+    probe_.Reset(node_.output_schema.cols.size());
     probe_raws_.clear();
     for (; rid_ < chunk_end && probe_.size < batch_capacity_; ++rid_) {
       const std::string& raw = node_.table->RawRowUnlocked(rid_);
@@ -469,6 +582,8 @@ class ScanOp : public Operator {
       AppendRid(rid_, &probe_);
       probe_raws_.push_back(&raw);
     }
+    RETURN_NOT_OK(ExtractUnlocked(&filter_groups_, &probe_, 0, probe_raws_));
+    MaterializeExtracted(&filter_groups_, &probe_, /*seed_tags=*/true);
     RETURN_NOT_OK(bytecode::ExecPredicateBatch(*node_.scan_filter_program,
                                                probe_, ctx_->udfs,
                                                &bc_state_, &probe_.sel));
@@ -479,13 +594,10 @@ class ScanOp : public Operator {
         rid_ = rid;
         break;
       }
-      const bool lazy = DefersRow(rid);
-      RETURN_NOT_OK(DecodeRowSlots(schema_, *probe_raws_[lane],
-                                   lazy ? output_slots_lazy_ : output_slots_,
+      RETURN_NOT_OK(DecodeRowSlots(schema_, *probe_raws_[lane], output_slots_,
                                    &scratch_));
-      const std::vector<Source>& sources = lazy ? sources_lazy_ : sources_;
       for (size_t i = 0; i < rid_position_; ++i) {
-        switch (sources[i]) {
+        switch (sources_[i]) {
           case Source::kFilter:
             batch->cols[i].push_back(std::move(probe_.cols[i][lane]));
             break;
@@ -498,14 +610,15 @@ class ScanOp : public Operator {
         }
       }
       AppendRid(rid, batch);
+      for (const ExtractGroup& g : filter_groups_) {
+        for (size_t t : g.index) {
+          const size_t pos = ExtractPosition(t);
+          batch->cols[pos].push_back(std::move(probe_.cols[pos][lane]));
+        }
+      }
+      lane_raws_.push_back(probe_raws_[lane]);
     }
     return Status::OK();
-  }
-
-  /// True when a deferring chunk (RefreshLazyStateUnlocked) skips the lazy
-  /// columns of row `rid`: the strips above serve them instead.
-  bool DefersRow(uint64_t rid) const {
-    return lazy_active_ && rid < lazy_limit_;
   }
 
   /// Completes a row appended column by column: its __rid and selection.
@@ -513,6 +626,33 @@ class ScanOp : public Operator {
     batch->cols[rid_position_].push_back(
         Datum::Int(static_cast<int64_t>(rid)));
     batch->sel.push_back(static_cast<uint32_t>(batch->size++));
+  }
+
+  /// Flushes accumulated attribute-heat samples to the registry's sink.
+  /// Reservoir decode time is shared across targets in proportion to their
+  /// reservoir-served lanes (one decode pass serves all targets at once, so
+  /// a per-target clock would double-count).
+  void FlushHeat() {
+    if (!heat_enabled_) return;
+    uint64_t reservoir_total = 0;
+    for (const TargetHeat& h : heat_) reservoir_total += h.reservoir_served;
+    std::vector<AttrAccessSample> samples;
+    samples.reserve(heat_.size());
+    for (size_t t = 0; t < heat_.size(); ++t) {
+      if (heat_[t].requests == 0) continue;
+      AttrAccessSample s;
+      s.table = node_.table->name();
+      s.attr_id = node_.extract_targets[t].attr_id;
+      s.requests = heat_[t].requests;
+      s.strip_served = heat_[t].strip_served;
+      s.reservoir_served = heat_[t].reservoir_served;
+      s.decode_ns = reservoir_total == 0
+                        ? 0
+                        : decode_ns_ * heat_[t].reservoir_served /
+                              reservoir_total;
+      samples.push_back(std::move(s));
+    }
+    if (!samples.empty()) (*ctx_->udfs->heat_sink())(samples);
   }
 
   const PlanNode& node_;
@@ -523,11 +663,7 @@ class ScanOp : public Operator {
   size_t rid_position_ = 0;  // scan output position of __rid
   std::vector<size_t> filter_slots_;
   std::vector<size_t> output_slots_;
-  /// Where each output position's value comes from: the phase-1 (filter)
-  /// decode, the phase-2 (output) decode, or nowhere (unreferenced, NULL).
-  /// The lazy variant applies to rows a deferring chunk covers.
-  enum class Source : uint8_t { kNull, kFilter, kOutput };
-  std::vector<Source> sources_, sources_lazy_;
+  std::vector<Source> sources_;           // per live-column position
   std::vector<size_t> filter_positions_;  // positions with Source::kFilter
   /// Table-slot-indexed decode buffer, reused across rows: DecodeRowSlots
   /// rewrites every requested slot, and values move out into batch columns.
@@ -536,6 +672,7 @@ class ScanOp : public Operator {
   /// each probe lane for phase 2.
   RowBatch probe_;
   std::vector<const std::string*> probe_raws_;
+  std::vector<const std::string*> lane_raws_;  // rows of the chunk's lanes
   uint64_t rid_ = 0;
   uint64_t end_ = 0;
   /// Zone filter -> strip column resolution, rebuilt per latch acquisition
@@ -546,17 +683,24 @@ class ScanOp : public Operator {
   /// Bytecode scratch for the compiled scan filter (per operator instance;
   /// the program itself is shared across Gather workers via the plan node).
   bytecode::ExecState bc_state_;
-  // Deferred-bytes pushdown state (node_.lazy_sources).
-  bool lazy_eligible_ = false;      // Open-time checks passed
-  bool lazy_active_ = false;        // current chunk skips the lazy columns
-  uint64_t lazy_limit_ = 0;         // segment row_count for current chunk
-  std::vector<int> lazy_positions_;        // scan output positions deferred
-  std::vector<size_t> lazy_table_slots_;   // their physical table slots
-  std::vector<std::pair<std::string, const LazyScanSource*>> lazy_req_;
-  std::vector<size_t> output_slots_lazy_;  // output_slots_ minus lazy slots
-  /// Target-resolution cache, keyed on (and pinning) the segment snapshot.
-  std::shared_ptr<const ColumnarSegment> lazy_resolved_hold_;
-  bool lazy_resolved_ok_ = false;
+  // Virtual columns (node_.extract_targets).
+  const BatchExtractFn* fn_ = nullptr;
+  std::vector<ExtractGroup> filter_groups_, output_groups_;
+  std::shared_ptr<const ColumnarSegment> seg_;  // groups' strips resolve here
+  uint64_t seg_rows_ = 0;
+  std::vector<std::string_view> docs_;
+  BatchExtractStats extract_stats_;
+  uint64_t columnar_hits_ = 0;
+  uint64_t extract_ns_ = 0;
+  // Attribute heat accounting (FlushHeat), one entry per extract target.
+  struct TargetHeat {
+    uint64_t requests = 0;
+    uint64_t strip_served = 0;
+    uint64_t reservoir_served = 0;
+  };
+  bool heat_enabled_ = false;
+  std::vector<TargetHeat> heat_;
+  uint64_t decode_ns_ = 0;
 };
 
 // ---------------------------------------------------------------- Filter
@@ -704,343 +848,6 @@ class ProjectOp : public Operator {
   bytecode::ExecState bc_state_;
   /// Per projection: a bare column ref no later projection reads (Open).
   std::vector<bool> last_reader_;
-};
-
-// ---------------------------------------------------------------- Extract
-
-// Batched virtual-attribute extraction (kExtract): appends one computed
-// column per target to each child row, decoding every serialized source
-// column once per row through the registered batch-extract function. The
-// operator itself is stateless across rows, so Gather worker clones are
-// safe; decode tallies accumulate locally and flush into the plan node's
-// OperatorStats on destruction (like GatherOp's morsel counts).
-class ExtractOp : public Operator {
- public:
-  ExtractOp(const PlanNode& node, OperatorPtr child, ExecContext* ctx)
-      : node_(node), child_(std::move(child)), ctx_(ctx) {}
-
-  ~ExtractOp() override {
-    if (ctx_->stats != nullptr) {
-      if (OperatorStats* s = ctx_->stats->For(node_)) {
-        s->decodes.fetch_add(stats_.decodes, std::memory_order_relaxed);
-        s->attrs.fetch_add(stats_.attrs, std::memory_order_relaxed);
-        s->columnar_hits.fetch_add(columnar_hits_,
-                                   std::memory_order_relaxed);
-      }
-    }
-    FlushHeat();
-  }
-
-  Status Open() override {
-    fn_ = ctx_->udfs == nullptr
-              ? nullptr
-              : ctx_->udfs->FindBatchExtract(node_.extract_fn);
-    if (fn_ == nullptr) {
-      return Status::Internal("batch extract function ", node_.extract_fn,
-                              " is not registered");
-    }
-    BindColumnarSegment();
-    // Attribute heat telemetry is armed only when a sink is installed and
-    // the extraction is attributable to a base table; otherwise every
-    // per-batch accounting branch below is a single predicted-false check.
-    heat_enabled_ = node_.extract_table != nullptr &&
-                    ctx_->udfs->heat_sink() != nullptr;
-    if (heat_enabled_) {
-      heat_.assign(node_.extract_targets.size(), TargetHeat{});
-    }
-    return child_->Open();
-  }
-
-  /// One batch-extract call serves every selected lane (amortizing the
-  /// std::function dispatch and, per source column, decoding each reservoir
-  /// once). Extracted values scatter into full-size NULL-padded output
-  /// columns so physical lane indices stay aligned with the child batch —
-  /// the selection vector may be sparse here when the extraction sits above
-  /// a filter.
-  Result<bool> NextBatch(RowBatch* batch) override {
-    ASSIGN_OR_RETURN(bool has, child_->NextBatch(batch));
-    if (!has) return false;
-    const size_t num_targets = node_.extract_targets.size();
-    if (batch->active() == 0) {
-      for (size_t t = 0; t < num_targets; ++t) {
-        batch->cols.emplace_back(batch->size);  // all-NULL, width stays right
-      }
-      return true;
-    }
-    ASSIGN_OR_RETURN(bool columnar, TryServeFromStrips(batch));
-    // Every selected lane either came from a strip or is NULL (no hot
-    // reservoir rows): servable output columns carry the strip's declared
-    // type, so the batch tags can be seeded below.
-    strips_pure_ = columnar && hot_k_.empty();
-    if (!columnar) {
-      const uint64_t heat_t0 = heat_enabled_ ? metrics::NowNanos() : 0;
-      RETURN_NOT_OK((*fn_)(*batch, batch->sel, node_.extract_targets,
-                           &out_cols_, &stats_));
-      if (heat_enabled_) {
-        decode_ns_ += metrics::NowNanos() - heat_t0;
-        for (TargetHeat& h : heat_) {
-          h.requests += batch->sel.size();
-          h.reservoir_served += batch->sel.size();
-        }
-      }
-    }
-    // Dense selection (no filter below): the per-lane outputs already sit in
-    // physical order, so the extractor's columns append wholesale.
-    if (batch->active() == batch->size) {
-      const size_t base = batch->cols.size();
-      for (size_t t = 0; t < num_targets; ++t) {
-        batch->cols.push_back(std::move(out_cols_[t]));
-      }
-      if (strips_pure_) {
-        // Seed the batch type tags from the strips' declared types. The
-        // profile pass still validates every lane (a mismatched strip type
-        // just degrades to kMixed), but it never has to classify.
-        for (const auto& [t, col] : servable_) {
-          const ColTag::Type want = StripTagType(col->type);
-          if (want != ColTag::Type::kUnknown) {
-            batch->ProfileColumn(base + t, want);
-          }
-        }
-      }
-      return true;
-    }
-    for (size_t t = 0; t < num_targets; ++t) {
-      std::vector<Datum> col(batch->size);
-      for (size_t k = 0; k < batch->sel.size(); ++k) {
-        col[batch->sel[k]] = std::move(out_cols_[t][k]);
-      }
-      batch->cols.push_back(std::move(col));
-    }
-    return true;
-  }
-
- private:
-  /// Snapshots the source table's columnar segment and partitions the
-  /// targets into strip-servable (a matching strip column exists) and
-  /// reservoir-only. The mutation version is read *before* the segment
-  /// snapshot: re-checking it per batch then proves the table — and hence
-  /// both the segment and every row byte the scan decodes — unchanged
-  /// since this instant, so strip values and row values agree per row.
-  void BindColumnarSegment() {
-    seg_.reset();
-    servable_.clear();
-    servable_targets_.clear();
-    unservable_targets_.clear();
-    unservable_index_.clear();
-    if (node_.extract_table == nullptr || node_.extract_rid_slot < 0 ||
-        node_.children.empty()) {
-      return;
-    }
-    open_version_ = node_.extract_table->MutationVersion();
-    seg_ = node_.extract_table->ColumnarSegmentSnapshot();
-    if (seg_ == nullptr) return;
-    const auto& child_cols = node_.children[0]->output_schema.cols;
-    for (size_t t = 0; t < node_.extract_targets.size(); ++t) {
-      const ExtractTarget& target = node_.extract_targets[t];
-      const StripColumn* col = nullptr;
-      if (!target.raw_bytes && target.source_slot >= 0 &&
-          static_cast<size_t>(target.source_slot) < child_cols.size()) {
-        col = seg_->Find(child_cols[target.source_slot].name,
-                         target.prefix_ids, target.attr_id,
-                         static_cast<ValueType>(target.type_tag));
-      }
-      if (col != nullptr) {
-        servable_.emplace_back(t, col);
-        servable_targets_.push_back(target);
-      } else {
-        unservable_index_.push_back(t);
-        unservable_targets_.push_back(target);
-      }
-    }
-    if (servable_.empty()) seg_.reset();
-    // When an unservable target shares its source column with servable
-    // ones, the reservoir decode of that column is paid for every lane
-    // anyway, and the extra attributes ride the same merge-join header pass
-    // almost for free — strip serving would only stack per-lane overhead on
-    // top. Serve the whole node from rows. (A deferring scan cannot reach
-    // this shape: it defers only when the same segment resolves every
-    // target on the column, which puts them all in the servable set.)
-    for (const ExtractTarget& u : unservable_targets_) {
-      if (seg_ == nullptr) break;
-      for (const ExtractTarget& s : servable_targets_) {
-        if (u.source_slot == s.source_slot) {
-          seg_.reset();
-          break;
-        }
-      }
-    }
-  }
-
-  /// True when any extract target reads a column the scan deferred in this
-  /// batch (scan output positions; the child's column prefix preserves
-  /// them, so source_slot compares directly).
-  bool SourcesLazyColumn(const RowBatch& batch) const {
-    for (const ExtractTarget& t : node_.extract_targets) {
-      for (int pos : batch.lazy_cols) {
-        if (t.source_slot == pos) return true;
-      }
-    }
-    return false;
-  }
-
-  /// Serves strip-resident targets for cold lanes (rid inside the segment)
-  /// straight from the columnar segment — a typed copy instead of a
-  /// reservoir header walk — and routes everything else (hot-tail lanes,
-  /// reservoir-only targets) through the registered extractor on subset
-  /// lane/target lists. Subsets preserve the grouped-by-source /
-  /// sorted-by-(prefix, id) contract because they preserve relative order.
-  /// Returns false when strip serving is off for this operator; the caller
-  /// then runs the plain reservoir path.
-  Result<bool> TryServeFromStrips(RowBatch* batch) {
-    static metrics::Counter* strip_hits =
-        metrics::GetCounter("extract.columnar_hits");
-    // Deferred-bytes batches: the scan left reservoir bytes undecoded for
-    // segment-covered rows on the promise that this operator serves those
-    // columns from the very same segment. Anything voiding the promise — a
-    // different (or never bound) segment, a table mutation since Open —
-    // makes the batch unextractable; abort for a replan (the retry rebinds
-    // everything) rather than ever serving NULLs for real values.
-    if (batch->lazy_seg != nullptr && SourcesLazyColumn(*batch)) {
-      if (seg_ == nullptr || batch->lazy_seg != seg_.get() ||
-          node_.extract_table->MutationVersion() != open_version_) {
-        return Status::Aborted(
-            "columnar segment changed concurrently; replan");
-      }
-    }
-    if (seg_ == nullptr) return false;
-    // Any table mutation since Open — value update, append, maintenance —
-    // permanently disables strip serving for this operator instance; the
-    // reservoir path is always correct, strips are only an accelerator.
-    if (node_.extract_table->MutationVersion() != open_version_) {
-      seg_.reset();
-      return false;
-    }
-    const size_t num_targets = node_.extract_targets.size();
-    const std::vector<Datum>& rid_col =
-        batch->cols[static_cast<size_t>(node_.extract_rid_slot)];
-    const uint64_t cold_rows = seg_->row_count();
-    cold_k_.clear();
-    hot_k_.clear();
-    for (size_t k = 0; k < batch->sel.size(); ++k) {
-      const Datum& rid = rid_col[batch->sel[k]];
-      if (rid.is_int() && static_cast<uint64_t>(rid.int_value()) < cold_rows) {
-        cold_k_.push_back(k);
-      } else {
-        hot_k_.push_back(k);
-      }
-    }
-    out_cols_.resize(num_targets);
-    for (std::vector<Datum>& col : out_cols_) {
-      col.assign(batch->sel.size(), Datum::Null());
-    }
-    for (const auto& [t, col] : servable_) {
-      std::vector<Datum>& out = out_cols_[t];
-      for (size_t k : cold_k_) {
-        out[k] = col->GetDatum(
-            static_cast<uint64_t>(rid_col[batch->sel[k]].int_value()));
-      }
-    }
-    const uint64_t hits = cold_k_.size() * servable_.size();
-    columnar_hits_ += hits;
-    if (hits != 0) strip_hits->Add(hits);
-    if (!unservable_targets_.empty()) {
-      const uint64_t heat_t0 = heat_enabled_ ? metrics::NowNanos() : 0;
-      RETURN_NOT_OK((*fn_)(*batch, batch->sel, unservable_targets_,
-                           &sub_cols_, &stats_));
-      if (heat_enabled_) decode_ns_ += metrics::NowNanos() - heat_t0;
-      for (size_t u = 0; u < unservable_index_.size(); ++u) {
-        out_cols_[unservable_index_[u]] = std::move(sub_cols_[u]);
-      }
-    }
-    if (!hot_k_.empty()) {
-      hot_lanes_.clear();
-      for (size_t k : hot_k_) hot_lanes_.push_back(batch->sel[k]);
-      const uint64_t heat_t0 = heat_enabled_ ? metrics::NowNanos() : 0;
-      RETURN_NOT_OK((*fn_)(*batch, hot_lanes_, servable_targets_,
-                           &sub_cols_, &stats_));
-      if (heat_enabled_) decode_ns_ += metrics::NowNanos() - heat_t0;
-      for (size_t v = 0; v < servable_.size(); ++v) {
-        std::vector<Datum>& out = out_cols_[servable_[v].first];
-        for (size_t j = 0; j < hot_k_.size(); ++j) {
-          out[hot_k_[j]] = std::move(sub_cols_[v][j]);
-        }
-      }
-    }
-    if (heat_enabled_) {
-      // Per-target lane accounting for this batch: every active lane asked
-      // for every target; strip-resident targets answered cold lanes from
-      // strips and hot lanes from the reservoir, the rest went all-reservoir.
-      for (TargetHeat& h : heat_) h.requests += batch->sel.size();
-      for (const auto& [t, col] : servable_) {
-        (void)col;
-        heat_[t].strip_served += cold_k_.size();
-        heat_[t].reservoir_served += hot_k_.size();
-      }
-      for (size_t u : unservable_index_) {
-        heat_[u].reservoir_served += batch->sel.size();
-      }
-    }
-    return true;
-  }
-
-  /// Flushes accumulated attribute-heat samples to the registry's sink.
-  /// Reservoir decode time is shared across targets in proportion to their
-  /// reservoir-served lanes (one decode pass serves all targets at once, so
-  /// a per-target clock would double-count).
-  void FlushHeat() {
-    if (!heat_enabled_ || heat_.empty()) return;
-    uint64_t reservoir_total = 0;
-    for (const TargetHeat& h : heat_) reservoir_total += h.reservoir_served;
-    std::vector<AttrAccessSample> samples;
-    samples.reserve(heat_.size());
-    const std::string& table = node_.extract_table->name();
-    for (size_t t = 0; t < heat_.size(); ++t) {
-      if (heat_[t].requests == 0) continue;
-      AttrAccessSample s;
-      s.table = table;
-      s.attr_id = node_.extract_targets[t].attr_id;
-      s.requests = heat_[t].requests;
-      s.strip_served = heat_[t].strip_served;
-      s.reservoir_served = heat_[t].reservoir_served;
-      s.decode_ns = reservoir_total == 0
-                        ? 0
-                        : decode_ns_ * heat_[t].reservoir_served /
-                              reservoir_total;
-      samples.push_back(std::move(s));
-    }
-    if (!samples.empty()) (*ctx_->udfs->heat_sink())(samples);
-  }
-
-  const PlanNode& node_;
-  OperatorPtr child_;
-  ExecContext* ctx_;
-  const BatchExtractFn* fn_ = nullptr;
-  std::vector<std::vector<Datum>> out_cols_;
-  BatchExtractStats stats_;
-  // Columnar strip serving state (BindColumnarSegment).
-  std::shared_ptr<const ColumnarSegment> seg_;
-  uint64_t open_version_ = 0;
-  std::vector<std::pair<size_t, const StripColumn*>> servable_;
-  std::vector<ExtractTarget> servable_targets_;
-  std::vector<ExtractTarget> unservable_targets_;
-  std::vector<size_t> unservable_index_;
-  std::vector<size_t> cold_k_;
-  std::vector<size_t> hot_k_;
-  std::vector<uint32_t> hot_lanes_;
-  /// Last batch came entirely from strips (no hot reservoir lanes), so
-  /// servable output columns can seed batch type tags from the strip type.
-  bool strips_pure_ = false;
-  std::vector<std::vector<Datum>> sub_cols_;
-  uint64_t columnar_hits_ = 0;
-  // Attribute heat accounting (FlushHeat), one entry per extract target.
-  struct TargetHeat {
-    uint64_t requests = 0;
-    uint64_t strip_served = 0;
-    uint64_t reservoir_served = 0;
-  };
-  bool heat_enabled_ = false;
-  std::vector<TargetHeat> heat_;
-  uint64_t decode_ns_ = 0;
 };
 
 // ---------------------------------------------------------------- Sort
@@ -1980,8 +1787,6 @@ Result<OperatorPtr> BuildOperatorInner(const PlanNode& node, ExecContext* ctx,
       return OperatorPtr(new FilterOp(node, std::move(children[0]), ctx));
     case PlanKind::kProject:
       return OperatorPtr(new ProjectOp(node, std::move(children[0]), ctx));
-    case PlanKind::kExtract:
-      return OperatorPtr(new ExtractOp(node, std::move(children[0]), ctx));
     case PlanKind::kSort:
       return OperatorPtr(new SortOp(node, std::move(children[0]), ctx));
     case PlanKind::kHashJoin:
@@ -2003,8 +1808,9 @@ Result<OperatorPtr> BuildOperatorInner(const PlanNode& node, ExecContext* ctx,
       return OperatorPtr(new UniqueOp(std::move(children[0])));
     case PlanKind::kLimit:
       return OperatorPtr(new LimitOp(node, std::move(children[0])));
-    case PlanKind::kGather:
-      break;  // handled above
+    case PlanKind::kGather:  // handled above
+    case PlanKind::kExtract:  // never planned
+      break;
   }
   return Status::Internal("unknown plan node kind");
 }
@@ -2087,15 +1893,20 @@ void AppendAnalyzedNode(const PlanNode& node, const PlanStats& stats,
              << " stalls=" << s->stalls.load(std::memory_order_relaxed)
              << ")";
       }
-      if (node.kind == PlanKind::kExtract) {
-        *out << " (decodes=" << s->decodes.load(std::memory_order_relaxed)
-             << " attrs=" << s->attrs.load(std::memory_order_relaxed)
-             << " columnar_hits="
-             << s->columnar_hits.load(std::memory_order_relaxed) << ")";
-      }
       if (node.kind == PlanKind::kSeqScan && !node.zone_filters.empty()) {
         *out << " (zone_skips="
              << s->zone_skips.load(std::memory_order_relaxed) << ")";
+      }
+      if (node.kind == PlanKind::kSeqScan && !node.extract_targets.empty()) {
+        *out << " (decodes=" << s->decodes.load(std::memory_order_relaxed)
+             << " attrs=" << s->attrs.load(std::memory_order_relaxed)
+             << " columnar_hits="
+             << s->columnar_hits.load(std::memory_order_relaxed)
+             << " extract_time=" << std::fixed << std::setprecision(3)
+             << static_cast<double>(
+                    s->extract_ns.load(std::memory_order_relaxed)) /
+                    1e6
+             << " ms)";
       }
       // Compiled-expression shape: static opcode counts from the attached
       // program(s) plus the lanes that escaped to the scalar evaluator.

@@ -1,7 +1,7 @@
 // Volcano-style plan executor over RowBatches.
 //
-// Every operator streams batches (scan, extract, filter, project, limit and
-// Gather natively); blocking operators (sort, hash join build, aggregation)
+// Every operator streams batches (scan, filter, project, limit and Gather
+// natively); blocking operators (sort, hash join build, aggregation)
 // consume rows through one batch-to-row adapter, materialize and charge an
 // intermediate-state memory budget. Exceeding the budget aborts
 // the query with Status::Aborted — the mechanism used to reproduce the
@@ -43,12 +43,12 @@ struct OperatorStats {
   // kGather only:
   std::atomic<uint64_t> morsels{0};     // morsel claims across workers
   std::atomic<uint64_t> stalls{0};      // bounded-queue full waits
-  // kExtract only:
+  // kSeqScan only:
+  std::atomic<uint64_t> zone_skips{0};  // strips skipped via zone maps
   std::atomic<uint64_t> decodes{0};     // source documents decoded
   std::atomic<uint64_t> attrs{0};       // attributes extracted from them
   std::atomic<uint64_t> columnar_hits{0};  // values served from column strips
-  // kSeqScan only:
-  std::atomic<uint64_t> zone_skips{0};  // strips skipped via zone maps
+  std::atomic<uint64_t> extract_ns{0};  // virtual-column extraction time
   // bytecode-compiled nodes only:
   std::atomic<uint64_t> bc_fallback_lanes{0};  // lanes on scalar EvalExpr
   std::atomic<uint64_t> bc_typed_lanes{0};     // lanes on monomorphic kernels

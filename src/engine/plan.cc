@@ -70,6 +70,16 @@ std::string PlanNode::Summary() const {
       if (scan_filter != nullptr) {
         out << " (filter: " << scan_filter->ToString() << ")";
       }
+      if (!extract_targets.empty()) {
+        size_t sources = 0;
+        int prev_slot = -1;
+        for (const ExtractTarget& t : extract_targets) {
+          if (t.source_slot != prev_slot) ++sources;  // grouped by slot
+          prev_slot = t.source_slot;
+        }
+        out << " SinewExtract (attrs=" << extract_targets.size()
+            << ", sources=" << sources << ")";
+      }
       break;
     case PlanKind::kFilter:
       out << " (" << (predicate != nullptr ? predicate->ToString() : "?")
@@ -105,19 +115,9 @@ std::string PlanNode::Summary() const {
                   : "streaming")
           << ")";
       break;
-    case PlanKind::kExtract: {
-      size_t sources = 0;
-      int prev_slot = -1;
-      for (const ExtractTarget& t : extract_targets) {
-        if (t.source_slot != prev_slot) ++sources;  // targets grouped by slot
-        prev_slot = t.source_slot;
-      }
-      out << " (attrs=" << extract_targets.size() << ", sources=" << sources
-          << ")";
-      break;
-    }
     case PlanKind::kUnique:
     case PlanKind::kLimit:
+    case PlanKind::kExtract:
       break;
   }
   out << " (rows=" << static_cast<uint64_t>(est_rows) << ")";

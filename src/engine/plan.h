@@ -34,7 +34,7 @@ enum class PlanKind : uint8_t {
   kUnique,          // DISTINCT over sorted input
   kLimit,
   kGather,          // merge of a parallel (morsel-driven) child pipeline
-  kExtract,         // batched document extraction (appends computed columns)
+  kExtract,         // retired: scans produce virtual columns; never planned
 };
 
 const char* PlanKindName(PlanKind kind);
@@ -67,18 +67,6 @@ struct ZoneFilter {
   Datum literal;
 };
 
-/// kSeqScan deferred-bytes pushdown: a serialized source column (reservoir)
-/// whose decoded bytes are consumed *only* by hoisted extract targets above
-/// the scan. When the attached columnar segment can serve every listed
-/// target, the batch scan skips decoding the column for segment-covered
-/// rows and records the deferral on the RowBatch (see row_batch.h); the
-/// extract then reads the values from the strips instead. Rows past the
-/// segment and chunks where any target fails to resolve decode normally.
-struct LazyScanSource {
-  int output_pos = -1;  ///< scan output position of the bytes column
-  std::vector<ExtractTarget> targets;  ///< every target sourced from it
-};
-
 struct PlanNode {
   PlanKind kind;
   std::vector<std::unique_ptr<PlanNode>> children;
@@ -93,12 +81,20 @@ struct PlanNode {
   std::string alias;
   ExprPtr scan_filter;  // pushed-down predicate, bound against scan schema
   /// Projection pushdown: positions (into output_schema) the scan must
-  /// decode — filter columns first, then the remaining referenced columns
-  /// (decoded only for rows that pass the filter). Valid when
+  /// produce — filter columns first, then the remaining referenced columns
+  /// (produced only for rows that pass the filter). Valid when
   /// scan_projected; otherwise the scan decodes every column.
   bool scan_projected = false;
   std::vector<size_t> scan_filter_cols;
   std::vector<size_t> scan_output_cols;  // excludes filter cols
+  /// Virtual columns: target t is output position (live columns + 1 for
+  /// __rid) + t, extracted by the registered batch extractor — phase 1
+  /// (every probed row) when its position is a filter column, phase 2
+  /// (filter survivors) otherwise. Sorted by (source_slot, prefix_ids,
+  /// attr_id), the BatchExtractFn order; cold rows are served from the
+  /// table's columnar segment when it has a strip for every target of a
+  /// (phase, source) group.
+  std::vector<ExtractTarget> extract_targets;
 
   // kFilter
   ExprPtr predicate;
@@ -128,25 +124,8 @@ struct PlanNode {
   // morsel stream (see exec.cc).
   int parallel_degree = 0;
 
-  // kExtract: each target appends one output column (after the child's
-  // columns) computed by the registered batch-extract function; targets
-  // sharing a source column decode it once per row. Grouped by source_slot
-  // and sorted by (prefix_ids, attr_id) — the BatchExtractFn contract.
-  std::vector<ExtractTarget> extract_targets;
-  std::string extract_fn;  // name resolved via UdfRegistry::FindBatchExtract
-  /// Columnar strip serving: when the extract sits over a scan of
-  /// `extract_table` and the child emits the scan's __rid pseudo-column at
-  /// `extract_rid_slot`, the operator serves targets covered by the table's
-  /// columnar segment straight from the strips for cold rows, falling back
-  /// to the reservoir function for hot rows and uncovered targets.
-  Table* extract_table = nullptr;
-  int extract_rid_slot = -1;
-
   // kSeqScan zone-map pushdown (see ZoneFilter above).
   std::vector<ZoneFilter> zone_filters;
-
-  // kSeqScan deferred-bytes pushdown (see LazyScanSource above).
-  std::vector<LazyScanSource> lazy_sources;
 
   // Compiled bytecode programs (engine/bytecode.h), attached by the
   // planner's compile pass after every plan rewrite has run so the Expr

@@ -191,8 +191,8 @@ class Planner::SelectPlanner {
   Result<PlanPtr> AddDistinct(PlanPtr child);
   Result<PlanPtr> AddOrderByAndLimit(PlanPtr child,
                                      std::vector<OrderItem> order_by);
-  void HoistBatchedExtraction(PlanPtr* node) const;
-  void TryHoistBatchedExtraction(PlanNode* cap) const;
+  void AssignExtractionTargets(PlanPtr* node) const;
+  void AssignScanTargets(PlanNode* cap) const;
   void ParallelizePlan(PlanPtr* node) const;
   int ParallelDegreeFor(const PlanNode& chain) const;
   static bool IsPipelineChain(const PlanNode& node);
@@ -1018,12 +1018,7 @@ Result<PlanPtr> Planner::SelectPlanner::AddOrderByAndLimit(
 
 namespace {
 
-/// The batch-extract implementation Sinew registers (see
-/// sinew/extract_functions.cc). The hoist pass only runs when this name is
-/// resolvable, so engine-only databases are unaffected.
-constexpr std::string_view kBatchExtractFnName = "sinew_extract_many";
-
-/// A document-extraction call the planner can fold into a kExtract node:
+/// A document-extraction call the planner can turn into a scan column:
 /// sinew_extract_chain[_bytes](<bound column>, <type tag>, <id>...). The
 /// rewriter resolves every id literal at bind time, which is exactly what
 /// makes the call hoistable — its per-row work is a pure function of the
@@ -1071,9 +1066,9 @@ ExtractTarget TargetFromCall(const Expr& call) {
 }
 
 /// Total order on extract targets: (source, prefix chain, attr id, raw
-/// bytes, type tag) — the BatchExtractFn contract that lets the
-/// implementation decode each source once and merge-join all wanted ids in
-/// a single ascending pass.
+/// bytes, type tag) — grouped by source in the BatchExtractFn order, which
+/// lets the implementation decode each source once and merge-join all
+/// wanted ids in a single ascending pass.
 bool TargetLess(const ExtractTarget& a, const ExtractTarget& b) {
   if (a.source_slot != b.source_slot) return a.source_slot < b.source_slot;
   if (a.prefix_ids != b.prefix_ids) return a.prefix_ids < b.prefix_ids;
@@ -1165,10 +1160,8 @@ void CollectZoneFilters(const Expr& conjunct, const ExecSchema& scan_schema,
 }
 
 /// Attaches zone filters to every base scan whose pushed-down filter holds
-/// chain-call comparisons. Runs before extraction hoisting, while those
-/// conjuncts still live in the scan filter as literal calls; the zone
-/// filters stay on the scan either way, because strip skipping happens
-/// there regardless of where the conjunct is ultimately evaluated.
+/// chain-call comparisons. Runs before extraction targets are assigned,
+/// while those conjuncts still hold the literal calls.
 void AttachZoneFiltersToScans(PlanNode* node) {
   if (node->kind == PlanKind::kSeqScan && node->scan_filter != nullptr &&
       node->table != nullptr) {
@@ -1181,311 +1174,122 @@ void AttachZoneFiltersToScans(PlanNode* node) {
 
 }  // namespace
 
-// Post-pass: fold repeated document-extraction calls over one scan into
-// kExtract nodes — predicate attributes into one node below the rebuilt
-// filter (predicates and projections of the same attribute share that
-// decode), projection-only attributes into one node above it (rows the
-// filter drops never pay for them). Only pipelines capped by a Project or
-// Aggregate are rewritten — their output schemas hide the appended columns
-// from everything upstream.
-void Planner::SelectPlanner::HoistBatchedExtraction(PlanPtr* node) const {
+// Post-pass: every document-extraction call of a single-table pipeline — a
+// Project or Aggregate cap over Filter/Sort/Unique/Limit nodes over a
+// SeqScan — becomes a virtual column the scan produces. The cap's output
+// schema hides the appended columns from everything upstream; joins keep
+// their calls on the scalar UDF path.
+void Planner::SelectPlanner::AssignExtractionTargets(PlanPtr* node) const {
   PlanNode& n = **node;
   if ((n.kind == PlanKind::kProject || n.kind == PlanKind::kHashAggregate ||
        n.kind == PlanKind::kGroupAggregate) &&
       n.children.size() == 1) {
-    TryHoistBatchedExtraction(&n);
+    AssignScanTargets(&n);
   }
-  for (PlanPtr& child : n.children) HoistBatchedExtraction(&child);
+  for (PlanPtr& child : n.children) AssignExtractionTargets(&child);
 }
 
-void Planner::SelectPlanner::TryHoistBatchedExtraction(PlanNode* cap) const {
+void Planner::SelectPlanner::AssignScanTargets(PlanNode* cap) const {
   // Walk down through schema-preserving streaming nodes to a base scan.
   std::vector<PlanNode*> mid;
-  PlanPtr* slot = &cap->children[0];
-  while (((*slot)->kind == PlanKind::kFilter ||
-          (*slot)->kind == PlanKind::kSort ||
-          (*slot)->kind == PlanKind::kUnique ||
-          (*slot)->kind == PlanKind::kLimit) &&
-         (*slot)->children.size() == 1) {
-    mid.push_back(slot->get());
-    slot = &(*slot)->children[0];
+  PlanNode* scan = cap->children[0].get();
+  while ((scan->kind == PlanKind::kFilter || scan->kind == PlanKind::kSort ||
+          scan->kind == PlanKind::kUnique || scan->kind == PlanKind::kLimit) &&
+         scan->children.size() == 1) {
+    mid.push_back(scan);
+    scan = scan->children[0].get();
   }
-  if ((*slot)->kind != PlanKind::kSeqScan) return;
-  PlanNode* scan = slot->get();
-  // The scan's __rid pseudo-column lets the extract nodes map each row back
-  // to its slot in the table's columnar segment (strips appended later keep
-  // its position, so one resolution serves both nodes).
-  int rid_slot = -1;
-  for (size_t i = 0; i < scan->output_schema.cols.size(); ++i) {
-    if (scan->output_schema.cols[i].name == "__rid") {
-      rid_slot = static_cast<int>(i);
-      break;
-    }
-  }
+  if (scan->kind != PlanKind::kSeqScan) return;
 
-  // Conjuncts of the pushed-down scan filter that contain extraction calls
-  // must move above the extract node; the rest stay pushed down.
-  std::vector<ExprPtr> keep, moved;
+  std::vector<ExprPtr*> exprs;
   if (scan->scan_filter != nullptr) {
-    std::vector<ExprPtr> parts = SplitConjuncts(*scan->scan_filter);
-    for (ExprPtr& part : parts) {
-      std::vector<ExprPtr*> in_part;
-      CollectChainCallSites(&part, &in_part);
-      (in_part.empty() ? keep : moved).push_back(std::move(part));
-    }
+    CollectChainCallSites(&scan->scan_filter, &exprs);
   }
-
-  // Sites referenced by a predicate must be extracted below the rebuilt
-  // filter; sites referenced only by sort keys or the cap are extracted
-  // above it, so rows the filter drops never pay for projection-only
-  // attributes (SELECT * behind a selective virtual predicate would
-  // otherwise decode the whole wide schema for every row).
-  std::vector<ExprPtr*> below_sites, above_sites;
-  for (ExprPtr& part : moved) CollectChainCallSites(&part, &below_sites);
   for (PlanNode* m : mid) {
-    if (m->kind == PlanKind::kFilter && m->predicate != nullptr) {
-      CollectChainCallSites(&m->predicate, &below_sites);
-    }
-    for (ExprPtr& k : m->sort_keys) CollectChainCallSites(&k, &above_sites);
+    if (m->predicate != nullptr) CollectChainCallSites(&m->predicate, &exprs);
+    for (ExprPtr& k : m->sort_keys) CollectChainCallSites(&k, &exprs);
   }
-  if (cap->kind == PlanKind::kProject) {
-    for (ExprPtr& p : cap->projections) {
-      CollectChainCallSites(&p, &above_sites);
-    }
-  } else {
-    for (ExprPtr& k : cap->group_keys) CollectChainCallSites(&k, &above_sites);
-    for (AggSpec& a : cap->aggs) {
-      if (a.arg != nullptr) CollectChainCallSites(&a.arg, &above_sites);
-    }
+  for (ExprPtr& p : cap->projections) CollectChainCallSites(&p, &exprs);
+  for (ExprPtr& k : cap->group_keys) CollectChainCallSites(&k, &exprs);
+  for (AggSpec& a : cap->aggs) {
+    if (a.arg != nullptr) CollectChainCallSites(&a.arg, &exprs);
   }
-  // A lone call gains nothing from batching (one decode either way) and
-  // would pay an extra operator hop; leave it on the scalar UDF path.
-  if (below_sites.size() + above_sites.size() < 2) return;
+  if (exprs.empty()) return;
 
-  // A lone predicate site decodes once per row either way and is cheapest
-  // evaluated inside the scan, where dropped rows are never materialized
-  // through the extra operator hop. Hoist a predicate group only when it
-  // batches at least two call sites into one decode.
-  if (below_sites.size() < 2) {
-    below_sites.clear();
-    moved.clear();  // conjuncts stay in the scan filter, on the chain path
-  }
-
-  // Dedupe call sites by extract target (the call's source slot, prefix
-  // chain, attr id and form): sorted by target, equal targets are adjacent
-  // and share one output column, and each group is already in the
-  // BatchExtractFn order (see TargetLess). A site that appears in both a
-  // predicate and the projection lands in the below group: predicate and
-  // projection then share one decode through the same output column.
+  // Dedupe sites by target: sorted, equal targets are adjacent and share one
+  // column, already in the BatchExtractFn order (see TargetLess).
   struct Site {
     ExtractTarget target;
     ExprPtr* expr;
-    int slot = -1;  // output column, once its extract node is built
   };
-  auto sort_sites = [](const std::vector<ExprPtr*>& exprs) {
-    std::vector<Site> sites;
-    sites.reserve(exprs.size());
-    for (ExprPtr* e : exprs) sites.push_back(Site{TargetFromCall(**e), e});
-    std::sort(sites.begin(), sites.end(), [](const Site& a, const Site& b) {
-      return TargetLess(a.target, b.target);
-    });
-    return sites;
-  };
-  std::vector<Site> below = sort_sites(below_sites);
-  auto find_below = [&below](const ExtractTarget& t) -> const Site* {
-    auto it = std::lower_bound(
-        below.begin(), below.end(), t,
-        [](const Site& s, const ExtractTarget& x) {
-          return TargetLess(s.target, x);
-        });
-    return it != below.end() && !TargetLess(t, it->target) ? &*it : nullptr;
-  };
+  std::vector<Site> sites;
+  sites.reserve(exprs.size());
+  for (ExprPtr* e : exprs) sites.push_back(Site{TargetFromCall(**e), e});
+  std::sort(sites.begin(), sites.end(), [](const Site& a, const Site& b) {
+    return TargetLess(a.target, b.target);
+  });
+  std::vector<ExecSchema::Col>& cols = scan->output_schema.cols;
+  const size_t base = cols.size();
+  for (size_t i = 0; i < sites.size(); ++i) {
+    Site& site = sites[i];
+    if (i == 0 || TargetLess(sites[i - 1].target, site.target)) {
+      cols.push_back(ExecSchema::Col{
+          "", "$x" + std::to_string(scan->extract_targets.size()),
+          InferType(**site.expr, scan->output_schema)});
+      scan->extract_targets.push_back(site.target);
+    }
+    // The call node itself becomes the column ref (its arguments go).
+    Expr& e = **site.expr;
+    e.kind = ExprKind::kColumnRef;
+    e.fname.clear();
+    e.args.clear();
+    e.column = cols.back().name;
+    e.bound_slot = static_cast<int>(cols.size() - 1);
+  }
+  for (PlanNode* m : mid) m->output_schema = scan->output_schema;
 
-  // Above-group sites whose target matches a predicate target reuse its
-  // output column for free. A single remaining fresh site stays on the
-  // chain path for the same lone-site reason; two or more batch into one
-  // decode per filter-surviving row.
-  std::vector<Site> shared_above;
-  std::vector<ExprPtr*> fresh_exprs;
-  fresh_exprs.reserve(above_sites.size());
-  for (ExprPtr* site : above_sites) {
-    ExtractTarget t = TargetFromCall(**site);
-    if (find_below(t) != nullptr) {
-      shared_above.push_back(Site{std::move(t), site});
-    } else {
-      fresh_exprs.push_back(site);
+  // Decode sets: the targets the pushed-down filter reads are filter columns
+  // (phase 1, extracted for every probed row before the filter runs), the
+  // rest output columns (phase 2, survivors only). A source column stays
+  // decoded only when something other than extraction still reads it — the
+  // extractor reads row bytes in place.
+  std::vector<bool> referenced(cols.size(), false);
+  std::vector<const Expr*> refs;
+  auto collect = [&refs](const ExprPtr& e) {
+    if (e != nullptr) e->CollectColumnRefs(&refs);
+  };
+  collect(scan->scan_filter);
+  std::vector<size_t> filter_cols;
+  for (const Expr* ref : refs) {
+    if (ref->bound_slot >= 0) {
+      filter_cols.push_back(static_cast<size_t>(ref->bound_slot));
     }
   }
-  const bool hoist_above = fresh_exprs.size() >= 2;
-  if (below.empty() && !hoist_above) return;
-  std::vector<Site> fresh_above;
-  if (hoist_above) fresh_above = sort_sites(fresh_exprs);
-
-  size_t next_rank = 0;
-  // Builds one kExtract node appending one output column per distinct
-  // target of the (sorted) sites to in_schema, and records each site's
-  // output column.
-  auto make_extract = [&](std::vector<Site>* sites,
-                          const ExecSchema& in_schema) -> PlanPtr {
-    auto extract = std::make_unique<PlanNode>();
-    extract->kind = PlanKind::kExtract;
-    extract->extract_fn = std::string(kBatchExtractFnName);
-    extract->extract_table = scan->table;
-    extract->extract_rid_slot = rid_slot;
-    extract->output_schema = in_schema;
-    extract->est_rows = scan->est_rows;
-    std::vector<ExecSchema::Col>& cols = extract->output_schema.cols;
-    cols.reserve(in_schema.cols.size() + sites->size());
-    for (size_t i = 0; i < sites->size(); ++i) {
-      Site& site = (*sites)[i];
-      if (i == 0 || TargetLess((*sites)[i - 1].target, site.target)) {
-        cols.push_back(ExecSchema::Col{
-            "", "$x" + std::to_string(next_rank++),
-            InferType(**site.expr, scan->output_schema)});
-        extract->extract_targets.push_back(site.target);
-      }
-      site.slot = static_cast<int>(cols.size() - 1);
-    }
-    return extract;
-  };
-
-  // Rebuild the pushed-down filter and its projection pushdown: columns a
-  // moved conjunct needed (the reservoir in particular) shift from the
-  // filter phase to the output phase, so the decoded set is unchanged.
-  if (!moved.empty()) {
-    std::set<size_t> decoded(scan->scan_filter_cols.begin(),
-                             scan->scan_filter_cols.end());
-    decoded.insert(scan->scan_output_cols.begin(),
-                   scan->scan_output_cols.end());
-    scan->scan_filter =
-        keep.empty() ? nullptr : CombineConjuncts(std::move(keep));
-    std::set<size_t> filter_cols;
-    if (scan->scan_filter != nullptr) {
-      std::vector<const Expr*> refs;
-      scan->scan_filter->CollectColumnRefs(&refs);
-      for (const Expr* ref : refs) {
-        if (ref->bound_slot >= 0) {
-          filter_cols.insert(static_cast<size_t>(ref->bound_slot));
-        }
-      }
-    }
-    for (size_t col : filter_cols) decoded.erase(col);
-    scan->scan_filter_cols.assign(filter_cols.begin(), filter_cols.end());
-    scan->scan_output_cols.assign(decoded.begin(), decoded.end());
-  }
-
-  // Build both nodes up front (the above node's input schema includes the
-  // below node's outputs), then swap call sites while the moved conjuncts
-  // are still intact, then splice.
-  PlanPtr below_node, above_node;
-  if (!below.empty()) below_node = make_extract(&below, scan->output_schema);
-  for (Site& site : shared_above) site.slot = find_below(site.target)->slot;
-  if (hoist_above) {
-    above_node = make_extract(
-        &fresh_above,
-        below_node ? below_node->output_schema : scan->output_schema);
-  }
-
-  // Swap every call site for a reference to its extract output column.
-  // Below-group outputs flow through the filter and the above node, so a
-  // projection referencing a predicate attribute reuses the below decode.
-  const ExecSchema& spliced_schema =
-      (above_node ? above_node : below_node)->output_schema;
-  for (const std::vector<Site>* group : {&below, &shared_above, &fresh_above}) {
-    for (const Site& site : *group) {
-      // The call node itself becomes the column ref (its arguments go).
-      Expr& e = **site.expr;
-      e.kind = ExprKind::kColumnRef;
-      e.fname.clear();
-      e.args.clear();
-      e.column = spliced_schema.cols[static_cast<size_t>(site.slot)].name;
-      e.bound_slot = site.slot;
-    }
-  }
-
-  // Splice: scan -> extract(predicate attrs) [-> filter with the moved
-  // conjuncts] [-> extract(projection-only attrs)], and widen the schemas
-  // of the pass-through nodes above (rows now carry the appended columns up
-  // to the cap, whose own output schema hides them).
-  PlanPtr spliced = std::move(*slot);
-  if (below_node) {
-    below_node->children.push_back(std::move(spliced));
-    spliced = std::move(below_node);
-  }
-  if (!moved.empty()) {
-    auto filter = std::make_unique<PlanNode>();
-    filter->kind = PlanKind::kFilter;
-    filter->predicate = CombineConjuncts(std::move(moved));
-    filter->output_schema = spliced->output_schema;
-    filter->est_rows = spliced->est_rows;
-    filter->children.push_back(std::move(spliced));
-    spliced = std::move(filter);
-  }
-  if (above_node) {
-    above_node->children.push_back(std::move(spliced));
-    spliced = std::move(above_node);
-  }
-
-  for (PlanNode* m : mid) m->output_schema = spliced->output_schema;
-  *slot = std::move(spliced);
-
-  // Deferred-bytes pushdown: a serialized source column whose decoded bytes
-  // feed *only* the hoisted extract targets can skip its per-row decode
-  // whenever the table's columnar segment serves every one of those targets
-  // (the scan checks at runtime; see exec.cc). Candidate positions come
-  // from the extract nodes just spliced in; a position is disqualified if
-  // anything else still reads the column — the pushed-down scan filter, the
-  // rebuilt mid-pipeline filter, sort keys, the cap's own expressions — or
-  // if a DISTINCT sits in the chain (it compares entire rows), or if a
-  // raw-bytes target wants the serialized form itself.
-  bool lazy_ok = true;
   for (PlanNode* m : mid) {
-    if (m->kind == PlanKind::kUnique) lazy_ok = false;
+    collect(m->predicate);
+    for (const ExprPtr& k : m->sort_keys) collect(k);
   }
-  if (cap->kind == PlanKind::kUnique) lazy_ok = false;
-  if (lazy_ok) {
-    std::vector<const Expr*> refs;
-    auto collect = [&refs](const ExprPtr& e) {
-      if (e != nullptr) e->CollectColumnRefs(&refs);
-    };
-    for (const ExprPtr& p : cap->projections) collect(p);
-    for (const ExprPtr& k : cap->group_keys) collect(k);
-    for (const AggSpec& a : cap->aggs) collect(a.arg);
-    for (PlanNode* m : mid) {
-      collect(m->predicate);
-      for (const ExprPtr& k : m->sort_keys) collect(k);
-    }
-    std::map<int, std::vector<ExtractTarget>> candidates;
-    // Only scan positions can be deferred; references to columns the
-    // extract nodes appended lie beyond them.
-    std::vector<bool> disqualified(scan->output_schema.cols.size(), false);
-    auto disqualify = [&disqualified](int pos) {
-      if (pos >= 0 && static_cast<size_t>(pos) < disqualified.size()) {
-        disqualified[static_cast<size_t>(pos)] = true;
-      }
-    };
-    for (PlanNode* n = slot->get(); n != scan;
-         n = n->children[0].get()) {
-      if (n->kind == PlanKind::kFilter) collect(n->predicate);
-      if (n->kind != PlanKind::kExtract) continue;
-      for (const ExtractTarget& t : n->extract_targets) {
-        if (t.source_slot < 0) continue;
-        if (t.raw_bytes) disqualify(t.source_slot);
-        candidates[t.source_slot].push_back(t);
-      }
-    }
-    collect(scan->scan_filter);
-    for (const Expr* ref : refs) disqualify(ref->bound_slot);
-    for (auto& [pos, targets] : candidates) {
-      if (static_cast<size_t>(pos) >= disqualified.size() ||
-          disqualified[static_cast<size_t>(pos)]) {
-        continue;
-      }
-      LazyScanSource source;
-      source.output_pos = pos;
-      source.targets = std::move(targets);
-      scan->lazy_sources.push_back(std::move(source));
-    }
+  for (const ExprPtr& p : cap->projections) collect(p);
+  for (const ExprPtr& k : cap->group_keys) collect(k);
+  for (const AggSpec& a : cap->aggs) collect(a.arg);
+  for (const Expr* ref : refs) {
+    if (ref->bound_slot >= 0) referenced[ref->bound_slot] = true;
+  }
+  std::vector<bool> decoded(cols.size(), false);
+  for (size_t c : scan->scan_filter_cols) decoded[c] = true;
+  for (size_t c : scan->scan_output_cols) decoded[c] = true;
+  for (const ExtractTarget& t : scan->extract_targets) {
+    if (!referenced[t.source_slot]) decoded[t.source_slot] = false;
+  }
+  for (size_t c = base; c < cols.size(); ++c) decoded[c] = true;
+  std::sort(filter_cols.begin(), filter_cols.end());
+  filter_cols.erase(std::unique(filter_cols.begin(), filter_cols.end()),
+                    filter_cols.end());
+  for (size_t c : filter_cols) decoded[c] = false;
+  scan->scan_filter_cols = std::move(filter_cols);
+  scan->scan_output_cols.clear();
+  for (size_t c = 0; c < decoded.size(); ++c) {
+    if (decoded[c]) scan->scan_output_cols.push_back(c);
   }
 }
 
@@ -1493,8 +1297,7 @@ void Planner::SelectPlanner::TryHoistBatchedExtraction(PlanNode* cap) const {
 // independently over disjoint morsels (one base table, no blocking state).
 bool Planner::SelectPlanner::IsPipelineChain(const PlanNode& node) {
   if (node.kind == PlanKind::kSeqScan) return true;
-  if ((node.kind == PlanKind::kFilter || node.kind == PlanKind::kProject ||
-       node.kind == PlanKind::kExtract) &&
+  if ((node.kind == PlanKind::kFilter || node.kind == PlanKind::kProject) &&
       node.children.size() == 1) {
     return IsPipelineChain(*node.children[0]);
   }
@@ -1586,9 +1389,8 @@ Result<PlanPtr> Planner::SelectPlanner::Plan() {
                    AddOrderByAndLimit(std::move(root), std::move(order_by)));
   FoldPlanConstants(root.get());
   AttachZoneFiltersToScans(root.get());
-  if (options_.enable_batched_extraction && udfs_ != nullptr &&
-      udfs_->FindBatchExtract(kBatchExtractFnName) != nullptr) {
-    HoistBatchedExtraction(&root);
+  if (udfs_ != nullptr && udfs_->batch_extract() != nullptr) {
+    AssignExtractionTargets(&root);
   }
   if (options_.parallelism > 1) ParallelizePlan(&root);
   CompilePlanPrograms(root.get(), udfs_);

@@ -41,13 +41,6 @@ struct PlannerOptions {
   double hash_join_max_build_rows = 1000000;
   /// Intra-query parallelism: maximum Gather degree. 1 keeps plans serial.
   int parallelism = 1;
-  /// Batched-extraction hoist: when a pipeline evaluates two or more
-  /// document-extraction calls over the same scan, fold them into kExtract
-  /// nodes — predicate attributes below the rebuilt filter, projection-only
-  /// attributes above it — so each group shares one reservoir decode.
-  /// Requires a registered batch-extract function; no-op otherwise.
-  /// Off restores the per-attribute UDF path (differential testing).
-  bool enable_batched_extraction = true;
   /// Parallelization threshold: a scan pipeline goes parallel only when its
   /// base table has at least this many rows per worker, so the chosen degree
   /// is min(parallelism, ceil(rows / parallel_min_rows)).

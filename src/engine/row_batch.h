@@ -13,10 +13,10 @@
 // value kind (plus NULLs) for the whole batch gets a ColTag with a null
 // bitmap and the raw values rebucketed into a dense int64/double/bool array,
 // so kernel loops run over 8-byte strides with no per-lane Datum kind
-// dispatch. Tags are a pure cache over `cols` — producers seed them
-// (SinewExtract from strip metadata, the VM from a one-pass profile) and
-// every mutation of the column data must invalidate them (Reset, AppendRow
-// and MoveRow do; operators that write `cols` directly are responsible for
+// dispatch. Tags are a pure cache over `cols` — producers seed them (the
+// scan from strip metadata, the VM from a one-pass profile) and every
+// mutation of the column data must invalidate them (Reset, AppendRow and
+// MoveRow do; operators that write `cols` directly are responsible for
 // their own columns).
 
 #ifndef SINEW_ENGINE_ROW_BATCH_H_
@@ -61,18 +61,6 @@ struct RowBatch {
   /// Physical row count (appended rows, dead or alive).
   size_t size = 0;
 
-  /// Deferred-bytes contract between a scan and the extract above it: when
-  /// `lazy_seg` is non-null, rows whose __rid is below `lazy_limit` may
-  /// carry NULL instead of the decoded reservoir bytes in the columns named
-  /// by `lazy_cols` (scan output positions). The scan only defers when the
-  /// columnar segment identified by `lazy_seg` can serve every extract
-  /// target sourced from those columns; the extract verifies it bound the
-  /// same segment (pointer identity + unchanged mutation version) before
-  /// serving, and aborts the query for a replan on any mismatch.
-  const void* lazy_seg = nullptr;
-  uint64_t lazy_limit = 0;
-  std::vector<int> lazy_cols;
-
   /// Per-column type tags, parallel to `cols` (may be shorter: untagged
   /// suffix). Mutable because profiling is a cache fill over logically-const
   /// column data; batches are single-owner, never profiled concurrently.
@@ -109,7 +97,13 @@ struct RowBatch {
   const ColTag* ProfileColumn(size_t c,
                               ColTag::Type want = ColTag::Type::kUnknown) const {
     if (c >= cols.size()) return nullptr;
-    if (tags.size() < cols.size()) tags.resize(cols.size());
+    // Only as long as needed — wide batches (a scan's virtual columns) would
+    // otherwise build and drop a tag per column every batch — but with room
+    // for every column, so tags handed out earlier never move.
+    if (tags.size() <= c) {
+      tags.reserve(cols.size());
+      tags.resize(c + 1);
+    }
     ColTag& t = tags[c];
     if (t.type != ColTag::Type::kUnknown) return &t;
     const std::vector<Datum>& col = cols[c];
@@ -175,9 +169,6 @@ struct RowBatch {
     for (std::vector<Datum>& c : cols) c.clear();
     sel.clear();
     size = 0;
-    lazy_seg = nullptr;
-    lazy_limit = 0;
-    lazy_cols.clear();
     tags.clear();
   }
 

@@ -1,5 +1,7 @@
 #include "engine/row_codec.h"
 
+#include <span>
+
 #include "common/bytes.h"
 
 namespace sinew::engine {
@@ -158,8 +160,17 @@ Result<DatumRow> DecodeRow(const Schema& schema, std::string_view data) {
   return row;
 }
 
-Status DecodeRowSlots(const Schema& schema, std::string_view data,
-                      const std::vector<size_t>& slots, DatumRow* row) {
+namespace {
+
+/// The one row walker behind every partial decode: a single sequential pass
+/// over `slots` (ascending, unique) of an encoded row that skips, without
+/// copying, every value in between and stops after the last requested slot.
+/// Calls read(slot, &reader) with the reader positioned at each present
+/// requested slot's value (`read` must consume it), and null(slot) for a
+/// NULL slot or one beyond the encoded arity.
+template <typename Read, typename Null>
+Status WalkSlots(const Schema& schema, std::string_view data,
+                 std::span<const size_t> slots, Read&& read, Null&& null) {
   if (slots.empty()) return Status::OK();
   BufferReader r(data);
   ASSIGN_OR_RETURN(RowHeader h, ReadHeader(&r));
@@ -168,13 +179,13 @@ Status DecodeRowSlots(const Schema& schema, std::string_view data,
   for (size_t i = 0; i < h.ncols && i <= last; ++i) {
     if (!BitSet(h.bitmap, i)) {
       if (i == slots[next]) {
-        (*row)[i] = Datum::Null();
+        null(i);
         if (++next == slots.size()) break;
       }
       continue;
     }
     if (i == slots[next]) {
-      ASSIGN_OR_RETURN((*row)[i], ReadValue(schema.columns()[i].type, &r));
+      RETURN_NOT_OK(read(i, &r));
       if (++next == slots.size()) break;
     } else {
       RETURN_NOT_OK(SkipValue(schema.columns()[i].type, &r));
@@ -182,22 +193,53 @@ Status DecodeRowSlots(const Schema& schema, std::string_view data,
   }
   // Slots beyond the encoded arity decode as NULL.
   for (; next < slots.size(); ++next) {
-    if (slots[next] >= h.ncols) (*row)[slots[next]] = Datum::Null();
+    if (slots[next] >= h.ncols) null(slots[next]);
   }
   return Status::OK();
 }
 
+}  // namespace
+
+Status DecodeRowSlots(const Schema& schema, std::string_view data,
+                      const std::vector<size_t>& slots, DatumRow* row) {
+  return WalkSlots(
+      schema, data, slots,
+      [&](size_t slot, BufferReader* r) -> Status {
+        ASSIGN_OR_RETURN((*row)[slot],
+                         ReadValue(schema.columns()[slot].type, r));
+        return Status::OK();
+      },
+      [&](size_t slot) { (*row)[slot] = Datum::Null(); });
+}
+
 Result<Datum> DecodeRowColumn(const Schema& schema, std::string_view data,
                               size_t slot) {
-  BufferReader r(data);
-  ASSIGN_OR_RETURN(RowHeader h, ReadHeader(&r));
-  if (slot >= h.ncols) return Datum::Null();
-  if (!BitSet(h.bitmap, slot)) return Datum::Null();
-  for (size_t i = 0; i < slot; ++i) {
-    if (!BitSet(h.bitmap, i)) continue;
-    RETURN_NOT_OK(SkipValue(schema.columns()[i].type, &r));
+  Datum out;
+  RETURN_NOT_OK(WalkSlots(
+      schema, data, std::span<const size_t>(&slot, 1),
+      [&](size_t, BufferReader* r) -> Status {
+        ASSIGN_OR_RETURN(out, ReadValue(schema.columns()[slot].type, r));
+        return Status::OK();
+      },
+      [](size_t) {}));
+  return out;
+}
+
+Result<std::string_view> RowSlotBytes(const Schema& schema,
+                                      std::string_view data, size_t slot) {
+  const ColumnType type = schema.columns()[slot].type;
+  if (type != ColumnType::kBytes && type != ColumnType::kText) {
+    return Status::TypeError("slot ", slot, " is not a bytes column");
   }
-  return ReadValue(schema.columns()[slot].type, &r);
+  std::string_view out;
+  RETURN_NOT_OK(WalkSlots(
+      schema, data, std::span<const size_t>(&slot, 1),
+      [&](size_t, BufferReader* r) -> Status {
+        ASSIGN_OR_RETURN(out, r->ReadLengthPrefixed());
+        return Status::OK();
+      },
+      [](size_t) {}));
+  return out;
 }
 
 }  // namespace sinew::engine

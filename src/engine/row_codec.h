@@ -39,6 +39,12 @@ Result<DatumRow> DecodeRow(const Schema& schema, std::string_view data);
 Result<Datum> DecodeRowColumn(const Schema& schema, std::string_view data,
                               size_t slot);
 
+/// The byte range of BYTES (or TEXT) slot `slot` inside `data`, without
+/// copying it; a NULL slot (or one beyond the encoded arity) returns a view
+/// with a null data pointer. Walks the row like DecodeRowSlots.
+Result<std::string_view> RowSlotBytes(const Schema& schema,
+                                      std::string_view data, size_t slot);
+
 /// Projection-pushdown decode: fills only `slots` (ascending, unique) of
 /// `row` (which must be pre-sized to schema.num_slots()); other slots are
 /// left untouched. One sequential walk that stops after the last requested

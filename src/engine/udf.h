@@ -14,7 +14,6 @@
 
 #include "common/result.h"
 #include "engine/datum.h"
-#include "engine/row_batch.h"
 
 namespace sinew::engine {
 
@@ -23,11 +22,12 @@ namespace sinew::engine {
 using UdfArgs = std::vector<const Datum*>;
 using UdfFn = std::function<Result<Datum>(const UdfArgs&)>;
 
-/// One output of a batched extraction call (plan node kExtract): read the
-/// serialized document in input slot `source_slot`, descend through the
-/// nested-object attributes `prefix_ids`, then extract `attr_id` and decode
-/// it per `type_tag` (a ValueType tag; opaque to the engine). `raw_bytes`
-/// skips decoding and emits the value's serialized bytes verbatim.
+/// One virtual column a scan produces (PlanNode::extract_targets): read the
+/// serialized document in scan output position `source_slot`, descend
+/// through the nested-object attributes `prefix_ids`, then extract `attr_id`
+/// and decode it per `type_tag` (a ValueType tag; opaque to the engine).
+/// `raw_bytes` skips decoding and emits the value's serialized bytes
+/// verbatim.
 struct ExtractTarget {
   int source_slot = -1;
   int64_t type_tag = 0;
@@ -43,10 +43,10 @@ struct BatchExtractStats {
   uint64_t attrs = 0;    // attributes requested across those decodes
 };
 
-/// Per-attribute access telemetry accumulated by the extract operator and
-/// flushed to the heat sink when the operator closes. The engine knows
-/// attributes only by (table, attr_id); the sink owner (the Sinew layer's
-/// AttributeCatalog) resolves names and aggregates across queries.
+/// Per-attribute access telemetry accumulated by the scan and flushed to the
+/// heat sink when the scan closes. The engine knows attributes only by
+/// (table, attr_id); the sink owner (the Sinew layer's AttributeCatalog)
+/// resolves names and aggregates across queries.
 struct AttrAccessSample {
   std::string table;
   uint32_t attr_id = 0;
@@ -56,20 +56,29 @@ struct AttrAccessSample {
   uint64_t decode_ns = 0;         // share of reservoir decode time
 };
 
-/// Receives attribute-heat samples at operator close. Called on the query
-/// thread; implementations must be thread-safe across concurrent queries.
+/// Receives attribute-heat samples at scan close. Called on the query thread
+/// or a Gather worker; implementations must be thread-safe across concurrent
+/// queries.
 using HeatSinkFn = std::function<void(const std::vector<AttrAccessSample>&)>;
 
-/// Batched extraction function: serves every listed lane of a RowBatch in
-/// one call, filling (*out_cols)[t][k] from targets[t] for the k-th entry of
-/// `lanes` (NULL-source lanes stay NULL). The planner guarantees targets
-/// arrive grouped by source_slot and sorted by (prefix_ids, attr_id), so
-/// implementations can decode each source once per lane and merge-join all
-/// wanted ids in a single header pass.
+/// One value a batched extraction found: targets[target] of docs[doc].
+struct ExtractedValue {
+  uint32_t doc = 0;
+  uint32_t target = 0;
+  Datum value;
+};
+
+/// Batched extraction function: appends an ExtractedValue to *out for every
+/// target a document holds — attributes a document lacks (and NULL sources)
+/// append nothing, and read as NULL. docs[k] is a view into the row bytes,
+/// valid for the call only; a view with a null data pointer is a NULL
+/// source. Every target reads the same source column, sorted by
+/// (prefix_ids, attr_id), so implementations can walk each document's
+/// header once and merge-join all wanted ids in a single pass.
 using BatchExtractFn = std::function<Status(
-    const RowBatch& batch, const std::vector<uint32_t>& lanes,
+    const std::vector<std::string_view>& docs,
     const std::vector<ExtractTarget>& targets,
-    std::vector<std::vector<Datum>>* out_cols, BatchExtractStats* stats)>;
+    std::vector<ExtractedValue>* out, BatchExtractStats* stats)>;
 
 class UdfRegistry {
  public:
@@ -85,21 +94,19 @@ class UdfRegistry {
 
   bool Contains(std::string_view name) const { return Find(name) != nullptr; }
 
-  /// Registers (or replaces) a batched extraction function (the engine's
-  /// kExtract node resolves its implementation through here, keeping the
-  /// serialized-format knowledge outside the engine).
-  void RegisterBatchExtract(std::string name, BatchExtractFn fn) {
-    batch_extract_[std::move(name)] = std::move(fn);
-  }
+  /// Installs the batched extraction function scans use for their virtual
+  /// columns (keeping the serialized-format knowledge outside the engine).
+  /// Unset by default: the planner then leaves extraction calls on the
+  /// scalar UDF path.
+  void SetBatchExtract(BatchExtractFn fn) { batch_extract_ = std::move(fn); }
 
-  const BatchExtractFn* FindBatchExtract(std::string_view name) const {
-    auto it = batch_extract_.find(name);
-    return it == batch_extract_.end() ? nullptr : &it->second;
+  const BatchExtractFn* batch_extract() const {
+    return batch_extract_ ? &batch_extract_ : nullptr;
   }
 
   /// Installs the attribute-heat sink (RegisterSinewFunctions points it at
-  /// the AttributeCatalog). Unset by default: the extract operator skips all
-  /// heat accounting when no sink is present.
+  /// the AttributeCatalog). Unset by default: scans skip all heat accounting
+  /// when no sink is present.
   void SetHeatSink(HeatSinkFn sink) { heat_sink_ = std::move(sink); }
 
   const HeatSinkFn* heat_sink() const {
@@ -108,7 +115,7 @@ class UdfRegistry {
 
  private:
   std::map<std::string, UdfFn, std::less<>> fns_;
-  std::map<std::string, BatchExtractFn, std::less<>> batch_extract_;
+  BatchExtractFn batch_extract_;
   HeatSinkFn heat_sink_;
 };
 

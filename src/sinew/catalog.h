@@ -44,7 +44,7 @@ struct AttributeState {
 
 /// Per-table, per-attribute access telemetry, aggregated across queries —
 /// the workload signal the adaptive materializer (ROADMAP item 3) reads.
-/// Fed by the engine's extract operator through the UdfRegistry heat sink;
+/// Fed by the engine's scans through the UdfRegistry heat sink;
 /// surfaced as the `sinew_attribute_stats` system table.
 struct AttrHeat {
   uint64_t extract_requests = 0;   // lanes that asked for this attribute

@@ -9,7 +9,8 @@
 // across strips), and at least `min_density` dense. The shredder then
 // replays the exact chain-extraction the executor performs — canonical
 // object-id prefix descent plus one ExtractMany header pass per row — so a
-// strip value is byte-for-byte what sinew_extract_many would have decoded.
+// strip value is byte-for-byte what the batched extractor would have
+// decoded.
 
 #ifndef SINEW_SINEW_COLUMNAR_SHREDDER_H_
 #define SINEW_SINEW_COLUMNAR_SHREDDER_H_

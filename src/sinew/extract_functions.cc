@@ -153,18 +153,16 @@ engine::UdfFn MakeTypedExtractor(AttributeCatalog* catalog,
   };
 }
 
-/// Extracts targets [i, j) — one source-slot group — from a single
-/// serialized document, writing target k's decoded value to
-/// (*out_cols)[k][lane] (absent attributes are never written, so callers
-/// pre-fill NULLs). Targets sharing a prefix chain share one nested-object
-/// descent, and all attribute ids under a chain resolve in a single header
-/// pass (DocumentView::ExtractMany).
-Status ExtractGroupFromDoc(const AttributeCatalog& catalog,
-                           const std::vector<engine::ExtractTarget>& targets,
-                           size_t i, size_t j, std::string_view doc,
-                           std::vector<std::vector<Datum>>* out_cols,
-                           size_t lane) {
-  size_t g = i;
+/// Extracts every target from the serialized document `doc`, appending one
+/// value, tagged with `doc_index`, per attribute present. Targets sharing a prefix chain share
+/// one nested-object descent, and all attribute ids under a chain resolve in
+/// a single header pass (DocumentView::ExtractMany).
+Status ExtractFromDoc(const AttributeCatalog& catalog,
+                      const std::vector<engine::ExtractTarget>& targets,
+                      std::string_view doc, uint32_t doc_index,
+                      std::vector<engine::ExtractedValue>* out) {
+  const size_t j = targets.size();
+  size_t g = 0;
   while (g < j) {
     size_t h = g;
     while (h < j && targets[h].prefix_ids == targets[g].prefix_ids) ++h;
@@ -184,7 +182,7 @@ Status ExtractGroupFromDoc(const AttributeCatalog& catalog,
       continue;
     }
     // Scratch buffers are thread_local: the registered std::function is
-    // shared by every worker clone of the Extract operator.
+    // shared by every scan, Gather workers included.
     thread_local std::vector<uint32_t> wanted;
     thread_local std::vector<std::optional<std::string_view>> values;
     wanted.clear();
@@ -196,18 +194,20 @@ Status ExtractGroupFromDoc(const AttributeCatalog& catalog,
       const std::optional<std::string_view>& bytes = values[k - g];
       if (!bytes.has_value()) continue;
       const engine::ExtractTarget& t = targets[k];
+      engine::ExtractedValue& e = out->emplace_back();
+      e.doc = doc_index;
+      e.target = static_cast<uint32_t>(k);
       if (t.raw_bytes) {
-        (*out_cols)[k][lane] = Datum::Bytes(std::string(*bytes));
+        e.value = Datum::Bytes(std::string(*bytes));
         continue;
       }
       ValueType type = static_cast<ValueType>(t.type_tag);
       if (type == ValueType::kObject || type == ValueType::kArray) {
         ASSIGN_OR_RETURN(Value v,
                          serial::DecodeValueBody(type, *bytes, catalog));
-        (*out_cols)[k][lane] = Datum::Text(v.ToJson());
+        e.value = Datum::Text(v.ToJson());
       } else {
-        ASSIGN_OR_RETURN((*out_cols)[k][lane],
-                         DecodeScalarTyped(catalog, type, *bytes));
+        ASSIGN_OR_RETURN(e.value, DecodeScalarTyped(catalog, type, *bytes));
       }
     }
     g = h;
@@ -215,55 +215,32 @@ Status ExtractGroupFromDoc(const AttributeCatalog& catalog,
   return Status::OK();
 }
 
-/// The batched fast path behind the planner's kExtract node: one call serves
-/// every selected lane of a RowBatch, decoding each lane's reservoir header
-/// once per source column and serving every wanted attribute from that
-/// single pass (DocumentView::ExtractMany). Targets arrive grouped by source
-/// slot and sorted by (prefix chain, attr id); equal prefix chains share one
-/// descent. Dispatch, target grouping, slot checks and stats/metrics updates
-/// amortize over the whole batch.
+/// The batched extractor behind scans' virtual columns: one call serves
+/// every lane handed over, walking each lane's reservoir header once and
+/// serving every wanted attribute from that single pass
+/// (DocumentView::ExtractMany). Targets arrive sorted by (prefix chain, attr
+/// id); equal prefix chains share one descent. Dispatch and stats/metrics
+/// updates amortize over the whole batch.
 engine::BatchExtractFn MakeBatchExtractor(AttributeCatalog* catalog) {
-  return [catalog](const engine::RowBatch& batch,
-                   const std::vector<uint32_t>& lanes,
+  return [catalog](const std::vector<std::string_view>& docs,
                    const std::vector<engine::ExtractTarget>& targets,
-                   std::vector<std::vector<Datum>>* out_cols,
+                   std::vector<engine::ExtractedValue>* out,
                    engine::BatchExtractStats* stats) -> Status {
     static metrics::Counter* decodes_counter =
         metrics::GetCounter("reservoir.decodes");
     static metrics::Histogram* attrs_hist =
         metrics::GetHistogram("reservoir.attrs_per_decode");
-    out_cols->resize(targets.size());
-    for (std::vector<Datum>& col : *out_cols) {
-      col.assign(lanes.size(), Datum::Null());
+    uint64_t decoded = 0;
+    for (size_t n = 0; n < docs.size(); ++n) {
+      if (docs[n].data() == nullptr) continue;  // NULL source
+      ++decoded;
+      RETURN_NOT_OK(ExtractFromDoc(*catalog, targets, docs[n],
+                                   static_cast<uint32_t>(n), out));
     }
-    size_t i = 0;
-    while (i < targets.size()) {
-      const int slot = targets[i].source_slot;
-      size_t j = i;
-      while (j < targets.size() && targets[j].source_slot == slot) ++j;
-      if (slot < 0 || static_cast<size_t>(slot) >= batch.num_cols()) {
-        return Status::Internal("sinew_extract_many: source slot ", slot,
-                                " out of range");
-      }
-      const std::vector<Datum>& src_col = batch.cols[slot];
-      uint64_t decoded = 0;
-      for (size_t n = 0; n < lanes.size(); ++n) {
-        const Datum& src = src_col[lanes[n]];
-        if (src.is_null()) continue;
-        if (!src.is_bytes()) {
-          return Status::TypeError(
-              "sinew_extract_many: source must be serialized data");
-        }
-        ++decoded;
-        RETURN_NOT_OK(ExtractGroupFromDoc(*catalog, targets, i, j, src.str(),
-                                          out_cols, n));
-      }
-      stats->decodes += decoded;
-      stats->attrs += decoded * (j - i);
-      decodes_counter->Add(decoded);
-      attrs_hist->ObserveN(j - i, decoded);
-      i = j;
-    }
+    stats->decodes += decoded;
+    stats->attrs += decoded * targets.size();
+    decodes_counter->Add(decoded);
+    attrs_hist->ObserveN(targets.size(), decoded);
     return Status::OK();
   };
 }
@@ -285,10 +262,10 @@ void RegisterSinewFunctions(engine::UdfRegistry* registry,
   // against this catalog; lives as long as any of the registered closures.
   auto cache = std::make_shared<PathResolutionCache>();
 
-  // Attribute heat: the extract operator accumulates per-target access
-  // tallies and flushes them here at close; the catalog aggregates them
-  // across queries (surfaced as sinew_attribute_stats). Called from Gather
-  // worker threads too — RecordHeat is mutex-guarded.
+  // Attribute heat: the scan accumulates per-target access tallies and
+  // flushes them here at close; the catalog aggregates them across queries
+  // (surfaced as sinew_attribute_stats). Called from Gather worker threads
+  // too — RecordHeat is mutex-guarded.
   registry->SetHeatSink(
       [catalog](const std::vector<engine::AttrAccessSample>& samples) {
         const uint64_t ordinal = qlog::QueryLog::Global()->CurrentOrdinal();
@@ -360,10 +337,9 @@ void RegisterSinewFunctions(engine::UdfRegistry* registry,
         return Datum::Null();
       });
 
-  // Batched extraction behind the planner's SinewExtract node: one reservoir
-  // decode per row serves every hoisted virtual-attribute reference.
-  registry->RegisterBatchExtract("sinew_extract_many",
-                                 MakeBatchExtractor(catalog));
+  // Batched extraction behind scans' virtual columns: one reservoir decode
+  // per row serves every virtual-attribute reference of a pipeline.
+  registry->SetBatchExtract(MakeBatchExtractor(catalog));
 
   // Chain extraction: the query rewriter resolves a dotted path to the
   // attribute-ID descent chain at rewrite time, so the per-row work is pure

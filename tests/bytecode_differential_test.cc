@@ -370,9 +370,9 @@ TEST_F(BytecodeDifferentialTest, ProjectionShapes) {
 }
 
 TEST_F(BytecodeDifferentialTest, ExtractionChainsUnderBytecode) {
-  // Virtual-attribute access routed through extraction (hoisted kExtract
-  // feeding compiled colref comparisons, or — with deep paths — UDF chains):
-  // the dominant Sinew shape the fused opcodes exist for.
+  // Virtual-attribute access routed through extraction (scan-produced
+  // columns feeding compiled colref comparisons, or — with deep paths — UDF
+  // chains): the dominant Sinew shape the fused opcodes exist for.
   ExpectSameAcrossConfigs(
       "SELECT \"nested_obj.num\" AS nn FROM nobench_main "
       "WHERE \"nested_obj.num\" BETWEEN 10 AND 300");

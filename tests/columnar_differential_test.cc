@@ -7,8 +7,8 @@
 // sparse/absent paths — so each query mixes strip-served and
 // reservoir-served attributes in one plan.
 //
-// Each equivalence is checked serially AND under Gather (parallel clones of
-// the extraction operator bind their own segment snapshot);
+// Each equivalence is checked serially AND under Gather (parallel scan
+// clones resolve the attached segment on their own);
 // SINEW_DIFF_PARALLELISM overrides the parallel degree (default 4), and
 // CMake registers the suite a second time at degree 2.
 
@@ -330,18 +330,16 @@ TEST_F(ColumnarDifferentialTest, ZoneSkipsVisibleAndSound) {
 }
 
 TEST_F(ColumnarDifferentialTest, DistinctDisablesDeferredBytes) {
-  // DISTINCT puts a kUnique node in the pipeline, which compares entire
-  // rows — the planner must then keep the reservoir bytes decoded even
-  // though the projected attributes are strip-servable. The equivalence
-  // (and row counts) would break if the scan deferred the bytes here.
+  // DISTINCT over strip-servable attributes: the scan never decodes the
+  // reservoir for them, and the deduplication must still see every value.
   ExpectSameResults("SELECT DISTINCT str1 AS s FROM docs");
   ExpectSameResults("SELECT DISTINCT thousandth AS t, bool AS b FROM docs");
 }
 
 TEST_F(ColumnarDifferentialTest, UpdateDetachesSegmentAndStaysCorrect) {
-  // A value update detaches the columnar segment and bumps the mutation
-  // version: queries planned before or after must fall back to reservoir
-  // bytes (never serving stale strip values or NULLs for deferred bytes).
+  // A value update detaches the columnar segment: queries planned before or
+  // after must fall back to reservoir bytes (never serving stale strip
+  // values).
   // Fresh dbs so the shared fixture's segments stay attached.
   std::ostringstream jsonl;
   for (int i = 0; i < 2500; ++i) {

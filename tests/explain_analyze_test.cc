@@ -166,24 +166,26 @@ TEST(SinewExtractExplainTest, GoldenNodeAndAnalyzeStats) {
   }
   ASSERT_TRUE(db.LoadJsonLines("docs", jsonl.str()).ok());
 
-  // EXPLAIN pins the node name and its resolved-attribute count: three
-  // virtual references over one scan fold into one extraction node.
+  // EXPLAIN pins the scan's extraction and its resolved-attribute count:
+  // three virtual references over one scan are three scan columns.
   auto plan = db.Explain("SELECT a AS x, b AS y, c AS z FROM docs");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_NE(plan->find("SinewExtract (attrs=3, sources=1)"),
+  EXPECT_NE(plan->find("Seq Scan on docs SinewExtract (attrs=3, sources=1)"),
             std::string::npos)
       << *plan;
 
-  // EXPLAIN ANALYZE reports the node's actuals: one reservoir decode per
-  // row, three attributes served per decode.
+  // EXPLAIN ANALYZE reports the scan's extraction actuals: one reservoir
+  // decode per row, three attributes served per decode, and the time spent.
   auto analyzed =
       db.Query("EXPLAIN ANALYZE SELECT a AS x, b AS y, c AS z FROM docs");
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   std::string text = ExplainText(*analyzed);
-  EXPECT_NE(text.find("SinewExtract (attrs=3, sources=1)"),
+  EXPECT_NE(text.find("Seq Scan on docs SinewExtract (attrs=3, sources=1)"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("(decodes=100 attrs=300 columnar_hits=0)"), std::string::npos) << text;
+  EXPECT_NE(text.find("(decodes=100 attrs=300 columnar_hits=0 extract_time="),
+            std::string::npos)
+      << text;
   EXPECT_NE(text.find("actual rows=100"), std::string::npos) << text;
 }
 

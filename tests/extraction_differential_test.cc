@@ -1,17 +1,17 @@
-// Extraction-equivalence differential tests: every query must return the
-// scalar oracle's multiset of rows (tests/scalar_oracle.h; the per-attribute
-// configuration's for shapes outside its reach) whether virtual attributes
-// are extracted through the batched SinewExtract node (planner hoist +
-// DocumentView::ExtractMany, the default) or through one chain-UDF call per
-// reference (enable_batched_extraction = false). The corpus is NoBench-shaped:
-// multi-typed keys, nested objects, arrays, sparse/absent paths — plus a
-// dirty partially-materialized column so the COALESCE(column, extract(...))
-// form runs above the batched node.
+// Extraction differential tests: every query must return the scalar
+// oracle's multiset of rows (tests/scalar_oracle.h: rewritten expressions,
+// chain UDFs and scalar EvalExpr over every stored row) while the executor
+// produces each virtual attribute as a scan column. The corpus is
+// NoBench-shaped — multi-typed keys, nested objects, arrays, sparse/absent
+// paths — and its physical design mixes every storage state a scan column
+// can come from: a dirty partially-materialized column (COALESCE(column,
+// extract(...))), strips over the cold rows, a hot tail appended past the
+// segment, and a second table whose segment an UPDATE detached.
 //
-// Each equivalence is checked serially AND under Gather (parallel clones of
-// the extraction operator share one plan); SINEW_DIFF_PARALLELISM overrides
-// the parallel degree (default 4), and CMake registers the suite a second
-// time at degree 2.
+// Each query runs at batch sizes 1, 3 and 1024, serially AND under Gather
+// (parallel scan clones extract on their own); SINEW_DIFF_PARALLELISM
+// overrides the parallel degree (default 4), and CMake registers the suite a
+// second time at degree 2.
 
 #include <gtest/gtest.h>
 
@@ -79,8 +79,10 @@ std::vector<std::string> CanonicalRows(const engine::QueryResult& result) {
 
 class ExtractionDifferentialTest : public ::testing::Test {
  protected:
-  static constexpr uint64_t kRecords = 2000;
+  static constexpr uint64_t kRecords = 2000;  // ~2 strips of 1024 rows
+  static constexpr uint64_t kHotRecords = 300;
   static constexpr const char* kTable = "docs";
+  static constexpr const char* kUpdated = "upd";
 
   static void SetUpTestSuite() {
     nb::Config config;
@@ -88,103 +90,131 @@ class ExtractionDifferentialTest : public ::testing::Test {
     config.seed = 20140622;  // deterministic corpus
     docs_ = new std::vector<Value>(nb::Generate(config));
     params_ = new nb::QueryParams(nb::MakeQueryParams(config));
+    config.num_records = kHotRecords;
+    config.seed = 8;
+    const std::vector<Value> hot = nb::Generate(config);
 
-    batched_serial_ = new SinewDb(MakeOptions(1, /*batched=*/true));
-    per_attr_serial_ = new SinewDb(MakeOptions(1, /*batched=*/false));
-    batched_parallel_ =
-        new SinewDb(MakeOptions(ParallelDegree(), /*batched=*/true));
-    per_attr_parallel_ =
-        new SinewDb(MakeOptions(ParallelDegree(), /*batched=*/false));
-    for (SinewDb* db : AllDbs()) {
+    dbs_ = new std::vector<Config>();
+    for (size_t batch : {1, 3, 1024}) {
+      for (int parallelism : {1, ParallelDegree()}) {
+        dbs_->push_back(
+            Config{new SinewDb(MakeOptions(parallelism, batch)),
+                   "batch=" + std::to_string(batch) +
+                       (parallelism > 1 ? ", parallel" : ", serial")});
+      }
+    }
+    for (const Config& c : *dbs_) {
+      SinewDb* db = c.db;
       ASSERT_TRUE(db->LoadDocuments(kTable, *docs_).ok());
-      // Identical physical design everywhere, chosen to exercise the dirty
-      // COALESCE path: str1 is partially materialized (a bounded
-      // materializer step moves only a prefix of the rows, leaving the
-      // attribute dirty), num fully materialized and clean.
+      // str1 is partially materialized (a bounded materializer step moves
+      // only a prefix of the rows, leaving the attribute dirty), num fully
+      // materialized and clean. The shred then covers the cold rows; the
+      // hot tail lands past the segment.
       ASSERT_TRUE(db->ForceMaterialization(kTable, "num", true).ok());
       ASSERT_TRUE(db->ForceMaterialization(kTable, "str1", true).ok());
       Result<uint64_t> moved = db->MaterializeStep(kTable, kRecords / 4);
       ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+      Status built = db->BuildColumnarSegments(kTable);
+      ASSERT_TRUE(built.ok()) << built.ToString();
+      ASSERT_TRUE(db->LoadDocuments(kTable, hot).ok());
+      // A shredded table whose segment an UPDATE later detaches (see
+      // RowsAfterUpdateDetachesSegment).
+      ASSERT_TRUE(db->LoadDocuments(kUpdated, *docs_).ok());
+      built = db->BuildColumnarSegments(kUpdated);
+      ASSERT_TRUE(built.ok()) << built.ToString();
     }
   }
 
   static void TearDownTestSuite() {
-    for (SinewDb* db : AllDbs()) delete db;
-    batched_serial_ = per_attr_serial_ = nullptr;
-    batched_parallel_ = per_attr_parallel_ = nullptr;
+    for (const Config& c : *dbs_) delete c.db;
+    delete dbs_;
     delete params_;
     delete docs_;
+    dbs_ = nullptr;
     params_ = nullptr;
     docs_ = nullptr;
   }
 
-  static std::vector<SinewDb*> AllDbs() {
-    return {batched_serial_, per_attr_serial_, batched_parallel_,
-            per_attr_parallel_};
-  }
-
-  static SinewOptions MakeOptions(int parallelism, bool batched) {
+  static SinewOptions MakeOptions(int parallelism, size_t batch_size) {
     SinewOptions options;
     options.parallelism = parallelism;
-    options.planner.enable_batched_extraction = batched;
+    options.exec.batch_size = batch_size;
     // Force parallel plans at test scale.
     options.planner.parallel_min_rows = 1;
     return options;
   }
 
-  /// Asserts the batched and per-attribute paths, serially and under
-  /// Gather, all return the golden multiset.
-  void ExpectSameResults(const std::string& sql) {
-    SCOPED_TRACE(sql);
-    Result<engine::QueryResult> golden =
-        oracle::GoldenQuery(per_attr_serial_, sql);
-    Result<engine::QueryResult> bs = batched_serial_->Query(sql);
-    Result<engine::QueryResult> ps = per_attr_serial_->Query(sql);
-    Result<engine::QueryResult> bp = batched_parallel_->Query(sql);
-    Result<engine::QueryResult> pp = per_attr_parallel_->Query(sql);
-    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-    ASSERT_TRUE(bs.ok()) << bs.status().ToString();
-    ASSERT_TRUE(ps.ok()) << ps.status().ToString();
-    ASSERT_TRUE(bp.ok()) << bp.status().ToString();
-    ASSERT_TRUE(pp.ok()) << pp.status().ToString();
-    const std::vector<std::string> golden_rows = CanonicalRows(*golden);
-    EXPECT_EQ(CanonicalRows(*bs), golden_rows) << "batched, serial";
-    EXPECT_EQ(CanonicalRows(*ps), golden_rows) << "per-attr, serial";
-    EXPECT_EQ(CanonicalRows(*bp), golden_rows) << "batched, parallel";
-    EXPECT_EQ(CanonicalRows(*pp), golden_rows) << "per-attr, parallel";
+  static SinewDb* Reference() { return dbs_->front().db; }
+
+  /// Asserts every configuration returns `golden_rows`, and that the plan
+  /// leaves no chain-extraction call for the executor to run per row.
+  void ExpectRows(const std::string& sql,
+                  const std::vector<std::string>& golden_rows) {
+    for (const Config& c : *dbs_) {
+      Result<engine::QueryResult> got = c.db->Query(sql);
+      ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
+      EXPECT_EQ(CanonicalRows(*got), golden_rows) << c.name;
+      Result<std::string> plan = c.db->Explain(sql);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      EXPECT_EQ(plan->find("sinew_extract_chain"), std::string::npos)
+          << c.name << "\n" << *plan;
+    }
   }
 
+  /// Asserts every configuration returns the golden multiset: the scalar
+  /// oracle's, or the reference configuration's for shapes outside its
+  /// reach (aggregation, LIMIT).
+  void ExpectSameResults(const std::string& sql) {
+    SCOPED_TRACE(sql);
+    Result<engine::QueryResult> golden = oracle::GoldenQuery(Reference(), sql);
+    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+    ExpectRows(sql, CanonicalRows(*golden));
+  }
+
+  /// EXPLAIN ANALYZE counter `key` (e.g. "columnar_hits=") of `sql` on the
+  /// reference configuration.
+  static uint64_t AnalyzeCounter(const std::string& sql,
+                                 const std::string& key) {
+    Result<engine::QueryResult> r =
+        Reference()->Query("EXPLAIN ANALYZE " + sql);
+    if (!r.ok()) return 0;
+    std::string text;
+    for (const engine::DatumRow& row : r->rows) text += row[0].str() + "\n";
+    const size_t pos = text.find(key);
+    if (pos == std::string::npos) return 0;
+    return std::strtoull(text.c_str() + pos + key.size(), nullptr, 10);
+  }
+
+  struct Config {
+    SinewDb* db;
+    std::string name;
+  };
   static std::vector<Value>* docs_;
   static nb::QueryParams* params_;
-  static SinewDb* batched_serial_;
-  static SinewDb* per_attr_serial_;
-  static SinewDb* batched_parallel_;
-  static SinewDb* per_attr_parallel_;
+  static std::vector<Config>* dbs_;
 };
 
 std::vector<Value>* ExtractionDifferentialTest::docs_ = nullptr;
 nb::QueryParams* ExtractionDifferentialTest::params_ = nullptr;
-SinewDb* ExtractionDifferentialTest::batched_serial_ = nullptr;
-SinewDb* ExtractionDifferentialTest::per_attr_serial_ = nullptr;
-SinewDb* ExtractionDifferentialTest::batched_parallel_ = nullptr;
-SinewDb* ExtractionDifferentialTest::per_attr_parallel_ = nullptr;
+std::vector<ExtractionDifferentialTest::Config>*
+    ExtractionDifferentialTest::dbs_ = nullptr;
 
 TEST_F(ExtractionDifferentialTest, ConfigurationsActuallyDiffer) {
-  // Guard against comparing the batched path to itself: the batched plan
-  // must contain the SinewExtract node, the per-attribute plan must not.
-  const char* sql = "SELECT str2 AS a, thousandth AS b FROM docs";
-  Result<std::string> batched = batched_serial_->Explain(sql);
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  EXPECT_NE(batched->find("SinewExtract"), std::string::npos) << *batched;
-  Result<std::string> per_attr = per_attr_serial_->Explain(sql);
-  ASSERT_TRUE(per_attr.ok()) << per_attr.status().ToString();
-  EXPECT_EQ(per_attr->find("SinewExtract"), std::string::npos) << *per_attr;
-  // And the parallel batched plan keeps the node below Gather.
-  Result<std::string> parallel = batched_parallel_->Explain(sql);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_NE(parallel->find("Gather (workers="), std::string::npos)
-      << *parallel;
-  EXPECT_NE(parallel->find("SinewExtract"), std::string::npos) << *parallel;
+  // Guard against comparing one plan with itself: every configuration's
+  // scan carries the virtual columns, and the parallel ones run it below
+  // Gather. The fixture's cold rows are served from strips.
+  const std::string sql = "SELECT str2 AS a, thousandth AS b FROM docs";
+  for (const Config& c : *dbs_) {
+    Result<std::string> plan = c.db->Explain(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NE(plan->find("Seq Scan on docs SinewExtract (attrs=2, sources=1)"),
+              std::string::npos)
+        << c.name << "\n" << *plan;
+    const bool parallel = c.name.find("parallel") != std::string::npos;
+    EXPECT_EQ(plan->find("Gather (workers=") != std::string::npos, parallel)
+        << c.name << "\n" << *plan;
+  }
+  EXPECT_GT(AnalyzeCounter(sql, "columnar_hits="), 0u);
 }
 
 TEST_F(ExtractionDifferentialTest, MultiAttributeProjection) {
@@ -216,11 +246,36 @@ TEST_F(ExtractionDifferentialTest, SparseAndAbsentPaths) {
 }
 
 TEST_F(ExtractionDifferentialTest, FilterSharesDecodeWithProjection) {
-  // str2 and thousandth appear in the predicate (two sites, extracted below
-  // the rebuilt filter); the projection reuses str2's output column while
-  // bool, a lone projection-only site, stays on the chain path.
+  // str2 and thousandth are predicate columns, extracted for every row; the
+  // projection reuses str2's column, and bool is extracted for survivors.
   ExpectSameResults("SELECT str2 AS s, bool AS b FROM docs WHERE str2 = '" +
                     params_->q5_str1 + "' OR thousandth < 100");
+}
+
+TEST_F(ExtractionDifferentialTest, LoneVirtualPredicateAndLoneProjection) {
+  // One predicate site and one projection site, each alone on its side of
+  // the filter; and a lone predicate under SELECT *.
+  ExpectSameResults("SELECT str2 AS s FROM docs WHERE thousandth < 50");
+  ExpectSameResults("SELECT thousandth AS t FROM docs");
+  ExpectSameResults("SELECT * FROM docs WHERE " + params_->q9_sparse_key +
+                    " = '" + params_->q9_value + "'");
+}
+
+TEST_F(ExtractionDifferentialTest, PredicateAndProjectionShareOneAttribute) {
+  ExpectSameResults("SELECT thousandth AS t FROM docs WHERE thousandth < 50");
+  ExpectSameResults("SELECT str2 AS s, str2 AS again FROM docs WHERE str2 = '" +
+                    params_->q5_str1 + "'");
+}
+
+TEST_F(ExtractionDifferentialTest, DynBetween) {
+  // The multi-typed key has no strips: every lane decodes the reservoir,
+  // and the string and bool variants must not satisfy the int range.
+  ExpectSameResults("SELECT dyn1 AS d FROM docs WHERE dyn1 BETWEEN " +
+                    std::to_string(params_->q7_lo) + " AND " +
+                    std::to_string(params_->q7_hi));
+  ExpectSameResults("SELECT * FROM docs WHERE dyn1 BETWEEN " +
+                    std::to_string(params_->q7_lo) + " AND " +
+                    std::to_string(params_->q7_hi));
 }
 
 TEST_F(ExtractionDifferentialTest, ArraysAndContainment) {
@@ -232,13 +287,58 @@ TEST_F(ExtractionDifferentialTest, ArraysAndContainment) {
 
 TEST_F(ExtractionDifferentialTest, DirtyColumnCoalesce) {
   // str1 is materialized but dirty: readers COALESCE the physical column
-  // with reservoir extraction, and the extraction feeding the COALESCE is
-  // itself hoisted into the batched node.
+  // with reservoir extraction, and the extraction inside the COALESCE is a
+  // scan column like any other.
   ExpectSameResults("SELECT str1 AS s, num AS n FROM docs WHERE str1 = '" +
                     params_->q5_str1 + "'");
   ExpectSameResults(
       "SELECT str1 AS s, str2 AS t, thousandth AS k FROM docs "
       "WHERE num >= 0");
+}
+
+TEST_F(ExtractionDifferentialTest, HotTailRowsPastSegment) {
+  // The hot tail lies past the segment: each batch splits into
+  // strip-served cold lanes and reservoir-served hot lanes, in predicate
+  // and projection columns alike.
+  ExpectSameResults("SELECT str2 AS s, thousandth AS t FROM docs");
+  ExpectSameResults("SELECT str2 AS s, bool AS b FROM docs WHERE "
+                    "thousandth >= 990");
+  ExpectSameResults("SELECT * FROM docs WHERE thousandth = 7");
+  EXPECT_GT(AnalyzeCounter("SELECT str2 AS s FROM docs", "decodes="), 0u);
+}
+
+TEST_F(ExtractionDifferentialTest, RowsAfterUpdateDetachesSegment) {
+  const std::string sql = "SELECT str2 AS s, thousandth AS t FROM upd";
+  ASSERT_GT(AnalyzeCounter(sql, "columnar_hits="), 0u);
+  for (const Config& c : *dbs_) {
+    Result<engine::QueryResult> updated = c.db->Query(
+        "UPDATE upd SET str2 = 'updated' WHERE thousandth < 20");
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  }
+  // The update detached the segment: every lane now decodes row bytes.
+  EXPECT_EQ(AnalyzeCounter(sql, "columnar_hits="), 0u);
+  ExpectSameResults(sql);
+  ExpectSameResults("SELECT * FROM upd WHERE str2 = 'updated'");
+  ExpectSameResults("SELECT thousandth AS t FROM upd WHERE str2 = 'updated'");
+}
+
+TEST_F(ExtractionDifferentialTest, DistinctOverStripServedAttributes) {
+  // DISTINCT is outside the scalar oracle: dedupe its answer for the
+  // non-DISTINCT query instead.
+  for (const char* list : {"thousandth AS t, bool AS b", "str2 AS s"}) {
+    const std::string sql =
+        std::string("SELECT DISTINCT ") + list + " FROM docs";
+    SCOPED_TRACE(sql);
+    Result<engine::QueryResult> all = oracle::ScalarOracleQuery(
+        Reference(), std::string("SELECT ") + list + " FROM docs");
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    std::vector<std::string> golden = CanonicalRows(*all);
+    golden.erase(std::unique(golden.begin(), golden.end()), golden.end());
+    ExpectRows(sql, golden);
+  }
+  EXPECT_GT(AnalyzeCounter("SELECT DISTINCT thousandth AS t FROM docs",
+                           "columnar_hits="),
+            0u);
 }
 
 TEST_F(ExtractionDifferentialTest, AggregationOverVirtualAttributes) {

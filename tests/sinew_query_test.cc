@@ -150,42 +150,42 @@ TEST_F(SinewQueryTest, TextIndexCoversMaterializedArraysAndObjects) {
 }
 
 TEST_F(SinewQueryTest, ExplainShowsRewrittenPlan) {
-  // Projection attributes batch into one extraction node; a lone predicate
-  // site stays pushed into the scan on the chain path, so rows the filter
-  // drops are never materialized.
+  // Every virtual attribute is a column the scan produces: the predicate
+  // attribute (extracted for every row, before the pushed-down filter runs)
+  // and the projection attributes (extracted for survivors) alike. No
+  // per-row chain-extraction call is left in the plan.
   auto plan = db_.Explain("SELECT owner, url FROM logs WHERE hits > 20");
   ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("SinewExtract (attrs=2, sources=1)"),
+  EXPECT_NE(plan->find("Seq Scan on logs (filter: (\"$x1\" > 20)) "
+                       "SinewExtract (attrs=3, sources=1)"),
             std::string::npos)
       << *plan;
-  EXPECT_NE(plan->find("Seq Scan on logs (filter: "), std::string::npos)
-      << *plan;
-  // Two predicate sites batch below the rebuilt filter; an attribute
-  // referenced by BOTH predicate and projection (owner) is extracted once
-  // there and the projection reuses its output column, while the remaining
-  // projection-only attributes extract above the filter.
+  EXPECT_EQ(plan->find("sinew_extract_chain"), std::string::npos) << *plan;
+  // An attribute referenced by BOTH predicate and projection (owner) is
+  // one column: extracted once, before the filter, and projected from there.
   auto shared = db_.Explain(
       "SELECT owner, url, country FROM logs "
       "WHERE hits > 20 AND owner IS NOT NULL");
   ASSERT_TRUE(shared.ok());
-  size_t above = shared->find("SinewExtract (attrs=2, sources=1)");
-  size_t filter = shared->find("Filter (");
-  size_t below = shared->rfind("SinewExtract (attrs=2, sources=1)");
-  ASSERT_NE(above, std::string::npos) << *shared;  // url + country
-  ASSERT_NE(filter, std::string::npos) << *shared;
-  EXPECT_LT(above, filter) << *shared;  // projection node above the filter
-  EXPECT_LT(filter, below) << *shared;  // hits + owner below it
-  // A query with a single extraction site stays on the per-attribute UDF
-  // path — there is nothing to batch.
-  auto single = db_.Explain("SELECT owner FROM logs");
-  ASSERT_TRUE(single.ok());
-  EXPECT_NE(single->find("sinew_extract_chain"), std::string::npos);
-  EXPECT_EQ(single->find("SinewExtract"), std::string::npos);
-  // So does a lone-predicate, lone-projection query: one decode per row
-  // either way, with the predicate evaluated inside the scan.
-  auto lone = db_.Explain("SELECT owner FROM logs WHERE hits > 20");
-  ASSERT_TRUE(lone.ok());
-  EXPECT_EQ(lone->find("SinewExtract"), std::string::npos) << *lone;
+  EXPECT_NE(shared->find("SinewExtract (attrs=4, sources=1)"),
+            std::string::npos)
+      << *shared;
+  EXPECT_NE(shared->find("(\"$x1\" > 20) AND (\"$x3\" IS NOT NULL)"),
+            std::string::npos)
+      << *shared;
+  EXPECT_NE(shared->find("Project [\"$x3\", "), std::string::npos) << *shared;
+  EXPECT_EQ(shared->find("Filter ("), std::string::npos) << *shared;
+  // A single extraction site, and a lone predicate with a lone projection,
+  // are scan columns too.
+  for (const char* sql :
+       {"SELECT owner FROM logs", "SELECT owner FROM logs WHERE hits > 20"}) {
+    auto single = db_.Explain(sql);
+    ASSERT_TRUE(single.ok());
+    EXPECT_NE(single->find("SinewExtract (attrs="), std::string::npos)
+        << *single;
+    EXPECT_EQ(single->find("sinew_extract_chain"), std::string::npos)
+        << *single;
+  }
 }
 
 TEST_F(SinewQueryTest, ResultsInvariantUnderMaterialization) {

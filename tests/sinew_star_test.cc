@@ -6,7 +6,7 @@
 // list of every top-level key (column names, column order and rows) in
 // every storage state an attribute can be in. A width guard pins the
 // per-column front-end cost: a star compiles no bytecode program per column
-// and hoists every virtual key into a single SinewExtract node.
+// and makes every virtual key a column of one scan (one SinewExtract).
 
 #include <gtest/gtest.h>
 
@@ -220,10 +220,10 @@ TEST_F(StarTest, OrderByStarColumn) {
 }
 
 TEST(StarWidthTest, WideStarCompilesNoPerColumnProgram) {
-  // ~2000 single-typed virtual keys: every one is hoisted into one
-  // SinewExtract node, and every projection is then a bare column ref,
-  // which compiles to no program. The only non-column-ref expression left
-  // in the plan is the pushed-down scan filter.
+  // ~2000 single-typed virtual keys: every one is a column of the scan
+  // (one SinewExtract on its line), and every projection is then a bare
+  // column ref, which compiles to no program. The only non-column-ref
+  // expression left in the plan is the pushed-down scan filter.
   constexpr int kWideKeys = 2000;
   constexpr int kKeysPerDoc = 20;
   std::ostringstream jsonl;
@@ -246,8 +246,8 @@ TEST(StarWidthTest, WideStarCompilesNoPerColumnProgram) {
     ++extracts;
   }
   EXPECT_EQ(extracts, 1u) << *plan;
-  // Every virtual key, id included (the projection's copy of id is its own
-  // target; the predicate's stays in the scan filter).
+  // Every virtual key, id included (the predicate and the projection share
+  // id's column).
   EXPECT_NE(plan->find("attrs=" + std::to_string(kWideKeys + 1)),
             std::string::npos)
       << *plan;

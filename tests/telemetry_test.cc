@@ -207,12 +207,9 @@ TEST_F(TelemetryTablesTest, QueryLogRecordsTraceAndPlanIdentity) {
 }
 
 TEST_F(TelemetryTablesTest, AttributeStatsTrackExtractionHeat) {
-  // Heat is accounted on the batched extraction lane (the planner's Extract
-  // node), where the strip-vs-reservoir split exists. Predicate-pushdown
-  // chain extraction (sinew_extract_chain inside a scan filter) is outside
-  // the per-attribute accounting — it shows up in the reservoir.decodes
-  // counter instead. So the filtered query below heats nothing, the pure
-  // projection heats url and country over all 4 rows.
+  // Heat is accounted wherever the scan extracts a virtual column: the
+  // filtered query heats hits (every row, before the filter) and url (the
+  // survivors), the pure projection heats url and country over all 4 rows.
   Q("SELECT url FROM logs WHERE hits > 20");
   Q("SELECT url, country FROM logs");
 
@@ -220,9 +217,10 @@ TEST_F(TelemetryTablesTest, AttributeStatsTrackExtractionHeat) {
              "strip_served, last_touched_ordinal FROM sinew_attribute_stats "
              "WHERE table_name = 'logs' AND extract_requests > 0 "
              "ORDER BY attr_key");
-  ASSERT_EQ(r.rows.size(), 2u);
+  ASSERT_EQ(r.rows.size(), 3u);
   EXPECT_EQ(r.rows[0][0].str(), "country");
-  EXPECT_EQ(r.rows[1][0].str(), "url");
+  EXPECT_EQ(r.rows[1][0].str(), "hits");
+  EXPECT_EQ(r.rows[2][0].str(), "url");
   for (const auto& row : r.rows) {
     EXPECT_GE(row[1].int_value(), 4);  // one request per row of the table
     // Every served request came from somewhere.

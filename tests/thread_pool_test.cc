@@ -148,8 +148,14 @@ TEST(ThreadPoolTest, ParallelForPropagatesFirstError) {
                                   chunks_after_error.fetch_add(1);
                                 }
                                 if (lo == 256) {
+                                  // Build the Status before raising the
+                                  // flag, so the count measures how fast
+                                  // ParallelFor stops, not how long the
+                                  // Status takes to construct.
+                                  Status failed =
+                                      Status::Internal("chunk failed");
                                   error_seen.store(true);
-                                  return Status::Internal("chunk failed");
+                                  return failed;
                                 }
                                 return Status::OK();
                               });
