@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/str_util.h"
+#include "engine/type.h"
 
 namespace sinew::engine {
 
@@ -28,6 +30,16 @@ Result<size_t> ExecSchema::Resolve(const std::string& table,
 Status BindExpr(Expr* expr, const ExecSchema& schema,
                 const std::vector<std::string>& aliases) {
   if (expr->kind == ExprKind::kColumnRef) {
+    // A ref whose slot already names this column keeps it: after the first
+    // binding a reference is qualified as its column is, and a (table,
+    // column) pair names one column of an operator's input.
+    if (expr->bound_slot >= 0 &&
+        static_cast<size_t>(expr->bound_slot) < schema.cols.size()) {
+      const ExecSchema::Col& col = schema.cols[expr->bound_slot];
+      if (col.name == expr->column && col.table == expr->table) {
+        return Status::OK();
+      }
+    }
     std::string table = expr->table;
     std::string column = expr->column;
     if (table.empty()) {
@@ -393,8 +405,27 @@ ColumnType InferType(const Expr& expr, const ExecSchema& schema) {
                                  : InferType(*expr.args[0], schema);
       }
       if (expr.fname == "avg") return ColumnType::kDouble;
-      if (expr.fname == "coalesce" && !expr.args.empty()) {
-        return InferType(*expr.args[0], schema);
+      if (expr.fname == "coalesce") {
+        // Arguments of different types make the value's type row-dependent.
+        std::optional<ColumnType> type;
+        for (const ExprPtr& arg : expr.args) {
+          if (arg->kind == ExprKind::kLiteral && arg->literal.is_null()) {
+            continue;
+          }
+          const ColumnType t = InferType(*arg, schema);
+          if (type.has_value() && *type != t) return ColumnType::kText;
+          type = t;
+        }
+        return type.value_or(ColumnType::kText);
+      }
+      if (expr.fname == "sinew_extract_chain" && expr.args.size() >= 2 &&
+          expr.args[1]->kind == ExprKind::kLiteral &&
+          expr.args[1]->literal.is_int()) {
+        // The type tag names the attribute's type; an object or array is
+        // rendered as JSON text.
+        const ColumnType t = ColumnTypeForValueType(
+            static_cast<ValueType>(expr.args[1]->literal.int_value()));
+        return t == ColumnType::kBytes ? ColumnType::kText : t;
       }
       if (expr.fname.find("_int") != std::string::npos) return ColumnType::kInt;
       if (expr.fname.find("_double") != std::string::npos ||

@@ -255,13 +255,8 @@ class ScanOp : public Operator {
     // Which phase produces each output position: the filter columns before
     // the pushed-down filter runs, the output columns for survivors only.
     std::vector<Source> sources(width, Source::kNull);
-    if (node_.scan_projected) {
-      for (size_t pos : node_.scan_output_cols) sources[pos] = Source::kOutput;
-      for (size_t pos : node_.scan_filter_cols) sources[pos] = Source::kFilter;
-    } else {
-      std::fill(sources.begin(), sources.begin() + rid_position_,
-                Source::kFilter);
-    }
+    for (size_t pos : node_.scan_output_cols) sources[pos] = Source::kOutput;
+    for (size_t pos : node_.scan_filter_cols) sources[pos] = Source::kFilter;
     sources_.assign(sources.begin(), sources.begin() + rid_position_);
     filter_slots_.clear();
     output_slots_.clear();

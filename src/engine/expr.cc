@@ -200,13 +200,6 @@ bool Expr::ContainsAggregate() const {
   });
 }
 
-bool Expr::ContainsColumnRef() const {
-  if (kind == ExprKind::kColumnRef || kind == ExprKind::kStar) return true;
-  return std::any_of(args.begin(), args.end(), [](const ExprPtr& a) {
-    return a->ContainsColumnRef();
-  });
-}
-
 bool Expr::ContainsNonAggregateFunction() const {
   if (kind == ExprKind::kFunction && !IsAggregateCall()) return true;
   return std::any_of(args.begin(), args.end(), [](const ExprPtr& a) {
@@ -217,11 +210,6 @@ bool Expr::ContainsNonAggregateFunction() const {
 void Expr::CollectColumnRefs(std::vector<const Expr*>* out) const {
   if (kind == ExprKind::kColumnRef) out->push_back(this);
   for (const ExprPtr& a : args) a->CollectColumnRefs(out);
-}
-
-void Expr::CollectColumnRefsMutable(std::vector<Expr*>* out) {
-  if (kind == ExprKind::kColumnRef) out->push_back(this);
-  for (ExprPtr& a : args) a->CollectColumnRefsMutable(out);
 }
 
 std::vector<ExprPtr> SplitConjuncts(const Expr& predicate) {

@@ -99,8 +99,6 @@ struct Expr {
   bool IsAggregateCall() const;
   /// True if any node in the tree is an aggregate call.
   bool ContainsAggregate() const;
-  /// True if any node is a kColumnRef.
-  bool ContainsColumnRef() const;
   /// True for a kColumnRef bound to an input slot.
   bool IsBoundColumnRef() const {
     return kind == ExprKind::kColumnRef && bound_slot >= 0;
@@ -111,7 +109,6 @@ struct Expr {
 
   /// Collects column refs (pointers into this tree).
   void CollectColumnRefs(std::vector<const Expr*>* out) const;
-  void CollectColumnRefsMutable(std::vector<Expr*>* out);
 };
 
 /// Splits a predicate into top-level AND conjuncts (clones the pieces).

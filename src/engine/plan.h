@@ -82,13 +82,13 @@ struct PlanNode {
   ExprPtr scan_filter;  // pushed-down predicate, bound against scan schema
   /// Projection pushdown: positions (into output_schema) the scan must
   /// produce — filter columns first, then the remaining referenced columns
-  /// (produced only for rows that pass the filter). Valid when
-  /// scan_projected; otherwise the scan decodes every column.
-  bool scan_projected = false;
+  /// (produced only for rows that pass the filter). Other positions are
+  /// NULL.
   std::vector<size_t> scan_filter_cols;
   std::vector<size_t> scan_output_cols;  // excludes filter cols
-  /// Virtual columns: target t is output position (live columns + 1 for
-  /// __rid) + t, extracted by the registered batch extractor — phase 1
+  /// Virtual columns, one per document-extraction call the planner hoisted
+  /// out of the statement: target t is output position (live columns + 1
+  /// for __rid) + t, extracted by the registered batch extractor — phase 1
   /// (every probed row) when its position is a filter column, phase 2
   /// (filter survivors) otherwise. Sorted by (source_slot, prefix_ids,
   /// attr_id), the BatchExtractFn order; cold rows are served from the

@@ -15,6 +15,72 @@ namespace sinew::engine {
 
 namespace {
 
+/// Name prefix of the virtual columns the extraction hoist gives scans.
+constexpr std::string_view kVirtualColumnPrefix = "$x";
+
+/// A document-extraction call the planner can turn into a scan column:
+/// sinew_extract_chain[_bytes](<column>, <type tag>, <id>...). The rewriter
+/// resolves every id literal at bind time, which is exactly what makes the
+/// call hoistable — its per-row work is a pure function of the source
+/// column.
+bool IsChainCall(const Expr& e) {
+  if (e.kind != ExprKind::kFunction) return false;
+  if (e.fname != "sinew_extract_chain" &&
+      e.fname != "sinew_extract_chain_bytes") {
+    return false;
+  }
+  if (e.args.size() < 3 || e.args[0]->kind != ExprKind::kColumnRef) {
+    return false;
+  }
+  for (size_t i = 1; i < e.args.size(); ++i) {
+    if (e.args[i]->kind != ExprKind::kLiteral ||
+        !e.args[i]->literal.is_int()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+ExtractTarget TargetFromCall(const Expr& call, int source_slot) {
+  ExtractTarget t;
+  t.source_slot = source_slot;
+  t.type_tag = call.args[1]->literal.int_value();
+  t.raw_bytes = call.fname == "sinew_extract_chain_bytes";
+  for (size_t i = 2; i + 1 < call.args.size(); ++i) {
+    t.prefix_ids.push_back(
+        static_cast<uint32_t>(call.args[i]->literal.int_value()));
+  }
+  t.attr_id = static_cast<uint32_t>(call.args.back()->literal.int_value());
+  return t;
+}
+
+/// Total order on extract targets: (source, prefix chain, attr id, raw
+/// bytes, type tag) — grouped by source in the BatchExtractFn order, which
+/// lets the implementation decode each source once and merge-join all
+/// wanted ids in a single ascending pass.
+bool TargetLess(const ExtractTarget& a, const ExtractTarget& b) {
+  if (a.source_slot != b.source_slot) return a.source_slot < b.source_slot;
+  if (a.prefix_ids != b.prefix_ids) return a.prefix_ids < b.prefix_ids;
+  if (a.attr_id != b.attr_id) return a.attr_id < b.attr_id;
+  if (a.raw_bytes != b.raw_bytes) return a.raw_bytes < b.raw_bytes;
+  return a.type_tag < b.type_tag;
+}
+
+bool IsVirtualColumnRef(const Expr& e) {
+  return e.kind == ExprKind::kColumnRef && e.table.empty() &&
+         e.column.starts_with(kVirtualColumnPrefix);
+}
+
+/// True if the optimizer has no statistics for `e`: it calls a UDF or reads
+/// a virtual column. A virtual column stays exactly as opaque as the
+/// extraction call it replaced, so hoisting never moves a cost estimate.
+bool IsOpaque(const Expr& e) {
+  if (IsVirtualColumnRef(e)) return true;
+  if (e.kind == ExprKind::kFunction && !e.IsAggregateCall()) return true;
+  return std::any_of(e.args.begin(), e.args.end(),
+                     [](const ExprPtr& a) { return IsOpaque(*a); });
+}
+
 /// Fraction of non-null values strictly below x, from an equi-depth
 /// histogram.
 double FractionBelow(const ColumnStats& stats, double x) {
@@ -108,7 +174,7 @@ void FoldPlanConstants(PlanNode* node) {
 /// scan filters, filter predicates, projections, hash-join probe keys — to
 /// bytecode programs (engine/bytecode.h), the executor's only batch
 /// evaluator. Runs after every plan rewrite (constant folding, zone-filter
-/// attachment, extraction hoisting, parallelization) so the Expr trees the
+/// attachment, parallelization) so the Expr trees the
 /// programs alias, and the bound slots the compiler collects for fallback
 /// lanes, are final.
 void CompilePlanPrograms(PlanNode* node, const UdfRegistry* udfs) {
@@ -169,9 +235,14 @@ class Planner::SelectPlanner {
   struct ScanInfo {
     Table* table = nullptr;
     std::string alias;
+    /// Live columns, __rid, then the virtual columns `targets` produce.
     ExecSchema schema;
+    std::vector<ExtractTarget> targets;
     TableStats stats;
     double base_rows = 0;
+    size_t base = 0;  // offset of `schema` in global_schema_
+    /// Projection pushdown: the schema positions the statement reads.
+    std::vector<bool> needed;
   };
 
   struct Rel {
@@ -181,30 +252,28 @@ class Planner::SelectPlanner {
 
   // --- helpers ---
   Status BuildScans();
+  void CloneStatement();
+  void HoistExtraction();
+  Status BindConjuncts();
   Status CollectColumnUsage();
   Result<PlanPtr> BuildJoinTree();
-  Result<PlanPtr> AddAggregation(PlanPtr child, std::vector<SelectItem>* items,
-                                 ExprPtr* having,
-                                 std::vector<OrderItem>* order_by);
-  Result<PlanPtr> AddProjection(PlanPtr child,
-                                std::vector<SelectItem> items);
+  Result<PlanPtr> AddAggregation(PlanPtr child);
+  Result<PlanPtr> AddProjection(PlanPtr child);
   Result<PlanPtr> AddDistinct(PlanPtr child);
-  Result<PlanPtr> AddOrderByAndLimit(PlanPtr child,
-                                     std::vector<OrderItem> order_by);
-  void AssignExtractionTargets(PlanPtr* node) const;
-  void AssignScanTargets(PlanNode* cap) const;
+  Result<PlanPtr> AddOrderByAndLimit(PlanPtr child);
   void ParallelizePlan(PlanPtr* node) const;
   int ParallelDegreeFor(const PlanNode& chain) const;
   static bool IsPipelineChain(const PlanNode& node);
 
   double ConjunctSelectivity(const Expr& conjunct, const ScanInfo& scan) const;
-  double ExprDistinct(const Expr& expr, const ExecSchema& schema) const;
-  const ScanInfo* FindScan(const std::string& alias) const;
+  double ExprDistinct(const Expr& expr) const;
 
-  /// Aliases referenced by a bound expression.
-  static void CollectAliases(const Expr& e, std::set<std::string>* out) {
-    if (e.kind == ExprKind::kColumnRef && !e.table.empty()) {
-      out->insert(e.table);
+  /// Index of the scan whose columns hold global_schema_ position `slot`.
+  size_t ScanOfSlot(size_t slot) const;
+  /// Aliases an expression bound against global_schema_ reads.
+  void CollectAliases(const Expr& e, std::set<std::string>* out) const {
+    if (e.IsBoundColumnRef()) {
+      out->insert(scans_[ScanOfSlot(static_cast<size_t>(e.bound_slot))].alias);
     }
     for (const ExprPtr& a : e.args) CollectAliases(*a, out);
   }
@@ -214,18 +283,23 @@ class Planner::SelectPlanner {
   const PlannerOptions& options_;
   const SelectStatement& stmt_;
 
+  // The statement's expressions, cloned at plan start. The extraction hoist
+  // rewrites them in place; every later step reads these, never stmt_.
+  std::vector<ExprPtr> where_;  // top-level conjuncts
+  std::vector<SelectItem> items_;
+  std::vector<ExprPtr> group_by_;
+  ExprPtr having_;
+  std::vector<OrderItem> order_by_;
+
   std::vector<ScanInfo> scans_;
   std::vector<std::string> aliases_;
   ExecSchema global_schema_;
   // Conjuncts bound against global_schema_, classified by referenced aliases.
   std::vector<std::pair<ExprPtr, std::set<std::string>>> conjuncts_;
-  // Column stats lookup across all scans by (alias, column).
+  // Column stats across all scans by (alias, column); columns without
+  // statistics are absent.
   std::map<std::pair<std::string, std::string>, const ColumnStats*> stats_by_col_;
   std::map<std::string, double> table_rows_by_alias_;
-  // Projection pushdown: per-alias referenced scan positions, or "all".
-  std::map<std::string, std::set<size_t>> needed_positions_;
-  std::set<std::string> fully_needed_;
-  std::map<std::string, size_t> scan_base_offset_;  // alias -> global offset
 };
 
 Status Planner::SelectPlanner::BuildScans() {
@@ -257,32 +331,129 @@ Status Planner::SelectPlanner::BuildScans() {
     table_rows_by_alias_[info.alias] = info.base_rows;
     scans_.push_back(std::move(info));
   }
-  for (const ScanInfo& scan : scans_) {
-    scan_base_offset_[scan.alias] = global_schema_.cols.size();
+  return Status::OK();
+}
+
+void Planner::SelectPlanner::CloneStatement() {
+  if (stmt_.where != nullptr) where_ = SplitConjuncts(*stmt_.where);
+  items_.reserve(stmt_.items.size());
+  for (const SelectItem& item : stmt_.items) {
+    items_.push_back(SelectItem{item.expr->Clone(), item.alias});
+  }
+  for (const ExprPtr& g : stmt_.group_by) group_by_.push_back(g->Clone());
+  if (stmt_.having != nullptr) having_ = stmt_.having->Clone();
+  for (const OrderItem& item : stmt_.order_by) {
+    order_by_.push_back(OrderItem{item.expr->Clone(), item.descending});
+  }
+}
+
+// Every sinew_extract_chain[_bytes] call whose source is a bytes column of
+// a FROM-list alias and whose other arguments are int literals becomes a
+// virtual column of that alias's scan, and the call a reference to it,
+// bound to its scan position (binding against the scan, or against any
+// schema that starts with it, keeps it). Targets are deduped per scan and
+// appended after __rid in TargetLess order (the BatchExtractFn order); the
+// $x numbering runs across the statement, so names are unique without
+// qualification. From here on a virtual column is an ordinary scan column
+// in every plan shape.
+void Planner::SelectPlanner::HoistExtraction() {
+  // The bytes columns of each scan: the only possible sources.
+  std::vector<std::unordered_map<std::string_view, int>> sources(
+      scans_.size());
+  for (size_t s = 0; s < scans_.size(); ++s) {
+    const std::vector<ExecSchema::Col>& cols = scans_[s].schema.cols;
+    for (size_t i = 0; i < cols.size(); ++i) {
+      if (cols[i].type == ColumnType::kBytes) {
+        sources[s].emplace(cols[i].name, static_cast<int>(i));
+      }
+    }
+  }
+  struct Site {
+    size_t scan;
+    ExtractTarget target;
+    ExprPtr* expr;
+  };
+  std::vector<Site> sites;
+  auto visit = [&](auto&& self, ExprPtr* expr) -> void {
+    const Expr& e = **expr;
+    if (IsChainCall(e)) {
+      const Expr& src = *e.args[0];
+      for (size_t s = 0; s < scans_.size(); ++s) {
+        if (scans_[s].alias != src.table) continue;
+        auto it = sources[s].find(src.column);
+        if (it == sources[s].end()) break;
+        sites.push_back(Site{s, TargetFromCall(e, it->second), expr});
+        return;
+      }
+    }
+    for (ExprPtr& a : (*expr)->args) self(self, &a);
+  };
+  for (ExprPtr& c : where_) visit(visit, &c);
+  for (SelectItem& item : items_) visit(visit, &item.expr);
+  for (ExprPtr& g : group_by_) visit(visit, &g);
+  if (having_ != nullptr) visit(visit, &having_);
+  for (OrderItem& item : order_by_) visit(visit, &item.expr);
+
+  // Sorted, equal targets of one scan are adjacent and share one column.
+  std::sort(sites.begin(), sites.end(), [](const Site& a, const Site& b) {
+    if (a.scan != b.scan) return a.scan < b.scan;
+    return TargetLess(a.target, b.target);
+  });
+  size_t next = 0;  // $x number
+  for (size_t i = 0; i < sites.size(); ++i) {
+    Site& site = sites[i];
+    ScanInfo& scan = scans_[site.scan];
+    std::vector<ExecSchema::Col>& cols = scan.schema.cols;
+    if (i == 0 || sites[i - 1].scan != site.scan ||
+        TargetLess(sites[i - 1].target, site.target)) {
+      cols.push_back(ExecSchema::Col{
+          "", std::string(kVirtualColumnPrefix) + std::to_string(next++),
+          InferType(**site.expr, scan.schema)});
+      scan.targets.push_back(site.target);
+    }
+    ExprPtr ref = Expr::Column("", cols.back().name);
+    ref->bound_slot = static_cast<int>(cols.size() - 1);
+    *site.expr = std::move(ref);
+  }
+}
+
+Status Planner::SelectPlanner::BindConjuncts() {
+  for (ScanInfo& scan : scans_) {
+    scan.base = global_schema_.cols.size();
     for (const ExecSchema::Col& col : scan.schema.cols) {
       global_schema_.cols.push_back(col);
       const ColumnStats* cs =
           scan.stats.analyzed ? scan.stats.Find(col.name) : nullptr;
-      stats_by_col_[{scan.alias, col.name}] = cs;
+      if (cs != nullptr) stats_by_col_[{scan.alias, col.name}] = cs;
     }
   }
-  if (stmt_.where != nullptr) {
-    std::vector<ExprPtr> parts = SplitConjuncts(*stmt_.where);
-    for (ExprPtr& part : parts) {
-      RETURN_NOT_OK(BindExpr(part.get(), global_schema_, aliases_));
-      std::set<std::string> refs;
-      CollectAliases(*part, &refs);
-      conjuncts_.emplace_back(std::move(part), std::move(refs));
-    }
+  for (ExprPtr& part : where_) {
+    RETURN_NOT_OK(BindExpr(part.get(), global_schema_, aliases_));
+    std::set<std::string> refs;
+    CollectAliases(*part, &refs);
+    conjuncts_.emplace_back(std::move(part), std::move(refs));
   }
+  where_.clear();
   return Status::OK();
 }
 
+size_t Planner::SelectPlanner::ScanOfSlot(size_t slot) const {
+  size_t s = 0;
+  while (s + 1 < scans_.size() && scans_[s + 1].base <= slot) ++s;
+  return s;
+}
+
 Status Planner::SelectPlanner::CollectColumnUsage() {
+  // Every virtual column is read by the expression it was hoisted from.
+  for (ScanInfo& scan : scans_) {
+    scan.needed.assign(scan.schema.cols.size(), false);
+    std::fill(scan.needed.end() - scan.targets.size(), scan.needed.end(),
+              true);
+  }
   auto mark_all = [this](const std::string& alias_filter) {
-    for (const ScanInfo& scan : scans_) {
+    for (ScanInfo& scan : scans_) {
       if (alias_filter.empty() || scan.alias == alias_filter) {
-        fully_needed_.insert(scan.alias);
+        std::fill(scan.needed.begin(), scan.needed.end(), true);
       }
     }
   };
@@ -290,30 +461,32 @@ Status Planner::SelectPlanner::CollectColumnUsage() {
     std::vector<const Expr*> refs;
     bound.CollectColumnRefs(&refs);
     for (const Expr* ref : refs) {
-      auto base = scan_base_offset_.find(ref->table);
-      if (base == scan_base_offset_.end() || ref->bound_slot < 0) continue;
-      needed_positions_[ref->table].insert(
-          static_cast<size_t>(ref->bound_slot) - base->second);
+      if (ref->bound_slot < 0) continue;
+      const size_t slot = static_cast<size_t>(ref->bound_slot);
+      ScanInfo& scan = scans_[ScanOfSlot(slot)];
+      scan.needed[slot - scan.base] = true;
     }
   };
   // Clone-free best-effort resolution for the (possibly very wide) select
-  // list: resolve each reference name against the scan schemas directly,
-  // through a per-scan name index built once; an unresolvable unqualified
-  // name falls back to conservative marking.
+  // list: resolve each reference name against the scans' physical columns
+  // directly, through a per-scan name index built once; an unresolvable
+  // unqualified name falls back to conservative marking.
   std::vector<std::unordered_multimap<std::string_view, size_t>> positions(
       scans_.size());
   for (size_t s = 0; s < scans_.size(); ++s) {
     const std::vector<ExecSchema::Col>& cols = scans_[s].schema.cols;
-    positions[s].reserve(cols.size());
-    for (size_t i = 0; i < cols.size(); ++i) {
+    const size_t physical = cols.size() - scans_[s].targets.size();
+    positions[s].reserve(physical);
+    for (size_t i = 0; i < physical; ++i) {
       positions[s].emplace(cols[i].name, i);
     }
   }
   auto note_light = [&](auto&& self, const Expr& e) -> void {
+    if (IsVirtualColumnRef(e)) return;
     if (e.kind == ExprKind::kColumnRef) {
       bool found = false;
       for (size_t s = 0; s < scans_.size(); ++s) {
-        const ScanInfo& scan = scans_[s];
+        ScanInfo& scan = scans_[s];
         // Peel a leading "alias." segment off unqualified dotted names.
         std::string_view column = e.column;
         std::string_view qualifier = e.table;
@@ -328,7 +501,7 @@ Status Planner::SelectPlanner::CollectColumnUsage() {
         if (!qualifier.empty() && qualifier != scan.alias) continue;
         auto [begin, end] = positions[s].equal_range(column);
         for (auto it = begin; it != end; ++it) {
-          needed_positions_[scan.alias].insert(it->second);
+          scan.needed[it->second] = true;
           found = true;
         }
       }
@@ -352,10 +525,10 @@ Status Planner::SelectPlanner::CollectColumnUsage() {
     }
     note_light(note_light, e);
   };
-  for (const SelectItem& item : stmt_.items) consider(*item.expr);
-  for (const ExprPtr& g : stmt_.group_by) consider(*g);
-  if (stmt_.having != nullptr) consider(*stmt_.having);
-  for (const OrderItem& item : stmt_.order_by) consider(*item.expr);
+  for (const SelectItem& item : items_) consider(*item.expr);
+  for (const ExprPtr& g : group_by_) consider(*g);
+  if (having_ != nullptr) consider(*having_);
+  for (const OrderItem& item : order_by_) consider(*item.expr);
   for (const auto& [conjunct, refs] : conjuncts_) {
     (void)refs;
     note_bound_refs(*conjunct);
@@ -363,20 +536,13 @@ Status Planner::SelectPlanner::CollectColumnUsage() {
   return Status::OK();
 }
 
-const Planner::SelectPlanner::ScanInfo* Planner::SelectPlanner::FindScan(
-    const std::string& alias) const {
-  for (const ScanInfo& scan : scans_) {
-    if (scan.alias == alias) return &scan;
-  }
-  return nullptr;
-}
-
 double Planner::SelectPlanner::ConjunctSelectivity(
     const Expr& conjunct, const ScanInfo& scan) const {
   const double rows = std::max(scan.base_rows, 1.0);
-  // Predicates routed through UDFs are opaque to the optimizer: fixed
-  // absolute row estimate (the paper's observed Postgres behaviour).
-  if (conjunct.ContainsNonAggregateFunction()) {
+  // Predicates routed through UDFs or reading virtual columns are opaque to
+  // the optimizer: fixed absolute row estimate (the paper's observed
+  // Postgres behaviour).
+  if (IsOpaque(conjunct)) {
     return std::min(1.0, options_.default_udf_rows / rows);
   }
   auto col_stats = [&](const Expr& e) -> const ColumnStats* {
@@ -488,18 +654,16 @@ double Planner::SelectPlanner::ConjunctSelectivity(
   }
 }
 
-double Planner::SelectPlanner::ExprDistinct(const Expr& expr,
-                                            const ExecSchema& schema) const {
-  (void)schema;
+double Planner::SelectPlanner::ExprDistinct(const Expr& expr) const {
   if (expr.kind == ExprKind::kColumnRef) {
     auto it = stats_by_col_.find({expr.table, expr.column});
     if (it != stats_by_col_.end() && it->second != nullptr &&
         it->second->ndistinct >= 1) {
       return it->second->ndistinct;
     }
-    return options_.default_udf_distinct;
   }
-  // Expressions (UDF extractions in particular) have no statistics.
+  // Virtual columns and other expressions (UDF calls in particular) have
+  // no statistics.
   return options_.default_udf_distinct;
 }
 
@@ -513,6 +677,7 @@ Result<PlanPtr> Planner::SelectPlanner::BuildJoinTree() {
     node->table = scan.table;
     node->alias = scan.alias;
     node->output_schema = scan.schema;
+    node->extract_targets = scan.targets;
     double rows = scan.base_rows;
     std::vector<ExprPtr> filters;
     for (size_t i = 0; i < conjuncts_.size(); ++i) {
@@ -531,30 +696,22 @@ Result<PlanPtr> Planner::SelectPlanner::BuildJoinTree() {
       RETURN_NOT_OK(BindExpr(combined.get(), scan.schema, aliases_));
       node->scan_filter = std::move(combined);
     }
-    // Projection pushdown: which scan positions must be decoded.
-    node->scan_projected = true;
-    std::set<size_t> filter_cols;
+    // Projection pushdown: which scan positions must be produced. A source
+    // column only extraction reads is not among them — the scan extracts
+    // from the row bytes in place.
+    std::vector<bool> filter(scan.needed.size(), false);
     if (node->scan_filter != nullptr) {
       std::vector<const Expr*> refs;
       node->scan_filter->CollectColumnRefs(&refs);
-      for (const Expr* ref : refs) {
-        if (ref->bound_slot >= 0) {
-          filter_cols.insert(static_cast<size_t>(ref->bound_slot));
-        }
+      for (const Expr* ref : refs) filter[ref->bound_slot] = true;
+    }
+    for (size_t c = 0; c < filter.size(); ++c) {
+      if (filter[c]) {
+        node->scan_filter_cols.push_back(c);
+      } else if (scan.needed[c]) {
+        node->scan_output_cols.push_back(c);
       }
     }
-    std::set<size_t> output_cols;
-    if (fully_needed_.count(scan.alias) != 0) {
-      for (size_t i = 0; i < scan.schema.cols.size(); ++i) {
-        output_cols.insert(i);
-      }
-    } else {
-      auto it = needed_positions_.find(scan.alias);
-      if (it != needed_positions_.end()) output_cols = it->second;
-    }
-    for (size_t col : filter_cols) output_cols.erase(col);
-    node->scan_filter_cols.assign(filter_cols.begin(), filter_cols.end());
-    node->scan_output_cols.assign(output_cols.begin(), output_cols.end());
     node->est_rows = std::max(rows, 0.0);
     Rel rel;
     rel.plan = std::move(node);
@@ -607,8 +764,8 @@ Result<PlanPtr> Planner::SelectPlanner::BuildJoinTree() {
           if ((ra == a && rb == b) || (ra == b && rb == a)) {
             connecting.push_back(&e - edges.data());
             const Expr& eq = *conjuncts_[e.conjunct_index].first;
-            double ndl = ExprDistinct(*eq.args[0], global_schema_);
-            double ndr = ExprDistinct(*eq.args[1], global_schema_);
+            double ndl = ExprDistinct(*eq.args[0]);
+            double ndr = ExprDistinct(*eq.args[1]);
             fanout /= std::max({ndl, ndr, 1.0});
           }
         }
@@ -723,7 +880,7 @@ Result<PlanPtr> Planner::SelectPlanner::BuildJoinTree() {
     double sel = 1.0;
     for (const ExprPtr& c : leftovers) {
       // Without a single base table, use the UDF/functional defaults.
-      sel *= c->ContainsNonAggregateFunction()
+      sel *= IsOpaque(*c)
                  ? std::min(1.0, options_.default_udf_rows /
                                      std::max(root->est_rows, 1.0))
                  : 0.1;
@@ -775,31 +932,29 @@ void RewriteAggRefs(ExprPtr* expr, const std::vector<std::string>& group_texts,
 
 }  // namespace
 
-Result<PlanPtr> Planner::SelectPlanner::AddAggregation(
-    PlanPtr child, std::vector<SelectItem>* items, ExprPtr* having,
-    std::vector<OrderItem>* order_by) {
+Result<PlanPtr> Planner::SelectPlanner::AddAggregation(PlanPtr child) {
   std::vector<std::string> group_texts;
-  group_texts.reserve(stmt_.group_by.size());
-  for (const ExprPtr& g : stmt_.group_by) group_texts.push_back(g->ToString());
+  group_texts.reserve(group_by_.size());
+  for (const ExprPtr& g : group_by_) group_texts.push_back(g->ToString());
 
   std::vector<const Expr*> agg_nodes;
   std::vector<ExprPtr> agg_clones;
-  for (SelectItem& item : *items) {
+  for (SelectItem& item : items_) {
     RewriteAggRefs(&item.expr, group_texts, &agg_nodes, &agg_clones);
   }
-  if (*having != nullptr) {
-    RewriteAggRefs(having, group_texts, &agg_nodes, &agg_clones);
+  if (having_ != nullptr) {
+    RewriteAggRefs(&having_, group_texts, &agg_nodes, &agg_clones);
   }
-  for (OrderItem& item : *order_by) {
+  for (OrderItem& item : order_by_) {
     RewriteAggRefs(&item.expr, group_texts, &agg_nodes, &agg_clones);
   }
 
   auto agg = std::make_unique<PlanNode>();
   double est_groups = 1.0;
-  for (size_t g = 0; g < stmt_.group_by.size(); ++g) {
-    ExprPtr key = stmt_.group_by[g]->Clone();
+  for (size_t g = 0; g < group_by_.size(); ++g) {
+    ExprPtr key = std::move(group_by_[g]);
     RETURN_NOT_OK(BindExpr(key.get(), child->output_schema, aliases_));
-    est_groups *= ExprDistinct(*key, child->output_schema);
+    est_groups *= ExprDistinct(*key);
     agg->output_schema.cols.push_back(
         ExecSchema::Col{"", "$g" + std::to_string(g),
                         InferType(*key, child->output_schema)});
@@ -833,7 +988,7 @@ Result<PlanPtr> Planner::SelectPlanner::AddAggregation(
   }
 
   bool hash_fits = est_groups <= options_.hash_agg_max_groups;
-  agg->est_rows = stmt_.group_by.empty() ? 1.0 : est_groups;
+  agg->est_rows = group_by_.empty() ? 1.0 : est_groups;
   if (hash_fits || agg->group_keys.empty()) {
     agg->kind = PlanKind::kHashAggregate;
     agg->children.push_back(std::move(child));
@@ -852,8 +1007,8 @@ Result<PlanPtr> Planner::SelectPlanner::AddAggregation(
   }
 
   PlanPtr root = std::move(agg);
-  if (*having != nullptr) {
-    ExprPtr pred = std::move(*having);
+  if (having_ != nullptr) {
+    ExprPtr pred = std::move(having_);
     RETURN_NOT_OK(BindExpr(pred.get(), root->output_schema, aliases_));
     auto filter = std::make_unique<PlanNode>();
     filter->kind = PlanKind::kFilter;
@@ -866,12 +1021,11 @@ Result<PlanPtr> Planner::SelectPlanner::AddAggregation(
   return root;
 }
 
-Result<PlanPtr> Planner::SelectPlanner::AddProjection(
-    PlanPtr child, std::vector<SelectItem> items) {
+Result<PlanPtr> Planner::SelectPlanner::AddProjection(PlanPtr child) {
   auto project = std::make_unique<PlanNode>();
   project->kind = PlanKind::kProject;
   project->est_rows = child->est_rows;
-  for (SelectItem& item : items) {
+  for (SelectItem& item : items_) {
     if (item.expr->kind == ExprKind::kStar) {
       const std::string& want = item.expr->table;
       for (const ExecSchema::Col& col : child->output_schema.cols) {
@@ -906,9 +1060,7 @@ Result<PlanPtr> Planner::SelectPlanner::AddDistinct(PlanPtr child) {
   double est = 1.0;
   PlanNode* project = child.get();
   for (const ExprPtr& p : project->projections) {
-    est *= ExprDistinct(*p, project->children.empty()
-                                ? project->output_schema
-                                : project->children[0]->output_schema);
+    est *= ExprDistinct(*p);
   }
   est = std::min(est, std::max(child->est_rows, 1.0));
   if (est <= options_.hash_agg_max_groups) {
@@ -945,9 +1097,8 @@ Result<PlanPtr> Planner::SelectPlanner::AddDistinct(PlanPtr child) {
   return PlanPtr(std::move(unique));
 }
 
-Result<PlanPtr> Planner::SelectPlanner::AddOrderByAndLimit(
-    PlanPtr child, std::vector<OrderItem> order_by) {
-  if (!order_by.empty()) {
+Result<PlanPtr> Planner::SelectPlanner::AddOrderByAndLimit(PlanPtr child) {
+  if (!order_by_.empty()) {
     // Bind order expressions against the projection output; if a reference
     // does not exist there (ORDER BY over a non-projected column), extend
     // the projection with hidden columns and strip them afterwards.
@@ -957,7 +1108,7 @@ Result<PlanPtr> Planner::SelectPlanner::AddOrderByAndLimit(
     std::vector<bool> desc;
     size_t visible_cols = child->output_schema.cols.size();
     bool added_hidden = false;
-    for (OrderItem& item : order_by) {
+    for (OrderItem& item : order_by_) {
       ExprPtr key = item.expr->Clone();
       Status st = BindExpr(key.get(), child->output_schema, aliases_);
       if (!st.ok()) {
@@ -1018,79 +1169,6 @@ Result<PlanPtr> Planner::SelectPlanner::AddOrderByAndLimit(
 
 namespace {
 
-/// A document-extraction call the planner can turn into a scan column:
-/// sinew_extract_chain[_bytes](<bound column>, <type tag>, <id>...). The
-/// rewriter resolves every id literal at bind time, which is exactly what
-/// makes the call hoistable — its per-row work is a pure function of the
-/// source column.
-bool IsHoistableChainCall(const Expr& e) {
-  if (e.kind != ExprKind::kFunction) return false;
-  if (e.fname != "sinew_extract_chain" &&
-      e.fname != "sinew_extract_chain_bytes") {
-    return false;
-  }
-  if (e.args.size() < 3) return false;
-  if (e.args[0]->kind != ExprKind::kColumnRef || e.args[0]->bound_slot < 0) {
-    return false;
-  }
-  for (size_t i = 1; i < e.args.size(); ++i) {
-    if (e.args[i]->kind != ExprKind::kLiteral ||
-        !e.args[i]->literal.is_int()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Collects pointers to every maximal hoistable chain-call subtree (calls
-/// nested inside COALESCE etc. are found; the enclosing expression stays).
-void CollectChainCallSites(ExprPtr* expr, std::vector<ExprPtr*>* sites) {
-  if (IsHoistableChainCall(**expr)) {
-    sites->push_back(expr);
-    return;
-  }
-  for (ExprPtr& a : (*expr)->args) CollectChainCallSites(&a, sites);
-}
-
-ExtractTarget TargetFromCall(const Expr& call) {
-  ExtractTarget t;
-  t.source_slot = call.args[0]->bound_slot;
-  t.type_tag = call.args[1]->literal.int_value();
-  t.raw_bytes = call.fname == "sinew_extract_chain_bytes";
-  for (size_t i = 2; i + 1 < call.args.size(); ++i) {
-    t.prefix_ids.push_back(
-        static_cast<uint32_t>(call.args[i]->literal.int_value()));
-  }
-  t.attr_id = static_cast<uint32_t>(call.args.back()->literal.int_value());
-  return t;
-}
-
-/// Total order on extract targets: (source, prefix chain, attr id, raw
-/// bytes, type tag) — grouped by source in the BatchExtractFn order, which
-/// lets the implementation decode each source once and merge-join all
-/// wanted ids in a single ascending pass.
-bool TargetLess(const ExtractTarget& a, const ExtractTarget& b) {
-  if (a.source_slot != b.source_slot) return a.source_slot < b.source_slot;
-  if (a.prefix_ids != b.prefix_ids) return a.prefix_ids < b.prefix_ids;
-  if (a.attr_id != b.attr_id) return a.attr_id < b.attr_id;
-  if (a.raw_bytes != b.raw_bytes) return a.raw_bytes < b.raw_bytes;
-  return a.type_tag < b.type_tag;
-}
-
-/// A hoistable decode-to-value chain call over a scalar type tag — the only
-/// calls whose comparisons a column strip's zone map can reason about (the
-/// _bytes variant and object/array extractions have no strip columns).
-bool IsZoneEligibleChainCall(const Expr& e) {
-  if (!IsHoistableChainCall(e) || e.fname != "sinew_extract_chain") {
-    return false;
-  }
-  const int64_t tag = e.args[1]->literal.int_value();
-  return tag == static_cast<int64_t>(ValueType::kBool) ||
-         tag == static_cast<int64_t>(ValueType::kInt) ||
-         tag == static_cast<int64_t>(ValueType::kDouble) ||
-         tag == static_cast<int64_t>(ValueType::kString);
-}
-
 bool IsComparisonOp(BinaryOp op) {
   return op == BinaryOp::kEq || op == BinaryOp::kNe || op == BinaryOp::kLt ||
          op == BinaryOp::kLe || op == BinaryOp::kGt || op == BinaryOp::kGe;
@@ -1111,12 +1189,30 @@ BinaryOp FlipComparisonOp(BinaryOp op) {
   }
 }
 
-ZoneFilter ZoneFilterFromCall(const Expr& call, const ExecSchema& scan_schema,
-                              BinaryOp op, const Datum& literal) {
-  ExtractTarget t = TargetFromCall(call);
+/// The extract target behind a scan-filter operand, when the operand is a
+/// virtual column decoded to a scalar value — the only columns a strip's
+/// zone map can reason about (raw-bytes and object/array extractions have
+/// no strip columns).
+const ExtractTarget* ZoneTarget(const Expr& e, const PlanNode& scan) {
+  if (!e.IsBoundColumnRef()) return nullptr;
+  const size_t first = scan.output_schema.cols.size() -
+                       scan.extract_targets.size();
+  const size_t slot = static_cast<size_t>(e.bound_slot);
+  if (slot < first) return nullptr;
+  const ExtractTarget& t = scan.extract_targets[slot - first];
+  const bool scalar = t.type_tag == static_cast<int64_t>(ValueType::kBool) ||
+                      t.type_tag == static_cast<int64_t>(ValueType::kInt) ||
+                      t.type_tag == static_cast<int64_t>(ValueType::kDouble) ||
+                      t.type_tag == static_cast<int64_t>(ValueType::kString);
+  return scalar && !t.raw_bytes ? &t : nullptr;
+}
+
+ZoneFilter MakeZoneFilter(const ExtractTarget& t, const PlanNode& scan,
+                          BinaryOp op, const Datum& literal) {
   ZoneFilter zf;
-  zf.source_column = scan_schema.cols[static_cast<size_t>(t.source_slot)].name;
-  zf.prefix_ids = std::move(t.prefix_ids);
+  zf.source_column =
+      scan.output_schema.cols[static_cast<size_t>(t.source_slot)].name;
+  zf.prefix_ids = t.prefix_ids;
   zf.attr_id = t.attr_id;
   zf.type_tag = t.type_tag;
   zf.op = op;
@@ -1125,173 +1221,52 @@ ZoneFilter ZoneFilterFromCall(const Expr& call, const ExecSchema& scan_schema,
 }
 
 /// Derives zone filters from one pushed-down conjunct. Recognized shapes:
-/// chain-call-vs-literal comparisons (either side; the op flips when the
+/// virtual-column-vs-literal comparisons (either side; the op flips when the
 /// literal is on the left) and non-negated BETWEEN with literal bounds.
 /// Anything else contributes nothing — a zone filter is a pure accelerator
 /// whose only promise is "no row of a skipped strip satisfies the conjunct".
-void CollectZoneFilters(const Expr& conjunct, const ExecSchema& scan_schema,
-                        std::vector<ZoneFilter>* out) {
+void CollectZoneFilters(const Expr& conjunct, PlanNode* scan) {
+  std::vector<ZoneFilter>* out = &scan->zone_filters;
   if (conjunct.kind == ExprKind::kBinary && IsComparisonOp(conjunct.bop) &&
       conjunct.args.size() == 2) {
     const Expr& lhs = *conjunct.args[0];
     const Expr& rhs = *conjunct.args[1];
-    if (IsZoneEligibleChainCall(lhs) && rhs.kind == ExprKind::kLiteral) {
-      out->push_back(
-          ZoneFilterFromCall(lhs, scan_schema, conjunct.bop, rhs.literal));
-    } else if (IsZoneEligibleChainCall(rhs) &&
-               lhs.kind == ExprKind::kLiteral) {
-      out->push_back(ZoneFilterFromCall(
-          rhs, scan_schema, FlipComparisonOp(conjunct.bop), lhs.literal));
+    if (const ExtractTarget* t = ZoneTarget(lhs, *scan);
+        t != nullptr && rhs.kind == ExprKind::kLiteral) {
+      out->push_back(MakeZoneFilter(*t, *scan, conjunct.bop, rhs.literal));
+    } else if (const ExtractTarget* u = ZoneTarget(rhs, *scan);
+               u != nullptr && lhs.kind == ExprKind::kLiteral) {
+      out->push_back(MakeZoneFilter(*u, *scan, FlipComparisonOp(conjunct.bop),
+                                    lhs.literal));
     }
     return;
   }
   if (conjunct.kind == ExprKind::kBetween && !conjunct.negated &&
       conjunct.args.size() == 3 &&
-      IsZoneEligibleChainCall(*conjunct.args[0]) &&
       conjunct.args[1]->kind == ExprKind::kLiteral &&
       conjunct.args[2]->kind == ExprKind::kLiteral) {
-    out->push_back(ZoneFilterFromCall(*conjunct.args[0], scan_schema,
-                                      BinaryOp::kGe,
-                                      conjunct.args[1]->literal));
-    out->push_back(ZoneFilterFromCall(*conjunct.args[0], scan_schema,
-                                      BinaryOp::kLe,
-                                      conjunct.args[2]->literal));
+    if (const ExtractTarget* t = ZoneTarget(*conjunct.args[0], *scan)) {
+      out->push_back(MakeZoneFilter(*t, *scan, BinaryOp::kGe,
+                                    conjunct.args[1]->literal));
+      out->push_back(MakeZoneFilter(*t, *scan, BinaryOp::kLe,
+                                    conjunct.args[2]->literal));
+    }
   }
 }
 
-/// Attaches zone filters to every base scan whose pushed-down filter holds
-/// chain-call comparisons. Runs before extraction targets are assigned,
-/// while those conjuncts still hold the literal calls.
+/// Attaches zone filters to every base scan whose pushed-down filter
+/// compares virtual columns with literals.
 void AttachZoneFiltersToScans(PlanNode* node) {
   if (node->kind == PlanKind::kSeqScan && node->scan_filter != nullptr &&
-      node->table != nullptr) {
+      !node->extract_targets.empty()) {
     for (const ExprPtr& part : SplitConjuncts(*node->scan_filter)) {
-      CollectZoneFilters(*part, node->output_schema, &node->zone_filters);
+      CollectZoneFilters(*part, node);
     }
   }
   for (PlanPtr& child : node->children) AttachZoneFiltersToScans(child.get());
 }
 
 }  // namespace
-
-// Post-pass: every document-extraction call of a single-table pipeline — a
-// Project or Aggregate cap over Filter/Sort/Unique/Limit nodes over a
-// SeqScan — becomes a virtual column the scan produces. The cap's output
-// schema hides the appended columns from everything upstream; joins keep
-// their calls on the scalar UDF path.
-void Planner::SelectPlanner::AssignExtractionTargets(PlanPtr* node) const {
-  PlanNode& n = **node;
-  if ((n.kind == PlanKind::kProject || n.kind == PlanKind::kHashAggregate ||
-       n.kind == PlanKind::kGroupAggregate) &&
-      n.children.size() == 1) {
-    AssignScanTargets(&n);
-  }
-  for (PlanPtr& child : n.children) AssignExtractionTargets(&child);
-}
-
-void Planner::SelectPlanner::AssignScanTargets(PlanNode* cap) const {
-  // Walk down through schema-preserving streaming nodes to a base scan.
-  std::vector<PlanNode*> mid;
-  PlanNode* scan = cap->children[0].get();
-  while ((scan->kind == PlanKind::kFilter || scan->kind == PlanKind::kSort ||
-          scan->kind == PlanKind::kUnique || scan->kind == PlanKind::kLimit) &&
-         scan->children.size() == 1) {
-    mid.push_back(scan);
-    scan = scan->children[0].get();
-  }
-  if (scan->kind != PlanKind::kSeqScan) return;
-
-  std::vector<ExprPtr*> exprs;
-  if (scan->scan_filter != nullptr) {
-    CollectChainCallSites(&scan->scan_filter, &exprs);
-  }
-  for (PlanNode* m : mid) {
-    if (m->predicate != nullptr) CollectChainCallSites(&m->predicate, &exprs);
-    for (ExprPtr& k : m->sort_keys) CollectChainCallSites(&k, &exprs);
-  }
-  for (ExprPtr& p : cap->projections) CollectChainCallSites(&p, &exprs);
-  for (ExprPtr& k : cap->group_keys) CollectChainCallSites(&k, &exprs);
-  for (AggSpec& a : cap->aggs) {
-    if (a.arg != nullptr) CollectChainCallSites(&a.arg, &exprs);
-  }
-  if (exprs.empty()) return;
-
-  // Dedupe sites by target: sorted, equal targets are adjacent and share one
-  // column, already in the BatchExtractFn order (see TargetLess).
-  struct Site {
-    ExtractTarget target;
-    ExprPtr* expr;
-  };
-  std::vector<Site> sites;
-  sites.reserve(exprs.size());
-  for (ExprPtr* e : exprs) sites.push_back(Site{TargetFromCall(**e), e});
-  std::sort(sites.begin(), sites.end(), [](const Site& a, const Site& b) {
-    return TargetLess(a.target, b.target);
-  });
-  std::vector<ExecSchema::Col>& cols = scan->output_schema.cols;
-  const size_t base = cols.size();
-  for (size_t i = 0; i < sites.size(); ++i) {
-    Site& site = sites[i];
-    if (i == 0 || TargetLess(sites[i - 1].target, site.target)) {
-      cols.push_back(ExecSchema::Col{
-          "", "$x" + std::to_string(scan->extract_targets.size()),
-          InferType(**site.expr, scan->output_schema)});
-      scan->extract_targets.push_back(site.target);
-    }
-    // The call node itself becomes the column ref (its arguments go).
-    Expr& e = **site.expr;
-    e.kind = ExprKind::kColumnRef;
-    e.fname.clear();
-    e.args.clear();
-    e.column = cols.back().name;
-    e.bound_slot = static_cast<int>(cols.size() - 1);
-  }
-  for (PlanNode* m : mid) m->output_schema = scan->output_schema;
-
-  // Decode sets: the targets the pushed-down filter reads are filter columns
-  // (phase 1, extracted for every probed row before the filter runs), the
-  // rest output columns (phase 2, survivors only). A source column stays
-  // decoded only when something other than extraction still reads it — the
-  // extractor reads row bytes in place.
-  std::vector<bool> referenced(cols.size(), false);
-  std::vector<const Expr*> refs;
-  auto collect = [&refs](const ExprPtr& e) {
-    if (e != nullptr) e->CollectColumnRefs(&refs);
-  };
-  collect(scan->scan_filter);
-  std::vector<size_t> filter_cols;
-  for (const Expr* ref : refs) {
-    if (ref->bound_slot >= 0) {
-      filter_cols.push_back(static_cast<size_t>(ref->bound_slot));
-    }
-  }
-  for (PlanNode* m : mid) {
-    collect(m->predicate);
-    for (const ExprPtr& k : m->sort_keys) collect(k);
-  }
-  for (const ExprPtr& p : cap->projections) collect(p);
-  for (const ExprPtr& k : cap->group_keys) collect(k);
-  for (const AggSpec& a : cap->aggs) collect(a.arg);
-  for (const Expr* ref : refs) {
-    if (ref->bound_slot >= 0) referenced[ref->bound_slot] = true;
-  }
-  std::vector<bool> decoded(cols.size(), false);
-  for (size_t c : scan->scan_filter_cols) decoded[c] = true;
-  for (size_t c : scan->scan_output_cols) decoded[c] = true;
-  for (const ExtractTarget& t : scan->extract_targets) {
-    if (!referenced[t.source_slot]) decoded[t.source_slot] = false;
-  }
-  for (size_t c = base; c < cols.size(); ++c) decoded[c] = true;
-  std::sort(filter_cols.begin(), filter_cols.end());
-  filter_cols.erase(std::unique(filter_cols.begin(), filter_cols.end()),
-                    filter_cols.end());
-  for (size_t c : filter_cols) decoded[c] = false;
-  scan->scan_filter_cols = std::move(filter_cols);
-  scan->scan_output_cols.clear();
-  for (size_t c = 0; c < decoded.size(); ++c) {
-    if (decoded[c]) scan->scan_output_cols.push_back(c);
-  }
-}
 
 // A scan → filter → project pipeline: the plan shape Gather workers can run
 // independently over disjoint morsels (one base table, no blocking state).
@@ -1349,49 +1324,32 @@ void Planner::SelectPlanner::ParallelizePlan(PlanPtr* node) const {
 
 Result<PlanPtr> Planner::SelectPlanner::Plan() {
   RETURN_NOT_OK(BuildScans());
+  CloneStatement();
+  if (udfs_ != nullptr && udfs_->batch_extract() != nullptr) {
+    HoistExtraction();
+  }
+  RETURN_NOT_OK(BindConjuncts());
   RETURN_NOT_OK(CollectColumnUsage());
   ASSIGN_OR_RETURN(PlanPtr root, BuildJoinTree());
 
-  // Clone the mutable pieces of the statement.
-  std::vector<SelectItem> items;
-  for (const SelectItem& item : stmt_.items) {
-    SelectItem copy;
-    copy.expr = item.expr->Clone();
-    copy.alias = item.alias;
-    items.push_back(std::move(copy));
-  }
-  ExprPtr having = stmt_.having != nullptr ? stmt_.having->Clone() : nullptr;
-  std::vector<OrderItem> order_by;
-  for (const OrderItem& item : stmt_.order_by) {
-    OrderItem copy;
-    copy.expr = item.expr->Clone();
-    copy.descending = item.descending;
-    order_by.push_back(std::move(copy));
-  }
-
-  bool has_agg = !stmt_.group_by.empty() || having != nullptr;
-  for (const SelectItem& item : items) {
+  bool has_agg = !group_by_.empty() || having_ != nullptr;
+  for (const SelectItem& item : items_) {
     if (item.expr->ContainsAggregate()) has_agg = true;
   }
-  for (const OrderItem& item : order_by) {
+  for (const OrderItem& item : order_by_) {
     if (item.expr->ContainsAggregate()) has_agg = true;
   }
 
   if (has_agg) {
-    ASSIGN_OR_RETURN(root, AddAggregation(std::move(root), &items, &having,
-                                          &order_by));
+    ASSIGN_OR_RETURN(root, AddAggregation(std::move(root)));
   }
-  ASSIGN_OR_RETURN(root, AddProjection(std::move(root), std::move(items)));
+  ASSIGN_OR_RETURN(root, AddProjection(std::move(root)));
   if (stmt_.distinct) {
     ASSIGN_OR_RETURN(root, AddDistinct(std::move(root)));
   }
-  ASSIGN_OR_RETURN(root,
-                   AddOrderByAndLimit(std::move(root), std::move(order_by)));
+  ASSIGN_OR_RETURN(root, AddOrderByAndLimit(std::move(root)));
   FoldPlanConstants(root.get());
   AttachZoneFiltersToScans(root.get());
-  if (udfs_ != nullptr && udfs_->batch_extract() != nullptr) {
-    AssignExtractionTargets(&root);
-  }
   if (options_.parallelism > 1) ParallelizePlan(&root);
   CompilePlanPrograms(root.get(), udfs_);
   return root;

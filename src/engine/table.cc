@@ -36,6 +36,22 @@ Result<uint64_t> Table::AppendRow(const DatumRow& row) {
   return rows_.size() - 1;
 }
 
+Result<uint64_t> Table::AppendRowWith(std::string_view column, Datum value) {
+  std::unique_lock lock(latch_);
+  std::optional<size_t> slot = schema_.FindColumn(column);
+  if (!slot.has_value()) {
+    return Status::NotFound("column ", column, " does not exist in ", name_);
+  }
+  DatumRow row(schema_.num_slots());
+  row[*slot] = std::move(value);
+  ASSIGN_OR_RETURN(std::string encoded, EncodeRow(schema_, row));
+  data_bytes_ += encoded.size();
+  rows_.push_back(std::move(encoded));
+  ++live_rows_;
+  BumpVersion();
+  return rows_.size() - 1;
+}
+
 uint64_t Table::RowSlotCount() const {
   std::shared_lock lock(latch_);
   return rows_.size();

@@ -69,6 +69,10 @@ class Table {
   // --- row access ---
   /// Appends a row; returns its row id.
   Result<uint64_t> AppendRow(const DatumRow& row);
+  /// Appends a row that is NULL except for `value` in `column`. The slot is
+  /// resolved and the row sized under the append's own exclusive latch
+  /// acquisition, so a concurrent AddColumn cannot leave it a slot short.
+  Result<uint64_t> AppendRowWith(std::string_view column, Datum value);
   /// Number of row-id slots (including deleted rows).
   uint64_t RowSlotCount() const;
   /// Live rows.

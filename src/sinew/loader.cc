@@ -157,22 +157,15 @@ Result<uint64_t> Loader::LoadDocuments(const std::string& table,
 
   // Phase 2 — append rows and update occurrence counts in document order
   // (serial, so row ids match input order deterministically).
-  engine::Schema schema = engine_table->SchemaSnapshot();
+  // A concurrent query's rewriter may add a physical column at any time, so
+  // each row is sized to the schema under its own append. The reservoir is
+  // copied, not moved: freeing each one as its row lands would scatter the
+  // encoded rows into the holes and cost every later scan its locality.
   uint64_t loaded = 0;
   for (size_t i = 0; i < docs.size(); ++i) {
-    Result<uint64_t> rid_or = 0;
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      std::optional<size_t> data_slot = schema.FindColumn(kReservoirColumn);
-      engine::DatumRow row(schema.num_slots());
-      row[*data_slot] = engine::Datum::Bytes(reservoirs[i]);
-      rid_or = engine_table->AppendRow(row);
-      // A concurrent query's rewriter may add a physical column between our
-      // snapshot and the append; refresh the snapshot and retry once.
-      if (rid_or.ok() || !rid_or.status().IsInvalidArgument()) break;
-      schema = engine_table->SchemaSnapshot();
-    }
-    RETURN_NOT_OK(rid_or.status());
-    uint64_t rid = *rid_or;
+    ASSIGN_OR_RETURN(uint64_t rid,
+                     engine_table->AppendRowWith(
+                         kReservoirColumn, engine::Datum::Bytes(reservoirs[i])));
 
     for (uint32_t id : doc_ids[i]) {
       catalog_->AddOccurrences(table, id, 1);

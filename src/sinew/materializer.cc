@@ -70,8 +70,10 @@ Result<ColumnMaterializer::Pass*> ColumnMaterializer::StartPassIfNeeded(
     ASSIGN_OR_RETURN(serial::Attribute attr, catalog_->Lookup(id));
     std::optional<size_t> slot = engine_table->FindColumnLatched(attr.key);
     if (state->materialized && !slot.has_value()) {
-      RETURN_NOT_OK(engine_table->AddColumn(engine::Column{
-          attr.key, engine::ColumnTypeForValueType(attr.type), false}));
+      // A concurrent query's rewriter may add the same column first.
+      Status added = engine_table->AddColumn(engine::Column{
+          attr.key, engine::ColumnTypeForValueType(attr.type), false});
+      if (!added.ok() && !added.IsAlreadyExists()) return added;
       static metrics::Counter* promoted =
           metrics::GetCounter("materializer.columns_promoted_total");
       promoted->Increment();

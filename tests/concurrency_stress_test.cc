@@ -220,6 +220,45 @@ TEST(ConcurrencyStressTest, BackgroundMaintenanceUnderLoad) {
   EXPECT_EQ(*sum, ExpectedNumSum(docs));
 }
 
+TEST(ConcurrencyStressTest, LoaderAppendsWhileColumnsAreAdded) {
+  // A query's rewriter adds physical columns without the maintenance latch
+  // the loader holds, so columns can appear between any two appends of a
+  // load. Every row must still be sized to the schema it lands in.
+  nb::Config config;
+  config.num_records = 2000;
+  config.seed = 17;
+  std::vector<Value> docs = nb::Generate(config);
+
+  SinewDb db(StressOptions());
+  ASSERT_TRUE(db.LoadDocuments("t", {docs.begin(), docs.begin() + 1}).ok());
+  Result<engine::Table*> table = db.engine()->catalog()->GetTable("t");
+  ASSERT_TRUE(table.ok());
+
+  std::atomic<bool> stop{false};
+  std::thread adder([&] {
+    for (int i = 0; i < 2000 && !stop.load(); ++i) {
+      Status added = (*table)->AddColumn(engine::Column{
+          "added_" + std::to_string(i), engine::ColumnType::kInt, false});
+      EXPECT_TRUE(added.ok()) << added.ToString();
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
+  uint64_t loaded = 1;
+  for (int round = 0; round < 3; ++round) {
+    Result<uint64_t> n =
+        db.LoadDocuments("t", {docs.begin() + 1, docs.end()});
+    EXPECT_TRUE(n.ok()) << n.status().ToString();
+    if (n.ok()) loaded += *n;
+  }
+  stop.store(true);
+  adder.join();
+
+  Result<engine::QueryResult> count = db.Query("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->rows[0][0].int_value(), static_cast<int64_t>(loaded));
+  EXPECT_EQ(loaded, 1 + 3 * (docs.size() - 1));
+}
+
 TEST(ConcurrencyStressTest, StripServedReadsDuringUpdatesAndReshred) {
   // Every document keeps b == "s<a>" and c == 2a, and the writer rewrites
   // all three together, so a row assembled from strips and row bytes of

@@ -119,7 +119,6 @@ TEST_F(PlannerTest, ProjectionPushdownMarksOnlyReferencedColumns) {
   const PlanNode* scan = plan->get();
   while (!scan->children.empty()) scan = scan->children[0].get();
   ASSERT_EQ(scan->kind, PlanKind::kSeqScan);
-  EXPECT_TRUE(scan->scan_projected);
   // Filter needs id (slot 0); output needs kind (slot 1); payload/amount
   // are never decoded.
   EXPECT_EQ(scan->scan_filter_cols, std::vector<size_t>{0});
@@ -131,7 +130,6 @@ TEST_F(PlannerTest, CountStarNeedsNoColumns) {
   const PlanNode* scan = plan->get();
   while (!scan->children.empty()) scan = scan->children[0].get();
   ASSERT_EQ(scan->kind, PlanKind::kSeqScan);
-  EXPECT_TRUE(scan->scan_projected);
   EXPECT_TRUE(scan->scan_filter_cols.empty());
   EXPECT_TRUE(scan->scan_output_cols.empty());
 }

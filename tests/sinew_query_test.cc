@@ -188,6 +188,38 @@ TEST_F(SinewQueryTest, ExplainShowsRewrittenPlan) {
   }
 }
 
+TEST_F(SinewQueryTest, ColumnTypesInvariantUnderMaterialization) {
+  // A virtual column reports its attribute's type, so the result's column
+  // types are the same whether the attributes are virtual, dirty (COALESCE
+  // of column and extraction) or physical.
+  ASSERT_TRUE(db_.LoadJsonLines("scores", R"(
+{"a": 1, "c": 1.5, "d": true}
+{"a": 2, "c": 2.5, "d": false}
+{"a": 1, "c": 1.5, "d": true}
+{"a": 3, "c": 0.5, "d": false}
+)")
+                  .ok());
+  const std::string sql =
+      "SELECT a, c, d, SUM(a) FROM scores GROUP BY a, c, d";
+  const std::vector<engine::ColumnType> want = {
+      engine::ColumnType::kInt, engine::ColumnType::kDouble,
+      engine::ColumnType::kBool, engine::ColumnType::kInt};
+  EXPECT_EQ(Q(sql).column_types, want) << "virtual";
+  for (const char* key : {"a", "c", "d"}) {
+    ASSERT_TRUE(db_.ForceMaterialization("scores", key, true).ok());
+  }
+  ASSERT_TRUE(db_.MaterializeStep("scores", 2).ok());
+  auto plan = db_.Explain(sql);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_NE(plan->find("coalesce"), std::string::npos) << *plan;
+  EXPECT_EQ(Q(sql).column_types, want) << "dirty";
+  ASSERT_TRUE(db_.MaterializeAll("scores").ok());
+  plan = db_.Explain(sql);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->find("SinewExtract"), std::string::npos) << *plan;
+  EXPECT_EQ(Q(sql).column_types, want) << "physical";
+}
+
 TEST_F(SinewQueryTest, ResultsInvariantUnderMaterialization) {
   // The defining property of the hybrid schema: any physical design returns
   // the same logical answers.

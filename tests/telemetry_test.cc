@@ -234,6 +234,20 @@ TEST_F(TelemetryTablesTest, AttributeStatsTrackExtractionHeat) {
   EXPECT_TRUE(none.rows.empty());
 }
 
+TEST_F(TelemetryTablesTest, AttributeStatsSeeAttributesReadThroughJoins) {
+  // A join input's scan extracts its virtual columns like any other scan:
+  // ip is read only as a join key here, and its heat is accounted.
+  auto pairs = Q("SELECT a.url, b.url FROM logs a, logs b WHERE a.ip = b.ip");
+  ASSERT_EQ(pairs.rows.size(), 1u);
+
+  auto r = Q("SELECT extract_requests, reservoir_served + strip_served "
+             "FROM sinew_attribute_stats "
+             "WHERE table_name = 'logs' AND attr_key = 'ip'");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_GE(r.rows[0][0].int_value(), 8);  // every row of both inputs
+  EXPECT_GE(r.rows[0][1].int_value(), r.rows[0][0].int_value());
+}
+
 TEST_F(TelemetryTablesTest, ReservedSystemTableNames) {
   for (const char* name :
        {"sinew_metrics", "sinew_query_log", "sinew_attribute_stats"}) {
