@@ -382,6 +382,7 @@ class Compiler {
         return Reg(ins.dst);
       }
       case ExprKind::kCase:
+      case ExprKind::kVirtual:  // an unhoisted one: scalar extraction
         return EmitFallback(e);
     }
     return std::nullopt;

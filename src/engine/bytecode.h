@@ -12,16 +12,18 @@
 //     and colref-cmp-literal predicate forms into one opcode; in predicate
 //     position a single-instruction program refines the selection vector in
 //     place without materializing a boolean column at all.
-//   - kUdfCmpLit fuses a simple-argument UDF call (e.g. a sinew_extract_*
-//     chain over the reservoir column) with the literal comparison above it,
-//     so the extracted value is consumed where it is produced.
+//   - kUdfCmpLit fuses a simple-argument UDF call (e.g. an array
+//     containment test over the reservoir column) with the literal
+//     comparison above it, so the computed value is consumed where it is
+//     produced.
 //   - kBoolFork/kBoolJoin implement Kleene AND/OR by lane partitioning: the
 //     fork evaluates the left side, writes decided lanes (false AND _,
 //     true OR _) and narrows the lane set to the undecided rows for the
 //     right-side region — a right-side runtime error fires for exactly the
 //     rows scalar EvalExpr would evaluate it on.
 //   - kFallbackLane covers everything without a vector kernel (CASE,
-//     coalesce, UDF calls with non-trivial arguments, IN lists with
+//     coalesce, a virtual-column reference the planner did not hoist into
+//     a scan, UDF calls with non-trivial arguments, IN lists with
 //     evaluable items): it runs the scalar evaluator per lane over a scratch
 //     row built from compile-time-collected slots, so short-circuit order,
 //     which argument's error fires and Kleene NULL handling stay exact by

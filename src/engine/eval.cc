@@ -89,6 +89,43 @@ Result<const Datum*> EvalRef(const Expr& expr, const DatumRow& row,
 Result<Datum> EvalBinary(const Expr& expr, const DatumRow& row,
                          const UdfRegistry* udfs);
 
+/// A kVirtual reference over one row: the first non-NULL source, read as
+/// is or through the registered batch extractor over that one document.
+Result<Datum> EvalVirtual(const Expr& expr, const DatumRow& row,
+                          const UdfRegistry* udfs) {
+  for (size_t i = 0; i < expr.args.size(); ++i) {
+    Datum storage;
+    ASSIGN_OR_RETURN(const Datum* source,
+                     EvalRef(*expr.args[i], row, udfs, &storage));
+    if (source->is_null()) continue;
+    const std::vector<ExtractTarget>& targets = (*expr.virtual_sources)[i];
+    if (targets.empty()) return *source;
+    if (!source->is_bytes()) {
+      return Status::TypeError("virtual column source must be serialized data");
+    }
+    const BatchExtractFn* fn =
+        udfs == nullptr ? nullptr : udfs->batch_extract();
+    if (fn == nullptr) {
+      return Status::NotFound("no batch extractor for virtual column ",
+                              expr.column);
+    }
+    std::vector<ExtractedValue> found;
+    BatchExtractStats stats;
+    RETURN_NOT_OK((*fn)({source->str()}, targets, &found, &stats));
+    // A document holds at most one value per variant; the lowest type tag
+    // wins, as it does in the scan.
+    ExtractedValue* best = nullptr;
+    for (ExtractedValue& v : found) {
+      if (best == nullptr ||
+          targets[v.target].type_tag < targets[best->target].type_tag) {
+        best = &v;
+      }
+    }
+    return best == nullptr ? Datum::Null() : std::move(best->value);
+  }
+  return Datum::Null();
+}
+
 Result<Datum> EvalCompareOp(BinaryOp op, const Datum& lhs, const Datum& rhs) {
   switch (op) {
     case BinaryOp::kEq:
@@ -291,6 +328,8 @@ Result<Datum> EvalExpr(const Expr& expr, const DatumRow& row,
       if (i < expr.args.size()) return EvalExpr(*expr.args[i], row, udfs);
       return Datum::Null();
     }
+    case ExprKind::kVirtual:
+      return EvalVirtual(expr, row, udfs);
   }
   return Status::Internal("unreachable expression kind");
 }
@@ -418,29 +457,31 @@ ColumnType InferType(const Expr& expr, const ExecSchema& schema) {
         }
         return type.value_or(ColumnType::kText);
       }
-      if (expr.fname == "sinew_extract_chain" && expr.args.size() >= 2 &&
-          expr.args[1]->kind == ExprKind::kLiteral &&
-          expr.args[1]->literal.is_int()) {
-        // The type tag names the attribute's type; an object or array is
-        // rendered as JSON text.
-        const ColumnType t = ColumnTypeForValueType(
-            static_cast<ValueType>(expr.args[1]->literal.int_value()));
-        return t == ColumnType::kBytes ? ColumnType::kText : t;
-      }
-      if (expr.fname.find("_int") != std::string::npos) return ColumnType::kInt;
-      if (expr.fname.find("_double") != std::string::npos ||
-          expr.fname.find("_real") != std::string::npos) {
-        return ColumnType::kDouble;
-      }
-      if (expr.fname.find("_bool") != std::string::npos) return ColumnType::kBool;
-      if (expr.fname.find("_bytes") != std::string::npos) {
-        return ColumnType::kBytes;
-      }
       return ColumnType::kText;
     }
     case ExprKind::kCase:
       return expr.args.size() >= 2 ? InferType(*expr.args[1], schema)
                                    : ColumnType::kText;
+    case ExprKind::kVirtual: {
+      // The variants' type when they agree (an object or array read as
+      // JSON text), else row-dependent: text, as for a mixed COALESCE.
+      std::optional<ColumnType> type;
+      for (const std::vector<ExtractTarget>& targets :
+           *expr.virtual_sources) {
+        for (const ExtractTarget& t : targets) {
+          ColumnType c =
+              ColumnTypeForValueType(static_cast<ValueType>(t.type_tag));
+          if (t.raw_bytes) {
+            c = ColumnType::kBytes;
+          } else if (c == ColumnType::kBytes) {
+            c = ColumnType::kText;
+          }
+          if (type.has_value() && *type != c) return ColumnType::kText;
+          type = c;
+        }
+      }
+      return type.value_or(ColumnType::kText);
+    }
     default:
       return ColumnType::kText;
   }

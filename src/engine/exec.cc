@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <deque>
 #include <iomanip>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -244,7 +245,7 @@ class ScanOp : public Operator {
     // silently decoding would misalign columns — fail fast instead (the
     // caller retries with a fresh plan).
     bool same_layout =
-        rid_position_ + 1 + node_.extract_targets.size() == width;
+        rid_position_ + 1 + node_.virtual_columns.size() == width;
     for (size_t i = 0; same_layout && i < rid_position_; ++i) {
       same_layout = schema_.columns()[live_slots_[i]].name ==
                     node_.output_schema.cols[i].name;
@@ -271,31 +272,18 @@ class ScanOp : public Operator {
     }
     std::sort(filter_slots_.begin(), filter_slots_.end());
     std::sort(output_slots_.begin(), output_slots_.end());
-    // Virtual columns, grouped by (phase, source column) in target order.
-    filter_groups_.clear();
-    output_groups_.clear();
-    const std::vector<ExtractTarget>& targets = node_.extract_targets;
-    for (size_t t = 0; t < targets.size(); ++t) {
-      const int src = targets[t].source_slot;
-      if (src < 0 || static_cast<size_t>(src) >= rid_position_) {
-        return Status::Internal("extract target reads scan position ", src);
-      }
-      if (schema_.columns()[live_slots_[src]].type != ColumnType::kBytes) {
-        return Status::TypeError(
-            "virtual column source must be serialized data");
-      }
-      std::vector<ExtractGroup>& groups =
-          sources[ExtractPosition(t)] == Source::kFilter ? filter_groups_
-                                                         : output_groups_;
-      if (groups.empty() || groups.back().source_slot != src) {
-        groups.emplace_back();
-        groups.back().source_slot = src;
-        groups.back().table_slot = live_slots_[src];
-      }
-      groups.back().index.push_back(t);
-      groups.back().targets.push_back(targets[t]);
+    filter_ = Phase{};
+    output_ = Phase{};
+    const std::vector<ExprPtr>& virtuals = node_.virtual_columns;
+    for (size_t v = 0; v < virtuals.size(); ++v) {
+      const size_t pos = rid_position_ + 1 + v;
+      RETURN_NOT_OK(AddVirtual(
+          *virtuals[v], pos,
+          sources[pos] == Source::kFilter ? &filter_ : &output_));
     }
-    if (!targets.empty()) {
+    FinishGroups(&filter_);
+    FinishGroups(&output_);
+    if (!virtuals.empty()) {
       fn_ = ctx_->udfs == nullptr ? nullptr : ctx_->udfs->batch_extract();
       if (fn_ == nullptr) {
         return Status::Internal("no batch extractor is registered");
@@ -303,7 +291,6 @@ class ScanOp : public Operator {
       // Attribute heat telemetry is armed only when a sink is installed;
       // otherwise every accounting branch is a predicted-false check.
       heat_enabled_ = ctx_->udfs->heat_sink() != nullptr;
-      if (heat_enabled_) heat_.assign(targets.size(), TargetHeat{});
     }
     seg_.reset();
     seg_rows_ = 0;
@@ -336,10 +323,9 @@ class ScanOp : public Operator {
                           ? DecodeUnlocked(chunk_end, batch)
                           : DecodeFilteredUnlocked(chunk_end, batch));
       }
-      RETURN_NOT_OK(
-          ExtractUnlocked(&output_groups_, batch, from, lane_raws_));
+      RETURN_NOT_OK(ExtractUnlocked(&output_, batch, from, lane_raws_));
     }
-    MaterializeExtracted(&output_groups_, batch, /*seed_tags=*/false);
+    MaterializeExtracted(&output_, batch, /*seed_tags=*/false);
     return batch->size > 0;
   }
 
@@ -348,23 +334,139 @@ class ScanOp : public Operator {
   /// pass, the phase-2 (output) pass, or nowhere (unreferenced, NULL).
   enum class Source : uint8_t { kNull, kFilter, kOutput };
 
-  /// Virtual columns of one phase read from one source column: `targets`
-  /// (the BatchExtractFn argument) are extract_targets[index[k]].
+  /// A virtual column's reader of an extraction target: (column index in
+  /// its phase, index of the source the target belongs to).
+  using Reader = std::pair<uint32_t, uint8_t>;
+
+  /// One virtual column of a phase: PlanNode::virtual_columns[pos - first].
+  struct VirtualCol {
+    size_t pos = 0;  // scan output position
+    const Expr* ref = nullptr;
+    /// Index in Phase::source_groups of the group reading its first source.
+    size_t first_source = 0;
+    bool ranked = false;  // some source holds several typed variants
+    /// Reads a lone extraction source: every lane reads it, so no lane
+    /// picks a source.
+    bool simple = false;
+    /// Per lane of the batch being filled, unless simple: the source the
+    /// lane reads (-1: none is non-NULL).
+    std::vector<int8_t> pick;
+    /// Per lane, ranked columns only: type tag of the variant held.
+    std::vector<int64_t> rank;
+  };
+
+  /// The extraction targets one phase reads from one source column.
   struct ExtractGroup {
     int source_slot = -1;   // scan output position of the source
     size_t table_slot = 0;  // its physical slot in the row encoding
-    std::vector<size_t> index;
+    /// Distinct targets in ExtractTarget order (the BatchExtractFn
+    /// argument); the readers of targets[t] are
+    /// readers[reader_begin[t], reader_begin[t + 1]).
     std::vector<ExtractTarget> targets;
+    std::vector<uint32_t> reader_begin;
+    std::vector<Reader> readers;
+    /// (target, reader) pairs of the columns added so far (AddVirtual);
+    /// FinishGroups folds them into the three vectors above.
+    std::vector<std::pair<const ExtractTarget*, Reader>> pending;
+    /// Every lane is extracted when a simple column reads the group;
+    /// otherwise only lanes some other reader picked it for.
+    bool every_lane = false;
+    std::vector<Reader> pickers;
     /// Strip column per target in the current segment; empty unless every
     /// target has one (a reservoir decode per lane would be paid anyway).
     std::vector<const StripColumn*> strips;
     /// Values found but not yet in the batch, `doc` being the batch lane.
     std::vector<ExtractedValue> values;
     bool strips_only = false;  // the last extraction read no row bytes
+    /// Attribute heat accounting (FlushHeat), parallel to `targets`.
+    struct Heat {
+      uint64_t requests = 0;
+      uint64_t strip_served = 0;
+      uint64_t reservoir_served = 0;
+    };
+    std::vector<Heat> heat;
   };
 
-  size_t ExtractPosition(size_t target) const {
-    return rid_position_ + 1 + target;
+  /// The virtual columns one decode phase produces.
+  struct Phase {
+    std::vector<VirtualCol> cols;
+    std::vector<ExtractGroup> groups;
+    /// Per column source, in column order: the group reading it (-1: the
+    /// attribute's own column, read as is).
+    std::vector<int> source_groups;
+  };
+
+  /// Adds virtual column `ref` (output position `pos`) to `phase`, its
+  /// extraction sources joining the phase's group for each source column.
+  Status AddVirtual(const Expr& ref, size_t pos, Phase* phase) {
+    VirtualCol& col = phase->cols.emplace_back();
+    col.pos = pos;
+    col.ref = &ref;
+    col.first_source = phase->source_groups.size();
+    col.simple = ref.args.size() == 1;
+    const auto index = static_cast<uint32_t>(phase->cols.size() - 1);
+    for (size_t i = 0; i < ref.args.size(); ++i) {
+      const int src = ref.args[i]->bound_slot;
+      if (src < 0 || static_cast<size_t>(src) >= rid_position_) {
+        return Status::Internal("virtual column reads scan position ", src);
+      }
+      const std::vector<ExtractTarget>& targets = (*ref.virtual_sources)[i];
+      if (targets.empty()) {
+        col.simple = false;
+        phase->source_groups.push_back(-1);
+        continue;
+      }
+      if (schema_.columns()[live_slots_[src]].type != ColumnType::kBytes) {
+        return Status::TypeError(
+            "virtual column source must be serialized data");
+      }
+      std::vector<ExtractGroup>& groups = phase->groups;
+      auto g = std::find_if(groups.begin(), groups.end(),
+                            [src](const ExtractGroup& group) {
+                              return group.source_slot == src;
+                            });
+      if (g == groups.end()) {
+        g = groups.emplace(groups.end());
+        g->source_slot = src;
+        g->table_slot = live_slots_[src];
+      }
+      const Reader reader(index, static_cast<uint8_t>(i));
+      for (const ExtractTarget& t : targets) {
+        g->pending.emplace_back(&t, reader);
+      }
+      if (ref.args.size() == 1) {
+        g->every_lane = true;
+      } else {
+        g->pickers.push_back(reader);
+      }
+      col.ranked |= targets.size() > 1;
+      phase->source_groups.push_back(static_cast<int>(g - groups.begin()));
+    }
+    return Status::OK();
+  }
+
+  /// Dedupes each group's pending (target, reader) pairs into its sorted
+  /// targets and their readers. Planner-sorted columns arrive mostly in
+  /// target order already.
+  static void FinishGroups(Phase* phase) {
+    for (ExtractGroup& g : phase->groups) {
+      auto less = [](const auto& a, const auto& b) {
+        return *a.first < *b.first;
+      };
+      if (!std::is_sorted(g.pending.begin(), g.pending.end(), less)) {
+        std::stable_sort(g.pending.begin(), g.pending.end(), less);
+      }
+      for (const auto& [target, reader] : g.pending) {
+        if (g.targets.empty() || g.targets.back() != *target) {
+          g.targets.push_back(*target);
+          g.reader_begin.push_back(static_cast<uint32_t>(g.readers.size()));
+        }
+        g.readers.push_back(reader);
+      }
+      g.reader_begin.push_back(static_cast<uint32_t>(g.readers.size()));
+      g.heat.resize(g.targets.size());
+      g.pending = {};
+    }
   }
 
   /// Advances rid_ past leading column strips whose zone maps prove no row
@@ -410,17 +512,17 @@ class ScanOp : public Operator {
   /// segment, once per segment (the held pointer pins the address the
   /// resolution is keyed on). Caller holds the table latch: under it the
   /// segment agrees with every row it covers, so a covered lane may be
-  /// served from the strips instead of its row bytes.
+  /// served from the strips instead of its row bytes — whichever virtual
+  /// column reads the source.
   void RefreshStripsUnlocked(Table* table) {
-    if (filter_groups_.empty() && output_groups_.empty()) return;
+    if (filter_.groups.empty() && output_.groups.empty()) return;
     const std::shared_ptr<const ColumnarSegment>& seg =
         table->ColumnarSegmentUnlocked();
     if (seg == seg_) return;
     seg_ = seg;
     seg_rows_ = seg == nullptr ? 0 : seg->row_count();
-    for (std::vector<ExtractGroup>* groups :
-         {&filter_groups_, &output_groups_}) {
-      for (ExtractGroup& g : *groups) {
+    for (Phase* phase : {&filter_, &output_}) {
+      for (ExtractGroup& g : phase->groups) {
         g.strips.clear();
         if (seg == nullptr) continue;
         const std::string& source =
@@ -440,26 +542,72 @@ class ScanOp : public Operator {
     }
   }
 
-  /// Extracts the virtual columns of `groups` for lanes [from, b->size) of
-  /// `b`, whose row bytes are raws[lane - from], into each group's pending
-  /// values (MaterializeExtracted moves them into the batch's columns).
-  /// Lanes the attached segment covers are served from strips when the
-  /// group has them; the rest hand the extractor a view of the source
-  /// column inside the row bytes, so the reservoir is never copied. Caller
-  /// holds the table latch.
-  Status ExtractUnlocked(std::vector<ExtractGroup>* groups, RowBatch* b,
-                         size_t from,
+  /// Resolves, per lane of [from, b->size) whose row bytes are
+  /// raws[lane - from], the source each virtual column not reading a lone
+  /// extraction source reads: the first that is not NULL. A value read from
+  /// the attribute's own column lands in the batch right away. Caller holds
+  /// the table latch.
+  Status PickSourcesUnlocked(Phase* phase, RowBatch* b, size_t from,
+                             const std::vector<const std::string*>& raws) {
+    for (VirtualCol& v : phase->cols) {
+      if (v.simple) continue;
+      v.pick.resize(b->size, -1);
+      std::vector<Datum>& col = b->cols[v.pos];
+      col.resize(b->size);
+      const std::vector<ExprPtr>& sources = v.ref->args;
+      for (size_t lane = from; lane < b->size; ++lane) {
+        const std::string& raw = *raws[lane - from];
+        int8_t pick = -1;
+        for (size_t i = 0; i < sources.size() && pick < 0; ++i) {
+          const size_t slot = live_slots_[sources[i]->bound_slot];
+          if (phase->source_groups[v.first_source + i] < 0) {
+            ASSIGN_OR_RETURN(Datum d, DecodeRowColumn(schema_, raw, slot));
+            if (d.is_null()) continue;
+            col[lane] = std::move(d);
+          } else {
+            ASSIGN_OR_RETURN(std::string_view doc,
+                             RowSlotBytes(schema_, raw, slot));
+            if (doc.data() == nullptr) continue;
+          }
+          pick = static_cast<int8_t>(i);
+        }
+        v.pick[lane] = pick;
+      }
+    }
+    return Status::OK();
+  }
+
+  /// True if some virtual column reads group `g` at `lane`.
+  static bool LaneReads(const Phase& phase, const ExtractGroup& g,
+                        size_t lane) {
+    if (g.every_lane) return true;
+    for (const auto& [v, source] : g.pickers) {
+      if (phase.cols[v].pick[lane] == source) return true;
+    }
+    return false;
+  }
+
+  /// Resolves the virtual columns of `phase` for lanes [from, b->size) of
+  /// `b`, whose row bytes are raws[lane - from]: picks each multi-source
+  /// column's source, then extracts into each group's pending values
+  /// (MaterializeExtracted moves them into the batch's columns). Lanes the
+  /// attached segment covers are served from strips when the group has
+  /// them; the rest hand the extractor a view of the source column inside
+  /// the row bytes, so the reservoir is never copied — a null view for a
+  /// lane no column reads the source at. Caller holds the table latch.
+  Status ExtractUnlocked(Phase* phase, RowBatch* b, size_t from,
                          const std::vector<const std::string*>& raws) {
     static metrics::Counter* strip_hits =
         metrics::GetCounter("extract.columnar_hits");
     const size_t n = b->size - from;
-    if (groups->empty() || n == 0) return Status::OK();
+    if (phase->cols.empty() || n == 0) return Status::OK();
     const uint64_t start = ctx_->stats != nullptr ? metrics::NowNanos() : 0;
+    RETURN_NOT_OK(PickSourcesUnlocked(phase, b, from, raws));
     const std::vector<Datum>& rids = b->cols[rid_position_];
     auto rid = [&](size_t k) {
       return static_cast<uint64_t>(rids[from + k].int_value());
     };
-    for (ExtractGroup& g : *groups) {
+    for (ExtractGroup& g : phase->groups) {
       // Lanes ascend by rid, so the ones the segment covers lead.
       size_t cold = 0;
       if (!g.strips.empty()) {
@@ -476,29 +624,37 @@ class ScanOp : public Operator {
         columnar_hits_ += cold * g.strips.size();
         strip_hits->Add(cold * g.strips.size());
       }
-      const size_t hot = n - cold;
-      g.strips_only = hot == 0;
-      if (hot != 0) {
+      g.strips_only = cold == n;
+      uint64_t hot = 0;  // lanes handed to the extractor
+      if (cold != n) {
         docs_.clear();
         for (size_t k = cold; k < n; ++k) {
+          if (!LaneReads(*phase, g, from + k)) {
+            docs_.emplace_back();
+            continue;
+          }
           ASSIGN_OR_RETURN(std::string_view doc,
                            RowSlotBytes(schema_, *raws[k], g.table_slot));
           docs_.push_back(doc);
+          ++hot;
         }
-        const size_t found = g.values.size();
-        const uint64_t t0 = heat_enabled_ ? metrics::NowNanos() : 0;
-        RETURN_NOT_OK((*fn_)(docs_, g.targets, &g.values, &extract_stats_));
-        if (heat_enabled_) decode_ns_ += metrics::NowNanos() - t0;
-        // Documents are numbered from the first hot lane.
-        for (size_t i = found; i < g.values.size(); ++i) {
-          g.values[i].doc += static_cast<uint32_t>(from + cold);
+        if (hot != 0) {
+          const size_t found = g.values.size();
+          const uint64_t t0 = heat_enabled_ ? metrics::NowNanos() : 0;
+          RETURN_NOT_OK(
+              (*fn_)(docs_, g.targets, &g.values, &extract_stats_));
+          if (heat_enabled_) decode_ns_ += metrics::NowNanos() - t0;
+          // Documents are numbered from the first hot lane.
+          for (size_t i = found; i < g.values.size(); ++i) {
+            g.values[i].doc += static_cast<uint32_t>(from + cold);
+          }
         }
       }
       if (heat_enabled_) {
-        for (size_t t : g.index) {
-          heat_[t].requests += n;
-          heat_[t].strip_served += cold;
-          heat_[t].reservoir_served += hot;
+        for (ExtractGroup::Heat& h : g.heat) {
+          h.requests += cold + hot;
+          h.strip_served += cold;
+          h.reservoir_served += hot;
         }
       }
     }
@@ -507,16 +663,34 @@ class ScanOp : public Operator {
   }
 
   /// Moves every group's pending values into the batch's virtual columns,
-  /// which are NULL wherever nothing was found. With `seed_tags`, a column
-  /// served entirely from strips by the last extraction seeds its batch type
-  /// tag from the strip type (the batch must not grow afterwards).
-  void MaterializeExtracted(std::vector<ExtractGroup>* groups, RowBatch* b,
-                            bool seed_tags) {
-    for (ExtractGroup& g : *groups) {
-      for (size_t t : g.index) b->cols[ExtractPosition(t)].resize(b->size);
+  /// which are NULL wherever nothing was found: a multi-source column takes
+  /// values from the source its lane picked only, and a column of several
+  /// variants the one of lowest type tag. With `seed_tags`, a one-variant
+  /// column served entirely from strips by the last extraction seeds its
+  /// batch type tag from the strip type (the batch must not grow
+  /// afterwards).
+  void MaterializeExtracted(Phase* phase, RowBatch* b, bool seed_tags) {
+    for (VirtualCol& v : phase->cols) {
+      b->cols[v.pos].resize(b->size);
+      if (v.ranked) {
+        v.rank.assign(b->size, std::numeric_limits<int64_t>::max());
+      }
+    }
+    for (ExtractGroup& g : phase->groups) {
       for (ExtractedValue& e : g.values) {
-        b->cols[ExtractPosition(g.index[e.target])][e.doc] =
-            std::move(e.value);
+        const uint32_t last = g.reader_begin[e.target + 1];
+        for (uint32_t r = g.reader_begin[e.target]; r < last; ++r) {
+          const auto [index, source] = g.readers[r];
+          VirtualCol& v = phase->cols[index];
+          if (!v.simple && v.pick[e.doc] != source) continue;
+          if (v.ranked) {
+            const int64_t tag = g.targets[e.target].type_tag;
+            if (v.rank[e.doc] <= tag) continue;
+            v.rank[e.doc] = tag;
+          }
+          Datum& dst = b->cols[v.pos][e.doc];
+          dst = r + 1 == last ? std::move(e.value) : e.value;
+        }
       }
       g.values.clear();
       if (seed_tags && g.strips_only && !g.strips.empty()) {
@@ -524,12 +698,16 @@ class ScanOp : public Operator {
         // type just degrades to kMixed), but it never has to classify.
         for (size_t j = 0; j < g.strips.size(); ++j) {
           const ColTag::Type want = StripTagType(g.strips[j]->type);
-          if (want != ColTag::Type::kUnknown) {
-            b->ProfileColumn(ExtractPosition(g.index[j]), want);
+          if (want == ColTag::Type::kUnknown) continue;
+          for (uint32_t r = g.reader_begin[j]; r < g.reader_begin[j + 1];
+               ++r) {
+            const VirtualCol& v = phase->cols[g.readers[r].first];
+            if (v.simple && !v.ranked) b->ProfileColumn(v.pos, want);
           }
         }
       }
     }
+    for (VirtualCol& v : phase->cols) v.pick.clear();
   }
 
   /// Unfiltered scan: decodes the live rows of [rid_, chunk_end) straight
@@ -555,15 +733,15 @@ class ScanOp : public Operator {
   }
 
   /// Filtered scan, one round: phase 1 decodes only the filter columns of up
-  /// to a batch's worth of live rows into the probe batch and extracts its
-  /// filter targets (its other columns stay empty — the compiled filter
-  /// reads only those and __rid); the filter refines the probe's selection
-  /// in one select-mode call, so typed kernels apply; phase 2 decodes the
-  /// survivors' remaining columns into `batch` and records their row bytes
-  /// for phase-2 extraction. Survivors that do not fit are rescanned by the
-  /// next call: rid_ rewinds to the first of them. Caller holds the table
-  /// latch, which keeps the raw row bytes the probe lanes point at stable
-  /// across phases.
+  /// to a batch's worth of live rows into the probe batch and resolves its
+  /// filter-phase virtual columns (its other columns stay empty — the
+  /// compiled filter reads only those and __rid); the filter refines the
+  /// probe's selection in one select-mode call, so typed kernels apply;
+  /// phase 2 decodes the survivors' remaining columns into `batch` and
+  /// records their row bytes for phase-2 extraction. Survivors that do not
+  /// fit are rescanned by the next call: rid_ rewinds to the first of them.
+  /// Caller holds the table latch, which keeps the raw row bytes the probe
+  /// lanes point at stable across phases.
   Status DecodeFilteredUnlocked(uint64_t chunk_end, RowBatch* batch) {
     probe_.Reset(node_.output_schema.cols.size());
     probe_raws_.clear();
@@ -577,8 +755,8 @@ class ScanOp : public Operator {
       AppendRid(rid_, &probe_);
       probe_raws_.push_back(&raw);
     }
-    RETURN_NOT_OK(ExtractUnlocked(&filter_groups_, &probe_, 0, probe_raws_));
-    MaterializeExtracted(&filter_groups_, &probe_, /*seed_tags=*/true);
+    RETURN_NOT_OK(ExtractUnlocked(&filter_, &probe_, 0, probe_raws_));
+    MaterializeExtracted(&filter_, &probe_, /*seed_tags=*/true);
     RETURN_NOT_OK(bytecode::ExecPredicateBatch(*node_.scan_filter_program,
                                                probe_, ctx_->udfs,
                                                &bc_state_, &probe_.sel));
@@ -605,11 +783,8 @@ class ScanOp : public Operator {
         }
       }
       AppendRid(rid, batch);
-      for (const ExtractGroup& g : filter_groups_) {
-        for (size_t t : g.index) {
-          const size_t pos = ExtractPosition(t);
-          batch->cols[pos].push_back(std::move(probe_.cols[pos][lane]));
-        }
+      for (const VirtualCol& v : filter_.cols) {
+        batch->cols[v.pos].push_back(std::move(probe_.cols[v.pos][lane]));
       }
       lane_raws_.push_back(probe_raws_[lane]);
     }
@@ -630,22 +805,32 @@ class ScanOp : public Operator {
   void FlushHeat() {
     if (!heat_enabled_) return;
     uint64_t reservoir_total = 0;
-    for (const TargetHeat& h : heat_) reservoir_total += h.reservoir_served;
+    for (const Phase* phase : {&filter_, &output_}) {
+      for (const ExtractGroup& g : phase->groups) {
+        for (const ExtractGroup::Heat& h : g.heat) {
+          reservoir_total += h.reservoir_served;
+        }
+      }
+    }
     std::vector<AttrAccessSample> samples;
-    samples.reserve(heat_.size());
-    for (size_t t = 0; t < heat_.size(); ++t) {
-      if (heat_[t].requests == 0) continue;
-      AttrAccessSample s;
-      s.table = node_.table->name();
-      s.attr_id = node_.extract_targets[t].attr_id;
-      s.requests = heat_[t].requests;
-      s.strip_served = heat_[t].strip_served;
-      s.reservoir_served = heat_[t].reservoir_served;
-      s.decode_ns = reservoir_total == 0
-                        ? 0
-                        : decode_ns_ * heat_[t].reservoir_served /
-                              reservoir_total;
-      samples.push_back(std::move(s));
+    for (const Phase* phase : {&filter_, &output_}) {
+      for (const ExtractGroup& g : phase->groups) {
+        for (size_t t = 0; t < g.heat.size(); ++t) {
+          const ExtractGroup::Heat& h = g.heat[t];
+          if (h.requests == 0) continue;
+          AttrAccessSample s;
+          s.table = node_.table->name();
+          s.attr_id = g.targets[t].attr_id;
+          s.requests = h.requests;
+          s.strip_served = h.strip_served;
+          s.reservoir_served = h.reservoir_served;
+          s.decode_ns = reservoir_total == 0
+                            ? 0
+                            : decode_ns_ * h.reservoir_served /
+                                  reservoir_total;
+          samples.push_back(std::move(s));
+        }
+      }
     }
     if (!samples.empty()) (*ctx_->udfs->heat_sink())(samples);
   }
@@ -678,23 +863,16 @@ class ScanOp : public Operator {
   /// Bytecode scratch for the compiled scan filter (per operator instance;
   /// the program itself is shared across Gather workers via the plan node).
   bytecode::ExecState bc_state_;
-  // Virtual columns (node_.extract_targets).
+  // Virtual columns (node_.virtual_columns), by decode phase.
   const BatchExtractFn* fn_ = nullptr;
-  std::vector<ExtractGroup> filter_groups_, output_groups_;
+  Phase filter_, output_;
   std::shared_ptr<const ColumnarSegment> seg_;  // groups' strips resolve here
   uint64_t seg_rows_ = 0;
   std::vector<std::string_view> docs_;
   BatchExtractStats extract_stats_;
   uint64_t columnar_hits_ = 0;
   uint64_t extract_ns_ = 0;
-  // Attribute heat accounting (FlushHeat), one entry per extract target.
-  struct TargetHeat {
-    uint64_t requests = 0;
-    uint64_t strip_served = 0;
-    uint64_t reservoir_served = 0;
-  };
   bool heat_enabled_ = false;
-  std::vector<TargetHeat> heat_;
   uint64_t decode_ns_ = 0;
 };
 
@@ -1892,7 +2070,7 @@ void AppendAnalyzedNode(const PlanNode& node, const PlanStats& stats,
         *out << " (zone_skips="
              << s->zone_skips.load(std::memory_order_relaxed) << ")";
       }
-      if (node.kind == PlanKind::kSeqScan && !node.extract_targets.empty()) {
+      if (node.kind == PlanKind::kSeqScan && !node.virtual_columns.empty()) {
         *out << " (decodes=" << s->decodes.load(std::memory_order_relaxed)
              << " attrs=" << s->attrs.load(std::memory_order_relaxed)
              << " columnar_hits="

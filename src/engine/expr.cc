@@ -114,6 +114,17 @@ ExprPtr Expr::Function(std::string name, std::vector<ExprPtr> args) {
   return e;
 }
 
+ExprPtr Expr::Virtual(std::string path, std::vector<ExprPtr> sources,
+                      VirtualSources targets) {
+  auto e = std::make_unique<Expr>();
+  e->kind = ExprKind::kVirtual;
+  e->column = std::move(path);
+  e->args = std::move(sources);
+  e->virtual_sources =
+      std::make_shared<const VirtualSources>(std::move(targets));
+  return e;
+}
+
 ExprPtr Expr::Clone() const {
   auto e = std::make_unique<Expr>();
   e->kind = kind;
@@ -125,6 +136,7 @@ ExprPtr Expr::Clone() const {
   e->bop = bop;
   e->negated = negated;
   e->fname = fname;
+  e->virtual_sources = virtual_sources;
   e->args.reserve(args.size());
   for (const ExprPtr& a : args) e->args.push_back(a->Clone());
   return e;
@@ -181,6 +193,29 @@ std::string Expr::ToString() const {
       }
       if (i < args.size()) out += " ELSE " + args[i]->ToString();
       return out + " END";
+    }
+    case ExprKind::kVirtual: {
+      // source->[type:prefix ids.attr id|...] per extraction source; a
+      // multi-source reference reads as the COALESCE it resolves like.
+      std::string out = args.size() > 1 ? "coalesce(" : "";
+      for (size_t i = 0; i < args.size(); ++i) {
+        if (i > 0) out += ", ";
+        out += args[i]->ToString();
+        const std::vector<ExtractTarget>& targets = (*virtual_sources)[i];
+        if (targets.empty()) continue;
+        out += "->[";
+        for (size_t j = 0; j < targets.size(); ++j) {
+          if (j > 0) out += "|";
+          out += std::to_string(targets[j].type_tag) + ":";
+          for (uint32_t id : targets[j].prefix_ids) {
+            out += std::to_string(id) + ".";
+          }
+          out += std::to_string(targets[j].attr_id);
+          if (targets[j].raw_bytes) out += " bytes";
+        }
+        out += "]";
+      }
+      return args.size() > 1 ? out + ")" : out;
     }
   }
   return "?";

@@ -1,11 +1,12 @@
 // Expression AST shared by the parser, the Sinew query rewriter, the planner
 // and the evaluator. A single tagged struct (rather than a class hierarchy)
 // keeps rewriting — the heart of Sinew's user layer — simple: the rewriter
-// walks the tree and splices extraction function calls over column refs.
+// walks the tree and replaces column refs with virtual-column references.
 
 #ifndef SINEW_ENGINE_EXPR_H_
 #define SINEW_ENGINE_EXPR_H_
 
+#include <compare>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +27,8 @@ enum class ExprKind : uint8_t {
   kFunction,   // f(args); includes aggregates and UDFs
   kCase,       // CASE WHEN c1 THEN v1 [...] ELSE ve END
                //   (args: c1, v1, c2, v2, ..., [else])
+  kVirtual,    // a document attribute resolved at rewrite time
+               //   (args: its source columns; see Expr::virtual_sources)
 };
 
 enum class BinaryOp : uint8_t {
@@ -50,6 +53,27 @@ enum class UnaryOp : uint8_t { kNot, kNeg };
 
 const char* BinaryOpSymbol(BinaryOp op);
 
+/// One typed variant of a document attribute inside a serialized source
+/// document: descend through the nested-object attributes `prefix_ids`,
+/// then extract `attr_id` and decode it per `type_tag` (a ValueType tag;
+/// opaque to the engine). `raw_bytes` skips decoding and yields the value's
+/// serialized bytes verbatim. Ordered by (prefix_ids, attr_id, raw_bytes,
+/// type_tag): the BatchExtractFn order.
+struct ExtractTarget {
+  std::vector<uint32_t> prefix_ids;
+  uint32_t attr_id = 0;
+  bool raw_bytes = false;
+  int64_t type_tag = 0;
+
+  friend auto operator<=>(const ExtractTarget&,
+                          const ExtractTarget&) = default;
+  friend bool operator==(const ExtractTarget&,
+                         const ExtractTarget&) = default;
+};
+
+/// A kVirtual node's sources, parallel to its args (see Expr).
+using VirtualSources = std::vector<std::vector<ExtractTarget>>;
+
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 
@@ -61,7 +85,8 @@ struct Expr {
 
   // kColumnRef / kStar: `table` is the (optional) alias qualifier; `column`
   // is the logical, possibly dotted, column name. After binding,
-  // `bound_slot` indexes the operator's input row.
+  // `bound_slot` indexes the operator's input row. kVirtual: `column` is
+  // the attribute's logical path.
   std::string table;
   std::string column;
   int bound_slot = -1;
@@ -78,6 +103,15 @@ struct Expr {
 
   std::vector<ExprPtr> args;
 
+  // kVirtual: the args are the attribute's sources in resolution order,
+  // each a kColumnRef; a row reads the first source that is not NULL.
+  // virtual_sources[i] lists the attribute's typed variants inside source
+  // i, in ExtractTarget order, and the value is the present variant of
+  // lowest type tag (NULL if none); an empty list marks the attribute's
+  // own physical column, whose value is read as is. Built once by the
+  // rewriter and shared by clones.
+  std::shared_ptr<const VirtualSources> virtual_sources;
+
   // --- constructors ---
   static ExprPtr Literal(Datum value);
   static ExprPtr Column(std::string table, std::string column);
@@ -88,6 +122,8 @@ struct Expr {
   static ExprPtr InList(ExprPtr target, std::vector<ExprPtr> list, bool negated);
   static ExprPtr IsNull(ExprPtr target, bool negated);
   static ExprPtr Function(std::string name, std::vector<ExprPtr> args);
+  static ExprPtr Virtual(std::string path, std::vector<ExprPtr> sources,
+                         VirtualSources targets);
 
   ExprPtr Clone() const;
 

@@ -1,5 +1,6 @@
 #include "engine/plan.h"
 
+#include <set>
 #include <sstream>
 
 namespace sinew::engine {
@@ -70,15 +71,21 @@ std::string PlanNode::Summary() const {
       if (scan_filter != nullptr) {
         out << " (filter: " << scan_filter->ToString() << ")";
       }
-      if (!extract_targets.empty()) {
-        size_t sources = 0;
-        int prev_slot = -1;
-        for (const ExtractTarget& t : extract_targets) {
-          if (t.source_slot != prev_slot) ++sources;  // grouped by slot
-          prev_slot = t.source_slot;
+      if (!virtual_columns.empty()) {
+        // Distinct source columns, and the columns resolved across several
+        // of them (a dirty attribute's COALESCE semantics).
+        std::set<int> sources;
+        size_t coalesced = 0;
+        for (const ExprPtr& v : virtual_columns) {
+          for (const ExprPtr& source : v->args) {
+            sources.insert(source->bound_slot);
+          }
+          if (v->args.size() > 1) ++coalesced;
         }
-        out << " SinewExtract (attrs=" << extract_targets.size()
-            << ", sources=" << sources << ")";
+        out << " SinewExtract (attrs=" << virtual_columns.size()
+            << ", sources=" << sources.size();
+        if (coalesced > 0) out << ", coalesced=" << coalesced;
+        out << ")";
       }
       break;
     case PlanKind::kFilter:

@@ -52,12 +52,14 @@ struct AggSpec {
   bool is_star = false;
 };
 
-/// kSeqScan zone-map pushdown: one entry per scan_filter conjunct of shape
-/// `sinew_extract_chain(col, T, ids...) <cmp> literal`. Before decoding a
-/// strip-aligned chunk of cold rows, the scan asks the table's columnar
-/// segment whether the matching strip's zone map proves no value can satisfy
-/// the comparison; if so the whole strip is skipped. Purely an accelerator:
-/// rows that survive still evaluate the full scan_filter.
+/// kSeqScan zone-map pushdown: one entry per scan_filter conjunct comparing
+/// a virtual column with a literal, when the column reads one typed scalar
+/// variant from a single source (a zone map summarizes that source alone,
+/// so it proves nothing about a reference with a fallback source). Before
+/// decoding a strip-aligned chunk of cold rows, the scan asks the table's
+/// columnar segment whether the matching strip's zone map proves no value
+/// can satisfy the comparison; if so the whole strip is skipped. Purely an
+/// accelerator: rows that survive still evaluate the full scan_filter.
 struct ZoneFilter {
   std::string source_column;         ///< reservoir column name (e.g. "_data")
   std::vector<uint32_t> prefix_ids;  ///< object-id descent chain
@@ -86,15 +88,16 @@ struct PlanNode {
   /// NULL.
   std::vector<size_t> scan_filter_cols;
   std::vector<size_t> scan_output_cols;  // excludes filter cols
-  /// Virtual columns, one per document-extraction call the planner hoisted
-  /// out of the statement: target t is output position (live columns + 1
-  /// for __rid) + t, extracted by the registered batch extractor — phase 1
-  /// (every probed row) when its position is a filter column, phase 2
-  /// (filter survivors) otherwise. Sorted by (source_slot, prefix_ids,
-  /// attr_id), the BatchExtractFn order; cold rows are served from the
-  /// table's columnar segment when it has a strip for every target of a
-  /// (phase, source) group.
-  std::vector<ExtractTarget> extract_targets;
+  /// Virtual columns, one per distinct kVirtual reference the planner
+  /// hoisted out of the statement, its sources bound to scan positions:
+  /// column v is output position (live columns + 1 for __rid) + v,
+  /// resolved by the scan — phase 1 (every probed row) when its position is
+  /// a filter column, phase 2 (filter survivors) otherwise. Extraction goes
+  /// through the registered batch extractor, one call per (phase, source
+  /// column) over the lanes that read that source; cold rows are served
+  /// from the table's columnar segment when it has a strip for every target
+  /// of such a group.
+  std::vector<ExprPtr> virtual_columns;
 
   // kFilter
   ExprPtr predicate;

@@ -18,52 +18,21 @@ namespace {
 /// Name prefix of the virtual columns the extraction hoist gives scans.
 constexpr std::string_view kVirtualColumnPrefix = "$x";
 
-/// A document-extraction call the planner can turn into a scan column:
-/// sinew_extract_chain[_bytes](<column>, <type tag>, <id>...). The rewriter
-/// resolves every id literal at bind time, which is exactly what makes the
-/// call hoistable — its per-row work is a pure function of the source
-/// column.
-bool IsChainCall(const Expr& e) {
-  if (e.kind != ExprKind::kFunction) return false;
-  if (e.fname != "sinew_extract_chain" &&
-      e.fname != "sinew_extract_chain_bytes") {
-    return false;
-  }
-  if (e.args.size() < 3 || e.args[0]->kind != ExprKind::kColumnRef) {
-    return false;
-  }
-  for (size_t i = 1; i < e.args.size(); ++i) {
-    if (e.args[i]->kind != ExprKind::kLiteral ||
-        !e.args[i]->literal.is_int()) {
-      return false;
+/// Total order on the bound kVirtual references of one scan: by each
+/// source's scan position, then the targets read from it. A one-source,
+/// one-variant reference sorts like its target, in the BatchExtractFn
+/// order. Zero means the two resolve identically and share one column.
+std::strong_ordering CompareVirtual(const Expr& a, const Expr& b) {
+  for (size_t i = 0; i < a.args.size() && i < b.args.size(); ++i) {
+    if (auto c = a.args[i]->bound_slot <=> b.args[i]->bound_slot; c != 0) {
+      return c;
+    }
+    if (auto c = (*a.virtual_sources)[i] <=> (*b.virtual_sources)[i];
+        c != 0) {
+      return c;
     }
   }
-  return true;
-}
-
-ExtractTarget TargetFromCall(const Expr& call, int source_slot) {
-  ExtractTarget t;
-  t.source_slot = source_slot;
-  t.type_tag = call.args[1]->literal.int_value();
-  t.raw_bytes = call.fname == "sinew_extract_chain_bytes";
-  for (size_t i = 2; i + 1 < call.args.size(); ++i) {
-    t.prefix_ids.push_back(
-        static_cast<uint32_t>(call.args[i]->literal.int_value()));
-  }
-  t.attr_id = static_cast<uint32_t>(call.args.back()->literal.int_value());
-  return t;
-}
-
-/// Total order on extract targets: (source, prefix chain, attr id, raw
-/// bytes, type tag) — grouped by source in the BatchExtractFn order, which
-/// lets the implementation decode each source once and merge-join all
-/// wanted ids in a single ascending pass.
-bool TargetLess(const ExtractTarget& a, const ExtractTarget& b) {
-  if (a.source_slot != b.source_slot) return a.source_slot < b.source_slot;
-  if (a.prefix_ids != b.prefix_ids) return a.prefix_ids < b.prefix_ids;
-  if (a.attr_id != b.attr_id) return a.attr_id < b.attr_id;
-  if (a.raw_bytes != b.raw_bytes) return a.raw_bytes < b.raw_bytes;
-  return a.type_tag < b.type_tag;
+  return a.args.size() <=> b.args.size();
 }
 
 bool IsVirtualColumnRef(const Expr& e) {
@@ -72,10 +41,10 @@ bool IsVirtualColumnRef(const Expr& e) {
 }
 
 /// True if the optimizer has no statistics for `e`: it calls a UDF or reads
-/// a virtual column. A virtual column stays exactly as opaque as the
-/// extraction call it replaced, so hoisting never moves a cost estimate.
+/// a virtual column, hoisted into a scan or not — hoisting never moves a
+/// cost estimate.
 bool IsOpaque(const Expr& e) {
-  if (IsVirtualColumnRef(e)) return true;
+  if (IsVirtualColumnRef(e) || e.kind == ExprKind::kVirtual) return true;
   if (e.kind == ExprKind::kFunction && !e.IsAggregateCall()) return true;
   return std::any_of(e.args.begin(), e.args.end(),
                      [](const ExprPtr& a) { return IsOpaque(*a); });
@@ -235,9 +204,10 @@ class Planner::SelectPlanner {
   struct ScanInfo {
     Table* table = nullptr;
     std::string alias;
-    /// Live columns, __rid, then the virtual columns `targets` produce.
+    /// Live columns, __rid, then the columns of `virtuals`.
     ExecSchema schema;
-    std::vector<ExtractTarget> targets;
+    /// Hoisted kVirtual references, sources bound to scan positions.
+    std::vector<ExprPtr> virtuals;
     TableStats stats;
     double base_rows = 0;
     size_t base = 0;  // offset of `schema` in global_schema_
@@ -347,44 +317,47 @@ void Planner::SelectPlanner::CloneStatement() {
   }
 }
 
-// Every sinew_extract_chain[_bytes] call whose source is a bytes column of
-// a FROM-list alias and whose other arguments are int literals becomes a
-// virtual column of that alias's scan, and the call a reference to it,
-// bound to its scan position (binding against the scan, or against any
-// schema that starts with it, keeps it). Targets are deduped per scan and
-// appended after __rid in TargetLess order (the BatchExtractFn order); the
-// $x numbering runs across the statement, so names are unique without
-// qualification. From here on a virtual column is an ordinary scan column
-// in every plan shape.
+// Every kVirtual reference whose sources are all columns of one FROM-list
+// alias becomes a virtual column of that alias's scan, and the reference a
+// column ref to it, bound to its scan position (binding against the scan,
+// or against any schema that starts with it, keeps it). Identical
+// references share one column; columns are appended after __rid in
+// CompareVirtual order, and the $x numbering runs across the statement, so
+// names are unique without qualification. From here on a virtual column is
+// an ordinary scan column in every plan shape.
 void Planner::SelectPlanner::HoistExtraction() {
-  // The bytes columns of each scan: the only possible sources.
-  std::vector<std::unordered_map<std::string_view, int>> sources(
-      scans_.size());
-  for (size_t s = 0; s < scans_.size(); ++s) {
-    const std::vector<ExecSchema::Col>& cols = scans_[s].schema.cols;
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (cols[i].type == ColumnType::kBytes) {
-        sources[s].emplace(cols[i].name, static_cast<int>(i));
-      }
-    }
-  }
   struct Site {
     size_t scan;
-    ExtractTarget target;
-    ExprPtr* expr;
+    ExprPtr* expr;  // the reference, its sources bound to the scan
   };
   std::vector<Site> sites;
-  auto visit = [&](auto&& self, ExprPtr* expr) -> void {
-    const Expr& e = **expr;
-    if (IsChainCall(e)) {
-      const Expr& src = *e.args[0];
-      for (size_t s = 0; s < scans_.size(); ++s) {
-        if (scans_[s].alias != src.table) continue;
-        auto it = sources[s].find(src.column);
-        if (it == sources[s].end()) break;
-        sites.push_back(Site{s, TargetFromCall(e, it->second), expr});
-        return;
+  // Scan position of each source column, resolved once per (scan, name):
+  // a star's references all read the same few columns.
+  std::vector<std::unordered_map<std::string, std::optional<int>>> slots(
+      scans_.size());
+  auto bind_sources = [&](Expr* ref) -> std::optional<size_t> {
+    for (size_t s = 0; s < scans_.size(); ++s) {
+      if (scans_[s].alias != ref->args[0]->table) continue;
+      for (ExprPtr& source : ref->args) {
+        auto [slot, fresh] = slots[s].try_emplace(source->column);
+        if (fresh) {
+          Result<size_t> found =
+              scans_[s].schema.Resolve(scans_[s].alias, source->column);
+          if (found.ok()) slot->second = static_cast<int>(*found);
+        }
+        if (!slot->second.has_value()) return std::nullopt;
+        source->bound_slot = *slot->second;
       }
+      return s;
+    }
+    return std::nullopt;
+  };
+  auto visit = [&](auto&& self, ExprPtr* expr) -> void {
+    if ((*expr)->kind == ExprKind::kVirtual) {
+      if (std::optional<size_t> s = bind_sources(expr->get())) {
+        sites.push_back(Site{*s, expr});
+      }
+      return;
     }
     for (ExprPtr& a : (*expr)->args) self(self, &a);
   };
@@ -394,10 +367,10 @@ void Planner::SelectPlanner::HoistExtraction() {
   if (having_ != nullptr) visit(visit, &having_);
   for (OrderItem& item : order_by_) visit(visit, &item.expr);
 
-  // Sorted, equal targets of one scan are adjacent and share one column.
+  // Sorted, identical references of one scan are adjacent.
   std::sort(sites.begin(), sites.end(), [](const Site& a, const Site& b) {
     if (a.scan != b.scan) return a.scan < b.scan;
-    return TargetLess(a.target, b.target);
+    return CompareVirtual(**a.expr, **b.expr) < 0;
   });
   size_t next = 0;  // $x number
   for (size_t i = 0; i < sites.size(); ++i) {
@@ -405,11 +378,11 @@ void Planner::SelectPlanner::HoistExtraction() {
     ScanInfo& scan = scans_[site.scan];
     std::vector<ExecSchema::Col>& cols = scan.schema.cols;
     if (i == 0 || sites[i - 1].scan != site.scan ||
-        TargetLess(sites[i - 1].target, site.target)) {
+        CompareVirtual(*scan.virtuals.back(), **site.expr) != 0) {
       cols.push_back(ExecSchema::Col{
           "", std::string(kVirtualColumnPrefix) + std::to_string(next++),
           InferType(**site.expr, scan.schema)});
-      scan.targets.push_back(site.target);
+      scan.virtuals.push_back(std::move(*site.expr));
     }
     ExprPtr ref = Expr::Column("", cols.back().name);
     ref->bound_slot = static_cast<int>(cols.size() - 1);
@@ -447,7 +420,7 @@ Status Planner::SelectPlanner::CollectColumnUsage() {
   // Every virtual column is read by the expression it was hoisted from.
   for (ScanInfo& scan : scans_) {
     scan.needed.assign(scan.schema.cols.size(), false);
-    std::fill(scan.needed.end() - scan.targets.size(), scan.needed.end(),
+    std::fill(scan.needed.end() - scan.virtuals.size(), scan.needed.end(),
               true);
   }
   auto mark_all = [this](const std::string& alias_filter) {
@@ -475,7 +448,7 @@ Status Planner::SelectPlanner::CollectColumnUsage() {
       scans_.size());
   for (size_t s = 0; s < scans_.size(); ++s) {
     const std::vector<ExecSchema::Col>& cols = scans_[s].schema.cols;
-    const size_t physical = cols.size() - scans_[s].targets.size();
+    const size_t physical = cols.size() - scans_[s].virtuals.size();
     positions[s].reserve(physical);
     for (size_t i = 0; i < physical; ++i) {
       positions[s].emplace(cols[i].name, i);
@@ -677,7 +650,7 @@ Result<PlanPtr> Planner::SelectPlanner::BuildJoinTree() {
     node->table = scan.table;
     node->alias = scan.alias;
     node->output_schema = scan.schema;
-    node->extract_targets = scan.targets;
+    node->virtual_columns = std::move(scan.virtuals);
     double rows = scan.base_rows;
     std::vector<ExprPtr> filters;
     for (size_t i = 0; i < conjuncts_.size(); ++i) {
@@ -1189,29 +1162,33 @@ BinaryOp FlipComparisonOp(BinaryOp op) {
   }
 }
 
-/// The extract target behind a scan-filter operand, when the operand is a
-/// virtual column decoded to a scalar value — the only columns a strip's
-/// zone map can reason about (raw-bytes and object/array extractions have
-/// no strip columns).
-const ExtractTarget* ZoneTarget(const Expr& e, const PlanNode& scan) {
+/// The virtual column behind a scan-filter operand, when the operand is a
+/// column reading one scalar variant, decoded, from a single source — the
+/// only columns a strip's zone map can reason about (raw-bytes and
+/// object/array extractions have no strip columns, and a fallback source
+/// is not summarized by any zone map).
+const Expr* ZoneSource(const Expr& e, const PlanNode& scan) {
   if (!e.IsBoundColumnRef()) return nullptr;
   const size_t first = scan.output_schema.cols.size() -
-                       scan.extract_targets.size();
+                       scan.virtual_columns.size();
   const size_t slot = static_cast<size_t>(e.bound_slot);
   if (slot < first) return nullptr;
-  const ExtractTarget& t = scan.extract_targets[slot - first];
+  const Expr& v = *scan.virtual_columns[slot - first];
+  if (v.args.size() != 1 || (*v.virtual_sources)[0].size() != 1) {
+    return nullptr;
+  }
+  const ExtractTarget& t = (*v.virtual_sources)[0][0];
   const bool scalar = t.type_tag == static_cast<int64_t>(ValueType::kBool) ||
                       t.type_tag == static_cast<int64_t>(ValueType::kInt) ||
                       t.type_tag == static_cast<int64_t>(ValueType::kDouble) ||
                       t.type_tag == static_cast<int64_t>(ValueType::kString);
-  return scalar && !t.raw_bytes ? &t : nullptr;
+  return scalar && !t.raw_bytes ? &v : nullptr;
 }
 
-ZoneFilter MakeZoneFilter(const ExtractTarget& t, const PlanNode& scan,
-                          BinaryOp op, const Datum& literal) {
+ZoneFilter MakeZoneFilter(const Expr& v, BinaryOp op, const Datum& literal) {
+  const ExtractTarget& t = (*v.virtual_sources)[0][0];
   ZoneFilter zf;
-  zf.source_column =
-      scan.output_schema.cols[static_cast<size_t>(t.source_slot)].name;
+  zf.source_column = v.args[0]->column;
   zf.prefix_ids = t.prefix_ids;
   zf.attr_id = t.attr_id;
   zf.type_tag = t.type_tag;
@@ -1231,13 +1208,13 @@ void CollectZoneFilters(const Expr& conjunct, PlanNode* scan) {
       conjunct.args.size() == 2) {
     const Expr& lhs = *conjunct.args[0];
     const Expr& rhs = *conjunct.args[1];
-    if (const ExtractTarget* t = ZoneTarget(lhs, *scan);
-        t != nullptr && rhs.kind == ExprKind::kLiteral) {
-      out->push_back(MakeZoneFilter(*t, *scan, conjunct.bop, rhs.literal));
-    } else if (const ExtractTarget* u = ZoneTarget(rhs, *scan);
+    if (const Expr* v = ZoneSource(lhs, *scan);
+        v != nullptr && rhs.kind == ExprKind::kLiteral) {
+      out->push_back(MakeZoneFilter(*v, conjunct.bop, rhs.literal));
+    } else if (const Expr* u = ZoneSource(rhs, *scan);
                u != nullptr && lhs.kind == ExprKind::kLiteral) {
-      out->push_back(MakeZoneFilter(*u, *scan, FlipComparisonOp(conjunct.bop),
-                                    lhs.literal));
+      out->push_back(
+          MakeZoneFilter(*u, FlipComparisonOp(conjunct.bop), lhs.literal));
     }
     return;
   }
@@ -1245,11 +1222,11 @@ void CollectZoneFilters(const Expr& conjunct, PlanNode* scan) {
       conjunct.args.size() == 3 &&
       conjunct.args[1]->kind == ExprKind::kLiteral &&
       conjunct.args[2]->kind == ExprKind::kLiteral) {
-    if (const ExtractTarget* t = ZoneTarget(*conjunct.args[0], *scan)) {
-      out->push_back(MakeZoneFilter(*t, *scan, BinaryOp::kGe,
-                                    conjunct.args[1]->literal));
-      out->push_back(MakeZoneFilter(*t, *scan, BinaryOp::kLe,
-                                    conjunct.args[2]->literal));
+    if (const Expr* v = ZoneSource(*conjunct.args[0], *scan)) {
+      out->push_back(
+          MakeZoneFilter(*v, BinaryOp::kGe, conjunct.args[1]->literal));
+      out->push_back(
+          MakeZoneFilter(*v, BinaryOp::kLe, conjunct.args[2]->literal));
     }
   }
 }
@@ -1258,7 +1235,7 @@ void CollectZoneFilters(const Expr& conjunct, PlanNode* scan) {
 /// compares virtual columns with literals.
 void AttachZoneFiltersToScans(PlanNode* node) {
   if (node->kind == PlanKind::kSeqScan && node->scan_filter != nullptr &&
-      !node->extract_targets.empty()) {
+      !node->virtual_columns.empty()) {
     for (const ExprPtr& part : SplitConjuncts(*node->scan_filter)) {
       CollectZoneFilters(*part, node);
     }

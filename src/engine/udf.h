@@ -14,6 +14,7 @@
 
 #include "common/result.h"
 #include "engine/datum.h"
+#include "engine/expr.h"
 
 namespace sinew::engine {
 
@@ -21,20 +22,6 @@ namespace sinew::engine {
 /// column reservoir) reach the function without being copied per row.
 using UdfArgs = std::vector<const Datum*>;
 using UdfFn = std::function<Result<Datum>(const UdfArgs&)>;
-
-/// One virtual column a scan produces (PlanNode::extract_targets): read the
-/// serialized document in scan output position `source_slot`, descend
-/// through the nested-object attributes `prefix_ids`, then extract `attr_id`
-/// and decode it per `type_tag` (a ValueType tag; opaque to the engine).
-/// `raw_bytes` skips decoding and emits the value's serialized bytes
-/// verbatim.
-struct ExtractTarget {
-  int source_slot = -1;
-  int64_t type_tag = 0;
-  bool raw_bytes = false;
-  std::vector<uint32_t> prefix_ids;
-  uint32_t attr_id = 0;
-};
 
 /// Work done by one batch-extract invocation, fed into per-node EXPLAIN
 /// ANALYZE stats by the executor.
@@ -94,10 +81,11 @@ class UdfRegistry {
 
   bool Contains(std::string_view name) const { return Find(name) != nullptr; }
 
-  /// Installs the batched extraction function scans use for their virtual
-  /// columns (keeping the serialized-format knowledge outside the engine).
-  /// Unset by default: the planner then leaves extraction calls on the
-  /// scalar UDF path.
+  /// Installs the batched extraction function behind every kVirtual
+  /// reference (keeping the serialized-format knowledge outside the
+  /// engine): scans call it for their virtual columns and the scalar
+  /// evaluator for one document at a time. Unset by default: the planner
+  /// then leaves kVirtual nodes unhoisted, and evaluating one is an error.
   void SetBatchExtract(BatchExtractFn fn) { batch_extract_ = std::move(fn); }
 
   const BatchExtractFn* batch_extract() const {

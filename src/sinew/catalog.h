@@ -38,7 +38,8 @@ struct AttributeState {
   /// Target representation: true = physical column.
   bool materialized = false;
   /// Data movement pending: values may be split between the physical column
-  /// and the reservoir; readers must COALESCE.
+  /// and the reservoir; readers resolve the column first, then the
+  /// reservoir (one virtual-column reference with both as sources).
   bool dirty = false;
 };
 

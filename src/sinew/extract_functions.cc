@@ -1,9 +1,6 @@
 #include "sinew/extract_functions.h"
 
-#include <map>
-#include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,131 +29,16 @@ Status CheckDataPathArgs(const UdfArgs& args, const char* fn) {
   return Status::OK();
 }
 
-/// A (path, type) resolution against the dictionary, precomputed so per-row
-/// extraction is pure header lookups: `direct_id` is the attribute id of the
-/// full dotted path at this nesting level, `prefixes` the object-typed id of
-/// each dotted prefix with the resolution subtree inside that object.
-/// Mirrors DocumentView::ExtractPath with every FindId call hoisted out.
-struct ResolvedNode {
-  std::optional<uint32_t> direct_id;
-  std::vector<std::pair<uint32_t, ResolvedNode>> prefixes;
-};
-
-std::optional<std::string_view> WalkResolved(std::string_view data,
-                                             const ResolvedNode& node) {
-  serial::DocumentView view(data);
-  if (node.direct_id.has_value()) {
-    if (std::optional<std::string_view> v = view.Extract(*node.direct_id)) {
-      return v;
-    }
-  }
-  for (const auto& [oid, sub] : node.prefixes) {
-    std::optional<std::string_view> s = view.Extract(oid);
-    if (!s.has_value()) continue;
-    // Commit to the first present enclosing object, exactly as
-    // DocumentView::ExtractPath does.
-    return WalkResolved(*s, sub);
-  }
-  return std::nullopt;
-}
-
-/// Fix for the per-row catalog latch: typed extractors used to call
-/// ExtractPath, which takes the catalog mutex (FindId) once per dotted
-/// prefix per row. This cache resolves a (path, type) pair once per
-/// dictionary version; subsequent rows validate against the catalog's
-/// lock-free version counter and never touch the mutex.
-class PathResolutionCache {
- public:
-  std::shared_ptr<const ResolvedNode> Resolve(const AttributeCatalog& catalog,
-                                              std::string_view path,
-                                              ValueType type) {
-    static metrics::Counter* hits =
-        metrics::GetCounter("extract.path_cache_hits");
-    static metrics::Counter* misses =
-        metrics::GetCounter("extract.path_cache_misses");
-    const uint64_t version = catalog.version();
-    std::string key(path);
-    key.push_back('\0');
-    key.push_back(static_cast<char>(type));
-    {
-      std::shared_lock lock(mu_);
-      auto it = cache_.find(key);
-      if (it != cache_.end() && it->second.first == version) {
-        hits->Increment();
-        return it->second.second;
-      }
-    }
-    misses->Increment();
-    auto node = std::make_shared<ResolvedNode>();
-    Build(catalog, path, type, 0, node.get());
-    std::unique_lock lock(mu_);
-    auto& entry = cache_[std::move(key)];
-    entry.first = version;
-    entry.second = node;
-    return node;
-  }
-
- private:
-  static void Build(const AttributeCatalog& catalog, std::string_view path,
-                    ValueType type, size_t start, ResolvedNode* node) {
-    node->direct_id = catalog.FindId(path, type);
-    // Only prefixes extending the already-descended one can exist inside a
-    // nested object (its keys are all strictly longer dotted paths), so the
-    // recursion starts after the last consumed dot — same reachable set as
-    // ExtractPath's full rescan, without the provably-dead lookups.
-    for (size_t dot = path.find('.', start); dot != std::string_view::npos;
-         dot = path.find('.', dot + 1)) {
-      std::optional<uint32_t> oid =
-          catalog.FindId(path.substr(0, dot), ValueType::kObject);
-      if (!oid.has_value()) continue;
-      node->prefixes.emplace_back(*oid, ResolvedNode{});
-      Build(catalog, path, type, dot + 1, &node->prefixes.back().second);
-    }
-  }
-
-  std::shared_mutex mu_;
-  std::map<std::string, std::pair<uint64_t, std::shared_ptr<const ResolvedNode>>,
-           std::less<>>
-      cache_;
-};
-
-/// Extracts the raw bytes of (path, type) from a serialized document,
-/// descending through nested objects as needed. Resolution comes from the
-/// shared cache; no catalog lock on the per-row path.
-std::optional<std::string_view> ExtractTyped(const AttributeCatalog& catalog,
-                                             PathResolutionCache* cache,
-                                             std::string_view data,
-                                             std::string_view path,
-                                             ValueType type) {
-  std::shared_ptr<const ResolvedNode> node =
-      cache->Resolve(catalog, path, type);
-  return WalkResolved(data, *node);
-}
-
 Result<Datum> DecodeScalarTyped(const AttributeCatalog& catalog,
                                 ValueType type, std::string_view bytes) {
   ASSIGN_OR_RETURN(Value v, serial::DecodeValueBody(type, bytes, catalog));
   return Datum::FromValue(v);
 }
 
-engine::UdfFn MakeTypedExtractor(AttributeCatalog* catalog,
-                                 std::shared_ptr<PathResolutionCache> cache,
-                                 ValueType type, const char* fn_name) {
-  return [catalog, cache, type, fn_name](
-             const UdfArgs& args) -> Result<Datum> {
-    RETURN_NOT_OK(CheckDataPathArgs(args, fn_name));
-    if (args[0]->is_null()) return Datum::Null();
-    std::optional<std::string_view> bytes = ExtractTyped(
-        *catalog, cache.get(), args[0]->str(), args[1]->str(), type);
-    if (!bytes.has_value()) return Datum::Null();
-    return DecodeScalarTyped(*catalog, type, *bytes);
-  };
-}
-
 /// Extracts every target from the serialized document `doc`, appending one
-/// value, tagged with `doc_index`, per attribute present. Targets sharing a prefix chain share
-/// one nested-object descent, and all attribute ids under a chain resolve in
-/// a single header pass (DocumentView::ExtractMany).
+/// value, tagged with `doc_index`, per attribute present. Targets sharing a
+/// prefix chain share one nested-object descent, and all attribute ids under
+/// a chain resolve in a single header pass (DocumentView::ExtractMany).
 Status ExtractFromDoc(const AttributeCatalog& catalog,
                       const std::vector<engine::ExtractTarget>& targets,
                       std::string_view doc, uint32_t doc_index,
@@ -258,10 +140,6 @@ Result<std::pair<ValueType, std::string>> EncodeScalarDatum(const Datum& v) {
 
 void RegisterSinewFunctions(engine::UdfRegistry* registry,
                             AttributeCatalog* catalog) {
-  // One resolution cache shared by every path-taking extractor registered
-  // against this catalog; lives as long as any of the registered closures.
-  auto cache = std::make_shared<PathResolutionCache>();
-
   // Attribute heat: the scan accumulates per-target access tallies and
   // flushes them here at close; the catalog aggregates them across queries
   // (surfaced as sinew_attribute_stats). Called from Gather worker threads
@@ -274,128 +152,9 @@ void RegisterSinewFunctions(engine::UdfRegistry* registry,
                               s.reservoir_served, s.decode_ns, ordinal);
         }
       });
-  registry->Register("sinew_extract_text",
-                     MakeTypedExtractor(catalog, cache, ValueType::kString,
-                                        "sinew_extract_text"));
-  registry->Register("sinew_extract_int",
-                     MakeTypedExtractor(catalog, cache, ValueType::kInt,
-                                        "sinew_extract_int"));
-  registry->Register("sinew_extract_double",
-                     MakeTypedExtractor(catalog, cache, ValueType::kDouble,
-                                        "sinew_extract_double"));
-  registry->Register("sinew_extract_bool",
-                     MakeTypedExtractor(catalog, cache, ValueType::kBool,
-                                        "sinew_extract_bool"));
-
-  registry->Register(
-      "sinew_extract_num",
-      [catalog, cache](const UdfArgs& args) -> Result<Datum> {
-        RETURN_NOT_OK(CheckDataPathArgs(args, "sinew_extract_num"));
-        if (args[0]->is_null()) return Datum::Null();
-        for (ValueType type : {ValueType::kInt, ValueType::kDouble}) {
-          std::optional<std::string_view> bytes = ExtractTyped(
-              *catalog, cache.get(), args[0]->str(), args[1]->str(), type);
-          if (bytes.has_value()) {
-            return DecodeScalarTyped(*catalog, type, *bytes);
-          }
-        }
-        return Datum::Null();
-      });
-
-  registry->Register(
-      "sinew_extract_any",
-      [catalog, cache](const UdfArgs& args) -> Result<Datum> {
-        RETURN_NOT_OK(CheckDataPathArgs(args, "sinew_extract_any"));
-        if (args[0]->is_null()) return Datum::Null();
-        static constexpr ValueType kOrder[] = {
-            ValueType::kBool,   ValueType::kInt,   ValueType::kDouble,
-            ValueType::kString, ValueType::kArray, ValueType::kObject};
-        for (ValueType type : kOrder) {
-          std::optional<std::string_view> bytes = ExtractTyped(
-              *catalog, cache.get(), args[0]->str(), args[1]->str(), type);
-          if (!bytes.has_value()) continue;
-          if (type == ValueType::kArray || type == ValueType::kObject) {
-            ASSIGN_OR_RETURN(Value v,
-                             serial::DecodeValueBody(type, *bytes, *catalog));
-            return Datum::Text(v.ToJson());
-          }
-          return DecodeScalarTyped(*catalog, type, *bytes);
-        }
-        return Datum::Null();
-      });
-
-  registry->Register(
-      "sinew_extract_bytes",
-      [catalog, cache](const UdfArgs& args) -> Result<Datum> {
-        RETURN_NOT_OK(CheckDataPathArgs(args, "sinew_extract_bytes"));
-        if (args[0]->is_null()) return Datum::Null();
-        for (ValueType type : {ValueType::kObject, ValueType::kArray}) {
-          std::optional<std::string_view> bytes = ExtractTyped(
-              *catalog, cache.get(), args[0]->str(), args[1]->str(), type);
-          if (bytes.has_value()) return Datum::Bytes(std::string(*bytes));
-        }
-        return Datum::Null();
-      });
-
-  // Batched extraction behind scans' virtual columns: one reservoir decode
-  // per row serves every virtual-attribute reference of a pipeline.
+  // Batched extraction behind every virtual-column reference: in a scan,
+  // one reservoir decode per row serves all of a pipeline's references.
   registry->SetBatchExtract(MakeBatchExtractor(catalog));
-
-  // Chain extraction: the query rewriter resolves a dotted path to the
-  // attribute-ID descent chain at rewrite time, so the per-row work is pure
-  // header binary searches with no dictionary access at all.
-  //   sinew_extract_chain(data, type_tag, id0, id1, ..., idN)
-  // descends through object ids id0..idN-1 and decodes idN as `type_tag`
-  // (objects/arrays render as JSON text, as in sinew_extract_any).
-  auto chain_extract = [catalog](const UdfArgs& args,
-                                 bool raw_bytes) -> Result<Datum> {
-    if (args.size() < 3) {
-      return Status::InvalidArgument(
-          "sinew_extract_chain expects (data, type, id...)");
-    }
-    if (args[0]->is_null()) return Datum::Null();
-    if (!args[0]->is_bytes() || !args[1]->is_int()) {
-      return Status::TypeError("sinew_extract_chain(bytes, int, int...)");
-    }
-    // Each chain call decodes the row's reservoir anew for one attribute —
-    // this is the per-attribute cost the batched path amortizes.
-    static metrics::Counter* decodes = metrics::GetCounter("reservoir.decodes");
-    static metrics::Histogram* attrs =
-        metrics::GetHistogram("reservoir.attrs_per_decode");
-    decodes->Increment();
-    attrs->Observe(1);
-    std::string_view current = args[0]->str();
-    for (size_t i = 2; i + 1 < args.size(); ++i) {
-      if (!args[i]->is_int()) {
-        return Status::TypeError("chain ids must be integers");
-      }
-      serial::DocumentView view(current);
-      std::optional<std::string_view> sub =
-          view.Extract(static_cast<uint32_t>(args[i]->int_value()));
-      if (!sub.has_value()) return Datum::Null();
-      current = *sub;
-    }
-    serial::DocumentView view(current);
-    std::optional<std::string_view> bytes = view.Extract(
-        static_cast<uint32_t>(args.back()->int_value()));
-    if (!bytes.has_value()) return Datum::Null();
-    ValueType type = static_cast<ValueType>(args[1]->int_value());
-    if (raw_bytes) return Datum::Bytes(std::string(*bytes));
-    if (type == ValueType::kObject || type == ValueType::kArray) {
-      ASSIGN_OR_RETURN(Value v,
-                       serial::DecodeValueBody(type, *bytes, *catalog));
-      return Datum::Text(v.ToJson());
-    }
-    return DecodeScalarTyped(*catalog, type, *bytes);
-  };
-  registry->Register("sinew_extract_chain",
-                     [chain_extract](const UdfArgs& args) {
-                       return chain_extract(args, /*raw_bytes=*/false);
-                     });
-  registry->Register("sinew_extract_chain_bytes",
-                     [chain_extract](const UdfArgs& args) {
-                       return chain_extract(args, /*raw_bytes=*/true);
-                     });
 
   // Array containment without materializing the array: walks the serialized
   // element table and memcmps candidate payloads.
@@ -429,26 +188,18 @@ void RegisterSinewFunctions(engine::UdfRegistry* registry,
       });
 
   registry->Register(
-      "sinew_array_contains",
-      [catalog, cache](const UdfArgs& args) -> Result<Datum> {
-        if (args.size() != 3) {
+      "sinew_array_contains", [](const UdfArgs& args) -> Result<Datum> {
+        if (args.size() != 2) {
           return Status::InvalidArgument(
-              "sinew_array_contains expects (data, path, value)");
+              "sinew_array_contains expects (array, value)");
         }
-        RETURN_NOT_OK(CheckDataPathArgs(args, "sinew_array_contains"));
-        if (args[0]->is_null() || args[2]->is_null()) return Datum::Null();
-        std::optional<std::string_view> bytes;
-        std::string_view path = args[1]->str();
-        if (path.empty()) {
-          // The first argument is itself the serialized array.
-          bytes = args[0]->str();
-        } else {
-          bytes = ExtractTyped(*catalog, cache.get(), args[0]->str(), path,
-                               ValueType::kArray);
+        if (args[0]->is_null() || args[1]->is_null()) return Datum::Null();
+        if (!args[0]->is_bytes()) {
+          return Status::TypeError("sinew_array_contains on non-bytes");
         }
-        if (!bytes.has_value()) return Datum::Null();
-        ASSIGN_OR_RETURN(bool contains, serial::ArrayContainsScalar(
-                                            *bytes, args[2]->ToValue()));
+        ASSIGN_OR_RETURN(bool contains,
+                         serial::ArrayContainsScalar(args[0]->str(),
+                                                     args[1]->ToValue()));
         return Datum::Bool(contains);
       });
 

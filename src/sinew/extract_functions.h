@@ -1,24 +1,24 @@
-// Sinew's extraction UDFs (paper Sections 3.2.2 and 4.1), registered into
-// the engine's UDF registry exactly as the prototype installs C UDFs into
+// Sinew's functions (paper Sections 3.2.2 and 4.1), registered into the
+// engine's UDF registry exactly as the prototype installs C UDFs into
 // Postgres (Section 5).
 //
-//   sinew_extract_text/int/double/bool(data, 'path')
-//       typed extraction; returns NULL when the path is absent OR holds a
-//       value of a different type (the multi-typed-key behaviour).
-//   sinew_extract_num(data, 'path')
-//       numeric extraction accepting int- or double-typed attributes.
-//   sinew_extract_any(data, 'path')
-//       untyped extraction for projection contexts; scalars come back in
-//       their natural type, objects/arrays as canonical JSON text.
-//       (Deviation from the paper, which downcasts everything to string in
-//       untyped contexts: natural types keep results comparable across the
-//       benchmarked systems. Recorded in DESIGN.md.)
-//   sinew_extract_bytes(data, 'path')
-//       raw serialized body (nested objects/arrays) for re-extraction.
-//   sinew_array_contains(data, 'path', value)
-//       array containment over a serialized array attribute.
+//   batched extraction (UdfRegistry::SetBatchExtract)
+//       reads the typed attributes of serialized documents for every
+//       virtual-column reference (engine::ExprKind::kVirtual): in scans, and
+//       one document at a time in the scalar evaluator. Scalars come back in
+//       their natural type, objects/arrays as canonical JSON text, or raw
+//       serialized bytes when asked. (Deviation from the paper, which
+//       downcasts everything to string in untyped contexts: natural types
+//       keep results comparable across the benchmarked systems. Recorded in
+//       DESIGN.md.)
+//   sinew_array_contains(array, value)
+//   sinew_array_contains_chain(data, value, id...)
+//       containment over a serialized array, or over the array attribute
+//       the id chain reaches in a document.
 //   sinew_reservoir_set(data, 'path', value) / sinew_reservoir_remove(...)
 //       functional updates used by the UPDATE rewrite path.
+//   sinew_render_object(bytes) / sinew_render_array(bytes)
+//       a serialized collection as canonical JSON text.
 //   sinew_reconstruct(data)
 //       the full document as canonical JSON text.
 

@@ -3,8 +3,9 @@
 // Moves attribute values between the column reservoir and physical columns,
 // one atomic row update at a time, in bounded increments (`Step`). A column
 // being moved stays dirty until a full pass over the table completes, and
-// queries remain correct at every intermediate point because the rewriter
-// reads dirty columns through COALESCE(column, extract(reservoir)).
+// queries remain correct at every intermediate point because a dirty
+// column's reference reads the column, then the reservoir where the column
+// is NULL — the paper's COALESCE(column, extract(reservoir)).
 //
 // The materializer and the loader are mutually exclusive via the catalog's
 // per-table maintenance latch; queries are NOT excluded (the whole point of

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <span>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/metrics.h"
 #include "engine/parser.h"
@@ -50,9 +50,9 @@ class QueryRewriter::Impl {
     std::string alias;
     bool is_sinew = false;
     engine::Table* engine_table = nullptr;
-    /// Live physical column names, snapshotted once per statement. Grows
-    /// when the rewrite itself adds a column (RewriteAttribute).
-    mutable std::unordered_set<std::string> columns;
+    /// Live physical columns by name, snapshotted once per statement.
+    /// Grows when the rewrite itself adds a column (RewriteAttribute).
+    mutable std::unordered_map<std::string, engine::ColumnType> columns;
   };
 
   Impl(engine::Database* db, AttributeCatalog* catalog,
@@ -69,7 +69,8 @@ class QueryRewriter::Impl {
       st.engine_table = *t;
       const engine::Schema schema = st.engine_table->SchemaSnapshot();
       for (size_t slot : schema.LiveSlots()) {
-        st.columns.insert(schema.columns()[slot].name);
+        const engine::Column& col = schema.columns()[slot];
+        st.columns.emplace(col.name, col.type);
       }
     }
     scope_.push_back(std::move(st));
@@ -205,6 +206,7 @@ class QueryRewriter::Impl {
     switch (expr.kind) {
       case ExprKind::kLiteral:
       case ExprKind::kStar:
+      case ExprKind::kVirtual:  // already rewritten
         return Status::OK();
       case ExprKind::kColumnRef:
         return RewriteColumnRef(e, hint);
@@ -341,69 +343,42 @@ class QueryRewriter::Impl {
     return Status::OK();
   }
 
-  /// array_contains(col, value) -> sinew_array_contains(source, path, value).
+  /// array_contains(col, value) -> sinew_array_contains(array, value) over
+  /// the serialized array: its clean column, else a raw-bytes reference
+  /// that falls back to the reservoir. A virtual array is tested in place
+  /// (sinew_array_contains_chain); a path the table never held as an array
+  /// contains nothing (NULL).
   Status RewriteArrayContains(ExprPtr* e) {
     Expr& expr = **e;
     if (expr.args.size() != 2) {
       return Status::InvalidArgument("array_contains expects (column, value)");
     }
     RETURN_NOT_OK(RewriteExpr(&expr.args[1], Hint::kAny));
+    ExprPtr array_bytes;
     if (expr.args[0]->kind != ExprKind::kColumnRef) {
       // Value-level containment over an already-extracted serialized array.
       RETURN_NOT_OK(RewriteExpr(&expr.args[0], Hint::kBytes));
-      std::vector<ExprPtr> args;
-      args.push_back(std::move(expr.args[0]));
-      args.push_back(Expr::Literal(engine::Datum::Text("")));
-      args.push_back(std::move(expr.args[1]));
-      *e = Expr::Function("sinew_array_contains", std::move(args));
-      return Status::OK();
-    }
-    ASSIGN_OR_RETURN(auto resolved, ResolveRef(*expr.args[0]));
-    const auto& [st, path] = resolved;
-    if (!st->is_sinew) {
-      return Status::InvalidArgument(
-          "array_contains over a non-document table");
-    }
-    std::optional<uint32_t> id;
-    std::optional<AttributeState> state;
-    const AttributeCatalog::ResolvedPath* rp = FindResolved(st->name, path);
-    if (rp != nullptr) {
-      for (size_t i = 0; i < rp->types.size(); ++i) {
-        if (rp->types[i].type == ValueType::kArray) {
-          id = rp->types[i].id;
-          state = rp->states[i];
-          break;
-        }
-      }
+      array_bytes = std::move(expr.args[0]);
     } else {
-      id = catalog_->FindId(path, ValueType::kArray);
-      if (id.has_value()) state = catalog_->GetState(st->name, *id);
-    }
-    ExprPtr source;
-    std::string sub_path;
-    // As in ExtractionSource: materialized in the catalog but no physical
-    // column yet means the first materializer pass has not run; the values
-    // are still all in the reservoir.
-    if (state.has_value() && state->materialized &&
-        ColumnExists(*st, path)) {
-      ExprPtr col = Expr::Column(st->alias, path);
-      if (state->dirty) {
-        std::vector<ExprPtr> extract_args;
-        extract_args.push_back(Expr::Column(st->alias,
-                                            std::string(kReservoirColumn)));
-        extract_args.push_back(Expr::Literal(engine::Datum::Text(path)));
-        std::vector<ExprPtr> coalesce_args;
-        coalesce_args.push_back(std::move(col));
-        coalesce_args.push_back(
-            Expr::Function("sinew_extract_bytes", std::move(extract_args)));
-        source = Expr::Function("coalesce", std::move(coalesce_args));
-      } else {
-        source = std::move(col);
+      ASSIGN_OR_RETURN(auto resolved, ResolveRef(*expr.args[0]));
+      const auto& [st, path] = resolved;
+      if (!st->is_sinew) {
+        return Status::InvalidArgument(
+            "array_contains over a non-document table");
       }
-      sub_path = "";  // the source IS the serialized array
-    } else {
-      // Virtual array: static ID chain resolved at rewrite time.
-      if (id.has_value()) {
+      const AttributeCatalog::ResolvedPath* rp = FindResolved(st->name, path);
+      std::vector<KeyVariant> variants = Variants(*st, path, rp);
+      auto array = std::find_if(
+          variants.begin(), variants.end(),
+          [](const KeyVariant& v) { return v.attr.type == ValueType::kArray; });
+      if (array == variants.end()) {
+        *e = Expr::Literal(engine::Datum::Null());
+        return Status::OK();
+      }
+      // Materialized in the catalog but no physical column yet means the
+      // first materializer pass has not run; the values are still all in
+      // the reservoir.
+      if (!array->state.materialized || !ColumnExists(*st, path)) {
         std::vector<ExprPtr> args;
         args.push_back(
             Expr::Column(st->alias, std::string(kReservoirColumn)));
@@ -411,16 +386,17 @@ class QueryRewriter::Impl {
         for (uint32_t pid : ChainPrefixIds(path, rp, "")) {
           args.push_back(Expr::Literal(engine::Datum::Int(pid)));
         }
-        args.push_back(Expr::Literal(engine::Datum::Int(*id)));
+        args.push_back(Expr::Literal(engine::Datum::Int(array->attr.id)));
         *e = Expr::Function("sinew_array_contains_chain", std::move(args));
         return Status::OK();
       }
-      source = Expr::Column(st->alias, std::string(kReservoirColumn));
-      sub_path = path;
+      array_bytes = array->state.dirty
+                        ? MakeVirtual(*st, path, rp, {&*array, 1},
+                                      /*own_column=*/true, /*raw=*/true)
+                        : Expr::Column(st->alias, path);
     }
     std::vector<ExprPtr> args;
-    args.push_back(std::move(source));
-    args.push_back(Expr::Literal(engine::Datum::Text(sub_path)));
+    args.push_back(std::move(array_bytes));
     args.push_back(std::move(expr.args[1]));
     *e = Expr::Function("sinew_array_contains", std::move(args));
     return Status::OK();
@@ -485,19 +461,18 @@ class QueryRewriter::Impl {
                                    const AttributeCatalog::ResolvedPath* rp,
                                    std::span<const KeyVariant> candidates,
                                    Hint hint) {
-    // Serving mix per query: a reference resolving to a physical engine
-    // column counts as physical; one answered via reservoir extraction
-    // (including the dirty COALESCE form) counts as virtual. This ratio is
-    // the signal the paper's materializer exists to improve.
+    // Serving mix per query: a reference resolving to a clean physical
+    // engine column counts as physical; a virtual-column reference (dirty
+    // columns included) counts as virtual. This ratio is the signal the
+    // paper's materializer exists to improve.
     static metrics::Counter* physical_refs =
         metrics::GetCounter("rewriter.physical_refs_total");
     static metrics::Counter* virtual_refs =
         metrics::GetCounter("rewriter.virtual_refs_total");
     if (IsPseudoColumn(path)) return Expr::Column(st.alias, path);
-    bool column_exists = ColumnExists(st, path);
     if (candidates.empty()) {
       // Plain relational column of a hybrid table?
-      if (column_exists) {
+      if (ColumnExists(st, path)) {
         physical_refs->Increment();
         return Expr::Column(st.alias, path);
       }
@@ -505,73 +480,113 @@ class QueryRewriter::Impl {
                               "\" does not exist in the logical schema of ",
                               st.name);
     }
-    // Single-typed attribute with data possibly split between a physical
-    // column and the reservoir. Correctness at every point of incremental
-    // (de)materialization (Section 3.1.4) requires:
-    //  - clean physical column  -> plain column reference;
-    //  - dirty (either direction) -> COALESCE(column, extract(reservoir)),
-    //    which is valid no matter how many rows have moved;
-    //  - if the target just flipped to physical and the engine column does
-    //    not exist yet, create it (empty) NOW so the coalesce form is
-    //    bindable and stays correct even if the materializer starts moving
-    //    rows after this query is planned.
+    // A single-typed attribute that just flipped to physical gets its
+    // (empty) engine column NOW, so the reference below reads it and stays
+    // correct even if the materializer starts moving rows after this query
+    // is planned.
     if (candidates.size() == 1 && candidates[0].state.materialized &&
-        !column_exists && st.engine_table != nullptr) {
-      Status added = st.engine_table->AddColumn(engine::Column{
-          path, engine::ColumnTypeForValueType(candidates[0].attr.type),
-          false});
-      if (added.ok() || added.IsAlreadyExists()) {
-        column_exists = true;
-        st.columns.insert(path);
-      }
+        !ColumnExists(st, path) && st.engine_table != nullptr) {
+      const engine::ColumnType type =
+          engine::ColumnTypeForValueType(candidates[0].attr.type);
+      Status added =
+          st.engine_table->AddColumn(engine::Column{path, type, false});
+      if (added.ok() || added.IsAlreadyExists()) st.columns.emplace(path, type);
     }
-    bool use_column =
-        candidates.size() == 1 && column_exists &&
-        (candidates[0].state.materialized || candidates[0].state.dirty);
-    if (use_column) {
+    auto live = st.columns.find(path);
+    const engine::ColumnType* column =
+        live == st.columns.end() ? nullptr : &live->second;
+    const KeyVariant* own = OwnColumn(column, candidates);
+    if (candidates.size() == 1 && own != nullptr && !own->state.dirty) {
+      // Clean physical column: a plain reference, rendered as JSON in a
+      // display context when it holds a serialized collection.
+      physical_refs->Increment();
       ExprPtr col = Expr::Column(st.alias, path);
-      ValueType attr_type = candidates[0].attr.type;
-      bool is_collection =
-          attr_type == ValueType::kObject || attr_type == ValueType::kArray;
-      bool dirty =
-          candidates[0].state.dirty || !candidates[0].state.materialized;
-      (dirty ? virtual_refs : physical_refs)->Increment();
-      if (!dirty) {
-        if (is_collection && hint != Hint::kBytes) {
-          // Display context: render the serialized collection as JSON, as
-          // the untyped extractor does for virtual collections.
-          std::vector<ExprPtr> args;
-          args.push_back(std::move(col));
-          return Expr::Function(attr_type == ValueType::kObject
-                                    ? "sinew_render_object"
-                                    : "sinew_render_array",
-                                std::move(args));
-        }
-        return col;
-      }
-      if (is_collection && hint != Hint::kBytes) {
-        // Dirty collection: coalesce raw bytes first, then render.
-        ExprPtr extraction =
-            MakeExtraction(st, path, rp, Hint::kBytes, candidates);
-        std::vector<ExprPtr> cargs;
-        cargs.push_back(std::move(col));
-        cargs.push_back(std::move(extraction));
-        std::vector<ExprPtr> rargs;
-        rargs.push_back(Expr::Function("coalesce", std::move(cargs)));
-        return Expr::Function(attr_type == ValueType::kObject
-                                  ? "sinew_render_object"
-                                  : "sinew_render_array",
-                              std::move(rargs));
-      }
-      // Dirty scalar: COALESCE(col, extract(reservoir)) — Section 3.2.2.
-      ExprPtr extraction = MakeExtraction(st, path, rp, hint, candidates);
-      std::vector<ExprPtr> args;
-      args.push_back(std::move(col));
-      args.push_back(std::move(extraction));
-      return Expr::Function("coalesce", std::move(args));
+      return IsCollection(own->attr.type) && hint != Hint::kBytes
+                 ? Render(std::move(col), own->attr.type)
+                 : std::move(col);
     }
     virtual_refs->Increment();
-    return MakeExtraction(st, path, rp, hint, candidates);
+    // Candidate types filtered by the query's type evidence, in type order.
+    std::vector<KeyVariant> variants;
+    for (const KeyVariant& c : candidates) {
+      if (Admits(hint, c.attr.type)) variants.push_back(c);
+    }
+    std::sort(variants.begin(), variants.end(),
+              [](const KeyVariant& a, const KeyVariant& b) {
+                return a.attr.type < b.attr.type;
+              });
+    if (variants.empty()) {
+      // No attribute of a compatible type was ever observed: the value is
+      // NULL for every row (and stays correct if one appears later, because
+      // queries are rewritten afresh each time).
+      return Expr::Literal(engine::Datum::Null());
+    }
+    own = OwnColumn(column, variants);
+    if (own == nullptr || !IsCollection(own->attr.type) ||
+        hint == Hint::kBytes) {
+      return MakeVirtual(st, path, rp, variants, own != nullptr,
+                         hint == Hint::kBytes);
+    }
+    // The own column holds a serialized collection, which is rendered for
+    // display: a single variant is read raw from every source and rendered
+    // once; beside other variants, the column is rendered on its own and
+    // the reference reads the remaining sources.
+    if (variants.size() == 1) {
+      return Render(MakeVirtual(st, path, rp, variants, true, true),
+                    own->attr.type);
+    }
+    auto read = std::make_unique<Expr>();
+    read->kind = ExprKind::kCase;
+    read->args.push_back(Expr::IsNull(Expr::Column(st.alias, path), true));
+    read->args.push_back(Render(Expr::Column(st.alias, path), own->attr.type));
+    read->args.push_back(MakeVirtual(st, path, rp, variants, false, false));
+    return read;
+  }
+
+  static bool IsCollection(ValueType type) {
+    return type == ValueType::kObject || type == ValueType::kArray;
+  }
+
+  /// True if type evidence `hint` admits an attribute of type `type`.
+  static bool Admits(Hint hint, ValueType type) {
+    switch (hint) {
+      case Hint::kText:
+        return type == ValueType::kString;
+      case Hint::kNum:
+        return type == ValueType::kInt || type == ValueType::kDouble;
+      case Hint::kBool:
+        return type == ValueType::kBool;
+      case Hint::kBytes:
+        return IsCollection(type);
+      case Hint::kAny:
+        return true;
+    }
+    return false;
+  }
+
+  /// A serialized collection rendered as JSON text, as extraction renders
+  /// a virtual one.
+  static ExprPtr Render(ExprPtr bytes, ValueType type) {
+    std::vector<ExprPtr> args;
+    args.push_back(std::move(bytes));
+    return Expr::Function(type == ValueType::kObject ? "sinew_render_object"
+                                                     : "sinew_render_array",
+                          std::move(args));
+  }
+
+  /// The variant of `variants` whose values the attribute's live physical
+  /// column, of type *column (nullptr: none), holds (materialized, or dirty
+  /// on its way back to the reservoir), or nullptr.
+  static const KeyVariant* OwnColumn(const engine::ColumnType* column,
+                                     std::span<const KeyVariant> variants) {
+    if (column == nullptr) return nullptr;
+    for (const KeyVariant& v : variants) {
+      if ((v.state.materialized || v.state.dirty) &&
+          engine::ColumnTypeForValueType(v.attr.type) == *column) {
+        return &v;
+      }
+    }
+    return nullptr;
   }
 
   /// Object-typed attribute ids for each dotted prefix of `path` strictly
@@ -596,139 +611,76 @@ class QueryRewriter::Impl {
     return ids;
   }
 
-  /// The serialized source holding `path`'s enclosing document: the longest
-  /// materialized nested-object ancestor's column, else the reservoir.
-  /// Sets *ancestor to the chosen prefix ("" for the reservoir).
-  ExprPtr ExtractionSource(const ScopeTable& st, const std::string& path,
-                           const AttributeCatalog::ResolvedPath* rp,
-                           std::string* ancestor) {
-    ancestor->clear();
+  /// The longest dotted prefix of `path` that is a materialized nested
+  /// object with a live column, and whether that column is dirty.
+  struct Ancestor {
+    std::string prefix;
+    bool dirty = false;
+  };
+  std::optional<Ancestor> MaterializedAncestor(
+      const ScopeTable& st, const std::string& path,
+      const AttributeCatalog::ResolvedPath* rp) const {
     // Map each dot position to its index in the snapshot's prefix arrays.
     std::vector<size_t> dots;
     for (size_t d = path.find('.'); d != std::string::npos;
          d = path.find('.', d + 1)) {
       dots.push_back(d);
     }
-    size_t dot = path.rfind('.');
-    while (dot != std::string::npos) {
-      std::string prefix = path.substr(0, dot);
-      size_t idx = 0;
-      while (idx < dots.size() && dots[idx] != dot) ++idx;
+    for (size_t idx = dots.size(); idx-- > 0;) {
+      std::string prefix = path.substr(0, dots[idx]);
       const bool snap = rp != nullptr && idx < rp->prefix_ids.size();
       std::optional<uint32_t> pid =
           snap ? rp->prefix_ids[idx]
                : catalog_->FindId(prefix, ValueType::kObject);
-      if (pid.has_value()) {
-        std::optional<AttributeState> pstate =
-            snap ? rp->prefix_states[idx] : catalog_->GetState(st.name, *pid);
-        // The physical column only exists once the materializer's first
-        // pass created it; between the analyzer flagging the ancestor
-        // materialized and that point the values are all still in the
-        // reservoir, so fall through to reservoir extraction.
-        if (pstate.has_value() && pstate->materialized &&
-            ColumnExists(st, prefix)) {
-          ExprPtr col = Expr::Column(st.alias, prefix);
-          *ancestor = prefix;
-          if (!pstate->dirty) return col;
-          // Dirty ancestor: coalesce its column with reservoir extraction.
-          std::vector<uint32_t> chain =
-              ChainPrefixIds(prefix, FindResolved(st.name, prefix), "");
-          std::vector<ExprPtr> eargs;
-          eargs.push_back(
-              Expr::Column(st.alias, std::string(kReservoirColumn)));
-          eargs.push_back(Expr::Literal(engine::Datum::Int(
-              static_cast<int64_t>(ValueType::kObject))));
-          for (uint32_t id : chain) {
-            eargs.push_back(Expr::Literal(engine::Datum::Int(id)));
-          }
-          eargs.push_back(Expr::Literal(engine::Datum::Int(*pid)));
-          std::vector<ExprPtr> cargs;
-          cargs.push_back(std::move(col));
-          cargs.push_back(Expr::Function("sinew_extract_chain_bytes",
-                                         std::move(eargs)));
-          return Expr::Function("coalesce", std::move(cargs));
-        }
+      if (!pid.has_value()) continue;
+      std::optional<AttributeState> pstate =
+          snap ? rp->prefix_states[idx] : catalog_->GetState(st.name, *pid);
+      // The physical column only exists once the materializer's first pass
+      // created it; between the analyzer flagging the ancestor materialized
+      // and that point the values are all still in the reservoir.
+      if (pstate.has_value() && pstate->materialized &&
+          ColumnExists(st, prefix)) {
+        return Ancestor{std::move(prefix), pstate->dirty};
       }
-      dot = dot == 0 ? std::string::npos : path.rfind('.', dot - 1);
     }
-    return Expr::Column(st.alias, std::string(kReservoirColumn));
+    return std::nullopt;
   }
 
-  /// Builds one chain-extraction call for a specific typed attribute.
-  ExprPtr MakeChainCall(ExprPtr source, ValueType type,
-                        const std::vector<uint32_t>& prefix_ids, uint32_t id,
-                        bool raw_bytes) {
-    std::vector<ExprPtr> args;
-    args.reserve(prefix_ids.size() + 3);
-    args.push_back(std::move(source));
-    args.push_back(
-        Expr::Literal(engine::Datum::Int(static_cast<int64_t>(type))));
-    for (uint32_t pid : prefix_ids) {
-      args.push_back(Expr::Literal(engine::Datum::Int(pid)));
+  /// The virtual-column reference to `variants` (in type order) of `path`.
+  /// Its sources, in resolution order: the attribute's own physical column
+  /// when `own_column`; the nearest materialized ancestor's column; the
+  /// reservoir, unless that ancestor is clean (it then holds every value
+  /// below it). `raw` reads serialized bytes instead of decoded values.
+  ExprPtr MakeVirtual(const ScopeTable& st, const std::string& path,
+                      const AttributeCatalog::ResolvedPath* rp,
+                      std::span<const KeyVariant> variants, bool own_column,
+                      bool raw) const {
+    std::vector<ExprPtr> sources;
+    engine::VirtualSources targets;
+    if (own_column) {
+      sources.push_back(Expr::Column(st.alias, path));
+      targets.emplace_back();  // read as is
     }
-    args.push_back(Expr::Literal(engine::Datum::Int(id)));
-    return Expr::Function(
-        raw_bytes ? "sinew_extract_chain_bytes" : "sinew_extract_chain",
-        std::move(args));
-  }
-
-  /// Extraction over the hybrid schema: candidate attribute types filtered
-  /// by the query's type evidence, each resolved to a static ID chain; the
-  /// multi-typed case coalesces the typed extractions in type order —
-  /// exactly sinew_extract_any's semantics, minus all dictionary lookups.
-  ExprPtr MakeExtraction(const ScopeTable& st, const std::string& path,
-                         const AttributeCatalog::ResolvedPath* rp, Hint hint,
-                         std::span<const KeyVariant> candidates) {
-    std::string ancestor;
-    ExprPtr source = ExtractionSource(st, path, rp, &ancestor);
-    std::vector<uint32_t> prefix_ids = ChainPrefixIds(path, rp, ancestor);
-
-    // Filter candidates by type evidence.
-    std::vector<std::pair<ValueType, uint32_t>> typed;
-    typed.reserve(candidates.size());
-    for (const KeyVariant& c : candidates) {
-      ValueType t = c.attr.type;
-      bool keep = false;
-      switch (hint) {
-        case Hint::kText:
-          keep = t == ValueType::kString;
-          break;
-        case Hint::kNum:
-          keep = t == ValueType::kInt || t == ValueType::kDouble;
-          break;
-        case Hint::kBool:
-          keep = t == ValueType::kBool;
-          break;
-        case Hint::kBytes:
-          keep = t == ValueType::kObject || t == ValueType::kArray;
-          break;
-        case Hint::kAny:
-          keep = true;
-          break;
+    auto extract_from = [&](const std::string& column,
+                            const std::vector<uint32_t>& prefix_ids) {
+      sources.push_back(Expr::Column(st.alias, column));
+      std::vector<engine::ExtractTarget>& source = targets.emplace_back();
+      for (const KeyVariant& v : variants) {
+        source.push_back(engine::ExtractTarget{
+            prefix_ids, v.attr.id, raw, static_cast<int64_t>(v.attr.type)});
       }
-      if (keep) typed.emplace_back(t, c.attr.id);
+      std::sort(source.begin(), source.end());
+    };
+    std::optional<Ancestor> ancestor = MaterializedAncestor(st, path, rp);
+    if (ancestor.has_value()) {
+      extract_from(ancestor->prefix,
+                   ChainPrefixIds(path, rp, ancestor->prefix));
     }
-    std::sort(typed.begin(), typed.end());
-    if (typed.empty()) {
-      // No attribute of a compatible type was ever observed: the value is
-      // NULL for every row (and stays correct if one appears later, because
-      // queries are rewritten afresh each time).
-      return Expr::Literal(engine::Datum::Null());
+    if (!ancestor.has_value() || ancestor->dirty) {
+      extract_from(std::string(kReservoirColumn),
+                   ChainPrefixIds(path, rp, ""));
     }
-    bool raw = hint == Hint::kBytes;
-    if (typed.size() == 1) {
-      return MakeChainCall(std::move(source), typed[0].first, prefix_ids,
-                           typed[0].second, raw);
-    }
-    std::vector<ExprPtr> calls;
-    calls.reserve(typed.size());
-    for (size_t i = 0; i < typed.size(); ++i) {
-      ExprPtr src = i + 1 == typed.size() ? std::move(source)
-                                          : source->Clone();
-      calls.push_back(MakeChainCall(std::move(src), typed[i].first,
-                                    prefix_ids, typed[i].second, raw));
-    }
-    return Expr::Function("coalesce", std::move(calls));
+    return Expr::Virtual(path, std::move(sources), std::move(targets));
   }
 
  private:
@@ -884,7 +836,7 @@ Status QueryRewriter::RewriteUpdate(engine::UpdateStatement* stmt) const {
     if (physical && present == 1) {
       out.emplace_back(column, std::move(rhs));
       if (dirty) {
-        // Clear any stale reservoir copy so COALESCE can't resurrect it.
+        // Clear any stale reservoir copy so a read cannot resurrect it.
         std::vector<ExprPtr> args;
         args.push_back(chain_source());
         args.push_back(Expr::Literal(engine::Datum::Text(column)));
@@ -892,7 +844,13 @@ Status QueryRewriter::RewriteUpdate(engine::UpdateStatement* stmt) const {
       }
       continue;
     }
-    // Virtual target: fold into the reservoir-update chain.
+    // Virtual target: fold into the reservoir-update chain. A multi-typed
+    // key keeps its value in the reservoir, and its live column is
+    // cleared: reads resolve the column first, so a stale value there
+    // would shadow the new one.
+    if (physical) {
+      out.emplace_back(column, Expr::Literal(engine::Datum::Null()));
+    }
     if (rhs->kind == ExprKind::kLiteral && !rhs->literal.is_null()) {
       // Pre-register the attribute so subsequent queries can see it.
       Value v = rhs->literal.ToValue();

@@ -3,14 +3,16 @@
 // Takes standard SQL over the logical universal-relation schema and rewrites
 // it to match the hybrid physical schema:
 //   - references to clean physical columns pass through;
-//   - references to dirty physical columns become
-//     COALESCE(col, sinew_extract_T(_data, 'col'));
-//   - references to virtual columns become sinew_extract_T(_data, 'col'),
-//     where T is inferred from type constraints in the query (comparisons
-//     against literals, arithmetic, LIKE, ...) and falls back to the untyped
-//     extractor for projections;
-//   - references under a materialized nested object extract from that
-//     object's serialized column instead of the whole reservoir;
+//   - every other reference to a document attribute becomes one
+//     virtual-column reference (engine::ExprKind::kVirtual): the
+//     attribute's typed variants the query's type evidence admits
+//     (comparisons against literals, arithmetic, LIKE, ...; all of them in
+//     a projection), each with its attribute-id descent chain resolved at
+//     rewrite time, and its sources in resolution order — its own physical
+//     column when it has one (dirty, or multi-typed beside a materialized
+//     variant), the nearest materialized nested-object ancestor's column,
+//     then the reservoir. A row reads the first non-NULL source: the
+//     paper's COALESCE(col, extract(_data)) for dirty columns;
 //   - SELECT * expands to the table's top-level logical columns, resolved
 //     in one catalog pass and rewritten by the same per-attribute decision
 //     as explicit references;

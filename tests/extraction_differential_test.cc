@@ -1,12 +1,13 @@
 // Extraction differential tests: every query must return the scalar
-// oracle's multiset of rows (tests/scalar_oracle.h: rewritten expressions,
-// chain UDFs and scalar EvalExpr over every stored row) while the executor
+// oracle's multiset of rows (tests/scalar_oracle.h: rewritten expressions
+// and scalar EvalExpr over every stored row) while the executor
 // produces each virtual attribute as a scan column. The corpus is
 // NoBench-shaped — multi-typed keys, nested objects, arrays, sparse/absent
 // paths — and its physical design mixes every storage state a scan column
-// can come from: a dirty partially-materialized column (COALESCE(column,
-// extract(...))), strips over the cold rows, a hot tail appended past the
-// segment, and a second table whose segment an UPDATE detached.
+// can come from: dirty partially-materialized columns (the column, falling
+// back to the reservoir), the children of a dirty materialized object,
+// strips over the cold rows, a hot tail appended past the segment, and a
+// second table whose segment an UPDATE detached.
 //
 // Joins are covered too: every join input's scan produces its own virtual
 // columns, whether they feed a scan filter, a join key, a residual, a sort
@@ -111,12 +112,13 @@ class ExtractionDifferentialTest : public ::testing::Test {
     for (const Config& c : *dbs_) {
       SinewDb* db = c.db;
       ASSERT_TRUE(db->LoadDocuments(kTable, *docs_).ok());
-      // str1 is partially materialized (a bounded materializer step moves
-      // only a prefix of the rows, leaving the attribute dirty), num fully
-      // materialized and clean. The shred then covers the cold rows; the
-      // hot tail lands past the segment.
-      ASSERT_TRUE(db->ForceMaterialization(kTable, "num", true).ok());
-      ASSERT_TRUE(db->ForceMaterialization(kTable, "str1", true).ok());
+      // num, str1, the nested_obj object and the nested_arr array are
+      // partially materialized (a bounded materializer step moves only a
+      // prefix of the rows, leaving the attributes dirty). The shred then
+      // covers the cold rows; the hot tail lands past the segment.
+      for (const char* key : {"num", "str1", "nested_obj", "nested_arr"}) {
+        ASSERT_TRUE(db->ForceMaterialization(kTable, key, true).ok());
+      }
       Result<uint64_t> moved = db->MaterializeStep(kTable, kRecords / 4);
       ASSERT_TRUE(moved.ok()) << moved.status().ToString();
       Status built = db->BuildColumnarSegments(kTable);
@@ -152,7 +154,8 @@ class ExtractionDifferentialTest : public ::testing::Test {
   static SinewDb* Reference() { return dbs_->front().db; }
 
   /// Asserts every configuration returns `golden_rows`, and that the plan
-  /// leaves no chain-extraction call for the executor to run per row.
+  /// leaves no virtual-column reference for the executor to evaluate per
+  /// row: every one is a scan column.
   void ExpectRows(const std::string& sql,
                   const std::vector<std::string>& golden_rows) {
     for (const Config& c : *dbs_) {
@@ -161,8 +164,31 @@ class ExtractionDifferentialTest : public ::testing::Test {
       EXPECT_EQ(CanonicalRows(*got), golden_rows) << c.name;
       Result<std::string> plan = c.db->Explain(sql);
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-      EXPECT_EQ(plan->find("sinew_extract_chain"), std::string::npos)
+      EXPECT_EQ(plan->find("->["), std::string::npos)
           << c.name << "\n" << *plan;
+    }
+  }
+
+  /// Asserts no configuration runs a lane of `sql` on the scalar fallback
+  /// evaluator: every EXPLAIN ANALYZE scan and project line that ran
+  /// bytecode reports fallback_lanes=0, and the scan's filter (present
+  /// whenever `filtered`) did run bytecode.
+  void ExpectNoFallbackLanes(const std::string& sql, bool filtered) {
+    for (const Config& c : *dbs_) {
+      Result<engine::QueryResult> r = c.db->Query("EXPLAIN ANALYZE " + sql);
+      ASSERT_TRUE(r.ok()) << c.name << ": " << r.status().ToString();
+      bool scan_checked = false;
+      for (const engine::DatumRow& row : r->rows) {
+        const std::string& line = row[0].str();
+        const bool scan = line.find("Seq Scan") != std::string::npos;
+        if (!scan && line.find("Project") == std::string::npos) continue;
+        const size_t at = line.find("fallback_lanes=");
+        if (at == std::string::npos) continue;
+        EXPECT_EQ(line.compare(at, 17, "fallback_lanes=0)"), 0)
+            << c.name << ": " << line;
+        scan_checked |= scan;
+      }
+      EXPECT_EQ(scan_checked, filtered) << c.name << ": " << sql;
     }
   }
 
@@ -298,14 +324,58 @@ TEST_F(ExtractionDifferentialTest, ArraysAndContainment) {
 }
 
 TEST_F(ExtractionDifferentialTest, DirtyColumnCoalesce) {
-  // str1 is materialized but dirty: readers COALESCE the physical column
-  // with reservoir extraction, and the extraction inside the COALESCE is a
-  // scan column like any other.
+  // str1 is materialized but dirty: its reference reads the physical
+  // column, then the reservoir where the column is NULL, and is a scan
+  // column like any other.
   ExpectSameResults("SELECT str1 AS s, num AS n FROM docs WHERE str1 = '" +
                     params_->q5_str1 + "'");
   ExpectSameResults(
       "SELECT str1 AS s, str2 AS t, thousandth AS k FROM docs "
       "WHERE num >= 0");
+}
+
+TEST_F(ExtractionDifferentialTest, ChildOfDirtyObjectColumn) {
+  // nested_obj is mid-materialization: its children read the object column
+  // and fall back to the reservoir where the column is NULL — one scan
+  // column, no per-row evaluation.
+  const std::string sql =
+      "SELECT \"nested_obj.str\" AS ns, \"nested_obj.num\" AS nn, "
+      "str2 AS s FROM docs WHERE \"nested_obj.num\" < 500";
+  ExpectSameResults(sql);
+  EXPECT_GT(GoldenRows(sql), 0u);
+  ExpectNoFallbackLanes(sql, /*filtered=*/true);
+  ExpectSameResults("SELECT \"nested_obj.str\" AS ns FROM docs");
+  ExpectNoFallbackLanes("SELECT \"nested_obj.str\" AS ns FROM docs",
+                        /*filtered=*/false);
+}
+
+TEST_F(ExtractionDifferentialTest, MultiTypedKeyIsOneScanColumn) {
+  // dyn1 in the WHERE clause and the select list: each reference is one
+  // scan column taking whichever typed variant a row holds.
+  const std::string range = std::to_string(params_->q7_lo) + " AND " +
+                            std::to_string(params_->q7_hi);
+  for (const std::string& sql : std::vector<std::string>{
+           "SELECT dyn1 AS d, str2 AS s FROM docs WHERE dyn1 BETWEEN " + range,
+           "SELECT dyn1 AS d, dyn2 AS e FROM docs WHERE dyn1 IS NOT NULL AND "
+           "thousandth < 100"}) {
+    SCOPED_TRACE(sql);
+    ExpectSameResults(sql);
+    EXPECT_GT(GoldenRows(sql), 0u);
+    ExpectNoFallbackLanes(sql, /*filtered=*/true);
+  }
+  ExpectNoFallbackLanes("SELECT dyn1 AS d FROM docs", /*filtered=*/false);
+}
+
+TEST_F(ExtractionDifferentialTest, ArrayContainsOverDirtyColumn) {
+  // nested_arr is mid-materialization: containment reads the column's
+  // serialized array, else the reservoir's, through one raw-bytes column.
+  const std::string sql =
+      "SELECT str2 AS s, nested_arr AS arr FROM docs "
+      "WHERE array_contains(nested_arr, '" +
+      params_->q8_arr_value + "')";
+  ExpectSameResults(sql);
+  EXPECT_GT(GoldenRows(sql), 0u);
+  ExpectNoFallbackLanes(sql, /*filtered=*/true);
 }
 
 TEST_F(ExtractionDifferentialTest, HotTailRowsPastSegment) {
@@ -399,8 +469,8 @@ TEST_F(ExtractionDifferentialTest, JoinKeyServedFromStrips) {
 }
 
 TEST_F(ExtractionDifferentialTest, JoinInputWithDirtyColumn) {
-  // docs.str1 is mid-materialization: its join key is COALESCE(column,
-  // extraction), and the extraction inside is a scan column.
+  // docs.str1 is mid-materialization: its join key reads the column, then
+  // the reservoir, as one scan column.
   const std::string sql =
       "SELECT t1.str1 AS s, t1.str2 AS s2, t2.num AS n "
       "FROM upd t2, docs t1 "

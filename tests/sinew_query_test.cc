@@ -153,14 +153,14 @@ TEST_F(SinewQueryTest, ExplainShowsRewrittenPlan) {
   // Every virtual attribute is a column the scan produces: the predicate
   // attribute (extracted for every row, before the pushed-down filter runs)
   // and the projection attributes (extracted for survivors) alike. No
-  // per-row chain-extraction call is left in the plan.
+  // unhoisted virtual-column reference is left in the plan.
   auto plan = db_.Explain("SELECT owner, url FROM logs WHERE hits > 20");
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(plan->find("Seq Scan on logs (filter: (\"$x1\" > 20)) "
                        "SinewExtract (attrs=3, sources=1)"),
             std::string::npos)
       << *plan;
-  EXPECT_EQ(plan->find("sinew_extract_chain"), std::string::npos) << *plan;
+  EXPECT_EQ(plan->find("->["), std::string::npos) << *plan;
   // An attribute referenced by BOTH predicate and projection (owner) is
   // one column: extracted once, before the filter, and projected from there.
   auto shared = db_.Explain(
@@ -183,7 +183,7 @@ TEST_F(SinewQueryTest, ExplainShowsRewrittenPlan) {
     ASSERT_TRUE(single.ok());
     EXPECT_NE(single->find("SinewExtract (attrs="), std::string::npos)
         << *single;
-    EXPECT_EQ(single->find("sinew_extract_chain"), std::string::npos)
+    EXPECT_EQ(single->find("->["), std::string::npos)
         << *single;
   }
 }
@@ -218,6 +218,61 @@ TEST_F(SinewQueryTest, ColumnTypesInvariantUnderMaterialization) {
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan->find("SinewExtract"), std::string::npos) << *plan;
   EXPECT_EQ(Q(sql).column_types, want) << "physical";
+}
+
+TEST_F(SinewQueryTest, MaterializedKeyGainingASecondType) {
+  // k is materialized and its values moved to the column; then a document
+  // gives k an int variant. Reads resolve the column before the reservoir,
+  // in every context, and an UPDATE keeps each value in one place.
+  std::string jsonl;
+  for (int i = 0; i < 10; ++i) {
+    jsonl += "{\"k\": \"s" + std::to_string(i) + "\", \"n\": " +
+             std::to_string(i) + "}\n";
+  }
+  ASSERT_TRUE(db_.LoadJsonLines("keys", jsonl).ok());
+  ASSERT_TRUE(db_.ForceMaterialization("keys", "k", true).ok());
+  ASSERT_TRUE(db_.MaterializeAll("keys").ok());
+  ASSERT_TRUE(db_.LoadJsonLines("keys", R"({"k": 7, "n": 100})").ok());
+  auto column = [&](const std::string& sql) {
+    std::vector<std::string> out;
+    for (const auto& row : Q(sql).rows) out.push_back(row[0].ToString());
+    return out;
+  };
+  auto count = [&](const std::string& where) {
+    return Q("SELECT COUNT(*) FROM keys WHERE " + where).rows[0][0].int_value();
+  };
+  EXPECT_EQ(column("SELECT k FROM keys WHERE n < 3 ORDER BY n"),
+            (std::vector<std::string>{"s0", "s1", "s2"}));
+  EXPECT_EQ(column("SELECT k FROM keys WHERE n = 100"),
+            (std::vector<std::string>{"7"}));
+  EXPECT_EQ(count("k = 's1'"), 1);
+  EXPECT_EQ(count("k = 7"), 1);
+  EXPECT_EQ(count("k IS NOT NULL"), 11);
+
+  ASSERT_TRUE(db_.Query("UPDATE keys SET k = 'new' WHERE n = 1").ok());
+  ASSERT_TRUE(db_.Query("UPDATE keys SET k = 5 WHERE k = 's2'").ok());
+  EXPECT_EQ(column("SELECT k FROM keys WHERE n < 3 ORDER BY n"),
+            (std::vector<std::string>{"s0", "new", "5"}));
+  EXPECT_EQ(count("k = 's1'"), 0);
+  EXPECT_EQ(count("k = 'new'"), 1);
+  EXPECT_EQ(count("k = 's2'"), 0);
+  EXPECT_EQ(count("k BETWEEN 5 AND 7"), 2);
+  EXPECT_EQ(count("k IS NOT NULL"), 11);
+
+  // A materialized object beside a scalar variant: the column's objects
+  // render as JSON, the reservoir's scalar comes back as is.
+  ASSERT_TRUE(db_.LoadJsonLines("objs", R"(
+{"o": {"a": 1}, "n": 1}
+{"o": {"a": 2}, "n": 2}
+)")
+                  .ok());
+  ASSERT_TRUE(db_.ForceMaterialization("objs", "o", true).ok());
+  ASSERT_TRUE(db_.MaterializeAll("objs").ok());
+  ASSERT_TRUE(db_.LoadJsonLines("objs", R"({"o": 3, "n": 3})").ok());
+  EXPECT_EQ(column("SELECT o FROM objs ORDER BY n"),
+            (std::vector<std::string>{R"({"a":1})", R"({"a":2})", "3"}));
+  EXPECT_EQ(column("SELECT \"o.a\" FROM objs ORDER BY n"),
+            (std::vector<std::string>{"1", "2", "NULL"}));
 }
 
 TEST_F(SinewQueryTest, ResultsInvariantUnderMaterialization) {

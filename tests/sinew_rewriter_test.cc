@@ -36,27 +36,30 @@ class RewriterTest : public ::testing::Test {
 };
 
 TEST_F(RewriterTest, VirtualColumnBecomesChainExtraction) {
+  // One virtual-column reference reading the reservoir.
   std::string item = FirstItem("SELECT owner FROM webrequests");
-  EXPECT_NE(item.find("sinew_extract_chain"), std::string::npos) << item;
-  EXPECT_NE(item.find("_data"), std::string::npos) << item;
+  EXPECT_NE(item.find("webrequests.\"_data\"->["), std::string::npos) << item;
 }
 
 TEST_F(RewriterTest, TypedEvidenceSelectsTypedExtraction) {
-  // Numeric comparison -> int-typed chain (type tag 2 = kInt).
+  // Numeric comparison -> int-typed variant (type tag 2 = kInt).
   std::string w = Where("SELECT url FROM webrequests WHERE hits > 20");
-  EXPECT_NE(w.find("sinew_extract_chain"), std::string::npos) << w;
-  EXPECT_NE(w.find(", 2,"), std::string::npos) << w;
-  // Text comparison -> string-typed chain (type tag 4 = kString).
+  EXPECT_NE(w.find("->[2:"), std::string::npos) << w;
+  // Text comparison -> string-typed variant (type tag 4 = kString).
   std::string t = Where("SELECT url FROM webrequests WHERE owner = 'ann'");
-  EXPECT_NE(t.find(", 4,"), std::string::npos) << t;
+  EXPECT_NE(t.find("->[4:"), std::string::npos) << t;
 }
 
 TEST_F(RewriterTest, MultiTypedKeyCoalescesTypedExtractions) {
+  // One reference carries both typed variants (int, string); a row reads
+  // the one it holds.
   std::string item = FirstItem("SELECT dyn FROM webrequests");
-  EXPECT_NE(item.find("coalesce"), std::string::npos) << item;
-  // A typed context narrows to the single matching attribute: no coalesce.
+  EXPECT_NE(item.find("->[2:"), std::string::npos) << item;
+  EXPECT_NE(item.find("|4:"), std::string::npos) << item;
+  // A typed context narrows to the single matching attribute.
   std::string w = Where("SELECT url FROM webrequests WHERE dyn = 3");
-  EXPECT_EQ(w.find("coalesce"), std::string::npos) << w;
+  EXPECT_NE(w.find("->[2:"), std::string::npos) << w;
+  EXPECT_EQ(w.find("|"), std::string::npos) << w;
 }
 
 TEST_F(RewriterTest, TypeEvidenceWithNoMatchingAttributeIsNullLiteral) {
@@ -68,11 +71,10 @@ TEST_F(RewriterTest, TypeEvidenceWithNoMatchingAttributeIsNullLiteral) {
 TEST_F(RewriterTest, NestedPathExtractsThroughDescentChain) {
   std::string item = FirstItem("SELECT \"user.id\" FROM webrequests");
   // Chain has two ids: user (object), then user.id.
-  EXPECT_NE(item.find("sinew_extract_chain"), std::string::npos);
   uint32_t user_id = *db_.catalog()->FindId("user", ValueType::kObject);
   uint32_t leaf_id = *db_.catalog()->FindId("user.id", ValueType::kInt);
-  EXPECT_NE(item.find(std::to_string(user_id) + ", " +
-                      std::to_string(leaf_id)),
+  EXPECT_NE(item.find("->[2:" + std::to_string(user_id) + "." +
+                      std::to_string(leaf_id) + "]"),
             std::string::npos)
       << item;
 }
@@ -90,7 +92,8 @@ TEST_F(RewriterTest, DirtyColumnReadsThroughCoalesce) {
   // New load re-dirties the column.
   ASSERT_TRUE(db_.LoadJsonLines("webrequests", R"({"url": "d.com"})").ok());
   std::string item = FirstItem("SELECT url FROM webrequests");
-  EXPECT_NE(item.find("coalesce(webrequests.\"url\", sinew_extract_chain"),
+  EXPECT_NE(item.find("coalesce(webrequests.\"url\", "
+                      "webrequests.\"_data\"->["),
             std::string::npos)
       << item;
 }
