@@ -27,17 +27,6 @@ bool ReferencesTable(const SelectStatement& stmt, std::string_view name) {
                      });
 }
 
-/// Delete + re-append refresh idiom for system tables: concurrent readers
-/// may hold the Table*, and plans are built against it, so the table object
-/// must survive refreshes.
-Status ClearTableRows(Table* table) {
-  const uint64_t end = table->RowSlotCount();
-  for (uint64_t rid = 0; rid < end; ++rid) {
-    if (table->IsLive(rid)) RETURN_NOT_OK(table->DeleteRow(rid));
-  }
-  return Status::OK();
-}
-
 /// Walks the plan tree summing base-scan actuals into the exec info.
 void AccumulateScanStats(const PlanNode& node, const PlanStats& stats,
                          QueryExecInfo* info) {
@@ -93,17 +82,37 @@ Datum CoerceForColumn(Datum value, ColumnType type) {
   return value;
 }
 
-/// Builds the scan-visible ExecSchema (live columns + __rid) and the
-/// corresponding live slot list for programmatic row iteration.
-void ScanSchemaFor(const Table& table, const std::string& alias,
-                   ExecSchema* schema, std::vector<size_t>* live_slots) {
-  const Schema s = table.SchemaSnapshot();
-  *live_slots = s.LiveSlots();
-  for (size_t slot : *live_slots) {
-    const Column& col = s.columns()[slot];
-    schema->cols.push_back(ExecSchema::Col{alias, col.name, col.type});
+/// The find phase of UPDATE/DELETE as a query over the target table:
+/// `SELECT <table>.__rid, <outputs...> FROM <table> [WHERE <where>]`.
+SelectStatement FindRowsStatement(const std::string& table, const Expr* where,
+                                  std::vector<ExprPtr> outputs) {
+  SelectStatement find;
+  find.from.push_back(TableRef{table, ""});
+  find.items.push_back(SelectItem{Expr::Column(table, "__rid"), ""});
+  for (ExprPtr& e : outputs) find.items.push_back(SelectItem{std::move(e), ""});
+  if (where != nullptr) find.where = where->Clone();
+  return find;
+}
+
+/// DML evaluates its WHERE and SET expressions once per row: an aggregate
+/// there has no group to range over.
+Status RejectAggregate(const Expr* e, std::string_view statement) {
+  if (e != nullptr && e->ContainsAggregate()) {
+    return Status::InvalidArgument("aggregate functions are not allowed in ",
+                                   statement);
   }
-  schema->cols.push_back(ExecSchema::Col{alias, "__rid", ColumnType::kInt});
+  return Status::OK();
+}
+
+/// The count row a DML statement returns. The apply phase's time joins the
+/// find phase's in exec_ns, and rows_out is the affected count.
+QueryResult DmlResult(int64_t affected, uint64_t apply_start,
+                      QueryExecInfo* info) {
+  if (info != nullptr) {
+    info->exec_ns += metrics::NowNanos() - apply_start;
+    info->rows_out = static_cast<uint64_t>(affected);
+  }
+  return CountResult(affected);
 }
 
 }  // namespace
@@ -130,8 +139,10 @@ Result<QueryResult> Database::ExecuteStatement(const Statement& stmt) {
 
 Result<QueryResult> Database::ExecuteStatement(const Statement& stmt,
                                                QueryExecInfo* info) {
-  if (info != nullptr && stmt.kind != StatementKind::kSelect) {
-    // Non-SELECT statements get wall-clock + affected-rows telemetry only.
+  if (info != nullptr && stmt.kind != StatementKind::kSelect &&
+      stmt.kind != StatementKind::kUpdate &&
+      stmt.kind != StatementKind::kDelete) {
+    // Statements that run no plan get wall-clock + affected-rows telemetry.
     const uint64_t start = metrics::NowNanos();
     Result<QueryResult> result = ExecuteStatement(stmt);
     info->exec_ns = metrics::NowNanos() - start;
@@ -149,6 +160,7 @@ Result<QueryResult> Database::ExecuteStatement(const Statement& stmt,
   }
   switch (stmt.kind) {
     case StatementKind::kSelect:
+      RETURN_NOT_OK(MaybeRefreshSystemTables(*stmt.select));
       return ExecuteSelect(*stmt.select, info);
     case StatementKind::kExplain:
       return ExecuteExplain(stmt);
@@ -157,9 +169,9 @@ Result<QueryResult> Database::ExecuteStatement(const Statement& stmt,
     case StatementKind::kInsert:
       return ExecuteInsert(*stmt.insert);
     case StatementKind::kUpdate:
-      return ExecuteUpdate(*stmt.update);
+      return ExecuteUpdate(*stmt.update, info);
     case StatementKind::kDelete:
-      return ExecuteDelete(*stmt.del);
+      return ExecuteDelete(*stmt.del, info);
     case StatementKind::kAnalyze: {
       ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(stmt.analyze->table));
       RETURN_NOT_OK(table->Analyze());
@@ -186,7 +198,8 @@ Result<std::string> Database::Explain(std::string_view sql) {
 Result<QueryResult> Database::ExecuteSelect(const SelectStatement& stmt,
                                             QueryExecInfo* info) {
   const uint64_t plan_start = metrics::NowNanos();
-  ASSIGN_OR_RETURN(PlanPtr plan, PlanStatement(stmt));
+  Planner planner(&catalog_, &udfs_, planner_options_);
+  ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanSelect(stmt));
   const uint64_t plan_ns = metrics::NowNanos() - plan_start;
   if (info == nullptr) {
     return ExecutePlan(*plan, &udfs_, exec_options_);
@@ -268,7 +281,9 @@ Status Database::RefreshMetricsTable() {
                                 std::string(kMetricsTableName),
                                 std::move(schema)));
   }
-  RETURN_NOT_OK(ClearTableRows(table));
+  // Delete + re-append: concurrent readers may hold the Table*, and plans
+  // are built against it, so the table object survives refreshes.
+  table->DeleteAllRows();
   for (const metrics::Sample& s : metrics::MetricsRegistry::Global()
                                       ->Snapshot()) {
     DatumRow row;
@@ -314,7 +329,7 @@ Status Database::RefreshQueryLogTable() {
                                 std::string(kQueryLogTableName),
                                 std::move(schema)));
   }
-  RETURN_NOT_OK(ClearTableRows(table));
+  table->DeleteAllRows();
   // uint64 hashes are stored as the bit-equivalent signed value; joins and
   // equality comparisons against other logged hashes stay exact.
   auto as_int = [](uint64_t v) {
@@ -393,115 +408,67 @@ Result<QueryResult> Database::ExecuteInsert(const InsertStatement& stmt) {
   return CountResult(inserted);
 }
 
-Result<QueryResult> Database::ExecuteUpdate(const UpdateStatement& stmt) {
+Result<QueryResult> Database::ExecuteUpdate(const UpdateStatement& stmt,
+                                            QueryExecInfo* info) {
   ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(stmt.table));
-  ExecSchema scan_schema;
-  std::vector<size_t> live_slots;
-  ScanSchemaFor(*table, stmt.table, &scan_schema, &live_slots);
-
-  ExprPtr where;
-  if (stmt.where != nullptr) {
-    where = stmt.where->Clone();
-    RETURN_NOT_OK(BindExpr(where.get(), scan_schema, {stmt.table}));
-  }
-  struct BoundAssignment {
-    size_t slot;  // physical slot in the table schema
-    ExprPtr expr;
-  };
-  std::vector<BoundAssignment> assignments;
+  RETURN_NOT_OK(RejectAggregate(stmt.where.get(), "UPDATE"));
+  const Schema schema = table->SchemaSnapshot();
+  std::vector<size_t> slots;  // physical target slots, in SET order
+  std::vector<ExprPtr> values;
   for (const auto& [column, expr] : stmt.assignments) {
-    std::optional<size_t> slot = table->FindColumnLatched(column);
+    RETURN_NOT_OK(RejectAggregate(expr.get(), "UPDATE"));
+    std::optional<size_t> slot = schema.FindColumn(column);
     if (!slot.has_value()) {
       return Status::NotFound("column ", column, " does not exist");
     }
-    BoundAssignment bound;
-    bound.slot = *slot;
-    bound.expr = expr->Clone();
-    RETURN_NOT_OK(BindExpr(bound.expr.get(), scan_schema, {stmt.table}));
-    assignments.push_back(std::move(bound));
+    slots.push_back(*slot);
+    values.push_back(expr->Clone());
   }
-
-  // Snapshot the schema for decoding (the table latch serializes row-level
-  // access; the snapshot keeps decoding consistent if DDL lands mid-scan).
-  Schema schema_snapshot = table->SchemaSnapshot();
-
-  // Projection pushdown for the predicate pass: decode only the slots the
-  // WHERE clause references; full rows are read for matches only.
-  std::vector<size_t> where_slots;
-  if (where != nullptr) {
-    std::vector<const Expr*> refs;
-    where->CollectColumnRefs(&refs);
-    for (const Expr* ref : refs) {
-      if (ref->bound_slot >= 0 &&
-          static_cast<size_t>(ref->bound_slot) < live_slots.size()) {
-        where_slots.push_back(live_slots[ref->bound_slot]);
-      }
-    }
-    std::sort(where_slots.begin(), where_slots.end());
-    where_slots.erase(std::unique(where_slots.begin(), where_slots.end()),
-                      where_slots.end());
-  }
-
-  uint64_t end = table->RowSlotCount();
+  // Find: the plan yields each matching rid with its new values, computed
+  // from the pre-update row image, and is closed before any row is written.
+  ASSIGN_OR_RETURN(
+      QueryResult found,
+      ExecuteSelect(FindRowsStatement(stmt.table, stmt.where.get(),
+                                      std::move(values)),
+                    info));
+  // Apply: one latched patch per row; a row deleted since the scan is
+  // skipped.
+  const uint64_t apply_start = metrics::NowNanos();
   int64_t updated = 0;
-  for (uint64_t rid = 0; rid < end; ++rid) {
-    if (where != nullptr) {
-      Result<DatumRow> partial = table->ReadRowSlots(rid, where_slots);
-      if (!partial.ok()) continue;  // deleted row
-      DatumRow visible;
-      visible.reserve(live_slots.size() + 1);
-      for (size_t slot : live_slots) {
-        visible.push_back(std::move((*partial)[slot]));
-      }
-      visible.push_back(Datum::Int(static_cast<int64_t>(rid)));
-      ASSIGN_OR_RETURN(bool match, EvalPredicate(*where, visible, &udfs_));
-      if (!match) continue;
-    } else if (!table->IsLive(rid)) {
-      continue;
+  for (DatumRow& row : found.rows) {
+    DatumRow patch;
+    patch.reserve(slots.size());
+    for (size_t i = 0; i < slots.size(); ++i) {
+      patch.push_back(CoerceForColumn(std::move(row[i + 1]),
+                                      schema.columns()[slots[i]].type));
     }
-    ASSIGN_OR_RETURN(DatumRow full, table->ReadRow(rid));
-    DatumRow visible;
-    visible.reserve(live_slots.size() + 1);
-    for (size_t slot : live_slots) visible.push_back(full[slot]);
-    visible.push_back(Datum::Int(static_cast<int64_t>(rid)));
-    for (const BoundAssignment& a : assignments) {
-      ASSIGN_OR_RETURN(Datum v, EvalExpr(*a.expr, visible, &udfs_));
-      full[a.slot] = CoerceForColumn(
-          std::move(v), schema_snapshot.columns()[a.slot].type);
-    }
-    RETURN_NOT_OK(table->UpdateRow(rid, full));
+    Status patched = table->PatchRow(
+        static_cast<uint64_t>(row[0].int_value()), slots, std::move(patch));
+    if (patched.IsNotFound()) continue;
+    RETURN_NOT_OK(patched);
     ++updated;
   }
-  return CountResult(updated);
+  return DmlResult(updated, apply_start, info);
 }
 
-Result<QueryResult> Database::ExecuteDelete(const DeleteStatement& stmt) {
+Result<QueryResult> Database::ExecuteDelete(const DeleteStatement& stmt,
+                                            QueryExecInfo* info) {
   ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(stmt.table));
-  ExecSchema scan_schema;
-  std::vector<size_t> live_slots;
-  ScanSchemaFor(*table, stmt.table, &scan_schema, &live_slots);
-  ExprPtr where;
-  if (stmt.where != nullptr) {
-    where = stmt.where->Clone();
-    RETURN_NOT_OK(BindExpr(where.get(), scan_schema, {stmt.table}));
-  }
-  uint64_t end = table->RowSlotCount();
+  RETURN_NOT_OK(RejectAggregate(stmt.where.get(), "DELETE"));
+  ASSIGN_OR_RETURN(
+      QueryResult found,
+      ExecuteSelect(FindRowsStatement(stmt.table, stmt.where.get(), {}),
+                    info));
+  const uint64_t apply_start = metrics::NowNanos();
   int64_t deleted = 0;
-  for (uint64_t rid = 0; rid < end; ++rid) {
-    if (!table->IsLive(rid)) continue;
-    if (where != nullptr) {
-      ASSIGN_OR_RETURN(DatumRow full, table->ReadRow(rid));
-      DatumRow visible;
-      visible.reserve(live_slots.size() + 1);
-      for (size_t slot : live_slots) visible.push_back(std::move(full[slot]));
-      visible.push_back(Datum::Int(static_cast<int64_t>(rid)));
-      ASSIGN_OR_RETURN(bool match, EvalPredicate(*where, visible, &udfs_));
-      if (!match) continue;
-    }
-    RETURN_NOT_OK(table->DeleteRow(rid));
+  for (const DatumRow& row : found.rows) {
+    Status removed =
+        table->DeleteRow(static_cast<uint64_t>(row[0].int_value()));
+    if (removed.IsNotFound()) continue;  // deleted since the scan
+    RETURN_NOT_OK(removed);
     ++deleted;
   }
-  return CountResult(deleted);
+  return DmlResult(deleted, apply_start, info);
 }
 
 }  // namespace sinew::engine

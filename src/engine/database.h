@@ -20,10 +20,12 @@ namespace sinew::engine {
 
 /// Per-execution telemetry filled by the ExecuteStatement overload that
 /// takes one; the Sinew layer folds it into the workload query log
-/// (common/query_log.h). All fields are zero for non-SELECT statements
-/// except exec_ns/rows_out.
+/// (common/query_log.h). SELECT, UPDATE and DELETE run a plan and fill every
+/// field: for DML the plan is the find phase, exec_ns also covers the apply
+/// phase, and rows_out is the affected row count. Other statements fill
+/// exec_ns/rows_out only.
 struct QueryExecInfo {
-  uint64_t plan_hash = 0;  // FNV-1a of the plan tree text (SELECT only)
+  uint64_t plan_hash = 0;  // FNV-1a of the plan tree text
   uint64_t plan_ns = 0;
   uint64_t exec_ns = 0;
   uint64_t rows_in = 0;     // rows produced by base-table scans
@@ -78,13 +80,19 @@ class Database {
   Result<std::string> Explain(std::string_view sql);
 
  private:
+  /// Plans (without the system-table refresh) and drains a SELECT: every
+  /// SELECT, and the find phase of every UPDATE and DELETE, runs here.
   Result<QueryResult> ExecuteSelect(const SelectStatement& stmt,
                                     QueryExecInfo* info);
   Result<QueryResult> ExecuteExplain(const Statement& stmt);
   Result<QueryResult> ExecuteCreateTable(const CreateTableStatement& stmt);
   Result<QueryResult> ExecuteInsert(const InsertStatement& stmt);
-  Result<QueryResult> ExecuteUpdate(const UpdateStatement& stmt);
-  Result<QueryResult> ExecuteDelete(const DeleteStatement& stmt);
+  /// UPDATE/DELETE: find the rows (and SET values) with ExecuteSelect, then
+  /// write each under one exclusive latch acquisition (DESIGN.md §9).
+  Result<QueryResult> ExecuteUpdate(const UpdateStatement& stmt,
+                                    QueryExecInfo* info);
+  Result<QueryResult> ExecuteDelete(const DeleteStatement& stmt,
+                                    QueryExecInfo* info);
 
   /// If the SELECT references a system table (`sinew_metrics`,
   /// `sinew_query_log`), (lazily creates it and) replaces its rows with a

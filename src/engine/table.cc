@@ -62,11 +62,6 @@ uint64_t Table::LiveRowCount() const {
   return live_rows_;
 }
 
-bool Table::IsLive(uint64_t rid) const {
-  std::shared_lock lock(latch_);
-  return rid < rows_.size() && !rows_[rid].empty();
-}
-
 Result<DatumRow> Table::ReadRow(uint64_t rid) const {
   std::shared_lock lock(latch_);
   if (rid >= rows_.size() || rows_[rid].empty()) {
@@ -75,22 +70,29 @@ Result<DatumRow> Table::ReadRow(uint64_t rid) const {
   return DecodeRow(schema_, rows_[rid]);
 }
 
-Result<DatumRow> Table::ReadRowSlots(uint64_t rid,
-                                     const std::vector<size_t>& slots) const {
-  std::shared_lock lock(latch_);
-  if (rid >= rows_.size() || rows_[rid].empty()) {
-    return Status::NotFound("row ", rid, " not found in ", name_);
-  }
-  DatumRow row(schema_.num_slots());
-  RETURN_NOT_OK(DecodeRowSlots(schema_, rows_[rid], slots, &row));
-  return row;
-}
-
 Status Table::UpdateRow(uint64_t rid, const DatumRow& row) {
   std::unique_lock lock(latch_);
   if (rid >= rows_.size() || rows_[rid].empty()) {
     return Status::NotFound("row ", rid, " not found in ", name_);
   }
+  return ReplaceRowLocked(rid, row);
+}
+
+Status Table::PatchRow(uint64_t rid, const std::vector<size_t>& slots,
+                       DatumRow values) {
+  std::unique_lock lock(latch_);
+  if (rid >= rows_.size() || rows_[rid].empty()) {
+    return Status::NotFound("row ", rid, " not found in ", name_);
+  }
+  ASSIGN_OR_RETURN(DatumRow row, DecodeRow(schema_, rows_[rid]));
+  for (size_t i = 0; i < slots.size(); ++i) {
+    row[slots[i]] = std::move(values[i]);
+  }
+  return ReplaceRowLocked(rid, row);
+}
+
+Status Table::ReplaceRowLocked(uint64_t rid, const DatumRow& row) {
+  ASSIGN_OR_RETURN(std::string encoded, EncodeRow(schema_, row));
   // Detach the shredded segment before the covered row's bytes change:
   // readers snapshot the segment pointer under the shared latch, so they see
   // either the old segment with the old row bytes or no segment at all —
@@ -98,7 +100,6 @@ Status Table::UpdateRow(uint64_t rid, const DatumRow& row) {
   if (columnar_ != nullptr && rid < columnar_->row_count()) {
     columnar_.reset();
   }
-  ASSIGN_OR_RETURN(std::string encoded, EncodeRow(schema_, row));
   data_bytes_ += encoded.size();
   data_bytes_ -= rows_[rid].size();
   rows_[rid] = std::move(encoded);
@@ -116,6 +117,14 @@ Status Table::DeleteRow(uint64_t rid) {
   --live_rows_;
   BumpVersion();
   return Status::OK();
+}
+
+void Table::DeleteAllRows() {
+  std::unique_lock lock(latch_);
+  for (std::string& row : rows_) row.clear();
+  live_rows_ = 0;
+  data_bytes_ = 0;
+  BumpVersion();
 }
 
 Status Table::RestoreRawRow(std::string encoded) {

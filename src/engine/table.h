@@ -77,18 +77,22 @@ class Table {
   uint64_t RowSlotCount() const;
   /// Live rows.
   uint64_t LiveRowCount() const;
-  /// True if the row id holds a live row.
-  bool IsLive(uint64_t rid) const;
   /// Decodes a live row; NotFound for deleted/out-of-range ids.
   Result<DatumRow> ReadRow(uint64_t rid) const;
-  /// Decodes only the given slots (ascending) of a live row; other slots of
-  /// the returned row are NULL. Projection pushdown for point reads.
-  Result<DatumRow> ReadRowSlots(uint64_t rid,
-                                const std::vector<size_t>& slots) const;
   /// Atomically replaces a live row.
   Status UpdateRow(uint64_t rid, const DatumRow& row);
+  /// Overwrites `slots` of a live row with `values` (one per slot, already
+  /// coerced to the column types) under one exclusive latch acquisition. The
+  /// row is decoded and re-encoded against the schema current at that
+  /// moment, so a concurrent AddColumn cannot leave it a slot short.
+  /// NotFound for deleted/out-of-range ids.
+  Status PatchRow(uint64_t rid, const std::vector<size_t>& slots,
+                  DatumRow values);
   /// Logical delete.
   Status DeleteRow(uint64_t rid);
+  /// Logical delete of every live row under one exclusive latch acquisition.
+  /// Row ids stay allocated, so scans already open keep valid bounds.
+  void DeleteAllRows();
 
   /// Sum of encoded row bytes (the Table 3 "storage size" measure).
   uint64_t DataBytes() const;
@@ -160,6 +164,9 @@ class Table {
   void BumpVersion() {
     mutation_version_.fetch_add(1, std::memory_order_acq_rel);
   }
+  /// Replaces live row `rid` with `row`; the caller holds the latch
+  /// exclusive.
+  Status ReplaceRowLocked(uint64_t rid, const DatumRow& row);
 
   std::string name_;
   Schema schema_;
@@ -169,8 +176,9 @@ class Table {
   std::atomic<uint64_t> mutation_version_{0};
   TableStats stats_;
   /// Shredded strips over rows [0, segment row_count); detached wholesale by
-  /// UpdateRow before any covered row mutates, so a snapshot taken under the
-  /// shared latch always agrees with the row bytes it was shredded from.
+  /// UpdateRow/PatchRow before any covered row mutates, so a snapshot taken
+  /// under the shared latch always agrees with the row bytes it was shredded
+  /// from.
   std::shared_ptr<const ColumnarSegment> columnar_;
   mutable std::shared_mutex latch_;
 };

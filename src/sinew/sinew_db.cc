@@ -255,10 +255,7 @@ Status SinewDb::MaybeRefreshAttributeStatsTable(const engine::Statement& stmt) {
   }
   // Refresh in place (delete + append): concurrent readers may hold the
   // Table*, and plans are built against it.
-  const uint64_t end = table->RowSlotCount();
-  for (uint64_t rid = 0; rid < end; ++rid) {
-    if (table->IsLive(rid)) RETURN_NOT_OK(table->DeleteRow(rid));
-  }
+  table->DeleteAllRows();
   auto append = [&](const std::string& t, uint32_t attr_id, uint64_t count,
                     bool materialized, bool dirty,
                     const AttrHeat& heat) -> Status {

@@ -363,5 +363,68 @@ TEST(ConcurrencyStressTest, StripServedReadsDuringUpdatesAndReshred) {
   EXPECT_EQ(last->rows[0][1].str(), "s100019");
 }
 
+TEST(ConcurrencyStressTest, UpdatesWhileColumnsAreAdded) {
+  // The rewriter and the materializer add columns without excluding
+  // queries. An UPDATE writes each row under one exclusive latch
+  // acquisition, decoding and re-encoding it against the schema of that
+  // moment, so a column added while rows are being written must neither
+  // fail the statement nor leave it half applied. The adder adds a column
+  // whenever it sees rows written since its last add: it lands among the
+  // UPDATE's writes, not in the gap between planning and scanning (where
+  // the statement would replan before writing anything).
+  constexpr int kRows = 8000;
+  constexpr int kUpdates = 12;
+  std::ostringstream jsonl;
+  for (int i = 0; i < kRows; ++i) {
+    jsonl << "{\"id\": " << i << ", \"a\": 0, \"b\": \""
+          << (i % 2 == 0 ? "x" : "y") << "\"}\n";
+  }
+  SinewDb db(StressOptions());
+  ASSERT_TRUE(db.LoadJsonLines("t", jsonl.str()).ok());
+  Result<engine::Table*> table = db.engine()->catalog()->GetTable("t");
+  ASSERT_TRUE(table.ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> added{0};
+  std::thread adder([&] {
+    uint64_t seen = (*table)->MutationVersion();
+    for (int i = 0; i < 400 && !stop.load(); ++i) {
+      while (!stop.load() && (*table)->MutationVersion() == seen) {
+        std::this_thread::yield();
+      }
+      if (stop.load()) break;
+      Status st = (*table)->AddColumn(engine::Column{
+          "added_" + std::to_string(i), engine::ColumnType::kInt, false});
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      added.fetch_add(1);
+      seen = (*table)->MutationVersion();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  for (int round = 0; round < kUpdates; ++round) {
+    Result<engine::QueryResult> updated =
+        db.Query("UPDATE t SET a = a + 1 WHERE b = 'x'");
+    ASSERT_TRUE(updated.ok()) << "round " << round << ": "
+                              << updated.status().ToString();
+    EXPECT_EQ(updated->rows[0][0].int_value(), kRows / 2) << round;
+  }
+  stop.store(true);
+  adder.join();
+  EXPECT_GT(added.load(), 0);
+
+  Result<engine::QueryResult> r = db.Query(
+      "SELECT b, MIN(a), MAX(a), COUNT(*) FROM t GROUP BY b ORDER BY b");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 2u);
+  EXPECT_EQ(r->rows[0][0].str(), "x");
+  EXPECT_EQ(r->rows[0][1].int_value(), kUpdates);
+  EXPECT_EQ(r->rows[0][2].int_value(), kUpdates);
+  EXPECT_EQ(r->rows[0][3].int_value(), kRows / 2);
+  EXPECT_EQ(r->rows[1][0].str(), "y");
+  EXPECT_EQ(r->rows[1][1].int_value(), 0);
+  EXPECT_EQ(r->rows[1][2].int_value(), 0);
+  EXPECT_EQ(r->rows[1][3].int_value(), kRows / 2);
+}
+
 }  // namespace
 }  // namespace sinew

@@ -184,6 +184,18 @@ TEST_F(ExecTest, UpdateAndDelete) {
   // Update to NULL.
   (void)Q("UPDATE people SET city = NULL WHERE id = 2");
   EXPECT_EQ(Q("SELECT id FROM people WHERE city IS NULL").rows.size(), 2u);
+  // An aggregate has no group to range over in a per-row SET or WHERE:
+  // rejected up front, before anything is planned or written.
+  for (const char* sql : {"UPDATE people SET age = COUNT(*)",
+                          "UPDATE people SET age = 1 WHERE COUNT(*) > 0",
+                          "DELETE FROM people WHERE SUM(age) > 0"}) {
+    Result<QueryResult> r = db_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_TRUE(r.status().IsInvalidArgument())
+        << sql << " -> " << r.status().ToString();
+  }
+  EXPECT_EQ(Q("SELECT COUNT(*) FROM people").rows[0][0].int_value(), 4);
+  EXPECT_EQ(Q("SELECT id FROM people WHERE age = 1").rows.size(), 0u);
 }
 
 TEST_F(ExecTest, CaseExpression) {

@@ -112,12 +112,40 @@ TEST(Table, AppendReadUpdateDelete) {
 
   ASSERT_TRUE(table.DeleteRow(0).ok());
   EXPECT_EQ(table.LiveRowCount(), 1u);
-  EXPECT_FALSE(table.ReadRow(0).ok());
-  EXPECT_FALSE(table.IsLive(0));
-  EXPECT_TRUE(table.IsLive(1));
+  EXPECT_TRUE(table.ReadRow(0).status().IsNotFound());
+  EXPECT_TRUE(table.ReadRow(1).ok());
   EXPECT_FALSE(table.DeleteRow(0).ok());   // double delete
   EXPECT_FALSE(table.UpdateRow(99, updated).ok());
   EXPECT_EQ(table.RowSlotCount(), 2u);  // slot space keeps deleted ids
+}
+
+TEST(Table, PatchRowAndDeleteAllRows) {
+  Table table("t", MakeSchema());
+  ASSERT_TRUE(table.AppendRow(MakeRow(1, "a")).ok());
+  ASSERT_TRUE(table.AppendRow(MakeRow(2, "b")).ok());
+  // A column added after the row was written: the patch decodes and
+  // re-encodes the row against the schema current at the patch.
+  ASSERT_TRUE(table.AddColumn(Column{"extra", ColumnType::kInt}).ok());
+  ASSERT_TRUE(table.PatchRow(1, {1, 5}, {Datum::Text("b2"), Datum::Int(7)})
+                  .ok());
+  Result<DatumRow> row = table.ReadRow(1);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ((*row)[0].int_value(), 2);  // untouched slot kept
+  EXPECT_EQ((*row)[1].str(), "b2");
+  EXPECT_EQ((*row)[5].int_value(), 7);
+  EXPECT_TRUE(table.PatchRow(9, {1}, {Datum::Text("x")}).IsNotFound());
+
+  const uint64_t version = table.MutationVersion();
+  table.DeleteAllRows();
+  EXPECT_NE(table.MutationVersion(), version);
+  EXPECT_EQ(table.LiveRowCount(), 0u);
+  EXPECT_EQ(table.DataBytes(), 0u);
+  EXPECT_EQ(table.RowSlotCount(), 2u);  // row ids stay allocated
+  EXPECT_TRUE(table.PatchRow(0, {1}, {Datum::Text("x")}).IsNotFound());
+  DatumRow fresh = MakeRow(3, "c");
+  fresh.push_back(Datum::Null());  // the added column
+  ASSERT_TRUE(table.AppendRow(fresh).ok());
+  EXPECT_EQ(table.LiveRowCount(), 1u);
 }
 
 TEST(Table, DataBytesAccounting) {
@@ -195,7 +223,7 @@ TEST(Persist, SaveAndLoadRoundTrip) {
   EXPECT_EQ(t2->name(), "persist_me");
   EXPECT_EQ(t2->LiveRowCount(), 9u);
   EXPECT_EQ(t2->RowSlotCount(), 10u);
-  EXPECT_FALSE(t2->IsLive(3));
+  EXPECT_TRUE(t2->ReadRow(3).status().IsNotFound());
   EXPECT_FALSE(t2->schema().FindColumn("ok").has_value());
   EXPECT_EQ((*t2->ReadRow(5))[0].int_value(), 5);
   EXPECT_EQ(t2->DataBytes(), table.DataBytes());

@@ -9,6 +9,10 @@
 // strips over the cold rows, a hot tail appended past the segment, and a
 // second table whose segment an UPDATE detached.
 //
+// UPDATE and DELETE find their rows with the same scans: each predicate's
+// affected count must equal the oracle's row count, and the table must
+// diff clean against the oracle afterwards.
+//
 // Joins are covered too: every join input's scan produces its own virtual
 // columns, whether they feed a scan filter, a join key, a residual, a sort
 // or the projection above the join. Join queries list a filtered input
@@ -98,7 +102,7 @@ class ExtractionDifferentialTest : public ::testing::Test {
     params_ = new nb::QueryParams(nb::MakeQueryParams(config));
     config.num_records = kHotRecords;
     config.seed = 8;
-    const std::vector<Value> hot = nb::Generate(config);
+    hot_ = new std::vector<Value>(nb::Generate(config));
 
     dbs_ = new std::vector<Config>();
     for (size_t batch : {1, 3, 1024}) {
@@ -111,23 +115,11 @@ class ExtractionDifferentialTest : public ::testing::Test {
     }
     for (const Config& c : *dbs_) {
       SinewDb* db = c.db;
-      ASSERT_TRUE(db->LoadDocuments(kTable, *docs_).ok());
-      // num, str1, the nested_obj object and the nested_arr array are
-      // partially materialized (a bounded materializer step moves only a
-      // prefix of the rows, leaving the attributes dirty). The shred then
-      // covers the cold rows; the hot tail lands past the segment.
-      for (const char* key : {"num", "str1", "nested_obj", "nested_arr"}) {
-        ASSERT_TRUE(db->ForceMaterialization(kTable, key, true).ok());
-      }
-      Result<uint64_t> moved = db->MaterializeStep(kTable, kRecords / 4);
-      ASSERT_TRUE(moved.ok()) << moved.status().ToString();
-      Status built = db->BuildColumnarSegments(kTable);
-      ASSERT_TRUE(built.ok()) << built.ToString();
-      ASSERT_TRUE(db->LoadDocuments(kTable, hot).ok());
+      ASSERT_NO_FATAL_FAILURE(LoadMixedStorage(db, kTable));
       // A shredded table whose segment an UPDATE later detaches (see
       // RowsAfterUpdateDetachesSegment).
       ASSERT_TRUE(db->LoadDocuments(kUpdated, *docs_).ok());
-      built = db->BuildColumnarSegments(kUpdated);
+      Status built = db->BuildColumnarSegments(kUpdated);
       ASSERT_TRUE(built.ok()) << built.ToString();
     }
   }
@@ -136,10 +128,29 @@ class ExtractionDifferentialTest : public ::testing::Test {
     for (const Config& c : *dbs_) delete c.db;
     delete dbs_;
     delete params_;
+    delete hot_;
     delete docs_;
     dbs_ = nullptr;
     params_ = nullptr;
+    hot_ = nullptr;
     docs_ = nullptr;
+  }
+
+  /// Loads the corpus into `table` with every storage state: num, str1, the
+  /// nested_obj object and the nested_arr array are partially materialized
+  /// (a bounded materializer step moves only a prefix of the rows, leaving
+  /// the attributes dirty). The shred then covers the cold rows; the hot
+  /// tail lands past the segment.
+  static void LoadMixedStorage(SinewDb* db, const std::string& table) {
+    ASSERT_TRUE(db->LoadDocuments(table, *docs_).ok());
+    for (const char* key : {"num", "str1", "nested_obj", "nested_arr"}) {
+      ASSERT_TRUE(db->ForceMaterialization(table, key, true).ok());
+    }
+    Result<uint64_t> moved = db->MaterializeStep(table, kRecords / 4);
+    ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+    Status built = db->BuildColumnarSegments(table);
+    ASSERT_TRUE(built.ok()) << built.ToString();
+    ASSERT_TRUE(db->LoadDocuments(table, *hot_).ok());
   }
 
   static SinewOptions MakeOptions(int parallelism, size_t batch_size) {
@@ -227,12 +238,55 @@ class ExtractionDifferentialTest : public ::testing::Test {
     SinewDb* db;
     std::string name;
   };
+  /// DELETE then UPDATE over `where` on `table`, a fresh mixed-storage
+  /// copy of the corpus, in every configuration. The DELETE takes the
+  /// matches with bool = true (a delete leaves the segment attached, so the
+  /// UPDATE's scan is strip-served too), the UPDATE every match left. Each
+  /// affected count must equal the oracle's row count for the same WHERE,
+  /// and afterwards the table must diff clean against the oracle.
+  void ExpectDml(const std::string& table, const std::string& where) {
+    SCOPED_TRACE(where);
+    const std::string some = "(" + where + ") AND bool = true";
+    for (const Config& c : *dbs_) {
+      ASSERT_NO_FATAL_FAILURE(LoadMixedStorage(c.db, table));
+    }
+    // The find scan mixes strip-served cold lanes with decoded ones.
+    const std::string find =
+        "SELECT thousandth AS k FROM " + table + " WHERE " + where;
+    EXPECT_GT(AnalyzeCounter(find, "columnar_hits="), 0u);
+    EXPECT_GT(AnalyzeCounter(find, "decodes="), 0u);
+    for (const Config& c : *dbs_) {
+      auto expect_count = [&](const std::string& dml,
+                              const std::string& match) {
+        Result<engine::QueryResult> golden = oracle::ScalarOracleQuery(
+            c.db, "SELECT thousandth AS k FROM " + table + " WHERE " + match);
+        ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+        EXPECT_GT(golden->rows.size(), 0u) << c.name << ": " << dml;
+        Result<engine::QueryResult> affected = c.db->Query(dml);
+        ASSERT_TRUE(affected.ok()) << c.name << ": " << dml << " -> "
+                                   << affected.status().ToString();
+        EXPECT_EQ(affected->rows[0][0].int_value(),
+                  static_cast<int64_t>(golden->rows.size()))
+            << c.name << ": " << dml;
+      };
+      expect_count("DELETE FROM " + table + " WHERE " + some, some);
+      expect_count("UPDATE " + table +
+                       " SET str2 = 'dml', num = num + 1000000 WHERE " + where,
+                   where);
+    }
+    ExpectSameResults("SELECT * FROM " + table + " WHERE " + where);
+    ExpectSameResults("SELECT str2 AS s, num AS n, thousandth AS k FROM " +
+                      table);
+  }
+
   static std::vector<Value>* docs_;
+  static std::vector<Value>* hot_;
   static nb::QueryParams* params_;
   static std::vector<Config>* dbs_;
 };
 
 std::vector<Value>* ExtractionDifferentialTest::docs_ = nullptr;
+std::vector<Value>* ExtractionDifferentialTest::hot_ = nullptr;
 nb::QueryParams* ExtractionDifferentialTest::params_ = nullptr;
 std::vector<ExtractionDifferentialTest::Config>*
     ExtractionDifferentialTest::dbs_ = nullptr;
@@ -402,6 +456,31 @@ TEST_F(ExtractionDifferentialTest, RowsAfterUpdateDetachesSegment) {
   ExpectSameResults(sql);
   ExpectSameResults("SELECT * FROM upd WHERE str2 = 'updated'");
   ExpectSameResults("SELECT thousandth AS t FROM upd WHERE str2 = 'updated'");
+}
+
+TEST_F(ExtractionDifferentialTest, DmlOverDirtyColumn) {
+  // str1 is mid-materialization: the find scan reads the column, then the
+  // reservoir where the column is NULL.
+  ExpectDml("dml_dirty", "str1 >= 'P'");
+}
+
+TEST_F(ExtractionDifferentialTest, DmlOverMultiTypedKey) {
+  ExpectDml("dml_dyn", "dyn1 BETWEEN " + std::to_string(params_->q7_lo) +
+                           " AND " + std::to_string(params_->q7_hi));
+}
+
+TEST_F(ExtractionDifferentialTest, DmlOverChildOfDirtyObject) {
+  ExpectDml("dml_child", "\"nested_obj.num\" < 500");
+}
+
+TEST_F(ExtractionDifferentialTest, DmlOverStripServedSparseKey) {
+  ExpectDml("dml_sparse", "sparse_110 IS NOT NULL");
+}
+
+TEST_F(ExtractionDifferentialTest, DmlOverHotTailRows) {
+  // The hot tail lies past the segment: the find scan serves cold rows
+  // from strips and hot rows from the reservoir.
+  ExpectDml("dml_hot", "thousandth >= 950");
 }
 
 TEST_F(ExtractionDifferentialTest, DistinctOverStripServedAttributes) {

@@ -55,8 +55,9 @@ inline Result<engine::QueryResult> ScalarOracleQuery(SinewDb* db,
     }
     std::vector<engine::DatumRow>& rows = tables.emplace_back();
     for (uint64_t rid = 0; rid < table->RowSlotCount(); ++rid) {
-      if (!table->IsLive(rid)) continue;
-      ASSIGN_OR_RETURN(engine::DatumRow stored, table->ReadRow(rid));
+      Result<engine::DatumRow> read = table->ReadRow(rid);
+      if (read.status().IsNotFound()) continue;  // deleted
+      ASSIGN_OR_RETURN(engine::DatumRow stored, std::move(read));
       engine::DatumRow row;
       row.reserve(live.size());
       for (size_t slot : live) row.push_back(std::move(stored[slot]));
