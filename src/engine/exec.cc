@@ -91,50 +91,6 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// Base of the blocking operators (sort, joins, aggregation, DISTINCT),
-/// which compute one output row at a time: NextBatch packs NextRow's rows.
-class RowOperator : public Operator {
- public:
-  Result<bool> NextBatch(RowBatch* batch) final {
-    batch->Reset(batch->num_cols());
-    while (batch->size < batch_capacity_) {
-      ASSIGN_OR_RETURN(bool has, NextRow(&row_));
-      if (!has) break;
-      batch->AppendRow(std::move(row_));
-    }
-    return batch->size > 0;
-  }
-
- protected:
-  /// Fills `row` and returns true, or returns false at end-of-stream.
-  virtual Result<bool> NextRow(DatumRow* row) = 0;
-
- private:
-  DatumRow row_;
-};
-
-/// Row-at-a-time view over a child's batches: the one adapter through which
-/// the blocking operators consume their inputs.
-class RowReader {
- public:
-  explicit RowReader(Operator* child) : child_(child) {}
-
-  Result<bool> Next(DatumRow* row) {
-    while (pos_ >= batch_.active()) {
-      ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch_));
-      if (!has) return false;
-      pos_ = 0;
-    }
-    batch_.MoveRow(batch_.sel[pos_++], row);
-    return true;
-  }
-
- private:
-  Operator* child_;
-  RowBatch batch_;
-  size_t pos_ = 0;
-};
-
 /// EXPLAIN ANALYZE shim: times Open/NextBatch and counts emitted rows into
 /// the plan node's shared OperatorStats. Gather worker clones of the same
 /// plan subtree all wrap the same stats object (fields are atomic), so
@@ -237,9 +193,6 @@ class ScanOp : public Operator {
     rid_ = 0;
     rid_position_ = live_slots_.size();
     const size_t width = node_.output_schema.cols.size();
-    if (node_.scan_filter != nullptr && node_.scan_filter_program == nullptr) {
-      return Status::Internal("scan filter has no compiled program");
-    }
     // The plan was built against an earlier schema snapshot; if a
     // concurrent ADD/DROP COLUMN changed the live layout in between,
     // silently decoding would misalign columns — fail fast instead (the
@@ -885,12 +838,7 @@ class FilterOp : public Operator {
 
   ~FilterOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
 
-  Status Open() override {
-    if (node_.predicate_program == nullptr) {
-      return Status::Internal("filter predicate has no compiled program");
-    }
-    return child_->Open();
-  }
+  Status Open() override { return child_->Open(); }
 
   /// Refines the selection vector in place. Batches that end up with an
   /// empty selection are still passed through (downstream operators must
@@ -922,9 +870,6 @@ class ProjectOp : public Operator {
 
   Status Open() override {
     const size_t n = node_.projections.size();
-    if (node_.projection_programs.size() != n) {
-      return Status::Internal("projections have no compiled programs");
-    }
     // Which bare column-ref projections are the last reader of their input
     // slot (their column can then be moved rather than copied): one
     // reverse pass marking the slots every later projection reads.
@@ -935,8 +880,6 @@ class ProjectOp : public Operator {
       if (p.IsBoundColumnRef()) {
         const size_t slot = static_cast<size_t>(p.bound_slot);
         last_reader_[c] = slot >= read_later.size() || !read_later[slot];
-      } else if (node_.projection_programs[c] == nullptr) {
-        return Status::Internal("projection ", c, " has no compiled program");
       }
       MarkReadSlots(p, &read_later);
     }
@@ -1023,75 +966,176 @@ class ProjectOp : public Operator {
   std::vector<bool> last_reader_;
 };
 
-// ---------------------------------------------------------------- Sort
+// ---------------------------------------------------------------- Blocking
+//
+// Sort, the joins, aggregation and DISTINCT read their children's batches
+// and fill their own output batches. Keys and aggregate arguments are
+// compiled programs, each run once per input batch (EvalColumns). What they
+// materialize goes through one drain (DrainKeyed); hash aggregation keeps
+// one group table (GroupTable), and sorted input one run loop
+// (SortedGroupOp).
 
-class SortOp : public RowOperator {
- public:
-  SortOp(const PlanNode& node, OperatorPtr child, ExecContext* ctx)
-      : node_(node), child_(std::move(child)), ctx_(ctx) {}
+using ProgramList = std::vector<PlanNode::ProgramPtr>;
 
-  Status Open() override {
-    RETURN_NOT_OK(child_->Open());
-    RowReader in(child_.get());
-    DatumRow row;
-    while (true) {
-      ASSIGN_OR_RETURN(bool has, in.Next(&row));
-      if (!has) break;
-      DatumRow keys;
-      keys.reserve(node_.sort_keys.size());
-      for (const ExprPtr& k : node_.sort_keys) {
-        ASSIGN_OR_RETURN(Datum v, EvalExpr(*k, row, ctx_->udfs));
-        keys.push_back(std::move(v));
-      }
-      RETURN_NOT_OK(ctx_->Charge(RowBytes(row) + RowBytes(keys)));
-      rows_.emplace_back(std::move(keys), std::move(row));
+/// Runs `programs` over the selected lanes of `batch`: (*out)[i][k] is
+/// program i's value at lane batch.sel[k]. A null program (the argument of
+/// COUNT(*)) leaves its column empty.
+Status EvalColumns(const ProgramList& programs, const RowBatch& batch,
+                   ExecContext* ctx, bytecode::ExecState* st,
+                   std::vector<std::vector<Datum>>* out) {
+  out->resize(programs.size());
+  for (size_t i = 0; i < programs.size(); ++i) {
+    if (programs[i] == nullptr) {
+      (*out)[i].clear();
+      continue;
     }
-    const std::vector<bool>& desc = node_.sort_desc;
-    std::stable_sort(rows_.begin(), rows_.end(),
-                     [&desc](const auto& a, const auto& b) {
-                       for (size_t i = 0; i < a.first.size(); ++i) {
-                         int c = Datum::Compare(a.first[i], b.first[i]);
-                         if (c != 0) {
-                           return (i < desc.size() && desc[i]) ? c > 0 : c < 0;
-                         }
-                       }
-                       return false;
-                     });
-    pos_ = 0;
-    return Status::OK();
+    RETURN_NOT_OK(bytecode::ExecBatch(*programs[i], batch, batch.sel,
+                                      ctx->udfs, st, &(*out)[i]));
   }
+  return Status::OK();
+}
 
-  Result<bool> NextRow(DatumRow* out) override {
-    if (pos_ >= rows_.size()) return false;
-    *out = std::move(rows_[pos_].second);
-    ++pos_;
-    return true;
+/// Moves entry k of every evaluated column into `row`; true if one is NULL.
+bool TakeLane(std::vector<std::vector<Datum>>* cols, size_t k,
+              DatumRow* row) {
+  row->clear();
+  row->reserve(cols->size());
+  bool has_null = false;
+  for (std::vector<Datum>& col : *cols) {
+    has_null |= col[k].is_null();
+    row->push_back(std::move(col[k]));
   }
+  return has_null;
+}
 
- private:
-  const PlanNode& node_;
-  OperatorPtr child_;
-  ExecContext* ctx_;
-  std::vector<std::pair<DatumRow, DatumRow>> rows_;
-  size_t pos_ = 0;
+/// A materialized input row and its key values.
+struct KeyedRow {
+  DatumRow keys;
+  DatumRow row;
 };
 
-// ---------------------------------------------------------------- Joins
+/// The one materializing drain (sort, hash-join build, both merge-join
+/// inputs, nested-loop inner): opens `child`, reads it to the end and turns
+/// every selected lane into a keyed row. Each row charges the budget its
+/// own bytes plus its keys' (a keyless drain charges the row alone). With
+/// `skip_null_keys`, a row with a NULL key is dropped uncharged: it can
+/// never equi-join.
+Status DrainKeyed(Operator* child, const ProgramList& key_programs,
+                  bool skip_null_keys, ExecContext* ctx,
+                  bytecode::ExecState* st, std::vector<KeyedRow>* out) {
+  RETURN_NOT_OK(child->Open());
+  RowBatch batch;
+  std::vector<std::vector<Datum>> keys;
+  while (true) {
+    ASSIGN_OR_RETURN(bool has, child->NextBatch(&batch));
+    if (!has) return Status::OK();
+    RETURN_NOT_OK(EvalColumns(key_programs, batch, ctx, st, &keys));
+    for (size_t k = 0; k < batch.sel.size(); ++k) {
+      KeyedRow kr;
+      if (TakeLane(&keys, k, &kr.keys) && skip_null_keys) continue;
+      batch.MoveRow(batch.sel[k], &kr.row);
+      RETURN_NOT_OK(ctx->Charge(RowBytes(kr.row) +
+                                (kr.keys.empty() ? 0 : RowBytes(kr.keys))));
+      out->push_back(std::move(kr));
+    }
+  }
+}
+
+/// Moves rows[*pos, ...) into `out`, reset to `width` columns, until it
+/// holds `capacity` rows. False once every row has been emitted.
+bool EmitRows(std::vector<DatumRow>* rows, size_t* pos, size_t width,
+              size_t capacity, RowBatch* out) {
+  out->Reset(width);
+  while (out->size < capacity && *pos < rows->size()) {
+    out->AppendRow(std::move((*rows)[(*pos)++]));
+  }
+  return out->size > 0;
+}
+
+/// Appends one join output row to `out`: `left_width` cells left(c), then
+/// the cells of `right`.
+template <typename LeftCell>
+void AppendJoined(size_t left_width, const LeftCell& left,
+                  const DatumRow& right, RowBatch* out) {
+  for (size_t c = 0; c < left_width; ++c) out->cols[c].push_back(left(c));
+  for (size_t c = 0; c < right.size(); ++c) {
+    out->cols[left_width + c].push_back(right[c]);
+  }
+  out->sel.push_back(static_cast<uint32_t>(out->size++));
+}
+
+int CompareKeys(const DatumRow& a, const DatumRow& b) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    int c = Datum::Compare(a[i], b[i]);
+    if (c != 0) return c;
+  }
+  return 0;
+}
 
 struct RowHasher {
   size_t operator()(const DatumRow& row) const { return HashDatums(row); }
 };
 struct RowEq {
   bool operator()(const DatumRow& a, const DatumRow& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (Datum::Compare(a[i], b[i]) != 0) return false;
-    }
-    return true;
+    return a.size() == b.size() && CompareKeys(a, b) == 0;
   }
 };
 
-class HashJoinOp : public RowOperator {
+// ---------------------------------------------------------------- Sort
+
+class SortOp : public Operator {
+ public:
+  SortOp(const PlanNode& node, OperatorPtr child, ExecContext* ctx)
+      : node_(node), child_(std::move(child)), ctx_(ctx) {}
+
+  ~SortOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
+
+  Status Open() override {
+    std::vector<KeyedRow> keyed;
+    RETURN_NOT_OK(DrainKeyed(child_.get(), node_.sort_key_programs,
+                             /*skip_null_keys=*/false, ctx_, &bc_state_,
+                             &keyed));
+    const std::vector<bool>& desc = node_.sort_desc;
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [&desc](const KeyedRow& a, const KeyedRow& b) {
+                       for (size_t i = 0; i < a.keys.size(); ++i) {
+                         int c = Datum::Compare(a.keys[i], b.keys[i]);
+                         if (c != 0) {
+                           return (i < desc.size() && desc[i]) ? c > 0 : c < 0;
+                         }
+                       }
+                       return false;
+                     });
+    rows_.reserve(keyed.size());
+    for (KeyedRow& r : keyed) rows_.push_back(std::move(r.row));
+    return Status::OK();
+  }
+
+  Result<bool> NextBatch(RowBatch* batch) override {
+    return EmitRows(&rows_, &pos_, node_.output_schema.cols.size(),
+                    batch_capacity_, batch);
+  }
+
+ private:
+  const PlanNode& node_;
+  OperatorPtr child_;
+  ExecContext* ctx_;
+  bytecode::ExecState bc_state_;
+  std::vector<DatumRow> rows_;
+  size_t pos_ = 0;
+};
+
+// ---------------------------------------------------------------- Joins
+//
+// A join writes each match straight into its output batch's columns: the
+// left input's cells, then the right's. Rows with a NULL key never
+// equi-join.
+
+/// Hash join: the right (build) input is drained into a table keyed on its
+/// join keys, and each left (probe) lane joins the rows under its keys. A
+/// nested-loop join is the same operator with no keys: the whole inner
+/// input is one bucket, and every outer lane joins all of it.
+class HashJoinOp : public Operator {
  public:
   HashJoinOp(const PlanNode& node, OperatorPtr probe, OperatorPtr build,
              ExecContext* ctx)
@@ -1103,69 +1147,47 @@ class HashJoinOp : public RowOperator {
   ~HashJoinOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
 
   Status Open() override {
-    if (node_.probe_key_programs.size() != node_.left_keys.size()) {
-      return Status::Internal("join probe keys have no compiled programs");
+    std::vector<KeyedRow> build;
+    RETURN_NOT_OK(DrainKeyed(build_.get(), node_.right_key_programs,
+                             /*skip_null_keys=*/true, ctx_, &bc_state_,
+                             &build));
+    for (KeyedRow& r : build) {
+      table_[std::move(r.keys)].push_back(std::move(r.row));
     }
-    RETURN_NOT_OK(build_->Open());
-    RowReader build(build_.get());
-    DatumRow row;
-    while (true) {
-      ASSIGN_OR_RETURN(bool has, build.Next(&row));
-      if (!has) break;
-      DatumRow keys;
-      keys.reserve(node_.right_keys.size());
-      bool has_null = false;
-      for (const ExprPtr& k : node_.right_keys) {
-        ASSIGN_OR_RETURN(Datum v, EvalExpr(*k, row, ctx_->udfs));
-        has_null |= v.is_null();
-        keys.push_back(std::move(v));
-      }
-      if (has_null) continue;  // NULL never equi-joins
-      RETURN_NOT_OK(ctx_->Charge(RowBytes(row) + RowBytes(keys)));
-      table_[std::move(keys)].push_back(std::move(row));
-    }
+    probe_width_ = node_.children[0]->output_schema.cols.size();
     return probe_->Open();
   }
 
-  Result<bool> NextRow(DatumRow* out) override {
-    while (true) {
+  Result<bool> NextBatch(RowBatch* out) override {
+    out->Reset(node_.output_schema.cols.size());
+    while (out->size < batch_capacity_) {
       if (matches_ != nullptr && match_pos_ < matches_->size()) {
-        DatumRow combined = probe_row_;
-        const DatumRow& build_row = (*matches_)[match_pos_++];
-        combined.insert(combined.end(), build_row.begin(), build_row.end());
-        if (node_.residual != nullptr) {
-          ASSIGN_OR_RETURN(
-              bool keep,
-              EvalPredicate(*node_.residual, combined, ctx_->udfs));
-          if (!keep) continue;
-        }
-        *out = std::move(combined);
-        return true;
+        const uint32_t lane = probe_batch_.sel[probe_lane_];
+        AppendJoined(
+            probe_width_,
+            [&](size_t c) -> const Datum& { return probe_batch_.cols[c][lane]; },
+            (*matches_)[match_pos_++], out);
+        continue;
       }
-      matches_ = nullptr;
       ASSIGN_OR_RETURN(bool found, NextProbeMatch());
-      if (!found) return false;
+      if (!found) break;
     }
+    return out->size > 0;
   }
 
  private:
-  /// Positions the probe side at its next row whose keys hit the hash table.
-  /// Probe keys evaluate a batch at a time through their compiled programs,
-  /// so only matching lanes are ever materialized as rows.
+  /// Positions the probe side at its next lane whose keys hit the hash
+  /// table. Probe keys evaluate a batch at a time, so non-matching lanes
+  /// are never copied.
   Result<bool> NextProbeMatch() {
+    matches_ = nullptr;
     while (true) {
       while (probe_pos_ < probe_batch_.sel.size()) {
         const size_t k = probe_pos_++;
-        keys_.clear();
-        bool has_null = false;
-        for (std::vector<Datum>& col : key_cols_) {
-          has_null |= col[k].is_null();
-          keys_.push_back(std::move(col[k]));
-        }
-        if (has_null) continue;  // NULL never equi-joins
+        if (TakeLane(&key_cols_, k, &keys_)) continue;
         auto it = table_.find(keys_);
         if (it == table_.end()) continue;
-        probe_batch_.MoveRow(probe_batch_.sel[k], &probe_row_);
+        probe_lane_ = k;
         matches_ = &it->second;
         match_pos_ = 0;
         return true;
@@ -1173,12 +1195,8 @@ class HashJoinOp : public RowOperator {
       ASSIGN_OR_RETURN(bool has, probe_->NextBatch(&probe_batch_));
       if (!has) return false;
       probe_pos_ = 0;
-      key_cols_.resize(node_.probe_key_programs.size());
-      for (size_t i = 0; i < key_cols_.size(); ++i) {
-        RETURN_NOT_OK(bytecode::ExecBatch(
-            *node_.probe_key_programs[i], probe_batch_, probe_batch_.sel,
-            ctx_->udfs, &bc_state_, &key_cols_[i]));
-      }
+      RETURN_NOT_OK(EvalColumns(node_.left_key_programs, probe_batch_, ctx_,
+                                &bc_state_, &key_cols_));
     }
   }
 
@@ -1188,13 +1206,14 @@ class HashJoinOp : public RowOperator {
   ExecContext* ctx_;
   std::unordered_map<DatumRow, std::vector<DatumRow>, RowHasher, RowEq> table_;
   bytecode::ExecState bc_state_;
+  size_t probe_width_ = 0;
   RowBatch probe_batch_;
   /// Probe key values, one column per key, one entry per selected lane of
   /// probe_batch_; probe_pos_ is the next lane to look up.
   std::vector<std::vector<Datum>> key_cols_;
   size_t probe_pos_ = 0;
   DatumRow keys_;
-  DatumRow probe_row_;
+  size_t probe_lane_ = 0;  // selection index of the lane being joined
   const std::vector<DatumRow>* matches_ = nullptr;
   size_t match_pos_ = 0;
 };
@@ -1202,7 +1221,7 @@ class HashJoinOp : public RowOperator {
 /// Classic sorted merge join over duplicate key groups. Children are Sort
 /// nodes keyed on the join keys. Both inputs are materialized (the right
 /// group must be re-scannable anyway).
-class MergeJoinOp : public RowOperator {
+class MergeJoinOp : public Operator {
  public:
   MergeJoinOp(const PlanNode& node, OperatorPtr left, OperatorPtr right,
               ExecContext* ctx)
@@ -1211,35 +1230,28 @@ class MergeJoinOp : public RowOperator {
         right_(std::move(right)),
         ctx_(ctx) {}
 
+  ~MergeJoinOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
+
   Status Open() override {
-    RETURN_NOT_OK(Drain(left_.get(), node_.left_keys, &lrows_));
-    RETURN_NOT_OK(Drain(right_.get(), node_.right_keys, &rrows_));
-    li_ = ri_ = 0;
-    group_end_l_ = group_end_r_ = 0;
-    emit_l_ = emit_r_ = 0;
-    in_group_ = false;
-    return Status::OK();
+    RETURN_NOT_OK(DrainKeyed(left_.get(), node_.left_key_programs,
+                             /*skip_null_keys=*/true, ctx_, &bc_state_,
+                             &lrows_));
+    return DrainKeyed(right_.get(), node_.right_key_programs,
+                      /*skip_null_keys=*/true, ctx_, &bc_state_, &rrows_);
   }
 
-  Result<bool> NextRow(DatumRow* out) override {
-    while (true) {
+  Result<bool> NextBatch(RowBatch* out) override {
+    out->Reset(node_.output_schema.cols.size());
+    while (out->size < batch_capacity_) {
       if (in_group_) {
         if (emit_r_ < group_end_r_) {
-          DatumRow combined = lrows_[emit_l_].second;
-          const DatumRow& rrow = rrows_[emit_r_].second;
-          combined.insert(combined.end(), rrow.begin(), rrow.end());
-          ++emit_r_;
-          if (node_.residual != nullptr) {
-            ASSIGN_OR_RETURN(
-                bool keep,
-                EvalPredicate(*node_.residual, combined, ctx_->udfs));
-            if (!keep) continue;
-          }
-          *out = std::move(combined);
-          return true;
+          const DatumRow& left = lrows_[emit_l_].row;
+          AppendJoined(
+              left.size(), [&](size_t c) -> const Datum& { return left[c]; },
+              rrows_[emit_r_++].row, out);
+          continue;
         }
-        ++emit_l_;
-        if (emit_l_ < group_end_l_) {
+        if (++emit_l_ < group_end_l_) {
           emit_r_ = ri_;
           continue;
         }
@@ -1248,142 +1260,52 @@ class MergeJoinOp : public RowOperator {
         ri_ = group_end_r_;
         in_group_ = false;
       }
-      // Find the next matching key group.
-      while (li_ < lrows_.size() && ri_ < rrows_.size()) {
-        const DatumRow& lk = lrows_[li_].first;
-        const DatumRow& rk = rrows_[ri_].first;
-        if (HasNull(lk)) {
-          ++li_;
-          continue;
-        }
-        if (HasNull(rk)) {
-          ++ri_;
-          continue;
-        }
-        int c = CompareKeys(lk, rk);
-        if (c < 0) {
-          ++li_;
-        } else if (c > 0) {
-          ++ri_;
-        } else {
-          group_end_l_ = li_ + 1;
-          while (group_end_l_ < lrows_.size() &&
-                 CompareKeys(lrows_[group_end_l_].first, lk) == 0) {
-            ++group_end_l_;
-          }
-          group_end_r_ = ri_ + 1;
-          while (group_end_r_ < rrows_.size() &&
-                 CompareKeys(rrows_[group_end_r_].first, rk) == 0) {
-            ++group_end_r_;
-          }
-          emit_l_ = li_;
-          emit_r_ = ri_;
-          in_group_ = true;
-          break;
-        }
-      }
-      if (!in_group_) return false;
+      if (!NextGroup()) break;
     }
+    return out->size > 0;
   }
 
  private:
-  static bool HasNull(const DatumRow& keys) {
-    return std::any_of(keys.begin(), keys.end(),
-                       [](const Datum& d) { return d.is_null(); });
-  }
-  static int CompareKeys(const DatumRow& a, const DatumRow& b) {
-    for (size_t i = 0; i < a.size(); ++i) {
-      int c = Datum::Compare(a[i], b[i]);
-      if (c != 0) return c;
-    }
-    return 0;
-  }
-
-  Status Drain(Operator* child, const std::vector<ExprPtr>& keys,
-               std::vector<std::pair<DatumRow, DatumRow>>* out) {
-    RETURN_NOT_OK(child->Open());
-    RowReader in(child);
-    DatumRow row;
-    while (true) {
-      ASSIGN_OR_RETURN(bool has, in.Next(&row));
-      if (!has) break;
-      DatumRow key_values;
-      key_values.reserve(keys.size());
-      for (const ExprPtr& k : keys) {
-        ASSIGN_OR_RETURN(Datum v, EvalExpr(*k, row, ctx_->udfs));
-        key_values.push_back(std::move(v));
+  /// Finds the next key group present on both sides.
+  bool NextGroup() {
+    while (li_ < lrows_.size() && ri_ < rrows_.size()) {
+      const DatumRow& lk = lrows_[li_].keys;
+      const DatumRow& rk = rrows_[ri_].keys;
+      const int c = CompareKeys(lk, rk);
+      if (c < 0) {
+        ++li_;
+      } else if (c > 0) {
+        ++ri_;
+      } else {
+        group_end_l_ = li_ + 1;
+        while (group_end_l_ < lrows_.size() &&
+               CompareKeys(lrows_[group_end_l_].keys, lk) == 0) {
+          ++group_end_l_;
+        }
+        group_end_r_ = ri_ + 1;
+        while (group_end_r_ < rrows_.size() &&
+               CompareKeys(rrows_[group_end_r_].keys, rk) == 0) {
+          ++group_end_r_;
+        }
+        emit_l_ = li_;
+        emit_r_ = ri_;
+        in_group_ = true;
+        return true;
       }
-      RETURN_NOT_OK(ctx_->Charge(RowBytes(row) + RowBytes(key_values)));
-      out->emplace_back(std::move(key_values), std::move(row));
     }
-    return Status::OK();
+    return false;
   }
 
   const PlanNode& node_;
   OperatorPtr left_;
   OperatorPtr right_;
   ExecContext* ctx_;
-  std::vector<std::pair<DatumRow, DatumRow>> lrows_, rrows_;
+  bytecode::ExecState bc_state_;
+  std::vector<KeyedRow> lrows_, rrows_;
   size_t li_ = 0, ri_ = 0;
   size_t group_end_l_ = 0, group_end_r_ = 0;
   size_t emit_l_ = 0, emit_r_ = 0;
   bool in_group_ = false;
-};
-
-class NestedLoopJoinOp : public RowOperator {
- public:
-  NestedLoopJoinOp(const PlanNode& node, OperatorPtr outer, OperatorPtr inner,
-                   ExecContext* ctx)
-      : node_(node),
-        outer_(std::move(outer)),
-        inner_(std::move(inner)),
-        ctx_(ctx) {}
-
-  Status Open() override {
-    RETURN_NOT_OK(inner_->Open());
-    RowReader inner(inner_.get());
-    DatumRow row;
-    while (true) {
-      ASSIGN_OR_RETURN(bool has, inner.Next(&row));
-      if (!has) break;
-      RETURN_NOT_OK(ctx_->Charge(RowBytes(row)));
-      inner_rows_.push_back(std::move(row));
-    }
-    RETURN_NOT_OK(outer_->Open());
-    inner_pos_ = inner_rows_.size();
-    return Status::OK();
-  }
-
-  Result<bool> NextRow(DatumRow* out) override {
-    while (true) {
-      if (inner_pos_ < inner_rows_.size()) {
-        DatumRow combined = outer_row_;
-        const DatumRow& inner_row = inner_rows_[inner_pos_++];
-        combined.insert(combined.end(), inner_row.begin(), inner_row.end());
-        if (node_.residual != nullptr) {
-          ASSIGN_OR_RETURN(
-              bool keep,
-              EvalPredicate(*node_.residual, combined, ctx_->udfs));
-          if (!keep) continue;
-        }
-        *out = std::move(combined);
-        return true;
-      }
-      ASSIGN_OR_RETURN(bool has, outer_in_.Next(&outer_row_));
-      if (!has) return false;
-      inner_pos_ = 0;
-    }
-  }
-
- private:
-  const PlanNode& node_;
-  OperatorPtr outer_;
-  OperatorPtr inner_;
-  ExecContext* ctx_;
-  RowReader outer_in_{outer_.get()};
-  std::vector<DatumRow> inner_rows_;
-  DatumRow outer_row_;
-  size_t inner_pos_ = 0;
 };
 
 // ---------------------------------------------------------------- Aggregation
@@ -1453,12 +1375,14 @@ struct Accumulator {
   }
 };
 
+/// One group's state: its row count and one accumulator per aggregate.
 struct GroupState {
+  explicit GroupState(size_t num_aggs = 0) : accs(num_aggs) {}
+
   int64_t star_count = 0;
   std::vector<Accumulator> accs;
 
-  void Merge(const GroupState& other, size_t num_aggs) {
-    if (accs.size() < num_aggs) accs.resize(num_aggs);
+  void Merge(const GroupState& other) {
     star_count += other.star_count;
     for (size_t i = 0; i < other.accs.size(); ++i) {
       accs[i].Merge(other.accs[i]);
@@ -1466,9 +1390,10 @@ struct GroupState {
   }
 };
 
-Result<DatumRow> FinalizeGroup(const PlanNode& node, const DatumRow& keys,
+/// One group's output row: its keys, then each aggregate's value.
+Result<DatumRow> FinalizeGroup(const PlanNode& node, DatumRow keys,
                                const GroupState& state) {
-  DatumRow row = keys;
+  DatumRow row = std::move(keys);
   for (size_t i = 0; i < node.aggs.size(); ++i) {
     const AggSpec& spec = node.aggs[i];
     const Accumulator& acc = state.accs[i];
@@ -1489,157 +1414,170 @@ Result<DatumRow> FinalizeGroup(const PlanNode& node, const DatumRow& keys,
   return row;
 }
 
-Status AccumulateRow(const PlanNode& node, const DatumRow& row,
-                     GroupState* state, ExecContext* ctx) {
-  if (state->accs.size() != node.aggs.size()) {
-    state->accs.resize(node.aggs.size());
-  }
-  ++state->star_count;
-  for (size_t i = 0; i < node.aggs.size(); ++i) {
-    const AggSpec& spec = node.aggs[i];
-    if (spec.is_star || spec.arg == nullptr) continue;
-    ASSIGN_OR_RETURN(Datum v, EvalExpr(*spec.arg, row, ctx->udfs));
-    state->accs[i].Add(v);
-  }
-  return Status::OK();
-}
+/// One input batch's group keys and aggregate arguments, one column per
+/// expression and one entry per selected lane (COUNT(*)'s column is empty).
+struct AggInputs {
+  std::vector<std::vector<Datum>> keys;
+  std::vector<std::vector<Datum>> args;
 
-class HashAggregateOp : public RowOperator {
+  Status Eval(const PlanNode& node, const RowBatch& batch, ExecContext* ctx,
+              bytecode::ExecState* st) {
+    RETURN_NOT_OK(EvalColumns(node.group_key_programs, batch, ctx, st, &keys));
+    return EvalColumns(node.agg_programs, batch, ctx, st, &args);
+  }
+
+  /// Folds entry k's arguments into `state`.
+  void Accumulate(size_t k, GroupState* state) const {
+    ++state->star_count;
+    for (size_t i = 0; i < args.size(); ++i) {
+      if (!args[i].empty()) state->accs[i].Add(args[i][k]);
+    }
+  }
+};
+
+/// The one hash group table, of HashAggregate and of Gather's partial
+/// aggregation: consumes input batches, merges another table in (raw
+/// accumulators, so SUM and AVG merge exactly, not via finalized values),
+/// and finalizes into output rows.
+class GroupTable {
+ public:
+  explicit GroupTable(const PlanNode& node) : node_(node) {}
+
+  /// Reads `child` to the end, folding every selected lane into its group.
+  /// A new group charges the budget its key bytes plus 64.
+  Status Consume(Operator* child, ExecContext* ctx, bytecode::ExecState* st) {
+    RowBatch batch;
+    while (true) {
+      ASSIGN_OR_RETURN(bool has, child->NextBatch(&batch));
+      if (!has) return Status::OK();
+      RETURN_NOT_OK(inputs_.Eval(node_, batch, ctx, st));
+      for (size_t k = 0; k < batch.active(); ++k) {
+        TakeLane(&inputs_.keys, k, &keys_);
+        auto [it, inserted] =
+            groups_.try_emplace(std::move(keys_), node_.aggs.size());
+        if (inserted) RETURN_NOT_OK(ctx->Charge(RowBytes(it->first) + 64));
+        inputs_.Accumulate(k, &it->second);
+      }
+    }
+  }
+
+  void Merge(const GroupTable& other) {
+    for (const auto& [keys, state] : other.groups_) {
+      groups_.try_emplace(keys, node_.aggs.size()).first->second.Merge(state);
+    }
+  }
+
+  /// One row per group. An aggregate without GROUP BY over empty input
+  /// still yields one row of initial values (COUNT(*) = 0, SUM NULL).
+  Result<std::vector<DatumRow>> Finalize() const {
+    std::vector<DatumRow> rows;
+    if (groups_.empty() && node_.group_keys.empty()) {
+      ASSIGN_OR_RETURN(DatumRow row,
+                       FinalizeGroup(node_, {}, GroupState(node_.aggs.size())));
+      rows.push_back(std::move(row));
+    }
+    for (const auto& [keys, state] : groups_) {
+      ASSIGN_OR_RETURN(DatumRow row, FinalizeGroup(node_, keys, state));
+      rows.push_back(std::move(row));
+    }
+    return rows;
+  }
+
+ private:
+  const PlanNode& node_;
+  std::unordered_map<DatumRow, GroupState, RowHasher, RowEq> groups_;
+  AggInputs inputs_;
+  DatumRow keys_;
+};
+
+class HashAggregateOp : public Operator {
  public:
   HashAggregateOp(const PlanNode& node, OperatorPtr child, ExecContext* ctx)
       : node_(node), child_(std::move(child)), ctx_(ctx) {}
 
+  ~HashAggregateOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
+
   Status Open() override {
     RETURN_NOT_OK(child_->Open());
-    RowReader in(child_.get());
-    DatumRow row;
-    bool saw_rows = false;
-    while (true) {
-      ASSIGN_OR_RETURN(bool has, in.Next(&row));
-      if (!has) break;
-      saw_rows = true;
-      DatumRow keys;
-      keys.reserve(node_.group_keys.size());
-      for (const ExprPtr& k : node_.group_keys) {
-        ASSIGN_OR_RETURN(Datum v, EvalExpr(*k, row, ctx_->udfs));
-        keys.push_back(std::move(v));
-      }
-      auto [it, inserted] = groups_.try_emplace(std::move(keys));
-      if (inserted) {
-        RETURN_NOT_OK(ctx_->Charge(RowBytes(it->first) + 64));
-      }
-      RETURN_NOT_OK(AccumulateRow(node_, row, &it->second, ctx_));
-    }
-    // Aggregate without GROUP BY over empty input: one row of initial
-    // accumulator values (COUNT(*) = 0 etc.).
-    if (!saw_rows && node_.group_keys.empty()) {
-      GroupState empty;
-      empty.accs.resize(node_.aggs.size());
-      ASSIGN_OR_RETURN(DatumRow out, FinalizeGroup(node_, {}, empty));
-      results_.push_back(std::move(out));
-    }
-    for (const auto& [keys, state] : groups_) {
-      ASSIGN_OR_RETURN(DatumRow out, FinalizeGroup(node_, keys, state));
-      results_.push_back(std::move(out));
-    }
-    pos_ = 0;
+    GroupTable table(node_);
+    RETURN_NOT_OK(table.Consume(child_.get(), ctx_, &bc_state_));
+    ASSIGN_OR_RETURN(rows_, table.Finalize());
     return Status::OK();
   }
 
-  Result<bool> NextRow(DatumRow* out) override {
-    if (pos_ >= results_.size()) return false;
-    *out = std::move(results_[pos_]);
-    ++pos_;
-    return true;
+  Result<bool> NextBatch(RowBatch* batch) override {
+    return EmitRows(&rows_, &pos_, node_.output_schema.cols.size(),
+                    batch_capacity_, batch);
   }
 
  private:
   const PlanNode& node_;
   OperatorPtr child_;
   ExecContext* ctx_;
-  std::unordered_map<DatumRow, GroupState, RowHasher, RowEq> groups_;
-  std::vector<DatumRow> results_;
+  bytecode::ExecState bc_state_;
+  std::vector<DatumRow> rows_;
   size_t pos_ = 0;
 };
 
-/// Aggregation over input sorted by the group keys (the planner puts a Sort
-/// underneath). Streams one group at a time — the memory-safe plan shape for
-/// high-cardinality grouping.
-class GroupAggregateOp : public RowOperator {
+/// The sorted-run loop, of GroupAggregate (input sorted by the group keys:
+/// the planner puts a Sort underneath) and of Unique (DISTINCT over sorted
+/// input: every column a key, no aggregates). Folds one run of equal keys
+/// at a time — the memory-safe plan shape for high-cardinality grouping.
+class SortedGroupOp : public Operator {
  public:
-  GroupAggregateOp(const PlanNode& node, OperatorPtr child, ExecContext* ctx)
+  SortedGroupOp(const PlanNode& node, OperatorPtr child, ExecContext* ctx)
       : node_(node), child_(std::move(child)), ctx_(ctx) {}
 
-  Status Open() override {
-    RETURN_NOT_OK(child_->Open());
-    ASSIGN_OR_RETURN(pending_, ReadOne());
-    return Status::OK();
-  }
+  ~SortedGroupOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
 
-  Result<bool> NextRow(DatumRow* out) override {
-    if (!pending_.has_value()) return false;
-    DatumRow group_keys = pending_->first;
-    GroupState state;
-    state.accs.resize(node_.aggs.size());
-    while (pending_.has_value() &&
-           RowEq()(pending_->first, group_keys)) {
-      RETURN_NOT_OK(AccumulateRow(node_, pending_->second, &state, ctx_));
-      ASSIGN_OR_RETURN(pending_, ReadOne());
+  Status Open() override { return child_->Open(); }
+
+  Result<bool> NextBatch(RowBatch* out) override {
+    out->Reset(node_.output_schema.cols.size());
+    while (!done_ && out->size < batch_capacity_) {
+      if (pos_ == in_.active()) {
+        ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in_));
+        if (!has) {
+          done_ = true;
+          if (in_group_) RETURN_NOT_OK(EmitGroup(out));
+          break;
+        }
+        RETURN_NOT_OK(inputs_.Eval(node_, in_, ctx_, &bc_state_));
+        pos_ = 0;
+        continue;
+      }
+      TakeLane(&inputs_.keys, pos_, &keys_);
+      if (!in_group_ || !RowEq()(keys_, group_keys_)) {
+        if (in_group_) RETURN_NOT_OK(EmitGroup(out));
+        std::swap(group_keys_, keys_);
+        group_ = GroupState(node_.aggs.size());
+        in_group_ = true;
+      }
+      inputs_.Accumulate(pos_++, &group_);
     }
-    ASSIGN_OR_RETURN(*out, FinalizeGroup(node_, group_keys, state));
-    return true;
+    return out->size > 0;
   }
 
  private:
-  Result<std::optional<std::pair<DatumRow, DatumRow>>> ReadOne() {
-    DatumRow row;
-    ASSIGN_OR_RETURN(bool has, in_.Next(&row));
-    if (!has) return std::optional<std::pair<DatumRow, DatumRow>>();
-    DatumRow keys;
-    keys.reserve(node_.group_keys.size());
-    for (const ExprPtr& k : node_.group_keys) {
-      ASSIGN_OR_RETURN(Datum v, EvalExpr(*k, row, ctx_->udfs));
-      keys.push_back(std::move(v));
-    }
-    return std::make_optional(std::make_pair(std::move(keys), std::move(row)));
+  Status EmitGroup(RowBatch* out) {
+    ASSIGN_OR_RETURN(DatumRow row,
+                     FinalizeGroup(node_, std::move(group_keys_), group_));
+    out->AppendRow(std::move(row));
+    return Status::OK();
   }
 
   const PlanNode& node_;
   OperatorPtr child_;
   ExecContext* ctx_;
-  RowReader in_{child_.get()};
-  std::optional<std::pair<DatumRow, DatumRow>> pending_;
-};
-
-/// DISTINCT over sorted input.
-class UniqueOp : public RowOperator {
- public:
-  UniqueOp(OperatorPtr child) : child_(std::move(child)) {}
-
-  Status Open() override {
-    RETURN_NOT_OK(child_->Open());
-    have_prev_ = false;
-    return Status::OK();
-  }
-
-  Result<bool> NextRow(DatumRow* out) override {
-    DatumRow row;
-    while (true) {
-      ASSIGN_OR_RETURN(bool has, in_.Next(&row));
-      if (!has) return false;
-      if (have_prev_ && RowEq()(row, prev_)) continue;
-      prev_ = row;
-      have_prev_ = true;
-      *out = std::move(row);
-      return true;
-    }
-  }
-
- private:
-  OperatorPtr child_;
-  RowReader in_{child_.get()};
-  DatumRow prev_;
-  bool have_prev_ = false;
+  bytecode::ExecState bc_state_;
+  RowBatch in_;
+  AggInputs inputs_;
+  size_t pos_ = 0;  // next selection index of in_
+  DatumRow keys_;
+  DatumRow group_keys_;  // the run being folded
+  GroupState group_;
+  bool in_group_ = false;
+  bool done_ = false;
 };
 
 class LimitOp : public Operator {
@@ -1670,6 +1608,30 @@ class LimitOp : public Operator {
   int64_t emitted_ = 0;
 };
 
+/// Fails unless the planner's compile pass attached a program to every
+/// expression slot of the plan: null only for a bare column-ref projection
+/// (the project operator moves the column) and for COUNT(*)'s argument.
+Status CheckPrograms(const PlanNode& n) {
+  bool ok = (n.scan_filter == nullptr) == (n.scan_filter_program == nullptr) &&
+            (n.predicate == nullptr) == (n.predicate_program == nullptr) &&
+            n.projection_programs.size() == n.projections.size() &&
+            n.left_key_programs.size() == n.left_keys.size() &&
+            n.right_key_programs.size() == n.right_keys.size() &&
+            n.sort_key_programs.size() == n.sort_keys.size() &&
+            n.group_key_programs.size() == n.group_keys.size() &&
+            n.agg_programs.size() == n.aggs.size();
+  for (size_t i = 0; ok && i < n.projections.size(); ++i) {
+    ok = n.projection_programs[i] != nullptr ||
+         n.projections[i]->IsBoundColumnRef();
+  }
+  if (!ok) {
+    return Status::Internal(PlanKindName(n.kind),
+                            " node has no compiled programs");
+  }
+  for (const auto& child : n.children) RETURN_NOT_OK(CheckPrograms(*child));
+  return Status::OK();
+}
+
 Result<OperatorPtr> BuildOperator(const PlanNode& node, ExecContext* ctx,
                                   MorselSource* morsels);
 Result<OperatorPtr> BuildOperatorInner(const PlanNode& node, ExecContext* ctx,
@@ -1685,9 +1647,8 @@ Result<OperatorPtr> BuildOperatorInner(const PlanNode& node, ExecContext* ctx,
 //    order. Row order is nondeterministic — the planner only parallelizes
 //    where order is free.
 //  - partial-aggregation mode (child is a HashAggregate): each worker runs
-//    the aggregate's input pipeline into a private group map; Open() merges
-//    the raw accumulators at the barrier (so AVG/SUM merge exactly, not via
-//    finalized values) and NextBatch() drains the finalized groups.
+//    the aggregate's input pipeline into a private GroupTable; Open() merges
+//    them at the barrier and NextBatch() drains the finalized groups.
 class GatherOp : public Operator {
  public:
   GatherOp(const PlanNode& node, ExecContext* ctx) : node_(node), ctx_(ctx) {}
@@ -1772,12 +1733,8 @@ class GatherOp : public Operator {
 
   Result<bool> NextBatch(RowBatch* batch) override {
     if (partial_agg_) {
-      batch->Reset(0);
-      while (batch->size < batch_capacity_ && agg_pos_ < agg_results_.size()) {
-        batch->AppendRow(std::move(agg_results_[agg_pos_]));
-        ++agg_pos_;
-      }
-      return batch->size > 0;
+      return EmitRows(&agg_results_, &agg_pos_, node_.output_schema.cols.size(),
+                      batch_capacity_, batch);
     }
     std::unique_lock lock(mu_);
     while (true) {
@@ -1846,50 +1803,19 @@ class GatherOp : public Operator {
     ASSIGN_OR_RETURN(OperatorPtr op,
                      BuildOperator(*agg.children[0], ctx_, &morsels_));
     RETURN_NOT_OK(op->Open());
-    std::unordered_map<DatumRow, GroupState, RowHasher, RowEq> local;
-    auto accumulate = [&](DatumRow& row) -> Status {
-      DatumRow keys;
-      keys.reserve(agg.group_keys.size());
-      for (const ExprPtr& k : agg.group_keys) {
-        ASSIGN_OR_RETURN(Datum v, EvalExpr(*k, row, ctx_->udfs));
-        keys.push_back(std::move(v));
-      }
-      auto [it, inserted] = local.try_emplace(std::move(keys));
-      if (inserted) {
-        RETURN_NOT_OK(ctx_->Charge(RowBytes(it->first) + 64));
-      }
-      return AccumulateRow(agg, row, &it->second, ctx_);
-    };
-    RowReader in(op.get());
-    DatumRow row;
-    while (true) {
-      ASSIGN_OR_RETURN(bool has, in.Next(&row));
-      if (!has) break;
-      RETURN_NOT_OK(accumulate(row));
-    }
+    GroupTable local(agg);
+    bytecode::ExecState st;
+    Status consumed = local.Consume(op.get(), ctx_, &st);
+    FlushBytecodeState(agg, ctx_, &st);
+    RETURN_NOT_OK(consumed);
     std::lock_guard lock(agg_mu_);
-    for (auto& [keys, state] : local) {
-      auto [it, inserted] = groups_.try_emplace(keys);
-      it->second.Merge(state, agg.aggs.size());
-    }
+    groups_.Merge(local);
     return Status::OK();
   }
 
   Status FinalizeAggregate() {
     const PlanNode& agg = *node_.children[0];
-    // Aggregate without GROUP BY over empty input: one row of initial
-    // accumulator values, matching the serial HashAggregateOp.
-    if (groups_.empty() && agg.group_keys.empty()) {
-      GroupState empty;
-      empty.accs.resize(agg.aggs.size());
-      ASSIGN_OR_RETURN(DatumRow out, FinalizeGroup(agg, {}, empty));
-      agg_results_.push_back(std::move(out));
-    }
-    for (const auto& [keys, state] : groups_) {
-      ASSIGN_OR_RETURN(DatumRow out, FinalizeGroup(agg, keys, state));
-      agg_results_.push_back(std::move(out));
-    }
-    agg_pos_ = 0;
+    ASSIGN_OR_RETURN(agg_results_, groups_.Finalize());
     // The HashAggregate node itself is never built in this mode (workers run
     // its input pipeline); credit its merged output here so EXPLAIN ANALYZE
     // doesn't print it as never-executed.
@@ -1920,7 +1846,7 @@ class GatherOp : public Operator {
 
   // Partial-aggregation merge state.
   std::mutex agg_mu_;
-  std::unordered_map<DatumRow, GroupState, RowHasher, RowEq> groups_;
+  GroupTable groups_{*node_.children[0]};
   std::vector<DatumRow> agg_results_;
   size_t agg_pos_ = 0;
 };
@@ -1963,22 +1889,18 @@ Result<OperatorPtr> BuildOperatorInner(const PlanNode& node, ExecContext* ctx,
     case PlanKind::kSort:
       return OperatorPtr(new SortOp(node, std::move(children[0]), ctx));
     case PlanKind::kHashJoin:
+    case PlanKind::kNestedLoopJoin:
       return OperatorPtr(new HashJoinOp(node, std::move(children[0]),
                                         std::move(children[1]), ctx));
     case PlanKind::kMergeJoin:
       return OperatorPtr(new MergeJoinOp(node, std::move(children[0]),
                                          std::move(children[1]), ctx));
-    case PlanKind::kNestedLoopJoin:
-      return OperatorPtr(new NestedLoopJoinOp(node, std::move(children[0]),
-                                              std::move(children[1]), ctx));
     case PlanKind::kHashAggregate:
       return OperatorPtr(
           new HashAggregateOp(node, std::move(children[0]), ctx));
     case PlanKind::kGroupAggregate:
-      return OperatorPtr(
-          new GroupAggregateOp(node, std::move(children[0]), ctx));
     case PlanKind::kUnique:
-      return OperatorPtr(new UniqueOp(std::move(children[0])));
+      return OperatorPtr(new SortedGroupOp(node, std::move(children[0]), ctx));
     case PlanKind::kLimit:
       return OperatorPtr(new LimitOp(node, std::move(children[0])));
     case PlanKind::kGather:  // handled above
@@ -2012,6 +1934,7 @@ Result<QueryResult> ExecutePlan(const PlanNode& plan, const UdfRegistry* udfs,
     // Scope: the root operator (and any GatherOp inside it, which flushes
     // its morsel/stall tallies from its destructor) must be gone before the
     // caller reads options.stats.
+    RETURN_NOT_OK(CheckPrograms(plan));
     ASSIGN_OR_RETURN(OperatorPtr root, BuildOperator(plan, &ctx, nullptr));
     RETURN_NOT_OK(root->Open());
     for (const ExecSchema::Col& col : plan.output_schema.cols) {
@@ -2095,7 +2018,12 @@ void AppendAnalyzedNode(const PlanNode& node, const PlanStats& stats,
         add(node.predicate_program.get());
         add(node.scan_filter_program.get());
         for (const auto& p : node.projection_programs) add(p.get());
-        for (const auto& p : node.probe_key_programs) add(p.get());
+        for (const auto* list :
+             {&node.left_key_programs, &node.right_key_programs,
+              &node.sort_key_programs, &node.group_key_programs,
+              &node.agg_programs}) {
+          for (const auto& p : *list) add(p.get());
+        }
         if (compiled) {
           *out << " (bytecode ops=" << ops << " fused=" << fused
                << " typed=" << s->bc_typed_lanes.load(std::memory_order_relaxed)

@@ -1,8 +1,10 @@
 // Volcano-style plan executor over RowBatches.
 //
-// Every operator streams batches (scan, filter, project, limit and Gather
-// natively); blocking operators (sort, hash join build, aggregation)
-// consume rows through one batch-to-row adapter, materialize and charge an
+// Every operator reads and produces batches. Streaming operators (scan,
+// filter, project, limit, Gather) pass them on; blocking operators (sort,
+// joins, aggregation, DISTINCT) evaluate their keys and aggregate arguments
+// once per input batch with compiled programs, and charge what they
+// materialize (sorted rows, hash tables, join inputs, groups) to an
 // intermediate-state memory budget. Exceeding the budget aborts
 // the query with Status::Aborted — the mechanism used to reproduce the
 // paper's "could not complete for lack of disk space" outcomes for the EAV

@@ -100,9 +100,6 @@ std::string PlanNode::Summary() const {
       out << " (" << ExprListToString(left_keys) << " = "
           << ExprListToString(right_keys) << ")";
       break;
-    case PlanKind::kNestedLoopJoin:
-      if (residual != nullptr) out << " (" << residual->ToString() << ")";
-      break;
     case PlanKind::kSort:
       out << " (" << ExprListToString(sort_keys) << ")";
       break;
@@ -122,6 +119,7 @@ std::string PlanNode::Summary() const {
                   : "streaming")
           << ")";
       break;
+    case PlanKind::kNestedLoopJoin:
     case PlanKind::kUnique:
     case PlanKind::kLimit:
     case PlanKind::kExtract:

@@ -105,17 +105,18 @@ struct PlanNode {
   // kProject: one expression per output column, bound against the child.
   std::vector<ExprPtr> projections;
 
-  // joins: equi-key lists bound against left/right child schemas, plus an
-  // optional residual predicate bound against the concatenated schema.
+  // joins: equi-key lists bound against the left/right child schemas (a
+  // nested-loop join has none; conjuncts across its inputs run as the
+  // Filter above it).
   std::vector<ExprPtr> left_keys;
   std::vector<ExprPtr> right_keys;
-  ExprPtr residual;
 
   // kSort (also used under kMergeJoin / kGroupAggregate / kUnique)
   std::vector<ExprPtr> sort_keys;
   std::vector<bool> sort_desc;
 
-  // kHashAggregate / kGroupAggregate
+  // kHashAggregate / kGroupAggregate; kUnique groups by every column (bare
+  // refs, no aggregates).
   std::vector<ExprPtr> group_keys;
   std::vector<AggSpec> aggs;
 
@@ -135,15 +136,18 @@ struct PlanNode {
   // trees they alias are final. Immutable; Gather workers instantiate
   // operators over the same PlanNode and share them (per-instance scratch
   // lives in each operator's bytecode::ExecState). Set for every expression
-  // slot of the streaming operators, except a projection that is a bare
-  // bound column ref (its program stays null; the project operator moves or
-  // gathers the input column).
-  std::shared_ptr<const bytecode::Program> predicate_program;    // kFilter
-  std::shared_ptr<const bytecode::Program> scan_filter_program;  // kSeqScan
-  std::vector<std::shared_ptr<const bytecode::Program>>
-      projection_programs;  // kProject, parallel to `projections`
-  std::vector<std::shared_ptr<const bytecode::Program>>
-      probe_key_programs;  // kHashJoin, parallel to `left_keys`
+  // slot, except a projection that is a bare bound column ref (its program
+  // stays null; the project operator moves or gathers the input column) and
+  // the missing argument of COUNT(*) (null).
+  using ProgramPtr = std::shared_ptr<const bytecode::Program>;
+  ProgramPtr predicate_program;                 // kFilter
+  ProgramPtr scan_filter_program;               // kSeqScan
+  std::vector<ProgramPtr> projection_programs;  // parallel to `projections`
+  std::vector<ProgramPtr> left_key_programs;    // parallel to `left_keys`
+  std::vector<ProgramPtr> right_key_programs;   // parallel to `right_keys`
+  std::vector<ProgramPtr> sort_key_programs;    // parallel to `sort_keys`
+  std::vector<ProgramPtr> group_key_programs;   // parallel to `group_keys`
+  std::vector<ProgramPtr> agg_programs;         // parallel to `aggs`
 
   /// EXPLAIN rendering (multi-line tree).
   std::string DebugString() const;

@@ -127,7 +127,6 @@ void FoldExprList(std::vector<ExprPtr>* exprs) {
 void FoldPlanConstants(PlanNode* node) {
   if (node->scan_filter != nullptr) FoldConstants(&node->scan_filter);
   if (node->predicate != nullptr) FoldConstants(&node->predicate);
-  if (node->residual != nullptr) FoldConstants(&node->residual);
   FoldExprList(&node->projections);
   FoldExprList(&node->sort_keys);
   FoldExprList(&node->group_keys);
@@ -139,53 +138,43 @@ void FoldPlanConstants(PlanNode* node) {
   for (PlanPtr& child : node->children) FoldPlanConstants(child.get());
 }
 
-/// Final planning pass: compile the streaming operators' expression slots —
-/// scan filters, filter predicates, projections, hash-join probe keys — to
-/// bytecode programs (engine/bytecode.h), the executor's only batch
-/// evaluator. Runs after every plan rewrite (constant folding, zone-filter
-/// attachment, parallelization) so the Expr trees the
-/// programs alias, and the bound slots the compiler collects for fallback
-/// lanes, are final.
+/// Final planning pass: compile every expression slot — scan filters,
+/// filter predicates, projections, join, sort and group keys, aggregate
+/// arguments — to bytecode programs (engine/bytecode.h), the executor's
+/// only evaluator. Runs after every plan rewrite (constant folding,
+/// zone-filter attachment, parallelization) so the Expr trees the programs
+/// alias, and the bound slots the compiler collects for fallback lanes, are
+/// final. A slot reads its node's first child (a scan reads its own
+/// output; right join keys read the second child).
 void CompilePlanPrograms(PlanNode* node, const UdfRegistry* udfs) {
-  switch (node->kind) {
-    case PlanKind::kSeqScan:
-      if (node->scan_filter != nullptr) {
-        node->scan_filter_program = bytecode::Compile(
-            *node->scan_filter, node->output_schema.cols.size(), udfs);
-      }
-      break;
-    case PlanKind::kFilter:
-      if (node->predicate != nullptr && !node->children.empty()) {
-        node->predicate_program = bytecode::Compile(
-            *node->predicate, node->children[0]->output_schema.cols.size(),
-            udfs);
-      }
-      break;
-    case PlanKind::kProject:
-      if (!node->children.empty()) {
-        const size_t width = node->children[0]->output_schema.cols.size();
-        node->projection_programs.resize(node->projections.size());
-        for (size_t i = 0; i < node->projections.size(); ++i) {
-          // A bare bound column ref needs no program: the project operator
-          // moves or gathers the input column itself.
-          if (node->projections[i]->IsBoundColumnRef()) continue;
-          node->projection_programs[i] =
-              bytecode::Compile(*node->projections[i], width, udfs);
-        }
-      }
-      break;
-    case PlanKind::kHashJoin:
-      if (!node->children.empty()) {
-        const size_t width = node->children[0]->output_schema.cols.size();
-        node->probe_key_programs.resize(node->left_keys.size());
-        for (size_t i = 0; i < node->left_keys.size(); ++i) {
-          node->probe_key_programs[i] =
-              bytecode::Compile(*node->left_keys[i], width, udfs);
-        }
-      }
-      break;
-    default:
-      break;
+  auto width_of = [node](size_t child) {
+    return child < node->children.size()
+               ? node->children[child]->output_schema.cols.size()
+               : node->output_schema.cols.size();
+  };
+  auto compile = [&](const ExprPtr& e, size_t child = 0) {
+    return e == nullptr ? nullptr
+                        : bytecode::Compile(*e, width_of(child), udfs);
+  };
+  auto compile_all = [&](const std::vector<ExprPtr>& exprs, size_t child = 0) {
+    std::vector<PlanNode::ProgramPtr> programs;
+    for (const ExprPtr& e : exprs) programs.push_back(compile(e, child));
+    return programs;
+  };
+  node->scan_filter_program = compile(node->scan_filter);
+  node->predicate_program = compile(node->predicate);
+  for (const ExprPtr& p : node->projections) {
+    // A bare bound column ref needs no program: the project operator moves
+    // or gathers the input column itself.
+    node->projection_programs.push_back(
+        p->IsBoundColumnRef() ? nullptr : compile(p));
+  }
+  node->left_key_programs = compile_all(node->left_keys);
+  node->right_key_programs = compile_all(node->right_keys, 1);
+  node->sort_key_programs = compile_all(node->sort_keys);
+  node->group_key_programs = compile_all(node->group_keys);
+  for (const AggSpec& agg : node->aggs) {
+    node->agg_programs.push_back(compile(agg.arg));
   }
   for (PlanPtr& child : node->children) CompilePlanPrograms(child.get(), udfs);
 }
@@ -1066,6 +1055,9 @@ Result<PlanPtr> Planner::SelectPlanner::AddDistinct(PlanPtr child) {
   unique->kind = PlanKind::kUnique;
   unique->output_schema = sort->output_schema;
   unique->est_rows = est;
+  for (const ExprPtr& k : sort->sort_keys) {
+    unique->group_keys.push_back(k->Clone());
+  }
   unique->children.push_back(std::move(sort));
   return PlanPtr(std::move(unique));
 }

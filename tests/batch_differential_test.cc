@@ -108,7 +108,7 @@ class BatchDifferentialTest : public ::testing::Test {
 
     const int deg = ParallelDegree();
     configs_ = new std::vector<NamedRunner>{
-        // Index 0 answers for the oracle-less shapes.
+        // Index 0 answers LIMIT, the one shape outside the oracle.
         {"batch1-serial", 1, 1},
         {"batch3-serial", 3, 1},
         {"batch1024-serial", 1024, 1},
@@ -138,8 +138,7 @@ class BatchDifferentialTest : public ::testing::Test {
   }
 
   /// Asserts every configuration returns the golden multiset for a direct
-  /// SQL query: the scalar oracle's, or configuration 0's for shapes outside
-  /// the oracle's reach.
+  /// SQL query: the scalar oracle's, or configuration 0's for LIMIT.
   void ExpectSameAcrossConfigs(const std::string& sql) {
     SCOPED_TRACE(sql);
     Result<engine::QueryResult> golden =
@@ -239,6 +238,41 @@ TEST_F(BatchDifferentialTest, AggregationAndGroupBy) {
       "SELECT thousandth AS g, COUNT(*) AS c, SUM(num) AS s "
       "FROM nobench_main GROUP BY thousandth");
   ExpectSameAcrossConfigs("SELECT COUNT(*) AS c FROM nobench_main");
+}
+
+TEST_F(BatchDifferentialTest, ScalarOracleAnswersAggregationAndDistinct) {
+  // Grouped and DISTINCT shapes diff against the scalar oracle itself, not
+  // against configuration 0: the oracle answers every one of them. Group
+  // runs and duplicate runs straddle the 1- and 3-row batch boundaries.
+  const char* queries[] = {
+      "SELECT thousandth AS g, COUNT(*) AS c, SUM(num) AS s, AVG(num) AS a, "
+      "MIN(str1) AS lo, MAX(str1) AS hi FROM nobench_main GROUP BY thousandth",
+      "SELECT bool AS b, COUNT(*) AS c FROM nobench_main GROUP BY bool "
+      "HAVING COUNT(*) > 10",
+      "SELECT thousandth, COUNT(*), SUM(num) + 1 FROM nobench_main "
+      "GROUP BY thousandth",
+      "SELECT sparse_110 AS k, COUNT(*) AS c, COUNT(sparse_110) AS n "
+      "FROM nobench_main GROUP BY sparse_110",
+      "SELECT COUNT(*) AS c, SUM(num) AS s, AVG(num) AS a, MIN(num) AS lo, "
+      "MAX(num) AS hi FROM nobench_main WHERE num < 0",
+      "SELECT DISTINCT bool AS b, thousandth AS t FROM nobench_main",
+      "SELECT DISTINCT t1.thousandth AS t FROM nobench_main t1, "
+      "nobench_main t2 WHERE t1.str1 = t2.str1 AND t1.num < 100",
+  };
+  for (const char* sql : queries) {
+    Result<engine::QueryResult> answer =
+        oracle::ScalarOracleQuery((*configs_)[0].runner->db(), sql);
+    ASSERT_TRUE(answer.ok()) << sql << ": " << answer.status().ToString();
+    ExpectSameAcrossConfigs(sql);
+  }
+  // Without GROUP BY, empty input is one row of initial values.
+  Result<engine::QueryResult> empty = oracle::ScalarOracleQuery(
+      (*configs_)[0].runner->db(),
+      "SELECT COUNT(*) AS c, SUM(num) AS s FROM nobench_main WHERE num < 0");
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  ASSERT_EQ(empty->rows.size(), 1u);
+  EXPECT_EQ(empty->rows[0][0].int_value(), 0);
+  EXPECT_TRUE(empty->rows[0][1].is_null());
 }
 
 TEST_F(BatchDifferentialTest, FoldedConstantPredicatesKeepSemantics) {

@@ -151,7 +151,7 @@ class BytecodeDifferentialTest : public ::testing::Test {
 
     const int deg = ParallelDegree();
     configs_ = new std::vector<NamedRunner>{
-        // Index 0 answers for the oracle-less shapes.
+        // Index 0 answers LIMIT, the one shape outside the oracle.
         {"batch1-serial", 1, 1},
         {"batch3-serial", 3, 1},
         {"batch256-serial", 256, 1},

@@ -144,8 +144,7 @@ class ColumnarDifferentialTest : public ::testing::Test {
 
   /// Asserts the strip-serving and row-reservoir paths, serially and under
   /// Gather, all return the golden multiset: the scalar oracle's
-  /// (tests/scalar_oracle.h), or the rows configuration's for shapes outside
-  /// its reach.
+  /// (tests/scalar_oracle.h), or the rows configuration's for LIMIT.
   void ExpectSameResults(const std::string& sql) {
     SCOPED_TRACE(sql);
     Result<engine::QueryResult> golden = oracle::GoldenQuery(rows_serial_, sql);

@@ -245,12 +245,49 @@ TEST_F(ExecTest, ErrorCases) {
 }
 
 TEST_F(ExecTest, IntermediateMemoryBudgetAborts) {
+  // Every operator that materializes charges the budget: the hash-join
+  // build, sort, merge join, the nested-loop inner, hash aggregation and
+  // Gather's partial aggregation. Each query completes under the default
+  // budget and aborts under an absurdly small one.
+  PlannerOptions hashy;
+  PlannerOptions sorty;
+  sorty.hash_join_max_build_rows = 0;
+  PlannerOptions parallel;
+  parallel.parallelism = 2;
+  parallel.parallel_min_rows = 1;
+  struct Case {
+    const char* sql;
+    const PlannerOptions* planner;
+    const char* plan_has;
+  };
+  const Case cases[] = {
+      {"SELECT a.id FROM people a, people b WHERE a.name = b.name", &hashy,
+       "Hash Join"},
+      {"SELECT name FROM people ORDER BY age", &hashy, "Sort"},
+      {"SELECT a.id FROM people a, people b WHERE a.name = b.name", &sorty,
+       "Merge Join"},
+      {"SELECT a.id FROM people a, people b WHERE a.age < b.age", &hashy,
+       "Nested Loop"},
+      {"SELECT city, COUNT(*) FROM people GROUP BY city", &hashy,
+       "HashAggregate"},
+      {"SELECT city, COUNT(*) FROM people GROUP BY city", &parallel,
+       "merge=partial-agg"},
+  };
   ExecOptions tight;
-  tight.max_intermediate_bytes = 256;  // absurdly small
-  db_.set_exec_options(tight);
-  auto r = db_.Execute("SELECT a.id FROM people a, people b WHERE a.name = b.name");
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsAborted());
+  tight.max_intermediate_bytes = 256;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    db_.set_planner_options(*c.planner);
+    db_.set_exec_options(ExecOptions{});
+    auto plan = db_.Explain(c.sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NE(plan->find(c.plan_has), std::string::npos) << *plan;
+    EXPECT_TRUE(db_.Execute(c.sql).ok());
+    db_.set_exec_options(tight);
+    auto r = db_.Execute(c.sql);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsAborted()) << r.status().ToString();
+  }
 }
 
 TEST_F(ExecTest, ExplainProducesPlanText) {

@@ -5,7 +5,11 @@
 #    sinew_extract function;
 #  - statements reach rows only through plans: the statement executor
 #    (database.cc) names none of the row-at-a-time Table accessors
-#    RowSlotCount, ReadRow or IsLive.
+#    RowSlotCount, ReadRow or IsLive;
+#  - the executor (exec.cc) evaluates expressions only on the bytecode VM,
+#    whose fallback lanes are the one scalar path: it names neither scalar
+#    evaluator entry point (EvalExpr, EvalPredicate) nor a row-at-a-time
+#    operator protocol (RowReader, RowOperator).
 #
 #   cmake -DENGINE_DIR=<repo>/src/engine -P tests/engine_layering.cmake
 if(NOT IS_DIRECTORY "${ENGINE_DIR}")
@@ -24,6 +28,12 @@ file(STRINGS "${ENGINE_DIR}/database.cc" hits
 if(hits)
   list(APPEND failures
        "${ENGINE_DIR}/database.cc reaches rows outside a plan: ${hits}")
+endif()
+file(STRINGS "${ENGINE_DIR}/exec.cc" hits
+     REGEX "EvalExpr|EvalPredicate|RowReader|RowOperator")
+if(hits)
+  list(APPEND failures
+       "${ENGINE_DIR}/exec.cc evaluates outside the bytecode VM: ${hits}")
 endif()
 if(failures)
   list(JOIN failures "\n  " listing)

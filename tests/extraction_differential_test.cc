@@ -204,8 +204,7 @@ class ExtractionDifferentialTest : public ::testing::Test {
   }
 
   /// Asserts every configuration returns the golden multiset: the scalar
-  /// oracle's, or the reference configuration's for shapes outside its
-  /// reach (aggregation, LIMIT).
+  /// oracle's, or the reference configuration's for LIMIT.
   void ExpectSameResults(const std::string& sql) {
     SCOPED_TRACE(sql);
     Result<engine::QueryResult> golden = oracle::GoldenQuery(Reference(), sql);
@@ -484,18 +483,14 @@ TEST_F(ExtractionDifferentialTest, DmlOverHotTailRows) {
 }
 
 TEST_F(ExtractionDifferentialTest, DistinctOverStripServedAttributes) {
-  // DISTINCT is outside the scalar oracle: dedupe its answer for the
-  // non-DISTINCT query instead.
   for (const char* list : {"thousandth AS t, bool AS b", "str2 AS s"}) {
     const std::string sql =
         std::string("SELECT DISTINCT ") + list + " FROM docs";
     SCOPED_TRACE(sql);
-    Result<engine::QueryResult> all = oracle::ScalarOracleQuery(
-        Reference(), std::string("SELECT ") + list + " FROM docs");
-    ASSERT_TRUE(all.ok()) << all.status().ToString();
-    std::vector<std::string> golden = CanonicalRows(*all);
-    golden.erase(std::unique(golden.begin(), golden.end()), golden.end());
-    ExpectRows(sql, golden);
+    Result<engine::QueryResult> golden =
+        oracle::ScalarOracleQuery(Reference(), sql);
+    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+    ExpectRows(sql, CanonicalRows(*golden));
   }
   EXPECT_GT(AnalyzeCounter("SELECT DISTINCT thousandth AS t FROM docs",
                            "columnar_hits="),

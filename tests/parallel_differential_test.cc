@@ -124,7 +124,7 @@ class ParallelDifferentialTest : public ::testing::Test {
 
   /// Runs `sql` on both instances and asserts each returns the golden
   /// multiset: the scalar oracle's (tests/scalar_oracle.h), or the serial
-  /// instance's for shapes outside its reach.
+  /// instance's for LIMIT.
   void ExpectSameResults(const std::string& sql) {
     SCOPED_TRACE(sql);
     Result<engine::QueryResult> golden = oracle::GoldenQuery(serial_, sql);

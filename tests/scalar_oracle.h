@@ -5,16 +5,21 @@
 // columns laid side by side, and scalar EvalPredicate/EvalExpr run over
 // nested loops of every table's stored rows, in FROM order. A WHERE
 // conjunct that binds at an outer loop also prunes it, so a selective
-// filter on an outer table keeps the inner loops short. Shapes outside that
-// reach — aggregation, DISTINCT, LIMIT — return NotImplemented; GoldenQuery
-// then answers them with the engine itself, so suites compare their
-// configurations with each other. ORDER BY is ignored (suites compare
-// multisets).
+// filter on an outer table keeps the inner loops short. Aggregation (COUNT,
+// SUM, AVG, MIN, MAX, with or without GROUP BY, and HAVING) groups the
+// passing rows in an ordered map and folds its own accumulators; the select
+// list and HAVING then evaluate over each group's keys and aggregate values,
+// named as the planner names them ($gN for a group key, $aN for an
+// aggregate). DISTINCT dedupes the output rows. LIMIT returns
+// NotImplemented; GoldenQuery then answers it with the engine itself. ORDER
+// BY is ignored (suites compare multisets).
 
 #ifndef SINEW_TESTS_SCALAR_ORACLE_H_
 #define SINEW_TESTS_SCALAR_ORACLE_H_
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -23,19 +28,103 @@
 
 namespace sinew::oracle {
 
+/// Lexicographic order of rows under Datum::Compare: the equality GROUP BY
+/// and DISTINCT use.
+struct RowLess {
+  bool operator()(const engine::DatumRow& a,
+                  const engine::DatumRow& b) const {
+    return std::lexicographical_compare(
+        a.begin(), a.end(), b.begin(), b.end(),
+        [](const engine::Datum& x, const engine::Datum& y) {
+          return engine::Datum::Compare(x, y) < 0;
+        });
+  }
+};
+
+/// The planner's naming of aggregate outputs: a subtree whose text equals
+/// GROUP BY expression g becomes column $g<g>, and an aggregate call
+/// becomes $a<i>, one per distinct call text in order of appearance
+/// (collected into `calls`).
+inline void ReplaceAggRefs(engine::ExprPtr* e,
+                           const std::vector<std::string>& group_texts,
+                           std::vector<engine::ExprPtr>* calls) {
+  const std::string text = (*e)->ToString();
+  for (size_t g = 0; g < group_texts.size(); ++g) {
+    if (text == group_texts[g]) {
+      *e = engine::Expr::Column("", "$g" + std::to_string(g));
+      return;
+    }
+  }
+  if ((*e)->IsAggregateCall()) {
+    size_t i = 0;
+    while (i < calls->size() && (*calls)[i]->ToString() != text) ++i;
+    if (i == calls->size()) calls->push_back((*e)->Clone());
+    *e = engine::Expr::Column("", "$a" + std::to_string(i));
+    return;
+  }
+  for (engine::ExprPtr& arg : (*e)->args) {
+    ReplaceAggRefs(&arg, group_texts, calls);
+  }
+}
+
+/// One aggregate's running state over a group's rows. COUNT(x) counts the
+/// non-NULL arguments; SUM adds the numeric ones (a double among them makes
+/// it a double) and is NULL only when every argument is; AVG divides that
+/// sum by the non-NULL count; MIN and MAX order by Datum::Compare.
+struct OracleAgg {
+  int64_t count = 0;
+  bool any_double = false;
+  int64_t isum = 0;
+  double dsum = 0;
+  engine::Datum min, max;
+
+  void Add(const engine::Datum& v) {
+    if (v.is_null()) return;
+    ++count;
+    if (v.is_int()) {
+      isum += v.int_value();
+      dsum += static_cast<double>(v.int_value());
+    } else if (v.is_double()) {
+      any_double = true;
+      dsum += v.double_value();
+    }
+    if (min.is_null() || engine::Datum::Compare(v, min) < 0) min = v;
+    if (max.is_null() || engine::Datum::Compare(v, max) > 0) max = v;
+  }
+
+  engine::Datum Value(const std::string& fn, bool star, int64_t rows) const {
+    if (fn == "count") return engine::Datum::Int(star ? rows : count);
+    if (fn == "min") return min;
+    if (fn == "max") return max;
+    if (count == 0) return engine::Datum::Null();
+    const double total = any_double ? dsum : static_cast<double>(isum);
+    if (fn == "avg") {
+      return engine::Datum::Double(total / static_cast<double>(count));
+    }
+    return any_double ? engine::Datum::Double(dsum) : engine::Datum::Int(isum);
+  }
+};
+
+inline bool IsStarCall(const engine::Expr& call) {
+  return call.args.empty() ||
+         (call.args.size() == 1 &&
+          call.args[0]->kind == engine::ExprKind::kStar);
+}
+
 inline Result<engine::QueryResult> ScalarOracleQuery(SinewDb* db,
                                                      const std::string& sql) {
   ASSIGN_OR_RETURN(engine::Statement stmt, db->rewriter().Rewrite(sql));
   const engine::SelectStatement* select = stmt.select.get();
   if (stmt.kind != engine::StatementKind::kSelect || select == nullptr ||
-      select->from.empty() || !select->group_by.empty() ||
-      select->having != nullptr || select->distinct || select->limit >= 0) {
+      select->from.empty() || select->limit >= 0) {
     return Status::NotImplemented("shape outside the scalar oracle");
   }
+  bool grouped = !select->group_by.empty() || select->having != nullptr;
   for (const engine::SelectItem& item : select->items) {
-    if (item.expr->ContainsAggregate()) {
-      return Status::NotImplemented("aggregate outside the scalar oracle");
-    }
+    grouped |= item.expr->ContainsAggregate();
+  }
+  for (const engine::OrderItem& item : select->order_by) {
+    grouped |= item.expr->ContainsAggregate();
   }
   // Each table's live rows, and its columns in the concatenated schema.
   engine::ExecSchema exec_schema;
@@ -67,8 +156,63 @@ inline Result<engine::QueryResult> ScalarOracleQuery(SinewDb* db,
   offsets.push_back(exec_schema.cols.size());
 
   engine::QueryResult result;
-  std::vector<engine::ExprPtr> outputs;
+  // A grouped query's select list and HAVING read `out_schema`: the group
+  // keys ($gN) and aggregate values ($aN) of one group, not input rows.
+  engine::ExecSchema out_schema = exec_schema;
+  std::vector<engine::ExprPtr> group_keys;  // bound against exec_schema
+  std::vector<engine::ExprPtr> agg_calls;   // arguments bound likewise
+  std::vector<engine::SelectItem> items;
+  engine::ExprPtr having;
   for (const engine::SelectItem& item : select->items) {
+    items.push_back({item.expr->Clone(), item.alias});
+  }
+  if (grouped) {
+    out_schema.cols.clear();
+    std::vector<std::string> group_texts;
+    for (const engine::ExprPtr& g : select->group_by) {
+      group_texts.push_back(g->ToString());
+      engine::ExprPtr key = g->Clone();
+      RETURN_NOT_OK(engine::BindExpr(key.get(), exec_schema, aliases));
+      out_schema.cols.push_back(
+          {"", "$g" + std::to_string(group_keys.size()),
+           engine::InferType(*key, exec_schema)});
+      group_keys.push_back(std::move(key));
+    }
+    for (engine::SelectItem& item : items) {
+      if (item.expr->kind == engine::ExprKind::kStar) {
+        return Status::NotImplemented("star in a grouped select list");
+      }
+      ReplaceAggRefs(&item.expr, group_texts, &agg_calls);
+    }
+    if (select->having != nullptr) {
+      having = select->having->Clone();
+      ReplaceAggRefs(&having, group_texts, &agg_calls);
+    }
+    for (engine::ExprPtr& call : agg_calls) {
+      engine::ColumnType type = engine::ColumnType::kDouble;
+      if (IsStarCall(*call)) {
+        if (call->fname != "count") {
+          return Status::NotImplemented(call->fname, "(*)");
+        }
+      } else {
+        RETURN_NOT_OK(
+            engine::BindExpr(call->args[0].get(), exec_schema, aliases));
+        if (call->fname != "avg") {
+          type = engine::InferType(*call->args[0], exec_schema);
+        }
+      }
+      if (call->fname == "count") type = engine::ColumnType::kInt;
+      out_schema.cols.push_back(
+          {"", "$a" + std::to_string(out_schema.cols.size() -
+                                     group_keys.size()),
+           type});
+    }
+    if (having != nullptr) {
+      RETURN_NOT_OK(engine::BindExpr(having.get(), out_schema, aliases));
+    }
+  }
+  std::vector<engine::ExprPtr> outputs;
+  for (engine::SelectItem& item : items) {
     if (item.expr->kind == engine::ExprKind::kStar) {
       for (const engine::ExecSchema::Col& col : exec_schema.cols) {
         if (!item.expr->table.empty() && col.table != item.expr->table) {
@@ -82,15 +226,15 @@ inline Result<engine::QueryResult> ScalarOracleQuery(SinewDb* db,
       }
       continue;
     }
-    engine::ExprPtr e = item.expr->Clone();
-    RETURN_NOT_OK(engine::BindExpr(e.get(), exec_schema, aliases));
+    engine::ExprPtr e = std::move(item.expr);
+    RETURN_NOT_OK(engine::BindExpr(e.get(), out_schema, aliases));
     std::string name = item.alias;
     if (name.empty()) {
       name = e->kind == engine::ExprKind::kColumnRef ? e->column
                                                      : e->ToString();
     }
     result.column_names.push_back(std::move(name));
-    result.column_types.push_back(engine::InferType(*e, exec_schema));
+    result.column_types.push_back(engine::InferType(*e, out_schema));
     outputs.push_back(std::move(e));
   }
   // WHERE is evaluated whole on every complete row. A conjunct that binds
@@ -115,6 +259,42 @@ inline Result<engine::QueryResult> ScalarOracleQuery(SinewDb* db,
   }
 
   const engine::UdfRegistry* udfs = db->engine()->udfs();
+  // Appends the select list evaluated over `in` (an input row, or a
+  // group's keys and aggregate values).
+  auto project = [&](const engine::DatumRow& in) -> Status {
+    engine::DatumRow out;
+    out.reserve(outputs.size());
+    for (const engine::ExprPtr& e : outputs) {
+      ASSIGN_OR_RETURN(engine::Datum v, engine::EvalExpr(*e, in, udfs));
+      out.push_back(std::move(v));
+    }
+    result.rows.push_back(std::move(out));
+    return Status::OK();
+  };
+  struct Group {
+    int64_t rows = 0;
+    std::vector<OracleAgg> aggs;
+  };
+  std::map<engine::DatumRow, Group, RowLess> groups;
+  // Folds a row that passed WHERE into its group.
+  auto accumulate = [&](const engine::DatumRow& in) -> Status {
+    engine::DatumRow keys;
+    for (const engine::ExprPtr& g : group_keys) {
+      ASSIGN_OR_RETURN(engine::Datum v, engine::EvalExpr(*g, in, udfs));
+      keys.push_back(std::move(v));
+    }
+    Group& group = groups[std::move(keys)];
+    group.aggs.resize(agg_calls.size());
+    ++group.rows;
+    for (size_t i = 0; i < agg_calls.size(); ++i) {
+      if (IsStarCall(*agg_calls[i])) continue;
+      ASSIGN_OR_RETURN(engine::Datum v,
+                       engine::EvalExpr(*agg_calls[i]->args[0], in, udfs));
+      group.aggs[i].Add(v);
+    }
+    return Status::OK();
+  };
+
   engine::DatumRow row(exec_schema.cols.size());
   auto loop = [&](auto&& self, size_t level) -> Status {
     if (level == tables.size()) {
@@ -122,14 +302,7 @@ inline Result<engine::QueryResult> ScalarOracleQuery(SinewDb* db,
         ASSIGN_OR_RETURN(bool keep, engine::EvalPredicate(*where, row, udfs));
         if (!keep) return Status::OK();
       }
-      engine::DatumRow out;
-      out.reserve(outputs.size());
-      for (const engine::ExprPtr& e : outputs) {
-        ASSIGN_OR_RETURN(engine::Datum v, engine::EvalExpr(*e, row, udfs));
-        out.push_back(std::move(v));
-      }
-      result.rows.push_back(std::move(out));
-      return Status::OK();
+      return grouped ? accumulate(row) : project(row);
     }
     for (const engine::DatumRow& stored : tables[level]) {
       std::copy(stored.begin(), stored.end(), row.begin() + offsets[level]);
@@ -146,11 +319,39 @@ inline Result<engine::QueryResult> ScalarOracleQuery(SinewDb* db,
     return Status::OK();
   };
   RETURN_NOT_OK(loop(loop, 0));
+
+  if (grouped) {
+    // Without GROUP BY, empty input is still one group (COUNT(*) = 0).
+    if (groups.empty() && group_keys.empty()) {
+      groups[{}].aggs.resize(agg_calls.size());
+    }
+    for (const auto& [keys, group] : groups) {
+      engine::DatumRow values = keys;
+      for (size_t i = 0; i < agg_calls.size(); ++i) {
+        values.push_back(group.aggs[i].Value(
+            agg_calls[i]->fname, IsStarCall(*agg_calls[i]), group.rows));
+      }
+      if (having != nullptr) {
+        ASSIGN_OR_RETURN(bool keep,
+                         engine::EvalPredicate(*having, values, udfs));
+        if (!keep) continue;
+      }
+      RETURN_NOT_OK(project(values));
+    }
+  }
+  if (select->distinct) {
+    std::set<engine::DatumRow, RowLess> seen;
+    std::vector<engine::DatumRow> unique;
+    for (engine::DatumRow& r : result.rows) {
+      if (seen.insert(r).second) unique.push_back(std::move(r));
+    }
+    result.rows = std::move(unique);
+  }
   return result;
 }
 
 /// A differential suite's reference answer: the scalar oracle's, or `db`'s
-/// own for shapes outside the oracle's reach.
+/// own for LIMIT, the one shape outside the oracle's reach.
 inline Result<engine::QueryResult> GoldenQuery(SinewDb* db,
                                                const std::string& sql) {
   Result<engine::QueryResult> oracle = ScalarOracleQuery(db, sql);
