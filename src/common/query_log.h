@@ -40,6 +40,7 @@ struct QueryRecord {
   uint64_t exec_ns = 0;
   uint64_t total_ns = 0;
   uint64_t rows_in = 0;        // rows produced by base-table scans
+  uint64_t rows_examined = 0;  // live rows those scans visited (pre-filter)
   uint64_t rows_out = 0;
   uint64_t batches = 0;        // RowBatches emitted by the plan root
   uint64_t zone_skips = 0;     // strips skipped via zone maps

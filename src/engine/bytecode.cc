@@ -449,13 +449,36 @@ class Compiler {
 
 // ----------------------------------------------------------- interpretation
 
-/// Column access for batch execution: cols[slot][lane].
+/// Column access for batch execution: cols[slot][lane]. A column that may
+/// be typed-primary (row_batch.h) holds its Datums only after Box, so every
+/// path reading Col boxes the instruction's column operands first; the
+/// typed kernels read tags and never box.
 struct BatchSrc {
   const RowBatch* batch;
   const Datum& Col(size_t slot, uint32_t lane) const {
     return batch->cols[slot][lane];
   }
   size_t width() const { return batch->num_cols(); }
+
+  void Box(const Operand& op) const {
+    if (op.is_col() && op.index < batch->num_cols()) batch->Box(op.index);
+  }
+  /// Boxes every column an instruction reads: a, b, c, its aux arguments
+  /// and a fallback lane's slots.
+  void Box(const Instr& ins, const Program& prog) const {
+    Box(ins.a);
+    Box(ins.b);
+    Box(ins.c);
+    for (uint32_t j = 0; j < ins.aux_count; ++j) {
+      Box(prog.aux[ins.aux_begin + j]);
+    }
+    for (uint32_t k = 0; k < ins.fb_slot_count; ++k) {
+      const int slot = ins.fb_slots[k];
+      if (slot >= 0 && static_cast<size_t>(slot) < batch->num_cols()) {
+        batch->Box(static_cast<size_t>(slot));
+      }
+    }
+  }
 };
 
 const Datum& ReadOperand(const Operand& op, const Program& prog,
@@ -521,9 +544,8 @@ void SetRegTag(ExecState* st, uint16_t reg, ColTag::Type type) {
 /// col cmp lit, select mode: refines `sel` in place. Handles every literal
 /// kind against a proven column — an incomparable or NULL literal makes the
 /// comparison NULL for every lane, which filters everything.
-bool TypedSelCmpLit(BinaryOp bop, const RowBatch& batch, uint16_t slot,
-                    const ColTag& tag, const Datum& lit, ExecState* st,
-                    std::vector<uint32_t>* sel) {
+bool TypedSelCmpLit(BinaryOp bop, const ColTag& tag, const Datum& lit,
+                    ExecState* st, std::vector<uint32_t>* sel) {
   const size_t n = sel->size();
   bool handled = false;
   switch (tag.type) {
@@ -566,7 +588,7 @@ bool TypedSelCmpLit(BinaryOp bop, const RowBatch& batch, uint16_t slot,
     case ColTag::Type::kText:
       if (lit.is_text()) {
         handled = typed::WithCmpPred(bop, [&](auto p) {
-          typed::SelectCmpStr(batch.cols[slot], tag, lit.str(), p, sel);
+          typed::SelectCmpStr(tag, lit.str(), p, sel);
         });
       } else {
         sel->clear();
@@ -581,8 +603,7 @@ bool TypedSelCmpLit(BinaryOp bop, const RowBatch& batch, uint16_t slot,
 }
 
 /// col cmp lit, value mode: one Bool/NULL per lane into the dst register.
-bool TypedValCmpLit(const Instr& ins, const RowBatch& batch,
-                    const ColTag& tag, const Datum& lit,
+bool TypedValCmpLit(const Instr& ins, const ColTag& tag, const Datum& lit,
                     const std::vector<uint32_t>& lanes, ExecState* st) {
   std::vector<Datum>& dst = st->regs[ins.dst];
   const size_t n = lanes.size();
@@ -631,8 +652,7 @@ bool TypedValCmpLit(const Instr& ins, const RowBatch& batch,
     case ColTag::Type::kText:
       if (lit.is_text()) {
         handled = typed::WithCmpPred(ins.bop, [&](auto p) {
-          typed::ValueCmpStr(batch.cols[ins.a.index], tag, lit.str(), p,
-                             lanes, &dst);
+          typed::ValueCmpStr(tag, lit.str(), p, lanes, &dst);
         });
       } else {
         all_null();
@@ -966,10 +986,8 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         dst.resize(n);
         const Datum& lit = prog.literals[ins.b.index];
         const ColTag* tag = TagOf(src.batch, ins.a.index, n);
-        if (tag != nullptr &&
-            TypedValCmpLit(ins, *src.batch, *tag, lit, L, st)) {
-          break;
-        }
+        if (tag != nullptr && TypedValCmpLit(ins, *tag, lit, L, st)) break;
+        src.Box(ins, prog);
         CountBoxedLanes(st, n);
         for (size_t i = 0; i < n; ++i) {
           dst[i] = eval_detail::CompareOp(ins.bop, src.Col(ins.a.index, L[i]),
@@ -983,6 +1001,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
+        src.Box(ins, prog);
         UdfArgs& args = st->udf_args;
         args.resize(ins.aux_count);
         const Datum* lit = ins.op == OpCode::kUdfCmpLit
@@ -1013,6 +1032,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         if (tag != nullptr && TypedValBetween(ins, *tag, lo, hi, L, st)) {
           break;
         }
+        src.Box(ins, prog);
         CountBoxedLanes(st, n);
         for (size_t i = 0; i < n; ++i) {
           const Datum& t = src.Col(ins.a.index, L[i]);
@@ -1038,6 +1058,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
           SetRegTag(st, ins.dst, ColTag::Type::kBool);
           break;
         }
+        src.Box(ins, prog);
         CountBoxedLanes(st, n);
         for (size_t i = 0; i < n; ++i) {
           bool null = src.Col(ins.a.index, L[i]).is_null();
@@ -1059,6 +1080,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         f.lhs.clear();
         f.dst = ins.dst;
         f.is_and = ins.is_and;
+        src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
           const Datum& l = ReadOperand(ins.a, prog, src, *st, L, i);
           if (!l.is_null() && l.is_bool() && l.bool_value() != ins.is_and) {
@@ -1080,6 +1102,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         ExecState::Frame& f = st->frames[st->frame_depth - 1];
         const std::vector<uint32_t>& L = f.lanes;
         std::vector<Datum>& dst = st->regs[ins.dst];
+        src.Box(ins, prog);
         for (size_t k = 0; k < L.size(); ++k) {
           const Datum& r = ReadOperand(ins.a, prog, src, *st, L, k);
           const Datum& l = f.lhs[k];
@@ -1103,6 +1126,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
         if (TypedCompare(ins, prog, src.batch, L, st)) break;
+        src.Box(ins, prog);
         CountBoxedLanes(st, n);
         for (size_t i = 0; i < n; ++i) {
           dst[i] = eval_detail::CompareOp(
@@ -1121,6 +1145,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
           RETURN_NOT_OK(typed_status);
           break;
         }
+        src.Box(ins, prog);
         CountBoxedLanes(st, n);
         for (size_t i = 0; i < n; ++i) {
           ASSIGN_OR_RETURN(
@@ -1136,6 +1161,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
+        src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
           const Datum& l = ReadOperand(ins.a, prog, src, *st, L, i);
           const Datum& r = ReadOperand(ins.b, prog, src, *st, L, i);
@@ -1154,6 +1180,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
+        src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
           const Datum& l = ReadOperand(ins.a, prog, src, *st, L, i);
           const Datum& r = ReadOperand(ins.b, prog, src, *st, L, i);
@@ -1168,6 +1195,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
+        src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
           const Datum& v = ReadOperand(ins.a, prog, src, *st, L, i);
           if (v.is_null()) {
@@ -1185,6 +1213,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
+        src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
           const Datum& v = ReadOperand(ins.a, prog, src, *st, L, i);
           if (v.is_null()) {
@@ -1204,6 +1233,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
+        src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
           const Datum& t = ReadOperand(ins.a, prog, src, *st, L, i);
           Datum ge = eval_detail::CompareOp(
@@ -1224,6 +1254,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
+        src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
           bool null = ReadOperand(ins.a, prog, src, *st, L, i).is_null();
           dst[i] = Datum::Bool(ins.negated ? !null : null);
@@ -1235,6 +1266,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
+        src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
           const Datum& t = ReadOperand(ins.a, prog, src, *st, L, i);
           if (t.is_null()) {
@@ -1268,6 +1300,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
+        src.Box(ins, prog);
         CountFallbackLanes(st, n);
         DatumRow& scratch = st->scratch;
         scratch.resize(src.width());
@@ -1330,6 +1363,7 @@ Status ExecBatch(const Program& program, const RowBatch& batch,
     std::vector<Datum>& reg = state->regs[program.result.index];
     out->swap(reg);
   } else {
+    src.Box(program.result);
     out->reserve(n);
     for (size_t i = 0; i < n; ++i) {
       out->push_back(
@@ -1353,14 +1387,13 @@ Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
     const Instr& ins = program.instrs[0];
     switch (ins.op) {
       case OpCode::kColCmpLit: {
-        const std::vector<Datum>& col = batch.cols[ins.a.index];
         const Datum& lit = program.literals[ins.b.index];
         if (const ColTag* tag = TagOf(&batch, ins.a.index, sel->size())) {
-          if (TypedSelCmpLit(ins.bop, batch, ins.a.index, *tag, lit, state,
-                             sel)) {
+          if (TypedSelCmpLit(ins.bop, *tag, lit, state, sel)) {
             return Status::OK();
           }
         }
+        const std::vector<Datum>& col = batch.Box(ins.a.index);
         CountBoxedLanes(state, sel->size());
         size_t kept = 0;
         for (uint32_t lane : *sel) {
@@ -1371,7 +1404,6 @@ Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
         return Status::OK();
       }
       case OpCode::kColBetweenLits: {
-        const std::vector<Datum>& col = batch.cols[ins.a.index];
         const Datum& lo = program.literals[ins.b.index];
         const Datum& hi = program.literals[ins.c.index];
         if (const ColTag* tag = TagOf(&batch, ins.a.index, sel->size())) {
@@ -1379,6 +1411,7 @@ Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
             return Status::OK();
           }
         }
+        const std::vector<Datum>& col = batch.Box(ins.a.index);
         CountBoxedLanes(state, sel->size());
         size_t kept = 0;
         for (uint32_t lane : *sel) {
@@ -1393,13 +1426,13 @@ Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
         return Status::OK();
       }
       case OpCode::kColIsNull: {
-        const std::vector<Datum>& col = batch.cols[ins.a.index];
         if (const ColTag* tag = TagOf(&batch, ins.a.index, sel->size())) {
           const size_t n = sel->size();
           typed::SelectIsNull(*tag, ins.negated, sel);
           CountTypedLanes(state, n);
           return Status::OK();
         }
+        const std::vector<Datum>& col = batch.Box(ins.a.index);
         CountBoxedLanes(state, sel->size());
         size_t kept = 0;
         for (uint32_t lane : *sel) {
@@ -1413,6 +1446,7 @@ Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
         const Datum& lit = program.literals[ins.b.index];
         UdfArgs& args = state->udf_args;
         args.resize(ins.aux_count);
+        src.Box(ins, program);
         size_t kept = 0;
         const size_t n = sel->size();
         for (size_t i = 0; i < n; ++i) {
@@ -1432,6 +1466,7 @@ Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
     }
   }
   RETURN_NOT_OK(RunProgram(program, src, *sel, udfs, state));
+  src.Box(program.result);
   size_t kept = 0;
   for (size_t i = 0; i < sel->size(); ++i) {
     const Datum& v =

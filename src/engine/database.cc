@@ -33,6 +33,7 @@ void AccumulateScanStats(const PlanNode& node, const PlanStats& stats,
   if (node.kind == PlanKind::kSeqScan) {
     if (OperatorStats* s = stats.For(node)) {
       info->rows_in += s->rows.load(std::memory_order_relaxed);
+      info->rows_examined += s->visited.load(std::memory_order_relaxed);
       info->zone_skips += s->zone_skips.load(std::memory_order_relaxed);
     }
   }
@@ -318,6 +319,7 @@ Status Database::RefreshQueryLogTable() {
     RETURN_NOT_OK(add_int("exec_ns"));
     RETURN_NOT_OK(add_int("total_ns"));
     RETURN_NOT_OK(add_int("rows_in"));
+    RETURN_NOT_OK(add_int("rows_examined"));
     RETURN_NOT_OK(add_int("rows_out"));
     RETURN_NOT_OK(add_int("batches"));
     RETURN_NOT_OK(add_int("zone_skips"));
@@ -348,6 +350,7 @@ Status Database::RefreshQueryLogTable() {
     row.push_back(as_int(r.exec_ns));
     row.push_back(as_int(r.total_ns));
     row.push_back(as_int(r.rows_in));
+    row.push_back(as_int(r.rows_examined));
     row.push_back(as_int(r.rows_out));
     row.push_back(as_int(r.batches));
     row.push_back(as_int(r.zone_skips));

@@ -16,6 +16,7 @@
 #include "common/thread_pool.h"
 #include "engine/bytecode.h"
 #include "engine/columnar.h"
+#include "engine/row_codec.h"
 
 namespace sinew::engine {
 
@@ -172,6 +173,7 @@ class ScanOp : public Operator {
     if (ctx_->stats != nullptr) {
       if (OperatorStats* s = ctx_->stats->For(node_)) {
         s->zone_skips.fetch_add(zone_skips_, std::memory_order_relaxed);
+        s->visited.fetch_add(visited_, std::memory_order_relaxed);
         s->decodes.fetch_add(extract_stats_.decodes,
                              std::memory_order_relaxed);
         s->attrs.fetch_add(extract_stats_.attrs, std::memory_order_relaxed);
@@ -212,19 +214,6 @@ class ScanOp : public Operator {
     for (size_t pos : node_.scan_output_cols) sources[pos] = Source::kOutput;
     for (size_t pos : node_.scan_filter_cols) sources[pos] = Source::kFilter;
     sources_.assign(sources.begin(), sources.begin() + rid_position_);
-    filter_slots_.clear();
-    output_slots_.clear();
-    filter_positions_.clear();
-    for (size_t i = 0; i < rid_position_; ++i) {
-      if (sources_[i] == Source::kFilter) {
-        filter_slots_.push_back(live_slots_[i]);
-        filter_positions_.push_back(i);
-      } else if (sources_[i] == Source::kOutput) {
-        output_slots_.push_back(live_slots_[i]);
-      }
-    }
-    std::sort(filter_slots_.begin(), filter_slots_.end());
-    std::sort(output_slots_.begin(), output_slots_.end());
     filter_ = Phase{};
     output_ = Phase{};
     const std::vector<ExprPtr>& virtuals = node_.virtual_columns;
@@ -236,6 +225,16 @@ class ScanOp : public Operator {
     }
     FinishGroups(&filter_);
     FinishGroups(&output_);
+    PlanWalk(Source::kFilter, &filter_);
+    PlanWalk(Source::kOutput, &output_);
+    // Columns that leave the scan declare their physical type, so the VM
+    // validates them instead of classifying; virtual columns are untyped.
+    col_types_.assign(width, ColTag::Type::kUnknown);
+    for (size_t i = 0; i < rid_position_; ++i) {
+      const ColTag::Type t = TagType(schema_.columns()[live_slots_[i]].type);
+      col_types_[i] = t == ColTag::Type::kBytes ? ColTag::Type::kMixed : t;
+    }
+    col_types_[rid_position_] = ColTag::Type::kInt;
     if (!virtuals.empty()) {
       fn_ = ctx_->udfs == nullptr ? nullptr : ctx_->udfs->batch_extract();
       if (fn_ == nullptr) {
@@ -247,7 +246,6 @@ class ScanOp : public Operator {
     }
     seg_.reset();
     seg_rows_ = 0;
-    scratch_.assign(schema_.num_slots(), Datum());
     return Status::OK();
   }
 
@@ -259,6 +257,7 @@ class ScanOp : public Operator {
   Result<bool> NextBatch(RowBatch* batch) override {
     Table* table = node_.table;
     batch->Reset(node_.output_schema.cols.size());
+    batch->col_types = col_types_;
     while (batch->size < batch_capacity_ &&
            (rid_ < end_ ||
             (morsels_ != nullptr && morsels_->Claim(&rid_, &end_)))) {
@@ -270,13 +269,13 @@ class ScanOp : public Operator {
       RefreshStripsUnlocked(table);
       const uint64_t chunk_end = std::min(end_, rid_ + kScanChunk);
       const size_t from = batch->size;
-      lane_raws_.clear();
+      filter_.cold = ColdChunk(filter_, chunk_end);
+      output_.cold = ColdChunk(output_, chunk_end);
+      StartWalk(&output_, &walked_, batch_capacity_ - from);
       while (rid_ < chunk_end && batch->size < batch_capacity_) {
-        RETURN_NOT_OK(node_.scan_filter == nullptr
-                          ? DecodeUnlocked(chunk_end, batch)
-                          : DecodeFilteredUnlocked(chunk_end, batch));
+        RETURN_NOT_OK(ProbeUnlocked(chunk_end, batch));
       }
-      RETURN_NOT_OK(ExtractUnlocked(&output_, batch, from, lane_raws_));
+      RETURN_NOT_OK(ExtractUnlocked(&output_, batch, from, walked_));
     }
     MaterializeExtracted(&output_, batch, /*seed_tags=*/false);
     return batch->size > 0;
@@ -310,8 +309,7 @@ class ScanOp : public Operator {
 
   /// The extraction targets one phase reads from one source column.
   struct ExtractGroup {
-    int source_slot = -1;   // scan output position of the source
-    size_t table_slot = 0;  // its physical slot in the row encoding
+    int source_slot = -1;  // scan output position of the source
     /// Distinct targets in ExtractTarget order (the BatchExtractFn
     /// argument); the readers of targets[t] are
     /// readers[reader_begin[t], reader_begin[t + 1]).
@@ -340,8 +338,24 @@ class ScanOp : public Operator {
     std::vector<Heat> heat;
   };
 
-  /// The virtual columns one decode phase produces.
+  /// One decode phase's row walk: the table slots it reads (ascending), the
+  /// typed-primary columns (scan position, type) they land in — __rid
+  /// last — and per slot that column's tag in the batch being filled.
+  struct Walk {
+    std::vector<size_t> slots;
+    std::vector<std::pair<size_t, ColTag::Type>> columns;
+    std::vector<ColTag*> dst;
+    size_t first_offset = 0;  // see LaneSink
+  };
+
+  /// The columns one decode phase produces and the row walks that read
+  /// them: `walk`, and `cold_walk` for a chunk whose every lane the strips
+  /// serve for every extraction group — it skips the source columns only
+  /// extraction reads, so such a chunk never touches their row bytes.
   struct Phase {
+    Walk walk, cold_walk;
+    bool cold = false;  // the current chunk takes cold_walk
+    Walk& active() { return cold ? cold_walk : walk; }
     std::vector<VirtualCol> cols;
     std::vector<ExtractGroup> groups;
     /// Per column source, in column order: the group reading it (-1: the
@@ -381,7 +395,6 @@ class ScanOp : public Operator {
       if (g == groups.end()) {
         g = groups.emplace(groups.end());
         g->source_slot = src;
-        g->table_slot = live_slots_[src];
       }
       const Reader reader(index, static_cast<uint8_t>(i));
       for (const ExtractTarget& t : targets) {
@@ -420,6 +433,107 @@ class ScanOp : public Operator {
       g.heat.resize(g.targets.size());
       g.pending = {};
     }
+  }
+
+  static ColTag::Type TagType(ColumnType type) {
+    switch (type) {
+      case ColumnType::kBool: return ColTag::Type::kBool;
+      case ColumnType::kInt: return ColTag::Type::kInt;
+      case ColumnType::kDouble: return ColTag::Type::kDouble;
+      case ColumnType::kText: return ColTag::Type::kText;
+      case ColumnType::kBytes: break;
+    }
+    return ColTag::Type::kBytes;
+  }
+
+  /// Plans `phase`'s row walks: the positions `source` produces plus every
+  /// source its virtual columns read (their documents and own-column
+  /// values come from the same walk), and __rid. The cold walk leaves out
+  /// the sources only extraction groups read: a multi-source column still
+  /// needs each of its sources to pick one.
+  void PlanWalk(Source source, Phase* phase) {
+    std::vector<size_t> always, positions;
+    for (size_t i = 0; i < rid_position_; ++i) {
+      if (sources_[i] == source) always.push_back(i);
+    }
+    for (const VirtualCol& v : phase->cols) {
+      for (const ExprPtr& arg : v.ref->args) {
+        (v.simple ? positions : always)
+            .push_back(static_cast<size_t>(arg->bound_slot));
+      }
+    }
+    positions.insert(positions.end(), always.begin(), always.end());
+    for (auto [list, w] : {std::pair{&positions, &phase->walk},
+                           std::pair{&always, &phase->cold_walk}}) {
+      std::sort(list->begin(), list->end());
+      list->erase(std::unique(list->begin(), list->end()), list->end());
+      // Live slots ascend with position, so the slots come out ascending.
+      for (size_t pos : *list) {
+        w->slots.push_back(live_slots_[pos]);
+        w->columns.emplace_back(
+            pos, TagType(schema_.columns()[w->slots.back()].type));
+      }
+      w->columns.emplace_back(rid_position_, ColTag::Type::kInt);
+      w->dst.resize(list->size());
+    }
+  }
+
+  /// Empties `b` for `phase`'s walks of at most `capacity` rows.
+  void StartWalk(Phase* phase, RowBatch* b, size_t capacity) const {
+    b->ResetPrimary(node_.output_schema.cols.size(), phase->walk.columns,
+                    capacity);
+    for (Walk* w : {&phase->walk, &phase->cold_walk}) {
+      for (size_t k = 0; k < w->dst.size(); ++k) {
+        w->dst[k] = &b->tags[w->columns[k].first];
+      }
+    }
+  }
+
+  /// True if the strips serve every lane of [rid_, chunk_end) for every
+  /// extraction group of `phase`.
+  bool ColdChunk(const Phase& phase, uint64_t chunk_end) const {
+    if (phase.groups.empty() || chunk_end > seg_rows_) return false;
+    return std::all_of(
+        phase.groups.begin(), phase.groups.end(),
+        [](const ExtractGroup& g) { return !g.strips.empty(); });
+  }
+
+  /// WalkRow sink writing one row into lane `lane` of a phase's columns. It
+  /// also records where the row held its first requested value: the
+  /// prefetch target for the rows ahead (PrefetchRow).
+  struct LaneSink {
+    Walk* walk;
+    uint32_t lane;
+    void Null(size_t k) const { walk->dst[k]->SetNull(lane); }
+    void Int(size_t k, int64_t v) const { walk->dst[k]->ints[lane] = v; }
+    void Double(size_t k, double v) const {
+      walk->dst[k]->doubles[lane] = v;
+    }
+    void Bool(size_t k, bool v) const {
+      walk->dst[k]->bools[lane] = v ? 1 : 0;
+    }
+    void Str(size_t k, std::string_view v) const {
+      walk->dst[k]->views[lane] = v;
+    }
+    void Offset(size_t k, size_t offset) const {
+      if (k == 0) walk->first_offset = offset;
+    }
+  };
+
+  /// How many rows ahead of the one being walked PrefetchRow runs.
+  static constexpr uint64_t kPrefetchRows = 16;
+
+  /// Rows are separate heap strings, so each walk would otherwise wait on
+  /// up to two cache misses: the row's header, and the line holding its
+  /// first requested value, usually hundreds of bytes in (past the
+  /// reservoir). Prefetches both for a row walked soon, the second at the
+  /// offset where `walk` last found that value: rows of one table differ
+  /// there by their variable-length values only.
+  static void PrefetchRow(const std::string& row, const Walk& walk) {
+    const size_t at = std::min(walk.first_offset, row.size());
+    __builtin_prefetch(row.data());
+    __builtin_prefetch(row.data() + (at > 32 ? at - 32 : 0));
+    __builtin_prefetch(row.data() + std::min(at + 32, row.size()));
   }
 
   /// Advances rid_ past leading column strips whose zone maps prove no row
@@ -495,13 +609,13 @@ class ScanOp : public Operator {
     }
   }
 
-  /// Resolves, per lane of [from, b->size) whose row bytes are
-  /// raws[lane - from], the source each virtual column not reading a lone
-  /// extraction source reads: the first that is not NULL. A value read from
-  /// the attribute's own column lands in the batch right away. Caller holds
-  /// the table latch.
-  Status PickSourcesUnlocked(Phase* phase, RowBatch* b, size_t from,
-                             const std::vector<const std::string*>& raws) {
+  /// Resolves, per lane of [from, b->size), the source each virtual column
+  /// not reading a lone extraction source reads: the first that is not
+  /// NULL in `walked` (the phase's walk, lane k = batch lane from + k). A
+  /// value read from the attribute's own column lands in the batch right
+  /// away.
+  void PickSources(Phase* phase, RowBatch* b, size_t from,
+                   const RowBatch& walked) {
     for (VirtualCol& v : phase->cols) {
       if (v.simple) continue;
       v.pick.resize(b->size, -1);
@@ -509,25 +623,19 @@ class ScanOp : public Operator {
       col.resize(b->size);
       const std::vector<ExprPtr>& sources = v.ref->args;
       for (size_t lane = from; lane < b->size; ++lane) {
-        const std::string& raw = *raws[lane - from];
+        const auto k = static_cast<uint32_t>(lane - from);
         int8_t pick = -1;
         for (size_t i = 0; i < sources.size() && pick < 0; ++i) {
-          const size_t slot = live_slots_[sources[i]->bound_slot];
+          const ColTag& source = walked.tags[sources[i]->bound_slot];
+          if (source.IsNull(k)) continue;
           if (phase->source_groups[v.first_source + i] < 0) {
-            ASSIGN_OR_RETURN(Datum d, DecodeRowColumn(schema_, raw, slot));
-            if (d.is_null()) continue;
-            col[lane] = std::move(d);
-          } else {
-            ASSIGN_OR_RETURN(std::string_view doc,
-                             RowSlotBytes(schema_, raw, slot));
-            if (doc.data() == nullptr) continue;
+            col[lane] = source.Get(k);
           }
           pick = static_cast<int8_t>(i);
         }
         v.pick[lane] = pick;
       }
     }
-    return Status::OK();
   }
 
   /// True if some virtual column reads group `g` at `lane`.
@@ -541,25 +649,24 @@ class ScanOp : public Operator {
   }
 
   /// Resolves the virtual columns of `phase` for lanes [from, b->size) of
-  /// `b`, whose row bytes are raws[lane - from]: picks each multi-source
-  /// column's source, then extracts into each group's pending values
-  /// (MaterializeExtracted moves them into the batch's columns). Lanes the
-  /// attached segment covers are served from strips when the group has
-  /// them; the rest hand the extractor a view of the source column inside
-  /// the row bytes, so the reservoir is never copied — a null view for a
-  /// lane no column reads the source at. Caller holds the table latch.
+  /// `b`, whose walk is `walked` (lane k = batch lane from + k): picks each
+  /// multi-source column's source, then extracts into each group's pending
+  /// values (MaterializeExtracted moves them into the batch's columns).
+  /// Lanes the attached segment covers are served from strips when the
+  /// group has them; the rest hand the extractor the walk's view of the
+  /// source column inside the row bytes, so the reservoir is never copied —
+  /// a null view for a lane no column reads the source at. Caller holds the
+  /// table latch the views depend on.
   Status ExtractUnlocked(Phase* phase, RowBatch* b, size_t from,
-                         const std::vector<const std::string*>& raws) {
+                         const RowBatch& walked) {
     static metrics::Counter* strip_hits =
         metrics::GetCounter("extract.columnar_hits");
     const size_t n = b->size - from;
     if (phase->cols.empty() || n == 0) return Status::OK();
     const uint64_t start = ctx_->stats != nullptr ? metrics::NowNanos() : 0;
-    RETURN_NOT_OK(PickSourcesUnlocked(phase, b, from, raws));
-    const std::vector<Datum>& rids = b->cols[rid_position_];
-    auto rid = [&](size_t k) {
-      return static_cast<uint64_t>(rids[from + k].int_value());
-    };
+    PickSources(phase, b, from, walked);
+    const int64_t* rids = walked.tags[rid_position_].ints.data();
+    auto rid = [&](size_t k) { return static_cast<uint64_t>(rids[k]); };
     for (ExtractGroup& g : phase->groups) {
       // Lanes ascend by rid, so the ones the segment covers lead.
       size_t cold = 0;
@@ -581,14 +688,14 @@ class ScanOp : public Operator {
       uint64_t hot = 0;  // lanes handed to the extractor
       if (cold != n) {
         docs_.clear();
+        const ColTag& source = walked.tags[g.source_slot];
         for (size_t k = cold; k < n; ++k) {
-          if (!LaneReads(*phase, g, from + k)) {
+          const auto lane = static_cast<uint32_t>(k);
+          if (source.IsNull(lane) || !LaneReads(*phase, g, from + k)) {
             docs_.emplace_back();
             continue;
           }
-          ASSIGN_OR_RETURN(std::string_view doc,
-                           RowSlotBytes(schema_, *raws[k], g.table_slot));
-          docs_.push_back(doc);
+          docs_.push_back(source.views[lane]);
           ++hot;
         }
         if (hot != 0) {
@@ -663,92 +770,109 @@ class ScanOp : public Operator {
     for (VirtualCol& v : phase->cols) v.pick.clear();
   }
 
-  /// Unfiltered scan: decodes the live rows of [rid_, chunk_end) straight
-  /// into `batch` until it is full, recording each lane's row bytes for
-  /// phase-2 extraction. Caller holds the table latch.
-  Status DecodeUnlocked(uint64_t chunk_end, RowBatch* batch) {
-    for (; rid_ < chunk_end && batch->size < batch_capacity_; ++rid_) {
-      const std::string& raw = node_.table->RawRowUnlocked(rid_);
-      if (raw.empty()) continue;  // deleted
-      RETURN_NOT_OK(DecodeRowSlots(schema_, raw, filter_slots_, &scratch_));
-      RETURN_NOT_OK(DecodeRowSlots(schema_, raw, output_slots_, &scratch_));
-      for (size_t i = 0; i < rid_position_; ++i) {
-        if (sources_[i] == Source::kNull) {
-          batch->cols[i].emplace_back();
-        } else {
-          batch->cols[i].push_back(std::move(scratch_[live_slots_[i]]));
-        }
-      }
-      AppendRid(rid_, batch);
-      lane_raws_.push_back(&raw);
-    }
-    return Status::OK();
-  }
-
-  /// Filtered scan, one round: phase 1 decodes only the filter columns of up
-  /// to a batch's worth of live rows into the probe batch and resolves its
-  /// filter-phase virtual columns (its other columns stay empty — the
-  /// compiled filter reads only those and __rid); the filter refines the
-  /// probe's selection in one select-mode call, so typed kernels apply;
-  /// phase 2 decodes the survivors' remaining columns into `batch` and
-  /// records their row bytes for phase-2 extraction. Survivors that do not
-  /// fit are rescanned by the next call: rid_ rewinds to the first of them.
-  /// Caller holds the table latch, which keeps the raw row bytes the probe
-  /// lanes point at stable across phases.
-  Status DecodeFilteredUnlocked(uint64_t chunk_end, RowBatch* batch) {
-    probe_.Reset(node_.output_schema.cols.size());
+  /// One probe round. Phase 1 walks the filter phase's slots of up to a
+  /// batch's worth of live rows into the typed-primary probe batch — no
+  /// Datum per lane, text as views into the row bytes — and resolves its
+  /// filter-phase virtual columns; the compiled filter refines the probe's
+  /// selection in one select-mode call. Phase 2 walks each survivor that
+  /// fits in `batch` for the output phase into walked_ and boxes the
+  /// survivor into `batch`, copying text out of the row bytes. Survivors
+  /// that do not fit are rescanned by the next call: rid_ rewinds to the
+  /// first of them. An unfiltered scan probes only as many rows as fit.
+  /// Caller holds the table latch, which keeps the row bytes every view
+  /// points into stable for the whole round.
+  Status ProbeUnlocked(uint64_t chunk_end, RowBatch* batch) {
+    const bool filtered = node_.scan_filter != nullptr;
+    const size_t room = batch_capacity_ - batch->size;
+    const size_t capacity = filtered ? batch_capacity_ : room;
+    StartWalk(&filter_, &probe_, capacity);
     probe_raws_.clear();
-    for (; rid_ < chunk_end && probe_.size < batch_capacity_; ++rid_) {
-      const std::string& raw = node_.table->RawRowUnlocked(rid_);
-      if (raw.empty()) continue;  // deleted
-      RETURN_NOT_OK(DecodeRowSlots(schema_, raw, filter_slots_, &scratch_));
-      for (size_t i : filter_positions_) {
-        probe_.cols[i].push_back(std::move(scratch_[live_slots_[i]]));
-      }
-      AppendRid(rid_, &probe_);
-      probe_raws_.push_back(&raw);
-    }
-    RETURN_NOT_OK(ExtractUnlocked(&filter_, &probe_, 0, probe_raws_));
+    RETURN_NOT_OK(WalkRows(chunk_end, capacity));
+    const int64_t* rids = probe_.tags[rid_position_].ints.data();
+    RETURN_NOT_OK(ExtractUnlocked(&filter_, &probe_, 0, probe_));
     MaterializeExtracted(&filter_, &probe_, /*seed_tags=*/true);
-    RETURN_NOT_OK(bytecode::ExecPredicateBatch(*node_.scan_filter_program,
-                                               probe_, ctx_->udfs,
-                                               &bc_state_, &probe_.sel));
-    for (uint32_t lane : probe_.sel) {
-      const auto rid =
-          static_cast<uint64_t>(probe_.cols[rid_position_][lane].int_value());
-      if (batch->size == batch_capacity_) {
-        rid_ = rid;
-        break;
+    if (filtered) {
+      RETURN_NOT_OK(bytecode::ExecPredicateBatch(*node_.scan_filter_program,
+                                                 probe_, ctx_->udfs,
+                                                 &bc_state_, &probe_.sel));
+    }
+    const std::vector<uint32_t>& sel = probe_.sel;
+    size_t fit = sel.size();
+    if (fit > room) {
+      fit = room;
+      rid_ = static_cast<uint64_t>(rids[sel[fit]]);
+    }
+    const auto w0 = static_cast<uint32_t>(walked_.size);
+    Walk* out = &output_.active();
+    int64_t* walked_rids = walked_.tags[rid_position_].ints.data();
+    for (size_t j = 0; j < fit; ++j) {
+      if (!out->slots.empty() && j + kPrefetchRows < fit) {
+        PrefetchRow(*probe_raws_[sel[j + kPrefetchRows]], *out);
       }
-      RETURN_NOT_OK(DecodeRowSlots(schema_, *probe_raws_[lane], output_slots_,
-                                   &scratch_));
-      for (size_t i = 0; i < rid_position_; ++i) {
-        switch (sources_[i]) {
-          case Source::kFilter:
-            batch->cols[i].push_back(std::move(probe_.cols[i][lane]));
-            break;
-          case Source::kOutput:
-            batch->cols[i].push_back(std::move(scratch_[live_slots_[i]]));
-            break;
-          case Source::kNull:
-            batch->cols[i].emplace_back();
-            break;
-        }
+      const auto lane = static_cast<uint32_t>(w0 + j);
+      RETURN_NOT_OK(WalkRow(schema_, *probe_raws_[sel[j]], out->slots,
+                            LaneSink{out, lane}));
+      walked_rids[lane] = rids[sel[j]];
+    }
+    walked_.size += fit;
+    for (size_t i = 0; i < rid_position_; ++i) {
+      std::vector<Datum>& col = batch->cols[i];
+      switch (sources_[i]) {
+        case Source::kFilter:
+          for (size_t j = 0; j < fit; ++j) {
+            col.push_back(probe_.tags[i].Get(sel[j]));
+          }
+          break;
+        case Source::kOutput:
+          for (size_t j = 0; j < fit; ++j) {
+            col.push_back(
+                walked_.tags[i].Get(static_cast<uint32_t>(w0 + j)));
+          }
+          break;
+        case Source::kNull:
+          col.resize(col.size() + fit);
+          break;
       }
-      AppendRid(rid, batch);
-      for (const VirtualCol& v : filter_.cols) {
-        batch->cols[v.pos].push_back(std::move(probe_.cols[v.pos][lane]));
+    }
+    for (size_t j = 0; j < fit; ++j) {
+      batch->cols[rid_position_].push_back(Datum::Int(rids[sel[j]]));
+    }
+    for (const VirtualCol& v : filter_.cols) {
+      std::vector<Datum>& src = probe_.cols[v.pos];
+      for (size_t j = 0; j < fit; ++j) {
+        batch->cols[v.pos].push_back(std::move(src[sel[j]]));
       }
-      lane_raws_.push_back(probe_raws_[lane]);
+    }
+    for (size_t j = 0; j < fit; ++j) {
+      batch->sel.push_back(static_cast<uint32_t>(batch->size++));
     }
     return Status::OK();
   }
 
-  /// Completes a row appended column by column: its __rid and selection.
-  void AppendRid(uint64_t rid, RowBatch* batch) const {
-    batch->cols[rid_position_].push_back(
-        Datum::Int(static_cast<int64_t>(rid)));
-    batch->sel.push_back(static_cast<uint32_t>(batch->size++));
+  /// Phase 1's walk: the live rows of [rid_, chunk_end), at most `capacity`
+  /// of them, into the probe's lanes, each lane's row bytes recorded for
+  /// phase 2.
+  Status WalkRows(uint64_t chunk_end, size_t capacity) {
+    const Table& table = *node_.table;
+    Walk* w = &filter_.active();
+    int64_t* rids = probe_.tags[rid_position_].ints.data();
+    uint32_t n = 0;
+    for (; rid_ < chunk_end && n < capacity; ++rid_) {
+      if (!w->slots.empty() && rid_ + kPrefetchRows < chunk_end) {
+        PrefetchRow(table.RawRowUnlocked(rid_ + kPrefetchRows), *w);
+      }
+      const std::string& raw = table.RawRowUnlocked(rid_);
+      if (raw.empty()) continue;  // deleted
+      RETURN_NOT_OK(WalkRow(schema_, raw, w->slots, LaneSink{w, n}));
+      rids[n] = static_cast<int64_t>(rid_);
+      probe_raws_.push_back(&raw);
+      ++n;
+    }
+    probe_.size = n;
+    probe_.sel.resize(n);
+    for (uint32_t r = 0; r < n; ++r) probe_.sel[r] = r;
+    visited_ += n;
+    return Status::OK();
   }
 
   /// Flushes accumulated attribute-heat samples to the registry's sink.
@@ -794,18 +918,16 @@ class ScanOp : public Operator {
   Schema schema_;
   std::vector<size_t> live_slots_;
   size_t rid_position_ = 0;  // scan output position of __rid
-  std::vector<size_t> filter_slots_;
-  std::vector<size_t> output_slots_;
-  std::vector<Source> sources_;           // per live-column position
-  std::vector<size_t> filter_positions_;  // positions with Source::kFilter
-  /// Table-slot-indexed decode buffer, reused across rows: DecodeRowSlots
-  /// rewrites every requested slot, and values move out into batch columns.
-  DatumRow scratch_;
-  /// Filtered scans: phase-1 rows awaiting the filter, and the raw bytes of
-  /// each probe lane for phase 2.
+  std::vector<Source> sources_;  // per live-column position
+  /// Declared types of the output batch's columns (RowBatch::col_types).
+  std::vector<ColTag::Type> col_types_;
+  /// Phase 1's typed-primary lanes awaiting the filter, and the row bytes
+  /// of each for phase 2. Its views are valid only under the chunk latch.
   RowBatch probe_;
   std::vector<const std::string*> probe_raws_;
-  std::vector<const std::string*> lane_raws_;  // rows of the chunk's lanes
+  /// Phase 2's walk of the chunk's survivors, lane k = output lane from + k;
+  /// read by the output phase's extraction under the same latch.
+  RowBatch walked_;
   uint64_t rid_ = 0;
   uint64_t end_ = 0;
   /// Zone filter -> strip column resolution, rebuilt per latch acquisition
@@ -813,6 +935,7 @@ class ScanOp : public Operator {
   std::vector<std::pair<const StripColumn*, const ZoneFilter*>>
       resolved_zones_;
   uint64_t zone_skips_ = 0;  // strips skipped; flushed to stats on destroy
+  uint64_t visited_ = 0;     // live rows walked; flushed likewise
   /// Bytecode scratch for the compiled scan filter (per operator instance;
   /// the program itself is shared across Gather workers via the plan node).
   bytecode::ExecState bc_state_;
@@ -930,7 +1053,10 @@ class ProjectOp : public Operator {
       if (tag != nullptr && batch->tags.size() < n) batch->tags.resize(n);
       if (!last_reader_[c]) {
         dst = src;
-        if (tag != nullptr) batch->tags[c] = *tag;
+        // A text tag's views point into the source column's strings.
+        if (tag != nullptr && tag->type != ColTag::Type::kText) {
+          batch->tags[c] = *tag;
+        }
       } else {
         dst = std::move(src);
         if (tag != nullptr) {
@@ -1969,6 +2095,27 @@ Result<QueryResult> ExecutePlan(const PlanNode& plan, const UdfRegistry* udfs,
 
 namespace {
 
+/// A node's inclusive time: its operators' Open and NextBatch wall clock.
+uint64_t InclusiveNs(const PlanNode& node, const PlanStats& stats) {
+  const OperatorStats* s = stats.For(node);
+  if (s == nullptr) return 0;
+  return s->open_ns.load(std::memory_order_relaxed) +
+         s->next_ns.load(std::memory_order_relaxed);
+}
+
+/// Inclusive time minus the children's. A Gather's children run on pool
+/// workers, so its whole inclusive time — the query thread waiting on
+/// them — is its self time.
+uint64_t SelfNs(const PlanNode& node, const PlanStats& stats) {
+  const uint64_t inclusive = InclusiveNs(node, stats);
+  if (node.kind == PlanKind::kGather) return inclusive;
+  uint64_t children = 0;
+  for (const auto& child : node.children) {
+    children += InclusiveNs(*child, stats);
+  }
+  return inclusive > children ? inclusive - children : 0;
+}
+
 void AppendAnalyzedNode(const PlanNode& node, const PlanStats& stats,
                         int depth, std::ostringstream* out) {
   for (int i = 0; i < depth; ++i) *out << "  ";
@@ -1979,11 +2126,16 @@ void AppendAnalyzedNode(const PlanNode& node, const PlanStats& stats,
     if (loops == 0) {
       *out << " (never executed)";
     } else {
-      const uint64_t ns = s->open_ns.load(std::memory_order_relaxed) +
-                          s->next_ns.load(std::memory_order_relaxed);
       *out << " (actual rows=" << s->rows.load(std::memory_order_relaxed)
            << " loops=" << loops << " time=" << std::fixed
-           << std::setprecision(3) << static_cast<double>(ns) / 1e6 << " ms)";
+           << std::setprecision(3)
+           << static_cast<double>(InclusiveNs(node, stats)) / 1e6
+           << " ms self="
+           << static_cast<double>(SelfNs(node, stats)) / 1e6 << " ms)";
+      if (node.kind == PlanKind::kSeqScan) {
+        *out << " (visited=" << s->visited.load(std::memory_order_relaxed)
+             << ")";
+      }
       if (node.kind == PlanKind::kGather) {
         *out << " (morsels=" << s->morsels.load(std::memory_order_relaxed)
              << " stalls=" << s->stalls.load(std::memory_order_relaxed)

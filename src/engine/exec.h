@@ -47,6 +47,7 @@ struct OperatorStats {
   std::atomic<uint64_t> stalls{0};      // bounded-queue full waits
   // kSeqScan only:
   std::atomic<uint64_t> zone_skips{0};  // strips skipped via zone maps
+  std::atomic<uint64_t> visited{0};     // live rows walked (pre-filter)
   std::atomic<uint64_t> decodes{0};     // source documents decoded
   std::atomic<uint64_t> attrs{0};       // attributes extracted from them
   std::atomic<uint64_t> columnar_hits{0};  // values served from column strips

@@ -9,21 +9,32 @@
 // freeing), so the steady-state pipeline allocates nothing per batch.
 //
 // The `tags` sidecar carries per-column, per-batch type evidence for the
-// bytecode VM's monomorphic kernels: a column proven to hold exactly one
-// value kind (plus NULLs) for the whole batch gets a ColTag with a null
-// bitmap and the raw values rebucketed into a dense int64/double/bool array,
-// so kernel loops run over 8-byte strides with no per-lane Datum kind
-// dispatch. Tags are a pure cache over `cols` — producers seed them (the
-// scan from strip metadata, the VM from a one-pass profile) and every
-// mutation of the column data must invalidate them (Reset, AppendRow and
-// MoveRow do; operators that write `cols` directly are responsible for
-// their own columns).
+// bytecode VM's monomorphic kernels: a column proven to hold exactly one value
+// kind (plus NULLs) for the whole batch gets a ColTag with a null bitmap and
+// the raw values rebucketed into a dense int64/double/bool array (text: a
+// view array), so kernel loops run over fixed strides with no per-lane Datum
+// kind dispatch. For most columns tags are a cache over `cols` — the VM fills
+// them with a one-pass profile, which a producer that knows a column's type
+// (the scan, from the physical column type) turns into a validation by
+// declaring it in `col_types`; every mutation of the column data must
+// invalidate them (Reset, AppendRow and MoveRow do; operators that write
+// `cols` directly are responsible for their own columns).
+//
+// A column can instead be typed-primary (ColTag::primary): its values live
+// only in the tag, and its Datum vector is filled on demand by Box, a cache
+// fill like ProfileColumn. The scan's probe batch is built this way, text
+// and bytes as views into row bytes that stay valid under the table latch
+// the scan holds for the batch's whole life; such a batch never leaves the
+// operator that built it.
 
 #ifndef SINEW_ENGINE_ROW_BATCH_H_
 #define SINEW_ENGINE_ROW_BATCH_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,28 +45,64 @@ namespace sinew::engine {
 /// Batch-scoped type evidence for one column. `kUnknown` means "not yet
 /// profiled"; `kMixed` is a profiled negative (more than one non-null kind,
 /// or a kind without a kernel) cached so the batch is never re-scanned.
+/// `kBytes` occurs on typed-primary columns only; it has no kernel either.
 struct ColTag {
-  enum class Type : uint8_t { kUnknown = 0, kMixed, kInt, kDouble, kBool, kText };
+  enum class Type : uint8_t {
+    kUnknown = 0, kMixed, kBytes, kInt, kDouble, kBool, kText
+  };
   Type type = Type::kUnknown;
   bool has_nulls = false;
-  /// Bit r set = physical row r is NULL. Sized (size+63)/64 when typed.
+  /// The values live here, not in RowBatch::cols (see RowBatch::Box).
+  bool primary = false;
+  /// Bit r set = physical row r is NULL. At least (size+63)/64 words.
   std::vector<uint64_t> nulls;
-  /// Row-dense raw values (NULL rows hold zero), one array per proven type;
-  /// kText keeps no raw copy — string kernels read the Datum column.
+  /// Row-dense raw values (NULL rows hold zero), one array per proven type.
   std::vector<int64_t> ints;
   std::vector<double> doubles;
   std::vector<uint8_t> bools;
+  /// kText / kBytes: row-dense views (NULL rows hold an empty view). A
+  /// profiled column's point into its own Datums, so they live as long as
+  /// the column is unchanged; a typed-primary column's into storage its
+  /// producer keeps alive.
+  std::vector<std::string_view> views;
 
   /// True when the column is proven monomorphic (kernel-eligible).
   bool typed() const { return type >= Type::kInt; }
   bool IsNull(uint32_t r) const {
     return has_nulls && ((nulls[r >> 6] >> (r & 63)) & 1) != 0;
   }
+  /// Marks row r NULL, zeroing its value slot.
+  void SetNull(uint32_t r) {
+    nulls[r >> 6] |= uint64_t{1} << (r & 63);
+    has_nulls = true;
+    switch (type) {
+      case Type::kInt: ints[r] = 0; break;
+      case Type::kDouble: doubles[r] = 0; break;
+      case Type::kBool: bools[r] = 0; break;
+      case Type::kText:
+      case Type::kBytes: views[r] = {}; break;
+      default: break;
+    }
+  }
+  /// Row r's value boxed (text and bytes are copied out of their views).
+  Datum Get(uint32_t r) const {
+    if (IsNull(r)) return Datum::Null();
+    switch (type) {
+      case Type::kInt: return Datum::Int(ints[r]);
+      case Type::kDouble: return Datum::Double(doubles[r]);
+      case Type::kBool: return Datum::Bool(bools[r] != 0);
+      case Type::kText: return Datum::Text(std::string(views[r]));
+      case Type::kBytes: return Datum::Bytes(std::string(views[r]));
+      default: return Datum::Null();
+    }
+  }
 };
 
 struct RowBatch {
-  /// Column-major values; every column has `size` entries.
-  std::vector<std::vector<Datum>> cols;
+  /// Column-major values; every column has `size` entries, except a
+  /// typed-primary column's, which holds them only once Box ran. Mutable
+  /// because Box is a cache fill over logically-const column data.
+  mutable std::vector<std::vector<Datum>> cols;
   /// Physical row indices that are logically alive, ascending.
   std::vector<uint32_t> sel;
   /// Physical row count (appended rows, dead or alive).
@@ -65,6 +112,10 @@ struct RowBatch {
   /// suffix). Mutable because profiling is a cache fill over logically-const
   /// column data; batches are single-owner, never profiled concurrently.
   mutable std::vector<ColTag> tags;
+  /// Producer-declared value type per column (may be shorter; kUnknown =
+  /// undeclared): ProfileColumn takes it as the expected type, so the VM
+  /// never classifies such a column. Reset clears it.
+  std::vector<ColTag::Type> col_types;
 
   size_t num_cols() const { return cols.size(); }
   /// Logically alive rows.
@@ -88,12 +139,63 @@ struct RowBatch {
     if (c < tags.size()) tags[c] = ColTag{};
   }
 
+  /// The Datum vector of column `c`, filled from its tag first when the
+  /// column is typed-primary and not yet boxed. Every boxed read of a
+  /// column that may be typed-primary goes through here.
+  const std::vector<Datum>& Box(size_t c) const {
+    std::vector<Datum>& col = cols[c];
+    if (c < tags.size() && tags[c].primary && col.size() < size) {
+      const ColTag& t = tags[c];
+      col.clear();
+      col.reserve(size);
+      for (size_t r = 0; r < size; ++r) {
+        col.push_back(t.Get(static_cast<uint32_t>(r)));
+      }
+    }
+    return col;
+  }
+
+  /// Empties the batch for a producer that writes the columns of `primary`
+  /// (position, type) typed-primary, at most `capacity` rows: their tags are
+  /// sized for `capacity` rows with no NULLs, keeping the arrays' capacity
+  /// across calls. Every other column is empty and untagged.
+  void ResetPrimary(size_t num_columns,
+                    std::span<const std::pair<size_t, ColTag::Type>> primary,
+                    size_t capacity) {
+    cols.resize(num_columns);
+    for (std::vector<Datum>& c : cols) c.clear();
+    sel.clear();
+    size = 0;
+    col_types.clear();
+    for (ColTag& t : tags) {
+      t.type = ColTag::Type::kUnknown;
+      t.has_nulls = false;
+      t.primary = false;
+    }
+    // Room for every column, so the tags handed out never move.
+    tags.reserve(num_columns);
+    for (const auto& [c, type] : primary) {
+      if (tags.size() <= c) tags.resize(c + 1);
+      ColTag& t = tags[c];
+      t.type = type;
+      t.primary = true;
+      t.nulls.assign((capacity + 63) / 64, 0);
+      switch (type) {
+        case ColTag::Type::kInt: t.ints.resize(capacity); break;
+        case ColTag::Type::kDouble: t.doubles.resize(capacity); break;
+        case ColTag::Type::kBool: t.bools.resize(capacity); break;
+        default: t.views.resize(capacity); break;
+      }
+    }
+  }
+
   /// One-pass type profile of column `c`: proves it monomorphic (one
   /// non-null kind) for this batch, filling the null bitmap and the raw
-  /// value array, or caches kMixed so the scan never repeats. `want` seeds
-  /// the expected type when the producer already knows it (strip-served
-  /// columns) — the pass then only validates, it never classifies. The
-  /// result is cached; returns the tag (never nullptr for a valid column).
+  /// value array, or caches kMixed so the scan never repeats. `want` (or
+  /// else the column's col_types entry) seeds the expected type when the
+  /// producer already knows it — the pass then only validates, it never
+  /// classifies; a declared kMixed caches without a pass. The result is
+  /// cached; returns the tag (never nullptr for a valid column).
   const ColTag* ProfileColumn(size_t c,
                               ColTag::Type want = ColTag::Type::kUnknown) const {
     if (c >= cols.size()) return nullptr;
@@ -106,23 +208,33 @@ struct RowBatch {
     }
     ColTag& t = tags[c];
     if (t.type != ColTag::Type::kUnknown) return &t;
+    if (want == ColTag::Type::kUnknown && c < col_types.size()) {
+      want = col_types[c];
+    }
+    if (want == ColTag::Type::kMixed) {
+      t = ColTag{};
+      t.type = ColTag::Type::kMixed;
+      return &t;
+    }
     const std::vector<Datum>& col = cols[c];
     t.has_nulls = false;
     t.nulls.assign((size + 63) / 64, 0);
     t.ints.clear();
     t.doubles.clear();
     t.bools.clear();
+    t.views.clear();
     ColTag::Type ty = want;
     for (size_t r = 0; r < size; ++r) {
       const Datum& d = col[r];
       if (d.is_null()) {
         t.nulls[r >> 6] |= uint64_t{1} << (r & 63);
         t.has_nulls = true;
-        // Raw arrays stay row-dense: NULL rows hold a zero placeholder.
+        // Value arrays stay row-dense: NULL rows hold a zero placeholder.
         switch (ty) {
           case ColTag::Type::kInt: t.ints.push_back(0); break;
           case ColTag::Type::kDouble: t.doubles.push_back(0); break;
           case ColTag::Type::kBool: t.bools.push_back(0); break;
+          case ColTag::Type::kText: t.views.emplace_back(); break;
           default: break;  // leading nulls backfill when the type is known
         }
         continue;
@@ -137,10 +249,11 @@ struct RowBatch {
       }
       if (ty == ColTag::Type::kUnknown) {
         ty = m;
-        // Backfill zero placeholders for the all-NULL prefix.
+        // Backfill placeholders for the all-NULL prefix.
         if (ty == ColTag::Type::kInt) t.ints.assign(r, 0);
         if (ty == ColTag::Type::kDouble) t.doubles.assign(r, 0);
         if (ty == ColTag::Type::kBool) t.bools.assign(r, 0);
+        if (ty == ColTag::Type::kText) t.views.assign(r, {});
       }
       if (m != ty) {
         t = ColTag{};
@@ -153,12 +266,16 @@ struct RowBatch {
         case ColTag::Type::kBool:
           t.bools.push_back(d.bool_value() ? 1 : 0);
           break;
-        default: break;  // kText: no raw copy
+        default: t.views.emplace_back(d.str()); break;  // kText
       }
     }
-    // An all-NULL column is monomorphic under any type; kText avoids
-    // allocating a raw array nobody will read.
-    t.type = ty == ColTag::Type::kUnknown ? ColTag::Type::kText : ty;
+    // An all-NULL column is monomorphic under any type; an undeclared one
+    // reads as text, whose placeholder views are already in place.
+    if (ty == ColTag::Type::kUnknown) {
+      ty = ColTag::Type::kText;
+      t.views.assign(size, {});
+    }
+    t.type = ty;
     return &t;
   }
 
@@ -170,6 +287,7 @@ struct RowBatch {
     sel.clear();
     size = 0;
     tags.clear();
+    col_types.clear();
   }
 
   /// Appends one row (selected). On the first append the batch adopts the

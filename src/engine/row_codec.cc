@@ -1,7 +1,5 @@
 #include "engine/row_codec.h"
 
-#include <span>
-
 #include "common/bytes.h"
 
 namespace sinew::engine {
@@ -120,29 +118,6 @@ Result<Datum> ReadValue(ColumnType type, BufferReader* r) {
   return Status::Internal("bad column type");
 }
 
-Status SkipValue(ColumnType type, BufferReader* r) {
-  switch (type) {
-    case ColumnType::kBool: {
-      ASSIGN_OR_RETURN(uint8_t b, r->ReadU8());
-      (void)b;
-      return Status::OK();
-    }
-    case ColumnType::kInt:
-    case ColumnType::kDouble: {
-      ASSIGN_OR_RETURN(std::string_view s, r->ReadBytes(8));
-      (void)s;
-      return Status::OK();
-    }
-    case ColumnType::kText:
-    case ColumnType::kBytes: {
-      ASSIGN_OR_RETURN(std::string_view s, r->ReadLengthPrefixed());
-      (void)s;
-      return Status::OK();
-    }
-  }
-  return Status::Internal("bad column type");
-}
-
 }  // namespace
 
 Result<DatumRow> DecodeRow(const Schema& schema, std::string_view data) {
@@ -162,84 +137,38 @@ Result<DatumRow> DecodeRow(const Schema& schema, std::string_view data) {
 
 namespace {
 
-/// The one row walker behind every partial decode: a single sequential pass
-/// over `slots` (ascending, unique) of an encoded row that skips, without
-/// copying, every value in between and stops after the last requested slot.
-/// Calls read(slot, &reader) with the reader positioned at each present
-/// requested slot's value (`read` must consume it), and null(slot) for a
-/// NULL slot or one beyond the encoded arity.
-template <typename Read, typename Null>
-Status WalkSlots(const Schema& schema, std::string_view data,
-                 std::span<const size_t> slots, Read&& read, Null&& null) {
-  if (slots.empty()) return Status::OK();
-  BufferReader r(data);
-  ASSIGN_OR_RETURN(RowHeader h, ReadHeader(&r));
-  size_t next = 0;  // index into `slots`
-  const size_t last = slots.back();
-  for (size_t i = 0; i < h.ncols && i <= last; ++i) {
-    if (!BitSet(h.bitmap, i)) {
-      if (i == slots[next]) {
-        null(i);
-        if (++next == slots.size()) break;
-      }
-      continue;
-    }
-    if (i == slots[next]) {
-      RETURN_NOT_OK(read(i, &r));
-      if (++next == slots.size()) break;
-    } else {
-      RETURN_NOT_OK(SkipValue(schema.columns()[i].type, &r));
-    }
+/// Boxes the walked slots of one row into `row`, indexed by table slot.
+struct DatumSink {
+  const Schema& schema;
+  const std::vector<size_t>& slots;
+  DatumRow* row;
+
+  Datum& dst(size_t k) { return (*row)[slots[k]]; }
+  void Null(size_t k) { dst(k) = Datum::Null(); }
+  void Int(size_t k, int64_t v) { dst(k) = Datum::Int(v); }
+  void Double(size_t k, double v) { dst(k) = Datum::Double(v); }
+  void Bool(size_t k, bool v) { dst(k) = Datum::Bool(v); }
+  void Str(size_t k, std::string_view v) {
+    dst(k) = schema.columns()[slots[k]].type == ColumnType::kText
+                 ? Datum::Text(std::string(v))
+                 : Datum::Bytes(std::string(v));
   }
-  // Slots beyond the encoded arity decode as NULL.
-  for (; next < slots.size(); ++next) {
-    if (slots[next] >= h.ncols) null(slots[next]);
-  }
-  return Status::OK();
-}
+};
 
 }  // namespace
 
+namespace row_walk {
+
+Status Corrupt(const char* what, size_t offset, size_t size) {
+  return Status::ParseError("corrupt row encoding: ", what, " at offset ",
+                            offset, " of ", size);
+}
+
+}  // namespace row_walk
+
 Status DecodeRowSlots(const Schema& schema, std::string_view data,
                       const std::vector<size_t>& slots, DatumRow* row) {
-  return WalkSlots(
-      schema, data, slots,
-      [&](size_t slot, BufferReader* r) -> Status {
-        ASSIGN_OR_RETURN((*row)[slot],
-                         ReadValue(schema.columns()[slot].type, r));
-        return Status::OK();
-      },
-      [&](size_t slot) { (*row)[slot] = Datum::Null(); });
-}
-
-Result<Datum> DecodeRowColumn(const Schema& schema, std::string_view data,
-                              size_t slot) {
-  Datum out;
-  RETURN_NOT_OK(WalkSlots(
-      schema, data, std::span<const size_t>(&slot, 1),
-      [&](size_t, BufferReader* r) -> Status {
-        ASSIGN_OR_RETURN(out, ReadValue(schema.columns()[slot].type, r));
-        return Status::OK();
-      },
-      [](size_t) {}));
-  return out;
-}
-
-Result<std::string_view> RowSlotBytes(const Schema& schema,
-                                      std::string_view data, size_t slot) {
-  const ColumnType type = schema.columns()[slot].type;
-  if (type != ColumnType::kBytes && type != ColumnType::kText) {
-    return Status::TypeError("slot ", slot, " is not a bytes column");
-  }
-  std::string_view out;
-  RETURN_NOT_OK(WalkSlots(
-      schema, data, std::span<const size_t>(&slot, 1),
-      [&](size_t, BufferReader* r) -> Status {
-        ASSIGN_OR_RETURN(out, r->ReadLengthPrefixed());
-        return Status::OK();
-      },
-      [](size_t) {}));
-  return out;
+  return WalkRow(schema, data, slots, DatumSink{schema, slots, row});
 }
 
 }  // namespace sinew::engine

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -175,8 +176,7 @@ inline void ValueBetween(const T* vals, const ColTag& tag, NumBound<T> lo,
   }
 }
 
-/// IS [NOT] NULL straight off the bitmap — works for every proven type
-/// (including kText, which keeps no raw array).
+/// IS [NOT] NULL straight off the bitmap — works for every proven type.
 inline void SelectIsNull(const ColTag& tag, bool negated,
                          std::vector<uint32_t>* sel) {
   size_t kept = 0;
@@ -195,24 +195,22 @@ inline void ValueIsNull(const ColTag& tag, bool negated,
   }
 }
 
-/// Text col-cmp-literal: no raw array (values stay in the Datum column) but
-/// still one string compare per lane with no kind dispatch and no Datum
-/// temporaries. The three-way compare() result feeds the same predicates.
+/// Text col-cmp-literal over the tag's view array: one string compare per
+/// lane with no kind dispatch and no Datum temporaries. The three-way
+/// compare() result feeds the same predicates.
 template <typename Pred>
-inline void SelectCmpStr(const std::vector<Datum>& col, const ColTag& tag,
-                         const std::string& lit, Pred pred,
+inline void SelectCmpStr(const ColTag& tag, std::string_view lit, Pred pred,
                          std::vector<uint32_t>* sel) {
   size_t kept = 0;
   for (uint32_t lane : *sel) {
     if (tag.IsNull(lane)) continue;
-    if (pred(col[lane].str().compare(lit), 0)) (*sel)[kept++] = lane;
+    if (pred(tag.views[lane].compare(lit), 0)) (*sel)[kept++] = lane;
   }
   sel->resize(kept);
 }
 
 template <typename Pred>
-inline void ValueCmpStr(const std::vector<Datum>& col, const ColTag& tag,
-                        const std::string& lit, Pred pred,
+inline void ValueCmpStr(const ColTag& tag, std::string_view lit, Pred pred,
                         const std::vector<uint32_t>& lanes,
                         std::vector<Datum>* dst) {
   const size_t n = lanes.size();
@@ -220,7 +218,7 @@ inline void ValueCmpStr(const std::vector<Datum>& col, const ColTag& tag,
     const uint32_t lane = lanes[i];
     (*dst)[i] = tag.IsNull(lane)
                     ? Datum::Null()
-                    : Datum::Bool(pred(col[lane].str().compare(lit), 0));
+                    : Datum::Bool(pred(tag.views[lane].compare(lit), 0));
   }
 }
 

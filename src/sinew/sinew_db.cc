@@ -133,6 +133,7 @@ Result<engine::QueryResult> SinewDb::Query(std::string_view sql) {
     record.plan_ns = info.plan_ns;
     record.exec_ns = info.exec_ns;
     record.rows_in = info.rows_in;
+    record.rows_examined = info.rows_examined;
     record.rows_out = info.rows_out;
     record.batches = info.batches;
     record.zone_skips = info.zone_skips;

@@ -33,6 +33,7 @@
 #include "common/metrics.h"
 #include "common/value.h"
 #include "scalar_oracle.h"
+#include "typed_scan_corpus.h"
 #include "sinew/sinew_db.h"
 #include "workloads/nobench/generator.h"
 #include "workloads/nobench/runners.h"
@@ -512,6 +513,25 @@ TEST_F(BytecodeDifferentialTest, FallbackLanesAreCounted) {
   EXPECT_GT(fallback->value(), before) << "fallback lanes went uncounted";
 }
 #endif
+
+TEST_F(BytecodeDifferentialTest, TypedScanOverPhysicalColumns) {
+  // The scan walks filter columns into typed arrays (text as views) and
+  // boxes only survivors. Every physical type and data shape of
+  // tests/typed_scan_corpus.h — NULL-heavy and all-NULL batches, short and
+  // long text, NaN, -0.0, INT64_MIN, short-arity rows, a dropped middle
+  // column, survivors overflowing the batch — through the typed kernels and
+  // the boxed paths, against the scalar oracle in every configuration.
+  for (NamedRunner& c : *configs_) {
+    Status built = typed_scan::Build(c.runner->db()->engine());
+    ASSERT_TRUE(built.ok()) << c.label << ": " << built.ToString();
+  }
+  for (const std::string& sql : typed_scan::Queries()) {
+    Result<engine::QueryResult> answer =
+        oracle::ScalarOracleQuery((*configs_)[0].runner->db(), sql);
+    ASSERT_TRUE(answer.ok()) << sql << ": " << answer.status().ToString();
+    ExpectSameAcrossConfigs(sql);
+  }
+}
 
 }  // namespace
 }  // namespace sinew

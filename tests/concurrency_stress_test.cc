@@ -426,5 +426,119 @@ TEST(ConcurrencyStressTest, UpdatesWhileColumnsAreAdded) {
   EXPECT_EQ(r->rows[1][3].int_value(), kRows / 2);
 }
 
+/// A text value longer than std::string's inline capacity; group `g` of
+/// row `id` is id % 10, and `upper` flips its case (same length).
+std::string GroupText(int id, bool upper) {
+  return std::string(upper ? "VALUE-FOR-GROUP-" : "value-for-group-") +
+         std::to_string(id % 10);
+}
+
+/// Reader invariants over a table whose rows hold `s` = GroupText(id, *):
+/// an equality filter returns only rows of its group holding that exact
+/// text, and a LIKE on the case-free suffix always counts the whole group.
+/// The scan compares both as views into the row bytes under its latch, so
+/// a view outliving the latch reads freed or rewritten bytes.
+void CheckTextFilters(SinewDb* db, int rows, int salt,
+                      std::atomic<int>* failures) {
+  const int group = salt % 10;
+  const std::string want = GroupText(group, false);
+  Result<engine::QueryResult> eq =
+      db->Query("SELECT id, s FROM t WHERE s = '" + want + "'");
+  Result<engine::QueryResult> like = db->Query(
+      "SELECT COUNT(*) FROM t WHERE s LIKE '%-" + std::to_string(group) +
+      "'");
+  if (!eq.ok() || !like.ok()) {
+    ADD_FAILURE() << (eq.ok() ? like.status() : eq.status()).ToString();
+    failures->fetch_add(1);
+    return;
+  }
+  for (const engine::DatumRow& row : eq->rows) {
+    if (row[1].str() != want || row[0].int_value() % 10 != group) {
+      ADD_FAILURE() << "s = '" << want << "' returned id="
+                    << row[0].ToString() << " s=" << row[1].ToString();
+      failures->fetch_add(1);
+      return;
+    }
+  }
+  if (like->rows[0][0].int_value() != rows / 10) {
+    ADD_FAILURE() << "LIKE counted " << like->rows[0][0].ToString()
+                  << " rows of group " << group << ", want " << rows / 10;
+    failures->fetch_add(1);
+  }
+}
+
+TEST(ConcurrencyStressTest, TextViewFiltersDuringUpdates) {
+  // A physical TEXT column filtered while a writer rewrites its rows: each
+  // UPDATE replaces a row's bytes under the exclusive latch, freeing the
+  // ones a scan chunk's text views pointed into.
+  constexpr int kRows = 3000;
+  SinewDb db(StressOptions());
+  ASSERT_TRUE(db.Query("CREATE TABLE t (id INT, s TEXT)").ok());
+  std::string insert = "INSERT INTO t VALUES ";
+  for (int i = 0; i < kRows; ++i) {
+    insert += (i == 0 ? "(" : ", (") + std::to_string(i) + ", '" +
+              GroupText(i, false) + "')";
+  }
+  ASSERT_TRUE(db.Query(insert).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  auto reader = [&](int salt) {
+    for (int i = 0; (!stop.load() || i < 4) && i < 80; ++i) {
+      CheckTextFilters(&db, kRows, salt + i, &failures);
+      if (failures.load() != 0) return;
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) readers.emplace_back(reader, t);
+  for (int round = 0; round < 40; ++round) {
+    const int group = round % 10;
+    Result<engine::QueryResult> updated = db.Query(
+        "UPDATE t SET s = '" + GroupText(group, round % 20 < 10) +
+        "' WHERE id % 10 = " + std::to_string(group));
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    EXPECT_EQ(updated->rows[0][0].int_value(), kRows / 10);
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(ConcurrencyStressTest, TextViewFiltersDuringMaterializerMoves) {
+  // The same filters while the materializer moves `s` out of the reservoir
+  // into its own column row by row: mid-promotion a row holds its text in
+  // one place or the other, and the scan reads whichever, as a view.
+  constexpr int kRows = 3000;
+  std::ostringstream jsonl;
+  for (int i = 0; i < kRows; ++i) {
+    jsonl << "{\"id\": " << i << ", \"s\": \"" << GroupText(i, i % 3 == 0)
+          << "\"}\n";
+  }
+  SinewDb db(StressOptions());
+  ASSERT_TRUE(db.LoadJsonLines("t", jsonl.str()).ok());
+  ASSERT_TRUE(db.AnalyzeSchema("t").ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  auto reader = [&](int salt) {
+    for (int i = 0; (!stop.load() || i < 4) && i < 80; ++i) {
+      CheckTextFilters(&db, kRows, salt + i, &failures);
+      if (failures.load() != 0) return;
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) readers.emplace_back(reader, t);
+  while (true) {
+    Result<uint64_t> examined = db.MaterializeStep("t", 64);
+    ASSERT_TRUE(examined.ok()) << examined.status().ToString();
+    if (*examined == 0) break;
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 }  // namespace
 }  // namespace sinew

@@ -9,7 +9,11 @@
 #  - the executor (exec.cc) evaluates expressions only on the bytecode VM,
 #    whose fallback lanes are the one scalar path: it names neither scalar
 #    evaluator entry point (EvalExpr, EvalPredicate) nor a row-at-a-time
-#    operator protocol (RowReader, RowOperator).
+#    operator protocol (RowReader, RowOperator);
+#  - the scan never boxes a row to read it: exec.cc reaches row bytes only
+#    through the typed row walker (WalkRow), naming neither the boxed row
+#    decoder (DecodeRowSlots), the deleted single-slot decoders
+#    (DecodeRowColumn, RowSlotBytes) nor a scratch decode row (scratch_).
 #
 #   cmake -DENGINE_DIR=<repo>/src/engine -P tests/engine_layering.cmake
 if(NOT IS_DIRECTORY "${ENGINE_DIR}")
@@ -34,6 +38,12 @@ file(STRINGS "${ENGINE_DIR}/exec.cc" hits
 if(hits)
   list(APPEND failures
        "${ENGINE_DIR}/exec.cc evaluates outside the bytecode VM: ${hits}")
+endif()
+file(STRINGS "${ENGINE_DIR}/exec.cc" hits
+     REGEX "DecodeRowSlots|DecodeRowColumn|RowSlotBytes|scratch_")
+if(hits)
+  list(APPEND failures
+       "${ENGINE_DIR}/exec.cc decodes rows outside the typed walker: ${hits}")
 endif()
 if(failures)
   list(JOIN failures "\n  " listing)

@@ -12,6 +12,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/metrics.h"
 #include "engine/database.h"
@@ -29,6 +30,16 @@ std::string ExplainText(const engine::QueryResult& result) {
     out += "\n";
   }
   return out;
+}
+
+/// The inclusive and self milliseconds an analyzed line prints
+/// ("time=T ms self=S ms"), as printed.
+std::pair<std::string, std::string> TimeAndSelf(const std::string& line) {
+  const size_t t = line.find("time=");
+  const size_t s = line.find(" ms self=");
+  if (t == std::string::npos || s == std::string::npos) return {};
+  const size_t end = line.find(" ms)", s + 1);
+  return {line.substr(t + 5, s - t - 5), line.substr(s + 9, end - s - 9)};
 }
 
 /// Creates table t(a INT, b INT) with rows (i, i % 10) for i in [0, n).
@@ -114,6 +125,50 @@ TEST(ExplainTest, ExplainAnalyzeThroughGatherWorkers) {
   EXPECT_NE(text.find("actual rows=20000 loops="), std::string::npos)
       << text;
   EXPECT_NE(text.find("morsels="), std::string::npos) << text;
+  // The workers' scans visited every row between them.
+  EXPECT_NE(text.find("(visited=20000)"), std::string::npos) << text;
+  // A Gather's children run on pool workers, so its self time is its whole
+  // time: the query thread waiting on them.
+  std::istringstream lines(text);
+  std::string line;
+  bool saw_gather = false;
+  while (std::getline(lines, line)) {
+    if (line.rfind("Gather", 0) != 0) continue;
+    saw_gather = true;
+    const auto [time, self] = TimeAndSelf(line);
+    ASSERT_FALSE(time.empty()) << line;
+    EXPECT_EQ(self, time) << line;
+  }
+  EXPECT_TRUE(saw_gather) << text;
+}
+
+TEST(ExplainTest, ExplainAnalyzePrintsSelfTimeAndVisitedRows) {
+  engine::Database db;
+  FillTable(&db, 100);
+  auto result = db.Execute(
+      "EXPLAIN ANALYZE SELECT b, COUNT(*) FROM t WHERE a < 50 GROUP BY b "
+      "ORDER BY b");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string text = ExplainText(*result);
+  // Every executed node prints its self time, its inclusive time minus its
+  // children's, beside the inclusive time; the leaf scan's is all of it.
+  int analyzed = 0;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("actual rows=") == std::string::npos) continue;
+    ++analyzed;
+    const auto [time, self] = TimeAndSelf(line);
+    ASSERT_FALSE(time.empty()) << line;
+    EXPECT_LE(std::stod(self), std::stod(time)) << line;
+    if (line.find("Seq Scan") != std::string::npos) {
+      EXPECT_EQ(self, time) << line;
+      // The scan visited all 100 rows; its filter let 50 through.
+      EXPECT_NE(line.find("actual rows=50 "), std::string::npos) << line;
+      EXPECT_NE(line.find("(visited=100)"), std::string::npos) << line;
+    }
+  }
+  EXPECT_GE(analyzed, 3) << text;
 }
 
 TEST(ExplainTest, ExplainAnalyzeReportsBytecodeShape) {

@@ -302,6 +302,48 @@ TEST_F(TelemetryTablesTest, DmlRecordsItsFindScan) {
   EXPECT_GT(heat.rows[0][0].int_value(), 0);
 }
 
+TEST_F(TelemetryTablesTest, ScansLogTheRowsTheyExamined) {
+  // rows_in counts the rows the scans produce, after the predicate they run
+  // themselves; rows_examined counts the live rows they visited to find
+  // them, so a filtered statement's selectivity shows in the log.
+  constexpr int kRows = 2048;
+  std::string jsonl;
+  for (int i = 0; i < kRows; ++i) {
+    jsonl += "{\"id\": " + std::to_string(i) + ", \"key\": \"v" +
+             std::to_string(i % 100) + "\", \"other\": \"x\"}\n";
+  }
+  ASSERT_TRUE(db_.LoadJsonLines("examined", jsonl).ok());
+  const std::string update =
+      "UPDATE examined SET other = 'DUMMY' WHERE key = 'v7'";
+  EXPECT_EQ(Q(update).rows[0][0].int_value(), 21);
+  const std::string del = "DELETE FROM examined WHERE id < 100";
+  EXPECT_EQ(Q(del).rows[0][0].int_value(), 100);
+  // Deleted rows are not visited: 1,948 live rows remain.
+  const std::string select = "SELECT id FROM examined WHERE key = 'v8'";
+  EXPECT_EQ(Q(select).rows.size(), 20u);
+
+  auto log_of = [&](const std::string& sql) {
+    const int64_t hash =
+        static_cast<int64_t>(HashFingerprint(NormalizeFingerprint(sql)));
+    return Q("SELECT rows_in, rows_examined, rows_out FROM sinew_query_log "
+             "WHERE fingerprint_hash = " +
+             std::to_string(hash));
+  };
+  auto u = log_of(update);
+  ASSERT_EQ(u.rows.size(), 1u);
+  EXPECT_EQ(u.rows[0][0].int_value(), 21);
+  EXPECT_EQ(u.rows[0][1].int_value(), kRows);
+  auto d = log_of(del);
+  ASSERT_EQ(d.rows.size(), 1u);
+  EXPECT_EQ(d.rows[0][0].int_value(), 100);
+  EXPECT_EQ(d.rows[0][1].int_value(), kRows);
+  auto s = log_of(select);
+  ASSERT_EQ(s.rows.size(), 1u);
+  EXPECT_EQ(s.rows[0][0].int_value(), 20);
+  EXPECT_EQ(s.rows[0][1].int_value(), kRows - 100);
+  EXPECT_EQ(s.rows[0][2].int_value(), 20);
+}
+
 TEST_F(TelemetryTablesTest, ReservedSystemTableNames) {
   for (const char* name :
        {"sinew_metrics", "sinew_query_log", "sinew_attribute_stats"}) {
