@@ -6,17 +6,18 @@
 // EvalPredicate / EvalExpr over each lane's row — and reports ns/lane per
 // shape:
 //
-//   colref_cmp_lit     c0 < lit                 (fused kColCmpLit; the
-//                                               select-mode fast path)
+//   colref_cmp_lit     c0 < lit                 (kCompare over a column and
+//                                               a literal; the select-mode
+//                                               fast path)
 //   extract_cmp_lit    udf(c2, path) = lit      (fused kUdfCmpLit — the
 //                                               Sinew extract-then-compare)
-//   and_chain          three fused conjuncts    (kBoolFork lane partitioning)
-//   between            c0 BETWEEN lits          (fused kColBetweenLits)
-//   is_null            c2 IS NULL               (fused kColIsNull)
+//   and_chain          three conjuncts          (kFork lane partitioning)
+//   between            c0 BETWEEN lits          (kBetween, select mode)
+//   is_null            c2 IS NULL               (kIsNull, select mode)
 //   arith_project      c0 * 3 + c1              (generic kArith kernels)
 //   concat_project     c2 || lit                (generic kConcat)
-//   case_project       CASE WHEN ... END        (kFallbackLane — pins the
-//                                               fallback overhead)
+//   case_project       CASE WHEN ... END        (kFork/kJoin over the THEN
+//                                               and ELSE lanes)
 //   *_dbl              c4 variants              (monomorphic double kernels)
 //   colref_cmp_lit_mixed  c5 < lit              (type-flipping column: the
 //                                               profile must fail and the
@@ -168,7 +169,7 @@ std::vector<Shape> MakeShapes() {
     c->args.push_back(Lit("hi"));
     shapes.push_back({"case_project", false, std::move(c)});
   }
-  // Monomorphic double variants of the fused comparison shapes, plus a
+  // Monomorphic double variants of the comparison shapes, plus a
   // double arithmetic projection.
   shapes.push_back(
       {"colref_cmp_lit_dbl", true,
@@ -236,9 +237,9 @@ double RunBytecode(const Shape& shape, std::vector<eng::RowBatch>& corpus,
       sinew::Status st;
       if (shape.predicate) {
         sel = b.sel;
-        st = bc::ExecPredicateBatch(*prog, b, udfs, &state, &sel);
+        st = bc::ExecPredicateBatch(*prog, b, &state, &sel);
       } else {
-        st = bc::ExecBatch(*prog, b, b.sel, udfs, &state, &out);
+        st = bc::ExecBatch(*prog, b, b.sel, &state, &out);
       }
       if (!st.ok()) return Failed(shape, st);
     }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <optional>
 
 #include "common/metrics.h"
 #include "common/str_util.h"
@@ -12,37 +11,7 @@
 
 namespace sinew::engine::bytecode {
 
-const char* OpCodeName(OpCode op) {
-  switch (op) {
-    case OpCode::kColCmpLit: return "col_cmp_lit";
-    case OpCode::kUdfCmpLit: return "udf_cmp_lit";
-    case OpCode::kColBetweenLits: return "col_between_lits";
-    case OpCode::kColIsNull: return "col_is_null";
-    case OpCode::kBoolFork: return "bool_fork";
-    case OpCode::kBoolJoin: return "bool_join";
-    case OpCode::kCompare: return "compare";
-    case OpCode::kArith: return "arith";
-    case OpCode::kLike: return "like";
-    case OpCode::kConcat: return "concat";
-    case OpCode::kNot: return "not";
-    case OpCode::kNeg: return "neg";
-    case OpCode::kBetween: return "between";
-    case OpCode::kIsNull: return "is_null";
-    case OpCode::kInList: return "in_list";
-    case OpCode::kCallUdf: return "call_udf";
-    case OpCode::kFallbackLane: return "fallback_lane";
-  }
-  return "?";
-}
-
 namespace {
-
-// Register/literal pools are uint16-indexed; real expressions sit far below
-// these, so hitting a cap means "run the whole expression as one fallback
-// lane", not an error.
-constexpr size_t kMaxRegs = 4096;
-constexpr size_t kMaxLiterals = 4096;
-constexpr size_t kMaxAux = 0xFFFF;
 
 /// Interning equality: exact kind + exact value. Doubles compare bit-exact
 /// so 0.0 and -0.0 (distinct in rendering) keep separate pool entries, and
@@ -86,7 +55,7 @@ bool IsArithBop(BinaryOp op) {
 }
 
 /// `a op b` == `b Flip(op) a` for comparisons; used to normalize lit-cmp-col
-/// into the fused col-cmp-lit form.
+/// into the col-cmp-lit shape the typed kernels serve.
 BinaryOp FlipCompare(BinaryOp op) {
   switch (op) {
     case BinaryOp::kLt: return BinaryOp::kGt;
@@ -97,41 +66,56 @@ BinaryOp FlipCompare(BinaryOp op) {
   }
 }
 
-void CollectSlots(const Expr& e, std::vector<int>* slots) {
-  if (e.kind == ExprKind::kColumnRef && e.bound_slot >= 0) {
-    slots->push_back(e.bound_slot);
+bool IsTrue(const Datum& v) { return v.is_bool() && v.bool_value(); }
+bool IsFalse(const Datum& v) { return v.is_bool() && !v.bool_value(); }
+
+/// Does a lane whose fork operand is `v` enter the region?
+bool EntersRegion(ForkMode mode, const Datum& v) {
+  switch (mode) {
+    case ForkMode::kNonFalse: return !IsFalse(v);
+    case ForkMode::kNonTrue:
+    case ForkMode::kNotTrue: return !IsTrue(v);
+    case ForkMode::kNull: return v.is_null();
+    case ForkMode::kNonNull: return !v.is_null();
+    case ForkMode::kTrue: return IsTrue(v);
   }
-  for (const ExprPtr& arg : e.args) CollectSlots(*arg, slots);
+  return false;
 }
 
-/// The fallback-free operand forms: operands that cannot error and carry no
-/// evaluation-order footprint.
-bool IsSimpleOperand(const Expr& e) {
-  return e.kind == ExprKind::kLiteral ||
-         (e.kind == ExprKind::kColumnRef && e.bound_slot >= 0);
+bool IsKleene(ForkMode mode) {
+  return mode == ForkMode::kNonFalse || mode == ForkMode::kNonTrue;
 }
 
 class Compiler {
  public:
   Compiler(size_t input_width, const UdfRegistry* udfs)
-      : width_(input_width), udfs_(udfs) {}
+      : width_(input_width), udfs_(udfs), prog_(std::make_shared<Program>()) {}
 
-  /// Compiles `expr`; nullptr when it has a shape without an instruction
-  /// form (a star, an unbound or out-of-range column) or overflows a pool.
   std::shared_ptr<const Program> Run(const Expr& expr) {
-    std::optional<Operand> result = CompileNode(expr);
-    if (!result.has_value() || failed_) return nullptr;
-    return Finish(*result);
-  }
-
-  /// Compiles `expr` as a single fallback lane: the scalar evaluator then
-  /// produces its exact result or error text at run time.
-  std::shared_ptr<const Program> RunFallback(const Expr& expr) {
-    return Finish(EmitFallback(expr));
+    const Operand result = CompileNode(expr);
+    Arena& arena = prog_->arena;
+    Instr* instrs =
+        arena.AllocateArray<Instr>(std::max<size_t>(instrs_.size(), 1));
+    std::copy(instrs_.begin(), instrs_.end(), instrs);
+    Operand* aux =
+        arena.AllocateArray<Operand>(std::max<size_t>(aux_.size(), 1));
+    std::copy(aux_.begin(), aux_.end(), aux);
+    Datum* literals =
+        arena.CreateArray<Datum>(std::max<size_t>(literals_.size(), 1));
+    std::copy(literals_.begin(), literals_.end(), literals);
+    prog_->instrs = instrs;
+    prog_->num_instrs = static_cast<uint32_t>(instrs_.size());
+    prog_->aux = aux;
+    prog_->literals = literals;
+    prog_->num_literals = static_cast<uint32_t>(literals_.size());
+    prog_->num_regs = num_regs_;
+    prog_->result = result;
+    prog_->min_width = static_cast<uint32_t>(width_);
+    return std::move(prog_);
   }
 
  private:
-  static Operand Reg(uint16_t index) {
+  static Operand Reg(uint32_t index) {
     return Operand{Operand::Kind::kReg, index};
   }
 
@@ -139,312 +123,291 @@ class Compiler {
   /// the top of the virtual stack; the result reuses the lowest of them (or
   /// a fresh register when all operands are columns/literals), and
   /// everything above is freed.
-  uint16_t AllocResult(std::initializer_list<Operand> consumed) {
-    uint16_t lowest = next_reg_;
-    for (const Operand& op : consumed) {
-      if (op.is_reg() && op.index < lowest) lowest = op.index;
+  uint32_t AllocResult(const Operand* consumed, size_t n) {
+    uint32_t lowest = next_reg_;
+    for (size_t i = 0; i < n; ++i) {
+      if (consumed[i].is_reg() && consumed[i].index < lowest) {
+        lowest = consumed[i].index;
+      }
     }
-    next_reg_ = static_cast<uint16_t>(lowest + 1);
-    if (next_reg_ > num_regs_) num_regs_ = next_reg_;
-    if (num_regs_ > kMaxRegs) failed_ = true;
+    next_reg_ = lowest + 1;
+    num_regs_ = std::max(num_regs_, next_reg_);
     return lowest;
   }
-
-  uint16_t InternLiteral(const Datum& d) {
-    for (size_t i = 0; i < literals_.size(); ++i) {
-      if (SameLiteral(literals_[i], d)) return static_cast<uint16_t>(i);
-    }
-    if (literals_.size() >= kMaxLiterals) {
-      failed_ = true;
-      return 0;
-    }
-    literals_.push_back(d);
-    return static_cast<uint16_t>(literals_.size() - 1);
+  uint32_t AllocResult(std::initializer_list<Operand> consumed) {
+    return AllocResult(consumed.begin(), consumed.size());
   }
 
-  /// Operand for a simple (literal / bound colref) expression. Bails when a
-  /// bound slot lies outside the compile-time schema — the scalar evaluator
-  /// owns the error text for that.
-  std::optional<Operand> SimpleOperand(const Expr& e) {
-    if (e.kind == ExprKind::kLiteral) {
-      return Operand{Operand::Kind::kLit, InternLiteral(e.literal)};
-    }
-    if (e.bound_slot < 0 || static_cast<size_t>(e.bound_slot) >= width_ ||
-        e.bound_slot > 0xFFFF) {
-      return std::nullopt;
-    }
-    return Operand{Operand::Kind::kCol, static_cast<uint16_t>(e.bound_slot)};
-  }
-
-  /// Everything without a vector kernel becomes one per-lane scalar escape;
-  /// the subtree's bound slots are collected once, here, at compile time.
-  Operand EmitFallback(const Expr& e) {
-    Instr ins;
-    ins.op = OpCode::kFallbackLane;
-    ins.fallback = &e;
-    std::vector<int> slots;
-    CollectSlots(e, &slots);
-    std::sort(slots.begin(), slots.end());
-    slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-    fb_slot_sets_.push_back(std::move(slots));
-    ins.dst = AllocResult({});
+  Operand Emit(Instr ins, std::initializer_list<Operand> consumed) {
+    ins.dst = AllocResult(consumed);
     instrs_.push_back(ins);
     return Reg(ins.dst);
   }
 
-  std::optional<Operand> CompileBinary(const Expr& e) {
-    if (e.bop == BinaryOp::kAnd || e.bop == BinaryOp::kOr) {
-      std::optional<Operand> lhs = CompileNode(*e.args[0]);
-      if (!lhs) return std::nullopt;
-      Instr fork;
-      fork.op = OpCode::kBoolFork;
-      fork.is_and = e.bop == BinaryOp::kAnd;
-      fork.a = *lhs;
-      fork.dst = AllocResult({*lhs});
-      const size_t fork_pc = instrs_.size();
-      instrs_.push_back(fork);
-      // The right-side region runs over the undecided lane subset; its
-      // registers sit above the fork's dst, so outer per-lane values (all in
-      // registers <= dst by stack discipline) survive the region.
-      const uint16_t region_base = next_reg_;
-      std::optional<Operand> rhs = CompileNode(*e.args[1]);
-      if (!rhs) return std::nullopt;
-      Instr join;
-      join.op = OpCode::kBoolJoin;
-      join.is_and = fork.is_and;
-      join.a = *rhs;
-      join.dst = instrs_[fork_pc].dst;
-      instrs_.push_back(join);
-      instrs_[fork_pc].jump = static_cast<uint32_t>(instrs_.size());
-      next_reg_ = region_base;  // free the region's registers
-      return Reg(join.dst);
+  Operand Literal(const Datum& d) {
+    uint32_t i = 0;
+    while (i < literals_.size() && !SameLiteral(literals_[i], d)) ++i;
+    if (i == literals_.size()) literals_.push_back(d);
+    return Operand{Operand::Kind::kLit, i};
+  }
+
+  /// A shape with no instruction form fails, with the scalar evaluator's
+  /// status, wherever the scalar evaluator would reach it.
+  Operand Raise(Status status) {
+    Instr ins;
+    ins.op = OpCode::kRaise;
+    ins.error = prog_->arena.Create<Status>(std::move(status));
+    return Emit(ins, {});
+  }
+
+  Operand Compare(BinaryOp bop, Operand lhs, Operand rhs,
+                  std::initializer_list<Operand> consumed) {
+    Instr ins;
+    ins.op = OpCode::kCompare;
+    ins.bop = bop;
+    ins.a = lhs;
+    ins.b = rhs;
+    if (lhs.is_lit() && rhs.is_col()) {
+      ins.bop = FlipCompare(bop);
+      ins.a = rhs;
+      ins.b = lhs;
     }
-    std::optional<Operand> lhs = CompileNode(*e.args[0]);
-    if (!lhs) return std::nullopt;
-    std::optional<Operand> rhs = CompileNode(*e.args[1]);
-    if (!rhs) return std::nullopt;
+    return Emit(ins, consumed);
+  }
+
+  /// kFork on `cond` into `dst`, the region `body` compiles over the lanes
+  /// the fork selects, and the matching kJoin. The region's registers sit
+  /// above every live register, so outer values survive it. A region reads
+  /// no register of the enclosing lane set: `carry`, when it is a register,
+  /// is gathered into a region register, and `body` receives the operand to
+  /// read it through.
+  template <typename Body>
+  Operand Region(ForkMode mode, Operand cond, uint32_t dst, Operand carry,
+                 Body&& body) {
+    const uint32_t outer_top = next_reg_;
+    Instr fork;
+    fork.op = OpCode::kFork;
+    fork.fork = mode;
+    fork.a = cond;
+    fork.dst = dst;
+    if (carry.is_reg()) {
+      fork.c = carry;
+      fork.b = Reg(AllocResult({}));
+      carry = fork.b;
+    }
+    const size_t fork_pc = instrs_.size();
+    instrs_.push_back(fork);
+    Instr join;
+    join.op = OpCode::kJoin;
+    join.fork = mode;
+    join.a = body(carry);
+    join.dst = dst;
+    instrs_.push_back(join);
+    instrs_[fork_pc].jump = static_cast<uint32_t>(instrs_.size());
+    next_reg_ = outer_top;
+    return Reg(dst);
+  }
+
+  /// CASE from WHEN arm `i` on: the THEN value over the lanes where the
+  /// condition is TRUE, the rest of the CASE over the others.
+  Operand CaseFrom(const Expr& e, size_t i) {
+    if (i + 1 >= e.args.size()) {
+      return i < e.args.size() ? CompileNode(*e.args[i])
+                               : Literal(Datum::Null());
+    }
+    const uint32_t dst = AllocResult({});
+    const Operand cond = CompileNode(*e.args[i]);
+    Region(ForkMode::kTrue, cond, dst, {},
+           [&](Operand) { return CompileNode(*e.args[i + 1]); });
+    Region(ForkMode::kNotTrue, cond, dst, {},
+           [&](Operand) { return CaseFrom(e, i + 2); });
+    next_reg_ = dst + 1;
+    return Reg(dst);
+  }
+
+  /// COALESCE from argument `i` on: the next argument runs only over the
+  /// lanes where this one is NULL.
+  Operand CoalesceFrom(const Expr& e, size_t i) {
+    if (i >= e.args.size()) return Literal(Datum::Null());
+    const Operand first = CompileNode(*e.args[i]);
+    if (i + 1 == e.args.size()) return first;
+    return Region(ForkMode::kNull, first, AllocResult({first}), {},
+                  [&](Operand) { return CoalesceFrom(e, i + 1); });
+  }
+
+  /// `probe = item_i OR probe = item_i+1 ...`: each item runs only over the
+  /// lanes no earlier item matched. The probe stays live across the chain.
+  Operand InChain(const Expr& e, size_t i, Operand probe) {
+    const Operand item = CompileNode(*e.args[i]);
+    const Operand hit = Compare(BinaryOp::kEq, probe, item, {item});
+    if (i + 1 == e.args.size()) return hit;
+    return Region(ForkMode::kNonTrue, hit, hit.index, probe,
+                  [&](Operand p) { return InChain(e, i + 1, p); });
+  }
+
+  Operand CompileInList(const Expr& e) {
+    const Operand probe = CompileNode(*e.args[0]);
+    const bool literal_items =
+        std::all_of(e.args.begin() + 1, e.args.end(), [](const ExprPtr& a) {
+          return a->kind == ExprKind::kLiteral;
+        });
+    if (literal_items) {
+      Instr ins;
+      ins.op = OpCode::kInList;
+      ins.a = probe;
+      ins.negated = e.negated;
+      ins.aux_begin = static_cast<uint32_t>(aux_.size());
+      ins.aux_count = static_cast<uint32_t>(e.args.size() - 1);
+      for (size_t i = 1; i < e.args.size(); ++i) {
+        aux_.push_back(Literal(e.args[i]->literal));
+      }
+      return Emit(ins, {probe});
+    }
+    // Computed items run lazily, in list order, over non-NULL probes only;
+    // the OR chain is Kleene, so a NULL comparison without a match is NULL.
+    const Operand in = Region(
+        ForkMode::kNonNull, probe, AllocResult({probe}), probe,
+        [&](Operand p) { return InChain(e, 1, p); });
+    if (!e.negated) return in;
+    Instr ins;
+    ins.op = OpCode::kNot;
+    ins.a = in;
+    return Emit(ins, {in});
+  }
+
+  Operand CompileFunction(const Expr& e) {
+    if (e.fname == "coalesce") return CoalesceFrom(e, 0);
+    if (e.IsAggregateCall()) {
+      return Raise(Status::Internal("aggregate ", e.fname,
+                                    " reached the scalar evaluator"));
+    }
+    if (udfs_ == nullptr) {
+      return Raise(Status::NotFound("no UDF registry for function ", e.fname));
+    }
+    const UdfFn* fn = udfs_->Find(e.fname);
+    if (fn == nullptr) {
+      return Raise(Status::NotFound("unknown function ", e.fname));
+    }
+    std::vector<Operand> args;
+    args.reserve(e.args.size());
+    for (const ExprPtr& arg : e.args) args.push_back(CompileNode(*arg));
+    Instr ins;
+    ins.op = OpCode::kCallUdf;
+    ins.fn = fn;
+    ins.aux_begin = static_cast<uint32_t>(aux_.size());
+    ins.aux_count = static_cast<uint32_t>(args.size());
+    aux_.insert(aux_.end(), args.begin(), args.end());
+    ins.dst = AllocResult(args.data(), args.size());
+    instrs_.push_back(ins);
+    return Reg(ins.dst);
+  }
+
+  Operand CompileBinary(const Expr& e) {
+    if (e.bop == BinaryOp::kAnd || e.bop == BinaryOp::kOr) {
+      const Operand lhs = CompileNode(*e.args[0]);
+      return Region(
+          e.bop == BinaryOp::kAnd ? ForkMode::kNonFalse : ForkMode::kNonTrue,
+          lhs, AllocResult({lhs}), {},
+          [&](Operand) { return CompileNode(*e.args[1]); });
+    }
+    const Operand lhs = CompileNode(*e.args[0]);
+    const Operand rhs = CompileNode(*e.args[1]);
+    if (IsCompareBop(e.bop)) {
+      // Peephole: a comparison of a UDF's value with a literal consumes the
+      // value where it is produced — extract-then-compare is one opcode.
+      const Operand& call = lhs.is_lit() ? rhs : lhs;
+      const Operand& lit = lhs.is_lit() ? lhs : rhs;
+      if (lit.is_lit() && call.is_reg() && !instrs_.empty() &&
+          instrs_.back().op == OpCode::kCallUdf &&
+          instrs_.back().dst == call.index) {
+        Instr& udf = instrs_.back();
+        udf.op = OpCode::kUdfCmpLit;
+        udf.bop = lhs.is_lit() ? FlipCompare(e.bop) : e.bop;
+        udf.b = lit;
+        return call;
+      }
+      return Compare(e.bop, lhs, rhs, {lhs, rhs});
+    }
     Instr ins;
     ins.bop = e.bop;
-    if (IsCompareBop(e.bop)) {
-      if (lhs->is_col() && rhs->is_lit()) {
-        ins.op = OpCode::kColCmpLit;
-        ins.a = *lhs;
-        ins.b = *rhs;
-      } else if (lhs->is_lit() && rhs->is_col()) {
-        ins.op = OpCode::kColCmpLit;
-        ins.bop = FlipCompare(e.bop);
-        ins.a = *rhs;
-        ins.b = *lhs;
-      } else if (rhs->is_lit() && lhs->is_reg() && !instrs_.empty() &&
-                 instrs_.back().op == OpCode::kCallUdf &&
-                 instrs_.back().dst == lhs->index) {
-        // Peephole: the comparison consumes the UDF value where it is
-        // produced — extract-then-compare becomes one opcode.
-        Instr& udf = instrs_.back();
-        udf.op = OpCode::kUdfCmpLit;
-        udf.bop = e.bop;
-        udf.b = *rhs;
-        return Reg(udf.dst);
-      } else if (lhs->is_lit() && rhs->is_reg() && !instrs_.empty() &&
-                 instrs_.back().op == OpCode::kCallUdf &&
-                 instrs_.back().dst == rhs->index) {
-        Instr& udf = instrs_.back();
-        udf.op = OpCode::kUdfCmpLit;
-        udf.bop = FlipCompare(e.bop);
-        udf.b = *lhs;
-        return Reg(udf.dst);
-      } else {
-        ins.op = OpCode::kCompare;
-        ins.a = *lhs;
-        ins.b = *rhs;
-      }
-    } else if (IsArithBop(e.bop)) {
+    ins.a = lhs;
+    ins.b = rhs;
+    if (IsArithBop(e.bop)) {
       ins.op = OpCode::kArith;
-      ins.a = *lhs;
-      ins.b = *rhs;
     } else if (e.bop == BinaryOp::kLike) {
       ins.op = OpCode::kLike;
-      ins.a = *lhs;
-      ins.b = *rhs;
     } else if (e.bop == BinaryOp::kConcat) {
       ins.op = OpCode::kConcat;
-      ins.a = *lhs;
-      ins.b = *rhs;
     } else {
-      return std::nullopt;
+      return Raise(Status::Internal("unhandled binary op"));
     }
-    ins.dst = AllocResult({*lhs, *rhs});
-    instrs_.push_back(ins);
-    return Reg(ins.dst);
+    return Emit(ins, {lhs, rhs});
   }
 
-  std::optional<Operand> CompileNode(const Expr& e) {
-    if (failed_) return std::nullopt;
+  Operand CompileNode(const Expr& e) {
     switch (e.kind) {
       case ExprKind::kLiteral:
+        return Literal(e.literal);
       case ExprKind::kColumnRef:
-        return SimpleOperand(e);
+        if (e.bound_slot < 0 || static_cast<size_t>(e.bound_slot) >= width_) {
+          return Raise(Status::Internal("unbound column reference ", e.column));
+        }
+        return Operand{Operand::Kind::kCol,
+                       static_cast<uint32_t>(e.bound_slot)};
       case ExprKind::kStar:
-        return std::nullopt;
+        return Raise(Status::Internal("star expression reached the evaluator"));
       case ExprKind::kUnary: {
-        std::optional<Operand> v = CompileNode(*e.args[0]);
-        if (!v) return std::nullopt;
+        const Operand v = CompileNode(*e.args[0]);
         Instr ins;
         ins.op = e.uop == UnaryOp::kNot ? OpCode::kNot : OpCode::kNeg;
-        ins.a = *v;
-        ins.dst = AllocResult({*v});
-        instrs_.push_back(ins);
-        return Reg(ins.dst);
+        ins.a = v;
+        return Emit(ins, {v});
       }
       case ExprKind::kBinary:
         return CompileBinary(e);
       case ExprKind::kBetween: {
-        std::optional<Operand> t = CompileNode(*e.args[0]);
-        if (!t) return std::nullopt;
-        std::optional<Operand> lo = CompileNode(*e.args[1]);
-        if (!lo) return std::nullopt;
-        std::optional<Operand> hi = CompileNode(*e.args[2]);
-        if (!hi) return std::nullopt;
+        const Operand t = CompileNode(*e.args[0]);
+        const Operand lo = CompileNode(*e.args[1]);
+        const Operand hi = CompileNode(*e.args[2]);
         Instr ins;
-        ins.op = t->is_col() && lo->is_lit() && hi->is_lit()
-                     ? OpCode::kColBetweenLits
-                     : OpCode::kBetween;
-        ins.a = *t;
-        ins.b = *lo;
-        ins.c = *hi;
+        ins.op = OpCode::kBetween;
+        ins.a = t;
+        ins.b = lo;
+        ins.c = hi;
         ins.negated = e.negated;
-        ins.dst = AllocResult({*t, *lo, *hi});
-        instrs_.push_back(ins);
-        return Reg(ins.dst);
+        return Emit(ins, {t, lo, hi});
       }
-      case ExprKind::kInList: {
-        // The scalar evaluator stops evaluating list items after a match, so
-        // only items that cannot error may run eagerly.
-        for (size_t i = 1; i < e.args.size(); ++i) {
-          if (!IsSimpleOperand(*e.args[i])) return EmitFallback(e);
-        }
-        std::optional<Operand> t = CompileNode(*e.args[0]);
-        if (!t) return std::nullopt;
-        if (e.args.size() - 1 > kMaxAux) return std::nullopt;
-        Instr ins;
-        ins.op = OpCode::kInList;
-        ins.a = *t;
-        ins.negated = e.negated;
-        ins.aux_begin = static_cast<uint32_t>(aux_.size());
-        ins.aux_count = static_cast<uint16_t>(e.args.size() - 1);
-        for (size_t i = 1; i < e.args.size(); ++i) {
-          std::optional<Operand> item = SimpleOperand(*e.args[i]);
-          if (!item) return std::nullopt;
-          aux_.push_back(*item);
-        }
-        ins.dst = AllocResult({*t});
-        instrs_.push_back(ins);
-        return Reg(ins.dst);
-      }
+      case ExprKind::kInList:
+        return CompileInList(e);
       case ExprKind::kIsNull: {
-        std::optional<Operand> v = CompileNode(*e.args[0]);
-        if (!v) return std::nullopt;
+        const Operand v = CompileNode(*e.args[0]);
         Instr ins;
-        ins.op = v->is_col() ? OpCode::kColIsNull : OpCode::kIsNull;
-        ins.a = *v;
+        ins.op = OpCode::kIsNull;
+        ins.a = v;
         ins.negated = e.negated;
-        ins.dst = AllocResult({*v});
-        instrs_.push_back(ins);
-        return Reg(ins.dst);
+        return Emit(ins, {v});
       }
-      case ExprKind::kFunction: {
-        // coalesce short-circuits its arguments and aggregates never belong
-        // here — both stay on the scalar evaluator. A registered UDF
-        // compiles to a direct call only when every argument is simple
-        // (cannot error), so within-lane argument evaluation order has no
-        // observable footprint; anything else falls back per lane.
-        if (e.fname == "coalesce" || e.IsAggregateCall()) {
-          return EmitFallback(e);
-        }
-        const UdfFn* fn = udfs_ != nullptr ? udfs_->Find(e.fname) : nullptr;
-        if (fn == nullptr) return EmitFallback(e);
-        for (const ExprPtr& arg : e.args) {
-          if (!IsSimpleOperand(*arg)) return EmitFallback(e);
-        }
-        if (e.args.size() > kMaxAux) return std::nullopt;
-        Instr ins;
-        ins.op = OpCode::kCallUdf;
-        ins.fn = fn;
-        ins.aux_begin = static_cast<uint32_t>(aux_.size());
-        ins.aux_count = static_cast<uint16_t>(e.args.size());
-        for (const ExprPtr& arg : e.args) {
-          std::optional<Operand> a = SimpleOperand(*arg);
-          if (!a) return std::nullopt;
-          aux_.push_back(*a);
-        }
-        ins.dst = AllocResult({});
-        instrs_.push_back(ins);
-        return Reg(ins.dst);
-      }
+      case ExprKind::kFunction:
+        return CompileFunction(e);
       case ExprKind::kCase:
-      case ExprKind::kVirtual:  // an unhoisted one: scalar extraction
-        return EmitFallback(e);
+        return CaseFrom(e, 0);
+      case ExprKind::kVirtual:
+        // The planner hoists every virtual column into its scan when a
+        // batch extractor is registered; without one, reading it fails.
+        return Raise(Status::NotFound("no batch extractor for virtual column ",
+                                      e.column));
     }
-    return std::nullopt;
-  }
-
-  std::shared_ptr<const Program> Finish(Operand result) {
-    auto prog = std::make_shared<Program>();
-    Arena& arena = prog->arena;
-    Instr* instrs =
-        arena.AllocateArray<Instr>(std::max<size_t>(instrs_.size(), 1));
-    std::copy(instrs_.begin(), instrs_.end(), instrs);
-    size_t next_set = 0;
-    for (size_t i = 0; i < instrs_.size(); ++i) {
-      Instr& ins = instrs[i];
-      switch (ins.op) {
-        case OpCode::kColCmpLit:
-        case OpCode::kUdfCmpLit:
-        case OpCode::kColBetweenLits:
-        case OpCode::kColIsNull:
-        case OpCode::kBoolFork:
-          ++prog->num_fused;
-          break;
-        case OpCode::kFallbackLane: {
-          ++prog->num_fallback;
-          const std::vector<int>& slots = fb_slot_sets_[next_set++];
-          int* arr =
-              arena.AllocateArray<int>(std::max<size_t>(slots.size(), 1));
-          std::copy(slots.begin(), slots.end(), arr);
-          ins.fb_slots = arr;
-          ins.fb_slot_count = static_cast<uint32_t>(slots.size());
-          break;
-        }
-        default:
-          break;
-      }
-    }
-    Operand* aux =
-        arena.AllocateArray<Operand>(std::max<size_t>(aux_.size(), 1));
-    std::copy(aux_.begin(), aux_.end(), aux);
-    Datum* literals =
-        arena.CreateArray<Datum>(std::max<size_t>(literals_.size(), 1));
-    for (size_t i = 0; i < literals_.size(); ++i) literals[i] = literals_[i];
-    prog->instrs = instrs;
-    prog->num_instrs = static_cast<uint32_t>(instrs_.size());
-    prog->aux = aux;
-    prog->literals = literals;
-    prog->num_literals = static_cast<uint16_t>(literals_.size());
-    prog->num_regs = num_regs_;
-    prog->result = result;
-    prog->min_width = static_cast<uint32_t>(width_);
-    return prog;
+    return Raise(Status::Internal("unreachable expression kind"));
   }
 
   size_t width_;
   const UdfRegistry* udfs_;
+  std::shared_ptr<Program> prog_;  // owns the arena kRaise statuses live in
   std::vector<Instr> instrs_;
   std::vector<Operand> aux_;
   std::vector<Datum> literals_;
-  std::vector<std::vector<int>> fb_slot_sets_;  // per kFallbackLane, in order
-  uint16_t next_reg_ = 0;
-  uint16_t num_regs_ = 0;
-  bool failed_ = false;
+  uint32_t next_reg_ = 0;
+  uint32_t num_regs_ = 0;
 };
 
 // ----------------------------------------------------------- interpretation
@@ -463,20 +426,14 @@ struct BatchSrc {
   void Box(const Operand& op) const {
     if (op.is_col() && op.index < batch->num_cols()) batch->Box(op.index);
   }
-  /// Boxes every column an instruction reads: a, b, c, its aux arguments
-  /// and a fallback lane's slots.
+  /// Boxes every column an instruction reads: a, b, c and its aux
+  /// arguments.
   void Box(const Instr& ins, const Program& prog) const {
     Box(ins.a);
     Box(ins.b);
     Box(ins.c);
     for (uint32_t j = 0; j < ins.aux_count; ++j) {
       Box(prog.aux[ins.aux_begin + j]);
-    }
-    for (uint32_t k = 0; k < ins.fb_slot_count; ++k) {
-      const int slot = ins.fb_slots[k];
-      if (slot >= 0 && static_cast<size_t>(slot) < batch->num_cols()) {
-        batch->Box(static_cast<size_t>(slot));
-      }
     }
   }
 };
@@ -489,13 +446,6 @@ const Datum& ReadOperand(const Operand& op, const Program& prog,
     case Operand::Kind::kCol: return src.Col(op.index, lanes[i]);
     default: return prog.literals[op.index];
   }
-}
-
-void CountFallbackLanes(ExecState* st, size_t n) {
-  st->fallback_lanes += n;
-  static metrics::Counter* fallback_lanes =
-      metrics::GetCounter("eval.fallback_lanes");
-  fallback_lanes->Add(n);
 }
 
 void CountTypedLanes(ExecState* st, size_t n) {
@@ -527,7 +477,7 @@ void CountBoxedLanes(ExecState* st, size_t n) {
 /// an unprofiled column is only worth a full-column pass when the lane set
 /// covers at least half the batch (tags are cached on the batch, so any
 /// later instruction or operator reuses the proof for free).
-const ColTag* TagOf(const RowBatch* batch, uint16_t slot, size_t num_lanes) {
+const ColTag* TagOf(const RowBatch* batch, uint32_t slot, size_t num_lanes) {
   if (batch == nullptr) return nullptr;
   if (slot >= batch->cols.size()) return nullptr;
   if (const ColTag* t = batch->TagFor(slot)) return t->typed() ? t : nullptr;
@@ -536,7 +486,7 @@ const ColTag* TagOf(const RowBatch* batch, uint16_t slot, size_t num_lanes) {
   return t != nullptr && t->typed() ? t : nullptr;
 }
 
-void SetRegTag(ExecState* st, uint16_t reg, ColTag::Type type) {
+void SetRegTag(ExecState* st, uint32_t reg, ColTag::Type type) {
   if (reg < st->reg_tags.size()) st->reg_tags[reg].type = type;
   st->reg_tag_set = true;
 }
@@ -960,11 +910,10 @@ bool TypedArith(const Instr& ins, const Program& prog, const RowBatch* batch,
 }
 
 /// The switch loop: executes every instruction over the current lane set,
-/// leaving per-lane values in registers. kBoolFork narrows the lane set to
-/// the undecided rows (frame stack); the matching kBoolJoin restores it.
+/// leaving per-lane values in registers. kFork narrows the lane set to a
+/// region's lanes (frame stack); the matching kJoin restores it.
 Status RunProgram(const Program& prog, const BatchSrc& src,
-                  const std::vector<uint32_t>& lanes_in,
-                  const UdfRegistry* udfs, ExecState* st) {
+                  const std::vector<uint32_t>& lanes_in, ExecState* st) {
   if (prog.min_width > src.width()) {
     return Status::Internal("bytecode program compiled for wider input");
   }
@@ -979,36 +928,22 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
     const Instr& ins = prog.instrs[pc];
     st->reg_tag_set = false;
     switch (ins.op) {
-      case OpCode::kColCmpLit: {
-        const std::vector<uint32_t>& L = cur_lanes();
-        const size_t n = L.size();
-        std::vector<Datum>& dst = st->regs[ins.dst];
-        dst.resize(n);
-        const Datum& lit = prog.literals[ins.b.index];
-        const ColTag* tag = TagOf(src.batch, ins.a.index, n);
-        if (tag != nullptr && TypedValCmpLit(ins, *tag, lit, L, st)) break;
-        src.Box(ins, prog);
-        CountBoxedLanes(st, n);
-        for (size_t i = 0; i < n; ++i) {
-          dst[i] = eval_detail::CompareOp(ins.bop, src.Col(ins.a.index, L[i]),
-                                          lit);
-        }
-        break;
-      }
       case OpCode::kUdfCmpLit:
       case OpCode::kCallUdf: {
         const std::vector<uint32_t>& L = cur_lanes();
         const size_t n = L.size();
-        std::vector<Datum>& dst = st->regs[ins.dst];
-        dst.resize(n);
         src.Box(ins, prog);
         UdfArgs& args = st->udf_args;
         args.resize(ins.aux_count);
         const Datum* lit = ins.op == OpCode::kUdfCmpLit
                                ? &prog.literals[ins.b.index]
                                : nullptr;
+        // dst may be an argument register: lane i's value replaces lane
+        // i's argument only after the call has read it.
+        std::vector<Datum>& dst = st->regs[ins.dst];
+        dst.resize(n);
         for (size_t i = 0; i < n; ++i) {
-          for (uint16_t j = 0; j < ins.aux_count; ++j) {
+          for (uint32_t j = 0; j < ins.aux_count; ++j) {
             args[j] =
                 &ReadOperand(prog.aux[ins.aux_begin + j], prog, src, *st, L, i);
           }
@@ -1021,52 +956,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         }
         break;
       }
-      case OpCode::kColBetweenLits: {
-        const std::vector<uint32_t>& L = cur_lanes();
-        const size_t n = L.size();
-        std::vector<Datum>& dst = st->regs[ins.dst];
-        dst.resize(n);
-        const Datum& lo = prog.literals[ins.b.index];
-        const Datum& hi = prog.literals[ins.c.index];
-        const ColTag* tag = TagOf(src.batch, ins.a.index, n);
-        if (tag != nullptr && TypedValBetween(ins, *tag, lo, hi, L, st)) {
-          break;
-        }
-        src.Box(ins, prog);
-        CountBoxedLanes(st, n);
-        for (size_t i = 0; i < n; ++i) {
-          const Datum& t = src.Col(ins.a.index, L[i]);
-          Datum ge = eval_detail::CompareOp(BinaryOp::kGe, t, lo);
-          Datum le = eval_detail::CompareOp(BinaryOp::kLe, t, hi);
-          if (ge.is_null() || le.is_null()) {
-            dst[i] = Datum::Null();
-          } else {
-            bool in_range = ge.bool_value() && le.bool_value();
-            dst[i] = Datum::Bool(ins.negated ? !in_range : in_range);
-          }
-        }
-        break;
-      }
-      case OpCode::kColIsNull: {
-        const std::vector<uint32_t>& L = cur_lanes();
-        const size_t n = L.size();
-        std::vector<Datum>& dst = st->regs[ins.dst];
-        dst.resize(n);
-        if (const ColTag* tag = TagOf(src.batch, ins.a.index, n)) {
-          typed::ValueIsNull(*tag, ins.negated, L, &dst);
-          CountTypedLanes(st, n);
-          SetRegTag(st, ins.dst, ColTag::Type::kBool);
-          break;
-        }
-        src.Box(ins, prog);
-        CountBoxedLanes(st, n);
-        for (size_t i = 0; i < n; ++i) {
-          bool null = src.Col(ins.a.index, L[i]).is_null();
-          dst[i] = Datum::Bool(ins.negated ? !null : null);
-        }
-        break;
-      }
-      case OpCode::kBoolFork: {
+      case OpCode::kFork: {
         // Reserve the frame before binding the lane set: growing the frame
         // vector moves enclosing frames (and their lane vectors).
         if (st->frame_depth == st->frames.size()) st->frames.emplace_back();
@@ -1078,43 +968,69 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         f.lanes.clear();
         f.pos.clear();
         f.lhs.clear();
-        f.dst = ins.dst;
-        f.is_and = ins.is_and;
         src.Box(ins, prog);
+        const bool kleene = IsKleene(ins.fork);
+        const bool copy_out = ins.fork != ForkMode::kTrue &&
+                              ins.fork != ForkMode::kNotTrue &&
+                              !(ins.a.is_reg() && ins.a.index == ins.dst);
+        std::vector<Datum>* carry =
+            ins.b.is_reg() ? &st->regs[ins.b.index] : nullptr;
+        if (carry != nullptr) carry->clear();
         for (size_t i = 0; i < n; ++i) {
-          const Datum& l = ReadOperand(ins.a, prog, src, *st, L, i);
-          if (!l.is_null() && l.is_bool() && l.bool_value() != ins.is_and) {
-            dst[i] = Datum::Bool(!ins.is_and);  // false AND _, true OR _
-          } else {
+          const Datum& v = ReadOperand(ins.a, prog, src, *st, L, i);
+          if (EntersRegion(ins.fork, v)) {
             f.lanes.push_back(L[i]);
             f.pos.push_back(static_cast<uint32_t>(i));
-            f.lhs.push_back(l);
+            if (kleene) f.lhs.push_back(v);
+            if (carry != nullptr) {
+              carry->push_back(ReadOperand(ins.c, prog, src, *st, L, i));
+            }
+          } else if (copy_out) {
+            dst[i] = v;
           }
         }
+        if (carry != nullptr) {
+          st->reg_tags[ins.b.index] = st->reg_tags[ins.c.index];
+        }
         if (f.lanes.empty()) {
-          pc = ins.jump - 1;  // every lane decided: skip region and join
+          pc = ins.jump - 1;  // no lane enters: skip region and join
         } else {
           ++st->frame_depth;
         }
         break;
       }
-      case OpCode::kBoolJoin: {
+      case OpCode::kJoin: {
         ExecState::Frame& f = st->frames[st->frame_depth - 1];
         const std::vector<uint32_t>& L = f.lanes;
         std::vector<Datum>& dst = st->regs[ins.dst];
         src.Box(ins, prog);
+        if (!IsKleene(ins.fork)) {
+          if (ins.a.is_reg()) {
+            std::vector<Datum>& value = st->regs[ins.a.index];
+            for (size_t k = 0; k < L.size(); ++k) {
+              dst[f.pos[k]] = std::move(value[k]);
+            }
+          } else {
+            for (size_t k = 0; k < L.size(); ++k) {
+              dst[f.pos[k]] = ReadOperand(ins.a, prog, src, *st, L, k);
+            }
+          }
+          --st->frame_depth;
+          break;
+        }
+        const bool is_and = ins.fork == ForkMode::kNonFalse;
         for (size_t k = 0; k < L.size(); ++k) {
           const Datum& r = ReadOperand(ins.a, prog, src, *st, L, k);
           const Datum& l = f.lhs[k];
           Datum& o = dst[f.pos[k]];
-          if (!r.is_null() && r.is_bool() && r.bool_value() != ins.is_and) {
-            o = Datum::Bool(!ins.is_and);
+          if (is_and ? IsFalse(r) : IsTrue(r)) {
+            o = Datum::Bool(!is_and);
           } else if (l.is_null() || r.is_null()) {
             o = Datum::Null();
           } else if (!l.is_bool() || !r.is_bool()) {
             return Status::TypeError("AND/OR on non-boolean");
           } else {
-            o = Datum::Bool(ins.is_and);
+            o = Datum::Bool(is_and);
           }
         }
         --st->frame_depth;
@@ -1125,7 +1041,15 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
-        if (TypedCompare(ins, prog, src.batch, L, st)) break;
+        if (ins.a.is_col() && ins.b.is_lit()) {
+          const ColTag* tag = TagOf(src.batch, ins.a.index, n);
+          if (tag != nullptr &&
+              TypedValCmpLit(ins, *tag, prog.literals[ins.b.index], L, st)) {
+            break;
+          }
+        } else if (TypedCompare(ins, prog, src.batch, L, st)) {
+          break;
+        }
         src.Box(ins, prog);
         CountBoxedLanes(st, n);
         for (size_t i = 0; i < n; ++i) {
@@ -1233,6 +1157,15 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
+        if (ins.a.is_col() && ins.b.is_lit() && ins.c.is_lit()) {
+          const ColTag* tag = TagOf(src.batch, ins.a.index, n);
+          if (tag != nullptr &&
+              TypedValBetween(ins, *tag, prog.literals[ins.b.index],
+                              prog.literals[ins.c.index], L, st)) {
+            break;
+          }
+          CountBoxedLanes(st, n);
+        }
         src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
           const Datum& t = ReadOperand(ins.a, prog, src, *st, L, i);
@@ -1254,6 +1187,15 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
+        if (ins.a.is_col()) {
+          if (const ColTag* tag = TagOf(src.batch, ins.a.index, n)) {
+            typed::ValueIsNull(*tag, ins.negated, L, &dst);
+            CountTypedLanes(st, n);
+            SetRegTag(st, ins.dst, ColTag::Type::kBool);
+            break;
+          }
+          CountBoxedLanes(st, n);
+        }
         src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
           bool null = ReadOperand(ins.a, prog, src, *st, L, i).is_null();
@@ -1274,7 +1216,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
             continue;
           }
           bool matched = false, saw_null = false;
-          for (uint16_t j = 0; j < ins.aux_count; ++j) {
+          for (uint32_t j = 0; j < ins.aux_count; ++j) {
             const Datum& item =
                 ReadOperand(prog.aux[ins.aux_begin + j], prog, src, *st, L, i);
             Datum eq = eval_detail::CompareOp(BinaryOp::kEq, t, item);
@@ -1295,29 +1237,10 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         }
         break;
       }
-      case OpCode::kFallbackLane: {
-        const std::vector<uint32_t>& L = cur_lanes();
-        const size_t n = L.size();
-        std::vector<Datum>& dst = st->regs[ins.dst];
-        dst.resize(n);
-        src.Box(ins, prog);
-        CountFallbackLanes(st, n);
-        DatumRow& scratch = st->scratch;
-        scratch.resize(src.width());
-        for (size_t i = 0; i < n; ++i) {
-          for (uint32_t k = 0; k < ins.fb_slot_count; ++k) {
-            const int s = ins.fb_slots[k];
-            // Out-of-range slots stay uncopied; the scalar evaluator reports
-            // them with its own error text.
-            if (static_cast<size_t>(s) < scratch.size()) {
-              scratch[s] = src.Col(static_cast<size_t>(s), L[i]);
-            }
-          }
-          ASSIGN_OR_RETURN(Datum v, EvalExpr(*ins.fallback, scratch, udfs));
-          dst[i] = std::move(v);
-        }
+      case OpCode::kRaise:
+        st->regs[ins.dst].clear();
+        if (!cur_lanes().empty()) return *ins.error;
         break;
-      }
     }
     // A dst written by an untyped path loses any stale tag. This must run
     // *after* the instruction: the compiler's stack discipline routinely
@@ -1341,20 +1264,17 @@ std::shared_ptr<const Program> Compile(const Expr& expr, size_t input_width,
   const uint64_t start = metrics::NowNanos();
   std::shared_ptr<const Program> program =
       Compiler(input_width, udfs).Run(expr);
-  if (program == nullptr) {
-    program = Compiler(input_width, udfs).RunFallback(expr);
-  }
   programs_total->Increment();
   compile_ns_total->Add(metrics::NowNanos() - start);
   return program;
 }
 
 Status ExecBatch(const Program& program, const RowBatch& batch,
-                 const std::vector<uint32_t>& lanes, const UdfRegistry* udfs,
-                 ExecState* state, std::vector<Datum>* out) {
+                 const std::vector<uint32_t>& lanes, ExecState* state,
+                 std::vector<Datum>* out) {
   out->clear();
   BatchSrc src{&batch};
-  RETURN_NOT_OK(RunProgram(program, src, lanes, udfs, state));
+  RETURN_NOT_OK(RunProgram(program, src, lanes, state));
   const size_t n = lanes.size();
   if (program.result.is_reg()) {
     // The register holds exactly one datum per lane; hand the whole vector
@@ -1374,20 +1294,23 @@ Status ExecBatch(const Program& program, const RowBatch& batch,
 }
 
 Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
-                          const UdfRegistry* udfs, ExecState* state,
-                          std::vector<uint32_t>* sel) {
+                          ExecState* state, std::vector<uint32_t>* sel) {
   if (sel->empty()) return Status::OK();
   BatchSrc src{&batch};
   if (program.min_width > batch.num_cols()) {
     return Status::Internal("bytecode program compiled for wider input");
   }
-  // Select mode: a single fused instruction refines the selection vector in
-  // place — the dominant predicate shapes never materialize a boolean column.
+  // Select mode: a single instruction over a column and literals (or a
+  // kUdfCmpLit) refines the selection vector in place, typed when the
+  // column's tag proves it, boxed otherwise — the dominant predicate shapes
+  // never materialize a boolean column.
   if (program.num_instrs == 1 && program.result.is_reg()) {
     const Instr& ins = program.instrs[0];
+    const Datum* lits = program.literals;
     switch (ins.op) {
-      case OpCode::kColCmpLit: {
-        const Datum& lit = program.literals[ins.b.index];
+      case OpCode::kCompare: {
+        if (!ins.a.is_col() || !ins.b.is_lit()) break;
+        const Datum& lit = lits[ins.b.index];
         if (const ColTag* tag = TagOf(&batch, ins.a.index, sel->size())) {
           if (TypedSelCmpLit(ins.bop, *tag, lit, state, sel)) {
             return Status::OK();
@@ -1397,15 +1320,17 @@ Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
         CountBoxedLanes(state, sel->size());
         size_t kept = 0;
         for (uint32_t lane : *sel) {
-          Datum v = eval_detail::CompareOp(ins.bop, col[lane], lit);
-          if (!v.is_null() && v.bool_value()) (*sel)[kept++] = lane;
+          if (IsTrue(eval_detail::CompareOp(ins.bop, col[lane], lit))) {
+            (*sel)[kept++] = lane;
+          }
         }
         sel->resize(kept);
         return Status::OK();
       }
-      case OpCode::kColBetweenLits: {
-        const Datum& lo = program.literals[ins.b.index];
-        const Datum& hi = program.literals[ins.c.index];
+      case OpCode::kBetween: {
+        if (!ins.a.is_col() || !ins.b.is_lit() || !ins.c.is_lit()) break;
+        const Datum& lo = lits[ins.b.index];
+        const Datum& hi = lits[ins.c.index];
         if (const ColTag* tag = TagOf(&batch, ins.a.index, sel->size())) {
           if (TypedSelBetween(ins, *tag, lo, hi, state, sel)) {
             return Status::OK();
@@ -1425,7 +1350,8 @@ Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
         sel->resize(kept);
         return Status::OK();
       }
-      case OpCode::kColIsNull: {
+      case OpCode::kIsNull: {
+        if (!ins.a.is_col()) break;
         if (const ColTag* tag = TagOf(&batch, ins.a.index, sel->size())) {
           const size_t n = sel->size();
           typed::SelectIsNull(*tag, ins.negated, sel);
@@ -1443,20 +1369,23 @@ Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
         return Status::OK();
       }
       case OpCode::kUdfCmpLit: {
-        const Datum& lit = program.literals[ins.b.index];
+        // A single instruction has no register inputs: every argument is a
+        // column or a literal.
+        const Datum& lit = lits[ins.b.index];
         UdfArgs& args = state->udf_args;
         args.resize(ins.aux_count);
         src.Box(ins, program);
         size_t kept = 0;
         const size_t n = sel->size();
         for (size_t i = 0; i < n; ++i) {
-          for (uint16_t j = 0; j < ins.aux_count; ++j) {
+          for (uint32_t j = 0; j < ins.aux_count; ++j) {
             args[j] = &ReadOperand(program.aux[ins.aux_begin + j], program,
                                    src, *state, *sel, i);
           }
           ASSIGN_OR_RETURN(Datum v, (*ins.fn)(args));
-          Datum c = eval_detail::CompareOp(ins.bop, v, lit);
-          if (!c.is_null() && c.bool_value()) (*sel)[kept++] = (*sel)[i];
+          if (IsTrue(eval_detail::CompareOp(ins.bop, v, lit))) {
+            (*sel)[kept++] = (*sel)[i];
+          }
         }
         sel->resize(kept);
         return Status::OK();
@@ -1465,13 +1394,13 @@ Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
         break;
     }
   }
-  RETURN_NOT_OK(RunProgram(program, src, *sel, udfs, state));
+  RETURN_NOT_OK(RunProgram(program, src, *sel, state));
   src.Box(program.result);
   size_t kept = 0;
   for (size_t i = 0; i < sel->size(); ++i) {
     const Datum& v =
         ReadOperand(program.result, program, src, *state, *sel, i);
-    if (v.is_null()) continue;  // NULL filters, as in EvalPredicate
+    if (v.is_null()) continue;  // NULL filters
     if (!v.is_bool()) {
       return Status::TypeError("predicate did not evaluate to a boolean");
     }

@@ -20,13 +20,6 @@ constexpr std::string_view kMetricsTableName = "sinew_metrics";
 constexpr std::string_view kQueryLogTableName = "sinew_query_log";
 constexpr std::string_view kAttributeStatsTableName = "sinew_attribute_stats";
 
-bool ReferencesTable(const SelectStatement& stmt, std::string_view name) {
-  return std::any_of(stmt.from.begin(), stmt.from.end(),
-                     [name](const TableRef& ref) {
-                       return ref.table_name == name;
-                     });
-}
-
 /// Walks the plan tree summing base-scan actuals into the exec info.
 void AccumulateScanStats(const PlanNode& node, const PlanStats& stats,
                          QueryExecInfo* info) {
@@ -118,6 +111,13 @@ QueryResult DmlResult(int64_t affected, uint64_t apply_start,
 
 }  // namespace
 
+bool ReferencesTable(const SelectStatement& stmt, std::string_view table) {
+  return std::any_of(stmt.from.begin(), stmt.from.end(),
+                     [table](const TableRef& ref) {
+                       return ref.table_name == table;
+                     });
+}
+
 Database::Database(PlannerOptions planner_options, ExecOptions exec_options)
     : planner_options_(planner_options), exec_options_(exec_options) {
   RegisterBuiltinFunctions(&udfs_);
@@ -145,7 +145,9 @@ Result<QueryResult> Database::ExecuteStatement(const Statement& stmt,
       stmt.kind != StatementKind::kDelete) {
     // Statements that run no plan get wall-clock + affected-rows telemetry.
     const uint64_t start = metrics::NowNanos();
-    Result<QueryResult> result = ExecuteStatement(stmt);
+    Result<QueryResult> result = stmt.kind == StatementKind::kExplain
+                                     ? ExecuteExplain(stmt, info->rewrite_ns)
+                                     : ExecuteStatement(stmt);
     info->exec_ns = metrics::NowNanos() - start;
     if (result.ok()) {
       if (result->rows.size() == 1 && result->column_names.size() == 1 &&
@@ -164,7 +166,7 @@ Result<QueryResult> Database::ExecuteStatement(const Statement& stmt,
       RETURN_NOT_OK(MaybeRefreshSystemTables(*stmt.select));
       return ExecuteSelect(*stmt.select, info);
     case StatementKind::kExplain:
-      return ExecuteExplain(stmt);
+      return ExecuteExplain(stmt, /*rewrite_ns=*/0);
     case StatementKind::kCreateTable:
       return ExecuteCreateTable(*stmt.create_table);
     case StatementKind::kInsert:
@@ -232,7 +234,8 @@ Result<QueryResult> Database::ExecuteSelect(const SelectStatement& stmt,
   return result;
 }
 
-Result<QueryResult> Database::ExecuteExplain(const Statement& stmt) {
+Result<QueryResult> Database::ExecuteExplain(const Statement& stmt,
+                                             uint64_t rewrite_ns) {
   const uint64_t plan_start = metrics::NowNanos();
   ASSIGN_OR_RETURN(PlanPtr plan, PlanStatement(*stmt.select));
   const uint64_t plan_ns = metrics::NowNanos() - plan_start;
@@ -250,7 +253,7 @@ Result<QueryResult> Database::ExecuteExplain(const Statement& stmt) {
   std::ostringstream text;
   text << ExplainAnalyzeText(*plan, stats);
   text << "Planning Time: " << std::fixed << std::setprecision(3)
-       << static_cast<double>(plan_ns) / 1e6 << " ms\n";
+       << static_cast<double>(rewrite_ns + plan_ns) / 1e6 << " ms\n";
   text << "Execution Time: " << std::fixed << std::setprecision(3)
        << static_cast<double>(stats.total_ns) / 1e6 << " ms\n";
   return TextResult("QUERY PLAN", text.str());
@@ -266,100 +269,74 @@ Status Database::MaybeRefreshSystemTables(const SelectStatement& stmt) {
   return Status::OK();
 }
 
-Status Database::RefreshMetricsTable() {
+Status Database::RefreshSystemTable(std::string_view name,
+                                    const std::vector<Column>& columns,
+                                    const std::vector<DatumRow>& rows) {
   std::lock_guard lock(system_table_mu_);
   Table* table = nullptr;
-  Result<Table*> existing = catalog_.GetTable(std::string(kMetricsTableName));
+  Result<Table*> existing = catalog_.GetTable(std::string(name));
   if (existing.ok()) {
     table = *existing;
   } else {
     Schema schema;
-    RETURN_NOT_OK(schema.AddColumn(Column{"name", ColumnType::kText, false}));
-    RETURN_NOT_OK(schema.AddColumn(Column{"type", ColumnType::kText, false}));
-    RETURN_NOT_OK(
-        schema.AddColumn(Column{"value", ColumnType::kDouble, false}));
-    ASSIGN_OR_RETURN(table, catalog_.CreateTable(
-                                std::string(kMetricsTableName),
-                                std::move(schema)));
+    for (const Column& col : columns) RETURN_NOT_OK(schema.AddColumn(col));
+    ASSIGN_OR_RETURN(table,
+                     catalog_.CreateTable(std::string(name), std::move(schema)));
   }
-  // Delete + re-append: concurrent readers may hold the Table*, and plans
-  // are built against it, so the table object survives refreshes.
   table->DeleteAllRows();
-  for (const metrics::Sample& s : metrics::MetricsRegistry::Global()
-                                      ->Snapshot()) {
-    DatumRow row;
-    row.push_back(Datum::Text(s.name));
-    row.push_back(Datum::Text(s.type));
-    row.push_back(Datum::Double(s.value));
+  for (const DatumRow& row : rows) {
     RETURN_NOT_OK(table->AppendRow(row).status());
   }
   return Status::OK();
 }
 
-Status Database::RefreshQueryLogTable() {
-  std::lock_guard lock(system_table_mu_);
-  Table* table = nullptr;
-  Result<Table*> existing = catalog_.GetTable(std::string(kQueryLogTableName));
-  if (existing.ok()) {
-    table = *existing;
-  } else {
-    Schema schema;
-    auto add_int = [&schema](const char* name) {
-      return schema.AddColumn(Column{name, ColumnType::kInt, false});
-    };
-    RETURN_NOT_OK(add_int("ordinal"));
-    RETURN_NOT_OK(
-        schema.AddColumn(Column{"fingerprint", ColumnType::kText, false}));
-    RETURN_NOT_OK(add_int("fingerprint_hash"));
-    RETURN_NOT_OK(add_int("plan_hash"));
-    RETURN_NOT_OK(add_int("trace_id"));
-    RETURN_NOT_OK(add_int("parse_ns"));
-    RETURN_NOT_OK(add_int("rewrite_ns"));
-    RETURN_NOT_OK(add_int("plan_ns"));
-    RETURN_NOT_OK(add_int("exec_ns"));
-    RETURN_NOT_OK(add_int("total_ns"));
-    RETURN_NOT_OK(add_int("rows_in"));
-    RETURN_NOT_OK(add_int("rows_examined"));
-    RETURN_NOT_OK(add_int("rows_out"));
-    RETURN_NOT_OK(add_int("batches"));
-    RETURN_NOT_OK(add_int("zone_skips"));
-    RETURN_NOT_OK(add_int("replans"));
-    RETURN_NOT_OK(
-        schema.AddColumn(Column{"status", ColumnType::kText, false}));
-    RETURN_NOT_OK(schema.AddColumn(Column{"error", ColumnType::kText, false}));
-    ASSIGN_OR_RETURN(table, catalog_.CreateTable(
-                                std::string(kQueryLogTableName),
-                                std::move(schema)));
+Status Database::RefreshMetricsTable() {
+  std::vector<DatumRow> rows;
+  for (const metrics::Sample& s : metrics::MetricsRegistry::Global()
+                                      ->Snapshot()) {
+    rows.push_back(
+        {Datum::Text(s.name), Datum::Text(s.type), Datum::Double(s.value)});
   }
-  table->DeleteAllRows();
+  return RefreshSystemTable(kMetricsTableName,
+                            {{"name", ColumnType::kText},
+                             {"type", ColumnType::kText},
+                             {"value", ColumnType::kDouble}},
+                            rows);
+}
+
+Status Database::RefreshQueryLogTable() {
+  auto int_col = [](const char* name) {
+    return Column{name, ColumnType::kInt};
+  };
+  auto text_col = [](const char* name) {
+    return Column{name, ColumnType::kText};
+  };
   // uint64 hashes are stored as the bit-equivalent signed value; joins and
   // equality comparisons against other logged hashes stay exact.
   auto as_int = [](uint64_t v) {
     return Datum::Int(static_cast<int64_t>(v));
   };
+  std::vector<DatumRow> rows;
   for (const qlog::QueryRecord& r : qlog::QueryLog::Global()->Records()) {
-    DatumRow row;
-    row.push_back(as_int(r.ordinal));
-    row.push_back(Datum::Text(r.fingerprint));
-    row.push_back(as_int(r.fingerprint_hash));
-    row.push_back(as_int(r.plan_hash));
-    row.push_back(as_int(r.trace_id));
-    row.push_back(as_int(r.parse_ns));
-    row.push_back(as_int(r.rewrite_ns));
-    row.push_back(as_int(r.plan_ns));
-    row.push_back(as_int(r.exec_ns));
-    row.push_back(as_int(r.total_ns));
-    row.push_back(as_int(r.rows_in));
-    row.push_back(as_int(r.rows_examined));
-    row.push_back(as_int(r.rows_out));
-    row.push_back(as_int(r.batches));
-    row.push_back(as_int(r.zone_skips));
-    row.push_back(as_int(r.replans));
-    row.push_back(Datum::Text(r.status));
-    row.push_back(Datum::Text(r.error));
-    RETURN_NOT_OK(table->AppendRow(row).status());
+    rows.push_back({as_int(r.ordinal), Datum::Text(r.fingerprint),
+                    as_int(r.fingerprint_hash), as_int(r.plan_hash),
+                    as_int(r.trace_id), as_int(r.parse_ns),
+                    as_int(r.rewrite_ns), as_int(r.plan_ns),
+                    as_int(r.exec_ns), as_int(r.total_ns), as_int(r.rows_in),
+                    as_int(r.rows_examined), as_int(r.rows_out),
+                    as_int(r.batches), as_int(r.zone_skips),
+                    as_int(r.replans), Datum::Text(r.status),
+                    Datum::Text(r.error)});
   }
-  return Status::OK();
+  return RefreshSystemTable(
+      kQueryLogTableName,
+      {int_col("ordinal"), text_col("fingerprint"), int_col("fingerprint_hash"),
+       int_col("plan_hash"), int_col("trace_id"), int_col("parse_ns"),
+       int_col("rewrite_ns"), int_col("plan_ns"), int_col("exec_ns"),
+       int_col("total_ns"), int_col("rows_in"), int_col("rows_examined"),
+       int_col("rows_out"), int_col("batches"), int_col("zone_skips"),
+       int_col("replans"), text_col("status"), text_col("error")},
+      rows);
 }
 
 Result<QueryResult> Database::ExecuteCreateTable(

@@ -23,8 +23,10 @@ namespace sinew::engine {
 /// (common/query_log.h). SELECT, UPDATE and DELETE run a plan and fill every
 /// field: for DML the plan is the find phase, exec_ns also covers the apply
 /// phase, and rows_out is the affected row count. Other statements fill
-/// exec_ns/rows_out only.
+/// exec_ns/rows_out only. `rewrite_ns` is the one input: the caller's
+/// rewrite time, which EXPLAIN ANALYZE counts in its Planning Time.
 struct QueryExecInfo {
+  uint64_t rewrite_ns = 0;
   uint64_t plan_hash = 0;  // FNV-1a of the plan tree text
   uint64_t plan_ns = 0;
   uint64_t exec_ns = 0;
@@ -34,6 +36,9 @@ struct QueryExecInfo {
   uint64_t batches = 0;     // batches emitted by the plan root
   uint64_t zone_skips = 0;  // strips skipped via zone maps
 };
+
+/// True when the SELECT's FROM list names `table`.
+bool ReferencesTable(const SelectStatement& stmt, std::string_view table);
 
 class Database {
  public:
@@ -80,12 +85,23 @@ class Database {
   /// EXPLAIN convenience: the plan tree as text.
   Result<std::string> Explain(std::string_view sql);
 
+  /// Replaces the rows of the system table `name` with `rows`, creating it
+  /// with `columns` on first use. Refreshes of every system table share one
+  /// mutex. The Table object survives them: concurrent readers may hold it,
+  /// and plans are built against it.
+  Status RefreshSystemTable(std::string_view name,
+                            const std::vector<Column>& columns,
+                            const std::vector<DatumRow>& rows);
+
  private:
   /// Plans (without the system-table refresh) and drains a SELECT: every
   /// SELECT, and the find phase of every UPDATE and DELETE, runs here.
   Result<QueryResult> ExecuteSelect(const SelectStatement& stmt,
                                     QueryExecInfo* info);
-  Result<QueryResult> ExecuteExplain(const Statement& stmt);
+  /// `rewrite_ns`: time the statement spent in rewrite before it arrived,
+  /// printed as part of the Planning Time.
+  Result<QueryResult> ExecuteExplain(const Statement& stmt,
+                                     uint64_t rewrite_ns);
   Result<QueryResult> ExecuteCreateTable(const CreateTableStatement& stmt);
   Result<QueryResult> ExecuteInsert(const InsertStatement& stmt);
   /// UPDATE/DELETE: find the rows (and SET values) with ExecuteSelect, then

@@ -147,11 +147,8 @@ constexpr size_t kExecStateShrinkThreshold = 4096;
 void FlushBytecodeState(const PlanNode& node, ExecContext* ctx,
                         bytecode::ExecState* st) {
   if (ctx->stats != nullptr &&
-      (st->fallback_lanes != 0 || st->typed_lanes != 0 ||
-       st->boxed_lanes != 0)) {
+      (st->typed_lanes != 0 || st->boxed_lanes != 0)) {
     if (OperatorStats* s = ctx->stats->For(node)) {
-      s->bc_fallback_lanes.fetch_add(st->fallback_lanes,
-                                     std::memory_order_relaxed);
       s->bc_typed_lanes.fetch_add(st->typed_lanes, std::memory_order_relaxed);
       s->bc_boxed_lanes.fetch_add(st->boxed_lanes, std::memory_order_relaxed);
     }
@@ -792,9 +789,8 @@ class ScanOp : public Operator {
     RETURN_NOT_OK(ExtractUnlocked(&filter_, &probe_, 0, probe_));
     MaterializeExtracted(&filter_, &probe_, /*seed_tags=*/true);
     if (filtered) {
-      RETURN_NOT_OK(bytecode::ExecPredicateBatch(*node_.scan_filter_program,
-                                                 probe_, ctx_->udfs,
-                                                 &bc_state_, &probe_.sel));
+      RETURN_NOT_OK(bytecode::ExecPredicateBatch(
+          *node_.scan_filter_program, probe_, &bc_state_, &probe_.sel));
     }
     const std::vector<uint32_t>& sel = probe_.sel;
     size_t fit = sel.size();
@@ -969,9 +965,8 @@ class FilterOp : public Operator {
   Result<bool> NextBatch(RowBatch* batch) override {
     ASSIGN_OR_RETURN(bool has, child_->NextBatch(batch));
     if (!has) return false;
-    RETURN_NOT_OK(bytecode::ExecPredicateBatch(*node_.predicate_program,
-                                               *batch, ctx_->udfs, &bc_state_,
-                                               &batch->sel));
+    RETURN_NOT_OK(bytecode::ExecPredicateBatch(
+        *node_.predicate_program, *batch, &bc_state_, &batch->sel));
     return true;
   }
 
@@ -1028,7 +1023,7 @@ class ProjectOp : public Operator {
       const Expr& p = *node_.projections[c];
       if (!p.IsBoundColumnRef()) {
         RETURN_NOT_OK(bytecode::ExecBatch(*node_.projection_programs[c], in_,
-                                          in_.sel, ctx_->udfs, &bc_state_,
+                                          in_.sel, &bc_state_,
                                           &batch->cols[c]));
         continue;
       }
@@ -1107,7 +1102,7 @@ using ProgramList = std::vector<PlanNode::ProgramPtr>;
 /// program i's value at lane batch.sel[k]. A null program (the argument of
 /// COUNT(*)) leaves its column empty.
 Status EvalColumns(const ProgramList& programs, const RowBatch& batch,
-                   ExecContext* ctx, bytecode::ExecState* st,
+                   bytecode::ExecState* st,
                    std::vector<std::vector<Datum>>* out) {
   out->resize(programs.size());
   for (size_t i = 0; i < programs.size(); ++i) {
@@ -1115,8 +1110,8 @@ Status EvalColumns(const ProgramList& programs, const RowBatch& batch,
       (*out)[i].clear();
       continue;
     }
-    RETURN_NOT_OK(bytecode::ExecBatch(*programs[i], batch, batch.sel,
-                                      ctx->udfs, st, &(*out)[i]));
+    RETURN_NOT_OK(
+        bytecode::ExecBatch(*programs[i], batch, batch.sel, st, &(*out)[i]));
   }
   return Status::OK();
 }
@@ -1155,7 +1150,7 @@ Status DrainKeyed(Operator* child, const ProgramList& key_programs,
   while (true) {
     ASSIGN_OR_RETURN(bool has, child->NextBatch(&batch));
     if (!has) return Status::OK();
-    RETURN_NOT_OK(EvalColumns(key_programs, batch, ctx, st, &keys));
+    RETURN_NOT_OK(EvalColumns(key_programs, batch, st, &keys));
     for (size_t k = 0; k < batch.sel.size(); ++k) {
       KeyedRow kr;
       if (TakeLane(&keys, k, &kr.keys) && skip_null_keys) continue;
@@ -1321,7 +1316,7 @@ class HashJoinOp : public Operator {
       ASSIGN_OR_RETURN(bool has, probe_->NextBatch(&probe_batch_));
       if (!has) return false;
       probe_pos_ = 0;
-      RETURN_NOT_OK(EvalColumns(node_.left_key_programs, probe_batch_, ctx_,
+      RETURN_NOT_OK(EvalColumns(node_.left_key_programs, probe_batch_,
                                 &bc_state_, &key_cols_));
     }
   }
@@ -1546,10 +1541,10 @@ struct AggInputs {
   std::vector<std::vector<Datum>> keys;
   std::vector<std::vector<Datum>> args;
 
-  Status Eval(const PlanNode& node, const RowBatch& batch, ExecContext* ctx,
+  Status Eval(const PlanNode& node, const RowBatch& batch,
               bytecode::ExecState* st) {
-    RETURN_NOT_OK(EvalColumns(node.group_key_programs, batch, ctx, st, &keys));
-    return EvalColumns(node.agg_programs, batch, ctx, st, &args);
+    RETURN_NOT_OK(EvalColumns(node.group_key_programs, batch, st, &keys));
+    return EvalColumns(node.agg_programs, batch, st, &args);
   }
 
   /// Folds entry k's arguments into `state`.
@@ -1576,7 +1571,7 @@ class GroupTable {
     while (true) {
       ASSIGN_OR_RETURN(bool has, child->NextBatch(&batch));
       if (!has) return Status::OK();
-      RETURN_NOT_OK(inputs_.Eval(node_, batch, ctx, st));
+      RETURN_NOT_OK(inputs_.Eval(node_, batch, st));
       for (size_t k = 0; k < batch.active(); ++k) {
         TakeLane(&inputs_.keys, k, &keys_);
         auto [it, inserted] =
@@ -1668,7 +1663,7 @@ class SortedGroupOp : public Operator {
           if (in_group_) RETURN_NOT_OK(EmitGroup(out));
           break;
         }
-        RETURN_NOT_OK(inputs_.Eval(node_, in_, ctx_, &bc_state_));
+        RETURN_NOT_OK(inputs_.Eval(node_, in_, &bc_state_));
         pos_ = 0;
         continue;
       }
@@ -2156,16 +2151,16 @@ void AppendAnalyzedNode(const PlanNode& node, const PlanStats& stats,
                     1e6
              << " ms)";
       }
-      // Compiled-expression shape: static opcode counts from the attached
-      // program(s) plus the lanes that escaped to the scalar evaluator.
+      // Compiled-expression shape: static instruction count of the
+      // attached program(s) plus the lanes the typed kernels served and the
+      // specializable lanes left boxed.
       {
-        uint64_t ops = 0, fused = 0;
+        uint64_t ops = 0;
         bool compiled = false;
         auto add = [&](const bytecode::Program* p) {
           if (p == nullptr) return;
           compiled = true;
           ops += p->num_instrs;
-          fused += p->num_fused;
         };
         add(node.predicate_program.get());
         add(node.scan_filter_program.get());
@@ -2177,10 +2172,10 @@ void AppendAnalyzedNode(const PlanNode& node, const PlanStats& stats,
           for (const auto& p : *list) add(p.get());
         }
         if (compiled) {
-          *out << " (bytecode ops=" << ops << " fused=" << fused
+          *out << " (bytecode ops=" << ops
                << " typed=" << s->bc_typed_lanes.load(std::memory_order_relaxed)
-               << " fallback_lanes="
-               << s->bc_fallback_lanes.load(std::memory_order_relaxed) << ")";
+               << " boxed=" << s->bc_boxed_lanes.load(std::memory_order_relaxed)
+               << ")";
         }
       }
       const uint64_t batches = s->batches.load(std::memory_order_relaxed);

@@ -53,9 +53,8 @@ struct OperatorStats {
   std::atomic<uint64_t> columnar_hits{0};  // values served from column strips
   std::atomic<uint64_t> extract_ns{0};  // virtual-column extraction time
   // bytecode-compiled nodes only:
-  std::atomic<uint64_t> bc_fallback_lanes{0};  // lanes on scalar EvalExpr
-  std::atomic<uint64_t> bc_typed_lanes{0};     // lanes on monomorphic kernels
-  std::atomic<uint64_t> bc_boxed_lanes{0};     // specializable lanes left boxed
+  std::atomic<uint64_t> bc_typed_lanes{0};  // lanes on monomorphic kernels
+  std::atomic<uint64_t> bc_boxed_lanes{0};  // specializable lanes left boxed
 };
 
 /// Side table of per-node actuals for one execution, indexed by plan node

@@ -132,8 +132,8 @@ struct PlanNode {
   std::vector<ZoneFilter> zone_filters;
 
   // Compiled bytecode programs (engine/bytecode.h), attached by the
-  // planner's compile pass after every plan rewrite has run so the Expr
-  // trees they alias are final. Immutable; Gather workers instantiate
+  // planner's compile pass after every plan rewrite has run, so they
+  // compile the final expressions. Immutable; Gather workers instantiate
   // operators over the same PlanNode and share them (per-instance scratch
   // lives in each operator's bytecode::ExecState). Set for every expression
   // slot, except a projection that is a bare bound column ref (its program

@@ -142,10 +142,9 @@ void FoldPlanConstants(PlanNode* node) {
 /// filter predicates, projections, join, sort and group keys, aggregate
 /// arguments — to bytecode programs (engine/bytecode.h), the executor's
 /// only evaluator. Runs after every plan rewrite (constant folding,
-/// zone-filter attachment, parallelization) so the Expr trees the programs
-/// alias, and the bound slots the compiler collects for fallback lanes, are
-/// final. A slot reads its node's first child (a scan reads its own
-/// output; right join keys read the second child).
+/// zone-filter attachment, parallelization) so every program compiles the
+/// final expression and slots. A slot reads its node's first child (a scan
+/// reads its own output; right join keys read the second child).
 void CompilePlanPrograms(PlanNode* node, const UdfRegistry* udfs) {
   auto width_of = [node](size_t child) {
     return child < node->children.size()

@@ -135,28 +135,6 @@ Result<DatumRow> DecodeRow(const Schema& schema, std::string_view data) {
   return row;
 }
 
-namespace {
-
-/// Boxes the walked slots of one row into `row`, indexed by table slot.
-struct DatumSink {
-  const Schema& schema;
-  const std::vector<size_t>& slots;
-  DatumRow* row;
-
-  Datum& dst(size_t k) { return (*row)[slots[k]]; }
-  void Null(size_t k) { dst(k) = Datum::Null(); }
-  void Int(size_t k, int64_t v) { dst(k) = Datum::Int(v); }
-  void Double(size_t k, double v) { dst(k) = Datum::Double(v); }
-  void Bool(size_t k, bool v) { dst(k) = Datum::Bool(v); }
-  void Str(size_t k, std::string_view v) {
-    dst(k) = schema.columns()[slots[k]].type == ColumnType::kText
-                 ? Datum::Text(std::string(v))
-                 : Datum::Bytes(std::string(v));
-  }
-};
-
-}  // namespace
-
 namespace row_walk {
 
 Status Corrupt(const char* what, size_t offset, size_t size) {
@@ -165,10 +143,5 @@ Status Corrupt(const char* what, size_t offset, size_t size) {
 }
 
 }  // namespace row_walk
-
-Status DecodeRowSlots(const Schema& schema, std::string_view data,
-                      const std::vector<size_t>& slots, DatumRow* row) {
-  return WalkRow(schema, data, slots, DatumSink{schema, slots, row});
-}
 
 }  // namespace sinew::engine

@@ -40,12 +40,6 @@ Result<std::string> EncodeRow(const Schema& schema, const DatumRow& row);
 /// encoded ncols come back NULL.
 Result<DatumRow> DecodeRow(const Schema& schema, std::string_view data);
 
-/// Projection-pushdown decode: fills only `slots` (ascending, unique) of
-/// `row` (which must be pre-sized to schema.num_slots()); other slots are
-/// left untouched. One WalkRow pass.
-Status DecodeRowSlots(const Schema& schema, std::string_view data,
-                      const std::vector<size_t>& slots, DatumRow* row);
-
 namespace row_walk {
 
 /// Reads one LEB128 varint at `*p`; false if it runs past `end` or past ten

@@ -177,11 +177,19 @@ inline void ValueBetween(const T* vals, const ColTag& tag, NumBound<T> lo,
 }
 
 /// IS [NOT] NULL straight off the bitmap — works for every proven type.
+/// IS [NOT] NULL reads only the null bitmap; a column without NULLs
+/// decides every lane at once.
 inline void SelectIsNull(const ColTag& tag, bool negated,
                          std::vector<uint32_t>* sel) {
+  if (!tag.has_nulls) {
+    if (!negated) sel->clear();
+    return;
+  }
+  const uint64_t* nulls = tag.nulls.data();
   size_t kept = 0;
   for (uint32_t lane : *sel) {
-    if (tag.IsNull(lane) != negated) (*sel)[kept++] = lane;
+    const bool null = (nulls[lane >> 6] >> (lane & 63)) & 1;
+    if (null != negated) (*sel)[kept++] = lane;
   }
   sel->resize(kept);
 }
@@ -190,8 +198,14 @@ inline void ValueIsNull(const ColTag& tag, bool negated,
                         const std::vector<uint32_t>& lanes,
                         std::vector<Datum>* dst) {
   const size_t n = lanes.size();
+  if (!tag.has_nulls) {
+    for (size_t i = 0; i < n; ++i) (*dst)[i] = Datum::Bool(negated);
+    return;
+  }
+  const uint64_t* nulls = tag.nulls.data();
   for (size_t i = 0; i < n; ++i) {
-    (*dst)[i] = Datum::Bool(tag.IsNull(lanes[i]) != negated);
+    const bool null = (nulls[lanes[i] >> 6] >> (lanes[i] & 63)) & 1;
+    (*dst)[i] = Datum::Bool(null != negated);
   }
 }
 

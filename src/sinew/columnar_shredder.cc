@@ -31,6 +31,17 @@ bool IsScalar(ValueType t) {
          t == ValueType::kDouble || t == ValueType::kString;
 }
 
+/// Takes a row's reservoir as a view into the row bytes, valid while the
+/// table latch is held; a NULL reservoir leaves `doc` unset.
+struct ReservoirSink {
+  std::optional<std::string_view> doc;
+  void Null(size_t) {}
+  void Int(size_t, int64_t) {}
+  void Double(size_t, double) {}
+  void Bool(size_t, bool) {}
+  void Str(size_t, std::string_view v) { doc = v; }
+};
+
 /// Shreds one serialized document into the strip set: one prefix-chain
 /// descent per candidate group, one ExtractMany header pass per group —
 /// exactly the access pattern of ExtractGroupFromDoc in the executor's
@@ -120,6 +131,9 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
       table->FindColumnLatched(kReservoirColumn);
   if (!data_slot.has_value()) return std::shared_ptr<const ColumnarSegment>();
   const engine::Schema schema = table->SchemaSnapshot();
+  if (schema.columns()[*data_slot].type != engine::ColumnType::kBytes) {
+    return std::shared_ptr<const ColumnarSegment>();
+  }
 
   // --- strip selection: reservoir-resident, scalar, single-typed, dense
   //     enough. The reservoir stays authoritative for everything excluded.
@@ -179,7 +193,6 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
   }
 
   const std::vector<size_t> slots{*data_slot};
-  engine::DatumRow row(schema.num_slots());
   std::vector<uint32_t> wanted_scratch;
   std::vector<std::optional<std::string_view>> values_scratch;
   for (uint64_t s = 0; s < num_strips; ++s) {
@@ -204,10 +217,10 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
       for (uint64_t rid = first; rid < end; ++rid) {
         const std::string& encoded = table->RawRowUnlocked(rid);
         if (encoded.empty()) continue;  // deleted row: stays absent
-        RETURN_NOT_OK(engine::DecodeRowSlots(schema, encoded, slots, &row));
-        const engine::Datum& src = row[*data_slot];
-        if (!src.is_bytes()) continue;
-        RETURN_NOT_OK(ShredDocument(catalog, candidates, src.str(),
+        ReservoirSink reservoir;
+        RETURN_NOT_OK(engine::WalkRow(schema, encoded, slots, reservoir));
+        if (!reservoir.doc.has_value()) continue;  // NULL reservoir
+        RETURN_NOT_OK(ShredDocument(catalog, candidates, *reservoir.doc,
                                     static_cast<uint32_t>(rid - first),
                                     &strips, &wanted_scratch,
                                     &values_scratch));

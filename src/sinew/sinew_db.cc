@@ -179,6 +179,7 @@ Result<engine::QueryResult> SinewDb::Query(std::string_view sql) {
     }
     ++attempts;
     info = engine::QueryExecInfo{};  // per-attempt; finish reads the last one
+    info.rewrite_ns = record.rewrite_ns;
     metrics::TraceContext::Span exec_span =
         query_trace_.StartSpan("query.execute");
     Result<engine::QueryResult> result = db_.ExecuteStatement(*stmt_or, &info);
@@ -216,50 +217,14 @@ Status SinewDb::DumpTrace(const std::string& path) const {
 
 Status SinewDb::MaybeRefreshAttributeStatsTable(const engine::Statement& stmt) {
   constexpr std::string_view kAttrStatsTable = "sinew_attribute_stats";
-  if (stmt.kind != engine::StatementKind::kSelect &&
-      stmt.kind != engine::StatementKind::kExplain) {
+  if ((stmt.kind != engine::StatementKind::kSelect &&
+       stmt.kind != engine::StatementKind::kExplain) ||
+      !engine::ReferencesTable(*stmt.select, kAttrStatsTable)) {
     return Status::OK();
   }
-  const engine::SelectStatement& sel = *stmt.select;
-  const bool referenced =
-      std::any_of(sel.from.begin(), sel.from.end(),
-                  [kAttrStatsTable](const engine::TableRef& ref) {
-                    return ref.table_name == kAttrStatsTable;
-                  });
-  if (!referenced) return Status::OK();
-  std::lock_guard lock(stats_table_mutex_);
-  engine::Table* table = nullptr;
-  Result<engine::Table*> existing =
-      db_.catalog()->GetTable(std::string(kAttrStatsTable));
-  if (existing.ok()) {
-    table = *existing;
-  } else {
-    engine::Schema schema;
-    auto add = [&schema](const char* name, engine::ColumnType type) {
-      return schema.AddColumn(engine::Column{name, type, false});
-    };
-    RETURN_NOT_OK(add("table_name", engine::ColumnType::kText));
-    RETURN_NOT_OK(add("attr_key", engine::ColumnType::kText));
-    RETURN_NOT_OK(add("attr_type", engine::ColumnType::kText));
-    RETURN_NOT_OK(add("attr_id", engine::ColumnType::kInt));
-    RETURN_NOT_OK(add("row_count", engine::ColumnType::kInt));
-    RETURN_NOT_OK(add("materialized", engine::ColumnType::kInt));
-    RETURN_NOT_OK(add("dirty", engine::ColumnType::kInt));
-    RETURN_NOT_OK(add("extract_requests", engine::ColumnType::kInt));
-    RETURN_NOT_OK(add("strip_served", engine::ColumnType::kInt));
-    RETURN_NOT_OK(add("reservoir_served", engine::ColumnType::kInt));
-    RETURN_NOT_OK(add("decode_ns", engine::ColumnType::kInt));
-    RETURN_NOT_OK(add("last_touched_ordinal", engine::ColumnType::kInt));
-    ASSIGN_OR_RETURN(table,
-                     db_.catalog()->CreateTable(std::string(kAttrStatsTable),
-                                                std::move(schema)));
-  }
-  // Refresh in place (delete + append): concurrent readers may hold the
-  // Table*, and plans are built against it.
-  table->DeleteAllRows();
+  std::vector<engine::DatumRow> rows;
   auto append = [&](const std::string& t, uint32_t attr_id, uint64_t count,
-                    bool materialized, bool dirty,
-                    const AttrHeat& heat) -> Status {
+                    bool materialized, bool dirty, const AttrHeat& heat) {
     std::string key = "?";
     std::string type = "?";
     Result<serial::Attribute> attr = catalog_.Lookup(attr_id);
@@ -267,23 +232,16 @@ Status SinewDb::MaybeRefreshAttributeStatsTable(const engine::Statement& stmt) {
       key = attr->key;
       type = ValueTypeName(attr->type);
     }
-    engine::DatumRow row;
-    row.push_back(engine::Datum::Text(t));
-    row.push_back(engine::Datum::Text(std::move(key)));
-    row.push_back(engine::Datum::Text(std::move(type)));
-    row.push_back(engine::Datum::Int(static_cast<int64_t>(attr_id)));
-    row.push_back(engine::Datum::Int(static_cast<int64_t>(count)));
-    row.push_back(engine::Datum::Int(materialized ? 1 : 0));
-    row.push_back(engine::Datum::Int(dirty ? 1 : 0));
-    row.push_back(
-        engine::Datum::Int(static_cast<int64_t>(heat.extract_requests)));
-    row.push_back(engine::Datum::Int(static_cast<int64_t>(heat.strip_served)));
-    row.push_back(
-        engine::Datum::Int(static_cast<int64_t>(heat.reservoir_served)));
-    row.push_back(engine::Datum::Int(static_cast<int64_t>(heat.decode_ns)));
-    row.push_back(
-        engine::Datum::Int(static_cast<int64_t>(heat.last_touched_ordinal)));
-    return table->AppendRow(row).status();
+    auto as_int = [](uint64_t v) {
+      return engine::Datum::Int(static_cast<int64_t>(v));
+    };
+    rows.push_back({engine::Datum::Text(t),
+                    engine::Datum::Text(std::move(key)),
+                    engine::Datum::Text(std::move(type)), as_int(attr_id),
+                    as_int(count), as_int(materialized ? 1 : 0),
+                    as_int(dirty ? 1 : 0), as_int(heat.extract_requests),
+                    as_int(heat.strip_served), as_int(heat.reservoir_served),
+                    as_int(heat.decode_ns), as_int(heat.last_touched_ordinal)});
   };
   for (const std::string& t : Tables()) {
     std::map<uint32_t, AttrHeat> heat = catalog_.HeatSnapshot(t);
@@ -294,17 +252,29 @@ Status SinewDb::MaybeRefreshAttributeStatsTable(const engine::Statement& stmt) {
         h = hit->second;
         heat.erase(hit);
       }
-      RETURN_NOT_OK(
-          append(t, state.attr_id, state.count, state.materialized,
-                 state.dirty, h));
+      append(t, state.attr_id, state.count, state.materialized, state.dirty,
+             h);
     }
     // Heat recorded for attributes with no catalog state (e.g. state was
     // cleared between queries): surface it rather than dropping silently.
-    for (const auto& [id, h] : heat) {
-      RETURN_NOT_OK(append(t, id, 0, false, false, h));
-    }
+    for (const auto& [id, h] : heat) append(t, id, 0, false, false, h);
   }
-  return Status::OK();
+  auto col = [](const char* name, engine::ColumnType type) {
+    return engine::Column{name, type};
+  };
+  using engine::ColumnType;
+  return db_.RefreshSystemTable(
+      kAttrStatsTable,
+      {col("table_name", ColumnType::kText), col("attr_key", ColumnType::kText),
+       col("attr_type", ColumnType::kText), col("attr_id", ColumnType::kInt),
+       col("row_count", ColumnType::kInt),
+       col("materialized", ColumnType::kInt), col("dirty", ColumnType::kInt),
+       col("extract_requests", ColumnType::kInt),
+       col("strip_served", ColumnType::kInt),
+       col("reservoir_served", ColumnType::kInt),
+       col("decode_ns", ColumnType::kInt),
+       col("last_touched_ordinal", ColumnType::kInt)},
+      rows);
 }
 
 Result<std::vector<SchemaAnalyzer::Decision>> SinewDb::AnalyzeSchema(

@@ -223,7 +223,6 @@ class SinewDb {
   WriteAheadHook* write_hook_ = nullptr;
   std::vector<std::string> tables_;
   mutable std::mutex tables_mutex_;
-  std::mutex stats_table_mutex_;  // serializes sinew_attribute_stats refresh
 
   std::thread background_;
   std::atomic<bool> background_stop_{false};

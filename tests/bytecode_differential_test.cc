@@ -9,9 +9,11 @@
 // targeted shapes where a compiled evaluator classically drifts from an
 // interpreter: Kleene AND/OR over NULL-producing sparse attributes,
 // short-circuit regions guarding runtime errors (the right side of a decided
-// AND must never fire), fused BETWEEN / IS NULL / IN forms and their NOT
-// variants, CASE and coalesce fallback lanes, typed-kernel edge values, and
-// error queries whose message text must match exactly.
+// AND must never fire), BETWEEN / IS NULL / IN forms and their NOT
+// variants, CASE, COALESCE and computed-item IN lists (lane-narrowing fork
+// chains whose arms must run only where the scalar evaluator runs them),
+// typed-kernel edge values, and error queries whose message text must match
+// exactly.
 //
 // Batch size 3 is adversarial (every morsel ends in a partial batch), 256 is
 // the production default, 1024 oversized and 1 makes one-row batches.
@@ -249,7 +251,7 @@ TEST_F(BytecodeDifferentialTest, AllNoBenchQueryShapes) {
 }
 
 TEST_F(BytecodeDifferentialTest, FusedComparisonShapes) {
-  // The colref-cmp-literal forms that compile to kColCmpLit — both operand
+  // The colref-cmp-literal forms the typed kernels serve — both operand
   // orders (the compiler flips `lit cmp col`), every comparison op, and
   // string comparison.
   ExpectSameAcrossConfigs("SELECT num AS n FROM nobench_main WHERE num < 40");
@@ -338,8 +340,8 @@ TEST_F(BytecodeDifferentialTest, ErrorsSurfaceIdentically) {
 }
 
 TEST_F(BytecodeDifferentialTest, FallbackShapesStayExact) {
-  // CASE and coalesce compile to kFallbackLane (per-lane scalar evaluator
-  // over a compile-time slot set); results must be bit-identical.
+  // CASE, coalesce and UDF calls over computed arguments compile to
+  // fork/join regions and register operands; results must be bit-identical.
   ExpectSameAcrossConfigs(
       "SELECT CASE WHEN num < 1000 THEN 'lo' ELSE 'hi' END AS bucket, "
       "num AS n FROM nobench_main WHERE num < 300");
@@ -352,6 +354,81 @@ TEST_F(BytecodeDifferentialTest, FallbackShapesStayExact) {
   ExpectSameAcrossConfigs(
       "SELECT num AS n FROM nobench_main "
       "WHERE length(str2) + 0 > 4 AND num < 300");
+}
+
+TEST_F(BytecodeDifferentialTest, LazyArmsNeverRunOnGuardedRows) {
+  // Each arm below would fail on some row; it must run only on the rows
+  // where the scalar evaluator evaluates it, which never include those.
+  // num = 0 takes the THEN arm, so ELSE never divides by it.
+  const std::string guarded =
+      "SELECT CASE WHEN num = 0 THEN 0 ELSE 10 / num END AS x, num AS n "
+      "FROM nobench_main WHERE num < 50";
+  Result<engine::QueryResult> golden = Golden(guarded);
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  const std::vector<std::string> rows = CanonicalRows(*golden);
+  ASSERT_NE(std::find(rows.begin(), rows.end(), "n=0|x=0|"), rows.end());
+  ExpectSameAcrossConfigs(guarded);
+  // str1 is never NULL, so COALESCE never reaches its erroring argument.
+  ExpectSameAcrossConfigs(
+      "SELECT coalesce(str1, num / 0) AS v FROM nobench_main "
+      "WHERE num < 100");
+  // Every non-NULL probe matches its first item.
+  ExpectSameAcrossConfigs(
+      "SELECT num AS n FROM nobench_main WHERE num IN (num, num / 0)");
+  // A NULL probe evaluates no item, IN or NOT IN.
+  ExpectSameAcrossConfigs(
+      "SELECT sparse_110 NOT IN ('x', num / 0) AS v, num AS n "
+      "FROM nobench_main WHERE sparse_110 IS NULL AND num < 300");
+  ExpectSameAcrossConfigs(
+      "SELECT sparse_110 IN (num / 0) AS v, num AS n "
+      "FROM nobench_main WHERE sparse_110 IS NULL AND num < 300");
+  // Computed items with every Kleene outcome: match, no match, and a NULL
+  // comparison (text against int) without a match.
+  ExpectSameAcrossConfigs(
+      "SELECT num NOT IN (num + 1, 5) AS v, num IN (num - 1, sparse_110) AS "
+      "w, num AS n FROM nobench_main WHERE num < 40");
+  // An erroring item that some probes do reach fails as it does row by row.
+  ExpectSameErrorAcrossConfigs(
+      "SELECT num AS n FROM nobench_main WHERE num IN (7, num / 0)");
+}
+
+TEST_F(BytecodeDifferentialTest, ComputedUdfArgumentsAndWideInLists) {
+  // UDF arguments computed by other instructions, nested calls included.
+  ExpectSameAcrossConfigs(
+      "SELECT length(str1 || str2) AS l, upper(lower(str2) || 'x') AS u, "
+      "abs(num - 1000) AS a FROM nobench_main WHERE num < 300");
+  ExpectSameAcrossConfigs(
+      "SELECT num AS n FROM nobench_main "
+      "WHERE length(substr(str1, 1, num % 5)) = 3");
+  // 5,000 distinct literals: past any fixed literal pool width.
+  std::string list;
+  for (int i = 0; i < 5000; ++i) {
+    list += (i == 0 ? "" : ", ") + std::to_string(i * 3);
+  }
+  ExpectSameAcrossConfigs("SELECT num AS n FROM nobench_main WHERE num IN (" +
+                          list + ")");
+  ExpectSameAcrossConfigs(
+      "SELECT num AS n FROM nobench_main WHERE num NOT IN (" + list +
+      ") AND num < 500");
+}
+
+TEST_F(BytecodeDifferentialTest, UnknownFunctionFailsOnlyOverRows) {
+  // An unknown function compiles to one instruction that fails with the
+  // scalar evaluator's status when it runs over rows, and not at all when
+  // there are none.
+  for (NamedRunner& c : *configs_) {
+    engine::Database* db = c.runner->db()->engine();
+    if (!db->catalog()->GetTable("empty_t").ok()) {
+      ASSERT_TRUE(db->Execute("CREATE TABLE empty_t (a INT)").ok()) << c.label;
+    }
+  }
+  ExpectSameAcrossConfigs("SELECT no_such_fn(a) AS x FROM empty_t");
+  ExpectSameAcrossConfigs(
+      "SELECT no_such_fn(num) AS x FROM nobench_main WHERE num < 0");
+  ExpectSameErrorAcrossConfigs(
+      "SELECT no_such_fn(num) AS x FROM nobench_main");
+  ExpectSameErrorAcrossConfigs(
+      "SELECT num AS n FROM nobench_main WHERE no_such_fn(num) = 1");
 }
 
 TEST_F(BytecodeDifferentialTest, ProjectionShapes) {
@@ -373,7 +450,7 @@ TEST_F(BytecodeDifferentialTest, ProjectionShapes) {
 TEST_F(BytecodeDifferentialTest, ExtractionChainsUnderBytecode) {
   // Virtual-attribute access routed through extraction (scan-produced
   // columns feeding compiled colref comparisons, or — with deep paths — UDF
-  // chains): the dominant Sinew shape the fused opcodes exist for.
+  // chains): the dominant Sinew shape the typed kernels exist for.
   ExpectSameAcrossConfigs(
       "SELECT \"nested_obj.num\" AS nn FROM nobench_main "
       "WHERE \"nested_obj.num\" BETWEEN 10 AND 300");
@@ -416,7 +493,7 @@ TEST_F(BytecodeDifferentialTest, PoisonDoubleEdgeValuesStayExact) {
   ExpectSameAcrossConfigs(
       "SELECT id AS i FROM poison WHERE d NOT BETWEEN -0.5 AND 0.5");
   // Int column vs double literal promotes per-lane; double col vs int lit
-  // promotes the literal. Both cross-domain fused forms.
+  // promotes the literal. Both cross-domain col-cmp-literal forms.
   ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE k < 4.5");
   ExpectSameAcrossConfigs("SELECT id AS i FROM poison WHERE d < 1");
   // NaN flows through typed arithmetic unchanged.
@@ -499,18 +576,22 @@ TEST_F(BytecodeDifferentialTest, BytecodeConfigsActuallyCompile) {
   }
 }
 
-TEST_F(BytecodeDifferentialTest, FallbackLanesAreCounted) {
-  // A CASE predicate compiles to kFallbackLane; running it must grow the
-  // eval.fallback_lanes counter (satellite: interpreter residue visible).
-  metrics::Counter* fallback = metrics::GetCounter("eval.fallback_lanes");
-  const uint64_t before = fallback->value();
+TEST_F(BytecodeDifferentialTest, CasePredicateRunsOnTypedKernels) {
+  // A CASE predicate runs on the VM: its condition over the monomorphic
+  // `num` column is a typed comparison, and its arms only copy values, so
+  // no specializable lane is left boxed.
+  metrics::Counter* typed_lanes = metrics::GetCounter("eval.typed_lanes");
+  metrics::Counter* boxed_lanes = metrics::GetCounter("eval.boxed_lanes");
+  const uint64_t typed_before = typed_lanes->value();
+  const uint64_t boxed_before = boxed_lanes->value();
   ASSERT_TRUE((*configs_)[kBatch256Serial]
                   .runner->db()
                   ->Query("SELECT num AS n FROM nobench_main "
                           "WHERE CASE WHEN num < 500 THEN 1 = 1 "
                           "ELSE 1 = 2 END")
                   .ok());
-  EXPECT_GT(fallback->value(), before) << "fallback lanes went uncounted";
+  EXPECT_GE(typed_lanes->value() - typed_before, kRecords);
+  EXPECT_EQ(boxed_lanes->value(), boxed_before);
 }
 #endif
 

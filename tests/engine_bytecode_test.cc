@@ -1,8 +1,8 @@
-// Bytecode compiler unit tests: fused-opcode selection for the dominant
-// expression shapes, literal-pool interning, register reuse, the fallback
-// contract, and direct VM execution over synthetic batches (including the
-// select-mode fast path that refines the selection vector without
-// materializing a boolean column). Every result is checked against the one
+// Bytecode compiler unit tests: instruction selection for the dominant
+// expression shapes, literal-pool interning, register reuse, lane-narrowing
+// fork chains, the kRaise contract, and direct VM execution over synthetic
+// batches (including the select-mode fast path that refines the selection
+// vector without materializing a boolean column). Every result is checked against the one
 // semantic reference, scalar EvalExpr/EvalPredicate.
 
 #include "engine/bytecode.h"
@@ -74,24 +74,31 @@ std::vector<uint32_t> ScalarSelect(const Expr& e, const RowBatch& b) {
 }
 
 TEST(BytecodeCompile, ColCmpLitFusesBothOperandOrders) {
+  // One kCompare with the column in `a` and the literal in `b`: the shape
+  // the typed kernels and the select mode serve.
   auto p = MustCompile(Expr::Binary(BinaryOp::kLt, Col(0), Lit(5)));
   ASSERT_EQ(p->num_instrs, 1u);
-  EXPECT_EQ(p->instrs[0].op, bc::OpCode::kColCmpLit);
+  EXPECT_EQ(p->instrs[0].op, bc::OpCode::kCompare);
   EXPECT_EQ(p->instrs[0].bop, BinaryOp::kLt);
-  EXPECT_EQ(p->num_fused, 1u);
-  EXPECT_EQ(p->num_fallback, 0u);
+  EXPECT_TRUE(p->instrs[0].a.is_col());
+  EXPECT_TRUE(p->instrs[0].b.is_lit());
 
   // Literal-first flips the comparison: 5 < col  ==  col > 5.
   auto q = MustCompile(Expr::Binary(BinaryOp::kLt, Lit(5), Col(0)));
   ASSERT_EQ(q->num_instrs, 1u);
-  EXPECT_EQ(q->instrs[0].op, bc::OpCode::kColCmpLit);
+  EXPECT_EQ(q->instrs[0].op, bc::OpCode::kCompare);
   EXPECT_EQ(q->instrs[0].bop, BinaryOp::kGt);
+  EXPECT_TRUE(q->instrs[0].a.is_col());
+  EXPECT_TRUE(q->instrs[0].b.is_lit());
 }
 
 TEST(BytecodeCompile, BetweenAndIsNullFuse) {
   auto p = MustCompile(Expr::Between(Col(1), Lit(3), Lit(9), false));
   ASSERT_EQ(p->num_instrs, 1u);
-  EXPECT_EQ(p->instrs[0].op, bc::OpCode::kColBetweenLits);
+  EXPECT_EQ(p->instrs[0].op, bc::OpCode::kBetween);
+  EXPECT_TRUE(p->instrs[0].a.is_col());
+  EXPECT_TRUE(p->instrs[0].b.is_lit());
+  EXPECT_TRUE(p->instrs[0].c.is_lit());
   EXPECT_FALSE(p->instrs[0].negated);
 
   auto q = MustCompile(Expr::Between(Col(1), Lit(3), Lit(9), true));
@@ -99,17 +106,14 @@ TEST(BytecodeCompile, BetweenAndIsNullFuse) {
 
   auto r = MustCompile(Expr::IsNull(Col(0), false));
   ASSERT_EQ(r->num_instrs, 1u);
-  EXPECT_EQ(r->instrs[0].op, bc::OpCode::kColIsNull);
+  EXPECT_EQ(r->instrs[0].op, bc::OpCode::kIsNull);
+  EXPECT_TRUE(r->instrs[0].a.is_col());
 
-  // Non-literal bound defeats the fusion but still compiles (generic
-  // kBetween over registers).
+  // A column bound is the generic shape of the same instruction.
   auto s = MustCompile(Expr::Between(Col(0), Col(1), Lit(9), false));
-  bool generic = false;
-  for (uint32_t i = 0; i < s->num_instrs; ++i) {
-    generic |= s->instrs[i].op == bc::OpCode::kBetween;
-  }
-  EXPECT_TRUE(generic);
-  EXPECT_EQ(s->num_fused, 0u);
+  ASSERT_EQ(s->num_instrs, 1u);
+  EXPECT_EQ(s->instrs[0].op, bc::OpCode::kBetween);
+  EXPECT_TRUE(s->instrs[0].b.is_col());
 }
 
 TEST(BytecodeCompile, UdfCmpLitFusesSimpleArgCalls) {
@@ -126,20 +130,22 @@ TEST(BytecodeCompile, UdfCmpLitFusesSimpleArgCalls) {
   ASSERT_EQ(p->num_instrs, 1u);
   EXPECT_EQ(p->instrs[0].op, bc::OpCode::kUdfCmpLit);
   EXPECT_EQ(p->instrs[0].aux_count, 2u);
-  EXPECT_EQ(p->num_fused, 1u);
 
-  // A non-simple argument (col + 1) forces the fallback lane instead.
+  // A computed argument (col + 1) is a register operand of the same call.
   ExprPtr complex_call = Expr::Function("extract", {});
   complex_call->args.push_back(
       Expr::Binary(BinaryOp::kAdd, Col(0), Lit(1)));
   auto q = MustCompile(
-      Expr::Binary(BinaryOp::kEq, std::move(complex_call), Lit(7)), 4, &udfs);
-  bool fell_back = false;
-  for (uint32_t i = 0; i < q->num_instrs; ++i) {
-    fell_back |= q->instrs[i].op == bc::OpCode::kFallbackLane;
-  }
-  EXPECT_TRUE(fell_back);
-  EXPECT_GE(q->num_fallback, 1u);
+      Expr::Binary(BinaryOp::kEq, std::move(complex_call), Lit(7)), 2, &udfs);
+  ASSERT_EQ(q->num_instrs, 2u);
+  EXPECT_EQ(q->instrs[0].op, bc::OpCode::kArith);
+  EXPECT_EQ(q->instrs[1].op, bc::OpCode::kUdfCmpLit);
+  EXPECT_TRUE(q->aux[q->instrs[1].aux_begin].is_reg());
+  RowBatch b = MakeBatch(10);
+  bc::ExecState st;
+  std::vector<uint32_t> sel = b.sel;
+  ASSERT_TRUE(bc::ExecPredicateBatch(*q, b, &st, &sel).ok());
+  EXPECT_EQ(sel, (std::vector<uint32_t>{6}));
 }
 
 TEST(BytecodeCompile, AndOrCompileToForkJoin) {
@@ -147,15 +153,14 @@ TEST(BytecodeCompile, AndOrCompileToForkJoin) {
       BinaryOp::kAnd, Expr::Binary(BinaryOp::kLt, Col(0), Lit(5)),
       Expr::Binary(BinaryOp::kGt, Col(1), Lit(2))));
   ASSERT_EQ(p->num_instrs, 4u);
-  EXPECT_EQ(p->instrs[0].op, bc::OpCode::kColCmpLit);
-  EXPECT_EQ(p->instrs[1].op, bc::OpCode::kBoolFork);
-  EXPECT_TRUE(p->instrs[1].is_and);
-  EXPECT_EQ(p->instrs[2].op, bc::OpCode::kColCmpLit);
-  EXPECT_EQ(p->instrs[3].op, bc::OpCode::kBoolJoin);
+  EXPECT_EQ(p->instrs[0].op, bc::OpCode::kCompare);
+  EXPECT_EQ(p->instrs[1].op, bc::OpCode::kFork);
+  EXPECT_EQ(p->instrs[1].fork, bc::ForkMode::kNonFalse);
+  EXPECT_EQ(p->instrs[2].op, bc::OpCode::kCompare);
+  EXPECT_EQ(p->instrs[3].op, bc::OpCode::kJoin);
+  EXPECT_EQ(p->instrs[3].fork, bc::ForkMode::kNonFalse);
   // The fork's jump lands just past its join.
   EXPECT_EQ(p->instrs[1].jump, 4u);
-  // Two fused compares + the fork.
-  EXPECT_EQ(p->num_fused, 3u);
 }
 
 TEST(BytecodeCompile, LiteralPoolInternsExactValues) {
@@ -193,65 +198,89 @@ TEST(BytecodeCompile, RegisterReuseKeepsProgramsNarrow) {
   EXPECT_LE(p->num_regs, 3u);
 }
 
-TEST(BytecodeCompile, FallbackShapesAndSlotCollection) {
-  // CASE always falls back, and the instruction carries the subtree's
-  // sorted unique bound slots for scratch-row assembly.
+/// The opcodes of `p`, in order.
+std::vector<bc::OpCode> Ops(const bc::Program& p) {
+  std::vector<bc::OpCode> ops;
+  for (uint32_t i = 0; i < p.num_instrs; ++i) ops.push_back(p.instrs[i].op);
+  return ops;
+}
+
+TEST(BytecodeCompile, CaseAndCoalesceCompileToForkChains) {
+  using bc::OpCode;
+  // CASE: the condition, then the THEN arm over the TRUE lanes and the ELSE
+  // arm over the rest, each a fork/join pair writing the CASE's register.
   ExprPtr c = std::make_unique<Expr>();
   c->kind = ExprKind::kCase;
   c->args.push_back(Expr::Binary(BinaryOp::kLt, Col(2), Lit(5)));
   c->args.push_back(Col(0));
-  c->args.push_back(Col(2));  // duplicate slot; must dedupe
+  c->args.push_back(Col(2));
   auto p = MustCompile(c);
-  ASSERT_EQ(p->num_instrs, 1u);
-  ASSERT_EQ(p->instrs[0].op, bc::OpCode::kFallbackLane);
-  ASSERT_EQ(p->instrs[0].fb_slot_count, 2u);
-  EXPECT_EQ(p->instrs[0].fb_slots[0], 0);
-  EXPECT_EQ(p->instrs[0].fb_slots[1], 2);
-  EXPECT_EQ(p->num_fallback, 1u);
+  EXPECT_EQ(Ops(*p), (std::vector<OpCode>{OpCode::kCompare, OpCode::kFork,
+                                          OpCode::kJoin, OpCode::kFork,
+                                          OpCode::kJoin}));
+  EXPECT_EQ(p->instrs[1].fork, bc::ForkMode::kTrue);
+  EXPECT_EQ(p->instrs[3].fork, bc::ForkMode::kNotTrue);
+  EXPECT_EQ(p->instrs[1].dst, p->instrs[3].dst);
+  EXPECT_EQ(p->result.index, p->instrs[1].dst);
 
-  // coalesce falls back even when registered (argument short-circuiting).
+  // coalesce short-circuits even when registered: the next argument runs
+  // over the NULL lanes only.
   UdfRegistry udfs;
   RegisterBuiltinFunctions(&udfs);
   ExprPtr co = Expr::Function("coalesce", {});
   co->args.push_back(Col(1));
   co->args.push_back(Lit("d"));
   auto q = MustCompile(co, 4, &udfs);
-  ASSERT_EQ(q->num_instrs, 1u);
-  EXPECT_EQ(q->instrs[0].op, bc::OpCode::kFallbackLane);
+  EXPECT_EQ(Ops(*q), (std::vector<OpCode>{OpCode::kFork, OpCode::kJoin}));
+  EXPECT_EQ(q->instrs[0].fork, bc::ForkMode::kNull);
 
-  // An unregistered function still compiles — to a fallback lane, so the
-  // scalar evaluator's unknown-function error surfaces at runtime.
+  // An IN list with a computed item: a non-NULL-probe fork over an OR chain.
+  ExprPtr in = Expr::InList(Col(0), {}, false);
+  in->args.push_back(Lit(1));
+  in->args.push_back(Expr::Binary(BinaryOp::kAdd, Col(1), Lit(1)));
+  auto r = MustCompile(in);
+  EXPECT_EQ(Ops(*r),
+            (std::vector<OpCode>{OpCode::kFork, OpCode::kCompare,
+                                 OpCode::kFork, OpCode::kArith,
+                                 OpCode::kCompare, OpCode::kJoin,
+                                 OpCode::kJoin}));
+  EXPECT_EQ(r->instrs[0].fork, bc::ForkMode::kNonNull);
+  EXPECT_EQ(r->instrs[2].fork, bc::ForkMode::kNonTrue);
+
+  // An unregistered function has no instruction form: one kRaise.
   ExprPtr unknown = Expr::Function("no_such_fn", {});
   unknown->args.push_back(Col(0));
   auto u = MustCompile(unknown, 4, &udfs);
-  ASSERT_EQ(u->num_instrs, 1u);
-  EXPECT_EQ(u->instrs[0].op, bc::OpCode::kFallbackLane);
+  EXPECT_EQ(Ops(*u), (std::vector<OpCode>{OpCode::kRaise}));
 }
 
-TEST(BytecodeCompile, UncompilableShapesBecomeOneFallbackLane) {
-  // Unbound and out-of-range columns and stars have no instruction form: the
-  // whole expression compiles to one fallback lane, so running it surfaces
-  // the scalar evaluator's own error text.
+TEST(BytecodeCompile, UncompilableShapesRaiseTheScalarStatus) {
+  // Unbound and out-of-range columns and stars have no instruction form:
+  // each compiles to a kRaise carrying the scalar evaluator's own status,
+  // which fails over a non-empty lane set and not over an empty one.
   RowBatch b = MakeBatch(3);
   ExprPtr unbound = Expr::Binary(BinaryOp::kLt, Expr::Column("", "x"), Lit(1));
   ExprPtr out_of_range = Expr::Binary(BinaryOp::kLt, Col(7), Lit(1));
   for (const ExprPtr* e : {&unbound, &out_of_range}) {
     auto p = MustCompile(*e, 2);
-    ASSERT_EQ(p->num_instrs, 1u);
-    EXPECT_EQ(p->instrs[0].op, bc::OpCode::kFallbackLane);
+    ASSERT_EQ(p->num_instrs, 2u);
+    EXPECT_EQ(p->instrs[0].op, bc::OpCode::kRaise);
     bc::ExecState st;
     std::vector<uint32_t> sel = b.sel;
-    Status s = bc::ExecPredicateBatch(*p, b, nullptr, &st, &sel);
+    Status s = bc::ExecPredicateBatch(*p, b, &st, &sel);
     DatumRow row;
     b.CopyRow(0, &row);
     Result<bool> scalar = EvalPredicate(**e, row, nullptr);
     ASSERT_FALSE(s.ok());
     ASSERT_FALSE(scalar.ok());
     EXPECT_EQ(s.ToString(), scalar.status().ToString());
+    std::vector<Datum> out;
+    EXPECT_TRUE(bc::ExecBatch(*p, b, {}, &st, &out).ok());
+    EXPECT_TRUE(out.empty());
   }
   auto star = MustCompile(Expr::Star(""), 2);
   ASSERT_EQ(star->num_instrs, 1u);
-  EXPECT_EQ(star->instrs[0].op, bc::OpCode::kFallbackLane);
+  EXPECT_EQ(star->instrs[0].op, bc::OpCode::kRaise);
 }
 
 TEST(BytecodeExec, FusedPredicateRefinesSelection) {
@@ -259,13 +288,13 @@ TEST(BytecodeExec, FusedPredicateRefinesSelection) {
   auto p = MustCompile(Expr::Binary(BinaryOp::kLt, Col(0), Lit(4)), 2);
   bc::ExecState st;
   std::vector<uint32_t> sel = b.sel;
-  ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, nullptr, &st, &sel).ok());
+  ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, &st, &sel).ok());
   EXPECT_EQ(sel, (std::vector<uint32_t>{0, 1, 2, 3}));
 
   // NULL comparisons filter: col1 is NULL on odd lanes and text on even.
   auto q = MustCompile(Expr::Binary(BinaryOp::kGe, Col(1), Lit("t0")), 2);
   sel = b.sel;
-  ASSERT_TRUE(bc::ExecPredicateBatch(*q, b, nullptr, &st, &sel).ok());
+  ASSERT_TRUE(bc::ExecPredicateBatch(*q, b, &st, &sel).ok());
   for (uint32_t lane : sel) EXPECT_EQ(lane % 2, 0u);
   EXPECT_EQ(sel.size(), 5u);
 }
@@ -280,7 +309,7 @@ TEST(BytecodeExec, KleeneForkJoinMatchesTruthTable) {
       2);
   bc::ExecState st;
   std::vector<uint32_t> sel = b.sel;
-  ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, nullptr, &st, &sel).ok());
+  ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, &st, &sel).ok());
   EXPECT_EQ(sel, (std::vector<uint32_t>{0, 1, 2, 3, 5, 7, 9}));
 
   // NULL AND TRUE -> NULL (filtered): (col1 < 'zzz') is NULL on odd lanes.
@@ -290,7 +319,7 @@ TEST(BytecodeExec, KleeneForkJoinMatchesTruthTable) {
                    Expr::Binary(BinaryOp::kGe, Col(0), Lit(0))),
       2);
   sel = b.sel;
-  ASSERT_TRUE(bc::ExecPredicateBatch(*q, b, nullptr, &st, &sel).ok());
+  ASSERT_TRUE(bc::ExecPredicateBatch(*q, b, &st, &sel).ok());
   EXPECT_EQ(sel, (std::vector<uint32_t>{0, 2, 4, 6, 8}));
 }
 
@@ -306,7 +335,7 @@ TEST(BytecodeExec, ShortCircuitSkipsErroringRegion) {
       2);
   bc::ExecState st;
   std::vector<uint32_t> sel = b.sel;
-  ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, nullptr, &st, &sel).ok());
+  ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, &st, &sel).ok());
   EXPECT_TRUE(sel.empty());
 
   // With undecided lanes the region runs and the error surfaces.
@@ -317,7 +346,7 @@ TEST(BytecodeExec, ShortCircuitSkipsErroringRegion) {
                        Expr::Binary(BinaryOp::kDiv, Lit(1), Lit(0)), Lit(1))),
       2);
   sel = b.sel;
-  Status s = bc::ExecPredicateBatch(*q, b, nullptr, &st, &sel);
+  Status s = bc::ExecPredicateBatch(*q, b, &st, &sel);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.ToString().find("division by zero"), std::string::npos);
 }
@@ -331,7 +360,7 @@ TEST(BytecodeExec, ExprModeAndRowModeAgree) {
   auto p = MustCompile(e, 2);
   bc::ExecState st;
   std::vector<Datum> out;
-  ASSERT_TRUE(bc::ExecBatch(*p, b, b.sel, nullptr, &st, &out).ok());
+  ASSERT_TRUE(bc::ExecBatch(*p, b, b.sel, &st, &out).ok());
   ASSERT_EQ(out.size(), 8u);
   for (uint32_t i = 0; i < out.size(); ++i) {
     DatumRow row;
@@ -344,7 +373,7 @@ TEST(BytecodeExec, ExprModeAndRowModeAgree) {
   ExprPtr pred_expr = Expr::Binary(BinaryOp::kGt, Col(0), Lit(5));
   auto pred = MustCompile(pred_expr, 2);
   std::vector<uint32_t> sel = b.sel;
-  ASSERT_TRUE(bc::ExecPredicateBatch(*pred, b, nullptr, &st, &sel).ok());
+  ASSERT_TRUE(bc::ExecPredicateBatch(*pred, b, &st, &sel).ok());
   EXPECT_EQ(sel, ScalarSelect(*pred_expr, b));
   EXPECT_EQ(sel, (std::vector<uint32_t>{6, 7}));
 }
@@ -401,7 +430,7 @@ TEST(TypedKernels, MonomorphicLanesAreCountedAndMatchBoxed) {
   bc::ExecState typed_st;
   std::vector<uint32_t> typed_sel = b.sel;
   ASSERT_TRUE(
-      bc::ExecPredicateBatch(*p, b, nullptr, &typed_st, &typed_sel).ok());
+      bc::ExecPredicateBatch(*p, b, &typed_st, &typed_sel).ok());
   EXPECT_EQ(typed_st.typed_lanes, 16u);
   EXPECT_EQ(typed_st.boxed_lanes, 0u);
   EXPECT_EQ(typed_sel, ScalarSelect(*e, MakeBatch(16)));
@@ -430,7 +459,7 @@ TEST(TypedKernels, NaNNegZeroAndPromotionMatchBoxedSemantics) {
     RowBatch b = DoubleBatch({1.0, nan, -0.0, 0.0, -2.5});
     bc::ExecState st;
     std::vector<uint32_t> sel = b.sel;
-    ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, nullptr, &st, &sel).ok())
+    ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, &st, &sel).ok())
         << e->ToString();
     EXPECT_GT(st.typed_lanes, 0u) << e->ToString();
     EXPECT_EQ(sel, ScalarSelect(*e, b)) << e->ToString();
@@ -443,7 +472,7 @@ TEST(TypedKernels, NaNNegZeroAndPromotionMatchBoxedSemantics) {
   RowBatch b = DoubleBatch({1.0, nan, -0.0});
   bc::ExecState st;
   std::vector<uint32_t> sel = b.sel;
-  ASSERT_TRUE(bc::ExecPredicateBatch(*eq, b, nullptr, &st, &sel).ok());
+  ASSERT_TRUE(bc::ExecPredicateBatch(*eq, b, &st, &sel).ok());
   EXPECT_EQ(sel, (std::vector<uint32_t>{1, 2}));
 }
 
@@ -462,7 +491,7 @@ TEST(TypedKernels, MixedColumnStaysBoxedWithIdenticalResults) {
   RowBatch b = mixed_batch();
   bc::ExecState st;
   std::vector<uint32_t> sel = b.sel;
-  ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, nullptr, &st, &sel).ok());
+  ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, &st, &sel).ok());
   EXPECT_EQ(st.typed_lanes, 0u);  // profile cached kMixed, no typed lanes
   EXPECT_EQ(st.boxed_lanes, 4u);
   ASSERT_NE(b.TagFor(0), nullptr);
@@ -477,7 +506,7 @@ TEST(TypedKernels, ArithmeticErrorTextMatchesBoxedPath) {
   RowBatch b = MakeBatch(4);
   bc::ExecState st;
   std::vector<uint32_t> sel = b.sel;
-  Status s = bc::ExecPredicateBatch(*p, b, nullptr, &st, &sel);
+  Status s = bc::ExecPredicateBatch(*p, b, &st, &sel);
   ASSERT_FALSE(s.ok());
   DatumRow row;
   b.CopyRow(0, &row);
@@ -498,7 +527,7 @@ TEST(TypedKernels, RegisterTagsKeepInstructionChainsTyped) {
   RowBatch b = MakeBatch(8);
   bc::ExecState st;
   std::vector<uint32_t> sel = b.sel;
-  ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, nullptr, &st, &sel).ok());
+  ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, &st, &sel).ok());
   EXPECT_EQ(sel, (std::vector<uint32_t>{0, 1, 2, 3}));
   EXPECT_EQ(st.typed_lanes, 16u);  // 8 lanes through each of 2 instructions
   EXPECT_EQ(st.boxed_lanes, 0u);
@@ -511,8 +540,8 @@ TEST(BytecodeExec, ResetShrinksHighWaterRegisterScratch) {
                                                 Lit(3)), Lit(1)), 2);
   bc::ExecState st;
   std::vector<Datum> out;
-  ASSERT_TRUE(bc::ExecBatch(*p, b, b.sel, nullptr, &st, &out).ok());
-  ASSERT_TRUE(bc::ExecBatch(*p, b, b.sel, nullptr, &st, &out).ok());
+  ASSERT_TRUE(bc::ExecBatch(*p, b, b.sel, &st, &out).ok());
+  ASSERT_TRUE(bc::ExecBatch(*p, b, b.sel, &st, &out).ok());
   // Registers high-water to the widest batch executed and stay pinned.
   ASSERT_FALSE(st.regs.empty());
   size_t high_water = 0;
@@ -523,7 +552,7 @@ TEST(BytecodeExec, ResetShrinksHighWaterRegisterScratch) {
 
   auto pred = MustCompile(Expr::Binary(BinaryOp::kLt, Col(0), Lit(4)), 2);
   std::vector<uint32_t> sel = b.sel;
-  ASSERT_TRUE(bc::ExecPredicateBatch(*pred, b, nullptr, &st, &sel).ok());
+  ASSERT_TRUE(bc::ExecPredicateBatch(*pred, b, &st, &sel).ok());
   ASSERT_NE(st.typed_lanes, 0u);
 
   // Reset releases everything above the threshold and zeroes the counters…
@@ -531,38 +560,57 @@ TEST(BytecodeExec, ResetShrinksHighWaterRegisterScratch) {
   EXPECT_TRUE(st.regs.empty());
   EXPECT_EQ(st.regs.capacity(), 0u);
   EXPECT_EQ(st.frames.capacity(), 0u);
-  EXPECT_EQ(st.fallback_lanes, 0u);
   EXPECT_EQ(st.typed_lanes, 0u);
   EXPECT_EQ(st.boxed_lanes, 0u);
 
   // …and the state stays fully usable afterwards.
-  ASSERT_TRUE(bc::ExecBatch(*p, b, b.sel, nullptr, &st, &out).ok());
+  ASSERT_TRUE(bc::ExecBatch(*p, b, b.sel, &st, &out).ok());
   ASSERT_EQ(out.size(), 512u);
   EXPECT_EQ(out[7].int_value(), 22);
 
   // A threshold above the high-water mark keeps capacity (clear, not free).
   bc::ExecState keep;
-  ASSERT_TRUE(bc::ExecBatch(*p, b, b.sel, nullptr, &keep, &out).ok());
+  ASSERT_TRUE(bc::ExecBatch(*p, b, b.sel, &keep, &out).ok());
   const size_t reg_count = keep.regs.size();
   keep.Reset(/*shrink_threshold=*/1 << 20);
   EXPECT_TRUE(keep.regs.empty());
   EXPECT_GE(keep.regs.capacity(), reg_count);
 }
 
-TEST(BytecodeExec, FallbackLanesAreCountedPerLane) {
-  RowBatch b = MakeBatch(10);
+TEST(BytecodeExec, CaseArmsRunOnlyOverTheirLanes) {
+  // CASE WHEN c0 = 0 THEN 0 ELSE 10 / c0 END: lane 0 takes the THEN arm, so
+  // the ELSE arm's division never sees its zero.
+  RowBatch b = MakeBatch(6);
   ExprPtr c = std::make_unique<Expr>();
   c->kind = ExprKind::kCase;
-  c->args.push_back(Expr::Binary(BinaryOp::kLt, Col(0), Lit(5)));
-  c->args.push_back(Expr::Literal(Datum::Bool(true)));
-  c->args.push_back(Expr::Literal(Datum::Bool(false)));
+  c->args.push_back(Expr::Binary(BinaryOp::kEq, Col(0), Lit(0)));
+  c->args.push_back(Lit(0));
+  c->args.push_back(Expr::Binary(BinaryOp::kDiv, Lit(10), Col(0)));
   auto p = MustCompile(c, 2);
-  ASSERT_EQ(p->num_fallback, 1u);
   bc::ExecState st;
-  std::vector<uint32_t> sel = b.sel;
-  ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, nullptr, &st, &sel).ok());
+  std::vector<Datum> out;
+  ASSERT_TRUE(bc::ExecBatch(*p, b, b.sel, &st, &out).ok());
+  ASSERT_EQ(out.size(), 6u);
+  for (uint32_t i = 0; i < out.size(); ++i) {
+    DatumRow row;
+    b.CopyRow(i, &row);
+    Result<Datum> scalar = EvalExpr(*c, row, nullptr);
+    ASSERT_TRUE(scalar.ok());
+    EXPECT_EQ(Datum::Compare(out[i], *scalar), 0) << "lane " << i;
+  }
+  EXPECT_EQ(out[2].int_value(), 5);
+
+  // As a predicate: CASE WHEN c0 < 5 THEN TRUE ELSE FALSE END.
+  ExprPtr pred = std::make_unique<Expr>();
+  pred->kind = ExprKind::kCase;
+  pred->args.push_back(Expr::Binary(BinaryOp::kLt, Col(0), Lit(5)));
+  pred->args.push_back(Expr::Literal(Datum::Bool(true)));
+  pred->args.push_back(Expr::Literal(Datum::Bool(false)));
+  auto q = MustCompile(pred, 2);
+  RowBatch ten = MakeBatch(10);
+  std::vector<uint32_t> sel = ten.sel;
+  ASSERT_TRUE(bc::ExecPredicateBatch(*q, ten, &st, &sel).ok());
   EXPECT_EQ(sel, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(st.fallback_lanes, 10u);
 }
 
 }  // namespace

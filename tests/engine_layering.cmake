@@ -6,14 +6,15 @@
 #  - statements reach rows only through plans: the statement executor
 #    (database.cc) names none of the row-at-a-time Table accessors
 #    RowSlotCount, ReadRow or IsLive;
-#  - the executor (exec.cc) evaluates expressions only on the bytecode VM,
-#    whose fallback lanes are the one scalar path: it names neither scalar
-#    evaluator entry point (EvalExpr, EvalPredicate) nor a row-at-a-time
-#    operator protocol (RowReader, RowOperator);
+#  - the executor (exec.cc) evaluates expressions only on the bytecode VM:
+#    it names neither scalar evaluator entry point (EvalExpr, EvalPredicate)
+#    nor a row-at-a-time operator protocol (RowReader, RowOperator);
+#  - the VM (bytecode.cc) compiles every expression, so it never falls back
+#    to the scalar evaluator: it names neither EvalExpr nor EvalPredicate;
 #  - the scan never boxes a row to read it: exec.cc reaches row bytes only
-#    through the typed row walker (WalkRow), naming neither the boxed row
-#    decoder (DecodeRowSlots), the deleted single-slot decoders
-#    (DecodeRowColumn, RowSlotBytes) nor a scratch decode row (scratch_).
+#    through the typed row walker (WalkRow), naming neither the deleted
+#    boxed row decoders (DecodeRowSlots, DecodeRowColumn, RowSlotBytes) nor
+#    a scratch decode row (scratch_).
 #
 #   cmake -DENGINE_DIR=<repo>/src/engine -P tests/engine_layering.cmake
 if(NOT IS_DIRECTORY "${ENGINE_DIR}")
@@ -38,6 +39,11 @@ file(STRINGS "${ENGINE_DIR}/exec.cc" hits
 if(hits)
   list(APPEND failures
        "${ENGINE_DIR}/exec.cc evaluates outside the bytecode VM: ${hits}")
+endif()
+file(STRINGS "${ENGINE_DIR}/bytecode.cc" hits REGEX "EvalExpr|EvalPredicate")
+if(hits)
+  list(APPEND failures
+       "${ENGINE_DIR}/bytecode.cc falls back to the scalar evaluator: ${hits}")
 endif()
 file(STRINGS "${ENGINE_DIR}/exec.cc" hits
      REGEX "DecodeRowSlots|DecodeRowColumn|RowSlotBytes|scratch_")

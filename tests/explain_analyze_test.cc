@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "common/metrics.h"
+#include "common/query_log.h"
 #include "engine/database.h"
 #include "engine/table.h"
 #include "sinew/sinew_db.h"
@@ -175,35 +176,32 @@ TEST(ExplainTest, ExplainAnalyzeReportsBytecodeShape) {
   engine::Database db;
   FillTable(&db, 100);
 
-  // The pushed-down scan filter compiles to one fused colref-cmp-literal
-  // instruction; it runs in select mode over each probe batch of decoded
+  // The pushed-down scan filter compiles to one comparison of a column with
+  // a literal; it runs in select mode over each probe batch of decoded
   // filter columns, and column `a` is a monomorphic int column, so all 100
   // scanned lanes run on the typed kernel (typed=100). The projection
-  // `a + 1` compiles to one (unfused) arithmetic op over the 50 surviving
-  // lanes, also typed (typed=50). No lane ever needs the scalar fallback.
+  // `a + 1` compiles to one arithmetic op over the 50 surviving lanes, also
+  // typed (typed=50). No specializable lane stays boxed.
   auto result =
       db.Execute("EXPLAIN ANALYZE SELECT a + 1 AS x FROM t WHERE a < 50");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   std::string text = ExplainText(*result);
-  EXPECT_NE(text.find("(bytecode ops=1 fused=1 typed=100 fallback_lanes=0)"),
+  EXPECT_NE(text.find("(bytecode ops=1 typed=100 boxed=0)"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("(bytecode ops=1 fused=0 typed=50 fallback_lanes=0)"),
-            std::string::npos)
+  EXPECT_NE(text.find("(bytecode ops=1 typed=50 boxed=0)"), std::string::npos)
       << text;
 
-  // A CASE projection compiles to a fallback-lane instruction; every row
-  // routes through the scalar evaluator and is counted, and none touch a
-  // typed kernel.
-  auto fallback = db.Execute(
+  // A CASE projection runs on the VM: the typed comparison over all 100
+  // rows, then a fork/join pair for the THEN lanes and one for the rest.
+  auto case_result = db.Execute(
       "EXPLAIN ANALYZE SELECT CASE WHEN a < 50 THEN 1 ELSE 2 END AS x "
       "FROM t");
-  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
-  std::string fb_text = ExplainText(*fallback);
-  EXPECT_NE(fb_text.find("(bytecode ops=1 fused=0 typed=0 fallback_lanes=100)"),
+  ASSERT_TRUE(case_result.ok()) << case_result.status().ToString();
+  std::string case_text = ExplainText(*case_result);
+  EXPECT_NE(case_text.find("(bytecode ops=5 typed=100 boxed=0)"),
             std::string::npos)
-      << fb_text;
-
+      << case_text;
 }
 
 TEST(ExplainTest, CreateTableRejectsReservedMetricsName) {
@@ -242,6 +240,25 @@ TEST(SinewExtractExplainTest, GoldenNodeAndAnalyzeStats) {
             std::string::npos)
       << text;
   EXPECT_NE(text.find("actual rows=100"), std::string::npos) << text;
+
+#if !defined(SINEW_METRICS_DISABLED)
+  // Planning Time counts the rewrite the query log recorded for this
+  // statement; the text carries microseconds, hence the half-unit slack.
+  const std::vector<qlog::QueryRecord> log =
+      qlog::QueryLog::Global()->Records();
+  ASSERT_FALSE(log.empty());
+  const qlog::QueryRecord& record = log.back();
+  EXPECT_EQ(record.fingerprint,
+            qlog::NormalizeFingerprint(
+                "EXPLAIN ANALYZE SELECT a AS x, b AS y, c AS z FROM docs"));
+  const size_t at = text.find("Planning Time: ");
+  ASSERT_NE(at, std::string::npos) << text;
+  const double planning_ns =
+      std::stod(text.substr(at + std::string("Planning Time: ").size())) * 1e6;
+  EXPECT_GT(record.rewrite_ns, 0u);
+  EXPECT_GE(planning_ns + 500, static_cast<double>(record.rewrite_ns))
+      << text;
+#endif
 }
 
 TEST(SinewMetricsTableTest, ParallelQueryPopulatesCounters) {

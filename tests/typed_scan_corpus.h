@@ -18,8 +18,9 @@
 //     overflow the batch and the scan rewinds.
 // `Queries` lists filters over those columns that run on the typed
 // kernels (col-cmp-literal, BETWEEN, IS NULL, numeric col-col and
-// arithmetic) and on the boxed paths (LIKE, IN, text col-col, NOT, ||, CASE
-// and COALESCE fallback lanes), each with NULL semantics on both sides.
+// arithmetic), on the boxed paths (LIKE, IN, text col-col, NOT, ||) and
+// through fork/join regions (CASE, COALESCE, IN with computed items), each
+// with NULL semantics on both sides.
 
 #ifndef SINEW_TESTS_TYPED_SCAN_CORPUS_H_
 #define SINEW_TESTS_TYPED_SCAN_CORPUS_H_
@@ -132,7 +133,7 @@ inline Status Build(engine::Database* db) {
 inline std::vector<std::string> Queries() {
   const std::string from = std::string(" FROM ") + kTable + " WHERE ";
   const char* filters[] = {
-      // Typed kernels: fused col-cmp-literal, BETWEEN, IS [NOT] NULL.
+      // Typed kernels: col-cmp-literal, BETWEEN, IS [NOT] NULL.
       "i = 42", "i <> 42", "i >= 0", "i < -9000000000000000000",
       "i BETWEEN -100 AND 100", "i NOT BETWEEN -100 AND 100", "i IS NULL",
       "d = 0", "d < 0", "d <> 1.5", "d BETWEEN -1 AND 1", "d IS NOT NULL",
@@ -146,9 +147,11 @@ inline std::vector<std::string> Queries() {
       "s LIKE 'a longer%'", "s LIKE '%1'",
       "s IN ('', 's3', 'exactly15chars_')", "i IN (2, 4, -5, 42)",
       "s = late_s", "NOT b", "s || 'x' = 'x'",
-      // Fallback lanes (CASE, COALESCE) over typed-primary columns.
+      // Fork/join regions (CASE, COALESCE, IN with computed items) over
+      // typed-primary columns.
       "CASE WHEN i < 0 THEN s ELSE late_s END = 's3'",
       "COALESCE(late_s, s, 'none') = 'none'", "COALESCE(i, late) > 10",
+      "i IN (late, i + 1, 42)", "s NOT IN (late_s, s || 'x')",
       // Kleene logic over NULL-heavy columns; about half the rows survive.
       "i >= 0 AND s IS NOT NULL", "i > 10 OR s IS NULL",
       "b = false OR d IS NULL",
