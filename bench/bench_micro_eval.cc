@@ -1,5 +1,7 @@
 // Micro-benchmark: the compiled bytecode VM vs. its semantic reference, the
-// scalar evaluator, isolated at the expression-evaluation layer. Full
+// scalar tree walk (tests/scalar_eval.h, linked from the tests' library;
+// the engine itself never runs it), isolated at the expression-evaluation
+// layer. Full
 // queries are scan-dominated, so this harness evaluates bound expressions
 // directly over pre-built synthetic RowBatches — through the executor's
 // entry points (bytecode::ExecPredicateBatch / ExecBatch) and through
@@ -52,6 +54,7 @@
 #include "engine/expr.h"
 #include "engine/row_batch.h"
 #include "engine/udf.h"
+#include "tests/scalar_eval.h"
 
 using sinew::bench::BenchRecord;
 using sinew::bench::PrintHeader;

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/metrics.h"
 #include "common/str_util.h"
@@ -16,20 +17,46 @@ namespace {
 /// Interning equality: exact kind + exact value. Doubles compare bit-exact
 /// so 0.0 and -0.0 (distinct in rendering) keep separate pool entries, and
 /// Int(1) never merges with Double(1.0) (distinct arithmetic semantics).
-bool SameLiteral(const Datum& a, const Datum& b) {
-  if (a.kind() != b.kind()) return false;
-  switch (a.kind()) {
-    case Datum::Kind::kNull: return true;
-    case Datum::Kind::kBool: return a.bool_value() == b.bool_value();
-    case Datum::Kind::kInt: return a.int_value() == b.int_value();
-    case Datum::Kind::kDouble:
-      return std::bit_cast<uint64_t>(a.double_value()) ==
-             std::bit_cast<uint64_t>(b.double_value());
-    case Datum::Kind::kText:
-    case Datum::Kind::kBytes: return a.str() == b.str();
+struct SameLiteral {
+  bool operator()(const Datum& a, const Datum& b) const {
+    if (a.kind() != b.kind()) return false;
+    switch (a.kind()) {
+      case Datum::Kind::kNull: return true;
+      case Datum::Kind::kBool: return a.bool_value() == b.bool_value();
+      case Datum::Kind::kInt: return a.int_value() == b.int_value();
+      case Datum::Kind::kDouble:
+        return std::bit_cast<uint64_t>(a.double_value()) ==
+               std::bit_cast<uint64_t>(b.double_value());
+      case Datum::Kind::kText:
+      case Datum::Kind::kBytes: return a.str() == b.str();
+    }
+    return false;
   }
-  return false;
-}
+};
+
+/// A hash over exactly SameLiteral's identity: the kind and the value's
+/// bits or bytes (not Datum::Hash, whose ints collide past 2^53).
+struct LiteralHash {
+  size_t operator()(const Datum& d) const {
+    uint64_t bits = 0;
+    switch (d.kind()) {
+      case Datum::Kind::kNull: break;
+      case Datum::Kind::kBool: bits = d.bool_value(); break;
+      case Datum::Kind::kInt:
+        bits = static_cast<uint64_t>(d.int_value());
+        break;
+      case Datum::Kind::kDouble:
+        bits = std::bit_cast<uint64_t>(d.double_value());
+        break;
+      case Datum::Kind::kText:
+      case Datum::Kind::kBytes:
+        bits = std::hash<std::string_view>()(d.str());
+        break;
+    }
+    return std::hash<uint64_t>()(bits * 0x9e3779b97f4a7c15ull +
+                                 static_cast<uint64_t>(d.kind()));
+  }
+};
 
 bool IsCompareBop(BinaryOp op) {
   switch (op) {
@@ -145,10 +172,10 @@ class Compiler {
   }
 
   Operand Literal(const Datum& d) {
-    uint32_t i = 0;
-    while (i < literals_.size() && !SameLiteral(literals_[i], d)) ++i;
-    if (i == literals_.size()) literals_.push_back(d);
-    return Operand{Operand::Kind::kLit, i};
+    const auto [it, added] = literal_index_.try_emplace(
+        d, static_cast<uint32_t>(literals_.size()));
+    if (added) literals_.push_back(d);
+    return Operand{Operand::Kind::kLit, it->second};
   }
 
   /// A shape with no instruction form fails, with the scalar evaluator's
@@ -406,6 +433,8 @@ class Compiler {
   std::vector<Instr> instrs_;
   std::vector<Operand> aux_;
   std::vector<Datum> literals_;
+  // Pool index of each interned literal.
+  std::unordered_map<Datum, uint32_t, LiteralHash, SameLiteral> literal_index_;
   uint32_t next_reg_ = 0;
   uint32_t num_regs_ = 0;
 };
@@ -829,9 +858,9 @@ bool TypedCompare(const Instr& ins, const Program& prog, const RowBatch* batch,
 }
 
 /// Generic arithmetic with both operands provably numeric. int⊗int stays
-/// int64, anything else promotes to double; division/modulo by zero carry
-/// the boxed path's exact error texts. Which lane's error surfaces first is
-/// the one permitted deviation.
+/// int64, anything else promotes to double; each lane applies the same
+/// eval_detail rule as the boxed path, so faults carry its exact texts.
+/// Which lane's error surfaces first is the one permitted deviation.
 bool TypedArith(const Instr& ins, const Program& prog, const RowBatch* batch,
                 const std::vector<uint32_t>& lanes, ExecState* st,
                 Status* status) {
@@ -851,57 +880,33 @@ bool TypedArith(const Instr& ins, const Program& prog, const RowBatch* batch,
   }
   if (as_int) {
     for (size_t i = 0; i < n; ++i) {
-      int64_t x, y;
+      int64_t x, y, v;
       if (!FetchInt(a, lanes, i, &x) || !FetchInt(b, lanes, i, &y)) {
         dst[i] = Datum::Null();
         continue;
       }
-      switch (ins.bop) {
-        case BinaryOp::kAdd: dst[i] = Datum::Int(x + y); break;
-        case BinaryOp::kSub: dst[i] = Datum::Int(x - y); break;
-        case BinaryOp::kMul: dst[i] = Datum::Int(x * y); break;
-        case BinaryOp::kDiv:
-          if (y == 0) {
-            *status = Status::InvalidArgument("division by zero");
-            return true;
-          }
-          dst[i] = Datum::Int(x / y);
-          break;
-        default:  // kMod (the compiler only emits arithmetic bops here)
-          if (y == 0) {
-            *status = Status::InvalidArgument("modulo by zero");
-            return true;
-          }
-          dst[i] = Datum::Int(x % y);
-          break;
+      const eval_detail::ArithFault fault =
+          eval_detail::IntArith(ins.bop, x, y, &v);
+      if (fault != eval_detail::ArithFault::kNone) {
+        *status = eval_detail::ArithFaultStatus(fault);
+        return true;
       }
+      dst[i] = Datum::Int(v);
     }
   } else {
     for (size_t i = 0; i < n; ++i) {
-      double x, y;
+      double x, y, v;
       if (!FetchDouble(a, lanes, i, &x) || !FetchDouble(b, lanes, i, &y)) {
         dst[i] = Datum::Null();
         continue;
       }
-      switch (ins.bop) {
-        case BinaryOp::kAdd: dst[i] = Datum::Double(x + y); break;
-        case BinaryOp::kSub: dst[i] = Datum::Double(x - y); break;
-        case BinaryOp::kMul: dst[i] = Datum::Double(x * y); break;
-        case BinaryOp::kDiv:
-          if (y == 0) {
-            *status = Status::InvalidArgument("division by zero");
-            return true;
-          }
-          dst[i] = Datum::Double(x / y);
-          break;
-        default:  // kMod
-          if (y == 0) {
-            *status = Status::InvalidArgument("modulo by zero");
-            return true;
-          }
-          dst[i] = Datum::Double(std::fmod(x, y));
-          break;
+      const eval_detail::ArithFault fault =
+          eval_detail::DoubleArith(ins.bop, x, y, &v);
+      if (fault != eval_detail::ArithFault::kNone) {
+        *status = eval_detail::ArithFaultStatus(fault);
+        return true;
       }
+      dst[i] = Datum::Double(v);
     }
   }
   CountTypedLanes(st, n);
@@ -1139,16 +1144,8 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         dst.resize(n);
         src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
-          const Datum& v = ReadOperand(ins.a, prog, src, *st, L, i);
-          if (v.is_null()) {
-            dst[i] = Datum::Null();
-          } else if (v.is_int()) {
-            dst[i] = Datum::Int(-v.int_value());
-          } else if (v.is_double()) {
-            dst[i] = Datum::Double(-v.double_value());
-          } else {
-            return Status::TypeError("unary minus on non-numeric");
-          }
+          ASSIGN_OR_RETURN(dst[i], eval_detail::NegateOp(ReadOperand(
+                                       ins.a, prog, src, *st, L, i)));
         }
         break;
       }
@@ -1408,6 +1405,21 @@ Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
   }
   sel->resize(kept);
   return Status::OK();
+}
+
+Result<Datum> EvalConstant(const Expr& expr, const UdfRegistry* udfs) {
+  // A column-free program over one lane of a batch with no columns: a
+  // column reference compiles to kRaise, which fails on that lane with the
+  // unbound-reference status.
+  const std::shared_ptr<const Program> program =
+      Compiler(/*input_width=*/0, udfs).Run(expr);
+  RowBatch batch;
+  batch.size = 1;
+  batch.sel = {0};
+  ExecState state;
+  std::vector<Datum> out;
+  RETURN_NOT_OK(ExecBatch(*program, batch, batch.sel, &state, &out));
+  return std::move(out[0]);
 }
 
 }  // namespace sinew::engine::bytecode

@@ -1,7 +1,9 @@
 // Query compilation: bound expression trees flattened into postfix bytecode
-// executed over RowBatch columns — the executor's only evaluator. The scalar
-// EvalExpr (engine/eval.h) is its semantic reference and differential
-// oracle; the VM never calls it.
+// executed over RowBatch columns — the engine's only evaluator. The
+// executor runs compiled programs over batches; constant folding and
+// INSERT VALUES run a column-free program over one lane (EvalConstant), so
+// a folded literal and an executed expression always agree. The scalar
+// tree walk the VM is checked against lives in tests/, not here.
 //
 // At plan time `Compile` walks a bound Expr once and emits a flat array of
 // tagged-union instructions (`Instr`) that reference batch column slots,
@@ -13,23 +15,29 @@
 //     the typed kernels; in predicate position such a single-instruction
 //     program refines the selection vector in place without materializing a
 //     boolean column at all.
+//   - kArith runs unboxed int64/double loops when both operands are proven
+//     numeric and boxed Datums otherwise; both apply the one per-lane rule
+//     of engine/eval.h (eval_detail::IntArith / DoubleArith), so division
+//     by zero, modulo by zero and integer overflow fail the same way on
+//     either path.
 //   - kUdfCmpLit fuses a UDF call (e.g. an array containment test over the
 //     reservoir column) with the literal comparison above it, so the
 //     computed value is consumed where it is produced.
 //   - kFork/kJoin narrow the lane set for a region of instructions: AND's and
 //     OR's right side, COALESCE's next argument, IN's items over a non-NULL
 //     probe, a CASE WHEN's THEN and the rest of the CASE. A region runs over
-//     exactly the lanes scalar EvalExpr would evaluate it on, so its runtime
-//     errors fire for those rows only.
+//     exactly the lanes a row-at-a-time evaluation would evaluate it on, so
+//     its runtime errors fire for those rows only.
 //
 // kRaise + no pool caps: every bound expression compiles. A shape with no
 // instruction form — an unknown function, an aggregate call, a star, an
 // unbound or out-of-range column, an unhoisted virtual column — compiles to
-// one kRaise carrying the scalar evaluator's Status for it, at the point in
-// evaluation order where the scalar evaluator would fail. kRaise fails only
-// when it runs over a non-empty lane set, so an expression over no rows
-// succeeds, as it does row by row. Register, literal and argument indices
-// are 32 bits wide; no expression is too large to compile.
+// one kRaise carrying the Status for it, at the point in evaluation order
+// where row-at-a-time evaluation would fail. kRaise fails only when it runs
+// over a non-empty lane set, so an expression over no rows succeeds.
+// Register, literal and argument indices are 32 bits wide; no expression is
+// too large to compile. Literals intern through a hash of their exact kind
+// and value, so a list of thousands compiles in linear time.
 //
 // All program memory — instructions, operand pools, interned literals,
 // kRaise statuses — lives in a bump-pointer arena owned by the Program
@@ -217,6 +225,12 @@ struct ExecState {
 std::shared_ptr<const Program> Compile(const Expr& expr, size_t input_width,
                                        const UdfRegistry* udfs);
 
+/// Evaluates a column-free expression once: compiles it for input width 0
+/// and runs it over one lane. Constant folding (`udfs` = nullptr) and
+/// INSERT VALUES call it. A column reference, an aggregate call or an
+/// unknown function fails with its kRaise status.
+Result<Datum> EvalConstant(const Expr& expr, const UdfRegistry* udfs);
+
 /// Evaluates the program for every lane in `lanes` (physical row indices
 /// into `batch`), one datum per lane into `*out`.
 Status ExecBatch(const Program& program, const RowBatch& batch,
@@ -224,7 +238,7 @@ Status ExecBatch(const Program& program, const RowBatch& batch,
                  std::vector<Datum>* out);
 
 /// Predicate mode: evaluates over the lanes in `*sel` and keeps only the
-/// TRUE lanes (NULL filters, non-boolean errors, as in EvalPredicate),
+/// TRUE lanes (NULL filters, a non-boolean value is a TypeError),
 /// preserving order. A single instruction over a column and literals, or a
 /// kUdfCmpLit, refines the selection vector directly without materializing
 /// a boolean column.

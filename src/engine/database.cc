@@ -6,6 +6,7 @@
 
 #include "common/metrics.h"
 #include "common/query_log.h"
+#include "engine/bytecode.h"
 
 namespace sinew::engine {
 
@@ -378,7 +379,8 @@ Result<QueryResult> Database::ExecuteInsert(const InsertStatement& stmt) {
     }
     DatumRow row(schema.num_slots());
     for (size_t i = 0; i < targets.size(); ++i) {
-      ASSIGN_OR_RETURN(Datum v, EvalExpr(*value_row[i], {}, &udfs_));
+      ASSIGN_OR_RETURN(Datum v,
+                       bytecode::EvalConstant(*value_row[i], &udfs_));
       row[targets[i]] =
           CoerceForColumn(std::move(v), schema.columns()[targets[i]].type);
     }

@@ -1435,7 +1435,7 @@ struct Accumulator {
   int64_t count = 0;
   bool any = false;
   bool as_double = false;
-  int64_t isum = 0;
+  eval_detail::IntSum isum;
   double dsum = 0;
   Datum min, max;
 
@@ -1446,14 +1446,14 @@ struct Accumulator {
     if (v.is_numeric()) {
       if (v.is_double()) {
         if (!as_double) {
-          dsum = static_cast<double>(isum);
+          dsum = isum.AsDouble();
           as_double = true;
         }
         dsum += v.double_value();
       } else if (as_double) {
         dsum += static_cast<double>(v.int_value());
       } else {
-        isum += v.int_value();
+        isum.Add(v.int_value());
       }
     }
     if (min.is_null() || Datum::Compare(v, min) < 0) min = v;
@@ -1467,13 +1467,12 @@ struct Accumulator {
     any = true;
     count += other.count;
     if (as_double || other.as_double) {
-      double mine = as_double ? dsum : static_cast<double>(isum);
-      double theirs =
-          other.as_double ? other.dsum : static_cast<double>(other.isum);
+      double mine = as_double ? dsum : isum.AsDouble();
+      double theirs = other.as_double ? other.dsum : other.isum.AsDouble();
       dsum = mine + theirs;
       as_double = true;
     } else {
-      isum += other.isum;
+      isum.Merge(other.isum);
     }
     if (!other.min.is_null() &&
         (min.is_null() || Datum::Compare(other.min, min) < 0)) {
@@ -1485,13 +1484,20 @@ struct Accumulator {
     }
   }
 
-  Datum Sum() const {
+  /// An integer total outside int64 fails as integer arithmetic does.
+  Result<Datum> Sum() const {
     if (!any) return Datum::Null();
-    return as_double ? Datum::Double(dsum) : Datum::Int(isum);
+    if (as_double) return Datum::Double(dsum);
+    int64_t total;
+    const eval_detail::ArithFault fault = isum.Narrow(&total);
+    if (fault != eval_detail::ArithFault::kNone) {
+      return eval_detail::ArithFaultStatus(fault);
+    }
+    return Datum::Int(total);
   }
   Datum Avg() const {
     if (count == 0) return Datum::Null();
-    double total = as_double ? dsum : static_cast<double>(isum);
+    double total = as_double ? dsum : isum.AsDouble();
     return Datum::Double(total / static_cast<double>(count));
   }
 };
@@ -1521,7 +1527,8 @@ Result<DatumRow> FinalizeGroup(const PlanNode& node, DatumRow keys,
     if (spec.fn == "count") {
       row.push_back(Datum::Int(spec.is_star ? state.star_count : acc.count));
     } else if (spec.fn == "sum") {
-      row.push_back(acc.Sum());
+      ASSIGN_OR_RETURN(Datum sum, acc.Sum());
+      row.push_back(std::move(sum));
     } else if (spec.fn == "avg") {
       row.push_back(acc.Avg());
     } else if (spec.fn == "min") {

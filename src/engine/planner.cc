@@ -81,13 +81,14 @@ std::optional<double> LiteralAsDouble(const Expr& e) {
 }
 
 /// Plan-time constant folding (post-order): an operator node whose inputs
-/// are all literals is evaluated once here instead of per row at execution
-/// time (`1 + 1`, `'a' = 'a'`, `5 BETWEEN 1 AND 9`). Subtrees that error
-/// (e.g. `1/0`) stay in place so the error still surfaces at runtime, and
+/// are all literals is evaluated once here, on the bytecode VM over one
+/// lane, instead of per row at execution time (`1 + 1`, `'a' = 'a'`,
+/// `5 BETWEEN 1 AND 9`). Subtrees that error (e.g. `1/0`, or an int64
+/// overflow) stay in place so the error still surfaces at runtime, and
 /// kFunction/kCase are never folded (UDFs are opaque to the planner).
-/// Decided AND/OR left sides fold too — the row evaluator's Kleene logic
-/// never evaluates the right side of `FALSE AND x` / `TRUE OR x`, so
-/// replacing the conjunction with the decided literal is exact.
+/// Decided AND/OR left sides fold too — Kleene evaluation never evaluates
+/// the right side of `FALSE AND x` / `TRUE OR x`, so replacing the
+/// conjunction with the decided literal is exact.
 void FoldConstants(ExprPtr* expr) {
   Expr& e = **expr;
   for (ExprPtr& arg : e.args) FoldConstants(&arg);
@@ -114,7 +115,7 @@ void FoldConstants(ExprPtr* expr) {
   for (const ExprPtr& arg : e.args) {
     if (arg->kind != ExprKind::kLiteral) return;
   }
-  Result<Datum> value = EvalExpr(e, {}, nullptr);
+  Result<Datum> value = bytecode::EvalConstant(e, nullptr);
   if (!value.ok()) return;
   *expr = Expr::Literal(std::move(*value));
 }
@@ -1319,7 +1320,10 @@ Result<PlanPtr> Planner::SelectPlanner::Plan() {
   FoldPlanConstants(root.get());
   AttachZoneFiltersToScans(root.get());
   if (options_.parallelism > 1) ParallelizePlan(&root);
-  CompilePlanPrograms(root.get(), udfs_);
+  {
+    metrics::ScopedSpan compile_span("query.compile");
+    CompilePlanPrograms(root.get(), udfs_);
+  }
   return root;
 }
 
@@ -1328,6 +1332,9 @@ Result<PlanPtr> Planner::PlanSelect(const SelectStatement& stmt) const {
       metrics::GetCounter("planner.plans_total");
   static metrics::Counter* plan_ns_total =
       metrics::GetCounter("planner.plan_ns_total");
+  // Under a query's trace, the span nests below query.execute, and the
+  // compile span below it.
+  metrics::ScopedSpan plan_span("query.plan");
   const uint64_t start = metrics::NowNanos();
   SelectPlanner planner(catalog_, udfs_, options_, stmt);
   Result<PlanPtr> plan = planner.Plan();

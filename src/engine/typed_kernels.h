@@ -12,8 +12,8 @@
 // these templates are the per-lane bodies it instantiates.
 //
 // Select-mode kernels refine the selection vector in place (NULL lanes and
-// NULL verdicts drop, as in EvalPredicate); value-mode kernels write one
-// Datum per lane into a register, NULL in, NULL out.
+// NULL verdicts drop, as a WHERE clause drops them); value-mode kernels
+// write one Datum per lane into a register, NULL in, NULL out.
 
 #ifndef SINEW_ENGINE_TYPED_KERNELS_H_
 #define SINEW_ENGINE_TYPED_KERNELS_H_

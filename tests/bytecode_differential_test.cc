@@ -60,8 +60,8 @@ int ParallelDegree() {
 ///   d   — monomorphic double salted with NaN, -0.0 and +0.0, the values
 ///         where an IEEE-== kernel would drift from SQL comparison;
 ///   big — monomorphic int holding INT64_MIN / INT64_MAX among ordinary
-///         values (compared only, never negated or used in arithmetic —
-///         signed overflow is UB on both evaluators);
+///         values (compared only: arithmetic that leaves int64 fails with
+///         "integer out of range", pinned by fold_differential_test);
 ///   k   — a small clean int domain for BETWEEN shapes.
 std::vector<Value> MakePoisonDocs(int n) {
   const double nan = std::numeric_limits<double>::quiet_NaN();

@@ -21,6 +21,7 @@
 #include "engine/expr.h"
 #include "engine/row_batch.h"
 #include "engine/udf.h"
+#include "scalar_eval.h"
 
 namespace sinew::engine {
 namespace {

@@ -6,6 +6,7 @@
 #include "engine/datum.h"
 #include "engine/eval.h"
 #include "engine/parser.h"
+#include "scalar_eval.h"
 
 namespace sinew::engine {
 namespace {

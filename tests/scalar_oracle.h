@@ -2,8 +2,9 @@
 // tables without the planner, the operators, the bytecode VM, SinewExtract
 // or column strips. The statement is rewritten exactly as SinewDb::Query
 // rewrites it, its expressions are bound against the FROM tables' physical
-// columns laid side by side, and scalar EvalPredicate/EvalExpr run over
-// nested loops of every table's stored rows, in FROM order. A WHERE
+// columns laid side by side, and the scalar tree walk (scalar_eval.h:
+// EvalPredicate/EvalExpr) runs over nested loops of every table's stored
+// rows, in FROM order. A WHERE
 // conjunct that binds at an outer loop also prunes it, so a selective
 // filter on an outer table keeps the inner loops short. Aggregation (COUNT,
 // SUM, AVG, MIN, MAX, with or without GROUP BY, and HAVING) groups the
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "engine/eval.h"
+#include "scalar_eval.h"
 #include "sinew/sinew_db.h"
 
 namespace sinew::oracle {
@@ -69,12 +71,14 @@ inline void ReplaceAggRefs(engine::ExprPtr* e,
 
 /// One aggregate's running state over a group's rows. COUNT(x) counts the
 /// non-NULL arguments; SUM adds the numeric ones (a double among them makes
-/// it a double) and is NULL only when every argument is; AVG divides that
-/// sum by the non-NULL count; MIN and MAX order by Datum::Compare.
+/// it a double) and is NULL only when every argument is; an integer SUM
+/// whose exact total leaves int64 fails as integer arithmetic does; AVG
+/// divides that sum by the non-NULL count; MIN and MAX order by
+/// Datum::Compare.
 struct OracleAgg {
   int64_t count = 0;
   bool any_double = false;
-  int64_t isum = 0;
+  engine::eval_detail::IntSum isum;
   double dsum = 0;
   engine::Datum min, max;
 
@@ -82,7 +86,7 @@ struct OracleAgg {
     if (v.is_null()) return;
     ++count;
     if (v.is_int()) {
-      isum += v.int_value();
+      isum.Add(v.int_value());
       dsum += static_cast<double>(v.int_value());
     } else if (v.is_double()) {
       any_double = true;
@@ -92,16 +96,23 @@ struct OracleAgg {
     if (max.is_null() || engine::Datum::Compare(v, max) > 0) max = v;
   }
 
-  engine::Datum Value(const std::string& fn, bool star, int64_t rows) const {
+  Result<engine::Datum> Value(const std::string& fn, bool star,
+                              int64_t rows) const {
     if (fn == "count") return engine::Datum::Int(star ? rows : count);
     if (fn == "min") return min;
     if (fn == "max") return max;
     if (count == 0) return engine::Datum::Null();
-    const double total = any_double ? dsum : static_cast<double>(isum);
+    const double total = any_double ? dsum : isum.AsDouble();
     if (fn == "avg") {
       return engine::Datum::Double(total / static_cast<double>(count));
     }
-    return any_double ? engine::Datum::Double(dsum) : engine::Datum::Int(isum);
+    if (any_double) return engine::Datum::Double(dsum);
+    int64_t sum;
+    const engine::eval_detail::ArithFault fault = isum.Narrow(&sum);
+    if (fault != engine::eval_detail::ArithFault::kNone) {
+      return engine::eval_detail::ArithFaultStatus(fault);
+    }
+    return engine::Datum::Int(sum);
   }
 };
 
@@ -328,8 +339,11 @@ inline Result<engine::QueryResult> ScalarOracleQuery(SinewDb* db,
     for (const auto& [keys, group] : groups) {
       engine::DatumRow values = keys;
       for (size_t i = 0; i < agg_calls.size(); ++i) {
-        values.push_back(group.aggs[i].Value(
-            agg_calls[i]->fname, IsStarCall(*agg_calls[i]), group.rows));
+        ASSIGN_OR_RETURN(engine::Datum v,
+                         group.aggs[i].Value(agg_calls[i]->fname,
+                                             IsStarCall(*agg_calls[i]),
+                                             group.rows));
+        values.push_back(std::move(v));
       }
       if (having != nullptr) {
         ASSIGN_OR_RETURN(bool keep,

@@ -8,6 +8,7 @@
 #include "engine/eval.h"
 #include "engine/udf.h"
 #include "json/json.h"
+#include "scalar_eval.h"
 #include "serial/sinew_format.h"
 #include "sinew/catalog.h"
 #include "sinew/extract_functions.h"

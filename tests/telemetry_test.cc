@@ -403,6 +403,46 @@ TEST(TraceSpans, GatherWorkersCarryTheQueryTraceId) {
   EXPECT_GE(workers, 2u);  // Gather actually fanned out
 }
 
+TEST(TraceSpans, PlanAndCompileNestUnderExecute) {
+  metrics::MetricsRegistry::Global()->Reset();
+  SinewDb db;
+  ASSERT_TRUE(db.LoadJsonLines("t", "{\"a\": 1}\n{\"a\": 2}\n").ok());
+  ASSERT_TRUE(db.Query("SELECT a FROM t WHERE a > 1").ok());
+
+  // The last span of each name belongs to this query (the ring is
+  // oldest-first).
+  const std::vector<metrics::TraceEvent> spans =
+      metrics::MetricsRegistry::Global()->SpanEvents();
+  auto last = [&](const std::string& name) -> const metrics::TraceEvent* {
+    const metrics::TraceEvent* found = nullptr;
+    for (const metrics::TraceEvent& ev : spans) {
+      if (ev.name == name) found = &ev;
+    }
+    return found;
+  };
+  const metrics::TraceEvent* query = last("query");
+  const metrics::TraceEvent* execute = last("query.execute");
+  const metrics::TraceEvent* plan = last("query.plan");
+  const metrics::TraceEvent* compile = last("query.compile");
+  ASSERT_NE(query, nullptr);
+  ASSERT_NE(execute, nullptr);
+  ASSERT_NE(plan, nullptr);
+  ASSERT_NE(compile, nullptr);
+  EXPECT_EQ(execute->parent_span_id, query->span_id);
+  EXPECT_EQ(plan->parent_span_id, execute->span_id);
+  EXPECT_EQ(compile->parent_span_id, plan->span_id);
+  for (const metrics::TraceEvent* ev : {execute, plan, compile}) {
+    EXPECT_EQ(ev->trace_id, query->trace_id) << ev->name;
+  }
+  // Each child lies inside its parent's interval.
+  EXPECT_GE(plan->start_ns, execute->start_ns);
+  EXPECT_LE(plan->start_ns + plan->duration_ns,
+            execute->start_ns + execute->duration_ns);
+  EXPECT_GE(compile->start_ns, plan->start_ns);
+  EXPECT_LE(compile->start_ns + compile->duration_ns,
+            plan->start_ns + plan->duration_ns);
+}
+
 // ---- trace export + the bench/validate_trace.py contract ----
 
 TEST(TraceExport, DumpTracePassesTheValidator) {
