@@ -41,6 +41,11 @@ void RunScale(const char* label, const char* tag, uint64_t records,
   for (auto& runner : runners) {
     sinew::Status st = runner->Load(docs);
     if (st.ok()) st = runner->Prepare();
+    // Sinew's table as a flush leaves it: materialized, then shredded.
+    if (auto* sinew_runner = dynamic_cast<nb::SinewRunner*>(runner.get());
+        st.ok() && sinew_runner != nullptr) {
+      st = sinew_runner->db()->BuildColumnarSegments(nb::kTableName);
+    }
     if (!st.ok()) {
       std::printf("load failed for %s: %s\n",
                   std::string(runner->name()).c_str(), st.ToString().c_str());

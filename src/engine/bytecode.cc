@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <span>
+#include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/metrics.h"
 #include "common/str_util.h"
@@ -11,6 +15,107 @@
 #include "engine/typed_kernels.h"
 
 namespace sinew::engine::bytecode {
+
+/// The literal items of a kInList, hashed so a lane probes them in O(1)
+/// with its typed value. A probe's verdict is the one comparing it with
+/// every item through eval_detail::CompareOp gives: ints equal ints exactly
+/// and doubles as doubles (1 IN (1.0) holds), a NaN equals every number,
+/// and on a miss a NULL item, or one of a kind the probe cannot be compared
+/// with, makes the verdict NULL.
+struct InSet {
+  struct TextHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>()(s);
+    }
+  };
+  using TextSet = std::unordered_set<std::string, TextHash, std::equal_to<>>;
+
+  std::unordered_set<int64_t> ints;
+  std::unordered_set<double> ints_as_doubles;
+  std::unordered_set<double> doubles;  // without NaN
+  TextSet texts, bytes;
+  bool has_nan = false, has_true = false, has_false = false;
+  bool has_null = false;
+  /// Non-NULL items, and how many of them compare with a probe of each
+  /// kind: numbers, text, bytes and bools.
+  uint32_t items = 0, numbers = 0, num_texts = 0, num_bytes = 0, bools = 0;
+
+  explicit InSet(std::span<const ExprPtr> list) {
+    for (const ExprPtr& item : list) {
+      const Datum& d = item->literal;
+      if (d.is_null()) {
+        has_null = true;
+        continue;
+      }
+      ++items;
+      switch (d.kind()) {
+        case Datum::Kind::kInt:
+          ++numbers;
+          ints.insert(d.int_value());
+          ints_as_doubles.insert(static_cast<double>(d.int_value()));
+          break;
+        case Datum::Kind::kDouble:
+          ++numbers;
+          if (std::isnan(d.double_value())) {
+            has_nan = true;
+          } else {
+            doubles.insert(d.double_value());
+          }
+          break;
+        case Datum::Kind::kBool:
+          ++bools;
+          (d.bool_value() ? has_true : has_false) = true;
+          break;
+        case Datum::Kind::kText:
+          ++num_texts;
+          texts.emplace(d.str());
+          break;
+        default:  // kBytes
+          ++num_bytes;
+          bytes.emplace(d.str());
+          break;
+      }
+    }
+  }
+
+  /// 1: some item equals the probe; 0: none does and every item compared;
+  /// -1 (NULL): none does, and some item is NULL or could not be compared
+  /// with a probe of whose kind `comparable` items are.
+  int Verdict(bool hit, uint32_t comparable) const {
+    if (hit) return 1;
+    return has_null || comparable != items ? -1 : 0;
+  }
+
+  int Int(int64_t v) const {
+    return Verdict(has_nan || ints.contains(v) ||
+                       doubles.contains(static_cast<double>(v)),
+                   numbers);
+  }
+  int Double(double v) const {
+    if (std::isnan(v)) return Verdict(numbers != 0, numbers);
+    return Verdict(has_nan || doubles.contains(v) ||
+                       ints_as_doubles.contains(v),
+                   numbers);
+  }
+  int Bool(bool v) const { return Verdict(v ? has_true : has_false, bools); }
+  int Text(std::string_view v) const {
+    return Verdict(texts.contains(v), num_texts);
+  }
+  int Bytes(std::string_view v) const {
+    return Verdict(bytes.contains(v), num_bytes);
+  }
+  /// A non-NULL probe of any kind.
+  int Probe(const Datum& d) const {
+    switch (d.kind()) {
+      case Datum::Kind::kInt: return Int(d.int_value());
+      case Datum::Kind::kDouble: return Double(d.double_value());
+      case Datum::Kind::kBool: return Bool(d.bool_value());
+      case Datum::Kind::kText: return Text(d.str());
+      default: return Bytes(d.str());
+    }
+  }
+};
 
 namespace {
 
@@ -283,11 +388,8 @@ class Compiler {
       ins.op = OpCode::kInList;
       ins.a = probe;
       ins.negated = e.negated;
-      ins.aux_begin = static_cast<uint32_t>(aux_.size());
-      ins.aux_count = static_cast<uint32_t>(e.args.size() - 1);
-      for (size_t i = 1; i < e.args.size(); ++i) {
-        aux_.push_back(Literal(e.args[i]->literal));
-      }
+      ins.in_set = prog_->arena.Create<InSet>(
+          std::span<const ExprPtr>(e.args).subspan(1));
       return Emit(ins, {probe});
     }
     // Computed items run lazily, in list order, over non-NULL probes only;
@@ -1205,31 +1307,47 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         const size_t n = L.size();
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
+        const InSet& set = *ins.in_set;
+        auto put = [&dst, negated = ins.negated](size_t i, int verdict) {
+          dst[i] = verdict < 0 ? Datum::Null()
+                               : Datum::Bool((verdict > 0) != negated);
+        };
+        // A typed column probes with its raw values, no Datum per lane.
+        const ColTag* tag =
+            ins.a.is_col() ? TagOf(src.batch, ins.a.index, n) : nullptr;
+        if (tag != nullptr) {
+          auto probe = [&](auto verdict_of) {
+            for (size_t i = 0; i < n; ++i) {
+              if (tag->IsNull(L[i])) {
+                dst[i] = Datum::Null();
+              } else {
+                put(i, verdict_of(L[i]));
+              }
+            }
+          };
+          switch (tag->type) {
+            case ColTag::Type::kInt:
+              probe([&](uint32_t r) { return set.Int(tag->ints[r]); });
+              break;
+            case ColTag::Type::kDouble:
+              probe([&](uint32_t r) { return set.Double(tag->doubles[r]); });
+              break;
+            case ColTag::Type::kBool:
+              probe([&](uint32_t r) { return set.Bool(tag->bools[r] != 0); });
+              break;
+            default:  // kText
+              probe([&](uint32_t r) { return set.Text(tag->views[r]); });
+              break;
+          }
+          break;
+        }
         src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
           const Datum& t = ReadOperand(ins.a, prog, src, *st, L, i);
           if (t.is_null()) {
             dst[i] = Datum::Null();
-            continue;
-          }
-          bool matched = false, saw_null = false;
-          for (uint32_t j = 0; j < ins.aux_count; ++j) {
-            const Datum& item =
-                ReadOperand(prog.aux[ins.aux_begin + j], prog, src, *st, L, i);
-            Datum eq = eval_detail::CompareOp(BinaryOp::kEq, t, item);
-            if (eq.is_null()) {
-              saw_null = true;
-            } else if (eq.bool_value()) {
-              matched = true;
-              break;
-            }
-          }
-          if (matched) {
-            dst[i] = Datum::Bool(!ins.negated);
-          } else if (saw_null) {
-            dst[i] = Datum::Null();
           } else {
-            dst[i] = Datum::Bool(ins.negated);
+            put(i, set.Probe(t));
           }
         }
         break;

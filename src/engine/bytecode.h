@@ -88,7 +88,7 @@ enum class OpCode : uint8_t {
   kNeg,        // dst = -a
   kBetween,    // dst = a [NOT] BETWEEN b AND c
   kIsNull,     // dst = a IS [NOT] NULL
-  kInList,     // dst = a [NOT] IN (aux...); aux operands are literals
+  kInList,     // dst = a [NOT] IN (in_set); every item is a literal
   kCallUdf,    // dst = fn(aux...)
   kRaise,      // fail with `error` when the lane set is not empty
 };
@@ -107,6 +107,8 @@ enum class ForkMode : uint8_t {
   kNotTrue,   // the rest of a CASE; the join copies
 };
 
+struct InSet;
+
 /// Flat tagged-union instruction. Every field is trivially destructible so
 /// the instruction array can live in the raw (unregistered) arena path.
 struct Instr {
@@ -118,11 +120,12 @@ struct Instr {
   // kFork: `c`, a register, is gathered over the region's lanes into
   // register `b`, because a region reads no register of the enclosing one.
   Operand a, b, c;
-  uint32_t aux_begin = 0;  // kInList / kCallUdf / kUdfCmpLit arguments
+  uint32_t aux_begin = 0;  // kCallUdf / kUdfCmpLit arguments
   uint32_t aux_count = 0;
   uint32_t jump = 0;              // kFork: pc after the matching join
   const UdfFn* fn = nullptr;      // kCallUdf / kUdfCmpLit
   const Status* error = nullptr;  // kRaise
+  const InSet* in_set = nullptr;  // kInList
 };
 
 /// A compiled, immutable expression program. All referenced memory (instrs,

@@ -17,34 +17,23 @@ std::pair<uint32_t, ValueType> AttrKey(const StripColumn& col) {
   return {col.attr_id, col.type};
 }
 
-Datum StripValueAt(const ColumnStrip& s, uint32_t dense_idx) {
-  switch (s.type) {
-    case ValueType::kBool:
-      return Datum::Bool(s.bools[dense_idx] != 0);
-    case ValueType::kInt:
-      return Datum::Int(s.ints[dense_idx]);
-    case ValueType::kDouble:
-      return Datum::Double(s.doubles[dense_idx]);
-    case ValueType::kString: {
-      const uint32_t begin = s.str_offsets[dense_idx];
-      const uint32_t end = s.str_offsets[dense_idx + 1];
-      return Datum::Text(s.str_blob.substr(begin, end - begin));
-    }
-    default:
-      return Datum::Null();
-  }
-}
-
 }  // namespace
 
 Datum StripRef::GetDatum(uint32_t i) const {
-  const uint64_t word = strip.presence[i / 64];
-  const uint32_t bit = i % 64;
-  if (((word >> bit) & 1) == 0) return Datum::Null();
-  const uint32_t dense_idx =
-      rank[i / 64] +
-      static_cast<uint32_t>(__builtin_popcountll(word & ((uint64_t{1} << bit) - 1)));
-  return StripValueAt(strip, dense_idx);
+  const int64_t dense = DenseIndex(i);
+  if (dense < 0) return Datum::Null();
+  switch (strip.type) {
+    case ValueType::kBool:
+      return Datum::Bool(strip.bools[dense] != 0);
+    case ValueType::kInt:
+      return Datum::Int(strip.ints[dense]);
+    case ValueType::kDouble:
+      return Datum::Double(strip.doubles[dense]);
+    case ValueType::kString:
+      return Datum::Text(std::string(TextAt(dense)));
+    default:
+      return Datum::Null();
+  }
 }
 
 StripRef MakeStripRef(ColumnStrip strip) {
@@ -196,8 +185,15 @@ Datum StripColumn::GetDatum(uint64_t rid) const {
 }
 
 ColumnarSegment::ColumnarSegment(uint64_t row_count,
-                                 std::vector<StripColumn> columns)
-    : row_count_(row_count), columns_(std::move(columns)) {
+                                 std::vector<StripColumn> columns,
+                                 std::vector<StripColumn> physical)
+    : row_count_(row_count),
+      columns_(std::move(columns)),
+      physical_(std::move(physical)) {
+  std::sort(physical_.begin(), physical_.end(),
+            [](const StripColumn& a, const StripColumn& b) {
+              return a.source_column < b.source_column;
+            });
   by_attr_.resize(columns_.size());
   for (size_t i = 0; i < by_attr_.size(); ++i) {
     by_attr_[i] = static_cast<uint32_t>(i);
@@ -229,6 +225,19 @@ const StripColumn* ColumnarSegment::Find(std::string_view source_column,
   return nullptr;
 }
 
+const StripColumn* ColumnarSegment::FindPhysical(std::string_view column,
+                                                 ValueType type) const {
+  auto it = std::lower_bound(physical_.begin(), physical_.end(), column,
+                             [](const StripColumn& c, std::string_view name) {
+                               return c.source_column < name;
+                             });
+  if (it == physical_.end() || it->source_column != column ||
+      it->type != type) {
+    return nullptr;
+  }
+  return &*it;
+}
+
 std::string ColumnarSegment::Serialize() const {
   BufferWriter w;
   w.PutU8(kSegmentFormatVersion);
@@ -248,7 +257,7 @@ std::string ColumnarSegment::Serialize() const {
   return w.Release();
 }
 
-Result<std::shared_ptr<const ColumnarSegment>> ColumnarSegment::Deserialize(
+Result<ColumnarSegment::Image> ColumnarSegment::Decode(
     std::string_view payload) {
   BufferReader r(payload);
   ASSIGN_OR_RETURN(uint8_t version, r.ReadU8());
@@ -305,8 +314,7 @@ Result<std::shared_ptr<const ColumnarSegment>> ColumnarSegment::Deserialize(
   if (!r.AtEnd()) {
     return Status::IOError("columnar segment has trailing bytes");
   }
-  return std::make_shared<const ColumnarSegment>(row_count,
-                                                 std::move(columns));
+  return Image{row_count, std::move(columns)};
 }
 
 }  // namespace sinew::engine

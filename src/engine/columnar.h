@@ -1,19 +1,31 @@
 // Columnar segment: the engine-side view of a cold table segment's shredded
-// column strips. At flush/compaction time the sinew layer shreds frequent
-// reservoir attributes of rows [0, row_count) into kStripRows-sized
-// ColumnStrips; this header wraps the decoded strips with rank indexes and
-// Datum zone bounds so the executor can
+// column strips. At flush/compaction time the sinew layer shreds rows
+// [0, row_count) into kStripRows-sized ColumnStrips of two kinds:
 //
-//   - serve SinewExtract targets for cold rows straight out of the typed
-//     value vectors (dense move when a strip has no nulls, bitmap-rank
-//     scatter otherwise) without touching the row reservoir, and
+//   - reservoir strips: one per frequent single-typed scalar attribute that
+//     lives in the document reservoir, keyed by (source column, prefix
+//     chain, attribute id, type) exactly as plan ExtractTargets name it;
+//   - physical strips: one per clean scalar schema column (a materialized
+//     attribute such as NoBench's str1 or num), keyed by column name.
+//
+// This header wraps the decoded strips with rank indexes and Datum zone
+// bounds so the executor can
+//
+//   - fill a cold chunk's typed probe columns straight from the strips' value
+//     vectors (presence-bitmap scatter, text as views into the strip blob)
+//     without touching row bytes — physical columns and strip-served virtual
+//     columns alike,
+//   - serve the remaining SinewExtract targets for cold rows from the strips
+//     as Datums, and
 //   - skip whole strips whose zone map proves no row can match a pushed
 //     comparison predicate (ZoneCanSkip).
 //
-// The row reservoir stays authoritative: any attribute/row not covered here
-// (hot memtable tail, rare or multi-typed attributes, a missing or corrupt
-// sidecar) falls back to reservoir decode, so a segment is purely an
-// accelerator and dropping it is always correct.
+// The row bytes stay authoritative: any attribute/row not covered here (hot
+// memtable tail, rare or multi-typed attributes, dirty columns, a missing or
+// corrupt sidecar) is read from the row, so a segment is purely an
+// accelerator and dropping it is always correct. Physical strips duplicate
+// the table image, so only reservoir strips persist (Serialize); a loaded
+// segment gets its physical strips rebuilt from the loaded rows.
 
 #ifndef SINEW_ENGINE_COLUMNAR_H_
 #define SINEW_ENGINE_COLUMNAR_H_
@@ -29,6 +41,7 @@
 #include "engine/datum.h"
 #include "engine/expr.h"
 #include "engine/row_batch.h"
+#include "engine/type.h"
 
 namespace sinew::engine {
 
@@ -47,6 +60,24 @@ struct StripRef {
   uint32_t non_null = 0;
 
   bool AllPresent() const { return non_null == strip.row_count; }
+
+  /// Index into the rank-dense value vectors of row (strip.first_row + i),
+  /// or -1 when the row holds no value. `i` must be < strip.row_count.
+  int64_t DenseIndex(uint32_t i) const {
+    const uint64_t word = strip.presence[i / 64];
+    const uint32_t bit = i % 64;
+    if (((word >> bit) & 1) == 0) return -1;
+    if (AllPresent()) return i;
+    return rank[i / 64] + __builtin_popcountll(
+                              word & ((uint64_t{1} << bit) - 1));
+  }
+
+  /// Text value `dense` of a string strip, as a view into its blob.
+  std::string_view TextAt(int64_t dense) const {
+    const uint32_t begin = strip.str_offsets[dense];
+    return std::string_view(strip.str_blob)
+        .substr(begin, strip.str_offsets[dense + 1] - begin);
+  }
 
   /// Value of row (strip.first_row + i), NULL when absent. `i` must be
   /// < strip.row_count.
@@ -73,13 +104,15 @@ void StripAppend(ColumnStrip* s, uint32_t i, std::string_view v);
 /// exactly as SqlCompare does.
 bool ZoneCanSkip(const StripRef& strip, BinaryOp op, const Datum& literal);
 
-/// All strips of one shredded attribute. Keyed by the reservoir source
-/// column plus the canonical attribute-id descent chain, so lookups from
-/// plan ExtractTargets are exact: an ancestor-sourced chain (different
-/// source column / suffix chain) simply misses and falls back to the row
-/// reservoir.
+/// All strips of one shredded attribute or physical column. A reservoir
+/// strip column is keyed by the reservoir source column plus the canonical
+/// attribute-id descent chain, so lookups from plan ExtractTargets are
+/// exact: an ancestor-sourced chain (different source column / suffix
+/// chain) simply misses and falls back to the row reservoir. A physical
+/// strip column is keyed by its schema column's name alone (no prefix
+/// chain, attribute id 0).
 struct StripColumn {
-  std::string source_column;        ///< reservoir column, e.g. "_data"
+  std::string source_column;        ///< "_data", or the physical column
   std::vector<uint32_t> prefix_ids; ///< object-typed ids of dotted prefixes
   uint32_t attr_id = 0;
   ValueType type = ValueType::kNull;
@@ -104,17 +137,35 @@ inline ColTag::Type StripTagType(ValueType type) {
   }
 }
 
+/// Maps a schema column type onto the strip value type that shreds it
+/// (kNull for kBytes: serialized documents and objects are never strips).
+inline ValueType StripValueType(ColumnType type) {
+  switch (type) {
+    case ColumnType::kBool: return ValueType::kBool;
+    case ColumnType::kInt: return ValueType::kInt;
+    case ColumnType::kDouble: return ValueType::kDouble;
+    case ColumnType::kText: return ValueType::kString;
+    case ColumnType::kBytes: break;
+  }
+  return ValueType::kNull;
+}
+
 /// Immutable shredded image of rows [0, row_count) of one table, attached to
 /// the Table as a shared_ptr snapshot. Readers snapshot the pointer under
 /// the table latch; UpdateRow detaches the whole segment before mutating any
-/// covered row, so a non-null snapshot is always consistent with the row
-/// bytes it was shredded from.
+/// covered row, and DropColumn detaches it too, so a non-null snapshot is
+/// always consistent with the row bytes it was shredded from (a deleted
+/// row's bytes are empty; readers skip it before consulting any strip).
 class ColumnarSegment {
  public:
-  ColumnarSegment(uint64_t row_count, std::vector<StripColumn> columns);
+  ColumnarSegment(uint64_t row_count, std::vector<StripColumn> columns,
+                  std::vector<StripColumn> physical = {});
 
   uint64_t row_count() const { return row_count_; }
+  /// Reservoir strip columns.
   const std::vector<StripColumn>& columns() const { return columns_; }
+  /// Physical strip columns, ascending by name.
+  const std::vector<StripColumn>& physical() const { return physical_; }
 
   /// Exact-key lookup; nullptr = not shredded, use the row reservoir.
   /// O(log columns) through the (attr id, type) index.
@@ -122,18 +173,31 @@ class ColumnarSegment {
                           const std::vector<uint32_t>& prefix_ids,
                           uint32_t attr_id, ValueType type) const;
 
+  /// The physical strip column of schema column `column` holding `type`;
+  /// nullptr = not shredded, read the row bytes.
+  const StripColumn* FindPhysical(std::string_view column,
+                                  ValueType type) const;
+
   /// Payload for the generation sidecar (persistence wraps it in a
   /// checksummed image footer; each strip additionally carries its own CRC).
+  /// Holds the reservoir strips only: physical strips are rebuilt from the
+  /// table image on load.
   std::string Serialize() const;
 
+  /// The reservoir strips a sidecar payload holds and the rows they cover.
+  struct Image {
+    uint64_t row_count = 0;
+    std::vector<StripColumn> columns;
+  };
+
   /// Strict inverse of Serialize: any corruption or inconsistency rejects
-  /// the whole segment (callers fall back to the row reservoir).
-  static Result<std::shared_ptr<const ColumnarSegment>> Deserialize(
-      std::string_view payload);
+  /// the whole payload (callers fall back to the row reservoir).
+  static Result<Image> Decode(std::string_view payload);
 
  private:
   uint64_t row_count_ = 0;
   std::vector<StripColumn> columns_;
+  std::vector<StripColumn> physical_;
   /// Positions in columns_ sorted by (attr id, type): Find binary-searches
   /// the key and compares source column and prefix chain only within it.
   std::vector<uint32_t> by_attr_;

@@ -209,7 +209,6 @@ Result<QueryResult> Database::ExecuteSelect(const SelectStatement& stmt,
     return ExecutePlan(*plan, &udfs_, exec_options_);
   }
   info->plan_ns = plan_ns;
-  info->plan_hash = qlog::HashFingerprint(plan->DebugString());
   // Collect per-node actuals with counters only; operator wall-clock timing
   // (time_operators) stays off — two clock reads per batch per operator is
   // the overhead the telemetry budget doesn't spend on every query.
@@ -232,6 +231,7 @@ Result<QueryResult> Database::ExecuteSelect(const SelectStatement& stmt,
         "query.slow", ExplainAnalyzeText(*plan, stats), exec_start,
         info->exec_ns, info->rows_out});
   }
+  info->plan = std::move(plan);
   return result;
 }
 

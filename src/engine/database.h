@@ -27,7 +27,9 @@ namespace sinew::engine {
 /// rewrite time, which EXPLAIN ANALYZE counts in its Planning Time.
 struct QueryExecInfo {
   uint64_t rewrite_ns = 0;
-  uint64_t plan_hash = 0;  // FNV-1a of the plan tree text
+  /// The plan that ran, kept for the query log's plan hash (hashing the
+  /// plan text is query-log work, done after execution).
+  PlanPtr plan;
   uint64_t plan_ns = 0;
   uint64_t exec_ns = 0;
   uint64_t rows_in = 0;     // rows produced by base-table scans

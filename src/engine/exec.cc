@@ -141,6 +141,14 @@ class InstrumentedOp : public Operator {
 /// working set.
 constexpr size_t kExecStateShrinkThreshold = 4096;
 
+/// Raises `*stat` to `v` if it is lower.
+void FetchMax(std::atomic<uint64_t>* stat, uint64_t v) {
+  uint64_t cur = stat->load(std::memory_order_relaxed);
+  while (cur < v &&
+         !stat->compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
+
 /// Drains an operator's bytecode lane counters into its plan node's stats
 /// and returns the state's scratch memory; operators with a compiled program
 /// call this from their destructor.
@@ -171,6 +179,10 @@ class ScanOp : public Operator {
       if (OperatorStats* s = ctx_->stats->For(node_)) {
         s->zone_skips.fetch_add(zone_skips_, std::memory_order_relaxed);
         s->visited.fetch_add(visited_, std::memory_order_relaxed);
+        s->filter_walked.fetch_add(filter_walked_, std::memory_order_relaxed);
+        s->output_walked.fetch_add(output_walked_, std::memory_order_relaxed);
+        FetchMax(&s->filter_strip_cols, filter_strip_cols_);
+        FetchMax(&s->output_strip_cols, output_strip_cols_);
         s->decodes.fetch_add(extract_stats_.decodes,
                              std::memory_order_relaxed);
         s->attrs.fetch_add(extract_stats_.attrs, std::memory_order_relaxed);
@@ -266,8 +278,7 @@ class ScanOp : public Operator {
       RefreshStripsUnlocked(table);
       const uint64_t chunk_end = std::min(end_, rid_ + kScanChunk);
       const size_t from = batch->size;
-      filter_.cold = ColdChunk(filter_, chunk_end);
-      output_.cold = ColdChunk(output_, chunk_end);
+      filter_.covered = output_.covered = chunk_end <= seg_rows_;
       StartWalk(&output_, &walked_, batch_capacity_ - from);
       while (rid_ < chunk_end && batch->size < batch_capacity_) {
         RETURN_NOT_OK(ProbeUnlocked(chunk_end, batch));
@@ -297,6 +308,9 @@ class ScanOp : public Operator {
     /// Reads a lone extraction source: every lane reads it, so no lane
     /// picks a source.
     bool simple = false;
+    /// Filter phase: a covered chunk fills it typed-primary from its one
+    /// target's strip (StripFill), so extraction leaves it alone.
+    bool typed = false;
     /// Per lane of the batch being filled, unless simple: the source the
     /// lane reads (-1: none is non-NULL).
     std::vector<int8_t> pick;
@@ -323,6 +337,9 @@ class ScanOp : public Operator {
     /// Strip column per target in the current segment; empty unless every
     /// target has one (a reservoir decode per lane would be paid anyway).
     std::vector<const StripColumn*> strips;
+    /// Per target: only typed virtual columns read it, so a covered chunk
+    /// extracts no Datums for it.
+    std::vector<uint8_t> typed;
     /// Values found but not yet in the batch, `doc` being the batch lane.
     std::vector<ExtractedValue> values;
     bool strips_only = false;  // the last extraction read no row bytes
@@ -345,14 +362,32 @@ class ScanOp : public Operator {
     size_t first_offset = 0;  // see LaneSink
   };
 
+  /// A scan column that a chunk the attached segment covers reads from a
+  /// strip column instead of the row bytes.
+  struct StripFill {
+    size_t pos = 0;  // scan output position
+    const StripColumn* col = nullptr;
+    bool physical = false;  // a physical column, else a typed virtual one
+  };
+
   /// The columns one decode phase produces and the row walks that read
-  /// them: `walk`, and `cold_walk` for a chunk whose every lane the strips
-  /// serve for every extraction group — it skips the source columns only
-  /// extraction reads, so such a chunk never touches their row bytes.
+  /// them: `walk` for a chunk the attached segment does not cover, and
+  /// `seg_walk` for one it does. `seg_walk` leaves out the slots strips
+  /// serve: the physical columns with a strip, and the source columns only
+  /// extraction reads when every extraction group has strips. A covered
+  /// chunk whose every slot strips serve reads no row bytes at all.
   struct Phase {
-    Walk walk, cold_walk;
-    bool cold = false;  // the current chunk takes cold_walk
-    Walk& active() { return cold ? cold_walk : walk; }
+    Walk walk, seg_walk;
+    bool covered = false;  // the segment covers the current chunk
+    Walk& active() { return covered ? seg_walk : walk; }
+    /// `walk`'s positions a covered chunk still reads when every extraction
+    /// group has strips (PlanWalk).
+    std::vector<size_t> cold_positions;
+    /// Per segment (RefreshStripsUnlocked): the columns a covered chunk
+    /// fills from strips, and the typed-primary columns of its batch —
+    /// walk.columns plus the typed virtual columns among `fills`.
+    std::vector<StripFill> fills;
+    std::vector<std::pair<size_t, ColTag::Type>> seg_columns;
     std::vector<VirtualCol> cols;
     std::vector<ExtractGroup> groups;
     /// Per column source, in column order: the group reading it (-1: the
@@ -460,39 +495,92 @@ class ScanOp : public Operator {
       }
     }
     positions.insert(positions.end(), always.begin(), always.end());
-    for (auto [list, w] : {std::pair{&positions, &phase->walk},
-                           std::pair{&always, &phase->cold_walk}}) {
+    for (std::vector<size_t>* list : {&positions, &always}) {
       std::sort(list->begin(), list->end());
       list->erase(std::unique(list->begin(), list->end()), list->end());
-      // Live slots ascend with position, so the slots come out ascending.
-      for (size_t pos : *list) {
-        w->slots.push_back(live_slots_[pos]);
-        w->columns.emplace_back(
-            pos, TagType(schema_.columns()[w->slots.back()].type));
-      }
-      w->columns.emplace_back(rid_position_, ColTag::Type::kInt);
-      w->dst.resize(list->size());
     }
+    BuildWalk(positions, &phase->walk);
+    phase->cold_positions = std::move(always);
+  }
+
+  /// Sets `w` to walk the slots of `positions` (ascending) into their
+  /// typed-primary columns, __rid last.
+  void BuildWalk(const std::vector<size_t>& positions, Walk* w) const {
+    w->slots.clear();
+    w->columns.clear();
+    // Live slots ascend with position, so the slots come out ascending.
+    for (size_t pos : positions) {
+      w->slots.push_back(live_slots_[pos]);
+      w->columns.emplace_back(
+          pos, TagType(schema_.columns()[w->slots.back()].type));
+    }
+    w->columns.emplace_back(rid_position_, ColTag::Type::kInt);
+    w->dst.resize(positions.size());
   }
 
   /// Empties `b` for `phase`'s walks of at most `capacity` rows.
   void StartWalk(Phase* phase, RowBatch* b, size_t capacity) const {
-    b->ResetPrimary(node_.output_schema.cols.size(), phase->walk.columns,
+    b->ResetPrimary(node_.output_schema.cols.size(),
+                    phase->covered ? phase->seg_columns : phase->walk.columns,
                     capacity);
-    for (Walk* w : {&phase->walk, &phase->cold_walk}) {
+    for (Walk* w : {&phase->walk, &phase->seg_walk}) {
       for (size_t k = 0; k < w->dst.size(); ++k) {
         w->dst[k] = &b->tags[w->columns[k].first];
       }
     }
   }
 
-  /// True if the strips serve every lane of [rid_, chunk_end) for every
-  /// extraction group of `phase`.
-  bool ColdChunk(const Phase& phase, uint64_t chunk_end) const {
-    if (phase.groups.empty() || chunk_end > seg_rows_) return false;
-    return std::all_of(
-        phase.groups.begin(), phase.groups.end(),
-        [](const ExtractGroup& g) { return !g.strips.empty(); });
+  /// Fills lanes [lane0, lane0 + n) of `phase`'s strip-served columns in
+  /// `b`, lane lane0 + j holding row rid_of(j) — every one of them below
+  /// the segment's row count. Ints, doubles and bools scatter by presence;
+  /// text lands as views into the strip blob, which seg_ keeps alive.
+  template <typename RidOf>
+  void FillStrips(const Phase& phase, uint32_t lane0, size_t n, RidOf rid_of,
+                  RowBatch* b) {
+    static metrics::Counter* strip_lanes =
+        metrics::GetCounter("scan.strip_filled_lanes");
+    uint64_t physical = 0;
+    for (const StripFill& f : phase.fills) {
+      ColTag* dst = &b->tags[f.pos];
+      auto scatter = [&](auto store) {
+        for (size_t j = 0; j < n; ++j) {
+          const uint64_t rid = rid_of(j);
+          const StripRef& s = f.col->strips[rid / kStripRows];
+          const int64_t dense =
+              s.DenseIndex(static_cast<uint32_t>(rid - s.strip.first_row));
+          const auto lane = static_cast<uint32_t>(lane0 + j);
+          if (dense < 0) {
+            dst->SetNull(lane);
+          } else {
+            store(lane, s, dense);
+          }
+        }
+      };
+      switch (f.col->type) {
+        case ValueType::kInt:
+          scatter([dst](uint32_t lane, const StripRef& s, int64_t d) {
+            dst->ints[lane] = s.strip.ints[d];
+          });
+          break;
+        case ValueType::kDouble:
+          scatter([dst](uint32_t lane, const StripRef& s, int64_t d) {
+            dst->doubles[lane] = s.strip.doubles[d];
+          });
+          break;
+        case ValueType::kBool:
+          scatter([dst](uint32_t lane, const StripRef& s, int64_t d) {
+            dst->bools[lane] = s.strip.bools[d];
+          });
+          break;
+        default:  // kString: the only other strip type
+          scatter([dst](uint32_t lane, const StripRef& s, int64_t d) {
+            dst->views[lane] = s.TextAt(d);
+          });
+          break;
+      }
+      if (f.physical) physical += n;
+    }
+    strip_lanes->Add(physical);
   }
 
   /// WalkRow sink writing one row into lane `lane` of a phase's columns. It
@@ -546,9 +634,11 @@ class ScanOp : public Operator {
     if (seg == nullptr || rid_ >= seg->row_count()) return;
     resolved_zones_.clear();
     for (const ZoneFilter& zf : node_.zone_filters) {
+      const auto type = static_cast<ValueType>(zf.type_tag);
       const StripColumn* col =
-          seg->Find(zf.source_column, zf.prefix_ids, zf.attr_id,
-                    static_cast<ValueType>(zf.type_tag));
+          zf.physical
+              ? seg->FindPhysical(zf.source_column, type)
+              : seg->Find(zf.source_column, zf.prefix_ids, zf.attr_id, type);
       if (col != nullptr) resolved_zones_.emplace_back(col, &zf);
     }
     if (resolved_zones_.empty()) return;
@@ -572,37 +662,91 @@ class ScanOp : public Operator {
     }
   }
 
-  /// Resolves every extraction group against the table's attached columnar
-  /// segment, once per segment (the held pointer pins the address the
-  /// resolution is keyed on). Caller holds the table latch: under it the
-  /// segment agrees with every row it covers, so a covered lane may be
-  /// served from the strips instead of its row bytes — whichever virtual
-  /// column reads the source.
+  /// Resolves the scan against the table's attached columnar segment, once
+  /// per segment (the held pointer pins the address the resolution is keyed
+  /// on and keeps the strips text views point into alive): every extraction
+  /// group's strips, then per phase the columns a covered chunk fills from
+  /// strips and the walk left for its row bytes. Caller holds the table
+  /// latch: under it the segment agrees with every row it covers, so a
+  /// covered lane may be served from the strips instead of its row bytes.
   void RefreshStripsUnlocked(Table* table) {
-    if (filter_.groups.empty() && output_.groups.empty()) return;
     const std::shared_ptr<const ColumnarSegment>& seg =
         table->ColumnarSegmentUnlocked();
     if (seg == seg_) return;
     seg_ = seg;
     seg_rows_ = seg == nullptr ? 0 : seg->row_count();
     for (Phase* phase : {&filter_, &output_}) {
+      bool groups_cold = !phase->groups.empty();
       for (ExtractGroup& g : phase->groups) {
         g.strips.clear();
-        if (seg == nullptr) continue;
-        const std::string& source =
-            node_.output_schema.cols[static_cast<size_t>(g.source_slot)].name;
-        for (const ExtractTarget& t : g.targets) {
-          const StripColumn* col =
-              t.raw_bytes ? nullptr
-                          : seg->Find(source, t.prefix_ids, t.attr_id,
-                                      static_cast<ValueType>(t.type_tag));
-          if (col == nullptr) {
-            g.strips.clear();
-            break;
+        g.typed.assign(g.targets.size(), 0);
+        if (seg != nullptr) {
+          const std::string& source =
+              node_.output_schema.cols[static_cast<size_t>(g.source_slot)]
+                  .name;
+          for (const ExtractTarget& t : g.targets) {
+            const StripColumn* col =
+                t.raw_bytes ? nullptr
+                            : seg->Find(source, t.prefix_ids, t.attr_id,
+                                        static_cast<ValueType>(t.type_tag));
+            if (col == nullptr) {
+              g.strips.clear();
+              break;
+            }
+            g.strips.push_back(col);
           }
-          g.strips.push_back(col);
+        }
+        groups_cold &= !g.strips.empty();
+      }
+      phase->fills.clear();
+      for (VirtualCol& v : phase->cols) v.typed = false;
+      if (seg == nullptr) continue;
+      std::vector<size_t> rest;
+      if (groups_cold) {
+        rest = phase->cold_positions;
+      } else {
+        for (size_t k = 0; k < phase->walk.slots.size(); ++k) {
+          rest.push_back(phase->walk.columns[k].first);
         }
       }
+      std::erase_if(rest, [&](size_t pos) {
+        const Column& c = schema_.columns()[live_slots_[pos]];
+        const StripColumn* col =
+            seg->FindPhysical(c.name, StripValueType(c.type));
+        if (col != nullptr) phase->fills.push_back({pos, col, true});
+        return col != nullptr;
+      });
+      BuildWalk(rest, &phase->seg_walk);
+      phase->seg_columns = phase->walk.columns;
+      if (phase == &filter_) AddTypedVirtuals(phase);
+    }
+    filter_strip_cols_ = std::max(filter_strip_cols_, filter_.fills.size());
+    output_strip_cols_ = std::max(output_strip_cols_, output_.fills.size());
+  }
+
+  /// Adds to `phase`'s fills each simple one-variant virtual column whose
+  /// group has strips, when no other kind of column reads its target: a
+  /// covered chunk then fills it typed-primary like a physical column
+  /// instead of boxing each lane's strip value.
+  static void AddTypedVirtuals(Phase* phase) {
+    for (VirtualCol& v : phase->cols) {
+      if (!v.simple || v.ranked) continue;
+      ExtractGroup& g = phase->groups[phase->source_groups[v.first_source]];
+      if (g.strips.empty()) continue;
+      const ExtractTarget& target = (*v.ref->virtual_sources)[0][0];
+      const size_t t = static_cast<size_t>(
+          std::lower_bound(g.targets.begin(), g.targets.end(), target) -
+          g.targets.begin());
+      bool only_typed = true;
+      for (uint32_t r = g.reader_begin[t]; r < g.reader_begin[t + 1]; ++r) {
+        const VirtualCol& reader = phase->cols[g.readers[r].first];
+        only_typed &= reader.simple && !reader.ranked;
+      }
+      if (!only_typed) continue;
+      v.typed = true;
+      g.typed[t] = 1;
+      phase->fills.push_back({v.pos, g.strips[t], false});
+      phase->seg_columns.emplace_back(v.pos, StripTagType(g.strips[t]->type));
     }
   }
 
@@ -671,6 +815,7 @@ class ScanOp : public Operator {
         while (cold < n && rid(cold) < seg_rows_) ++cold;
         for (size_t k = 0; k < cold; ++k) {
           for (size_t j = 0; j < g.strips.size(); ++j) {
+            if (phase->covered && g.typed[j]) continue;  // FillStrips did
             Datum v = g.strips[j]->GetDatum(rid(k));
             if (v.is_null()) continue;
             g.values.push_back(ExtractedValue{static_cast<uint32_t>(from + k),
@@ -728,6 +873,7 @@ class ScanOp : public Operator {
   /// afterwards).
   void MaterializeExtracted(Phase* phase, RowBatch* b, bool seed_tags) {
     for (VirtualCol& v : phase->cols) {
+      if (phase->covered && v.typed) continue;  // typed-primary, no Datums
       b->cols[v.pos].resize(b->size);
       if (v.ranked) {
         v.rank.assign(b->size, std::numeric_limits<int64_t>::max());
@@ -759,7 +905,9 @@ class ScanOp : public Operator {
           for (uint32_t r = g.reader_begin[j]; r < g.reader_begin[j + 1];
                ++r) {
             const VirtualCol& v = phase->cols[g.readers[r].first];
-            if (v.simple && !v.ranked) b->ProfileColumn(v.pos, want);
+            if (v.simple && !v.ranked && !(phase->covered && v.typed)) {
+              b->ProfileColumn(v.pos, want);
+            }
           }
         }
       }
@@ -769,15 +917,16 @@ class ScanOp : public Operator {
 
   /// One probe round. Phase 1 walks the filter phase's slots of up to a
   /// batch's worth of live rows into the typed-primary probe batch — no
-  /// Datum per lane, text as views into the row bytes — and resolves its
-  /// filter-phase virtual columns; the compiled filter refines the probe's
-  /// selection in one select-mode call. Phase 2 walks each survivor that
-  /// fits in `batch` for the output phase into walked_ and boxes the
-  /// survivor into `batch`, copying text out of the row bytes. Survivors
-  /// that do not fit are rescanned by the next call: rid_ rewinds to the
-  /// first of them. An unfiltered scan probes only as many rows as fit.
-  /// Caller holds the table latch, which keeps the row bytes every view
-  /// points into stable for the whole round.
+  /// Datum per lane, text as views into the row bytes — or, in a chunk the
+  /// segment covers, fills the strip-served ones from strips, and resolves
+  /// its filter-phase virtual columns; the compiled filter refines the
+  /// probe's selection in one select-mode call. Phase 2 reads each survivor
+  /// that fits in `batch` for the output phase into walked_ the same way and
+  /// boxes the survivor into `batch`, copying text out. Survivors that do
+  /// not fit are rescanned by the next call: rid_ rewinds to the first of
+  /// them. An unfiltered scan probes only as many rows as fit. Caller holds
+  /// the table latch, which keeps the row bytes every view points into
+  /// stable for the whole round.
   Status ProbeUnlocked(uint64_t chunk_end, RowBatch* batch) {
     const bool filtered = node_.scan_filter != nullptr;
     const size_t room = batch_capacity_ - batch->size;
@@ -786,6 +935,11 @@ class ScanOp : public Operator {
     probe_raws_.clear();
     RETURN_NOT_OK(WalkRows(chunk_end, capacity));
     const int64_t* rids = probe_.tags[rid_position_].ints.data();
+    if (filter_.covered) {
+      FillStrips(filter_, 0, probe_.size,
+                 [rids](size_t k) { return static_cast<uint64_t>(rids[k]); },
+                 &probe_);
+    }
     RETURN_NOT_OK(ExtractUnlocked(&filter_, &probe_, 0, probe_));
     MaterializeExtracted(&filter_, &probe_, /*seed_tags=*/true);
     if (filtered) {
@@ -810,7 +964,15 @@ class ScanOp : public Operator {
                             LaneSink{out, lane}));
       walked_rids[lane] = rids[sel[j]];
     }
+    if (!out->slots.empty()) output_walked_ += fit;
     walked_.size += fit;
+    if (output_.covered) {
+      FillStrips(output_, w0, fit,
+                 [rids, &sel](size_t j) {
+                   return static_cast<uint64_t>(rids[sel[j]]);
+                 },
+                 &walked_);
+    }
     for (size_t i = 0; i < rid_position_; ++i) {
       std::vector<Datum>& col = batch->cols[i];
       switch (sources_[i]) {
@@ -834,6 +996,12 @@ class ScanOp : public Operator {
       batch->cols[rid_position_].push_back(Datum::Int(rids[sel[j]]));
     }
     for (const VirtualCol& v : filter_.cols) {
+      if (filter_.covered && v.typed) {
+        for (size_t j = 0; j < fit; ++j) {
+          batch->cols[v.pos].push_back(probe_.tags[v.pos].Get(sel[j]));
+        }
+        continue;
+      }
       std::vector<Datum>& src = probe_.cols[v.pos];
       for (size_t j = 0; j < fit; ++j) {
         batch->cols[v.pos].push_back(std::move(src[sel[j]]));
@@ -847,7 +1015,9 @@ class ScanOp : public Operator {
 
   /// Phase 1's walk: the live rows of [rid_, chunk_end), at most `capacity`
   /// of them, into the probe's lanes, each lane's row bytes recorded for
-  /// phase 2.
+  /// phase 2. A deleted row's bytes are empty; the segment may still cover
+  /// it (a delete does not detach it), so it is skipped here, before any
+  /// strip is read for it.
   Status WalkRows(uint64_t chunk_end, size_t capacity) {
     const Table& table = *node_.table;
     Walk* w = &filter_.active();
@@ -868,6 +1038,7 @@ class ScanOp : public Operator {
     probe_.sel.resize(n);
     for (uint32_t r = 0; r < n; ++r) probe_.sel[r] = r;
     visited_ += n;
+    if (!w->slots.empty()) filter_walked_ += n;
     return Status::OK();
   }
 
@@ -931,14 +1102,18 @@ class ScanOp : public Operator {
   std::vector<std::pair<const StripColumn*, const ZoneFilter*>>
       resolved_zones_;
   uint64_t zone_skips_ = 0;  // strips skipped; flushed to stats on destroy
-  uint64_t visited_ = 0;     // live rows walked; flushed likewise
+  uint64_t visited_ = 0;     // live rows scanned; flushed likewise
+  /// Rows whose bytes each phase walked, and the most columns a covered
+  /// chunk of each phase read from strips; flushed likewise.
+  uint64_t filter_walked_ = 0, output_walked_ = 0;
+  uint64_t filter_strip_cols_ = 0, output_strip_cols_ = 0;
   /// Bytecode scratch for the compiled scan filter (per operator instance;
   /// the program itself is shared across Gather workers via the plan node).
   bytecode::ExecState bc_state_;
   // Virtual columns (node_.virtual_columns), by decode phase.
   const BatchExtractFn* fn_ = nullptr;
   Phase filter_, output_;
-  std::shared_ptr<const ColumnarSegment> seg_;  // groups' strips resolve here
+  std::shared_ptr<const ColumnarSegment> seg_;  // strips resolve here
   uint64_t seg_rows_ = 0;
   std::vector<std::string_view> docs_;
   BatchExtractStats extract_stats_;
@@ -2137,6 +2312,14 @@ void AppendAnalyzedNode(const PlanNode& node, const PlanStats& stats,
       if (node.kind == PlanKind::kSeqScan) {
         *out << " (visited=" << s->visited.load(std::memory_order_relaxed)
              << ")";
+        // Per phase (filter+output): rows whose bytes were walked, and the
+        // columns a segment-covered chunk read from strips instead.
+        *out << " (walked="
+             << s->filter_walked.load(std::memory_order_relaxed) << "+"
+             << s->output_walked.load(std::memory_order_relaxed)
+             << " strip_cols="
+             << s->filter_strip_cols.load(std::memory_order_relaxed) << "+"
+             << s->output_strip_cols.load(std::memory_order_relaxed) << ")";
       }
       if (node.kind == PlanKind::kGather) {
         *out << " (morsels=" << s->morsels.load(std::memory_order_relaxed)

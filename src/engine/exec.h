@@ -47,7 +47,12 @@ struct OperatorStats {
   std::atomic<uint64_t> stalls{0};      // bounded-queue full waits
   // kSeqScan only:
   std::atomic<uint64_t> zone_skips{0};  // strips skipped via zone maps
-  std::atomic<uint64_t> visited{0};     // live rows walked (pre-filter)
+  std::atomic<uint64_t> visited{0};     // live rows scanned (pre-filter)
+  std::atomic<uint64_t> filter_walked{0};  // rows whose bytes phase 1 walked
+  std::atomic<uint64_t> output_walked{0};  // survivors whose bytes phase 2 walked
+  /// Most columns a segment-covered chunk of each phase read from strips.
+  std::atomic<uint64_t> filter_strip_cols{0};
+  std::atomic<uint64_t> output_strip_cols{0};
   std::atomic<uint64_t> decodes{0};     // source documents decoded
   std::atomic<uint64_t> attrs{0};       // attributes extracted from them
   std::atomic<uint64_t> columnar_hits{0};  // values served from column strips

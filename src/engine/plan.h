@@ -53,18 +53,22 @@ struct AggSpec {
 };
 
 /// kSeqScan zone-map pushdown: one entry per scan_filter conjunct comparing
-/// a virtual column with a literal, when the column reads one typed scalar
-/// variant from a single source (a zone map summarizes that source alone,
-/// so it proves nothing about a reference with a fallback source). Before
+/// a column with a literal, when the column is a physical scalar column or
+/// a virtual column reading one typed scalar variant from a single source (a
+/// zone map summarizes that source alone, so it proves nothing about a
+/// reference with a fallback source). Before
 /// decoding a strip-aligned chunk of cold rows, the scan asks the table's
 /// columnar segment whether the matching strip's zone map proves no value
 /// can satisfy the comparison; if so the whole strip is skipped. Purely an
 /// accelerator: rows that survive still evaluate the full scan_filter.
 struct ZoneFilter {
   std::string source_column;         ///< reservoir column name (e.g. "_data")
+                                     ///< or the physical column
+  /// A physical scalar column's strip, found by column name alone.
+  bool physical = false;
   std::vector<uint32_t> prefix_ids;  ///< object-id descent chain
   uint32_t attr_id = 0;
-  int64_t type_tag = 0;              ///< ValueType of the extracted attribute
+  int64_t type_tag = 0;              ///< ValueType of the compared values
   BinaryOp op = BinaryOp::kEq;       ///< comparison with the value on the left
   Datum literal;
 };

@@ -9,6 +9,7 @@
 #include "common/metrics.h"
 #include "common/value.h"
 #include "engine/bytecode.h"
+#include "engine/columnar.h"
 #include "engine/eval.h"
 
 namespace sinew::engine {
@@ -1154,43 +1155,55 @@ BinaryOp FlipComparisonOp(BinaryOp op) {
   }
 }
 
-/// The virtual column behind a scan-filter operand, when the operand is a
-/// column reading one scalar variant, decoded, from a single source — the
-/// only columns a strip's zone map can reason about (raw-bytes and
-/// object/array extractions have no strip columns, and a fallback source
-/// is not summarized by any zone map).
-const Expr* ZoneSource(const Expr& e, const PlanNode& scan) {
-  if (!e.IsBoundColumnRef()) return nullptr;
+/// The zone filter template for a scan-filter operand, when the operand is
+/// a physical scalar column of the scan (its strip is keyed by column name)
+/// or a virtual column reading one scalar variant, decoded, from a single
+/// source — the only columns a strip's zone map can reason about (raw-bytes
+/// and object/array extractions have no strip columns, and a fallback
+/// source is not summarized by any zone map).
+std::optional<ZoneFilter> ZoneSource(const Expr& e, const PlanNode& scan) {
+  if (!e.IsBoundColumnRef()) return std::nullopt;
+  // Live columns, then __rid, then the virtual columns.
   const size_t first = scan.output_schema.cols.size() -
                        scan.virtual_columns.size();
   const size_t slot = static_cast<size_t>(e.bound_slot);
-  if (slot < first) return nullptr;
+  ZoneFilter zf;
+  if (slot + 1 < first) {
+    const ExecSchema::Col& col = scan.output_schema.cols[slot];
+    zf.type_tag = static_cast<int64_t>(StripValueType(col.type));
+    if (zf.type_tag == static_cast<int64_t>(ValueType::kNull)) {
+      return std::nullopt;
+    }
+    zf.source_column = col.name;
+    zf.physical = true;
+    return zf;
+  }
+  if (slot < first) return std::nullopt;
   const Expr& v = *scan.virtual_columns[slot - first];
   if (v.args.size() != 1 || (*v.virtual_sources)[0].size() != 1) {
-    return nullptr;
+    return std::nullopt;
   }
   const ExtractTarget& t = (*v.virtual_sources)[0][0];
   const bool scalar = t.type_tag == static_cast<int64_t>(ValueType::kBool) ||
                       t.type_tag == static_cast<int64_t>(ValueType::kInt) ||
                       t.type_tag == static_cast<int64_t>(ValueType::kDouble) ||
                       t.type_tag == static_cast<int64_t>(ValueType::kString);
-  return scalar && !t.raw_bytes ? &v : nullptr;
-}
-
-ZoneFilter MakeZoneFilter(const Expr& v, BinaryOp op, const Datum& literal) {
-  const ExtractTarget& t = (*v.virtual_sources)[0][0];
-  ZoneFilter zf;
+  if (!scalar || t.raw_bytes) return std::nullopt;
   zf.source_column = v.args[0]->column;
   zf.prefix_ids = t.prefix_ids;
   zf.attr_id = t.attr_id;
   zf.type_tag = t.type_tag;
+  return zf;
+}
+
+ZoneFilter MakeZoneFilter(ZoneFilter zf, BinaryOp op, const Datum& literal) {
   zf.op = op;
   zf.literal = literal;
   return zf;
 }
 
 /// Derives zone filters from one pushed-down conjunct. Recognized shapes:
-/// virtual-column-vs-literal comparisons (either side; the op flips when the
+/// column-vs-literal comparisons (either side; the op flips when the
 /// literal is on the left) and non-negated BETWEEN with literal bounds.
 /// Anything else contributes nothing — a zone filter is a pure accelerator
 /// whose only promise is "no row of a skipped strip satisfies the conjunct".
@@ -1200,13 +1213,13 @@ void CollectZoneFilters(const Expr& conjunct, PlanNode* scan) {
       conjunct.args.size() == 2) {
     const Expr& lhs = *conjunct.args[0];
     const Expr& rhs = *conjunct.args[1];
-    if (const Expr* v = ZoneSource(lhs, *scan);
-        v != nullptr && rhs.kind == ExprKind::kLiteral) {
-      out->push_back(MakeZoneFilter(*v, conjunct.bop, rhs.literal));
-    } else if (const Expr* u = ZoneSource(rhs, *scan);
-               u != nullptr && lhs.kind == ExprKind::kLiteral) {
-      out->push_back(
-          MakeZoneFilter(*u, FlipComparisonOp(conjunct.bop), lhs.literal));
+    if (std::optional<ZoneFilter> v = ZoneSource(lhs, *scan);
+        v.has_value() && rhs.kind == ExprKind::kLiteral) {
+      out->push_back(MakeZoneFilter(std::move(*v), conjunct.bop, rhs.literal));
+    } else if (std::optional<ZoneFilter> u = ZoneSource(rhs, *scan);
+               u.has_value() && lhs.kind == ExprKind::kLiteral) {
+      out->push_back(MakeZoneFilter(
+          std::move(*u), FlipComparisonOp(conjunct.bop), lhs.literal));
     }
     return;
   }
@@ -1214,20 +1227,19 @@ void CollectZoneFilters(const Expr& conjunct, PlanNode* scan) {
       conjunct.args.size() == 3 &&
       conjunct.args[1]->kind == ExprKind::kLiteral &&
       conjunct.args[2]->kind == ExprKind::kLiteral) {
-    if (const Expr* v = ZoneSource(*conjunct.args[0], *scan)) {
+    if (std::optional<ZoneFilter> v = ZoneSource(*conjunct.args[0], *scan)) {
       out->push_back(
           MakeZoneFilter(*v, BinaryOp::kGe, conjunct.args[1]->literal));
-      out->push_back(
-          MakeZoneFilter(*v, BinaryOp::kLe, conjunct.args[2]->literal));
+      out->push_back(MakeZoneFilter(std::move(*v), BinaryOp::kLe,
+                                    conjunct.args[2]->literal));
     }
   }
 }
 
 /// Attaches zone filters to every base scan whose pushed-down filter
-/// compares virtual columns with literals.
+/// compares columns with literals.
 void AttachZoneFiltersToScans(PlanNode* node) {
-  if (node->kind == PlanKind::kSeqScan && node->scan_filter != nullptr &&
-      !node->virtual_columns.empty()) {
+  if (node->kind == PlanKind::kSeqScan && node->scan_filter != nullptr) {
     for (const ExprPtr& part : SplitConjuncts(*node->scan_filter)) {
       CollectZoneFilters(*part, node);
     }

@@ -31,15 +31,99 @@ bool IsScalar(ValueType t) {
          t == ValueType::kDouble || t == ValueType::kString;
 }
 
-/// Takes a row's reservoir as a view into the row bytes, valid while the
-/// table latch is held; a NULL reservoir leaves `doc` unset.
-struct ReservoirSink {
-  std::optional<std::string_view> doc;
+/// The clean scalar physical columns of a table and the strips they fill:
+/// every live kBool/kInt/kDouble/kText schema column whose attribute is not
+/// mid-(de)materialization, one strip column each, keyed by column name.
+class PhysicalStrips {
+ public:
+  PhysicalStrips(const engine::Schema& schema, const AttributeCatalog& catalog,
+                 const std::string& table_name, uint64_t num_strips) {
+    std::vector<std::string> dirty;
+    for (const AttributeState& state : catalog.TableAttributes(table_name)) {
+      if (!state.dirty) continue;
+      Result<serial::Attribute> attr = catalog.Lookup(state.attr_id);
+      if (attr.ok()) dirty.push_back(std::move(attr->key));
+    }
+    const std::vector<engine::Column>& cols = schema.columns();
+    for (size_t slot = 0; slot < cols.size(); ++slot) {
+      const ValueType type = engine::StripValueType(cols[slot].type);
+      if (cols[slot].dropped || type == ValueType::kNull ||
+          std::find(dirty.begin(), dirty.end(), cols[slot].name) !=
+              dirty.end()) {
+        continue;
+      }
+      slots_.push_back(slot);
+      StripColumn& col = columns_.emplace_back();
+      col.source_column = cols[slot].name;
+      col.type = type;
+      col.strips.reserve(num_strips);
+    }
+    current_.resize(columns_.size());
+  }
+
+  /// Ascending schema slots of the shredded columns.
+  const std::vector<size_t>& slots() const { return slots_; }
+
+  /// Opens the strip covering rows [first, first + rows).
+  void StartStrip(uint64_t first, uint32_t rows) {
+    for (size_t k = 0; k < columns_.size(); ++k) {
+      current_[k] = ColumnStrip{};
+      current_[k].first_row = first;
+      current_[k].row_count = rows;
+      current_[k].type = columns_[k].type;
+      current_[k].presence.assign((rows + 63) / 64, 0);
+    }
+  }
+
+  /// Row offset (in the open strip) the sink methods append at.
+  void SetRow(uint32_t offset) { offset_ = offset; }
+
+  // WalkRow sink over slots(): value k belongs to column k.
   void Null(size_t) {}
-  void Int(size_t, int64_t) {}
-  void Double(size_t, double) {}
-  void Bool(size_t, bool) {}
-  void Str(size_t, std::string_view v) { doc = v; }
+  void Int(size_t k, int64_t v) { engine::StripAppend(&current_[k], offset_, v); }
+  void Double(size_t k, double v) {
+    engine::StripAppend(&current_[k], offset_, v);
+  }
+  void Bool(size_t k, bool v) { engine::StripAppend(&current_[k], offset_, v); }
+  void Str(size_t k, std::string_view v) {
+    engine::StripAppend(&current_[k], offset_, v);
+  }
+
+  void FinishStrip() {
+    for (size_t k = 0; k < columns_.size(); ++k) {
+      columns_[k].strips.push_back(engine::MakeStripRef(std::move(current_[k])));
+    }
+  }
+
+  std::vector<StripColumn> Release() { return std::move(columns_); }
+
+ private:
+  std::vector<size_t> slots_;
+  std::vector<StripColumn> columns_;
+  std::vector<ColumnStrip> current_;
+  uint32_t offset_ = 0;
+};
+
+/// WalkRow sink of the shredder's one pass over a row: the reservoir (slot
+/// `reservoir_k` of the walk) as a view into the row bytes, valid while the
+/// table latch is held, and every other slot into the physical strips. A
+/// NULL reservoir leaves `doc` unset.
+struct RowSink {
+  size_t reservoir_k;
+  PhysicalStrips* physical;
+  std::optional<std::string_view> doc;
+  size_t Column(size_t k) const { return k < reservoir_k ? k : k - 1; }
+  void Null(size_t) {}
+  void Int(size_t k, int64_t v) { physical->Int(Column(k), v); }
+  void Double(size_t k, double v) { physical->Double(Column(k), v); }
+  void Bool(size_t k, bool v) { physical->Bool(Column(k), v); }
+  void Str(size_t k, std::string_view v) {
+    if (k == reservoir_k) {
+      doc = v;
+    } else {
+      physical->Str(Column(k), v);
+    }
+  }
 };
 
 /// Shreds one serialized document into the strip set: one prefix-chain
@@ -163,7 +247,11 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
     }
     candidates.push_back(std::move(c));
   }
-  if (candidates.empty()) return std::shared_ptr<const ColumnarSegment>();
+  const uint64_t num_strips = (row_count + kStripRows - 1) / kStripRows;
+  PhysicalStrips physical(schema, catalog, table_name, num_strips);
+  if (candidates.empty() && physical.slots().empty()) {
+    return std::shared_ptr<const ColumnarSegment>();
+  }
   if (candidates.size() > options.max_columns) {
     std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& a, const Candidate& b) {
@@ -182,7 +270,6 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
               return a.attr.id < b.attr.id;
             });
 
-  const uint64_t num_strips = (row_count + kStripRows - 1) / kStripRows;
   std::vector<StripColumn> columns(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
     columns[i].source_column = std::string(kReservoirColumn);
@@ -192,7 +279,11 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
     columns[i].strips.reserve(num_strips);
   }
 
-  const std::vector<size_t> slots{*data_slot};
+  // One walk per row reads the reservoir and every physical column.
+  std::vector<size_t> slots = physical.slots();
+  const auto at = std::lower_bound(slots.begin(), slots.end(), *data_slot);
+  const size_t reservoir_k = static_cast<size_t>(at - slots.begin());
+  slots.insert(at, *data_slot);
   std::vector<uint32_t> wanted_scratch;
   std::vector<std::optional<std::string_view>> values_scratch;
   for (uint64_t s = 0; s < num_strips; ++s) {
@@ -206,6 +297,7 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
       strips[i].type = candidates[i].attr.type;
       strips[i].presence.assign((strip_rows + 63) / 64, 0);
     }
+    physical.StartStrip(first, strip_rows);
     {
       std::shared_lock lock(table->latch());
       // A mutation since the version snapshot may have rewritten rows we
@@ -217,11 +309,12 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
       for (uint64_t rid = first; rid < end; ++rid) {
         const std::string& encoded = table->RawRowUnlocked(rid);
         if (encoded.empty()) continue;  // deleted row: stays absent
-        ReservoirSink reservoir;
-        RETURN_NOT_OK(engine::WalkRow(schema, encoded, slots, reservoir));
-        if (!reservoir.doc.has_value()) continue;  // NULL reservoir
-        RETURN_NOT_OK(ShredDocument(catalog, candidates, *reservoir.doc,
-                                    static_cast<uint32_t>(rid - first),
+        const auto offset = static_cast<uint32_t>(rid - first);
+        physical.SetRow(offset);
+        RowSink row{reservoir_k, &physical, std::nullopt};
+        RETURN_NOT_OK(engine::WalkRow(schema, encoded, slots, row));
+        if (!row.doc.has_value() || candidates.empty()) continue;
+        RETURN_NOT_OK(ShredDocument(catalog, candidates, *row.doc, offset,
                                     &strips, &wanted_scratch,
                                     &values_scratch));
       }
@@ -229,17 +322,46 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
     for (size_t i = 0; i < candidates.size(); ++i) {
       columns[i].strips.push_back(engine::MakeStripRef(std::move(strips[i])));
     }
+    physical.FinishStrip();
   }
 
-  auto segment =
-      std::make_shared<const ColumnarSegment>(row_count, std::move(columns));
+  const size_t num_columns = columns.size() + physical.slots().size();
+  auto segment = std::make_shared<const ColumnarSegment>(
+      row_count, std::move(columns), physical.Release());
   if (!table->SetColumnarSegmentIfUnchanged(segment, version)) {
     shred_aborts->Increment();
     return std::shared_ptr<const ColumnarSegment>();
   }
-  strips_written->Add(num_strips * candidates.size());
+  strips_written->Add(num_strips * num_columns);
   segments_built->Increment();
   return segment;
+}
+
+Result<std::vector<engine::StripColumn>> ShredPhysicalColumns(
+    const engine::Table& table, const AttributeCatalog& catalog,
+    const std::string& table_name, uint64_t row_count) {
+  const engine::Schema schema = table.SchemaSnapshot();
+  const uint64_t num_strips = (row_count + kStripRows - 1) / kStripRows;
+  PhysicalStrips physical(schema, catalog, table_name, num_strips);
+  if (physical.slots().empty()) return std::vector<StripColumn>();
+  std::shared_lock lock(table.latch());
+  if (row_count > table.RowSlotCountUnlocked()) {
+    return Status::InvalidArgument("cannot shred ", row_count, " rows of ",
+                                   table_name, ": it has ",
+                                   table.RowSlotCountUnlocked());
+  }
+  for (uint64_t first = 0; first < row_count; first += kStripRows) {
+    const uint64_t end = std::min<uint64_t>(row_count, first + kStripRows);
+    physical.StartStrip(first, static_cast<uint32_t>(end - first));
+    for (uint64_t rid = first; rid < end; ++rid) {
+      const std::string& encoded = table.RawRowUnlocked(rid);
+      if (encoded.empty()) continue;
+      physical.SetRow(static_cast<uint32_t>(rid - first));
+      RETURN_NOT_OK(engine::WalkRow(schema, encoded, physical.slots(), physical));
+    }
+    physical.FinishStrip();
+  }
+  return physical.Release();
 }
 
 }  // namespace sinew

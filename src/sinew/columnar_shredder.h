@@ -1,16 +1,24 @@
 // Columnar shredder: builds a table's ColumnarSegment at flush/compaction
 // time (paper hybrid thesis at segment granularity — frequent attributes go
-// columnar, the reservoir stays authoritative for everything else).
+// columnar, the row bytes stay authoritative for everything else). One walk
+// per covered row feeds two kinds of strips:
 //
-// Strip selection mirrors the analyzer's catalog view: an attribute
-// qualifies when it is reservoir-resident (not materialized, not dirty),
-// scalar-typed, single-typed (a key observed with more than one type is
-// excluded — its comparisons are type-dependent and its values would split
-// across strips), and at least `min_density` dense. The shredder then
-// replays the exact chain-extraction the executor performs — canonical
-// object-id prefix descent plus one ExtractMany header pass per row — so a
-// strip value is byte-for-byte what the batched extractor would have
-// decoded.
+//   - Reservoir strips. An attribute qualifies when it is
+//     reservoir-resident (not materialized, not dirty), scalar-typed,
+//     single-typed (a key observed with more than one type is excluded — its
+//     comparisons are type-dependent and its values would split across
+//     strips), and at least `min_density` dense. The shredder replays the
+//     exact chain-extraction the executor performs — canonical object-id
+//     prefix descent plus one ExtractMany header pass per row — so a strip
+//     value is byte-for-byte what the batched extractor would have decoded.
+//   - Physical strips. Every live kBool/kInt/kDouble/kText schema column
+//     whose attribute is not mid-(de)materialization (NoBench's str1, str2,
+//     num, thousandth once materialized) gets one strip column keyed by its
+//     name, holding exactly the values the row bytes hold.
+//
+// Physical strips duplicate the table image, so the generation sidecar
+// keeps only the reservoir strips; ShredPhysicalColumns rebuilds the
+// physical ones from the loaded rows.
 
 #ifndef SINEW_SINEW_COLUMNAR_SHREDDER_H_
 #define SINEW_SINEW_COLUMNAR_SHREDDER_H_
@@ -18,6 +26,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "engine/columnar.h"
@@ -37,12 +46,20 @@ struct ShredOptions {
 
 /// Shreds rows [0, RowSlotCount) of `table` into a ColumnarSegment and
 /// attaches it. Returns the attached segment, or nullptr when there is
-/// nothing to shred (no rows, no reservoir column, no qualifying attribute)
-/// or the table mutated while shredding (the stale segment is discarded —
-/// shredding is an accelerator, never a correctness requirement).
+/// nothing to shred (no rows, no reservoir column, no qualifying attribute
+/// or physical column) or the table mutated while shredding (the stale
+/// segment is discarded — shredding is an accelerator, never a correctness
+/// requirement).
 Result<std::shared_ptr<const engine::ColumnarSegment>> ShredAndAttachSegment(
     engine::Table* table, const AttributeCatalog& catalog,
     const std::string& table_name, const ShredOptions& options = {});
+
+/// The physical strips ShredAndAttachSegment would build for rows
+/// [0, row_count) of `table`, read under one shared latch acquisition: how a
+/// segment loaded from a sidecar gets them back.
+Result<std::vector<engine::StripColumn>> ShredPhysicalColumns(
+    const engine::Table& table, const AttributeCatalog& catalog,
+    const std::string& table_name, uint64_t row_count);
 
 }  // namespace sinew
 

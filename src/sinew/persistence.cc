@@ -12,6 +12,7 @@
 #include "engine/columnar.h"
 #include "engine/persist.h"
 #include "engine/table.h"
+#include "sinew/columnar_shredder.h"
 #include "sinew/sinew_db.h"
 
 namespace sinew {
@@ -38,10 +39,11 @@ std::string StripSidecarPath(const std::string& dir, const std::string& table) {
 }
 
 /// Best-effort sidecar load: attaches the generation's columnar segment to
-/// the freshly loaded table. Any failure — unreadable file, checksum
-/// mismatch, malformed strips, or a segment covering rows the image does not
-/// have — discards the sidecar and leaves the table on the row reservoir,
-/// which is always correct.
+/// the freshly loaded table, its physical strips rebuilt from the loaded
+/// rows (the sidecar holds reservoir strips only). Any failure — unreadable
+/// file, checksum mismatch, malformed strips, or a segment covering rows the
+/// image does not have — discards the sidecar and leaves the table on the
+/// row reservoir, which is always correct.
 void LoadStripSidecar(SinewDb* db, const std::string& table,
                       const std::string& path, Env* env) {
   static metrics::Counter* loaded =
@@ -53,9 +55,9 @@ void LoadStripSidecar(SinewDb* db, const std::string& table,
     rejected->Increment();
     return;
   }
-  Result<std::shared_ptr<const engine::ColumnarSegment>> segment =
-      engine::ColumnarSegment::Deserialize(*payload);
-  if (!segment.ok()) {
+  Result<engine::ColumnarSegment::Image> image =
+      engine::ColumnarSegment::Decode(*payload);
+  if (!image.ok()) {
     rejected->Increment();
     return;
   }
@@ -66,11 +68,19 @@ void LoadStripSidecar(SinewDb* db, const std::string& table,
   }
   // The segment may cover fewer rows than the image (rows appended after the
   // shred are the hot tail, served by the reservoir) but never more.
-  if ((*segment)->row_count() > (*engine_table)->RowSlotCount()) {
+  if (image->row_count > (*engine_table)->RowSlotCount()) {
     rejected->Increment();
     return;
   }
-  (*engine_table)->SetColumnarSegment(std::move(*segment));
+  Result<std::vector<engine::StripColumn>> physical = ShredPhysicalColumns(
+      **engine_table, *db->catalog(), table, image->row_count);
+  if (!physical.ok()) {
+    rejected->Increment();
+    return;
+  }
+  (*engine_table)
+      ->SetColumnarSegment(std::make_shared<const engine::ColumnarSegment>(
+          image->row_count, std::move(image->columns), std::move(*physical)));
   loaded->Increment();
 }
 

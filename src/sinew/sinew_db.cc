@@ -112,8 +112,6 @@ Result<engine::QueryResult> SinewDb::Query(std::string_view sql) {
   qlog::QueryRecord record;
   record.ordinal = qlog::QueryLog::Global()->BeginQuery();
   record.trace_id = query_span.ids().trace_id;
-  record.fingerprint = qlog::NormalizeFingerprint(sql);
-  record.fingerprint_hash = qlog::HashFingerprint(record.fingerprint);
   const uint64_t total_start = metrics::NowNanos();
   // A query planned just before a background schema change (column added by
   // the materializer, dropped by dematerialization) fails fast with
@@ -129,7 +127,15 @@ Result<engine::QueryResult> SinewDb::Query(std::string_view sql) {
     // AfterWrite runs before the query span closes so flush work it
     // triggers (durable layer) parents under this query's trace.
     if (logged) write_hook_->AfterWrite(r.status());
-    record.plan_hash = info.plan_hash;
+    // The query-log work — fingerprint, plan hash, the record — is its own
+    // span, so a trace shows what the query costs past its execution.
+    metrics::ScopedSpan finish_span("query.finish");
+    record.fingerprint = qlog::NormalizeFingerprint(sql);
+    record.fingerprint_hash = qlog::HashFingerprint(record.fingerprint);
+    if (info.plan != nullptr) {
+      record.plan_hash = qlog::HashFingerprint(info.plan->DebugString());
+      info.plan.reset();
+    }
     record.plan_ns = info.plan_ns;
     record.exec_ns = info.exec_ns;
     record.rows_in = info.rows_in;
@@ -148,6 +154,7 @@ Result<engine::QueryResult> SinewDb::Query(std::string_view sql) {
       query_span.SetDetail(record.error);
     }
     qlog::QueryLog::Global()->Append(std::move(record));
+    finish_span.End();
     query_span.End();
     return r;
   };

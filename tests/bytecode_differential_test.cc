@@ -412,6 +412,31 @@ TEST_F(BytecodeDifferentialTest, ComputedUdfArgumentsAndWideInLists) {
       ") AND num < 500");
 }
 
+TEST_F(BytecodeDifferentialTest, LiteralInListsMatchComparingEveryItem) {
+  // A literal list probes a hashed set; its verdicts must be the
+  // item-by-item comparison's: int/double cross-equality, the NULL-item
+  // rule, incomparable kinds, and probes that are columns (typed) or
+  // computed (boxed).
+  for (const std::string& list :
+       {std::string("7.0, 12, 300.0"), std::string("7, NULL"),
+        std::string("NULL"), std::string("'x', 12"), std::string("2.5"),
+        std::string("TRUE, 12")}) {
+    ExpectSameAcrossConfigs("SELECT num IN (" + list + ") AS v, num NOT IN (" +
+                            list + ") AS w, num AS n FROM nobench_main "
+                            "WHERE num < 400");
+    ExpectSameAcrossConfigs("SELECT num / 2.0 IN (" + list +
+                            ") AS v, num AS n FROM nobench_main "
+                            "WHERE num < 400");
+  }
+  ExpectSameAcrossConfigs("SELECT num AS n FROM nobench_main WHERE str1 IN ('" +
+                          params_->q5_str1 + "', 'nope', 3)");
+  ExpectSameAcrossConfigs("SELECT num AS n FROM nobench_main WHERE str1 NOT IN "
+                          "('" + params_->q5_str1 + "', NULL)");
+  ExpectSameAcrossConfigs(
+      "SELECT num AS n, bool IN (TRUE) AS b, sparse_110 IN ('a', NULL) AS s "
+      "FROM nobench_main WHERE num < 2000");
+}
+
 TEST_F(BytecodeDifferentialTest, UnknownFunctionFailsOnlyOverRows) {
   // An unknown function compiles to one instruction that fails with the
   // scalar evaluator's status when it runs over rows, and not at all when

@@ -5,7 +5,9 @@
 // wherever its reach allows. The corpus is NoBench-shaped: multi-typed keys
 // (excluded from strips, always reservoir-served), nested objects, arrays,
 // sparse/absent paths — so each query mixes strip-served and
-// reservoir-served attributes in one plan.
+// reservoir-served attributes in one plan. PhysicalStripsTest covers
+// materialized columns read from their physical strips, against the oracle
+// in every storage state.
 //
 // Each equivalence is checked serially AND under Gather (parallel scan
 // clones resolve the attached segment on their own);
@@ -14,14 +16,20 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "engine/columnar.h"
 #include "scalar_oracle.h"
+#include "sinew/durable_db.h"
 #include "sinew/sinew_db.h"
 #include "workloads/nobench/generator.h"
 
@@ -373,6 +381,284 @@ TEST_F(ColumnarDifferentialTest, UpdateDetachesSegmentAndStaysCorrect) {
   ASSERT_TRUE(hit.ok()) << hit.status().ToString();
   ASSERT_EQ(hit->rows.size(), 1u);
   EXPECT_EQ(hit->rows[0][0].str(), "updated");
+}
+
+// ---- physical strips: materialized scalar columns read from strips ----
+
+/// Materialized str1/str2/num/thousandth and the NULL-heavy text column
+/// sparse_110 (present in ~1% of rows) become physical columns, which the
+/// shredder strips by column name. Q1/Q5/Q6/Q11-shaped queries over them
+/// must give the scalar oracle's answer (it reads stored rows only) at
+/// Gather degree 1 and ParallelDegree(), in every state a physical strip
+/// can be in: attached over cold rows, with a hot tail past it, next to a
+/// dirty column, detached by an UPDATE, still attached over a deleted row,
+/// rebuilt after a dematerialization and rebuilt from a reopened sidecar.
+class PhysicalStripsTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kRecords = 2500;  // 3 strips, the last partial
+  static constexpr const char* kTable = "docs";
+
+  void SetUp() override {
+    nb::Config config;
+    config.num_records = kRecords;
+    config.seed = 20141117;
+    docs_ = nb::Generate(config);
+    params_ = nb::MakeQueryParams(config);
+    for (int degree : {1, ParallelDegree()}) {
+      dbs_.push_back(std::make_unique<SinewDb>(
+          PhysicalOptions(degree)));
+      SinewDb* db = dbs_.back().get();
+      ASSERT_TRUE(db->LoadDocuments(kTable, docs_).ok());
+      Materialize(db, kPhysicalKeys, true);
+      ASSERT_TRUE(db->BuildColumnarSegments(kTable).ok());
+    }
+  }
+
+  static SinewOptions PhysicalOptions(int parallelism) {
+    SinewOptions options;
+    options.parallelism = parallelism;
+    options.planner.parallel_min_rows = 1;  // parallel plans at test scale
+    return options;
+  }
+
+  static void Materialize(SinewDb* db, const std::vector<std::string>& keys,
+                          bool materialized) {
+    for (const std::string& key : keys) {
+      Status st = db->ForceMaterialization(kTable, key, materialized);
+      ASSERT_TRUE(st.ok()) << key << ": " << st.ToString();
+    }
+    Status moved = db->MaterializeAll(kTable);
+    ASSERT_TRUE(moved.ok()) << moved.ToString();
+  }
+
+  static std::shared_ptr<const engine::ColumnarSegment> Segment(SinewDb* db) {
+    Result<engine::Table*> table = db->engine()->catalog()->GetTable(kTable);
+    return table.ok() ? (*table)->ColumnarSegmentSnapshot() : nullptr;
+  }
+
+  static bool HasPhysicalStrip(SinewDb* db, const std::string& column) {
+    std::shared_ptr<const engine::ColumnarSegment> seg = Segment(db);
+    if (seg == nullptr) return false;
+    for (const engine::StripColumn& col : seg->physical()) {
+      if (col.source_column == column) return true;
+    }
+    return false;
+  }
+
+  std::vector<std::string> Queries() const {
+    const std::string q6 = std::to_string(params_.q6_lo) + " AND " +
+                           std::to_string(params_.q6_hi);
+    return {
+        // Q1: physical columns in the output phase only.
+        "SELECT str1, num FROM docs",
+        // Q5 / Q6: SELECT * behind a physical text / int filter.
+        "SELECT * FROM docs WHERE str1 = '" + params_.q5_str1 + "'",
+        "SELECT * FROM docs WHERE num BETWEEN " + q6,
+        // A wider range mixing both phases, and a conjunct on two columns.
+        "SELECT str2, thousandth, num FROM docs WHERE num < 20000 AND "
+        "thousandth >= 500",
+        // Q11: a self-join whose t2 side scans every row.
+        "SELECT t1.num, t1.\"nested_obj.str\", t2.num "
+        "FROM docs t1, docs t2 "
+        "WHERE t1.\"nested_obj.str\" = t2.str1 AND t1.num BETWEEN " +
+            std::to_string(params_.q11_lo) + " AND " +
+            std::to_string(params_.q11_hi),
+        // The NULL-heavy text column: equality, presence and absence.
+        "SELECT * FROM docs WHERE sparse_110 = '" + params_.q9_value + "'",
+        "SELECT sparse_110, num FROM docs WHERE sparse_110 IS NOT NULL",
+        "SELECT COUNT(*) FROM docs WHERE sparse_110 IS NULL AND num >= 0",
+    };
+  }
+
+  /// Every query on every db gives the oracle's multiset of rows.
+  void ExpectOracleAnswers(const std::string& state) {
+    for (size_t d = 0; d < dbs_.size(); ++d) {
+      SinewDb* db = dbs_[d].get();
+      for (const std::string& sql : Queries()) {
+        SCOPED_TRACE(state + " / degree " + std::to_string(d == 0 ? 1 : ParallelDegree()) +
+                     ": " + sql);
+        Result<engine::QueryResult> golden = oracle::GoldenQuery(db, sql);
+        Result<engine::QueryResult> got = db->Query(sql);
+        ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(CanonicalRows(*got), CanonicalRows(*golden));
+      }
+    }
+  }
+
+  void ApplyEverywhere(const std::string& sql) {
+    for (const std::unique_ptr<SinewDb>& db : dbs_) {
+      Result<engine::QueryResult> r = db->Query(sql);
+      ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    }
+  }
+
+  static const std::vector<std::string> kPhysicalKeys;
+  std::vector<Value> docs_;
+  nb::QueryParams params_;
+  std::vector<std::unique_ptr<SinewDb>> dbs_;
+};
+
+const std::vector<std::string> PhysicalStripsTest::kPhysicalKeys = {
+    "str1", "str2", "num", "thousandth", "sparse_110"};
+
+TEST_F(PhysicalStripsTest, ColdRowsReadFromStrips) {
+  for (const std::unique_ptr<SinewDb>& db : dbs_) {
+    for (const std::string& key : kPhysicalKeys) {
+      EXPECT_TRUE(HasPhysicalStrip(db.get(), key)) << key;
+    }
+  }
+  ExpectOracleAnswers("cold");
+  // Q5's filter column comes from its strip: the filter phase walks no row
+  // bytes at all; only the survivors' output columns are walked.
+  Result<engine::QueryResult> analyzed = dbs_[0]->Query(
+      "EXPLAIN ANALYZE SELECT * FROM docs WHERE str1 = '" + params_.q5_str1 +
+      "'");
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  std::string text;
+  for (const engine::DatumRow& row : analyzed->rows) text += row[0].str();
+  EXPECT_NE(text.find("walked=0+"), std::string::npos) << text;
+  EXPECT_EQ(AnalyzeCounter(*analyzed, "strip_cols="), 1u) << text;
+  // Q1 reads both its columns from strips in the output phase.
+  Result<engine::QueryResult> q1 =
+      dbs_[0]->Query("EXPLAIN ANALYZE SELECT str1, num FROM docs");
+  ASSERT_TRUE(q1.ok()) << q1.status().ToString();
+  text.clear();
+  for (const engine::DatumRow& row : q1->rows) text += row[0].str();
+  EXPECT_NE(text.find("walked=0+0 strip_cols=0+2"), std::string::npos)
+      << text;
+}
+
+TEST_F(PhysicalStripsTest, HotTailPastTheSegment) {
+  nb::Config config;
+  config.num_records = 700;
+  config.seed = 99;
+  const std::vector<Value> hot = nb::Generate(config);
+  for (const std::unique_ptr<SinewDb>& db : dbs_) {
+    ASSERT_TRUE(db->LoadDocuments(kTable, hot).ok());
+    ASSERT_NE(Segment(db.get()), nullptr);
+    EXPECT_EQ(Segment(db.get())->row_count(), kRecords);
+  }
+  ExpectOracleAnswers("hot tail");
+}
+
+TEST_F(PhysicalStripsTest, DirtyColumnMidMaterialization) {
+  // "bool" gets a physical column but only half its values move before the
+  // re-shred: the dirty column has no strip (its value is split between
+  // the column and the reservoir), while the clean columns keep theirs.
+  for (const std::unique_ptr<SinewDb>& db : dbs_) {
+    ASSERT_TRUE(db->ForceMaterialization(kTable, "bool", true).ok());
+    Result<uint64_t> moved = db->MaterializeStep(kTable, kRecords / 2);
+    ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+    ASSERT_TRUE(db->BuildColumnarSegments(kTable).ok());
+    EXPECT_FALSE(HasPhysicalStrip(db.get(), "bool"));
+    EXPECT_TRUE(HasPhysicalStrip(db.get(), "str1"));
+  }
+  ExpectOracleAnswers("dirty column");
+  for (const std::unique_ptr<SinewDb>& db : dbs_) {
+    for (const std::string& sql :
+         {std::string("SELECT bool, num FROM docs WHERE num < 30000"),
+          std::string("SELECT str1 FROM docs WHERE bool = TRUE AND "
+                      "thousandth < 100")}) {
+      SCOPED_TRACE(sql);
+      Result<engine::QueryResult> golden = oracle::GoldenQuery(db.get(), sql);
+      Result<engine::QueryResult> got = db->Query(sql);
+      ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(CanonicalRows(*got), CanonicalRows(*golden));
+    }
+  }
+}
+
+TEST_F(PhysicalStripsTest, UpdateDetachesTheSegment) {
+  ApplyEverywhere("UPDATE docs SET str1 = 'changed', num = 7 WHERE num "
+                  "BETWEEN " + std::to_string(params_.q6_lo) + " AND " +
+                  std::to_string(params_.q6_hi));
+  for (const std::unique_ptr<SinewDb>& db : dbs_) {
+    EXPECT_EQ(Segment(db.get()), nullptr);
+  }
+  ExpectOracleAnswers("after update");
+  // Re-shredding picks the new values up.
+  for (const std::unique_ptr<SinewDb>& db : dbs_) {
+    ASSERT_TRUE(db->BuildColumnarSegments(kTable).ok());
+    EXPECT_TRUE(HasPhysicalStrip(db.get(), "str1"));
+    Result<engine::QueryResult> changed =
+        db->Query("SELECT num FROM docs WHERE str1 = 'changed'");
+    ASSERT_TRUE(changed.ok()) << changed.status().ToString();
+    for (const engine::DatumRow& row : changed->rows) {
+      EXPECT_EQ(row[0].int_value(), 7);
+    }
+  }
+  ExpectOracleAnswers("re-shredded after update");
+}
+
+TEST_F(PhysicalStripsTest, DeletedCoveredRowsStayDeleted) {
+  // A delete leaves the segment attached; the strips still hold the deleted
+  // rows' values, so the scan must skip those rows before reading strips.
+  ApplyEverywhere("DELETE FROM docs WHERE str1 = '" + params_.q5_str1 + "'");
+  ApplyEverywhere("DELETE FROM docs WHERE thousandth < 10");
+  for (const std::unique_ptr<SinewDb>& db : dbs_) {
+    EXPECT_TRUE(HasPhysicalStrip(db.get(), "str1"));
+    Result<engine::QueryResult> gone = db->Query(
+        "SELECT * FROM docs WHERE str1 = '" + params_.q5_str1 + "'");
+    ASSERT_TRUE(gone.ok()) << gone.status().ToString();
+    EXPECT_TRUE(gone->rows.empty());
+  }
+  ExpectOracleAnswers("after delete");
+}
+
+TEST_F(PhysicalStripsTest, DematerializedColumnLosesItsStrip) {
+  // Moving str2 back into the reservoir drops its column, which detaches
+  // the segment; the re-shred strips it as a reservoir attribute instead.
+  for (const std::unique_ptr<SinewDb>& db : dbs_) {
+    Materialize(db.get(), {"str2"}, false);
+    ASSERT_TRUE(db->BuildColumnarSegments(kTable).ok());
+    EXPECT_FALSE(HasPhysicalStrip(db.get(), "str2"));
+    EXPECT_TRUE(HasPhysicalStrip(db.get(), "str1"));
+  }
+  ExpectOracleAnswers("after dematerialization");
+}
+
+TEST_F(PhysicalStripsTest, ReopenRebuildsPhysicalStripsFromTheImage) {
+  // The sidecar holds reservoir strips only; a reopened store rebuilds the
+  // physical ones from the loaded rows.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("sinew_physical_strips_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  DurableDbOptions options;
+  options.sinew = PhysicalOptions(1);
+  options.compact_on_flush = false;  // keep the forced physical design
+  {
+    Result<std::unique_ptr<DurableDb>> db = DurableDb::Open(dir, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->LoadDocuments(kTable, docs_).ok());
+    Materialize((*db)->db(), kPhysicalKeys, true);
+    ASSERT_TRUE((*db)->Flush().ok());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  dbs_.clear();
+  for (int degree : {1, ParallelDegree()}) {
+    options.sinew = PhysicalOptions(degree);
+    Result<std::unique_ptr<DurableDb>> db = DurableDb::Open(dir, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ((*db)->open_info().replayed_records, 0u);
+    for (const std::string& key : kPhysicalKeys) {
+      EXPECT_TRUE(HasPhysicalStrip((*db)->db(), key)) << key;
+    }
+    for (const std::string& sql : Queries()) {
+      SCOPED_TRACE("reopened / degree " + std::to_string(degree) + ": " + sql);
+      Result<engine::QueryResult> golden =
+          oracle::GoldenQuery((*db)->db(), sql);
+      Result<engine::QueryResult> got = (*db)->Query(sql);
+      ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(CanonicalRows(*got), CanonicalRows(*golden));
+    }
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

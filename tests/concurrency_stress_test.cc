@@ -259,15 +259,17 @@ TEST(ConcurrencyStressTest, LoaderAppendsWhileColumnsAreAdded) {
   EXPECT_EQ(loaded, 1 + 3 * (docs.size() - 1));
 }
 
-TEST(ConcurrencyStressTest, StripServedReadsDuringUpdatesAndReshred) {
-  // Every document keeps b == "s<a>" and c == 2a, and the writer rewrites
-  // all three together, so a row assembled from strips and row bytes of
-  // different table states would break the invariant. Readers run
-  // strip-served projections and SELECT * behind a virtual predicate while
-  // the writer UPDATEs rows the segment covers (detaching it) and re-shreds
-  // (attaching a new one). Every read must succeed first time — the scan
-  // serves each latch chunk from the segment attached under that latch, so
-  // there is no drift to replan for.
+/// Every document keeps b == "s<a>" and c == 2a, and the writer rewrites
+/// all three together, so a row assembled from strips and row bytes of
+/// different table states would break the invariant. Readers run
+/// strip-served projections and SELECT * behind a predicate on a, b or c
+/// while the writer UPDATEs rows the segment covers (detaching it) and
+/// re-shreds (attaching a new one). Every read must succeed first time —
+/// the scan serves each latch chunk from the segment attached under that
+/// latch, so there is no drift to replan for. With `physical`, a, b and c
+/// are materialized columns, so the filters read their physical strips;
+/// otherwise they are virtual and read reservoir strips.
+void StripServedReadsDuringUpdatesAndReshred(bool physical) {
   constexpr int kRows = 2048;  // two strips
   std::ostringstream jsonl;
   for (int i = 0; i < kRows; ++i) {
@@ -276,6 +278,12 @@ TEST(ConcurrencyStressTest, StripServedReadsDuringUpdatesAndReshred) {
   }
   SinewDb db(StressOptions());
   ASSERT_TRUE(db.LoadJsonLines("t", jsonl.str()).ok());
+  if (physical) {
+    for (const char* key : {"a", "b", "c"}) {
+      ASSERT_TRUE(db.ForceMaterialization("t", key, true).ok());
+    }
+    ASSERT_TRUE(db.MaterializeAll("t").ok());
+  }
   ASSERT_TRUE(db.BuildColumnarSegments("t").ok());
   // The query log is process-wide: look only at this test's records.
   Result<engine::QueryResult> first =
@@ -291,6 +299,7 @@ TEST(ConcurrencyStressTest, StripServedReadsDuringUpdatesAndReshred) {
         "SELECT id, a, b, c FROM t",
         "SELECT * FROM t WHERE a >= 0",
         "SELECT b, c, a FROM t WHERE c >= 0",
+        "SELECT a, c, b FROM t WHERE b >= 's' AND c BETWEEN 0 AND 1000000",
     };
     for (int i = 0; (!stop.load() || i < 6) && i < 60; ++i) {
       const std::string& sql = queries[(i + salt) % queries.size()];
@@ -351,8 +360,12 @@ TEST(ConcurrencyStressTest, StripServedReadsDuringUpdatesAndReshred) {
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   std::string text;
   for (const engine::DatumRow& row : analyzed->rows) text += row[0].str();
-  EXPECT_NE(text.find("columnar_hits="), std::string::npos) << text;
-  EXPECT_EQ(text.find("columnar_hits=0"), std::string::npos) << text;
+  if (physical) {
+    EXPECT_NE(text.find("strip_cols=0+3"), std::string::npos) << text;
+  } else {
+    EXPECT_NE(text.find("columnar_hits="), std::string::npos) << text;
+    EXPECT_EQ(text.find("columnar_hits=0"), std::string::npos) << text;
+  }
   // The updates landed: the last round's row reads back consistently.
   Result<engine::QueryResult> last =
       db.Query("SELECT a, b, c FROM t WHERE id = " +
@@ -361,6 +374,14 @@ TEST(ConcurrencyStressTest, StripServedReadsDuringUpdatesAndReshred) {
   ASSERT_EQ(last->rows.size(), 1u);
   EXPECT_EQ(last->rows[0][0].int_value(), 100019);
   EXPECT_EQ(last->rows[0][1].str(), "s100019");
+}
+
+TEST(ConcurrencyStressTest, StripServedReadsDuringUpdatesAndReshred) {
+  StripServedReadsDuringUpdatesAndReshred(/*physical=*/false);
+}
+
+TEST(ConcurrencyStressTest, PhysicalStripFiltersDuringUpdatesAndReshred) {
+  StripServedReadsDuringUpdatesAndReshred(/*physical=*/true);
 }
 
 TEST(ConcurrencyStressTest, UpdatesWhileColumnsAreAdded) {

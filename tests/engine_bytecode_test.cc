@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <memory>
 #include <string>
@@ -612,6 +613,136 @@ TEST(BytecodeExec, CaseArmsRunOnlyOverTheirLanes) {
   std::vector<uint32_t> sel = ten.sel;
   ASSERT_TRUE(bc::ExecPredicateBatch(*q, ten, &st, &sel).ok());
   EXPECT_EQ(sel, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
+}
+
+// ------------------------------------------------------------ IN lists
+
+/// `c0 [NOT] IN (items...)` over literal items.
+ExprPtr InLiterals(const std::vector<Datum>& items, bool negated) {
+  ExprPtr in = Expr::InList(Col(0), {}, negated);
+  for (const Datum& d : items) in->args.push_back(Expr::Literal(d));
+  return in;
+}
+
+/// A one-column batch holding `vals`, every lane selected.
+RowBatch OneColumn(const std::vector<Datum>& vals) {
+  RowBatch b;
+  b.Reset(1);
+  for (const Datum& v : vals) {
+    b.cols[0].push_back(v);
+    b.sel.push_back(static_cast<uint32_t>(b.size++));
+  }
+  return b;
+}
+
+TEST(BytecodeExec, HashedInListMatchesComparingEveryItem) {
+  // The hashed set must give the verdict the scalar tree walk gives by
+  // comparing the probe with each item in turn: int/double cross-equality
+  // (1 IN (1.0)), ints past 2^53 equal to a double but not to each other,
+  // NaN equal to every number, -0.0 equal to 0.0, and NULL on a miss when
+  // an item is NULL or of a kind the probe cannot be compared with.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t big = (int64_t{1} << 53) + 1;
+  const std::vector<std::vector<Datum>> probe_sets = {
+      {Datum::Int(1), Datum::Int(2), Datum::Int(big), Datum::Int(big - 1),
+       Datum::Int(0), Datum()},
+      {Datum::Double(1.0), Datum::Double(1.5), Datum::Double(nan),
+       Datum::Double(-0.0), Datum::Double(static_cast<double>(big)), Datum()},
+      {Datum::Text("a"), Datum::Text("b"), Datum::Text(""), Datum()},
+      {Datum::Bool(true), Datum::Bool(false), Datum()},
+      // Mixed kinds: no type proof, the boxed probe.
+      {Datum::Int(1), Datum::Double(nan), Datum::Text("a"),
+       Datum::Bool(true), Datum::Bytes("a"), Datum()},
+  };
+  const std::vector<std::vector<Datum>> lists = {
+      {Datum::Double(1.0)},
+      {Datum::Int(1), Datum::Int(2)},
+      {Datum::Int(7), Datum()},
+      {Datum::Text("a"), Datum::Int(1)},
+      {Datum::Text("zz"), Datum::Int(1)},
+      {Datum::Double(nan)},
+      {Datum::Double(0.0)},
+      {Datum::Int(0), Datum::Int(5)},
+      {Datum::Int(big)},
+      {Datum::Double(static_cast<double>(big))},
+      {Datum::Bool(true)},
+      {Datum::Bool(false), Datum::Int(3)},
+      {Datum::Bytes("a"), Datum::Text("b")},
+      {Datum()},
+      {Datum::Text("a"), Datum::Text("")},
+  };
+  size_t typed_runs = 0;
+  for (const std::vector<Datum>& items : lists) {
+    for (bool negated : {false, true}) {
+      ExprPtr in = InLiterals(items, negated);
+      auto p = MustCompile(in, 1);
+      ASSERT_EQ(p->num_instrs, 1u) << in->ToString();
+      EXPECT_EQ(p->instrs[0].op, bc::OpCode::kInList);
+      for (const std::vector<Datum>& probes : probe_sets) {
+        RowBatch b = OneColumn(probes);
+        bc::ExecState st;
+        std::vector<Datum> out;
+        ASSERT_TRUE(bc::ExecBatch(*p, b, b.sel, &st, &out).ok());
+        ASSERT_EQ(out.size(), probes.size());
+        if (b.TagFor(0) != nullptr && b.TagFor(0)->typed()) ++typed_runs;
+        for (uint32_t i = 0; i < out.size(); ++i) {
+          DatumRow row;
+          b.CopyRow(i, &row);
+          Result<Datum> scalar = EvalExpr(*in, row, nullptr);
+          ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+          EXPECT_EQ(out[i].is_null(), scalar->is_null())
+              << in->ToString() << " probe " << probes[i].ToString();
+          if (!out[i].is_null() && !scalar->is_null()) {
+            EXPECT_EQ(out[i].bool_value(), scalar->bool_value())
+                << in->ToString() << " probe " << probes[i].ToString();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(typed_runs, 0u);  // the typed probes ran, not only the boxed one
+  // Absolute spot checks, so the reference and the set cannot be wrong
+  // together.
+  auto verdict = [](const Datum& probe, const std::vector<Datum>& items) {
+    auto p = MustCompile(InLiterals(items, false), 1);
+    RowBatch b = OneColumn({probe});
+    bc::ExecState st;
+    std::vector<Datum> out;
+    EXPECT_TRUE(bc::ExecBatch(*p, b, b.sel, &st, &out).ok());
+    return out.empty() ? Datum::Text("none") : out[0];
+  };
+  EXPECT_TRUE(verdict(Datum::Int(1), {Datum::Double(1.0)}).bool_value());
+  EXPECT_TRUE(verdict(Datum::Int(1), {Datum::Int(2), Datum()}).is_null());
+  EXPECT_FALSE(verdict(Datum::Int(1), {Datum::Int(2)}).bool_value());
+  EXPECT_TRUE(verdict(Datum::Int(1), {Datum::Text("x")}).is_null());
+  EXPECT_FALSE(verdict(Datum::Int(big), {Datum::Int(big - 1)}).bool_value());
+  EXPECT_TRUE(verdict(Datum::Double(nan), {Datum::Int(4)}).bool_value());
+}
+
+TEST(BytecodeExec, WideInListProbesEachLaneOnce) {
+  // 5,000 literals: a lane costs one hash probe, not 5,000 comparisons.
+  std::vector<Datum> items;
+  for (int i = 0; i < 5000; ++i) items.push_back(Datum::Int(i * 3));
+  ExprPtr in = InLiterals(items, false);
+  auto p = MustCompile(in, 1);
+  std::vector<Datum> vals;
+  for (int i = 0; i < 1024; ++i) vals.push_back(Datum::Int(i));
+  RowBatch b = OneColumn(vals);
+  bc::ExecState st;
+  uint64_t best_ns = std::numeric_limits<uint64_t>::max();
+  std::vector<uint32_t> sel;
+  for (int run = 0; run < 5; ++run) {
+    sel = b.sel;
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(bc::ExecPredicateBatch(*p, b, &st, &sel).ok());
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    best_ns = std::min<uint64_t>(best_ns, static_cast<uint64_t>(ns));
+  }
+  EXPECT_EQ(sel, ScalarSelect(*in, b));
+  EXPECT_EQ(sel.size(), 342u);  // 0, 3, ..., 1023
+  EXPECT_LT(best_ns / vals.size(), 1000u) << best_ns << " ns per batch";
 }
 
 }  // namespace

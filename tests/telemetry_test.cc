@@ -443,6 +443,42 @@ TEST(TraceSpans, PlanAndCompileNestUnderExecute) {
             plan->start_ns + plan->duration_ns);
 }
 
+TEST(TraceSpans, QueryLogWorkHasItsOwnSpanUnderQuery) {
+  // The fingerprint, plan hash and query-log record run in query.finish,
+  // a child of the query span that starts after query.execute ends.
+  metrics::MetricsRegistry::Global()->Reset();
+  SinewDb db;
+  ASSERT_TRUE(db.LoadJsonLines("t", "{\"a\": 1}\n{\"a\": 2}\n").ok());
+  ASSERT_TRUE(db.Query("SELECT a FROM t WHERE a > 1").ok());
+  const std::vector<metrics::TraceEvent> spans =
+      metrics::MetricsRegistry::Global()->SpanEvents();
+  auto last = [&](const std::string& name) -> const metrics::TraceEvent* {
+    const metrics::TraceEvent* found = nullptr;
+    for (const metrics::TraceEvent& ev : spans) {
+      if (ev.name == name) found = &ev;
+    }
+    return found;
+  };
+  const metrics::TraceEvent* query = last("query");
+  const metrics::TraceEvent* execute = last("query.execute");
+  const metrics::TraceEvent* finish = last("query.finish");
+  ASSERT_NE(query, nullptr);
+  ASSERT_NE(execute, nullptr);
+  ASSERT_NE(finish, nullptr);
+  EXPECT_EQ(finish->parent_span_id, query->span_id);
+  EXPECT_EQ(finish->trace_id, query->trace_id);
+  EXPECT_GE(finish->start_ns, execute->start_ns + execute->duration_ns);
+  EXPECT_LE(finish->start_ns + finish->duration_ns,
+            query->start_ns + query->duration_ns);
+  // The record it wrote carries the plan hash computed there.
+  Result<engine::QueryResult> logged = db.Query(
+      "SELECT plan_hash FROM sinew_query_log WHERE trace_id = " +
+      std::to_string(static_cast<int64_t>(query->trace_id)));
+  ASSERT_TRUE(logged.ok()) << logged.status().ToString();
+  ASSERT_EQ(logged->rows.size(), 1u);
+  EXPECT_NE(logged->rows[0][0].int_value(), 0);
+}
+
 // ---- trace export + the bench/validate_trace.py contract ----
 
 TEST(TraceExport, DumpTracePassesTheValidator) {

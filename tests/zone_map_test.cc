@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <limits>
 #include <random>
 #include <sstream>
@@ -23,6 +26,7 @@
 #include "engine/datum.h"
 #include "engine/expr.h"
 #include "engine/table.h"
+#include "scalar_oracle.h"
 #include "sinew/sinew_db.h"
 
 namespace sinew {
@@ -330,6 +334,88 @@ TEST(ZoneMapTest, MultiTypedAttributeIsNeverShredded) {
   ASSERT_EQ(seg->columns().size(), 1u)
       << "multi-typed attribute leaked into the columnar segment";
   EXPECT_EQ(seg->columns()[0].type, ValueType::kInt);
+}
+
+/// The first "zone_skips=N" of an EXPLAIN ANALYZE result.
+uint64_t ZoneSkips(const engine::QueryResult& analyzed) {
+  std::string text;
+  for (const engine::DatumRow& row : analyzed.rows) text += row[0].str();
+  const size_t at = text.find("zone_skips=");
+  EXPECT_NE(at, std::string::npos) << text;
+  if (at == std::string::npos) return 0;
+  return std::strtoull(text.c_str() + at + 11, nullptr, 10);
+}
+
+std::vector<std::string> SortedRows(const engine::QueryResult& result) {
+  std::vector<std::string> rows;
+  for (const engine::DatumRow& row : result.rows) {
+    std::string text;
+    for (const Datum& d : row) text += d.ToString() + "|";
+    rows.push_back(std::move(text));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(ZoneMapTest, PhysicalColumnStripsSkipAndStaySound) {
+  // "seq" and "d" are materialized physical columns loaded in sorted
+  // order, so each strip's zone map is tight: a narrow BETWEEN on either
+  // skips every strip but one, and the answer is the oracle's.
+  std::ostringstream jsonl;
+  for (int i = 0; i < 4096; ++i) {
+    jsonl << "{\"seq\": " << i << ", \"d\": " << i << ".5}\n";
+  }
+  SinewDb db;
+  ASSERT_TRUE(db.LoadJsonLines("docs", jsonl.str()).ok());
+  for (const char* key : {"seq", "d"}) {
+    ASSERT_TRUE(db.ForceMaterialization("docs", key, true).ok());
+  }
+  ASSERT_TRUE(db.MaterializeAll("docs").ok());
+  ASSERT_TRUE(db.BuildColumnarSegments("docs").ok());
+  Result<engine::Table*> table = db.engine()->catalog()->GetTable("docs");
+  ASSERT_TRUE(table.ok());
+  ASSERT_NE((*table)->ColumnarSegmentSnapshot(), nullptr);
+  ASSERT_EQ((*table)->ColumnarSegmentSnapshot()->physical().size(), 2u);
+
+  auto expect_oracle = [&](const std::string& sql) {
+    SCOPED_TRACE(sql);
+    Result<engine::QueryResult> got = db.Query(sql);
+    Result<engine::QueryResult> golden = oracle::ScalarOracleQuery(&db, sql);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+    EXPECT_EQ(SortedRows(*got), SortedRows(*golden));
+  };
+  const std::string seq_sql =
+      "SELECT seq, d FROM docs WHERE seq BETWEEN 2100 AND 2150";
+  Result<engine::QueryResult> analyzed = db.Query("EXPLAIN ANALYZE " + seq_sql);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_GE(ZoneSkips(*analyzed), 3u);  // strips 0, 1 and 3
+  expect_oracle(seq_sql);
+  Result<engine::QueryResult> seq_rows = db.Query(seq_sql);
+  ASSERT_TRUE(seq_rows.ok()) << seq_rows.status().ToString();
+  EXPECT_EQ(seq_rows->rows.size(), 51u);
+
+  // A NaN in strip 0 of the double column: NaN compares equal to every
+  // number, so that strip must never skip — the NaN row satisfies the
+  // range — while strips 1 and 3 still do.
+  std::optional<size_t> d_slot = (*table)->FindColumnLatched("d");
+  ASSERT_TRUE(d_slot.has_value());
+  ASSERT_TRUE((*table)
+                  ->PatchRow(100, {*d_slot},
+                             {Datum::Double(std::nan(""))})
+                  .ok());
+  ASSERT_TRUE(db.BuildColumnarSegments("docs").ok());
+  ASSERT_NE((*table)->ColumnarSegmentSnapshot(), nullptr);
+  const std::string nan_sql =
+      "SELECT seq FROM docs WHERE d BETWEEN 3000 AND 3001";
+  analyzed = db.Query("EXPLAIN ANALYZE " + nan_sql);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_EQ(ZoneSkips(*analyzed), 2u);
+  expect_oracle(nan_sql);
+  Result<engine::QueryResult> nan_row =
+      db.Query(nan_sql + " AND seq = 100");
+  ASSERT_TRUE(nan_row.ok()) << nan_row.status().ToString();
+  EXPECT_EQ(nan_row->rows.size(), 1u);
 }
 
 TEST(ColumnarSegmentTest, IndexedFindMatchesLinearSearch) {
