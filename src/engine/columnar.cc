@@ -175,15 +175,6 @@ bool ZoneCanSkip(const StripRef& strip, BinaryOp op, const Datum& literal) {
   }
 }
 
-Datum StripColumn::GetDatum(uint64_t rid) const {
-  const uint64_t s = rid / kStripRows;
-  if (s >= strips.size()) return Datum::Null();
-  const StripRef& ref = strips[s];
-  const uint64_t offset = rid - ref.strip.first_row;
-  if (offset >= ref.strip.row_count) return Datum::Null();
-  return ref.GetDatum(static_cast<uint32_t>(offset));
-}
-
 ColumnarSegment::ColumnarSegment(uint64_t row_count,
                                  std::vector<StripColumn> columns,
                                  std::vector<StripColumn> physical)

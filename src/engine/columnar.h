@@ -11,12 +11,11 @@
 // This header wraps the decoded strips with rank indexes and Datum zone
 // bounds so the executor can
 //
-//   - fill a cold chunk's typed probe columns straight from the strips' value
-//     vectors (presence-bitmap scatter, text as views into the strip blob)
-//     without touching row bytes — physical columns and strip-served virtual
-//     columns alike,
-//   - serve the remaining SinewExtract targets for cold rows from the strips
-//     as Datums, and
+//   - fill a cold chunk's typed columns, in the filter and the output phase
+//     alike, straight from the strips' value vectors (presence-bitmap
+//     scatter, text as views into the strip blob) without touching row
+//     bytes — physical columns and strip-served virtual columns alike; this
+//     typed fill is the only way a strip value reaches a scan batch, and
 //   - skip whole strips whose zone map proves no row can match a pushed
 //     comparison predicate (ZoneCanSkip).
 //
@@ -118,15 +117,12 @@ struct StripColumn {
   ValueType type = ValueType::kNull;
   /// strips[s] covers rows [s*kStripRows, min((s+1)*kStripRows, row_count)).
   std::vector<StripRef> strips;
-
-  Datum GetDatum(uint64_t rid) const;
 };
 
-/// Maps a strip's declared value type onto the batch ColTag domain, for
-/// seeding RowBatch type tags when an extract output column is filled
-/// entirely from strips of this column (plus NULLs for uncovered lanes).
-/// Types without a monomorphic kernel map to kUnknown so the VM's profile
-/// pass classifies on its own.
+/// Maps a strip's declared value type onto the batch ColTag domain: the
+/// type of the typed-primary column a covered scan chunk fills from strips
+/// of this column. Types without a monomorphic kernel map to kUnknown (no
+/// strip holds one).
 inline ColTag::Type StripTagType(ValueType type) {
   switch (type) {
     case ValueType::kBool: return ColTag::Type::kBool;

@@ -219,18 +219,21 @@ class ScanOp : public Operator {
     }
     // Which phase produces each output position: the filter columns before
     // the pushed-down filter runs, the output columns for survivors only.
-    std::vector<Source> sources(width, Source::kNull);
-    for (size_t pos : node_.scan_output_cols) sources[pos] = Source::kOutput;
-    for (size_t pos : node_.scan_filter_cols) sources[pos] = Source::kFilter;
-    sources_.assign(sources.begin(), sources.begin() + rid_position_);
+    // Every probe lane carries __rid, and a virtual column not read by the
+    // filter is resolved for survivors.
+    sources_.assign(width, Source::kNull);
+    for (size_t pos : node_.scan_output_cols) sources_[pos] = Source::kOutput;
+    for (size_t pos : node_.scan_filter_cols) sources_[pos] = Source::kFilter;
+    sources_[rid_position_] = Source::kFilter;
     filter_ = Phase{};
     output_ = Phase{};
     const std::vector<ExprPtr>& virtuals = node_.virtual_columns;
     for (size_t v = 0; v < virtuals.size(); ++v) {
       const size_t pos = rid_position_ + 1 + v;
+      if (sources_[pos] != Source::kFilter) sources_[pos] = Source::kOutput;
       RETURN_NOT_OK(AddVirtual(
           *virtuals[v], pos,
-          sources[pos] == Source::kFilter ? &filter_ : &output_));
+          sources_[pos] == Source::kFilter ? &filter_ : &output_));
     }
     FinishGroups(&filter_);
     FinishGroups(&output_);
@@ -262,7 +265,9 @@ class ScanOp : public Operator {
   /// rows (one strip), so the background materializer's row updates can
   /// interleave between chunks. Everything read from the table — row bytes,
   /// strips, zone maps — is read under that one acquisition, so it all
-  /// describes the same table state. Batches carry surviving rows only.
+  /// describes the same table state. A chunk never straddles the attached
+  /// segment's end: the segment covers all of it or none of it. Batches
+  /// carry surviving rows only.
   Result<bool> NextBatch(RowBatch* batch) override {
     Table* table = node_.table;
     batch->Reset(node_.output_schema.cols.size());
@@ -276,16 +281,15 @@ class ScanOp : public Operator {
         if (rid_ >= end_) continue;
       }
       RefreshStripsUnlocked(table);
-      const uint64_t chunk_end = std::min(end_, rid_ + kScanChunk);
-      const size_t from = batch->size;
-      filter_.covered = output_.covered = chunk_end <= seg_rows_;
-      StartWalk(&output_, &walked_, batch_capacity_ - from);
+      uint64_t chunk_end = std::min(end_, rid_ + kScanChunk);
+      covered_ = rid_ < seg_rows_;
+      if (covered_) chunk_end = std::min(chunk_end, seg_rows_);
       while (rid_ < chunk_end && batch->size < batch_capacity_) {
         RETURN_NOT_OK(ProbeUnlocked(chunk_end, batch));
       }
-      RETURN_NOT_OK(ExtractUnlocked(&output_, batch, from, walked_));
     }
-    MaterializeExtracted(&output_, batch, /*seed_tags=*/false);
+    // Lanes no round set (AppendLanes) are NULL.
+    for (std::vector<Datum>& col : batch->cols) col.resize(batch->size);
     return batch->size > 0;
   }
 
@@ -308,13 +312,11 @@ class ScanOp : public Operator {
     /// Reads a lone extraction source: every lane reads it, so no lane
     /// picks a source.
     bool simple = false;
-    /// Filter phase: a covered chunk fills it typed-primary from its one
-    /// target's strip (StripFill), so extraction leaves it alone.
-    bool typed = false;
     /// Per lane of the batch being filled, unless simple: the source the
     /// lane reads (-1: none is non-NULL).
     std::vector<int8_t> pick;
-    /// Per lane, ranked columns only: type tag of the variant held.
+    /// Per lane, ranked columns only: type tag of the variant held; empty
+    /// until the round's first value lands.
     std::vector<int64_t> rank;
   };
 
@@ -334,15 +336,12 @@ class ScanOp : public Operator {
     /// otherwise only lanes some other reader picked it for.
     bool every_lane = false;
     std::vector<Reader> pickers;
-    /// Strip column per target in the current segment; empty unless every
-    /// target has one (a reservoir decode per lane would be paid anyway).
+    /// Strip column per target in the current segment; empty unless the
+    /// group is strip-served (ResolveStrips): a covered chunk then fills
+    /// its readers from these and extracts nothing.
     std::vector<const StripColumn*> strips;
-    /// Per target: only typed virtual columns read it, so a covered chunk
-    /// extracts no Datums for it.
-    std::vector<uint8_t> typed;
     /// Values found but not yet in the batch, `doc` being the batch lane.
     std::vector<ExtractedValue> values;
-    bool strips_only = false;  // the last extraction read no row bytes
     /// Attribute heat accounting (FlushHeat), parallel to `targets`.
     struct Heat {
       uint64_t requests = 0;
@@ -367,25 +366,24 @@ class ScanOp : public Operator {
   struct StripFill {
     size_t pos = 0;  // scan output position
     const StripColumn* col = nullptr;
-    bool physical = false;  // a physical column, else a typed virtual one
+    bool physical = false;  // a physical column, else a virtual one
   };
 
   /// The columns one decode phase produces and the row walks that read
   /// them: `walk` for a chunk the attached segment does not cover, and
   /// `seg_walk` for one it does. `seg_walk` leaves out the slots strips
   /// serve: the physical columns with a strip, and the source columns only
-  /// extraction reads when every extraction group has strips. A covered
-  /// chunk whose every slot strips serve reads no row bytes at all.
+  /// strip-served extraction groups read. A covered chunk whose every slot
+  /// strips serve reads no row bytes at all.
   struct Phase {
     Walk walk, seg_walk;
-    bool covered = false;  // the segment covers the current chunk
-    Walk& active() { return covered ? seg_walk : walk; }
-    /// `walk`'s positions a covered chunk still reads when every extraction
-    /// group has strips (PlanWalk).
+    /// `walk`'s positions a covered chunk reads whatever the strips: the
+    /// phase's own columns and the sources multi-source virtual columns
+    /// pick from (PlanWalk).
     std::vector<size_t> cold_positions;
     /// Per segment (RefreshStripsUnlocked): the columns a covered chunk
     /// fills from strips, and the typed-primary columns of its batch —
-    /// walk.columns plus the typed virtual columns among `fills`.
+    /// seg_walk.columns plus one per fill.
     std::vector<StripFill> fills;
     std::vector<std::pair<size_t, ColTag::Type>> seg_columns;
     std::vector<VirtualCol> cols;
@@ -480,9 +478,9 @@ class ScanOp : public Operator {
 
   /// Plans `phase`'s row walks: the positions `source` produces plus every
   /// source its virtual columns read (their documents and own-column
-  /// values come from the same walk), and __rid. The cold walk leaves out
-  /// the sources only extraction groups read: a multi-source column still
-  /// needs each of its sources to pick one.
+  /// values come from the same walk), and __rid. A covered chunk may leave
+  /// out the sources only extraction groups read (RefreshStripsUnlocked): a
+  /// multi-source column still needs each of its sources to pick one.
   void PlanWalk(Source source, Phase* phase) {
     std::vector<size_t> always, positions;
     for (size_t i = 0; i < rid_position_; ++i) {
@@ -518,37 +516,26 @@ class ScanOp : public Operator {
     w->dst.resize(positions.size());
   }
 
-  /// Empties `b` for `phase`'s walks of at most `capacity` rows.
-  void StartWalk(Phase* phase, RowBatch* b, size_t capacity) const {
-    b->ResetPrimary(node_.output_schema.cols.size(),
-                    phase->covered ? phase->seg_columns : phase->walk.columns,
-                    capacity);
-    for (Walk* w : {&phase->walk, &phase->seg_walk}) {
-      for (size_t k = 0; k < w->dst.size(); ++k) {
-        w->dst[k] = &b->tags[w->columns[k].first];
-      }
-    }
-  }
-
-  /// Fills lanes [lane0, lane0 + n) of `phase`'s strip-served columns in
-  /// `b`, lane lane0 + j holding row rid_of(j) — every one of them below
-  /// the segment's row count. Ints, doubles and bools scatter by presence;
-  /// text lands as views into the strip blob, which seg_ keeps alive.
-  template <typename RidOf>
-  void FillStrips(const Phase& phase, uint32_t lane0, size_t n, RidOf rid_of,
-                  RowBatch* b) {
+  /// Fills every lane of `phase`'s strip-served columns in `b` from the
+  /// strips, lane k holding the row of b's __rid lane k — every one of them
+  /// below the segment's row count. Ints, doubles and bools scatter by
+  /// presence; text lands as views into the strip blob, which seg_ keeps
+  /// alive.
+  void FillStrips(const Phase& phase, RowBatch* b) {
     static metrics::Counter* strip_lanes =
         metrics::GetCounter("scan.strip_filled_lanes");
+    const int64_t* rids = b->tags[rid_position_].ints.data();
+    const size_t n = b->size;
     uint64_t physical = 0;
     for (const StripFill& f : phase.fills) {
       ColTag* dst = &b->tags[f.pos];
       auto scatter = [&](auto store) {
         for (size_t j = 0; j < n; ++j) {
-          const uint64_t rid = rid_of(j);
+          const auto rid = static_cast<uint64_t>(rids[j]);
           const StripRef& s = f.col->strips[rid / kStripRows];
           const int64_t dense =
               s.DenseIndex(static_cast<uint32_t>(rid - s.strip.first_row));
-          const auto lane = static_cast<uint32_t>(lane0 + j);
+          const auto lane = static_cast<uint32_t>(j);
           if (dense < 0) {
             dst->SetNull(lane);
           } else {
@@ -664,8 +651,8 @@ class ScanOp : public Operator {
 
   /// Resolves the scan against the table's attached columnar segment, once
   /// per segment (the held pointer pins the address the resolution is keyed
-  /// on and keeps the strips text views point into alive): every extraction
-  /// group's strips, then per phase the columns a covered chunk fills from
+  /// on and keeps the strips text views point into alive): per phase, each
+  /// extraction group's strips, the columns a covered chunk fills from
   /// strips and the walk left for its row bytes. Caller holds the table
   /// latch: under it the segment agrees with every row it covers, so a
   /// covered lane may be served from the strips instead of its row bytes.
@@ -676,39 +663,25 @@ class ScanOp : public Operator {
     seg_ = seg;
     seg_rows_ = seg == nullptr ? 0 : seg->row_count();
     for (Phase* phase : {&filter_, &output_}) {
-      bool groups_cold = !phase->groups.empty();
+      phase->fills.clear();
+      std::vector<size_t> rest = phase->cold_positions;
       for (ExtractGroup& g : phase->groups) {
-        g.strips.clear();
-        g.typed.assign(g.targets.size(), 0);
-        if (seg != nullptr) {
-          const std::string& source =
-              node_.output_schema.cols[static_cast<size_t>(g.source_slot)]
-                  .name;
-          for (const ExtractTarget& t : g.targets) {
-            const StripColumn* col =
-                t.raw_bytes ? nullptr
-                            : seg->Find(source, t.prefix_ids, t.attr_id,
-                                        static_cast<ValueType>(t.type_tag));
-            if (col == nullptr) {
-              g.strips.clear();
-              break;
-            }
-            g.strips.push_back(col);
+        ResolveStrips(seg.get(), *phase, &g);
+        if (g.strips.empty()) {
+          rest.push_back(static_cast<size_t>(g.source_slot));
+          continue;
+        }
+        for (size_t t = 0; t < g.targets.size(); ++t) {
+          for (uint32_t r = g.reader_begin[t]; r < g.reader_begin[t + 1];
+               ++r) {
+            phase->fills.push_back(
+                {phase->cols[g.readers[r].first].pos, g.strips[t], false});
           }
         }
-        groups_cold &= !g.strips.empty();
       }
-      phase->fills.clear();
-      for (VirtualCol& v : phase->cols) v.typed = false;
       if (seg == nullptr) continue;
-      std::vector<size_t> rest;
-      if (groups_cold) {
-        rest = phase->cold_positions;
-      } else {
-        for (size_t k = 0; k < phase->walk.slots.size(); ++k) {
-          rest.push_back(phase->walk.columns[k].first);
-        }
-      }
+      std::sort(rest.begin(), rest.end());
+      rest.erase(std::unique(rest.begin(), rest.end()), rest.end());
       std::erase_if(rest, [&](size_t pos) {
         const Column& c = schema_.columns()[live_slots_[pos]];
         const StripColumn* col =
@@ -717,57 +690,61 @@ class ScanOp : public Operator {
         return col != nullptr;
       });
       BuildWalk(rest, &phase->seg_walk);
-      phase->seg_columns = phase->walk.columns;
-      if (phase == &filter_) AddTypedVirtuals(phase);
+      phase->seg_columns = phase->seg_walk.columns;
+      for (const StripFill& f : phase->fills) {
+        phase->seg_columns.emplace_back(f.pos, StripTagType(f.col->type));
+      }
     }
     filter_strip_cols_ = std::max(filter_strip_cols_, filter_.fills.size());
     output_strip_cols_ = std::max(output_strip_cols_, output_.fills.size());
   }
 
-  /// Adds to `phase`'s fills each simple one-variant virtual column whose
-  /// group has strips, when no other kind of column reads its target: a
-  /// covered chunk then fills it typed-primary like a physical column
-  /// instead of boxing each lane's strip value.
-  static void AddTypedVirtuals(Phase* phase) {
-    for (VirtualCol& v : phase->cols) {
-      if (!v.simple || v.ranked) continue;
-      ExtractGroup& g = phase->groups[phase->source_groups[v.first_source]];
-      if (g.strips.empty()) continue;
-      const ExtractTarget& target = (*v.ref->virtual_sources)[0][0];
-      const size_t t = static_cast<size_t>(
-          std::lower_bound(g.targets.begin(), g.targets.end(), target) -
-          g.targets.begin());
-      bool only_typed = true;
-      for (uint32_t r = g.reader_begin[t]; r < g.reader_begin[t + 1]; ++r) {
-        const VirtualCol& reader = phase->cols[g.readers[r].first];
-        only_typed &= reader.simple && !reader.ranked;
+  /// Sets `g`'s strips from `seg`, or empties them. A group is strip-served
+  /// only when every target has a strip and every reader is a simple
+  /// one-variant column: a covered chunk then fills each reader from its
+  /// target's strip, like a physical column. Any other group reads the
+  /// reservoir for every lane, which is always correct: the row bytes are
+  /// authoritative.
+  void ResolveStrips(const ColumnarSegment* seg, const Phase& phase,
+                     ExtractGroup* g) const {
+    g->strips.clear();
+    if (seg == nullptr) return;
+    for (const auto& [index, source] : g->readers) {
+      const VirtualCol& v = phase.cols[index];
+      if (!v.simple || v.ranked) return;
+    }
+    const std::string& source =
+        node_.output_schema.cols[static_cast<size_t>(g->source_slot)].name;
+    for (const ExtractTarget& t : g->targets) {
+      const StripColumn* col =
+          t.raw_bytes ? nullptr
+                      : seg->Find(source, t.prefix_ids, t.attr_id,
+                                  static_cast<ValueType>(t.type_tag));
+      if (col == nullptr) {
+        g->strips.clear();
+        return;
       }
-      if (!only_typed) continue;
-      v.typed = true;
-      g.typed[t] = 1;
-      phase->fills.push_back({v.pos, g.strips[t], false});
-      phase->seg_columns.emplace_back(v.pos, StripTagType(g.strips[t]->type));
+      g->strips.push_back(col);
     }
   }
 
-  /// Resolves, per lane of [from, b->size), the source each virtual column
-  /// not reading a lone extraction source reads: the first that is not
-  /// NULL in `walked` (the phase's walk, lane k = batch lane from + k). A
-  /// value read from the attribute's own column lands in the batch right
-  /// away.
-  void PickSources(Phase* phase, RowBatch* b, size_t from,
-                   const RowBatch& walked) {
+  /// Resolves, per lane of `b`, the source each virtual column not reading
+  /// a lone extraction source reads: the first that is not NULL in b's
+  /// walk. A value read from the attribute's own column lands in the column
+  /// right away. Drops the previous round's variant ranks.
+  static void PickSources(Phase* phase, RowBatch* b) {
     for (VirtualCol& v : phase->cols) {
+      v.rank.clear();
       if (v.simple) continue;
-      v.pick.resize(b->size, -1);
+      v.pick.assign(b->size, -1);
       std::vector<Datum>& col = b->cols[v.pos];
       col.resize(b->size);
       const std::vector<ExprPtr>& sources = v.ref->args;
-      for (size_t lane = from; lane < b->size; ++lane) {
-        const auto k = static_cast<uint32_t>(lane - from);
+      for (size_t lane = 0; lane < b->size; ++lane) {
+        const auto k = static_cast<uint32_t>(lane);
         int8_t pick = -1;
         for (size_t i = 0; i < sources.size() && pick < 0; ++i) {
-          const ColTag& source = walked.tags[sources[i]->bound_slot];
+          const ColTag& source = b->tags[sources[i]->bound_slot];
           if (source.IsNull(k)) continue;
           if (phase->source_groups[v.first_source + i] < 0) {
             col[lane] = source.Get(k);
@@ -789,51 +766,35 @@ class ScanOp : public Operator {
     return false;
   }
 
-  /// Resolves the virtual columns of `phase` for lanes [from, b->size) of
-  /// `b`, whose walk is `walked` (lane k = batch lane from + k): picks each
+  /// Resolves the virtual columns of `phase` that strips did not fill, for
+  /// every lane of `b`, which holds the phase's walk: picks each
   /// multi-source column's source, then extracts into each group's pending
-  /// values (MaterializeExtracted moves them into the batch's columns).
-  /// Lanes the attached segment covers are served from strips when the
-  /// group has them; the rest hand the extractor the walk's view of the
-  /// source column inside the row bytes, so the reservoir is never copied —
-  /// a null view for a lane no column reads the source at. Caller holds the
-  /// table latch the views depend on.
-  Status ExtractUnlocked(Phase* phase, RowBatch* b, size_t from,
-                         const RowBatch& walked) {
+  /// values (MaterializeExtracted moves them into b's columns). A
+  /// strip-served group of a covered chunk extracts nothing: FillStrips
+  /// filled its readers. Every other group hands the extractor the walk's
+  /// view of the source column inside the row bytes, so the reservoir is
+  /// never copied — a null view for a lane no column reads the source at.
+  /// Caller holds the table latch the views depend on.
+  Status ExtractUnlocked(Phase* phase, RowBatch* b) {
     static metrics::Counter* strip_hits =
         metrics::GetCounter("extract.columnar_hits");
-    const size_t n = b->size - from;
+    const size_t n = b->size;
     if (phase->cols.empty() || n == 0) return Status::OK();
     const uint64_t start = ctx_->stats != nullptr ? metrics::NowNanos() : 0;
-    PickSources(phase, b, from, walked);
-    const int64_t* rids = walked.tags[rid_position_].ints.data();
-    auto rid = [&](size_t k) { return static_cast<uint64_t>(rids[k]); };
+    PickSources(phase, b);
     for (ExtractGroup& g : phase->groups) {
-      // Lanes ascend by rid, so the ones the segment covers lead.
-      size_t cold = 0;
-      if (!g.strips.empty()) {
-        while (cold < n && rid(cold) < seg_rows_) ++cold;
-        for (size_t k = 0; k < cold; ++k) {
-          for (size_t j = 0; j < g.strips.size(); ++j) {
-            if (phase->covered && g.typed[j]) continue;  // FillStrips did
-            Datum v = g.strips[j]->GetDatum(rid(k));
-            if (v.is_null()) continue;
-            g.values.push_back(ExtractedValue{static_cast<uint32_t>(from + k),
-                                              static_cast<uint32_t>(j),
-                                              std::move(v)});
-          }
-        }
-        columnar_hits_ += cold * g.strips.size();
-        strip_hits->Add(cold * g.strips.size());
-      }
-      g.strips_only = cold == n;
-      uint64_t hot = 0;  // lanes handed to the extractor
-      if (cold != n) {
+      uint64_t served = 0;  // lanes strips served
+      uint64_t hot = 0;     // lanes handed to the extractor
+      if (covered_ && !g.strips.empty()) {
+        served = n;
+        columnar_hits_ += n * g.strips.size();
+        strip_hits->Add(n * g.strips.size());
+      } else {
         docs_.clear();
-        const ColTag& source = walked.tags[g.source_slot];
-        for (size_t k = cold; k < n; ++k) {
+        const ColTag& source = b->tags[g.source_slot];
+        for (size_t k = 0; k < n; ++k) {
           const auto lane = static_cast<uint32_t>(k);
-          if (source.IsNull(lane) || !LaneReads(*phase, g, from + k)) {
+          if (source.IsNull(lane) || !LaneReads(*phase, g, k)) {
             docs_.emplace_back();
             continue;
           }
@@ -841,21 +802,16 @@ class ScanOp : public Operator {
           ++hot;
         }
         if (hot != 0) {
-          const size_t found = g.values.size();
           const uint64_t t0 = heat_enabled_ ? metrics::NowNanos() : 0;
           RETURN_NOT_OK(
               (*fn_)(docs_, g.targets, &g.values, &extract_stats_));
           if (heat_enabled_) decode_ns_ += metrics::NowNanos() - t0;
-          // Documents are numbered from the first hot lane.
-          for (size_t i = found; i < g.values.size(); ++i) {
-            g.values[i].doc += static_cast<uint32_t>(from + cold);
-          }
         }
       }
       if (heat_enabled_) {
         for (ExtractGroup::Heat& h : g.heat) {
-          h.requests += cold + hot;
-          h.strip_served += cold;
+          h.requests += served + hot;
+          h.strip_served += served;
           h.reservoir_served += hot;
         }
       }
@@ -864,21 +820,14 @@ class ScanOp : public Operator {
     return Status::OK();
   }
 
-  /// Moves every group's pending values into the batch's virtual columns,
-  /// which are NULL wherever nothing was found: a multi-source column takes
-  /// values from the source its lane picked only, and a column of several
-  /// variants the one of lowest type tag. With `seed_tags`, a one-variant
-  /// column served entirely from strips by the last extraction seeds its
-  /// batch type tag from the strip type (the batch must not grow
-  /// afterwards).
-  void MaterializeExtracted(Phase* phase, RowBatch* b, bool seed_tags) {
-    for (VirtualCol& v : phase->cols) {
-      if (phase->covered && v.typed) continue;  // typed-primary, no Datums
-      b->cols[v.pos].resize(b->size);
-      if (v.ranked) {
-        v.rank.assign(b->size, std::numeric_limits<int64_t>::max());
-      }
-    }
+  /// Moves every group's pending values into b's virtual columns: a
+  /// multi-source column takes values from the source its lane picked
+  /// only, and a column of several variants the one of lowest type tag. A
+  /// column is sized to the batch when its first value lands, so one that
+  /// got none stays empty: every lane NULL (AppendLanes). A wide `SELECT *`
+  /// survivor holds a few dozen of its ~1000 columns, so a round touches
+  /// only those.
+  static void MaterializeExtracted(Phase* phase, RowBatch* b) {
     for (ExtractGroup& g : phase->groups) {
       for (ExtractedValue& e : g.values) {
         const uint32_t last = g.reader_begin[e.target + 1];
@@ -887,158 +836,163 @@ class ScanOp : public Operator {
           VirtualCol& v = phase->cols[index];
           if (!v.simple && v.pick[e.doc] != source) continue;
           if (v.ranked) {
+            if (v.rank.empty()) {
+              v.rank.assign(b->size, std::numeric_limits<int64_t>::max());
+            }
             const int64_t tag = g.targets[e.target].type_tag;
             if (v.rank[e.doc] <= tag) continue;
             v.rank[e.doc] = tag;
           }
-          Datum& dst = b->cols[v.pos][e.doc];
-          dst = r + 1 == last ? std::move(e.value) : e.value;
+          std::vector<Datum>& col = b->cols[v.pos];
+          if (col.empty()) col.resize(b->size);
+          col[e.doc] = r + 1 == last ? std::move(e.value) : e.value;
         }
       }
       g.values.clear();
-      if (seed_tags && g.strips_only && !g.strips.empty()) {
-        // The profile pass still validates every lane (a mismatched strip
-        // type just degrades to kMixed), but it never has to classify.
-        for (size_t j = 0; j < g.strips.size(); ++j) {
-          const ColTag::Type want = StripTagType(g.strips[j]->type);
-          if (want == ColTag::Type::kUnknown) continue;
-          for (uint32_t r = g.reader_begin[j]; r < g.reader_begin[j + 1];
-               ++r) {
-            const VirtualCol& v = phase->cols[g.readers[r].first];
-            if (v.simple && !v.ranked && !(phase->covered && v.typed)) {
-              b->ProfileColumn(v.pos, want);
-            }
-          }
-        }
-      }
     }
-    for (VirtualCol& v : phase->cols) v.pick.clear();
   }
 
-  /// One probe round. Phase 1 walks the filter phase's slots of up to a
-  /// batch's worth of live rows into the typed-primary probe batch — no
-  /// Datum per lane, text as views into the row bytes — or, in a chunk the
-  /// segment covers, fills the strip-served ones from strips, and resolves
-  /// its filter-phase virtual columns; the compiled filter refines the
-  /// probe's selection in one select-mode call. Phase 2 reads each survivor
-  /// that fits in `batch` for the output phase into walked_ the same way and
-  /// boxes the survivor into `batch`, copying text out. Survivors that do
-  /// not fit are rescanned by the next call: rid_ rewinds to the first of
-  /// them. An unfiltered scan probes only as many rows as fit. Caller holds
-  /// the table latch, which keeps the row bytes every view points into
-  /// stable for the whole round.
+  /// Reads `n` rows of the round into `b` for `phase`, lane k holding row
+  /// rows_[row_of(k)], typed-primary — no Datum per lane, text as views
+  /// into the row bytes or strips: walks the phase's row slots (in a
+  /// covered chunk only those strips do not serve), fills the strip-served
+  /// columns, then extracts the virtual columns strips did not fill. Both
+  /// phases read this way: the filter phase every probed row, the output
+  /// phase the survivors. Adds n to `*walked` when row bytes were walked.
+  template <typename RowOf>
+  Status ReadPhase(Phase* phase, size_t n, RowOf row_of, RowBatch* b,
+                   uint64_t* walked) {
+    Walk* w = covered_ ? &phase->seg_walk : &phase->walk;
+    b->ResetPrimary(node_.output_schema.cols.size(),
+                    covered_ ? phase->seg_columns : phase->walk.columns, n);
+    for (size_t k = 0; k < w->dst.size(); ++k) {
+      w->dst[k] = &b->tags[w->columns[k].first];
+    }
+    int64_t* rids = b->tags[rid_position_].ints.data();
+    for (size_t k = 0; k < n; ++k) {
+      if (!w->slots.empty() && k + kPrefetchRows < n) {
+        PrefetchRow(*rows_[row_of(k + kPrefetchRows)].bytes, *w);
+      }
+      const ProbedRow& row = rows_[row_of(k)];
+      RETURN_NOT_OK(WalkRow(schema_, *row.bytes, w->slots,
+                            LaneSink{w, static_cast<uint32_t>(k)}));
+      rids[k] = row.rid;
+    }
+    b->size = n;
+    b->sel.resize(n);
+    for (uint32_t k = 0; k < n; ++k) b->sel[k] = k;
+    if (!w->slots.empty()) *walked += n;
+    if (covered_) FillStrips(*phase, b);
+    RETURN_NOT_OK(ExtractUnlocked(phase, b));
+    MaterializeExtracted(phase, b);
+    return Status::OK();
+  }
+
+  /// Sets lanes [base, base + n) of `dst` to lanes lane_of(0), ...,
+  /// lane_of(n - 1) of column `pos` of `src`: boxed from its tag when
+  /// typed-primary (text copied out), else moved out of its Datums. An
+  /// empty Datum column is all NULL and leaves `dst` alone; lanes `dst`
+  /// lacks are NULL, filled when its batch is complete (NextBatch).
+  template <typename LaneOf>
+  static void AppendLanes(const RowBatch& src, size_t pos, size_t base,
+                          size_t n, LaneOf lane_of, std::vector<Datum>* dst) {
+    if (!src.IsPrimary(pos) && src.cols[pos].empty()) return;
+    dst->resize(base + n);
+    Datum* out = dst->data() + base;
+    if (src.IsPrimary(pos)) {
+      const ColTag& tag = src.tags[pos];
+      for (size_t j = 0; j < n; ++j) {
+        const auto lane = static_cast<uint32_t>(lane_of(j));
+        if (!tag.IsNull(lane)) out[j] = tag.Get(lane);
+      }
+      return;
+    }
+    std::vector<Datum>& col = src.cols[pos];
+    for (size_t j = 0; j < n; ++j) {
+      Datum& d = col[lane_of(j)];
+      if (!d.is_null()) out[j] = std::move(d);
+    }
+  }
+
+  /// One probe round over the live rows of [rid_, chunk_end). The filter
+  /// phase reads them into probe_ and the compiled filter refines its
+  /// selection in one select-mode call; the output phase reads each
+  /// survivor that fits in `batch` into walked_; then one loop over
+  /// positions boxes the survivors into `batch`. In a covered chunk a
+  /// filtered round probes as many rows as the selectivity seen so far
+  /// takes to fill the batch's room, up to the chunk, so a selective
+  /// filter's output phase runs about once per chunk; a hot chunk probes a
+  /// batch's worth, whose row bytes the filter's text views point into stay
+  /// in cache from walk to filter. An unfiltered round probes only as many
+  /// rows as fit.
+  /// Survivors that do not fit are rescanned by the next call: rid_ rewinds
+  /// to the first of them. A deleted row's bytes are empty; the segment may
+  /// still cover it (a delete does not detach it), so it is skipped before
+  /// any strip is read for it. Caller holds the table latch, which keeps
+  /// the row bytes and strips every view points into stable for the whole
+  /// round.
   Status ProbeUnlocked(uint64_t chunk_end, RowBatch* batch) {
     const bool filtered = node_.scan_filter != nullptr;
     const size_t room = batch_capacity_ - batch->size;
-    const size_t capacity = filtered ? batch_capacity_ : room;
-    StartWalk(&filter_, &probe_, capacity);
-    probe_raws_.clear();
-    RETURN_NOT_OK(WalkRows(chunk_end, capacity));
-    const int64_t* rids = probe_.tags[rid_position_].ints.data();
-    if (filter_.covered) {
-      FillStrips(filter_, 0, probe_.size,
-                 [rids](size_t k) { return static_cast<uint64_t>(rids[k]); },
-                 &probe_);
+    const size_t capacity =
+        !filtered ? room
+        : covered_ ? std::max<size_t>(
+                         room, std::min<uint64_t>(kScanChunk,
+                                                  room * (visited_ + 1) /
+                                                      (passed_ + 1)))
+                   : batch_capacity_;
+    const Table& table = *node_.table;
+    rows_.clear();
+    for (; rid_ < chunk_end && rows_.size() < capacity; ++rid_) {
+      const std::string& bytes = table.RawRowUnlocked(rid_);
+      if (bytes.empty()) continue;  // deleted
+      rows_.push_back({&bytes, static_cast<int64_t>(rid_)});
     }
-    RETURN_NOT_OK(ExtractUnlocked(&filter_, &probe_, 0, probe_));
-    MaterializeExtracted(&filter_, &probe_, /*seed_tags=*/true);
+    visited_ += rows_.size();
+    RETURN_NOT_OK(ReadPhase(
+        &filter_, rows_.size(), [](size_t k) { return k; }, &probe_,
+        &filter_walked_));
     if (filtered) {
+      // The compiled filter reads every lane of its virtual columns.
+      for (const VirtualCol& v : filter_.cols) {
+        if (!probe_.IsPrimary(v.pos)) probe_.cols[v.pos].resize(probe_.size);
+      }
       RETURN_NOT_OK(bytecode::ExecPredicateBatch(
           *node_.scan_filter_program, probe_, &bc_state_, &probe_.sel));
     }
     const std::vector<uint32_t>& sel = probe_.sel;
+    passed_ += sel.size();
     size_t fit = sel.size();
     if (fit > room) {
       fit = room;
-      rid_ = static_cast<uint64_t>(rids[sel[fit]]);
+      rid_ = static_cast<uint64_t>(rows_[sel[fit]].rid);
     }
-    const auto w0 = static_cast<uint32_t>(walked_.size);
-    Walk* out = &output_.active();
-    int64_t* walked_rids = walked_.tags[rid_position_].ints.data();
-    for (size_t j = 0; j < fit; ++j) {
-      if (!out->slots.empty() && j + kPrefetchRows < fit) {
-        PrefetchRow(*probe_raws_[sel[j + kPrefetchRows]], *out);
-      }
-      const auto lane = static_cast<uint32_t>(w0 + j);
-      RETURN_NOT_OK(WalkRow(schema_, *probe_raws_[sel[j]], out->slots,
-                            LaneSink{out, lane}));
-      walked_rids[lane] = rids[sel[j]];
-    }
-    if (!out->slots.empty()) output_walked_ += fit;
-    walked_.size += fit;
-    if (output_.covered) {
-      FillStrips(output_, w0, fit,
-                 [rids, &sel](size_t j) {
-                   return static_cast<uint64_t>(rids[sel[j]]);
-                 },
-                 &walked_);
-    }
-    for (size_t i = 0; i < rid_position_; ++i) {
-      std::vector<Datum>& col = batch->cols[i];
-      switch (sources_[i]) {
+    if (fit == 0) return Status::OK();
+    auto survivor = [&sel](size_t j) { return sel[j]; };
+    RETURN_NOT_OK(
+        ReadPhase(&output_, fit, survivor, &walked_, &output_walked_));
+    const size_t base = batch->size;
+    for (size_t pos = 0; pos < sources_.size(); ++pos) {
+      std::vector<Datum>* col = &batch->cols[pos];
+      switch (sources_[pos]) {
         case Source::kFilter:
-          for (size_t j = 0; j < fit; ++j) {
-            col.push_back(probe_.tags[i].Get(sel[j]));
-          }
+          AppendLanes(probe_, pos, base, fit, survivor, col);
           break;
         case Source::kOutput:
-          for (size_t j = 0; j < fit; ++j) {
-            col.push_back(
-                walked_.tags[i].Get(static_cast<uint32_t>(w0 + j)));
+          if (base == 0 && !walked_.IsPrimary(pos)) {
+            col->swap(walked_.cols[pos]);  // the batch's first lanes
+            break;
           }
+          AppendLanes(walked_, pos, base, fit, [](size_t j) { return j; },
+                      col);
           break;
-        case Source::kNull:
-          col.resize(col.size() + fit);
+        case Source::kNull:  // padded when the batch is complete
           break;
-      }
-    }
-    for (size_t j = 0; j < fit; ++j) {
-      batch->cols[rid_position_].push_back(Datum::Int(rids[sel[j]]));
-    }
-    for (const VirtualCol& v : filter_.cols) {
-      if (filter_.covered && v.typed) {
-        for (size_t j = 0; j < fit; ++j) {
-          batch->cols[v.pos].push_back(probe_.tags[v.pos].Get(sel[j]));
-        }
-        continue;
-      }
-      std::vector<Datum>& src = probe_.cols[v.pos];
-      for (size_t j = 0; j < fit; ++j) {
-        batch->cols[v.pos].push_back(std::move(src[sel[j]]));
       }
     }
     for (size_t j = 0; j < fit; ++j) {
       batch->sel.push_back(static_cast<uint32_t>(batch->size++));
     }
-    return Status::OK();
-  }
-
-  /// Phase 1's walk: the live rows of [rid_, chunk_end), at most `capacity`
-  /// of them, into the probe's lanes, each lane's row bytes recorded for
-  /// phase 2. A deleted row's bytes are empty; the segment may still cover
-  /// it (a delete does not detach it), so it is skipped here, before any
-  /// strip is read for it.
-  Status WalkRows(uint64_t chunk_end, size_t capacity) {
-    const Table& table = *node_.table;
-    Walk* w = &filter_.active();
-    int64_t* rids = probe_.tags[rid_position_].ints.data();
-    uint32_t n = 0;
-    for (; rid_ < chunk_end && n < capacity; ++rid_) {
-      if (!w->slots.empty() && rid_ + kPrefetchRows < chunk_end) {
-        PrefetchRow(table.RawRowUnlocked(rid_ + kPrefetchRows), *w);
-      }
-      const std::string& raw = table.RawRowUnlocked(rid_);
-      if (raw.empty()) continue;  // deleted
-      RETURN_NOT_OK(WalkRow(schema_, raw, w->slots, LaneSink{w, n}));
-      rids[n] = static_cast<int64_t>(rid_);
-      probe_raws_.push_back(&raw);
-      ++n;
-    }
-    probe_.size = n;
-    probe_.sel.resize(n);
-    for (uint32_t r = 0; r < n; ++r) probe_.sel[r] = r;
-    visited_ += n;
-    if (!w->slots.empty()) filter_walked_ += n;
     return Status::OK();
   }
 
@@ -1085,15 +1039,20 @@ class ScanOp : public Operator {
   Schema schema_;
   std::vector<size_t> live_slots_;
   size_t rid_position_ = 0;  // scan output position of __rid
-  std::vector<Source> sources_;  // per live-column position
+  std::vector<Source> sources_;  // per output position
   /// Declared types of the output batch's columns (RowBatch::col_types).
   std::vector<ColTag::Type> col_types_;
-  /// Phase 1's typed-primary lanes awaiting the filter, and the row bytes
-  /// of each for phase 2. Its views are valid only under the chunk latch.
+  /// The live rows a probe round reads: their bytes and row ids.
+  struct ProbedRow {
+    const std::string* bytes;
+    int64_t rid;
+  };
+  std::vector<ProbedRow> rows_;
+  /// The filter phase's lanes of the round's rows, and the output phase's
+  /// of its survivors (lane j = survivor j), both typed-primary where
+  /// walked or strip-filled. Their views are valid only under the chunk
+  /// latch.
   RowBatch probe_;
-  std::vector<const std::string*> probe_raws_;
-  /// Phase 2's walk of the chunk's survivors, lane k = output lane from + k;
-  /// read by the output phase's extraction under the same latch.
   RowBatch walked_;
   uint64_t rid_ = 0;
   uint64_t end_ = 0;
@@ -1103,6 +1062,7 @@ class ScanOp : public Operator {
       resolved_zones_;
   uint64_t zone_skips_ = 0;  // strips skipped; flushed to stats on destroy
   uint64_t visited_ = 0;     // live rows scanned; flushed likewise
+  uint64_t passed_ = 0;      // of which the filter passed
   /// Rows whose bytes each phase walked, and the most columns a covered
   /// chunk of each phase read from strips; flushed likewise.
   uint64_t filter_walked_ = 0, output_walked_ = 0;
@@ -1115,6 +1075,7 @@ class ScanOp : public Operator {
   Phase filter_, output_;
   std::shared_ptr<const ColumnarSegment> seg_;  // strips resolve here
   uint64_t seg_rows_ = 0;
+  bool covered_ = false;  // the segment covers the current chunk
   std::vector<std::string_view> docs_;
   BatchExtractStats extract_stats_;
   uint64_t columnar_hits_ = 0;

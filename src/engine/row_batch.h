@@ -139,12 +139,15 @@ struct RowBatch {
     if (c < tags.size()) tags[c] = ColTag{};
   }
 
+  /// True when column `c` is typed-primary: its values live in its tag.
+  bool IsPrimary(size_t c) const { return c < tags.size() && tags[c].primary; }
+
   /// The Datum vector of column `c`, filled from its tag first when the
   /// column is typed-primary and not yet boxed. Every boxed read of a
   /// column that may be typed-primary goes through here.
   const std::vector<Datum>& Box(size_t c) const {
     std::vector<Datum>& col = cols[c];
-    if (c < tags.size() && tags[c].primary && col.size() < size) {
+    if (IsPrimary(c) && col.size() < size) {
       const ColTag& t = tags[c];
       col.clear();
       col.reserve(size);

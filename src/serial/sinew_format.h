@@ -42,12 +42,6 @@
 
 namespace sinew::serial {
 
-/// A typed view of one extracted value: the raw bytes plus the declared type.
-struct ExtractedValue {
-  ValueType type;
-  std::string_view bytes;
-};
-
 /// Serializes `doc` (must be an object). New keys are interned into `dict`.
 /// `path_prefix` is prepended to keys when interning (used for the recursive
 /// nested-object case; leave empty for top-level documents).

@@ -156,37 +156,9 @@ void RegisterSinewFunctions(engine::UdfRegistry* registry,
   // one reservoir decode per row serves all of a pipeline's references.
   registry->SetBatchExtract(MakeBatchExtractor(catalog));
 
-  // Array containment without materializing the array: walks the serialized
-  // element table and memcmps candidate payloads.
-  //   sinew_array_contains_chain(data, value, id0, ..., idN)
-  registry->Register(
-      "sinew_array_contains_chain",
-      [](const UdfArgs& args) -> Result<Datum> {
-        if (args.size() < 3) {
-          return Status::InvalidArgument(
-              "sinew_array_contains_chain expects (data, value, id...)");
-        }
-        if (args[0]->is_null() || args[1]->is_null()) return Datum::Null();
-        if (!args[0]->is_bytes()) {
-          return Status::TypeError("first argument must be serialized data");
-        }
-        std::string_view current = args[0]->str();
-        for (size_t i = 2; i + 1 < args.size(); ++i) {
-          serial::DocumentView view(current);
-          std::optional<std::string_view> sub =
-              view.Extract(static_cast<uint32_t>(args[i]->int_value()));
-          if (!sub.has_value()) return Datum::Null();
-          current = *sub;
-        }
-        serial::DocumentView view(current);
-        std::optional<std::string_view> arr = view.Extract(
-            static_cast<uint32_t>(args.back()->int_value()));
-        if (!arr.has_value()) return Datum::Null();
-        ASSIGN_OR_RETURN(bool contains,
-                         serial::ArrayContainsScalar(*arr, args[1]->ToValue()));
-        return Datum::Bool(contains);
-      });
-
+  // Array containment over a serialized array (a raw-bytes virtual column or
+  // a clean array column): walks its element table and memcmps candidate
+  // payloads.
   registry->Register(
       "sinew_array_contains", [](const UdfArgs& args) -> Result<Datum> {
         if (args.size() != 2) {

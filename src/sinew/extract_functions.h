@@ -12,9 +12,7 @@
 //       keep results comparable across the benchmarked systems. Recorded in
 //       DESIGN.md.)
 //   sinew_array_contains(array, value)
-//   sinew_array_contains_chain(data, value, id...)
-//       containment over a serialized array, or over the array attribute
-//       the id chain reaches in a document.
+//       containment over a serialized array.
 //   sinew_reservoir_set(data, 'path', value) / sinew_reservoir_remove(...)
 //       functional updates used by the UPDATE rewrite path.
 //   sinew_render_object(bytes) / sinew_render_array(bytes)

@@ -344,10 +344,10 @@ class QueryRewriter::Impl {
   }
 
   /// array_contains(col, value) -> sinew_array_contains(array, value) over
-  /// the serialized array: its clean column, else a raw-bytes reference
-  /// that falls back to the reservoir. A virtual array is tested in place
-  /// (sinew_array_contains_chain); a path the table never held as an array
-  /// contains nothing (NULL).
+  /// the serialized array: its clean column, else a raw-bytes virtual
+  /// reference reading its own column (if any), a materialized ancestor's
+  /// column and the reservoir like any other. A path the table never held
+  /// as an array contains nothing (NULL).
   Status RewriteArrayContains(ExprPtr* e) {
     Expr& expr = **e;
     if (expr.args.size() != 2) {
@@ -375,25 +375,14 @@ class QueryRewriter::Impl {
         *e = Expr::Literal(engine::Datum::Null());
         return Status::OK();
       }
-      // Materialized in the catalog but no physical column yet means the
-      // first materializer pass has not run; the values are still all in
-      // the reservoir.
-      if (!array->state.materialized || !ColumnExists(*st, path)) {
-        std::vector<ExprPtr> args;
-        args.push_back(
-            Expr::Column(st->alias, std::string(kReservoirColumn)));
-        args.push_back(std::move(expr.args[1]));
-        for (uint32_t pid : ChainPrefixIds(path, rp, "")) {
-          args.push_back(Expr::Literal(engine::Datum::Int(pid)));
-        }
-        args.push_back(Expr::Literal(engine::Datum::Int(array->attr.id)));
-        *e = Expr::Function("sinew_array_contains_chain", std::move(args));
-        return Status::OK();
-      }
-      array_bytes = array->state.dirty
-                        ? MakeVirtual(*st, path, rp, {&*array, 1},
-                                      /*own_column=*/true, /*raw=*/true)
-                        : Expr::Column(st->alias, path);
+      auto live = st->columns.find(path);
+      const KeyVariant* own = OwnColumn(
+          live == st->columns.end() ? nullptr : &live->second, {&*array, 1});
+      array_bytes = own != nullptr && !own->state.dirty
+                        ? Expr::Column(st->alias, path)
+                        : MakeVirtual(*st, path, rp, {&*array, 1},
+                                      /*own_column=*/own != nullptr,
+                                      /*raw=*/true);
     }
     std::vector<ExprPtr> args;
     args.push_back(std::move(array_bytes));

@@ -99,6 +99,23 @@ uint64_t AnalyzeCounter(const engine::QueryResult& result,
   return std::strtoull(text.c_str() + pos + key.size(), nullptr, 10);
 }
 
+/// The text rows of an EXPLAIN ANALYZE result, concatenated.
+std::string AnalyzeText(const engine::QueryResult& result) {
+  std::string text;
+  for (const engine::DatumRow& row : result.rows) text += row[0].str();
+  return text;
+}
+
+/// `sql` on `db` gives the scalar oracle's multiset of rows.
+void ExpectOracleAnswer(SinewDb* db, const std::string& sql) {
+  SCOPED_TRACE(sql);
+  Result<engine::QueryResult> golden = oracle::GoldenQuery(db, sql);
+  Result<engine::QueryResult> got = db->Query(sql);
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(CanonicalRows(*got), CanonicalRows(*golden));
+}
+
 class ColumnarDifferentialTest : public ::testing::Test {
  protected:
   static constexpr uint64_t kRecords = 3000;  // ~3 strips of 1024 rows
@@ -213,6 +230,26 @@ TEST_F(ColumnarDifferentialTest, Fig6Projections) {
   ExpectSameResults("SELECT sparse_110 AS a, sparse_220 AS b FROM docs");
 }
 
+TEST_F(ColumnarDifferentialTest, SparseProjectionFillsTypedFromStrips) {
+  // NoBench Q3/Q4: two sparse keys, both strip-served reservoir targets of
+  // one group. A covered chunk fills them typed, like physical columns,
+  // and walks no row bytes in either phase; each row counts one columnar
+  // hit per key, serially and under Gather.
+  const std::string sql = "SELECT sparse_110 AS a, sparse_119 AS b FROM docs";
+  for (SinewDb* db : {strips_serial_, strips_parallel_}) {
+    Result<engine::QueryResult> analyzed = db->Query("EXPLAIN ANALYZE " + sql);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    const std::string text = AnalyzeText(*analyzed);
+    EXPECT_NE(text.find("walked=0+0 strip_cols=0+2"), std::string::npos)
+        << text;
+    EXPECT_EQ(AnalyzeCounter(*analyzed, "columnar_hits="), kRecords * 2)
+        << text;
+    EXPECT_EQ(AnalyzeCounter(*analyzed, "decodes="), 0u) << text;
+  }
+  ExpectSameResults(sql);
+  ExpectSameResults("SELECT sparse_110 AS a, sparse_220 AS b FROM docs");
+}
+
 TEST_F(ColumnarDifferentialTest, Fig6Predicates) {
   // NoBench Q5/Q6: string equality and int range — both shapes feed the
   // scan's zone-map check as well as the extraction node.
@@ -299,6 +336,93 @@ TEST_F(ColumnarDifferentialTest, HotTailAfterSegmentBuild) {
     ASSERT_TRUE(s.ok()) << s.status().ToString();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(CanonicalRows(*s), CanonicalRows(*r));
+  }
+}
+
+TEST_F(ColumnarDifferentialTest, HotRowsPastAnUnalignedSegmentEnd) {
+  // The segment ends mid-strip (1500 rows) and rows appended after the
+  // shred lie past it. A chunk stops at the segment's end, so each is
+  // served wholly from strips or wholly from row bytes, in the filter and
+  // the output phase: the oracle's answers at Gather degree 1 and
+  // ParallelDegree(), and one columnar hit per covered row and key.
+  nb::Config config;
+  config.num_records = 1500;
+  config.seed = 11;
+  const std::vector<Value> cold = nb::Generate(config);
+  config.num_records = 700;
+  config.seed = 12;
+  const std::vector<Value> hot = nb::Generate(config);
+  for (int degree : {1, ParallelDegree()}) {
+    SCOPED_TRACE("degree " + std::to_string(degree));
+    SinewDb db(MakeOptions(degree, /*strips=*/true));
+    ASSERT_TRUE(db.LoadDocuments(kTable, cold).ok());
+    ASSERT_TRUE(db.BuildColumnarSegments(kTable).ok());
+    ASSERT_TRUE(db.LoadDocuments(kTable, hot).ok());
+    for (const std::string& sql : {
+             std::string("SELECT str1 AS a, num AS b FROM docs"),
+             std::string("SELECT str1 AS a, thousandth AS t FROM docs "
+                         "WHERE num < 40000"),
+             std::string("SELECT sparse_110 AS a, num AS n FROM docs "
+                         "WHERE sparse_110 IS NOT NULL"),
+             std::string("SELECT thousandth AS g, COUNT(*) AS c FROM docs "
+                         "GROUP BY thousandth"),
+             std::string("SELECT * FROM docs WHERE num < 3000"),
+         }) {
+      ExpectOracleAnswer(&db, sql);
+    }
+    Result<engine::QueryResult> analyzed =
+        db.Query("EXPLAIN ANALYZE SELECT str1 AS a, num AS b FROM docs");
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    EXPECT_EQ(AnalyzeCounter(*analyzed, "columnar_hits="), 1500u * 2)
+        << AnalyzeText(*analyzed);
+  }
+}
+
+TEST_F(ColumnarDifferentialTest, StripTargetsUnderMultiSourceOrRankedReads) {
+  // A covered chunk serves an extraction group from strips only when every
+  // reader is a simple one-variant column. Here str1 and num have strips,
+  // but one of them is read by a multi-source column (num flipped to
+  // materialized and dirty: its empty column, then the reservoir) or by a
+  // ranked one (str1 gained an int variant after the shred), so the group
+  // reads the reservoir for every lane, the simple columns beside it too.
+  nb::Config config;
+  config.num_records = 2500;
+  config.seed = 13;
+  const std::vector<Value> docs = nb::Generate(config);
+  for (int degree : {1, ParallelDegree()}) {
+    SCOPED_TRACE("degree " + std::to_string(degree));
+    SinewDb db(MakeOptions(degree, /*strips=*/true));
+    ASSERT_TRUE(db.LoadDocuments(kTable, docs).ok());
+    ASSERT_TRUE(db.BuildColumnarSegments(kTable).ok());
+    const std::vector<std::string> queries = {
+        "SELECT num AS n, str1 AS s, thousandth AS t FROM docs",
+        "SELECT str1 AS s, thousandth AS t FROM docs WHERE num < 30000",
+        "SELECT thousandth AS t, COUNT(*) AS c FROM docs "
+        "WHERE num >= 0 GROUP BY thousandth",
+    };
+    for (const std::string& sql : queries) ExpectOracleAnswer(&db, sql);
+
+    ASSERT_TRUE(db.ForceMaterialization(kTable, "num", true).ok());
+    Result<engine::Table*> table = db.engine()->catalog()->GetTable(kTable);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ASSERT_NE((*table)->ColumnarSegmentSnapshot(), nullptr);
+    const std::string mixed = queries[0];
+    Result<engine::QueryResult> analyzed =
+        db.Query("EXPLAIN ANALYZE " + mixed);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    EXPECT_NE(AnalyzeText(*analyzed).find("coalesced=1"), std::string::npos)
+        << AnalyzeText(*analyzed);
+    EXPECT_EQ(AnalyzeCounter(*analyzed, "columnar_hits="), 0u)
+        << AnalyzeText(*analyzed);
+    for (const std::string& sql : queries) ExpectOracleAnswer(&db, sql);
+
+    ASSERT_TRUE(db.ForceMaterialization(kTable, "num", false).ok());
+    ASSERT_TRUE(
+        db.LoadJsonLines(kTable, "{\"str1\": 5, \"num\": 7}\n").ok());
+    ASSERT_NE((*table)->ColumnarSegmentSnapshot(), nullptr);
+    for (const std::string& sql : queries) ExpectOracleAnswer(&db, sql);
+    ExpectOracleAnswer(&db, "SELECT str1 AS s, num AS n FROM docs "
+                            "WHERE str1 IS NOT NULL AND num < 5000");
   }
 }
 

@@ -354,14 +354,16 @@ void StripServedReadsDuringUpdatesAndReshred(bool physical) {
   ASSERT_TRUE(log.ok()) << log.status().ToString();
   EXPECT_GT(log->rows[0][0].int_value(), 0);
   EXPECT_EQ(log->rows[0][1].int_value(), 0);
-  // The last re-shred attached a segment the projections are served from.
+  // The last re-shred attached a segment the projections are served from:
+  // with `physical`, a, b and c from their physical strips and the virtual
+  // id from its reservoir strip, all four filled typed.
   Result<engine::QueryResult> analyzed =
       db.Query("EXPLAIN ANALYZE SELECT id, a, b, c FROM t");
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   std::string text;
   for (const engine::DatumRow& row : analyzed->rows) text += row[0].str();
   if (physical) {
-    EXPECT_NE(text.find("strip_cols=0+3"), std::string::npos) << text;
+    EXPECT_NE(text.find("strip_cols=0+4"), std::string::npos) << text;
   } else {
     EXPECT_NE(text.find("columnar_hits="), std::string::npos) << text;
     EXPECT_EQ(text.find("columnar_hits=0"), std::string::npos) << text;

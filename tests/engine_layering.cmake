@@ -15,7 +15,9 @@
 #  - the scan never boxes a row to read it: exec.cc reaches row bytes only
 #    through the typed row walker (WalkRow), naming neither the deleted
 #    boxed row decoders (DecodeRowSlots, DecodeRowColumn, RowSlotBytes) nor
-#    a scratch decode row (scratch_).
+#    a scratch decode row (scratch_);
+#  - strip values enter a scan batch only through the typed fill: exec.cc
+#    names no per-value strip accessor (GetDatum).
 #
 #   cmake -DSRC_DIR=<repo>/src -P tests/engine_layering.cmake
 if(NOT IS_DIRECTORY "${SRC_DIR}/engine")
@@ -54,6 +56,11 @@ file(STRINGS "${ENGINE_DIR}/exec.cc" hits
 if(hits)
   list(APPEND failures
        "${ENGINE_DIR}/exec.cc decodes rows outside the typed walker: ${hits}")
+endif()
+file(STRINGS "${ENGINE_DIR}/exec.cc" hits REGEX "GetDatum")
+if(hits)
+  list(APPEND failures
+       "${ENGINE_DIR}/exec.cc boxes strip values outside the typed fill: ${hits}")
 endif()
 if(failures)
   list(JOIN failures "\n  " listing)

@@ -160,11 +160,24 @@ TEST_F(ExtractFunctionsTest, ArrayContains) {
                    ->bool_value());
   EXPECT_TRUE(Call("sinew_array_contains", {Datum::Null(), Datum::Text("a")})
                   ->is_null());
-  auto chain = Call("sinew_array_contains_chain",
-                    {data_, Datum::Text("b"),
-                     Datum::Int(Id("tags", ValueType::kArray))});
-  ASSERT_TRUE(chain.ok());
-  EXPECT_TRUE(chain->bool_value());
+  // The rewritten shape of array_contains over a virtual array: the
+  // containment test over a raw-bytes virtual reference to it.
+  std::vector<engine::ExprPtr> sources;
+  sources.push_back(Expr::Column("", "_data"));
+  sources[0]->bound_slot = 0;
+  std::vector<engine::ExprPtr> args;
+  args.push_back(Expr::Virtual("tags", std::move(sources),
+                               {{Target("tags", ValueType::kArray, true)}}));
+  args.push_back(Expr::Literal(Datum::Text("b")));
+  engine::ExprPtr contains =
+      Expr::Function("sinew_array_contains", std::move(args));
+  Result<Datum> in = engine::EvalExpr(*contains, {data_}, &udfs_);
+  ASSERT_TRUE(in.ok()) << in.status().ToString();
+  EXPECT_TRUE(in->bool_value());
+  contains->args[1] = Expr::Literal(Datum::Text("z"));
+  Result<Datum> out = engine::EvalExpr(*contains, {data_}, &udfs_);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_FALSE(out->bool_value());
 }
 
 TEST_F(ExtractFunctionsTest, ReservoirSetReplaceAndTypeSwap) {

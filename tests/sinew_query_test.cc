@@ -301,5 +301,41 @@ TEST_F(SinewQueryTest, ResultsInvariantUnderMaterialization) {
   }
 }
 
+TEST_F(SinewQueryTest, ArrayContainsUnderMaterializedAncestor) {
+  // o.arr is a virtual array inside the object o. Containment must find
+  // the same rows wherever o's bytes live: all in the reservoir, split
+  // between o's dirty column and the reservoir, or all in o's clean column.
+  ASSERT_TRUE(db_.LoadJsonLines("nest", R"(
+{"id": 1, "o": {"arr": [1, 2]}}
+{"id": 2, "o": {"arr": [3]}}
+{"id": 3, "o": {"x": 3}}
+)")
+                  .ok());
+  auto ids = [&](const std::string& where) {
+    std::vector<int64_t> out;
+    for (const auto& row :
+         Q("SELECT id FROM nest WHERE " + where + " ORDER BY id").rows) {
+      out.push_back(row[0].int_value());
+    }
+    return out;
+  };
+  auto expect_answers = [&](const char* state) {
+    SCOPED_TRACE(state);
+    EXPECT_EQ(ids("array_contains(\"o.arr\", 1)"), std::vector<int64_t>{1});
+    EXPECT_EQ(ids("array_contains(\"o.arr\", 3)"), std::vector<int64_t>{2});
+    EXPECT_TRUE(ids("array_contains(\"o.arr\", 9)").empty());
+    auto r = Q("SELECT id, \"o.arr\" FROM nest WHERE id = 1");
+    ASSERT_EQ(r.rows.size(), 1u);
+    EXPECT_EQ(r.rows[0][1].ToString(), "[1,2]");
+  };
+  expect_answers("all virtual");
+  ASSERT_TRUE(db_.ForceMaterialization("nest", "o", true).ok());
+  Result<uint64_t> moved = db_.MaterializeStep("nest", 1);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  expect_answers("dirty ancestor");
+  ASSERT_TRUE(db_.MaterializeAll("nest").ok());
+  expect_answers("clean ancestor");
+}
+
 }  // namespace
 }  // namespace sinew
