@@ -47,6 +47,7 @@ struct QueryRecord {
   uint64_t replans = 0;        // aborted-for-replan retries before this run
   std::string status;          // "ok" or the Status code name
   std::string error;           // message when status != "ok"
+  std::string plan_cache;      // "hit", "miss" or "bypass" (SinewDb::Query)
 };
 
 /// Literal-normalized statement fingerprint: whitespace collapsed, keywords

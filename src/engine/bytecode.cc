@@ -235,11 +235,16 @@ class Compiler {
     Datum* literals =
         arena.CreateArray<Datum>(std::max<size_t>(literals_.size(), 1));
     std::copy(literals_.begin(), literals_.end(), literals);
+    ParamRef* params =
+        arena.AllocateArray<ParamRef>(std::max<size_t>(params_.size(), 1));
+    std::copy(params_.begin(), params_.end(), params);
     prog_->instrs = instrs;
     prog_->num_instrs = static_cast<uint32_t>(instrs_.size());
     prog_->aux = aux;
     prog_->literals = literals;
     prog_->num_literals = static_cast<uint32_t>(literals_.size());
+    prog_->params = params;
+    prog_->num_params = static_cast<uint32_t>(params_.size());
     prog_->num_regs = num_regs_;
     prog_->result = result;
     prog_->min_width = static_cast<uint32_t>(width_);
@@ -281,6 +286,19 @@ class Compiler {
         d, static_cast<uint32_t>(literals_.size()));
     if (added) literals_.push_back(d);
     return Operand{Operand::Kind::kLit, it->second};
+  }
+
+  /// A parameter slot: a pool entry of its own, holding the planned value,
+  /// shared only by other references to the same slot.
+  Operand Param(const Expr& e) {
+    const auto slot = static_cast<uint32_t>(e.param);
+    for (const ParamRef& p : params_) {
+      if (p.slot == slot) return Operand{Operand::Kind::kLit, p.literal};
+    }
+    const auto index = static_cast<uint32_t>(literals_.size());
+    literals_.push_back(e.literal);
+    params_.push_back(ParamRef{index, slot});
+    return Operand{Operand::Kind::kLit, index};
   }
 
   /// A shape with no instruction form fails, with the scalar evaluator's
@@ -381,7 +399,7 @@ class Compiler {
     const Operand probe = CompileNode(*e.args[0]);
     const bool literal_items =
         std::all_of(e.args.begin() + 1, e.args.end(), [](const ExprPtr& a) {
-          return a->kind == ExprKind::kLiteral;
+          return a->kind == ExprKind::kLiteral && a->param < 0;
         });
     if (literal_items) {
       Instr ins;
@@ -476,7 +494,7 @@ class Compiler {
   Operand CompileNode(const Expr& e) {
     switch (e.kind) {
       case ExprKind::kLiteral:
-        return Literal(e.literal);
+        return e.param >= 0 ? Param(e) : Literal(e.literal);
       case ExprKind::kColumnRef:
         if (e.bound_slot < 0 || static_cast<size_t>(e.bound_slot) >= width_) {
           return Raise(Status::Internal("unbound column reference ", e.column));
@@ -537,6 +555,7 @@ class Compiler {
   std::vector<Datum> literals_;
   // Pool index of each interned literal.
   std::unordered_map<Datum, uint32_t, LiteralHash, SameLiteral> literal_index_;
+  std::vector<ParamRef> params_;
   uint32_t next_reg_ = 0;
   uint32_t num_regs_ = 0;
 };
@@ -569,13 +588,13 @@ struct BatchSrc {
   }
 };
 
-const Datum& ReadOperand(const Operand& op, const Program& prog,
-                         const BatchSrc& src, const ExecState& st,
+const Datum& ReadOperand(const Operand& op, const BatchSrc& src,
+                         const ExecState& st,
                          const std::vector<uint32_t>& lanes, size_t i) {
   switch (op.kind) {
     case Operand::Kind::kReg: return st.regs[op.index][i];
     case Operand::Kind::kCol: return src.Col(op.index, lanes[i]);
-    default: return prog.literals[op.index];
+    default: return st.lits[op.index];
   }
 }
 
@@ -822,11 +841,11 @@ struct NumSrc {
 
 /// 1 = resolved, 0 = not provably numeric (boxed path), -1 = NULL literal
 /// (the whole instruction is NULL for every lane).
-int ResolveNum(const Operand& op, const Program& prog, const RowBatch* batch,
-               ExecState* st, size_t num_lanes, NumSrc* out) {
+int ResolveNum(const Operand& op, const RowBatch* batch, ExecState* st,
+               size_t num_lanes, NumSrc* out) {
   switch (op.kind) {
     case Operand::Kind::kLit: {
-      const Datum& lit = prog.literals[op.index];
+      const Datum& lit = st->lits[op.index];
       if (lit.is_null()) return -1;
       if (lit.is_int()) {
         out->kind = NumSrc::Kind::kIntLit;
@@ -925,11 +944,11 @@ inline bool FetchDouble(const NumSrc& s, const std::vector<uint32_t>& lanes,
 
 /// Generic comparison with both operands provably numeric: int/int compares
 /// exact, anything else in double — Datum::Compare's pairing.
-bool TypedCompare(const Instr& ins, const Program& prog, const RowBatch* batch,
+bool TypedCompare(const Instr& ins, const RowBatch* batch,
                   const std::vector<uint32_t>& lanes, ExecState* st) {
   NumSrc a, b;
-  const int ra = ResolveNum(ins.a, prog, batch, st, lanes.size(), &a);
-  const int rb = ResolveNum(ins.b, prog, batch, st, lanes.size(), &b);
+  const int ra = ResolveNum(ins.a, batch, st, lanes.size(), &a);
+  const int rb = ResolveNum(ins.b, batch, st, lanes.size(), &b);
   if (ra == 0 || rb == 0) return false;
   std::vector<Datum>& dst = st->regs[ins.dst];
   const size_t n = lanes.size();
@@ -963,12 +982,12 @@ bool TypedCompare(const Instr& ins, const Program& prog, const RowBatch* batch,
 /// int64, anything else promotes to double; each lane applies the same
 /// eval_detail rule as the boxed path, so faults carry its exact texts.
 /// Which lane's error surfaces first is the one permitted deviation.
-bool TypedArith(const Instr& ins, const Program& prog, const RowBatch* batch,
+bool TypedArith(const Instr& ins, const RowBatch* batch,
                 const std::vector<uint32_t>& lanes, ExecState* st,
                 Status* status) {
   NumSrc a, b;
-  const int ra = ResolveNum(ins.a, prog, batch, st, lanes.size(), &a);
-  const int rb = ResolveNum(ins.b, prog, batch, st, lanes.size(), &b);
+  const int ra = ResolveNum(ins.a, batch, st, lanes.size(), &a);
+  const int rb = ResolveNum(ins.b, batch, st, lanes.size(), &b);
   if (ra == 0 || rb == 0) return false;
   std::vector<Datum>& dst = st->regs[ins.dst];
   const size_t n = lanes.size();
@@ -1016,6 +1035,29 @@ bool TypedArith(const Instr& ins, const Program& prog, const RowBatch* batch,
   return true;
 }
 
+/// Points st->lits at the literal pool `prog` runs with: its own, or, when
+/// it has parameter slots, st->bound — rebuilt only when another program
+/// ran in between.
+void BindLiterals(const Program& prog, ExecState* st) {
+  if (prog.num_params == 0) {
+    st->lits = prog.literals;
+    return;
+  }
+  if (st->bound_program != &prog) {
+    st->bound.assign(prog.literals, prog.literals + prog.num_literals);
+    if (st->params != nullptr) {
+      for (uint32_t i = 0; i < prog.num_params; ++i) {
+        const ParamRef& p = prog.params[i];
+        if (p.slot < st->params->size()) {
+          st->bound[p.literal] = (*st->params)[p.slot];
+        }
+      }
+    }
+    st->bound_program = &prog;
+  }
+  st->lits = st->bound.data();
+}
+
 /// The switch loop: executes every instruction over the current lane set,
 /// leaving per-lane values in registers. kFork narrows the lane set to a
 /// region's lanes (frame stack); the matching kJoin restores it.
@@ -1043,7 +1085,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         UdfArgs& args = st->udf_args;
         args.resize(ins.aux_count);
         const Datum* lit = ins.op == OpCode::kUdfCmpLit
-                               ? &prog.literals[ins.b.index]
+                               ? &st->lits[ins.b.index]
                                : nullptr;
         // dst may be an argument register: lane i's value replaces lane
         // i's argument only after the call has read it.
@@ -1052,7 +1094,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         for (size_t i = 0; i < n; ++i) {
           for (uint32_t j = 0; j < ins.aux_count; ++j) {
             args[j] =
-                &ReadOperand(prog.aux[ins.aux_begin + j], prog, src, *st, L, i);
+                &ReadOperand(prog.aux[ins.aux_begin + j], src, *st, L, i);
           }
           ASSIGN_OR_RETURN(Datum v, (*ins.fn)(args));
           if (lit != nullptr) {
@@ -1084,13 +1126,13 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
             ins.b.is_reg() ? &st->regs[ins.b.index] : nullptr;
         if (carry != nullptr) carry->clear();
         for (size_t i = 0; i < n; ++i) {
-          const Datum& v = ReadOperand(ins.a, prog, src, *st, L, i);
+          const Datum& v = ReadOperand(ins.a, src, *st, L, i);
           if (EntersRegion(ins.fork, v)) {
             f.lanes.push_back(L[i]);
             f.pos.push_back(static_cast<uint32_t>(i));
             if (kleene) f.lhs.push_back(v);
             if (carry != nullptr) {
-              carry->push_back(ReadOperand(ins.c, prog, src, *st, L, i));
+              carry->push_back(ReadOperand(ins.c, src, *st, L, i));
             }
           } else if (copy_out) {
             dst[i] = v;
@@ -1119,7 +1161,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
             }
           } else {
             for (size_t k = 0; k < L.size(); ++k) {
-              dst[f.pos[k]] = ReadOperand(ins.a, prog, src, *st, L, k);
+              dst[f.pos[k]] = ReadOperand(ins.a, src, *st, L, k);
             }
           }
           --st->frame_depth;
@@ -1127,7 +1169,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         }
         const bool is_and = ins.fork == ForkMode::kNonFalse;
         for (size_t k = 0; k < L.size(); ++k) {
-          const Datum& r = ReadOperand(ins.a, prog, src, *st, L, k);
+          const Datum& r = ReadOperand(ins.a, src, *st, L, k);
           const Datum& l = f.lhs[k];
           Datum& o = dst[f.pos[k]];
           if (is_and ? IsFalse(r) : IsTrue(r)) {
@@ -1151,18 +1193,18 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         if (ins.a.is_col() && ins.b.is_lit()) {
           const ColTag* tag = TagOf(src.batch, ins.a.index, n);
           if (tag != nullptr &&
-              TypedValCmpLit(ins, *tag, prog.literals[ins.b.index], L, st)) {
+              TypedValCmpLit(ins, *tag, st->lits[ins.b.index], L, st)) {
             break;
           }
-        } else if (TypedCompare(ins, prog, src.batch, L, st)) {
+        } else if (TypedCompare(ins, src.batch, L, st)) {
           break;
         }
         src.Box(ins, prog);
         CountBoxedLanes(st, n);
         for (size_t i = 0; i < n; ++i) {
           dst[i] = eval_detail::CompareOp(
-              ins.bop, ReadOperand(ins.a, prog, src, *st, L, i),
-              ReadOperand(ins.b, prog, src, *st, L, i));
+              ins.bop, ReadOperand(ins.a, src, *st, L, i),
+              ReadOperand(ins.b, src, *st, L, i));
         }
         break;
       }
@@ -1172,7 +1214,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         std::vector<Datum>& dst = st->regs[ins.dst];
         dst.resize(n);
         Status typed_status = Status::OK();
-        if (TypedArith(ins, prog, src.batch, L, st, &typed_status)) {
+        if (TypedArith(ins, src.batch, L, st, &typed_status)) {
           RETURN_NOT_OK(typed_status);
           break;
         }
@@ -1181,8 +1223,8 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         for (size_t i = 0; i < n; ++i) {
           ASSIGN_OR_RETURN(
               Datum v, eval_detail::ArithmeticOp(
-                           ins.bop, ReadOperand(ins.a, prog, src, *st, L, i),
-                           ReadOperand(ins.b, prog, src, *st, L, i)));
+                           ins.bop, ReadOperand(ins.a, src, *st, L, i),
+                           ReadOperand(ins.b, src, *st, L, i)));
           dst[i] = std::move(v);
         }
         break;
@@ -1194,8 +1236,8 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         dst.resize(n);
         src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
-          const Datum& l = ReadOperand(ins.a, prog, src, *st, L, i);
-          const Datum& r = ReadOperand(ins.b, prog, src, *st, L, i);
+          const Datum& l = ReadOperand(ins.a, src, *st, L, i);
+          const Datum& r = ReadOperand(ins.b, src, *st, L, i);
           if (l.is_null() || r.is_null()) {
             dst[i] = Datum::Null();
           } else if (!l.is_text() || !r.is_text()) {
@@ -1213,8 +1255,8 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         dst.resize(n);
         src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
-          const Datum& l = ReadOperand(ins.a, prog, src, *st, L, i);
-          const Datum& r = ReadOperand(ins.b, prog, src, *st, L, i);
+          const Datum& l = ReadOperand(ins.a, src, *st, L, i);
+          const Datum& r = ReadOperand(ins.b, src, *st, L, i);
           dst[i] = l.is_null() || r.is_null()
                        ? Datum::Null()
                        : Datum::Text(l.ToString() + r.ToString());
@@ -1228,7 +1270,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         dst.resize(n);
         src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
-          const Datum& v = ReadOperand(ins.a, prog, src, *st, L, i);
+          const Datum& v = ReadOperand(ins.a, src, *st, L, i);
           if (v.is_null()) {
             dst[i] = Datum::Null();
           } else if (!v.is_bool()) {
@@ -1246,8 +1288,8 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         dst.resize(n);
         src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
-          ASSIGN_OR_RETURN(dst[i], eval_detail::NegateOp(ReadOperand(
-                                       ins.a, prog, src, *st, L, i)));
+          ASSIGN_OR_RETURN(dst[i], eval_detail::NegateOp(
+                                       ReadOperand(ins.a, src, *st, L, i)));
         }
         break;
       }
@@ -1259,19 +1301,19 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         if (ins.a.is_col() && ins.b.is_lit() && ins.c.is_lit()) {
           const ColTag* tag = TagOf(src.batch, ins.a.index, n);
           if (tag != nullptr &&
-              TypedValBetween(ins, *tag, prog.literals[ins.b.index],
-                              prog.literals[ins.c.index], L, st)) {
+              TypedValBetween(ins, *tag, st->lits[ins.b.index],
+                              st->lits[ins.c.index], L, st)) {
             break;
           }
           CountBoxedLanes(st, n);
         }
         src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
-          const Datum& t = ReadOperand(ins.a, prog, src, *st, L, i);
+          const Datum& t = ReadOperand(ins.a, src, *st, L, i);
           Datum ge = eval_detail::CompareOp(
-              BinaryOp::kGe, t, ReadOperand(ins.b, prog, src, *st, L, i));
+              BinaryOp::kGe, t, ReadOperand(ins.b, src, *st, L, i));
           Datum le = eval_detail::CompareOp(
-              BinaryOp::kLe, t, ReadOperand(ins.c, prog, src, *st, L, i));
+              BinaryOp::kLe, t, ReadOperand(ins.c, src, *st, L, i));
           if (ge.is_null() || le.is_null()) {
             dst[i] = Datum::Null();
           } else {
@@ -1297,7 +1339,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         }
         src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
-          bool null = ReadOperand(ins.a, prog, src, *st, L, i).is_null();
+          bool null = ReadOperand(ins.a, src, *st, L, i).is_null();
           dst[i] = Datum::Bool(ins.negated ? !null : null);
         }
         break;
@@ -1343,7 +1385,7 @@ Status RunProgram(const Program& prog, const BatchSrc& src,
         }
         src.Box(ins, prog);
         for (size_t i = 0; i < n; ++i) {
-          const Datum& t = ReadOperand(ins.a, prog, src, *st, L, i);
+          const Datum& t = ReadOperand(ins.a, src, *st, L, i);
           if (t.is_null()) {
             dst[i] = Datum::Null();
           } else {
@@ -1388,6 +1430,7 @@ Status ExecBatch(const Program& program, const RowBatch& batch,
                  const std::vector<uint32_t>& lanes, ExecState* state,
                  std::vector<Datum>* out) {
   out->clear();
+  BindLiterals(program, state);
   BatchSrc src{&batch};
   RETURN_NOT_OK(RunProgram(program, src, lanes, state));
   const size_t n = lanes.size();
@@ -1402,7 +1445,7 @@ Status ExecBatch(const Program& program, const RowBatch& batch,
     out->reserve(n);
     for (size_t i = 0; i < n; ++i) {
       out->push_back(
-          ReadOperand(program.result, program, src, *state, lanes, i));
+          ReadOperand(program.result, src, *state, lanes, i));
     }
   }
   return Status::OK();
@@ -1411,6 +1454,7 @@ Status ExecBatch(const Program& program, const RowBatch& batch,
 Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
                           ExecState* state, std::vector<uint32_t>* sel) {
   if (sel->empty()) return Status::OK();
+  BindLiterals(program, state);
   BatchSrc src{&batch};
   if (program.min_width > batch.num_cols()) {
     return Status::Internal("bytecode program compiled for wider input");
@@ -1421,7 +1465,7 @@ Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
   // never materialize a boolean column.
   if (program.num_instrs == 1 && program.result.is_reg()) {
     const Instr& ins = program.instrs[0];
-    const Datum* lits = program.literals;
+    const Datum* lits = state->lits;
     switch (ins.op) {
       case OpCode::kCompare: {
         if (!ins.a.is_col() || !ins.b.is_lit()) break;
@@ -1494,8 +1538,8 @@ Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
         const size_t n = sel->size();
         for (size_t i = 0; i < n; ++i) {
           for (uint32_t j = 0; j < ins.aux_count; ++j) {
-            args[j] = &ReadOperand(program.aux[ins.aux_begin + j], program,
-                                   src, *state, *sel, i);
+            args[j] = &ReadOperand(program.aux[ins.aux_begin + j], src,
+                                   *state, *sel, i);
           }
           ASSIGN_OR_RETURN(Datum v, (*ins.fn)(args));
           if (IsTrue(eval_detail::CompareOp(ins.bop, v, lit))) {
@@ -1514,7 +1558,7 @@ Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
   size_t kept = 0;
   for (size_t i = 0; i < sel->size(); ++i) {
     const Datum& v =
-        ReadOperand(program.result, program, src, *state, *sel, i);
+        ReadOperand(program.result, src, *state, *sel, i);
     if (v.is_null()) continue;  // NULL filters
     if (!v.is_bool()) {
       return Status::TypeError("predicate did not evaluate to a boolean");

@@ -128,6 +128,13 @@ struct Instr {
   const InSet* in_set = nullptr;  // kInList
 };
 
+/// A literal-pool entry that is a parameter slot (Expr::param): execution
+/// reads the value bound to `slot` there instead of the pooled value.
+struct ParamRef {
+  uint32_t literal = 0;
+  uint32_t slot = 0;
+};
+
 /// A compiled, immutable expression program. All referenced memory (instrs,
 /// aux, literals, kRaise statuses) is owned by `arena`.
 struct Program {
@@ -137,6 +144,10 @@ struct Program {
   const Operand* aux = nullptr;
   const Datum* literals = nullptr;
   uint32_t num_literals = 0;
+  /// Pool entries that are parameter slots, each its own entry: a
+  /// parameter never shares one with an equal literal.
+  const ParamRef* params = nullptr;
+  uint32_t num_params = 0;
   uint32_t num_regs = 0;
   /// Where the final value lives after the last instruction (may be a bare
   /// column or literal for trivial programs with num_instrs == 0).
@@ -151,6 +162,17 @@ struct Program {
 /// one per operator instance.
 struct ExecState {
   std::vector<std::vector<Datum>> regs;
+
+  /// The execution's bound parameters, one per parameter slot, or nullptr:
+  /// a program then reads the values it was planned with. Set by the owning
+  /// operator; outlives every run.
+  const std::vector<Datum>* params = nullptr;
+  /// The literal pool of the program running: its own, or `bound` when it
+  /// has parameter slots — a copy of its pool with each slot's bound value
+  /// in place, kept while the same program runs again.
+  const Datum* lits = nullptr;
+  std::vector<Datum> bound;
+  const Program* bound_program = nullptr;
 
   /// Per-register type evidence within one RunProgram call: a typed kernel
   /// that fills a register with exactly one Datum kind (plus NULLs) records
@@ -196,6 +218,8 @@ struct ExecState {
   /// lane counters) or between queries on a reused state.
   void Reset(size_t shrink_threshold = 0) {
     frame_depth = 0;
+    lits = nullptr;
+    bound_program = nullptr;
     typed_lanes = 0;
     boxed_lanes = 0;
     auto shrink = [shrink_threshold](auto& v) {
@@ -217,6 +241,7 @@ struct ExecState {
     shrink(frames);
     shrink(reg_tags);
     shrink(udf_args);
+    shrink(bound);
   }
 };
 

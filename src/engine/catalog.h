@@ -3,6 +3,7 @@
 #ifndef SINEW_ENGINE_CATALOG_H_
 #define SINEW_ENGINE_CATALOG_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -25,6 +26,7 @@ class Catalog {
     auto table = std::make_unique<Table>(name, std::move(schema));
     Table* ptr = table.get();
     tables_.emplace(std::move(name), std::move(table));
+    version_.fetch_add(1, std::memory_order_acq_rel);
     return ptr;
   }
 
@@ -44,8 +46,13 @@ class Catalog {
       return Status::NotFound("table ", name, " does not exist");
     }
     tables_.erase(it);
+    version_.fetch_add(1, std::memory_order_acq_rel);
     return Status::OK();
   }
+
+  /// Monotonic counter bumped by every CREATE and DROP: while it holds, a
+  /// Table* obtained earlier still names the same live table.
+  uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
   std::vector<std::string> TableNames() const {
     std::lock_guard lock(mutex_);
@@ -58,6 +65,7 @@ class Catalog {
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Table>> tables_;
+  std::atomic<uint64_t> version_{0};
 };
 
 }  // namespace sinew::engine

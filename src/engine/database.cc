@@ -119,6 +119,12 @@ bool ReferencesTable(const SelectStatement& stmt, std::string_view table) {
                      });
 }
 
+bool ReferencesSystemTable(const SelectStatement& stmt) {
+  return ReferencesTable(stmt, kMetricsTableName) ||
+         ReferencesTable(stmt, kQueryLogTableName) ||
+         ReferencesTable(stmt, kAttributeStatsTableName);
+}
+
 Database::Database(PlannerOptions planner_options, ExecOptions exec_options)
     : planner_options_(planner_options), exec_options_(exec_options) {
   RegisterBuiltinFunctions(&udfs_);
@@ -209,17 +215,25 @@ Result<QueryResult> Database::ExecuteSelect(const SelectStatement& stmt,
     return ExecutePlan(*plan, &udfs_, exec_options_);
   }
   info->plan_ns = plan_ns;
+  Result<QueryResult> result = ExecutePlanned(*plan, nullptr, info);
+  info->plan = std::move(plan);
+  return result;
+}
+
+Result<QueryResult> Database::ExecutePlanned(const PlanNode& plan,
+                                             const std::vector<Datum>* params,
+                                             QueryExecInfo* info) {
   // Collect per-node actuals with counters only; operator wall-clock timing
   // (time_operators) stays off — two clock reads per batch per operator is
   // the overhead the telemetry budget doesn't spend on every query.
-  PlanStats stats(*plan);
+  PlanStats stats(plan);
   ExecOptions options = exec_options_;
   options.stats = &stats;
   const uint64_t exec_start = metrics::NowNanos();
-  Result<QueryResult> result = ExecutePlan(*plan, &udfs_, options);
+  Result<QueryResult> result = ExecutePlan(plan, &udfs_, options, params);
   info->exec_ns = metrics::NowNanos() - exec_start;
-  AccumulateScanStats(*plan, stats, info);
-  if (OperatorStats* root = stats.For(*plan)) {
+  AccumulateScanStats(plan, stats, info);
+  if (OperatorStats* root = stats.For(plan)) {
     info->batches = root->batches.load(std::memory_order_relaxed);
   }
   if (result.ok()) info->rows_out = result->rows.size();
@@ -228,10 +242,9 @@ Result<QueryResult> Database::ExecuteSelect(const SelectStatement& stmt,
     // Slow query: dump the annotated plan tree into the trace ring. Per-op
     // times print as 0 (timing off, see above); cardinality actuals are live.
     metrics::MetricsRegistry::Global()->AddTrace(metrics::TraceEvent{
-        "query.slow", ExplainAnalyzeText(*plan, stats), exec_start,
+        "query.slow", ExplainAnalyzeText(plan, stats, params), exec_start,
         info->exec_ns, info->rows_out});
   }
-  info->plan = std::move(plan);
   return result;
 }
 
@@ -243,18 +256,26 @@ Result<QueryResult> Database::ExecuteExplain(const Statement& stmt,
   if (!stmt.explain_analyze) {
     return TextResult("QUERY PLAN", plan->DebugString());
   }
-  // EXPLAIN ANALYZE: run the plan for real, with every operator wrapped to
-  // record actuals, then print the tree annotated with them. Result rows
-  // are discarded — side effects (metric counters) still land.
-  PlanStats stats(*plan);
+  return ExplainAnalyzePlanned(*plan, nullptr, rewrite_ns + plan_ns,
+                               "bypass");
+}
+
+Result<QueryResult> Database::ExplainAnalyzePlanned(
+    const PlanNode& plan, const std::vector<Datum>* params,
+    uint64_t planning_ns, std::string_view plan_cache) {
+  // Run the plan for real, with every operator wrapped to record actuals,
+  // then print the tree annotated with them. Result rows are discarded —
+  // side effects (metric counters) still land.
+  PlanStats stats(plan);
   ExecOptions options = exec_options_;
   options.stats = &stats;
   options.time_operators = true;
-  RETURN_NOT_OK(ExecutePlan(*plan, &udfs_, options).status());
+  RETURN_NOT_OK(ExecutePlan(plan, &udfs_, options, params).status());
   std::ostringstream text;
-  text << ExplainAnalyzeText(*plan, stats);
+  text << ExplainAnalyzeText(plan, stats, params);
+  text << "Plan cache: " << plan_cache << "\n";
   text << "Planning Time: " << std::fixed << std::setprecision(3)
-       << static_cast<double>(rewrite_ns + plan_ns) / 1e6 << " ms\n";
+       << static_cast<double>(planning_ns) / 1e6 << " ms\n";
   text << "Execution Time: " << std::fixed << std::setprecision(3)
        << static_cast<double>(stats.total_ns) / 1e6 << " ms\n";
   return TextResult("QUERY PLAN", text.str());
@@ -327,7 +348,7 @@ Status Database::RefreshQueryLogTable() {
                     as_int(r.rows_examined), as_int(r.rows_out),
                     as_int(r.batches), as_int(r.zone_skips),
                     as_int(r.replans), Datum::Text(r.status),
-                    Datum::Text(r.error)});
+                    Datum::Text(r.error), Datum::Text(r.plan_cache)});
   }
   return RefreshSystemTable(
       kQueryLogTableName,
@@ -336,7 +357,8 @@ Status Database::RefreshQueryLogTable() {
        int_col("rewrite_ns"), int_col("plan_ns"), int_col("exec_ns"),
        int_col("total_ns"), int_col("rows_in"), int_col("rows_examined"),
        int_col("rows_out"), int_col("batches"), int_col("zone_skips"),
-       int_col("replans"), text_col("status"), text_col("error")},
+       int_col("replans"), text_col("status"), text_col("error"),
+       text_col("plan_cache")},
       rows);
 }
 

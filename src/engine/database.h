@@ -42,6 +42,11 @@ struct QueryExecInfo {
 /// True when the SELECT's FROM list names `table`.
 bool ReferencesTable(const SelectStatement& stmt, std::string_view table);
 
+/// True when the SELECT's FROM list names a system table (`sinew_metrics`,
+/// `sinew_query_log`, `sinew_attribute_stats`): its rows are refreshed
+/// before every statement that reads it.
+bool ReferencesSystemTable(const SelectStatement& stmt);
+
 class Database {
  public:
   explicit Database(PlannerOptions planner_options = {},
@@ -52,6 +57,15 @@ class Database {
   const PlannerOptions& planner_options() const { return planner_options_; }
   void set_planner_options(PlannerOptions options) {
     planner_options_ = options;
+    ++planner_options_version_;
+  }
+
+  /// Changes whenever what the planner reads outside the tables changes: a
+  /// table created or dropped, the planner options, the function registry.
+  /// With each scanned table's PlanVersion, this is what a cached plan is
+  /// checked against (sinew/plan_cache.h).
+  uint64_t PlanEpoch() const {
+    return catalog_.version() + planner_options_version_ + udfs_.version();
   }
   void set_exec_options(ExecOptions options) { exec_options_ = options; }
 
@@ -80,6 +94,24 @@ class Database {
 
   /// Plans an already-parsed SELECT.
   Result<PlanPtr> PlanStatement(const SelectStatement& stmt);
+
+  /// Runs a SELECT plan built earlier — by PlanStatement, possibly for a
+  /// statement with other literals — with `params` bound to its parameter
+  /// slots (nullptr: the values it was built with), reporting into *info
+  /// as ExecuteStatement does, except for plan_ns and plan, which stay the
+  /// caller's.
+  Result<QueryResult> ExecutePlanned(const PlanNode& plan,
+                                     const std::vector<Datum>* params,
+                                     QueryExecInfo* info);
+
+  /// EXPLAIN ANALYZE of such a plan: runs it with operator timing and
+  /// prints the annotated tree, the plan-cache outcome `plan_cache`
+  /// ("hit", "miss" or "bypass"), `planning_ns` as the Planning Time and
+  /// the Execution Time. Node summaries show the bound values.
+  Result<QueryResult> ExplainAnalyzePlanned(const PlanNode& plan,
+                                            const std::vector<Datum>* params,
+                                            uint64_t planning_ns,
+                                            std::string_view plan_cache);
 
   /// Plans a SELECT without running it.
   Result<PlanPtr> Plan(std::string_view sql);
@@ -125,6 +157,7 @@ class Database {
   UdfRegistry udfs_;
   PlannerOptions planner_options_;
   ExecOptions exec_options_;
+  uint64_t planner_options_version_ = 0;
   uint64_t slow_query_threshold_ns_ = 0;
   std::mutex system_table_mu_;  // serializes system-table refreshes
 };

@@ -38,6 +38,8 @@ struct ExecContext {
   size_t batch_size = 1;
   // Record per-call wall clock into OperatorStats.next_ns.
   bool time_ops = false;
+  // Values bound to the plan's parameter slots (Expr::param), or nullptr.
+  const std::vector<Datum>* params = nullptr;
   // Shared across Gather workers, so the budget covers the whole query.
   std::atomic<uint64_t> mem_used{0};
 
@@ -172,7 +174,9 @@ class ScanOp : public Operator {
   /// walking the whole table — the shape each Gather worker runs.
   ScanOp(const PlanNode& node, ExecContext* ctx,
          MorselSource* morsels = nullptr)
-      : node_(node), ctx_(ctx), morsels_(morsels) {}
+      : node_(node), ctx_(ctx), morsels_(morsels) {
+    bc_state_.params = ctx->params;
+  }
 
   ~ScanOp() override {
     if (ctx_->stats != nullptr) {
@@ -239,6 +243,20 @@ class ScanOp : public Operator {
     FinishGroups(&output_);
     PlanWalk(Source::kFilter, &filter_);
     PlanWalk(Source::kOutput, &output_);
+    for (Phase* phase : {&filter_, &output_}) {
+      std::vector<size_t>& touched = phase->touched;
+      for (const auto& [pos, type] : phase->walk.columns) {
+        touched.push_back(pos);
+      }
+      for (const VirtualCol& v : phase->cols) touched.push_back(v.pos);
+      if (phase == &filter_) {
+        touched.insert(touched.end(), node_.scan_filter_cols.begin(),
+                       node_.scan_filter_cols.end());
+      }
+      std::sort(touched.begin(), touched.end());
+      touched.erase(std::unique(touched.begin(), touched.end()),
+                    touched.end());
+    }
     // Columns that leave the scan declare their physical type, so the VM
     // validates them instead of classifying; virtual columns are untyped.
     col_types_.assign(width, ColTag::Type::kUnknown);
@@ -391,6 +409,11 @@ class ScanOp : public Operator {
     /// Per column source, in column order: the group reading it (-1: the
     /// attribute's own column, read as is).
     std::vector<int> source_groups;
+    /// Every position a round of the phase writes, boxes or profiles: its
+    /// walk's columns (__rid included; strip fills are a subset of them and
+    /// of `cols`), its virtual columns and, for the filter phase, the
+    /// columns the filter reads. ReadPhase resets only these.
+    std::vector<size_t> touched;
   };
 
   /// Adds virtual column `ref` (output position `pos`) to `phase`, its
@@ -634,7 +657,11 @@ class ScanOp : public Operator {
       bool skip = false;
       for (const auto& [col, zf] : resolved_zones_) {
         if (strip >= col->strips.size()) continue;
-        if (ZoneCanSkip(col->strips[strip], zf->op, zf->literal)) {
+        const Datum& literal =
+            zf->param >= 0 && ctx_->params != nullptr
+                ? (*ctx_->params)[static_cast<size_t>(zf->param)]
+                : zf->literal;
+        if (ZoneCanSkip(col->strips[strip], zf->op, literal)) {
           skip = true;
           break;
         }
@@ -864,7 +891,8 @@ class ScanOp : public Operator {
                    uint64_t* walked) {
     Walk* w = covered_ ? &phase->seg_walk : &phase->walk;
     b->ResetPrimary(node_.output_schema.cols.size(),
-                    covered_ ? phase->seg_columns : phase->walk.columns, n);
+                    covered_ ? phase->seg_columns : phase->walk.columns, n,
+                    phase->touched);
     for (size_t k = 0; k < w->dst.size(); ++k) {
       w->dst[k] = &b->tags[w->columns[k].first];
     }
@@ -1089,7 +1117,9 @@ class ScanOp : public Operator {
 class FilterOp : public Operator {
  public:
   FilterOp(const PlanNode& node, OperatorPtr child, ExecContext* ctx)
-      : node_(node), child_(std::move(child)), ctx_(ctx) {}
+      : node_(node), child_(std::move(child)), ctx_(ctx) {
+    bc_state_.params = ctx->params;
+  }
 
   ~FilterOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
 
@@ -1118,7 +1148,9 @@ class FilterOp : public Operator {
 class ProjectOp : public Operator {
  public:
   ProjectOp(const PlanNode& node, OperatorPtr child, ExecContext* ctx)
-      : node_(node), child_(std::move(child)), ctx_(ctx) {}
+      : node_(node), child_(std::move(child)), ctx_(ctx) {
+    bc_state_.params = ctx->params;
+  }
 
   ~ProjectOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
 
@@ -1343,7 +1375,9 @@ struct RowEq {
 class SortOp : public Operator {
  public:
   SortOp(const PlanNode& node, OperatorPtr child, ExecContext* ctx)
-      : node_(node), child_(std::move(child)), ctx_(ctx) {}
+      : node_(node), child_(std::move(child)), ctx_(ctx) {
+    bc_state_.params = ctx->params;
+  }
 
   ~SortOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
 
@@ -1399,7 +1433,9 @@ class HashJoinOp : public Operator {
       : node_(node),
         probe_(std::move(probe)),
         build_(std::move(build)),
-        ctx_(ctx) {}
+        ctx_(ctx) {
+    bc_state_.params = ctx->params;
+  }
 
   ~HashJoinOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
 
@@ -1485,7 +1521,9 @@ class MergeJoinOp : public Operator {
       : node_(node),
         left_(std::move(left)),
         right_(std::move(right)),
-        ctx_(ctx) {}
+        ctx_(ctx) {
+    bc_state_.params = ctx->params;
+  }
 
   ~MergeJoinOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
 
@@ -1757,7 +1795,9 @@ class GroupTable {
 class HashAggregateOp : public Operator {
  public:
   HashAggregateOp(const PlanNode& node, OperatorPtr child, ExecContext* ctx)
-      : node_(node), child_(std::move(child)), ctx_(ctx) {}
+      : node_(node), child_(std::move(child)), ctx_(ctx) {
+    bc_state_.params = ctx->params;
+  }
 
   ~HashAggregateOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
 
@@ -1790,7 +1830,9 @@ class HashAggregateOp : public Operator {
 class SortedGroupOp : public Operator {
  public:
   SortedGroupOp(const PlanNode& node, OperatorPtr child, ExecContext* ctx)
-      : node_(node), child_(std::move(child)), ctx_(ctx) {}
+      : node_(node), child_(std::move(child)), ctx_(ctx) {
+    bc_state_.params = ctx->params;
+  }
 
   ~SortedGroupOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
 
@@ -2069,6 +2111,7 @@ class GatherOp : public Operator {
     RETURN_NOT_OK(op->Open());
     GroupTable local(agg);
     bytecode::ExecState st;
+    st.params = ctx_->params;
     Status consumed = local.Consume(op.get(), ctx_, &st);
     FlushBytecodeState(agg, ctx_, &st);
     RETURN_NOT_OK(consumed);
@@ -2178,6 +2221,12 @@ Result<OperatorPtr> BuildOperatorInner(const PlanNode& node, ExecContext* ctx,
 
 Result<QueryResult> ExecutePlan(const PlanNode& plan, const UdfRegistry* udfs,
                                 const ExecOptions& options) {
+  return ExecutePlan(plan, udfs, options, nullptr);
+}
+
+Result<QueryResult> ExecutePlan(const PlanNode& plan, const UdfRegistry* udfs,
+                                const ExecOptions& options,
+                                const std::vector<Datum>* params) {
   static metrics::Counter* queries_total =
       metrics::GetCounter("exec.queries_total");
   static metrics::Counter* rows_out_total =
@@ -2193,6 +2242,7 @@ Result<QueryResult> ExecutePlan(const PlanNode& plan, const UdfRegistry* udfs,
   ctx.stats = options.stats;
   ctx.batch_size = std::max<size_t>(1, options.batch_size);
   ctx.time_ops = options.time_operators;
+  ctx.params = params;
   QueryResult result;
   {
     // Scope: the root operator (and any GatherOp inside it, which flushes
@@ -2255,10 +2305,11 @@ uint64_t SelfNs(const PlanNode& node, const PlanStats& stats) {
 }
 
 void AppendAnalyzedNode(const PlanNode& node, const PlanStats& stats,
-                        int depth, std::ostringstream* out) {
+                        const std::vector<Datum>* params, int depth,
+                        std::ostringstream* out) {
   for (int i = 0; i < depth; ++i) *out << "  ";
   if (depth > 0) *out << "-> ";
-  *out << node.Summary();
+  *out << node.Summary(params);
   if (const OperatorStats* s = stats.For(node)) {
     const uint64_t loops = s->instances.load(std::memory_order_relaxed);
     if (loops == 0) {
@@ -2340,15 +2391,16 @@ void AppendAnalyzedNode(const PlanNode& node, const PlanStats& stats,
   }
   *out << "\n";
   for (const auto& child : node.children) {
-    AppendAnalyzedNode(*child, stats, depth + 1, out);
+    AppendAnalyzedNode(*child, stats, params, depth + 1, out);
   }
 }
 
 }  // namespace
 
-std::string ExplainAnalyzeText(const PlanNode& plan, const PlanStats& stats) {
+std::string ExplainAnalyzeText(const PlanNode& plan, const PlanStats& stats,
+                               const std::vector<Datum>* params) {
   std::ostringstream out;
-  AppendAnalyzedNode(plan, stats, 0, &out);
+  AppendAnalyzedNode(plan, stats, params, 0, &out);
   return out.str();
 }
 

@@ -87,8 +87,10 @@ class PlanStats {
 };
 
 /// EXPLAIN ANALYZE rendering: the plan tree with per-node actual rows,
-/// loops and elapsed time appended to each estimate line.
-std::string ExplainAnalyzeText(const PlanNode& plan, const PlanStats& stats);
+/// loops and elapsed time appended to each estimate line; parameter slots
+/// render the values in `params` when given.
+std::string ExplainAnalyzeText(const PlanNode& plan, const PlanStats& stats,
+                               const std::vector<Datum>* params = nullptr);
 
 struct ExecOptions {
   /// Budget for materialized intermediate state (sort buffers, hash tables,
@@ -122,6 +124,14 @@ struct QueryResult {
 /// Executes a plan to completion.
 Result<QueryResult> ExecutePlan(const PlanNode& plan, const UdfRegistry* udfs,
                                 const ExecOptions& options = {});
+/// As above, with `params` bound to the plan's parameter slots
+/// (Expr::param): every compiled program and zone filter reads slot i's
+/// value from params[i]. nullptr runs the values the plan was built with.
+/// The plan itself is not modified, so executions binding different values
+/// may share it concurrently.
+Result<QueryResult> ExecutePlan(const PlanNode& plan, const UdfRegistry* udfs,
+                                const ExecOptions& options,
+                                const std::vector<Datum>* params);
 
 }  // namespace sinew::engine
 

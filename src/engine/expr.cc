@@ -129,6 +129,9 @@ ExprPtr Expr::Clone() const {
   auto e = std::make_unique<Expr>();
   e->kind = kind;
   e->literal = literal;
+  e->param = param;
+  e->src_begin = src_begin;
+  e->src_end = src_end;
   e->table = table;
   e->column = column;
   e->bound_slot = bound_slot;
@@ -142,45 +145,46 @@ ExprPtr Expr::Clone() const {
   return e;
 }
 
-std::string Expr::ToString() const {
+std::string Expr::ToString(const std::vector<Datum>* params) const {
   switch (kind) {
-    case ExprKind::kLiteral:
-      if (literal.is_text()) {
-        return "'" + literal.str() + "'";
-      }
-      return literal.ToString();
+    case ExprKind::kLiteral: {
+      const Datum& value =
+          param >= 0 && params != nullptr ? (*params)[param] : literal;
+      if (value.is_text()) return "'" + value.str() + "'";
+      return value.ToString();
+    }
     case ExprKind::kColumnRef:
       return table.empty() ? "\"" + column + "\""
                            : table + ".\"" + column + "\"";
     case ExprKind::kStar:
       return table.empty() ? "*" : table + ".*";
     case ExprKind::kUnary:
-      return (uop == UnaryOp::kNot ? "NOT (" : "-(") + args[0]->ToString() +
-             ")";
+      return (uop == UnaryOp::kNot ? "NOT (" : "-(") +
+             args[0]->ToString(params) + ")";
     case ExprKind::kBinary:
-      return "(" + args[0]->ToString() + " " + BinaryOpSymbol(bop) + " " +
-             args[1]->ToString() + ")";
+      return "(" + args[0]->ToString(params) + " " + BinaryOpSymbol(bop) +
+             " " + args[1]->ToString(params) + ")";
     case ExprKind::kBetween:
-      return "(" + args[0]->ToString() + (negated ? " NOT" : "") +
-             " BETWEEN " + args[1]->ToString() + " AND " +
-             args[2]->ToString() + ")";
+      return "(" + args[0]->ToString(params) + (negated ? " NOT" : "") +
+             " BETWEEN " + args[1]->ToString(params) + " AND " +
+             args[2]->ToString(params) + ")";
     case ExprKind::kInList: {
-      std::string out = "(" + args[0]->ToString() + (negated ? " NOT" : "") +
-                        " IN (";
+      std::string out = "(" + args[0]->ToString(params) +
+                        (negated ? " NOT" : "") + " IN (";
       for (size_t i = 1; i < args.size(); ++i) {
         if (i > 1) out += ", ";
-        out += args[i]->ToString();
+        out += args[i]->ToString(params);
       }
       return out + "))";
     }
     case ExprKind::kIsNull:
-      return "(" + args[0]->ToString() + " IS " + (negated ? "NOT " : "") +
-             "NULL)";
+      return "(" + args[0]->ToString(params) + " IS " +
+             (negated ? "NOT " : "") + "NULL)";
     case ExprKind::kFunction: {
       std::string out = fname + "(";
       for (size_t i = 0; i < args.size(); ++i) {
         if (i > 0) out += ", ";
-        out += args[i]->ToString();
+        out += args[i]->ToString(params);
       }
       return out + ")";
     }
@@ -188,10 +192,10 @@ std::string Expr::ToString() const {
       std::string out = "CASE";
       size_t i = 0;
       for (; i + 1 < args.size(); i += 2) {
-        out += " WHEN " + args[i]->ToString() + " THEN " +
-               args[i + 1]->ToString();
+        out += " WHEN " + args[i]->ToString(params) + " THEN " +
+               args[i + 1]->ToString(params);
       }
-      if (i < args.size()) out += " ELSE " + args[i]->ToString();
+      if (i < args.size()) out += " ELSE " + args[i]->ToString(params);
       return out + " END";
     }
     case ExprKind::kVirtual: {
@@ -200,7 +204,7 @@ std::string Expr::ToString() const {
       std::string out = args.size() > 1 ? "coalesce(" : "";
       for (size_t i = 0; i < args.size(); ++i) {
         if (i > 0) out += ", ";
-        out += args[i]->ToString();
+        out += args[i]->ToString(params);
         const std::vector<ExtractTarget>& targets = (*virtual_sources)[i];
         if (targets.empty()) continue;
         out += "->[";

@@ -82,6 +82,15 @@ struct Expr {
 
   // kLiteral
   Datum literal;
+  /// kLiteral: a parameter slot of a cached plan when >= 0 (see
+  /// sinew/plan_cache.h). `literal` keeps the value the plan was built
+  /// with, for typing and estimates; execution reads the value bound to
+  /// slot `param`, and constant folding leaves the node alone.
+  int param = -1;
+  /// kLiteral parsed from SQL text: the bytes [src_begin, src_end) from the
+  /// literal's first character to the next token. src_end == 0: none.
+  uint32_t src_begin = 0;
+  uint32_t src_end = 0;
 
   // kColumnRef / kStar: `table` is the (optional) alias qualifier; `column`
   // is the logical, possibly dotted, column name. After binding,
@@ -128,8 +137,9 @@ struct Expr {
   ExprPtr Clone() const;
 
   /// Canonical text rendering; doubles as the structural-equality key used
-  /// for GROUP BY matching.
-  std::string ToString() const;
+  /// for GROUP BY matching. With `params`, a parameter slot renders the
+  /// value bound to it.
+  std::string ToString(const std::vector<Datum>* params = nullptr) const;
 
   /// True for count/sum/avg/min/max calls.
   bool IsAggregateCall() const;

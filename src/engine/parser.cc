@@ -482,17 +482,26 @@ class Parser {
     return ParsePrimary();
   }
 
+  /// A literal read from token `t`, just consumed, spanning the text up to
+  /// the next token (Expr::src_begin / src_end).
+  ExprPtr SourceLiteral(const Token& t, Datum value) const {
+    ExprPtr e = Expr::Literal(std::move(value));
+    e->src_begin = static_cast<uint32_t>(t.offset);
+    e->src_end = static_cast<uint32_t>(Peek().offset);
+    return e;
+  }
+
   Result<ExprPtr> ParsePrimary() {
     const Token& t = Peek();
     switch (t.type) {
       case TokenType::kString: {
         ++pos_;
-        return Expr::Literal(Datum::Text(t.text));
+        return SourceLiteral(t, Datum::Text(t.text));
       }
       case TokenType::kInteger: {
         ASSIGN_OR_RETURN(int64_t v, IntegerLiteral(t.text));
         ++pos_;
-        return Expr::Literal(Datum::Int(v));
+        return SourceLiteral(t, Datum::Int(v));
       }
       case TokenType::kFloat: {
         double v = 0;
@@ -502,7 +511,7 @@ class Parser {
                                          " is out of range");
         }
         ++pos_;
-        return Expr::Literal(Datum::Double(v));
+        return SourceLiteral(t, Datum::Double(v));
       }
       case TokenType::kSymbol:
         if (t.IsSymbol("(")) {
@@ -515,11 +524,11 @@ class Parser {
       case TokenType::kIdentifier:
         if (t.IsKeyword("TRUE")) {
           ++pos_;
-          return Expr::Literal(Datum::Bool(true));
+          return SourceLiteral(t, Datum::Bool(true));
         }
         if (t.IsKeyword("FALSE")) {
           ++pos_;
-          return Expr::Literal(Datum::Bool(false));
+          return SourceLiteral(t, Datum::Bool(false));
         }
         if (t.IsKeyword("NULL")) {
           ++pos_;

@@ -39,27 +39,29 @@ const char* PlanKindName(PlanKind kind) {
 
 namespace {
 
-std::string ExprListToString(const std::vector<ExprPtr>& exprs) {
+std::string ExprListToString(const std::vector<ExprPtr>& exprs,
+                             const std::vector<Datum>* params) {
   std::string out;
   for (size_t i = 0; i < exprs.size(); ++i) {
     if (i > 0) out += ", ";
-    out += exprs[i]->ToString();
+    out += exprs[i]->ToString(params);
   }
   return out;
 }
 
-void AppendNode(const PlanNode& node, int depth, std::ostringstream* out) {
+void AppendNode(const PlanNode& node, int depth,
+                const std::vector<Datum>* params, std::ostringstream* out) {
   for (int i = 0; i < depth; ++i) *out << "  ";
   if (depth > 0) *out << "-> ";
-  *out << node.Summary() << "\n";
+  *out << node.Summary(params) << "\n";
   for (const auto& child : node.children) {
-    AppendNode(*child, depth + 1, out);
+    AppendNode(*child, depth + 1, params, out);
   }
 }
 
 }  // namespace
 
-std::string PlanNode::Summary() const {
+std::string PlanNode::Summary(const std::vector<Datum>* params) const {
   std::ostringstream out;
   out << PlanKindName(kind);
   switch (kind) {
@@ -69,7 +71,7 @@ std::string PlanNode::Summary() const {
         out << " " << alias;
       }
       if (scan_filter != nullptr) {
-        out << " (filter: " << scan_filter->ToString() << ")";
+        out << " (filter: " << scan_filter->ToString(params) << ")";
       }
       if (!virtual_columns.empty()) {
         // Distinct source columns, and the columns resolved across several
@@ -89,23 +91,23 @@ std::string PlanNode::Summary() const {
       }
       break;
     case PlanKind::kFilter:
-      out << " (" << (predicate != nullptr ? predicate->ToString() : "?")
+      out << " (" << (predicate != nullptr ? predicate->ToString(params) : "?")
           << ")";
       break;
     case PlanKind::kProject:
-      out << " [" << ExprListToString(projections) << "]";
+      out << " [" << ExprListToString(projections, params) << "]";
       break;
     case PlanKind::kHashJoin:
     case PlanKind::kMergeJoin:
-      out << " (" << ExprListToString(left_keys) << " = "
-          << ExprListToString(right_keys) << ")";
+      out << " (" << ExprListToString(left_keys, params) << " = "
+          << ExprListToString(right_keys, params) << ")";
       break;
     case PlanKind::kSort:
-      out << " (" << ExprListToString(sort_keys) << ")";
+      out << " (" << ExprListToString(sort_keys, params) << ")";
       break;
     case PlanKind::kHashAggregate:
     case PlanKind::kGroupAggregate:
-      out << " (keys: " << ExprListToString(group_keys) << ")";
+      out << " (keys: " << ExprListToString(group_keys, params) << ")";
       break;
     case PlanKind::kGather:
       // Merge path is plan-derivable: a hash-aggregate child runs per-worker
@@ -129,9 +131,9 @@ std::string PlanNode::Summary() const {
   return out.str();
 }
 
-std::string PlanNode::DebugString() const {
+std::string PlanNode::DebugString(const std::vector<Datum>* params) const {
   std::ostringstream out;
-  AppendNode(*this, 0, &out);
+  AppendNode(*this, 0, params, &out);
   return out.str();
 }
 

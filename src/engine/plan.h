@@ -71,6 +71,9 @@ struct ZoneFilter {
   int64_t type_tag = 0;              ///< ValueType of the compared values
   BinaryOp op = BinaryOp::kEq;       ///< comparison with the value on the left
   Datum literal;
+  /// The literal's parameter slot (Expr::param), -1 if none: the scan then
+  /// compares with the value bound to it instead.
+  int param = -1;
 };
 
 struct PlanNode {
@@ -153,11 +156,12 @@ struct PlanNode {
   std::vector<ProgramPtr> group_key_programs;   // parallel to `group_keys`
   std::vector<ProgramPtr> agg_programs;         // parallel to `aggs`
 
-  /// EXPLAIN rendering (multi-line tree).
-  std::string DebugString() const;
+  /// EXPLAIN rendering (multi-line tree). With `params`, parameter slots
+  /// render the values bound to them.
+  std::string DebugString(const std::vector<Datum>* params = nullptr) const;
 
   /// Root operator name plus key details on one line (test assertions).
-  std::string Summary() const;
+  std::string Summary(const std::vector<Datum>* params = nullptr) const;
 };
 
 using PlanPtr = std::unique_ptr<PlanNode>;

@@ -89,7 +89,8 @@ std::optional<double> LiteralAsDouble(const Expr& e) {
 /// kFunction/kCase are never folded (UDFs are opaque to the planner).
 /// Decided AND/OR left sides fold too — Kleene evaluation never evaluates
 /// the right side of `FALSE AND x` / `TRUE OR x`, so replacing the
-/// conjunction with the decided literal is exact.
+/// conjunction with the decided literal is exact. A parameter slot is not a
+/// constant: a subtree holding one stays unfolded.
 void FoldConstants(ExprPtr* expr) {
   Expr& e = **expr;
   for (ExprPtr& arg : e.args) FoldConstants(&arg);
@@ -107,14 +108,14 @@ void FoldConstants(ExprPtr* expr) {
       (e.bop == BinaryOp::kAnd || e.bop == BinaryOp::kOr)) {
     const bool is_or = e.bop == BinaryOp::kOr;
     const Expr& lhs = *e.args[0];
-    if (lhs.kind == ExprKind::kLiteral && lhs.literal.is_bool() &&
-        lhs.literal.bool_value() == is_or) {
+    if (lhs.kind == ExprKind::kLiteral && lhs.param < 0 &&
+        lhs.literal.is_bool() && lhs.literal.bool_value() == is_or) {
       *expr = Expr::Literal(Datum::Bool(is_or));
       return;
     }
   }
   for (const ExprPtr& arg : e.args) {
-    if (arg->kind != ExprKind::kLiteral) return;
+    if (arg->kind != ExprKind::kLiteral || arg->param >= 0) return;
   }
   Result<Datum> value = bytecode::EvalConstant(e, nullptr);
   if (!value.ok()) return;
@@ -1196,9 +1197,10 @@ std::optional<ZoneFilter> ZoneSource(const Expr& e, const PlanNode& scan) {
   return zf;
 }
 
-ZoneFilter MakeZoneFilter(ZoneFilter zf, BinaryOp op, const Datum& literal) {
+ZoneFilter MakeZoneFilter(ZoneFilter zf, BinaryOp op, const Expr& literal) {
   zf.op = op;
-  zf.literal = literal;
+  zf.literal = literal.literal;
+  zf.param = literal.param;
   return zf;
 }
 
@@ -1215,11 +1217,11 @@ void CollectZoneFilters(const Expr& conjunct, PlanNode* scan) {
     const Expr& rhs = *conjunct.args[1];
     if (std::optional<ZoneFilter> v = ZoneSource(lhs, *scan);
         v.has_value() && rhs.kind == ExprKind::kLiteral) {
-      out->push_back(MakeZoneFilter(std::move(*v), conjunct.bop, rhs.literal));
+      out->push_back(MakeZoneFilter(std::move(*v), conjunct.bop, rhs));
     } else if (std::optional<ZoneFilter> u = ZoneSource(rhs, *scan);
                u.has_value() && lhs.kind == ExprKind::kLiteral) {
       out->push_back(MakeZoneFilter(
-          std::move(*u), FlipComparisonOp(conjunct.bop), lhs.literal));
+          std::move(*u), FlipComparisonOp(conjunct.bop), lhs));
     }
     return;
   }
@@ -1229,9 +1231,9 @@ void CollectZoneFilters(const Expr& conjunct, PlanNode* scan) {
       conjunct.args[2]->kind == ExprKind::kLiteral) {
     if (std::optional<ZoneFilter> v = ZoneSource(*conjunct.args[0], *scan)) {
       out->push_back(
-          MakeZoneFilter(*v, BinaryOp::kGe, conjunct.args[1]->literal));
-      out->push_back(MakeZoneFilter(std::move(*v), BinaryOp::kLe,
-                                    conjunct.args[2]->literal));
+          MakeZoneFilter(*v, BinaryOp::kGe, *conjunct.args[1]));
+      out->push_back(
+          MakeZoneFilter(std::move(*v), BinaryOp::kLe, *conjunct.args[2]));
     }
   }
 }

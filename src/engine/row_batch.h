@@ -161,20 +161,33 @@ struct RowBatch {
   /// Empties the batch for a producer that writes the columns of `primary`
   /// (position, type) typed-primary, at most `capacity` rows: their tags are
   /// sized for `capacity` rows with no NULLs, keeping the arrays' capacity
-  /// across calls. Every other column is empty and untagged.
+  /// across calls. Every other column is empty and untagged. A producer
+  /// that never writes, boxes or profiles a column outside `touched` (a
+  /// superset of `primary`'s positions) passes it, and only those columns
+  /// are cleared once the batch has `num_columns`: the rest are still as the
+  /// first, full reset left them, so a reset costs the columns a producer
+  /// writes, not the batch's width.
   void ResetPrimary(size_t num_columns,
                     std::span<const std::pair<size_t, ColTag::Type>> primary,
-                    size_t capacity) {
-    cols.resize(num_columns);
-    for (std::vector<Datum>& c : cols) c.clear();
-    sel.clear();
-    size = 0;
-    col_types.clear();
-    for (ColTag& t : tags) {
+                    size_t capacity, std::span<const size_t> touched = {}) {
+    auto clear_tag = [](ColTag& t) {
       t.type = ColTag::Type::kUnknown;
       t.has_nulls = false;
       t.primary = false;
+    };
+    if (touched.empty() || cols.size() != num_columns) {
+      cols.resize(num_columns);
+      for (std::vector<Datum>& c : cols) c.clear();
+      for (ColTag& t : tags) clear_tag(t);
+    } else {
+      for (size_t c : touched) {
+        cols[c].clear();
+        if (c < tags.size()) clear_tag(tags[c]);
+      }
     }
+    sel.clear();
+    size = 0;
+    col_types.clear();
     // Room for every column, so the tags handed out never move.
     tags.reserve(num_columns);
     for (const auto& [c, type] : primary) {

@@ -13,6 +13,7 @@ Status Table::AddColumn(Column column) {
   std::unique_lock lock(latch_);
   RETURN_NOT_OK(schema_.AddColumn(std::move(column)));
   BumpVersion();
+  BumpPlanVersion();
   return Status::OK();
 }
 
@@ -23,6 +24,7 @@ Status Table::DropColumn(std::string_view column) {
   // re-add) could change what that name means, so detach conservatively.
   columnar_.reset();
   BumpVersion();
+  BumpPlanVersion();
   return Status::OK();
 }
 
@@ -232,6 +234,7 @@ Status Table::Analyze() {
     stats.columns[columns[i].name] = std::move(col_stats[i]);
   }
   stats_ = std::move(stats);
+  BumpPlanVersion();
   return Status::OK();
 }
 

@@ -105,6 +105,14 @@ class Table {
     return mutation_version_.load(std::memory_order_acquire);
   }
 
+  /// Monotonic counter bumped by every change a plan over the table is
+  /// built from, and by nothing else: a column added or dropped, new
+  /// ANALYZE statistics. Appends, updates and deletes leave it alone. A
+  /// cached plan (sinew/plan_cache.h) is reused only while it is unchanged.
+  uint64_t PlanVersion() const {
+    return plan_version_.load(std::memory_order_acquire);
+  }
+
   /// Restores a row image verbatim at the next row id (persist/load path);
   /// an empty string restores a deleted slot. Validates decodability.
   Status RestoreRawRow(std::string encoded);
@@ -164,6 +172,10 @@ class Table {
   void BumpVersion() {
     mutation_version_.fetch_add(1, std::memory_order_acq_rel);
   }
+  /// Bump under the exclusive latch after a schema or statistics change.
+  void BumpPlanVersion() {
+    plan_version_.fetch_add(1, std::memory_order_acq_rel);
+  }
   /// Replaces live row `rid` with `row`; the caller holds the latch
   /// exclusive.
   Status ReplaceRowLocked(uint64_t rid, const DatumRow& row);
@@ -174,6 +186,7 @@ class Table {
   uint64_t live_rows_ = 0;
   uint64_t data_bytes_ = 0;
   std::atomic<uint64_t> mutation_version_{0};
+  std::atomic<uint64_t> plan_version_{0};
   TableStats stats_;
   /// Shredded strips over rows [0, segment row_count); detached wholesale by
   /// UpdateRow/PatchRow before any covered row mutates, so a snapshot taken

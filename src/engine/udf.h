@@ -72,7 +72,13 @@ class UdfRegistry {
   /// Registers (or replaces) a scalar function under a lower-case name.
   void Register(std::string name, UdfFn fn) {
     fns_[std::move(name)] = std::move(fn);
+    ++version_;
   }
+
+  /// Bumped by every Register / SetBatchExtract: compiled programs hold the
+  /// functions they call, so a cached plan is reused only while it holds.
+  /// Registration is not synchronized with queries (set up first).
+  uint64_t version() const { return version_; }
 
   const UdfFn* Find(std::string_view name) const {
     auto it = fns_.find(name);
@@ -86,7 +92,10 @@ class UdfRegistry {
   /// engine): scans call it for their virtual columns and the scalar
   /// evaluator for one document at a time. Unset by default: the planner
   /// then leaves kVirtual nodes unhoisted, and evaluating one is an error.
-  void SetBatchExtract(BatchExtractFn fn) { batch_extract_ = std::move(fn); }
+  void SetBatchExtract(BatchExtractFn fn) {
+    batch_extract_ = std::move(fn);
+    ++version_;
+  }
 
   const BatchExtractFn* batch_extract() const {
     return batch_extract_ ? &batch_extract_ : nullptr;
@@ -103,6 +112,7 @@ class UdfRegistry {
 
  private:
   std::map<std::string, UdfFn, std::less<>> fns_;
+  uint64_t version_ = 0;
   BatchExtractFn batch_extract_;
   HeatSinkFn heat_sink_;
 };

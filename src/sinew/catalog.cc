@@ -37,7 +37,7 @@ size_t AttributeCatalog::size() const {
 
 void AttributeCatalog::RegisterTable(const std::string& table) {
   std::lock_guard lock(mutex_);
-  tables_.try_emplace(table);
+  if (tables_.try_emplace(table).second) BumpEpochLocked(table);
   latches_.try_emplace(table, std::make_unique<std::mutex>());
 }
 
@@ -49,9 +49,11 @@ bool AttributeCatalog::HasTable(const std::string& table) const {
 void AttributeCatalog::AddOccurrences(const std::string& table,
                                       uint32_t attr_id, uint64_t delta) {
   std::lock_guard lock(mutex_);
-  AttributeState& state = tables_[table][attr_id];
+  auto [it, added] = tables_[table].try_emplace(attr_id);
+  AttributeState& state = it->second;
   state.attr_id = attr_id;
   state.count += delta;
+  if (added) BumpEpochLocked(table);
 }
 
 Status AttributeCatalog::SetMaterialized(const std::string& table,
@@ -66,6 +68,7 @@ Status AttributeCatalog::SetMaterialized(const std::string& table,
   if (a->second.materialized != materialized) {
     a->second.materialized = materialized;
     a->second.dirty = true;  // data movement now pending
+    BumpEpochLocked(table);
   }
   return Status::OK();
 }
@@ -79,7 +82,10 @@ Status AttributeCatalog::SetDirty(const std::string& table, uint32_t attr_id,
   if (a == t->second.end()) {
     return Status::NotFound("attribute ", attr_id, " in table ", table);
   }
-  a->second.dirty = dirty;
+  if (a->second.dirty != dirty) {
+    a->second.dirty = dirty;
+    BumpEpochLocked(table);
+  }
   return Status::OK();
 }
 
@@ -114,6 +120,12 @@ std::vector<uint32_t> AttributeCatalog::DirtyAttributes(
     if (state.dirty) out.push_back(id);
   }
   return out;
+}
+
+uint64_t AttributeCatalog::StateEpoch(std::string_view table) const {
+  std::lock_guard lock(mutex_);
+  auto it = epochs_.find(table);
+  return it == epochs_.end() ? 0 : it->second;
 }
 
 std::vector<std::string> AttributeCatalog::TableNames() const {
@@ -241,6 +253,7 @@ void AttributeCatalog::Clear() {
   tables_.clear();
   heat_.clear();
   latches_.clear();
+  epochs_.clear();
   version_.fetch_add(1, std::memory_order_release);
 }
 

@@ -125,6 +125,14 @@ class AttributeCatalog : public serial::AttributeDictionary {
   /// Attribute IDs currently marked dirty.
   std::vector<uint32_t> DirtyAttributes(const std::string& table) const;
 
+  /// The table's attribute-state epoch: it changes on every transition a
+  /// query rewrite reads — the table registered, an attribute first
+  /// observed in it, a materialized or dirty flip — and not on occurrence
+  /// counts alone, so appending rows leaves it be. Epochs come from one
+  /// counter that Clear does not reset: no two states of any table share
+  /// one. 0 for a table with no state.
+  uint64_t StateEpoch(std::string_view table) const;
+
   /// Names of all registered tables.
   std::vector<std::string> TableNames() const;
 
@@ -153,6 +161,12 @@ class AttributeCatalog : public serial::AttributeDictionary {
   serial::SimpleDictionary dict_;
   std::map<std::string, std::map<uint32_t, AttributeState>> tables_;
   std::map<std::string, std::map<uint32_t, AttrHeat>> heat_;
+  /// StateEpoch per table, and the counter every new epoch is drawn from.
+  std::map<std::string, uint64_t, std::less<>> epochs_;
+  uint64_t last_epoch_ = 0;
+  void BumpEpochLocked(const std::string& table) {
+    epochs_[table] = ++last_epoch_;
+  }
   // Stable-address latches (std::mutex is not movable).
   std::map<std::string, std::unique_ptr<std::mutex>> latches_;
 };

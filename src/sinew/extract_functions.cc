@@ -1,5 +1,6 @@
 #include "sinew/extract_functions.h"
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <utility>
@@ -35,19 +36,41 @@ Result<Datum> DecodeScalarTyped(const AttributeCatalog& catalog,
   return Datum::FromValue(v);
 }
 
+/// The targets of one extractor call grouped by prefix chain, computed once
+/// per call: targets [begin, end) share targets[begin].prefix_ids, and
+/// `wanted` lists every target's attribute id in target order, so a group's
+/// ids are wanted[begin, end).
+struct TargetGroups {
+  std::vector<std::pair<uint32_t, uint32_t>> groups;
+  std::vector<uint32_t> wanted;
+
+  explicit TargetGroups(const std::vector<engine::ExtractTarget>& targets) {
+    wanted.reserve(targets.size());
+    for (const engine::ExtractTarget& t : targets) wanted.push_back(t.attr_id);
+    for (size_t g = 0; g < targets.size();) {
+      size_t h = g + 1;
+      while (h < targets.size() &&
+             targets[h].prefix_ids == targets[g].prefix_ids) {
+        ++h;
+      }
+      groups.emplace_back(static_cast<uint32_t>(g), static_cast<uint32_t>(h));
+      g = h;
+    }
+  }
+};
+
 /// Extracts every target from the serialized document `doc`, appending one
 /// value, tagged with `doc_index`, per attribute present. Targets sharing a
 /// prefix chain share one nested-object descent, and all attribute ids under
 /// a chain resolve in a single header pass (DocumentView::ExtractMany).
+/// `values` is scratch of at least the largest group's size.
 Status ExtractFromDoc(const AttributeCatalog& catalog,
                       const std::vector<engine::ExtractTarget>& targets,
-                      std::string_view doc, uint32_t doc_index,
+                      const TargetGroups& groups, std::string_view doc,
+                      uint32_t doc_index,
+                      std::vector<std::optional<std::string_view>>* values,
                       std::vector<engine::ExtractedValue>* out) {
-  const size_t j = targets.size();
-  size_t g = 0;
-  while (g < j) {
-    size_t h = g;
-    while (h < j && targets[h].prefix_ids == targets[g].prefix_ids) ++h;
+  for (const auto [g, h] : groups.groups) {
     std::string_view current = doc;
     bool present = true;
     for (uint32_t pid : targets[g].prefix_ids) {
@@ -59,26 +82,18 @@ Status ExtractFromDoc(const AttributeCatalog& catalog,
       }
       current = *sub;
     }
-    if (!present) {
-      g = h;  // every target under this prefix chain stays NULL
-      continue;
-    }
-    // Scratch buffers are thread_local: the registered std::function is
-    // shared by every scan, Gather workers included.
-    thread_local std::vector<uint32_t> wanted;
-    thread_local std::vector<std::optional<std::string_view>> values;
-    wanted.clear();
-    for (size_t k = g; k < h; ++k) wanted.push_back(targets[k].attr_id);
-    values.assign(h - g, std::nullopt);
+    if (!present) continue;  // every target under this chain stays NULL
     serial::DocumentView view(current);
-    view.ExtractMany(wanted.data(), wanted.size(), values.data());
-    for (size_t k = g; k < h; ++k) {
-      const std::optional<std::string_view>& bytes = values[k - g];
+    size_t found = view.ExtractMany(groups.wanted.data() + g, h - g,
+                                    values->data());
+    for (uint32_t k = g; k < h && found > 0; ++k) {
+      const std::optional<std::string_view>& bytes = (*values)[k - g];
       if (!bytes.has_value()) continue;
+      --found;
       const engine::ExtractTarget& t = targets[k];
       engine::ExtractedValue& e = out->emplace_back();
       e.doc = doc_index;
-      e.target = static_cast<uint32_t>(k);
+      e.target = k;
       if (t.raw_bytes) {
         e.value = Datum::Bytes(std::string(*bytes));
         continue;
@@ -92,7 +107,6 @@ Status ExtractFromDoc(const AttributeCatalog& catalog,
         ASSIGN_OR_RETURN(e.value, DecodeScalarTyped(catalog, type, *bytes));
       }
     }
-    g = h;
   }
   return Status::OK();
 }
@@ -112,12 +126,18 @@ engine::BatchExtractFn MakeBatchExtractor(AttributeCatalog* catalog) {
         metrics::GetCounter("reservoir.decodes");
     static metrics::Histogram* attrs_hist =
         metrics::GetHistogram("reservoir.attrs_per_decode");
+    const TargetGroups groups(targets);
+    size_t widest = 0;
+    for (const auto [g, h] : groups.groups) {
+      widest = std::max<size_t>(widest, h - g);
+    }
+    std::vector<std::optional<std::string_view>> values(widest);
     uint64_t decoded = 0;
     for (size_t n = 0; n < docs.size(); ++n) {
       if (docs[n].data() == nullptr) continue;  // NULL source
       ++decoded;
-      RETURN_NOT_OK(ExtractFromDoc(*catalog, targets, docs[n],
-                                   static_cast<uint32_t>(n), out));
+      RETURN_NOT_OK(ExtractFromDoc(*catalog, targets, groups, docs[n],
+                                   static_cast<uint32_t>(n), &values, out));
     }
     stats->decodes += decoded;
     stats->attrs += decoded * targets.size();

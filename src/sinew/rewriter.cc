@@ -55,9 +55,16 @@ class QueryRewriter::Impl {
     mutable std::unordered_map<std::string, engine::ColumnType> columns;
   };
 
+  /// `counts`, when given, receives the statement's counter increments.
   Impl(engine::Database* db, AttributeCatalog* catalog,
-       const TextIndexMap* indexes)
-      : db_(db), catalog_(catalog), indexes_(indexes) {}
+       const TextIndexMap* indexes, RewriteCounts* counts)
+      : db_(db), catalog_(catalog), indexes_(indexes), out_(counts) {}
+
+  /// Publishes the statement's counter increments, on every return path.
+  ~Impl() {
+    counts_.Publish();
+    if (out_ != nullptr) *out_ = counts_;
+  }
 
   Status AddScope(const std::string& table_name, const std::string& alias) {
     ScopeTable st;
@@ -180,12 +187,10 @@ class QueryRewriter::Impl {
   /// instead of re-locking the catalog per lookup kind.
   void PrefetchResolutions(
       const std::map<std::string, std::vector<std::string>>& by_table) {
-    static metrics::Counter* bind_resolutions =
-        metrics::GetCounter("extract.bind_time_resolutions");
     for (const auto& [table, paths] : by_table) {
       std::map<std::string, AttributeCatalog::ResolvedPath, std::less<>>
           batch = catalog_->ResolveBatch(table, paths);
-      bind_resolutions->Add(batch.size());
+      counts_.bind_resolutions += batch.size();
       auto& dest = resolved_[table];
       for (auto& [path, rp] : batch) dest.insert_or_assign(path, std::move(rp));
     }
@@ -392,8 +397,6 @@ class QueryRewriter::Impl {
   }
 
   Status RewriteColumnRef(ExprPtr* e, Hint hint) {
-    static metrics::Counter* physical_refs =
-        metrics::GetCounter("rewriter.physical_refs_total");
     if ((*e)->table.empty() && output_aliases_.count((*e)->column) != 0) {
       return Status::OK();  // select-list alias; the planner resolves it
     }
@@ -402,7 +405,7 @@ class QueryRewriter::Impl {
     if (!st->is_sinew) {
       (*e)->table = st->alias;
       (*e)->column = path;
-      physical_refs->Increment();
+      ++counts_.physical_refs;
       return Status::OK();
     }
     const AttributeCatalog::ResolvedPath* rp = FindResolved(st->name, path);
@@ -454,15 +457,11 @@ class QueryRewriter::Impl {
     // engine column counts as physical; a virtual-column reference (dirty
     // columns included) counts as virtual. This ratio is the signal the
     // paper's materializer exists to improve.
-    static metrics::Counter* physical_refs =
-        metrics::GetCounter("rewriter.physical_refs_total");
-    static metrics::Counter* virtual_refs =
-        metrics::GetCounter("rewriter.virtual_refs_total");
     if (IsPseudoColumn(path)) return Expr::Column(st.alias, path);
     if (candidates.empty()) {
       // Plain relational column of a hybrid table?
       if (ColumnExists(st, path)) {
-        physical_refs->Increment();
+        ++counts_.physical_refs;
         return Expr::Column(st.alias, path);
       }
       return Status::NotFound("column \"", path,
@@ -488,13 +487,13 @@ class QueryRewriter::Impl {
     if (candidates.size() == 1 && own != nullptr && !own->state.dirty) {
       // Clean physical column: a plain reference, rendered as JSON in a
       // display context when it holds a serialized collection.
-      physical_refs->Increment();
+      ++counts_.physical_refs;
       ExprPtr col = Expr::Column(st.alias, path);
       return IsCollection(own->attr.type) && hint != Hint::kBytes
                  ? Render(std::move(col), own->attr.type)
                  : std::move(col);
     }
-    virtual_refs->Increment();
+    ++counts_.virtual_refs;
     // Candidate types filtered by the query's type evidence, in type order.
     std::vector<KeyVariant> variants;
     for (const KeyVariant& c : candidates) {
@@ -676,6 +675,8 @@ class QueryRewriter::Impl {
   engine::Database* db_;
   AttributeCatalog* catalog_;
   const TextIndexMap* indexes_;
+  RewriteCounts counts_;
+  RewriteCounts* out_;
   std::vector<ScopeTable> scope_;
   std::set<std::string> output_aliases_;
   /// Bind-time resolution snapshot, per table then path (PrefetchResolutions).
@@ -684,8 +685,9 @@ class QueryRewriter::Impl {
       resolved_;
 };
 
-Status QueryRewriter::RewriteSelect(engine::SelectStatement* stmt) const {
-  Impl impl(db_, catalog_, indexes_);
+Status QueryRewriter::RewriteSelect(engine::SelectStatement* stmt,
+                                   RewriteCounts* counts) const {
+  Impl impl(db_, catalog_, indexes_, counts);
   for (const engine::TableRef& ref : stmt->from) {
     RETURN_NOT_OK(impl.AddScope(ref.table_name, ref.effective_alias()));
   }
@@ -782,8 +784,9 @@ Status QueryRewriter::RewriteSelect(engine::SelectStatement* stmt) const {
   return Status::OK();
 }
 
-Status QueryRewriter::RewriteUpdate(engine::UpdateStatement* stmt) const {
-  Impl impl(db_, catalog_, indexes_);
+Status QueryRewriter::RewriteUpdate(engine::UpdateStatement* stmt,
+                                   RewriteCounts* counts) const {
+  Impl impl(db_, catalog_, indexes_, counts);
   RETURN_NOT_OK(impl.AddScope(stmt->table, stmt->table));
   const Impl::ScopeTable& st = impl.scope()[0];
   std::map<std::string, std::vector<std::string>> referenced;
@@ -859,8 +862,9 @@ Status QueryRewriter::RewriteUpdate(engine::UpdateStatement* stmt) const {
   return Status::OK();
 }
 
-Status QueryRewriter::RewriteDelete(engine::DeleteStatement* stmt) const {
-  Impl impl(db_, catalog_, indexes_);
+Status QueryRewriter::RewriteDelete(engine::DeleteStatement* stmt,
+                                   RewriteCounts* counts) const {
+  Impl impl(db_, catalog_, indexes_, counts);
   RETURN_NOT_OK(impl.AddScope(stmt->table, stmt->table));
   if (stmt->where != nullptr) {
     std::map<std::string, std::vector<std::string>> referenced;
@@ -884,7 +888,27 @@ struct ScopedNsCounter {
 
 }  // namespace
 
-Status QueryRewriter::RewriteStatement(engine::Statement* stmt) const {
+void RewriteCounts::Publish() const {
+  static metrics::Counter* physical_refs_total =
+      metrics::GetCounter("rewriter.physical_refs_total");
+  static metrics::Counter* virtual_refs_total =
+      metrics::GetCounter("rewriter.virtual_refs_total");
+  static metrics::Counter* bind_resolutions_total =
+      metrics::GetCounter("extract.bind_time_resolutions");
+  physical_refs_total->Add(physical_refs);
+  virtual_refs_total->Add(virtual_refs);
+  bind_resolutions_total->Add(bind_resolutions);
+}
+
+void QueryRewriter::Replay(const RewriteCounts& counts) {
+  static metrics::Counter* queries_total =
+      metrics::GetCounter("rewriter.queries_total");
+  queries_total->Increment();
+  counts.Publish();
+}
+
+Status QueryRewriter::RewriteStatement(engine::Statement* stmt,
+                                       RewriteCounts* counts) const {
   static metrics::Counter* queries_total =
       metrics::GetCounter("rewriter.queries_total");
   static metrics::Counter* rewrite_ns_total =
@@ -894,11 +918,11 @@ Status QueryRewriter::RewriteStatement(engine::Statement* stmt) const {
   switch (stmt->kind) {
     case engine::StatementKind::kSelect:
     case engine::StatementKind::kExplain:
-      return RewriteSelect(stmt->select.get());
+      return RewriteSelect(stmt->select.get(), counts);
     case engine::StatementKind::kUpdate:
-      return RewriteUpdate(stmt->update.get());
+      return RewriteUpdate(stmt->update.get(), counts);
     case engine::StatementKind::kDelete:
-      return RewriteDelete(stmt->del.get());
+      return RewriteDelete(stmt->del.get(), counts);
     default:
       return Status::OK();  // CREATE/INSERT/ANALYZE pass through
   }

@@ -39,6 +39,18 @@ namespace sinew {
 using TextIndexMap =
     std::map<std::string, std::unique_ptr<textindex::InvertedIndex>>;
 
+/// One statement's rewriter counter increments: added to the global
+/// counters when its rewrite ends, and again by every plan-cache hit that
+/// skips the rewrite (QueryRewriter::Replay), so per-query ratios read the
+/// same either way.
+struct RewriteCounts {
+  uint64_t physical_refs = 0;     // rewriter.physical_refs_total
+  uint64_t virtual_refs = 0;      // rewriter.virtual_refs_total
+  uint64_t bind_resolutions = 0;  // extract.bind_time_resolutions
+
+  void Publish() const;
+};
+
 class QueryRewriter {
  public:
   QueryRewriter(engine::Database* db, AttributeCatalog* catalog,
@@ -48,12 +60,21 @@ class QueryRewriter {
   /// Parses `sql` and rewrites it against the physical schema.
   Result<engine::Statement> Rewrite(std::string_view sql) const;
   /// Rewrites a parsed statement in place (CREATE/INSERT/ANALYZE pass
-  /// through unchanged).
-  Status RewriteStatement(engine::Statement* stmt) const;
+  /// through unchanged). `counts`, when given, receives the statement's
+  /// counter increments.
+  Status RewriteStatement(engine::Statement* stmt,
+                          RewriteCounts* counts = nullptr) const;
 
-  Status RewriteSelect(engine::SelectStatement* stmt) const;
-  Status RewriteUpdate(engine::UpdateStatement* stmt) const;
-  Status RewriteDelete(engine::DeleteStatement* stmt) const;
+  Status RewriteSelect(engine::SelectStatement* stmt,
+                       RewriteCounts* counts = nullptr) const;
+  Status RewriteUpdate(engine::UpdateStatement* stmt,
+                       RewriteCounts* counts = nullptr) const;
+  Status RewriteDelete(engine::DeleteStatement* stmt,
+                       RewriteCounts* counts = nullptr) const;
+
+  /// Counts one statement whose rewrite a plan-cache hit skipped, with the
+  /// increments its rewrite made.
+  static void Replay(const RewriteCounts& counts);
 
  private:
   class Impl;

@@ -47,6 +47,13 @@ std::string DmlTargetTable(const engine::Statement& stmt) {
   }
 }
 
+/// A query aborted because a background schema change overtook its plan:
+/// rewrite, plan and run it again.
+bool IsReplan(const Result<engine::QueryResult>& result) {
+  return !result.ok() && result.status().IsAborted() &&
+         result.status().message().find("replan") != std::string::npos;
+}
+
 }  // namespace
 
 SinewDb::SinewDb(SinewOptions options)
@@ -164,6 +171,20 @@ Result<engine::QueryResult> SinewDb::Query(std::string_view sql) {
     const uint64_t rewrite_start = metrics::NowNanos();
     record.parse_ns += rewrite_start - parse_start;
     if (!stmt_or.ok()) return finish(stmt_or.status());
+    // A SELECT's first attempt goes through the plan cache; a replan retry
+    // rewrites and plans afresh.
+    if (attempt == 0) {
+      if (std::optional<StatementShape> shape =
+              ParameterizeStatement(sql, &*stmt_or)) {
+        ++attempts;
+        Result<engine::QueryResult> result =
+            RunCached(&*stmt_or, *shape, &record, &info);
+        if (!IsReplan(result)) return finish(std::move(result));
+        last = result.status();
+        continue;
+      }
+    }
+    record.plan_cache = "bypass";
     metrics::TraceContext::Span rewrite_span =
         query_trace_.StartSpan("query.rewrite");
     Status rewritten = rewriter_.RewriteStatement(&*stmt_or);
@@ -193,13 +214,88 @@ Result<engine::QueryResult> SinewDb::Query(std::string_view sql) {
     if (result.ok()) exec_span.SetRows(result->rows.size());
     if (!result.ok()) exec_span.SetDetail(std::string(result.status().message()));
     exec_span.End();
-    if (result.ok() || !result.status().IsAborted() ||
-        result.status().message().find("replan") == std::string::npos) {
-      return finish(std::move(result));
-    }
+    if (!IsReplan(result)) return finish(std::move(result));
     last = result.status();
   }
   return finish(last);
+}
+
+Result<engine::QueryResult> SinewDb::RunCached(engine::Statement* stmt,
+                                               const StatementShape& shape,
+                                               qlog::QueryRecord* record,
+                                               engine::QueryExecInfo* info) {
+  *info = engine::QueryExecInfo{};
+  const uint64_t text_indexes = text_index_version_.load();
+  const uint64_t lookup_start = metrics::NowNanos();
+  std::shared_ptr<const PlanCache::Entry> entry =
+      plan_cache_.Lookup(shape.key, &db_, catalog_, text_indexes);
+  uint64_t planning_ns = 0;
+  std::optional<metrics::TraceContext::Span> exec_span;
+  if (entry != nullptr) {
+    record->plan_cache = "hit";
+    info->plan_ns = metrics::NowNanos() - lookup_start;
+    planning_ns = info->plan_ns;
+    record->plan_hash = entry->plan_hash;
+    QueryRewriter::Replay(entry->counts);
+    exec_span.emplace(query_trace_.StartSpan("query.execute"));
+  } else {
+    record->plan_cache = "miss";
+    // The versions are read before the rewrite reads what they version: a
+    // change racing the rewrite leaves the entry stale, never wrong.
+    const std::optional<PlanEpochs> before = PlanEpochs::Snapshot(
+        &db_, catalog_, text_indexes, *stmt->select);
+    const uint64_t rewrite_start = metrics::NowNanos();
+    metrics::TraceContext::Span rewrite_span =
+        query_trace_.StartSpan("query.rewrite");
+    RewriteCounts counts;
+    Status rewritten = rewriter_.RewriteStatement(stmt, &counts);
+    rewrite_span.End();
+    record->rewrite_ns += metrics::NowNanos() - rewrite_start;
+    RETURN_NOT_OK(rewritten);
+    exec_span.emplace(query_trace_.StartSpan("query.execute"));
+    const uint64_t plan_start = metrics::NowNanos();
+    Result<engine::PlanPtr> planned = db_.PlanStatement(*stmt->select);
+    info->plan_ns = metrics::NowNanos() - plan_start;
+    if (!planned.ok()) {
+      exec_span->SetDetail(std::string(planned.status().message()));
+      return planned.status();
+    }
+    auto fresh = std::make_shared<PlanCache::Entry>();
+    fresh->key = shape.key;
+    fresh->plan = std::move(*planned);
+    fresh->plan_hash = qlog::HashFingerprint(fresh->plan->DebugString());
+    fresh->counts = counts;
+    record->plan_hash = fresh->plan_hash;
+    planning_ns = record->rewrite_ns + info->plan_ns;
+    // Cached only when nothing moved while it was planned: a rewrite that
+    // added a column itself is planned again by the next run.
+    if (before.has_value() &&
+        PlanEpochs::Snapshot(&db_, catalog_, text_indexes, *stmt->select) ==
+            *before) {
+      fresh->epochs = *before;
+      plan_cache_.Insert(fresh);
+    }
+    entry = std::move(fresh);
+  }
+  Result<engine::QueryResult> result = Status::OK();
+  if (stmt->kind == engine::StatementKind::kExplain) {
+    const uint64_t start = metrics::NowNanos();
+    result = db_.ExplainAnalyzePlanned(*entry->plan, &shape.params,
+                                       planning_ns, record->plan_cache);
+    info->exec_ns = metrics::NowNanos() - start;
+    if (result.ok()) info->rows_out = result->rows.size();
+  } else {
+    result = db_.ExecutePlanned(*entry->plan, &shape.params, info);
+  }
+  if (result.ok()) {
+    exec_span->SetRows(result->rows.size());
+  } else {
+    exec_span->SetDetail(std::string(result.status().message()));
+  }
+  exec_span->End();
+  // The plan met a schema it was not built for: its entry is stale.
+  if (IsReplan(result)) plan_cache_.Evict(*entry);
+  return result;
 }
 
 Result<std::string> SinewDb::Explain(std::string_view sql) {
@@ -439,6 +535,7 @@ Status SinewDb::EnableTextIndex(const std::string& table) {
     Walker{index.get(), rid}.Walk(doc, "");
   }
   indexes_[table] = std::move(index);
+  text_index_version_.fetch_add(1);
   return Status::OK();
 }
 
@@ -470,7 +567,9 @@ void SinewDb::ResetForRecovery() {
     (void)db_.catalog()->DropTable(table);
   }
   indexes_.clear();
+  text_index_version_.fetch_add(1);
   catalog_.Clear();
+  plan_cache_.Clear();
 }
 
 void SinewDb::StartBackgroundMaintenance(std::chrono::milliseconds period) {

@@ -29,12 +29,14 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/query_log.h"
 #include "common/result.h"
 #include "engine/database.h"
 #include "sinew/catalog.h"
 #include "sinew/columnar_shredder.h"
 #include "sinew/loader.h"
 #include "sinew/materializer.h"
+#include "sinew/plan_cache.h"
 #include "sinew/rewriter.h"
 #include "sinew/schema_analyzer.h"
 #include "textindex/inverted_index.h"
@@ -124,6 +126,10 @@ class SinewDb {
                                          const std::vector<Value>& docs);
 
   // --- querying (standard SQL over the logical schema) ---
+  /// Runs one statement. A SELECT (or EXPLAIN ANALYZE) goes through the
+  /// plan cache (sinew/plan_cache.h): a statement whose shape ran before,
+  /// with nothing it was planned from changed since, skips rewrite and
+  /// planning and runs the cached plan with its own literals bound.
   Result<engine::QueryResult> Query(std::string_view sql);
   /// EXPLAIN of the rewritten query.
   Result<std::string> Explain(std::string_view sql);
@@ -205,6 +211,15 @@ class SinewDb {
  private:
   void BackgroundLoop(std::chrono::milliseconds period);
 
+  /// One attempt of a cacheable statement (ParameterizeStatement marked
+  /// its parameters): a hit runs the cached plan; a miss rewrites, plans,
+  /// caches and runs. Fills the record's plan_cache, rewrite_ns and
+  /// plan_hash, and *info.
+  Result<engine::QueryResult> RunCached(engine::Statement* stmt,
+                                        const StatementShape& shape,
+                                        qlog::QueryRecord* record,
+                                        engine::QueryExecInfo* info);
+
   /// If the statement references `sinew_attribute_stats`, (lazily creates
   /// and) refreshes it from the catalog's heat + attribute state. The Sinew
   /// layer owns this table (not engine/database.cc) because resolving
@@ -219,6 +234,9 @@ class SinewDb {
   SchemaAnalyzer analyzer_;
   ColumnMaterializer materializer_;
   QueryRewriter rewriter_;
+  PlanCache plan_cache_;
+  /// Bumped whenever the set of text indexes changes.
+  std::atomic<uint64_t> text_index_version_{0};
   metrics::TraceContext query_trace_;
   WriteAheadHook* write_hook_ = nullptr;
   std::vector<std::string> tables_;

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "cached_rerun.h"
 #include "scalar_oracle.h"
 #include "typed_scan_corpus.h"
 #include "sinew/sinew_db.h"
@@ -140,35 +141,47 @@ class BatchDifferentialTest : public ::testing::Test {
 
   /// Asserts every configuration returns the golden multiset for a direct
   /// SQL query: the scalar oracle's, or configuration 0's for LIMIT.
+  /// Each statement runs twice, the second time with other literals
+  /// through the plan cache (tests/cached_rerun.h).
   void ExpectSameAcrossConfigs(const std::string& sql) {
-    SCOPED_TRACE(sql);
-    Result<engine::QueryResult> golden =
-        oracle::GoldenQuery((*configs_)[0].runner->db(), sql);
-    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-    const std::vector<std::string> golden_rows = CanonicalRows(*golden);
-    for (NamedRunner& c : *configs_) {
-      Result<engine::QueryResult> got = c.runner->db()->Query(sql);
-      ASSERT_TRUE(got.ok()) << c.label << ": " << got.status().ToString();
-      EXPECT_EQ(CanonicalRows(*got), golden_rows) << c.label << " drifted";
+    for (const oracle::CachedRun& run : oracle::CachedRuns(sql)) {
+      SCOPED_TRACE(run.sql);
+      Result<engine::QueryResult> golden =
+          oracle::GoldenQuery((*configs_)[0].runner->db(), run.sql);
+      ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+      const std::vector<std::string> golden_rows = CanonicalRows(*golden);
+      for (NamedRunner& c : *configs_) {
+        Result<engine::QueryResult> got = run.Query(c.runner->db());
+        ASSERT_TRUE(got.ok()) << c.label << ": " << got.status().ToString();
+        EXPECT_EQ(CanonicalRows(*got), golden_rows) << c.label << " drifted";
+      }
     }
   }
 
   /// Same, but only across the serial configurations — for LIMIT-without-
   /// ORDER-BY queries, where *which* rows survive is defined by scan order
   /// (deterministic serially, racy under Gather in every executor mode).
+  /// The rerun with other literals (tests/cached_rerun.h) checks the
+  /// configurations agree, not the row count.
   void ExpectSameAcrossSerialConfigs(const std::string& sql,
                                      size_t expect_rows) {
-    SCOPED_TRACE(sql);
-    std::vector<std::string> golden;
-    for (const NamedRunner& c : *configs_) {
-      if (c.parallelism != 1) continue;
-      Result<engine::QueryResult> got = c.runner->db()->Query(sql);
-      ASSERT_TRUE(got.ok()) << c.label << ": " << got.status().ToString();
-      EXPECT_EQ(got->rows.size(), expect_rows) << c.label;
-      if (golden.empty() && expect_rows > 0) {
-        golden = CanonicalRows(*got);
-      } else {
-        EXPECT_EQ(CanonicalRows(*got), golden) << c.label << " drifted";
+    for (const oracle::CachedRun& run : oracle::CachedRuns(sql)) {
+      SCOPED_TRACE(run.sql);
+      std::vector<std::string> golden;
+      bool first = true;
+      for (const NamedRunner& c : *configs_) {
+        if (c.parallelism != 1) continue;
+        Result<engine::QueryResult> got = run.Query(c.runner->db());
+        ASSERT_TRUE(got.ok()) << c.label << ": " << got.status().ToString();
+        if (!run.rerun) {
+          EXPECT_EQ(got->rows.size(), expect_rows) << c.label;
+        }
+        if (first) {
+          golden = CanonicalRows(*got);
+          first = false;
+        } else {
+          EXPECT_EQ(CanonicalRows(*got), golden) << c.label << " drifted";
+        }
       }
     }
   }

@@ -34,6 +34,7 @@
 
 #include "common/metrics.h"
 #include "common/value.h"
+#include "cached_rerun.h"
 #include "scalar_oracle.h"
 #include "typed_scan_corpus.h"
 #include "sinew/sinew_db.h"
@@ -194,15 +195,27 @@ class BytecodeDifferentialTest : public ::testing::Test {
   }
 
   /// Asserts every configuration returns the golden multiset.
+  /// Each statement runs twice, the second time with other literals
+  /// through the plan cache (tests/cached_rerun.h). Other literals may
+  /// reach the rows a guard kept from an error (`num < 1 AND 1 / 0 = 1`):
+  /// a rerun the golden fails must fail alike everywhere.
   void ExpectSameAcrossConfigs(const std::string& sql) {
-    SCOPED_TRACE(sql);
-    Result<engine::QueryResult> golden = Golden(sql);
-    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-    const std::vector<std::string> golden_rows = CanonicalRows(*golden);
-    for (NamedRunner& c : *configs_) {
-      Result<engine::QueryResult> got = c.runner->db()->Query(sql);
-      ASSERT_TRUE(got.ok()) << c.label << ": " << got.status().ToString();
-      EXPECT_EQ(CanonicalRows(*got), golden_rows) << c.label << " drifted";
+    for (const oracle::CachedRun& run : oracle::CachedRuns(sql)) {
+      SCOPED_TRACE(run.sql);
+      Result<engine::QueryResult> golden = Golden(run.sql);
+      ASSERT_TRUE(golden.ok() || run.rerun) << golden.status().ToString();
+      for (NamedRunner& c : *configs_) {
+        Result<engine::QueryResult> got = run.Query(c.runner->db());
+        if (!golden.ok()) {
+          ASSERT_FALSE(got.ok()) << c.label << " unexpectedly succeeded";
+          EXPECT_EQ(got.status().ToString(), golden.status().ToString())
+              << c.label << " drifted";
+          continue;
+        }
+        ASSERT_TRUE(got.ok()) << c.label << ": " << got.status().ToString();
+        EXPECT_EQ(CanonicalRows(*got), CanonicalRows(*golden))
+            << c.label << " drifted";
+      }
     }
   }
 
@@ -215,10 +228,13 @@ class BytecodeDifferentialTest : public ::testing::Test {
     Result<engine::QueryResult> golden = Golden(sql);
     ASSERT_FALSE(golden.ok()) << "golden unexpectedly succeeded";
     for (NamedRunner& c : *configs_) {
-      Result<engine::QueryResult> got = c.runner->db()->Query(sql);
-      ASSERT_FALSE(got.ok()) << c.label << " unexpectedly succeeded";
-      EXPECT_EQ(got.status().ToString(), golden.status().ToString())
-          << c.label << " drifted";
+      // Twice: the second run fails the same way from the cached plan.
+      for (int run = 0; run < 2; ++run) {
+        Result<engine::QueryResult> got = c.runner->db()->Query(sql);
+        ASSERT_FALSE(got.ok()) << c.label << " unexpectedly succeeded";
+        EXPECT_EQ(got.status().ToString(), golden.status().ToString())
+            << c.label << " drifted";
+      }
     }
   }
 
@@ -590,13 +606,15 @@ TEST_F(BytecodeDifferentialTest, TypedLanesCountedOnlyForMonomorphicColumns) {
 }
 
 TEST_F(BytecodeDifferentialTest, BytecodeConfigsActuallyCompile) {
-  // Every configuration compiles its expressions at plan time.
+  // Every configuration compiles its expressions at plan time. The shape
+  // is one no other case runs: a plan-cache hit compiles nothing.
   metrics::Counter* programs = metrics::GetCounter("bytecode.programs_total");
   for (NamedRunner& c : *configs_) {
     const uint64_t before = programs->value();
-    ASSERT_TRUE(c.runner->db()
-                    ->Query("SELECT num AS n FROM nobench_main WHERE num < 10")
-                    .ok());
+    ASSERT_TRUE(
+        c.runner->db()
+            ->Query("SELECT num AS compiled FROM nobench_main WHERE num < 10")
+            .ok());
     EXPECT_GT(programs->value(), before) << c.label << " never compiled";
   }
 }

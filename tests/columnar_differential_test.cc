@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "engine/columnar.h"
+#include "cached_rerun.h"
 #include "scalar_oracle.h"
 #include "sinew/durable_db.h"
 #include "sinew/sinew_db.h"
@@ -107,13 +108,17 @@ std::string AnalyzeText(const engine::QueryResult& result) {
 }
 
 /// `sql` on `db` gives the scalar oracle's multiset of rows.
+/// Twice: the second time with other literals through the plan cache
+/// (tests/cached_rerun.h).
 void ExpectOracleAnswer(SinewDb* db, const std::string& sql) {
-  SCOPED_TRACE(sql);
-  Result<engine::QueryResult> golden = oracle::GoldenQuery(db, sql);
-  Result<engine::QueryResult> got = db->Query(sql);
-  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(CanonicalRows(*got), CanonicalRows(*golden));
+  for (const oracle::CachedRun& run : oracle::CachedRuns(sql)) {
+    SCOPED_TRACE(run.sql);
+    Result<engine::QueryResult> golden = oracle::GoldenQuery(db, run.sql);
+    Result<engine::QueryResult> got = run.Query(db);
+    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(CanonicalRows(*got), CanonicalRows(*golden));
+  }
 }
 
 class ColumnarDifferentialTest : public ::testing::Test {
@@ -170,23 +175,28 @@ class ColumnarDifferentialTest : public ::testing::Test {
   /// Asserts the strip-serving and row-reservoir paths, serially and under
   /// Gather, all return the golden multiset: the scalar oracle's
   /// (tests/scalar_oracle.h), or the rows configuration's for LIMIT.
+  /// Each statement runs twice, the second time with other literals
+  /// through the plan cache (tests/cached_rerun.h).
   void ExpectSameResults(const std::string& sql) {
-    SCOPED_TRACE(sql);
-    Result<engine::QueryResult> golden = oracle::GoldenQuery(rows_serial_, sql);
-    Result<engine::QueryResult> ss = strips_serial_->Query(sql);
-    Result<engine::QueryResult> rs = rows_serial_->Query(sql);
-    Result<engine::QueryResult> sp = strips_parallel_->Query(sql);
-    Result<engine::QueryResult> rp = rows_parallel_->Query(sql);
-    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-    ASSERT_TRUE(ss.ok()) << ss.status().ToString();
-    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-    ASSERT_TRUE(sp.ok()) << sp.status().ToString();
-    ASSERT_TRUE(rp.ok()) << rp.status().ToString();
-    const std::vector<std::string> golden_rows = CanonicalRows(*golden);
-    EXPECT_EQ(CanonicalRows(*ss), golden_rows) << "strips, serial";
-    EXPECT_EQ(CanonicalRows(*rs), golden_rows) << "rows, serial";
-    EXPECT_EQ(CanonicalRows(*sp), golden_rows) << "strips, parallel";
-    EXPECT_EQ(CanonicalRows(*rp), golden_rows) << "rows, parallel";
+    for (const oracle::CachedRun& run : oracle::CachedRuns(sql)) {
+      SCOPED_TRACE(run.sql);
+      Result<engine::QueryResult> golden =
+          oracle::GoldenQuery(rows_serial_, run.sql);
+      Result<engine::QueryResult> ss = run.Query(strips_serial_);
+      Result<engine::QueryResult> rs = run.Query(rows_serial_);
+      Result<engine::QueryResult> sp = run.Query(strips_parallel_);
+      Result<engine::QueryResult> rp = run.Query(rows_parallel_);
+      ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+      ASSERT_TRUE(ss.ok()) << ss.status().ToString();
+      ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+      ASSERT_TRUE(sp.ok()) << sp.status().ToString();
+      ASSERT_TRUE(rp.ok()) << rp.status().ToString();
+      const std::vector<std::string> golden_rows = CanonicalRows(*golden);
+      EXPECT_EQ(CanonicalRows(*ss), golden_rows) << "strips, serial";
+      EXPECT_EQ(CanonicalRows(*rs), golden_rows) << "rows, serial";
+      EXPECT_EQ(CanonicalRows(*sp), golden_rows) << "strips, parallel";
+      EXPECT_EQ(CanonicalRows(*rp), golden_rows) << "rows, parallel";
+    }
   }
 
   static std::vector<Value>* docs_;

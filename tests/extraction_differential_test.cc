@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "cached_rerun.h"
 #include "scalar_oracle.h"
 #include "sinew/sinew_db.h"
 #include "workloads/nobench/generator.h"
@@ -167,10 +168,11 @@ class ExtractionDifferentialTest : public ::testing::Test {
   /// Asserts every configuration returns `golden_rows`, and that the plan
   /// leaves no virtual-column reference for the executor to evaluate per
   /// row: every one is a scan column.
-  void ExpectRows(const std::string& sql,
+  void ExpectRows(const oracle::CachedRun& run,
                   const std::vector<std::string>& golden_rows) {
+    const std::string& sql = run.sql;
     for (const Config& c : *dbs_) {
-      Result<engine::QueryResult> got = c.db->Query(sql);
+      Result<engine::QueryResult> got = run.Query(c.db);
       ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().ToString();
       EXPECT_EQ(CanonicalRows(*got), golden_rows) << c.name;
       Result<std::string> plan = c.db->Explain(sql);
@@ -199,11 +201,16 @@ class ExtractionDifferentialTest : public ::testing::Test {
 
   /// Asserts every configuration returns the golden multiset: the scalar
   /// oracle's, or the reference configuration's for LIMIT.
+  /// Each statement runs twice, the second time with other literals
+  /// through the plan cache (tests/cached_rerun.h).
   void ExpectSameResults(const std::string& sql) {
-    SCOPED_TRACE(sql);
-    Result<engine::QueryResult> golden = oracle::GoldenQuery(Reference(), sql);
-    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-    ExpectRows(sql, CanonicalRows(*golden));
+    for (const oracle::CachedRun& run : oracle::CachedRuns(sql)) {
+      SCOPED_TRACE(run.sql);
+      Result<engine::QueryResult> golden =
+          oracle::GoldenQuery(Reference(), run.sql);
+      ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+      ExpectRows(run, CanonicalRows(*golden));
+    }
   }
 
   /// Rows in the golden answer of `sql`: agreement on an empty answer
@@ -480,11 +487,7 @@ TEST_F(ExtractionDifferentialTest, DistinctOverStripServedAttributes) {
   for (const char* list : {"thousandth AS t, bool AS b", "str2 AS s"}) {
     const std::string sql =
         std::string("SELECT DISTINCT ") + list + " FROM docs";
-    SCOPED_TRACE(sql);
-    Result<engine::QueryResult> golden =
-        oracle::ScalarOracleQuery(Reference(), sql);
-    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-    ExpectRows(sql, CanonicalRows(*golden));
+    ExpectSameResults(sql);
   }
   EXPECT_GT(AnalyzeCounter("SELECT DISTINCT thousandth AS t FROM docs",
                            "columnar_hits="),

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "engine/table.h"
+#include "cached_rerun.h"
 #include "scalar_oracle.h"
 #include "sinew/sinew_db.h"
 #include "workloads/nobench/generator.h"
@@ -125,18 +126,23 @@ class ParallelDifferentialTest : public ::testing::Test {
   /// Runs `sql` on both instances and asserts each returns the golden
   /// multiset: the scalar oracle's (tests/scalar_oracle.h), or the serial
   /// instance's for LIMIT.
+  /// Each statement runs twice, the second time with other literals
+  /// through the plan cache (tests/cached_rerun.h).
   void ExpectSameResults(const std::string& sql) {
-    SCOPED_TRACE(sql);
-    Result<engine::QueryResult> golden = oracle::GoldenQuery(serial_, sql);
-    Result<engine::QueryResult> s = serial_->Query(sql);
-    Result<engine::QueryResult> p = parallel_->Query(sql);
-    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-    ASSERT_TRUE(s.ok()) << s.status().ToString();
-    ASSERT_TRUE(p.ok()) << p.status().ToString();
-    EXPECT_EQ(s->rows.size(), p->rows.size());
-    const std::vector<std::string> golden_rows = CanonicalRows(*golden);
-    EXPECT_EQ(CanonicalRows(*s), golden_rows) << "serial";
-    EXPECT_EQ(CanonicalRows(*p), golden_rows) << "parallel";
+    for (const oracle::CachedRun& run : oracle::CachedRuns(sql)) {
+      SCOPED_TRACE(run.sql);
+      Result<engine::QueryResult> golden =
+          oracle::GoldenQuery(serial_, run.sql);
+      Result<engine::QueryResult> s = run.Query(serial_);
+      Result<engine::QueryResult> p = run.Query(parallel_);
+      ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+      ASSERT_TRUE(s.ok()) << s.status().ToString();
+      ASSERT_TRUE(p.ok()) << p.status().ToString();
+      EXPECT_EQ(s->rows.size(), p->rows.size());
+      const std::vector<std::string> golden_rows = CanonicalRows(*golden);
+      EXPECT_EQ(CanonicalRows(*s), golden_rows) << "serial";
+      EXPECT_EQ(CanonicalRows(*p), golden_rows) << "parallel";
+    }
   }
 
   static std::vector<Value>* docs_;
