@@ -122,6 +122,11 @@ std::vector<uint32_t> AttributeCatalog::DirtyAttributes(
   return out;
 }
 
+uint64_t AttributeCatalog::LastEpoch() const {
+  std::lock_guard lock(mutex_);
+  return last_epoch_;
+}
+
 uint64_t AttributeCatalog::StateEpoch(std::string_view table) const {
   std::lock_guard lock(mutex_);
   auto it = epochs_.find(table);

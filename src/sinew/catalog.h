@@ -132,6 +132,10 @@ class AttributeCatalog : public serial::AttributeDictionary {
   /// counter that Clear does not reset: no two states of any table share
   /// one. 0 for a table with no state.
   uint64_t StateEpoch(std::string_view table) const;
+  /// The newest epoch of any table. Every transition made after this read
+  /// gets a greater epoch: a query reads it before its rewrite, and a scan
+  /// of rows moved for a later transition aborts (Table::RaiseMoveEpoch).
+  uint64_t LastEpoch() const;
 
   /// Names of all registered tables.
   std::vector<std::string> TableNames() const;

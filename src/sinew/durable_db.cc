@@ -249,6 +249,18 @@ Status DurableDb::FlushLocked() {
   // (AfterWrite under the query span) it parents into that query's trace;
   // a standalone Flush() starts its own trace.
   metrics::ScopedSpan flush_span("durable.flush");
+  // The shred below replaces the segment of every table the delta touched.
+  // Dropping it first keeps the old and the new segment from being in
+  // memory together, and spares the scans run meanwhile the stale rows the
+  // materializer's moves would make.
+  if (db_.columnar_segments_enabled()) {
+    for (const std::string& table : touched_tables_) {
+      if (Result<engine::Table*> t = db_.engine()->catalog()->GetTable(table);
+          t.ok()) {
+        (*t)->SetColumnarSegment(nullptr);
+      }
+    }
+  }
   // Compaction-time materialization: the flush rewrites table images anyway,
   // so run the analyzer + materializer on every table the delta touched and
   // serialize the already-columnarized result. Best-effort — a table that

@@ -121,6 +121,12 @@ Result<uint64_t> ColumnMaterializer::Step(const std::string& table,
   if (!data_slot.has_value()) {
     return Status::InvalidArgument("table ", table, " has no reservoir");
   }
+  // Before any row moves, publish the attribute-state epoch the moves
+  // follow (read after the states above): a scan planned before that state
+  // reads where the values are leaving, so it aborts and replans.
+  if (!work.empty()) {
+    engine_table->RaiseMoveEpoch(catalog_->StateEpoch(table));
+  }
 
   // Each row move is an independent read-modify-write of one row, idempotent
   // on retry (re-extracting an attribute already moved is a no-op extract
@@ -128,8 +134,11 @@ Result<uint64_t> ColumnMaterializer::Step(const std::string& table,
   // only advances after the whole range succeeds.
   const uint64_t lo = pass.cursor;
   const uint64_t hi = std::min(pass.end, lo + max_rows);
-  auto process_row = [&](uint64_t rid) -> Status {
-    Result<engine::DatumRow> row_or = engine_table->ReadRow(rid);
+  // Moves row `rid`'s values; Aborted, with nothing written, when the row
+  // was written (an UPDATE's patch) between the read and the write.
+  auto move_row = [&](uint64_t rid) -> Status {
+    uint64_t read_at = 0;
+    Result<engine::DatumRow> row_or = engine_table->ReadRow(rid, &read_at);
     if (!row_or.ok()) return Status::OK();  // deleted row
     engine::DatumRow row = std::move(*row_or);
     engine::Datum& data = row[*data_slot];
@@ -197,13 +206,18 @@ Result<uint64_t> ColumnMaterializer::Step(const std::string& table,
     if (changed) {
       data = engine::Datum::Bytes(std::move(reservoir));
       // Atomic single-row update; queries interleave freely.
-      RETURN_NOT_OK(engine_table->UpdateRow(rid, row));
+      RETURN_NOT_OK(engine_table->UpdateRow(rid, row, read_at));
       // Thread-safe: process_row fans out over the shared pool.
       static metrics::Counter* backfilled =
           metrics::GetCounter("materializer.rows_backfilled_total");
       backfilled->Increment();
     }
     return Status::OK();
+  };
+  auto process_row = [&](uint64_t rid) -> Status {
+    Status moved = move_row(rid);
+    while (moved.IsAborted()) moved = move_row(rid);  // re-read the new row
+    return moved;
   };
   auto process_range = [&](uint64_t a, uint64_t b) -> Status {
     for (uint64_t rid = a; rid < b; ++rid) {

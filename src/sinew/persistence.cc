@@ -337,12 +337,15 @@ Result<uint64_t> SaveDatabaseGeneration(SinewDb* db,
     if (!copied) {
       RETURN_NOT_OK(engine::SaveTable(*engine_table, dst, env));
     }
-    // Columnar sidecar: an attached segment summarizes exactly the rows just
-    // serialized (mutators detach it before rewriting a covered row), so it
-    // persists alongside the image. Best-effort — a failed write only costs
-    // a re-shred after the next recovery, never the generation.
+    // Columnar sidecar: persisted only while the attached segment still
+    // summarizes every row it covers. Rows written since its shred are
+    // stale, and a reload could not tell them apart (loaded rows carry no
+    // stamps), so a segment with stale rows is not written and the
+    // generation loads on the row reservoir until the next shred.
+    // Best-effort — a failed write only costs a re-shred after the next
+    // recovery, never the generation.
     if (std::shared_ptr<const engine::ColumnarSegment> segment =
-            engine_table->ColumnarSegmentSnapshot()) {
+            engine_table->FreshColumnarSegmentSnapshot()) {
       (void)WriteImageFile(env, StripSidecarPath(gen_dir, table),
                            segment->Serialize());
     }

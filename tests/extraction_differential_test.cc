@@ -7,7 +7,7 @@
 // can come from: dirty partially-materialized columns (the column, falling
 // back to the reservoir), the children of a dirty materialized object,
 // strips over the cold rows, a hot tail appended past the segment, and a
-// second table whose segment an UPDATE detached.
+// second table whose covered rows an UPDATE made stale.
 //
 // UPDATE and DELETE find their rows with the same scans: each predicate's
 // affected count must equal the oracle's row count, and the table must
@@ -117,8 +117,8 @@ class ExtractionDifferentialTest : public ::testing::Test {
     for (const Config& c : *dbs_) {
       SinewDb* db = c.db;
       ASSERT_NO_FATAL_FAILURE(LoadMixedStorage(db, kTable));
-      // A shredded table whose segment an UPDATE later detaches (see
-      // RowsAfterUpdateDetachesSegment).
+      // A shredded table whose covered rows an UPDATE later makes stale
+      // (see RowsAfterUpdateDetachesSegment).
       ASSERT_TRUE(db->LoadDocuments(kUpdated, *docs_).ok());
       Status built = db->BuildColumnarSegments(kUpdated);
       ASSERT_TRUE(built.ok()) << built.ToString();
@@ -444,15 +444,25 @@ TEST_F(ExtractionDifferentialTest, HotTailRowsPastSegment) {
 }
 
 TEST_F(ExtractionDifferentialTest, RowsAfterUpdateDetachesSegment) {
+  // The name is the old contract's, under which an UPDATE detached the
+  // whole segment. The segment now stays attached: the updated rows are
+  // stale and read from their bytes, every other covered row from strips.
   const std::string sql = "SELECT str2 AS s, thousandth AS t FROM upd";
-  ASSERT_GT(AnalyzeCounter(sql, "columnar_hits="), 0u);
+  const uint64_t hits_before = AnalyzeCounter(sql, "columnar_hits=");
+  ASSERT_EQ(hits_before, 2 * kRecords);  // two strip-served keys per row
+  const uint64_t k = GoldenRows("SELECT thousandth FROM upd WHERE "
+                                "thousandth < 20");
+  ASSERT_GT(k, 0u);
   for (const Config& c : *dbs_) {
     Result<engine::QueryResult> updated = c.db->Query(
         "UPDATE upd SET str2 = 'updated' WHERE thousandth < 20");
     ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    Result<engine::Table*> table = c.db->engine()->catalog()->GetTable("upd");
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    EXPECT_NE((*table)->ColumnarSegmentSnapshot(), nullptr) << c.name;
   }
-  // The update detached the segment: every lane now decodes row bytes.
-  EXPECT_EQ(AnalyzeCounter(sql, "columnar_hits="), 0u);
+  EXPECT_EQ(AnalyzeCounter(sql, "stale="), k);
+  EXPECT_EQ(AnalyzeCounter(sql, "columnar_hits="), hits_before - 2 * k);
   ExpectSameResults(sql);
   ExpectSameResults("SELECT * FROM upd WHERE str2 = 'updated'");
   ExpectSameResults("SELECT thousandth AS t FROM upd WHERE str2 = 'updated'");

@@ -187,16 +187,27 @@ TEST_F(PlanCacheTest, MaterializeDirtyCleanAndDematerialize) {
 }
 
 TEST_F(PlanCacheTest, SegmentDetachAndReshredAreSurvived) {
+  // The name is the old contract's, under which an UPDATE detached the
+  // segment. It now stays attached with the updated row stale, and the
+  // cached plan reads that row from its bytes and the rest from strips.
   const std::string q = "SELECT id, str1 FROM t WHERE num = 8";
   ASSERT_TRUE(db_.BuildColumnarSegments("t").ok());
   Run(q, "miss");
   Run(q, "hit");
-  // An UPDATE detaches the segment; the cached plan still reads the rows.
   Result<engine::QueryResult> updated =
       db_.Query("UPDATE t SET str1 = 'changed' WHERE id = 8");
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
   ASSERT_EQ(updated->rows[0][0].int_value(), 1);
+  Result<engine::Table*> table = db_.engine()->catalog()->GetTable("t");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_NE((*table)->ColumnarSegmentSnapshot(), nullptr);
   Run(q, "hit");
+  Result<engine::QueryResult> analyzed = db_.Query("EXPLAIN ANALYZE " + q);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  std::string text;
+  for (const engine::DatumRow& row : analyzed->rows) text += row[0].str();
+  EXPECT_NE(text.find("stale=1)"), std::string::npos) << text;
+  EXPECT_EQ(text.find("columnar_hits=0 "), std::string::npos) << text;
   ASSERT_TRUE(db_.BuildColumnarSegments("t").ok());
   Run(q, "hit");
   Result<engine::QueryResult> got = db_.Query(q);
