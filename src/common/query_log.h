@@ -44,7 +44,9 @@ struct QueryRecord {
   uint64_t rows_out = 0;
   uint64_t batches = 0;        // RowBatches emitted by the plan root
   uint64_t zone_skips = 0;     // strips skipped via zone maps
-  uint64_t replans = 0;        // aborted-for-replan retries before this run
+  // Runs before the last one: aborted-for-replan retries, and UPDATE passes
+  // over rows that moved while it ran.
+  uint64_t replans = 0;
   std::string status;          // "ok" or the Status code name
   std::string error;           // message when status != "ok"
   std::string plan_cache;      // "hit", "miss" or "bypass" (SinewDb::Query)
