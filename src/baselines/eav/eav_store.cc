@@ -120,7 +120,7 @@ Result<std::vector<Value>> EavStore::ReconstructByPredicate(
   std::vector<Value> docs;
   int64_t current_oid = -1;
   std::map<std::string, bool> seen_in_current;
-  for (const engine::DatumRow& row : result.rows) {
+  for (const auto& row : result.rows) {
     int64_t oid = row[0].int_value();
     const std::string& key = row[1].str();
     if (oid != current_oid) {
@@ -172,7 +172,7 @@ Result<uint64_t> EavStore::UpdateWhere(const std::string& match_key,
                   "' AND sval = '" + match_value + "'"));
   if (match.rows.empty()) return 0;
   std::string oid_list;
-  for (const engine::DatumRow& row : match.rows) {
+  for (const auto& row : match.rows) {
     if (!oid_list.empty()) oid_list += ", ";
     oid_list += std::to_string(row[0].int_value());
   }
@@ -188,10 +188,10 @@ Result<uint64_t> EavStore::UpdateWhere(const std::string& match_key,
       db_.Execute("SELECT oid FROM eav WHERE key = '" + set_key +
                   "' AND oid IN (" + oid_list + ")"));
   std::set<int64_t> have_oids;
-  for (const engine::DatumRow& row : have.rows) {
+  for (const auto& row : have.rows) {
     have_oids.insert(row[0].int_value());
   }
-  for (const engine::DatumRow& row : match.rows) {
+  for (const auto& row : match.rows) {
     int64_t oid = row[0].int_value();
     if (have_oids.count(oid) != 0) continue;
     engine::DatumRow tuple(5);

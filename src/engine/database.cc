@@ -46,8 +46,7 @@ QueryResult TextResult(const std::string& column, const std::string& text) {
   while (start < text.size()) {
     size_t end = text.find('\n', start);
     if (end == std::string::npos) end = text.size();
-    result.rows.push_back(
-        DatumRow{Datum::Text(text.substr(start, end - start))});
+    result.rows.AppendRow({Datum::Text(text.substr(start, end - start))});
     start = end + 1;
   }
   return result;
@@ -57,7 +56,7 @@ QueryResult CountResult(int64_t n) {
   QueryResult result;
   result.column_names.push_back("count");
   result.column_types.push_back(ColumnType::kInt);
-  result.rows.push_back(DatumRow{Datum::Int(n)});
+  result.rows.AppendRow({Datum::Int(n)});
   return result;
 }
 
@@ -283,6 +282,8 @@ Result<QueryResult> Database::ExplainAnalyzePlanned(
        << static_cast<double>(planning_ns) / 1e6 << " ms\n";
   text << "Execution Time: " << std::fixed << std::setprecision(3)
        << static_cast<double>(stats.total_ns) / 1e6 << " ms\n";
+  text << "Assembly Time: " << std::fixed << std::setprecision(3)
+       << static_cast<double>(stats.assembly_ns) / 1e6 << " ms\n";
   return TextResult("QUERY PLAN", text.str());
 }
 
@@ -468,12 +469,12 @@ Result<QueryResult> Database::ExecuteUpdate(const UpdateStatement& stmt,
   int64_t updated = 0;
   for (int round = 0;; ++round) {
     std::vector<ExprPtr> moved;
-    for (DatumRow& row : found.rows) {
+    for (const ResultRows::Row row : found.rows) {
       DatumRow patch;
       patch.reserve(slots.size());
       for (size_t i = 0; i < slots.size(); ++i) {
-        patch.push_back(CoerceForColumn(std::move(row[i + 1]),
-                                        schema.columns()[slots[i]].type));
+        patch.push_back(
+            CoerceForColumn(row[i + 1], schema.columns()[slots[i]].type));
       }
       const auto rid = static_cast<uint64_t>(row[0].int_value());
       Status patched = table->PatchRow(rid, slots, std::move(patch), found_at);
@@ -519,7 +520,7 @@ Result<QueryResult> Database::ExecuteDelete(const DeleteStatement& stmt,
                     info));
   const uint64_t apply_start = metrics::NowNanos();
   int64_t deleted = 0;
-  for (const DatumRow& row : found.rows) {
+  for (const ResultRows::Row row : found.rows) {
     Status removed =
         table->DeleteRow(static_cast<uint64_t>(row[0].int_value()));
     if (removed.IsNotFound()) continue;  // deleted since the scan

@@ -2317,6 +2317,45 @@ Result<OperatorPtr> BuildOperatorInner(const PlanNode& node, ExecContext* ctx,
   return Status::Internal("unknown plan node kind");
 }
 
+/// A node's inclusive time: its operators' Open and NextBatch wall clock.
+uint64_t InclusiveNs(const PlanNode& node, const PlanStats& stats) {
+  const OperatorStats* s = stats.For(node);
+  if (s == nullptr) return 0;
+  return s->open_ns.load(std::memory_order_relaxed) +
+         s->next_ns.load(std::memory_order_relaxed);
+}
+
+/// Hands the root batch's selected lanes to `rows` without a row apiece: a
+/// dense batch gives up its column vectors as they are, and a sparse one
+/// moves its selected lanes into new columns of exactly that many entries,
+/// keeping its own vectors for its producer's next batch.
+Status AdoptRootBatch(RowBatch* batch, ResultRows* rows) {
+  const size_t active = batch->active();
+  if (active == 0) return Status::OK();
+  const size_t width = batch->num_cols();
+  for (size_t c = 0; c < width; ++c) batch->Box(c);
+  ResultRows::Columns cols;
+  if (active == batch->size) {
+    cols = std::move(batch->cols);
+  } else {
+    cols.resize(width);
+    for (size_t c = 0; c < width; ++c) {
+      std::vector<Datum>& src = batch->cols[c];
+      cols[c].reserve(active);
+      for (uint32_t lane : batch->sel) cols[c].push_back(std::move(src[lane]));
+    }
+  }
+  batch->InvalidateTags();
+  for (const std::vector<Datum>& col : cols) {
+    if (col.size() != active) {
+      return Status::Internal("root batch column holds ", col.size(),
+                              " of ", active, " rows");
+    }
+  }
+  rows->AdoptColumns(std::move(cols), active);
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<QueryResult> ExecutePlan(const PlanNode& plan, const UdfRegistry* udfs,
@@ -2362,16 +2401,12 @@ Result<QueryResult> ExecutePlan(const PlanNode& plan, const UdfRegistry* udfs,
     static metrics::Histogram* batch_rows_hist =
         metrics::GetHistogram("exec.batch_rows");
     RowBatch batch;
-    DatumRow row;
     while (true) {
       ASSIGN_OR_RETURN(bool has, root->NextBatch(&batch));
       if (!has) break;
       batches_total->Increment();
       batch_rows_hist->Observe(batch.active());
-      for (uint32_t lane : batch.sel) {
-        batch.MoveRow(lane, &row);
-        result.rows.push_back(std::move(row));
-      }
+      RETURN_NOT_OK(AdoptRootBatch(&batch, &result.rows));
     }
   }
 
@@ -2379,19 +2414,17 @@ Result<QueryResult> ExecutePlan(const PlanNode& plan, const UdfRegistry* udfs,
   queries_total->Increment();
   rows_out_total->Add(result.rows.size());
   query_hist->Observe(elapsed);
-  if (options.stats != nullptr) options.stats->total_ns = elapsed;
+  if (options.stats != nullptr) {
+    options.stats->total_ns = elapsed;
+    if (options.time_operators) {
+      const uint64_t root_ns = InclusiveNs(plan, *options.stats);
+      options.stats->assembly_ns = elapsed > root_ns ? elapsed - root_ns : 0;
+    }
+  }
   return result;
 }
 
 namespace {
-
-/// A node's inclusive time: its operators' Open and NextBatch wall clock.
-uint64_t InclusiveNs(const PlanNode& node, const PlanStats& stats) {
-  const OperatorStats* s = stats.For(node);
-  if (s == nullptr) return 0;
-  return s->open_ns.load(std::memory_order_relaxed) +
-         s->next_ns.load(std::memory_order_relaxed);
-}
 
 /// Inclusive time minus the children's. A Gather's children run on pool
 /// workers, so its whole inclusive time — the query thread waiting on

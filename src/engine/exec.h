@@ -22,6 +22,7 @@
 
 #include "common/result.h"
 #include "engine/plan.h"
+#include "engine/result_rows.h"
 #include "engine/udf.h"
 
 namespace sinew {
@@ -79,6 +80,10 @@ class PlanStats {
 
   /// Wall clock of the whole ExecutePlan call.
   uint64_t total_ns = 0;
+  /// total_ns outside the root operator's Open and NextBatch calls: the
+  /// operator build, the hand-off of root batches into the result, and the
+  /// teardown. Set only when ExecOptions::time_operators is on.
+  uint64_t assembly_ns = 0;
 
  private:
   void Index(const PlanNode& node) {
@@ -121,7 +126,8 @@ struct ExecOptions {
 struct QueryResult {
   std::vector<std::string> column_names;
   std::vector<ColumnType> column_types;
-  std::vector<DatumRow> rows;
+  /// The root batches' columns, adopted as they came (result_rows.h).
+  ResultRows rows;
 };
 
 /// Executes a plan to completion.

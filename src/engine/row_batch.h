@@ -6,7 +6,10 @@
 // shrink it instead of compacting the columns, so a predicate pass touches
 // only the selection vector and downstream operators skip dead lanes for
 // free. Column vectors are reused across batches (Reset clears without
-// freeing), so the steady-state pipeline allocates nothing per batch.
+// freeing), so the operators below the root allocate nothing per batch. The
+// root batch is the exception: ExecutePlan moves a dense root batch's
+// column vectors into the result (engine/result_rows.h), and its producer
+// allocates new ones for the next batch.
 //
 // The `tags` sidecar carries per-column, per-batch type evidence for the
 // bytecode VM's monomorphic kernels: a column proven to hold exactly one value

@@ -70,7 +70,7 @@ Status ExtractFromDoc(const AttributeCatalog& catalog,
                       uint32_t doc_index,
                       std::vector<std::optional<std::string_view>>* values,
                       std::vector<engine::ExtractedValue>* out) {
-  for (const auto [g, h] : groups.groups) {
+  for (const auto& [g, h] : groups.groups) {
     std::string_view current = doc;
     bool present = true;
     for (uint32_t pid : targets[g].prefix_ids) {
@@ -128,7 +128,7 @@ engine::BatchExtractFn MakeBatchExtractor(AttributeCatalog* catalog) {
         metrics::GetHistogram("reservoir.attrs_per_decode");
     const TargetGroups groups(targets);
     size_t widest = 0;
-    for (const auto [g, h] : groups.groups) {
+    for (const auto& [g, h] : groups.groups) {
       widest = std::max<size_t>(widest, h - g);
     }
     std::vector<std::optional<std::string_view>> values(widest);

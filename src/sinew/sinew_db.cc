@@ -154,8 +154,10 @@ Result<engine::QueryResult> SinewDb::Query(std::string_view sql) {
     }
     if (r.ok() && updated > 0) {
       // The count of every UPDATE pass.
-      r->rows[0][0] = engine::Datum::Int(updated + r->rows[0][0].int_value());
-      info.rows_out = static_cast<uint64_t>(r->rows[0][0].int_value());
+      const int64_t total = updated + r->rows[0][0].int_value();
+      r->rows = engine::ResultRows();
+      r->rows.AppendRow({engine::Datum::Int(total)});
+      info.rows_out = static_cast<uint64_t>(total);
     }
     record.plan_ns = info.plan_ns;
     record.exec_ns = info.exec_ns;

@@ -70,7 +70,7 @@ Value DatumToCanonical(const engine::Datum& d) {
 std::vector<Value> RowsFromScalars(const engine::QueryResult& result) {
   std::vector<Value> rows;
   rows.reserve(result.rows.size());
-  for (const engine::DatumRow& row : result.rows) {
+  for (const auto& row : result.rows) {
     std::vector<Value> cells;
     cells.reserve(row.size());
     for (const engine::Datum& d : row) cells.push_back(DatumToCanonical(d));
@@ -208,7 +208,7 @@ Result<std::vector<Value>> SinewRunner::Run(int q, const QueryParams& p) {
   std::vector<Value> rows;
   if (star) {
     rows.reserve(result.rows.size());
-    for (const engine::DatumRow& row : result.rows) {
+    for (const auto& row : result.rows) {
       Value doc = Value::Object({});
       for (size_t i = 0; i < row.size(); ++i) {
         if (row[i].is_null()) continue;
@@ -553,10 +553,10 @@ Result<std::vector<Value>> EavRunner::Run(int q, const QueryParams& p) {
                      db->Execute("SELECT oid, sval FROM eav WHERE key = '" +
                                  k2 + "'"));
     std::map<int64_t, std::pair<Value, Value>> by_oid;
-    for (const engine::DatumRow& row : r1.rows) {
+    for (const auto& row : r1.rows) {
       by_oid[row[0].int_value()].first = Value::String(row[1].str());
     }
-    for (const engine::DatumRow& row : r2.rows) {
+    for (const auto& row : r2.rows) {
       by_oid[row[0].int_value()].second = Value::String(row[1].str());
     }
     for (auto& [oid, pair] : by_oid) {
@@ -722,7 +722,7 @@ Result<std::vector<Value>> PgJsonRunner::Run(int q, const QueryParams& p) {
   }
   if (docs_from_data) {
     rows.reserve(result.rows.size());
-    for (const engine::DatumRow& row : result.rows) {
+    for (const auto& row : result.rows) {
       ASSIGN_OR_RETURN(Value doc, json::Parse(row[0].str()));
       rows.push_back(CanonicalizeDocument(doc));
     }

@@ -49,7 +49,7 @@ int ParallelDegree() {
 /// dropped — insensitive to row and column order. Doubles rounded to 9
 /// significant digits.
 std::string CanonicalRow(const engine::QueryResult& result,
-                         const engine::DatumRow& row) {
+                         const engine::ResultRows::Row& row) {
   std::vector<std::string> parts;
   for (size_t i = 0; i < row.size(); ++i) {
     const engine::Datum& d = row[i];
@@ -76,7 +76,7 @@ std::string CanonicalRow(const engine::QueryResult& result,
 std::vector<std::string> CanonicalRows(const engine::QueryResult& result) {
   std::vector<std::string> rows;
   rows.reserve(result.rows.size());
-  for (const engine::DatumRow& row : result.rows) {
+  for (const auto& row : result.rows) {
     rows.push_back(CanonicalRow(result, row));
   }
   std::sort(rows.begin(), rows.end());

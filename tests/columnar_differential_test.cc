@@ -51,7 +51,7 @@ int ParallelDegree() {
 /// dropped — insensitive to row order, column order and attribute-id
 /// interning order. Doubles rounded to 9 significant digits.
 std::string CanonicalRow(const engine::QueryResult& result,
-                         const engine::DatumRow& row) {
+                         const engine::ResultRows::Row& row) {
   std::vector<std::string> parts;
   for (size_t i = 0; i < row.size(); ++i) {
     const engine::Datum& d = row[i];
@@ -78,7 +78,7 @@ std::string CanonicalRow(const engine::QueryResult& result,
 std::vector<std::string> CanonicalRows(const engine::QueryResult& result) {
   std::vector<std::string> rows;
   rows.reserve(result.rows.size());
-  for (const engine::DatumRow& row : result.rows) {
+  for (const auto& row : result.rows) {
     rows.push_back(CanonicalRow(result, row));
   }
   std::sort(rows.begin(), rows.end());
@@ -91,7 +91,7 @@ std::vector<std::string> CanonicalRows(const engine::QueryResult& result) {
 uint64_t AnalyzeCounter(const engine::QueryResult& result,
                         const std::string& key) {
   std::string text;
-  for (const engine::DatumRow& row : result.rows) {
+  for (const auto& row : result.rows) {
     text += row[0].str();
     text += "\n";
   }
@@ -103,7 +103,7 @@ uint64_t AnalyzeCounter(const engine::QueryResult& result,
 /// The text rows of an EXPLAIN ANALYZE result, concatenated.
 std::string AnalyzeText(const engine::QueryResult& result) {
   std::string text;
-  for (const engine::DatumRow& row : result.rows) text += row[0].str();
+  for (const auto& row : result.rows) text += row[0].str();
   return text;
 }
 
@@ -935,7 +935,7 @@ TEST_F(PhysicalStripsTest, ColdRowsReadFromStrips) {
       "'");
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   std::string text;
-  for (const engine::DatumRow& row : analyzed->rows) text += row[0].str();
+  for (const auto& row : analyzed->rows) text += row[0].str();
   EXPECT_NE(text.find("walked=0+"), std::string::npos) << text;
   EXPECT_EQ(AnalyzeCounter(*analyzed, "strip_cols="), 1u) << text;
   // Q1 reads both its columns from strips in the output phase.
@@ -943,7 +943,7 @@ TEST_F(PhysicalStripsTest, ColdRowsReadFromStrips) {
       dbs_[0]->Query("EXPLAIN ANALYZE SELECT str1, num FROM docs");
   ASSERT_TRUE(q1.ok()) << q1.status().ToString();
   text.clear();
-  for (const engine::DatumRow& row : q1->rows) text += row[0].str();
+  for (const auto& row : q1->rows) text += row[0].str();
   EXPECT_NE(text.find("walked=0+0 strip_cols=0+2"), std::string::npos)
       << text;
 }
@@ -1022,7 +1022,7 @@ TEST_F(PhysicalStripsTest, UpdateDetachesTheSegment) {
     Result<engine::QueryResult> changed =
         db->Query("SELECT num FROM docs WHERE str1 = 'changed'");
     ASSERT_TRUE(changed.ok()) << changed.status().ToString();
-    for (const engine::DatumRow& row : changed->rows) {
+    for (const auto& row : changed->rows) {
       EXPECT_EQ(row[0].int_value(), 7);
     }
   }

@@ -320,7 +320,7 @@ void StripServedReadsDuringUpdatesAndReshred(bool physical) {
         if (r->column_names[k] == "c") c = static_cast<int>(k);
       }
       ASSERT_TRUE(a >= 0 && b >= 0 && c >= 0) << sql;
-      for (const engine::DatumRow& row : r->rows) {
+      for (const auto& row : r->rows) {
         const int64_t av = row[a].int_value();
         if (row[b].str() != "s" + std::to_string(av) ||
             row[c].int_value() != 2 * av) {
@@ -363,7 +363,7 @@ void StripServedReadsDuringUpdatesAndReshred(bool physical) {
       db.Query("EXPLAIN ANALYZE SELECT id, a, b, c FROM t");
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   std::string text;
-  for (const engine::DatumRow& row : analyzed->rows) text += row[0].str();
+  for (const auto& row : analyzed->rows) text += row[0].str();
   if (physical) {
     EXPECT_NE(text.find("strip_cols=0+4"), std::string::npos) << text;
   } else {
@@ -477,7 +477,7 @@ void CheckTextFilters(SinewDb* db, int rows, int salt,
     failures->fetch_add(1);
     return;
   }
-  for (const engine::DatumRow& row : eq->rows) {
+  for (const auto& row : eq->rows) {
     if (row[1].str() != want || row[0].int_value() % 10 != group) {
       ADD_FAILURE() << "s = '" << want << "' returned id="
                     << row[0].ToString() << " s=" << row[1].ToString();
@@ -674,7 +674,7 @@ class MoveBetweenFindAndPatch {
     Result<engine::QueryResult> rows = db_.Query("SELECT id, a FROM t");
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     ASSERT_EQ(rows->rows.size(), static_cast<size_t>(kRows));
-    for (const engine::DatumRow& row : rows->rows) {
+    for (const auto& row : rows->rows) {
       EXPECT_EQ(row[1].ToString(), std::to_string(1000 + row[0].int_value()))
           << "id " << row[0].int_value();
     }
@@ -687,7 +687,7 @@ class MoveBetweenFindAndPatch {
     EXPECT_TRUE(rows.ok()) << rows.status().ToString();
     std::string out;
     if (!rows.ok()) return out;
-    for (const engine::DatumRow& row : rows->rows) {
+    for (const auto& row : rows->rows) {
       out += row[0].ToString() + "=" + row[1].ToString() + "\n";
     }
     return out;

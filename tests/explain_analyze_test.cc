@@ -26,7 +26,7 @@ namespace {
 /// Concatenates the text rows an EXPLAIN statement returns.
 std::string ExplainText(const engine::QueryResult& result) {
   std::string out;
-  for (const engine::DatumRow& row : result.rows) {
+  for (const auto& row : result.rows) {
     out += row[0].str();
     out += "\n";
   }
@@ -41,6 +41,14 @@ std::pair<std::string, std::string> TimeAndSelf(const std::string& line) {
   if (t == std::string::npos || s == std::string::npos) return {};
   const size_t end = line.find(" ms)", s + 1);
   return {line.substr(t + 5, s - t - 5), line.substr(s + 9, end - s - 9)};
+}
+
+/// The milliseconds a summary line ("<label>: X ms") prints; -1 when the
+/// text has no such line.
+double SummaryMs(const std::string& text, const std::string& label) {
+  const size_t at = text.find(label + ": ");
+  if (at == std::string::npos) return -1;
+  return std::stod(text.substr(at + label.size() + 2));
 }
 
 /// Creates table t(a INT, b INT) with rows (i, i % 10) for i in [0, n).
@@ -103,6 +111,15 @@ TEST(ExplainTest, ExplainAnalyzeReportsActualRows) {
   EXPECT_NE(text.find("actual rows=50 loops=1"), std::string::npos) << text;
   EXPECT_NE(text.find("Planning Time:"), std::string::npos) << text;
   EXPECT_NE(text.find("Execution Time:"), std::string::npos) << text;
+  // The time outside the root operator (build, the hand-off of its batches
+  // into the result, teardown) follows, and is part of the execution.
+  const size_t exec_at = text.find("Execution Time:");
+  const size_t assembly_at = text.find("Assembly Time:");
+  ASSERT_NE(assembly_at, std::string::npos) << text;
+  EXPECT_GT(assembly_at, exec_at) << text;
+  const double assembly = SummaryMs(text, "Assembly Time");
+  EXPECT_GE(assembly, 0) << text;
+  EXPECT_LE(assembly, SummaryMs(text, "Execution Time")) << text;
   // Plain EXPLAIN never executes and so never reports actuals.
   auto plain = db.Execute("EXPLAIN SELECT a FROM t WHERE a < 50");
   ASSERT_TRUE(plain.ok());

@@ -54,7 +54,7 @@ int ParallelDegree() {
 /// corpus) attribute-id interning order. Doubles rounded to 9 significant
 /// digits.
 std::string CanonicalRow(const engine::QueryResult& result,
-                         const engine::DatumRow& row) {
+                         const engine::ResultRows::Row& row) {
   std::vector<std::string> parts;
   for (size_t i = 0; i < row.size(); ++i) {
     const engine::Datum& d = row[i];
@@ -81,7 +81,7 @@ std::string CanonicalRow(const engine::QueryResult& result,
 std::vector<std::string> CanonicalRows(const engine::QueryResult& result) {
   std::vector<std::string> rows;
   rows.reserve(result.rows.size());
-  for (const engine::DatumRow& row : result.rows) {
+  for (const auto& row : result.rows) {
     rows.push_back(CanonicalRow(result, row));
   }
   std::sort(rows.begin(), rows.end());
@@ -190,7 +190,7 @@ class ExtractionDifferentialTest : public ::testing::Test {
       Result<engine::QueryResult> r = c.db->Query("EXPLAIN ANALYZE " + sql);
       ASSERT_TRUE(r.ok()) << c.name << ": " << r.status().ToString();
       bool scan_filtered = false;
-      for (const engine::DatumRow& row : r->rows) {
+      for (const auto& row : r->rows) {
         const std::string& line = row[0].str();
         scan_filtered |= line.find("Seq Scan") != std::string::npos &&
                          line.find("(bytecode ops=") != std::string::npos;
@@ -228,7 +228,7 @@ class ExtractionDifferentialTest : public ::testing::Test {
         Reference()->Query("EXPLAIN ANALYZE " + sql);
     if (!r.ok()) return 0;
     std::string text;
-    for (const engine::DatumRow& row : r->rows) text += row[0].str() + "\n";
+    for (const auto& row : r->rows) text += row[0].str() + "\n";
     const size_t pos = text.find(key);
     if (pos == std::string::npos) return 0;
     return std::strtoull(text.c_str() + pos + key.size(), nullptr, 10);

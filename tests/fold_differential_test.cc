@@ -497,7 +497,7 @@ TEST(IntegerOverflow, SumSerialAndUnderGather) {
         "SELECT g, SUM(x), AVG(x) FROM s WHERE g < 16 GROUP BY g");
     ASSERT_TRUE(groups.ok()) << groups.status().ToString();
     ASSERT_EQ(groups->rows.size(), 16u);
-    for (const DatumRow& row : groups->rows) {
+    for (const auto& row : groups->rows) {
       EXPECT_EQ(Render(row[1]), Render(I(4 * big)));
       EXPECT_EQ(Render(row[2]), Render(D(static_cast<double>(big))));
     }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <sstream>
@@ -23,7 +25,7 @@ namespace {
 
 std::vector<std::string> Canonical(const engine::QueryResult& result) {
   std::vector<std::string> rows;
-  for (const engine::DatumRow& row : result.rows) {
+  for (const auto& row : result.rows) {
     std::string text;
     for (const engine::Datum& d : row) text += d.ToString() + "|";
     rows.push_back(std::move(text));
@@ -58,7 +60,9 @@ size_t RunOn(SinewDb* db, const std::string& sql, const std::string& outcome) {
   EXPECT_EQ(oracle::LastPlanCache(), outcome);
   Result<engine::QueryResult> golden = oracle::ScalarOracleQuery(db, sql);
   EXPECT_TRUE(golden.ok()) << golden.status().ToString();
-  if (golden.ok()) EXPECT_EQ(Canonical(*got), Canonical(*golden));
+  if (golden.ok()) {
+    EXPECT_EQ(Canonical(*got), Canonical(*golden));
+  }
   return got->rows.size();
 }
 
@@ -205,7 +209,7 @@ TEST_F(PlanCacheTest, SegmentDetachAndReshredAreSurvived) {
   Result<engine::QueryResult> analyzed = db_.Query("EXPLAIN ANALYZE " + q);
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   std::string text;
-  for (const engine::DatumRow& row : analyzed->rows) text += row[0].str();
+  for (const auto& row : analyzed->rows) text += row[0].str();
   EXPECT_NE(text.find("stale=1)"), std::string::npos) << text;
   EXPECT_EQ(text.find("columnar_hits=0 "), std::string::npos) << text;
   ASSERT_TRUE(db_.BuildColumnarSegments("t").ok());
@@ -213,7 +217,7 @@ TEST_F(PlanCacheTest, SegmentDetachAndReshredAreSurvived) {
   Result<engine::QueryResult> got = db_.Query(q);
   ASSERT_TRUE(got.ok());
   bool changed = false;
-  for (const engine::DatumRow& row : got->rows) {
+  for (const auto& row : got->rows) {
     changed |= row[1].is_text() && row[1].str() == "changed";
   }
   EXPECT_TRUE(changed);
@@ -282,7 +286,7 @@ TEST_F(PlanCacheTest, CountersAndExplainAnalyzeShowTheBoundLiterals) {
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     std::string out;
     if (r.ok()) {
-      for (const engine::DatumRow& row : r->rows) out += row[0].str() + "\n";
+      for (const auto& row : r->rows) out += row[0].str() + "\n";
     }
     return out;
   };
@@ -324,7 +328,8 @@ TEST(PlanCacheDurableTest, ReopenPlansAgain) {
   GTEST_SKIP() << "the plan-cache outcome is read from the query log";
 #endif
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "sinew_plan_cache_test")
+      (std::filesystem::temp_directory_path() /
+       ("sinew_plan_cache_test_" + std::to_string(::getpid())))
           .string();
   std::filesystem::remove_all(dir);
   const std::string q = "SELECT id, str1 FROM t WHERE num = 3";

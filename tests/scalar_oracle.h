@@ -270,6 +270,7 @@ inline Result<engine::QueryResult> ScalarOracleQuery(SinewDb* db,
   }
 
   const engine::UdfRegistry* udfs = db->engine()->udfs();
+  std::vector<engine::DatumRow> rows;
   // Appends the select list evaluated over `in` (an input row, or a
   // group's keys and aggregate values).
   auto project = [&](const engine::DatumRow& in) -> Status {
@@ -279,7 +280,7 @@ inline Result<engine::QueryResult> ScalarOracleQuery(SinewDb* db,
       ASSIGN_OR_RETURN(engine::Datum v, engine::EvalExpr(*e, in, udfs));
       out.push_back(std::move(v));
     }
-    result.rows.push_back(std::move(out));
+    rows.push_back(std::move(out));
     return Status::OK();
   };
   struct Group {
@@ -353,13 +354,10 @@ inline Result<engine::QueryResult> ScalarOracleQuery(SinewDb* db,
       RETURN_NOT_OK(project(values));
     }
   }
-  if (select->distinct) {
-    std::set<engine::DatumRow, RowLess> seen;
-    std::vector<engine::DatumRow> unique;
-    for (engine::DatumRow& r : result.rows) {
-      if (seen.insert(r).second) unique.push_back(std::move(r));
-    }
-    result.rows = std::move(unique);
+  std::set<engine::DatumRow, RowLess> seen;
+  for (engine::DatumRow& r : rows) {
+    if (select->distinct && !seen.insert(r).second) continue;
+    result.rows.AppendRow(std::move(r));
   }
   return result;
 }

@@ -65,7 +65,7 @@ std::string Quoted(const std::string& name) { return "\"" + name + "\""; }
 /// contract of a query without ORDER BY).
 std::vector<std::string> SortedRows(const engine::QueryResult& result) {
   std::vector<std::string> rows;
-  for (const engine::DatumRow& row : result.rows) {
+  for (const auto& row : result.rows) {
     std::string text;
     for (const engine::Datum& cell : row) text += cell.ToString() + "|";
     rows.push_back(std::move(text));
@@ -179,7 +179,7 @@ TEST_F(StarTest, StripServed) {
   ASSERT_TRUE(db_.BuildColumnarSegments("s").ok());
   const engine::QueryResult analyze = Q("EXPLAIN ANALYZE SELECT * FROM s");
   std::string text;
-  for (const engine::DatumRow& row : analyze.rows) {
+  for (const auto& row : analyze.rows) {
     text += row[0].ToString() + "\n";
   }
   EXPECT_EQ(text.find("columnar_hits=0"), std::string::npos) << text;

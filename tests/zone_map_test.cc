@@ -339,7 +339,7 @@ TEST(ZoneMapTest, MultiTypedAttributeIsNeverShredded) {
 /// The first "zone_skips=N" of an EXPLAIN ANALYZE result.
 uint64_t ZoneSkips(const engine::QueryResult& analyzed) {
   std::string text;
-  for (const engine::DatumRow& row : analyzed.rows) text += row[0].str();
+  for (const auto& row : analyzed.rows) text += row[0].str();
   const size_t at = text.find("zone_skips=");
   EXPECT_NE(at, std::string::npos) << text;
   if (at == std::string::npos) return 0;
@@ -348,7 +348,7 @@ uint64_t ZoneSkips(const engine::QueryResult& analyzed) {
 
 std::vector<std::string> SortedRows(const engine::QueryResult& result) {
   std::vector<std::string> rows;
-  for (const engine::DatumRow& row : result.rows) {
+  for (const auto& row : result.rows) {
     std::string text;
     for (const Datum& d : row) text += d.ToString() + "|";
     rows.push_back(std::move(text));
