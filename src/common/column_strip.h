@@ -1,38 +1,32 @@
-// Column strip codec: the serialized unit of the columnar reservoir
-// segments. A strip covers a fixed-size run of rows for one (attribute,
-// type) pair of a cold table segment and stores, column-major:
+// Column strip: the unit of a table's columnar segment. A strip covers a
+// fixed-size run of rows for one (attribute, type) pair, or for one
+// physical column, and holds, column-major:
 //
-//   - a presence bitmap (bit i set = row first_row+i has the attribute),
+//   - a presence bitmap (bit i set = row first_row+i has a value),
 //   - a rank-dense typed value vector (fixed-width bools/ints/doubles, or
 //     offset+blob packed strings) holding only the present rows' values,
 //   - a zone map: the min/max value among present rows, plus a has_nan
 //     flag for double strips (NaN poisons ordered comparison, so a strip
-//     containing NaN is never zone-skippable),
-//   - a masked CRC32C over everything above, so torn or bit-flipped strips
-//     are detected and the reader falls back to the row reservoir instead
-//     of misdecoding.
+//     containing NaN is never zone-skippable).
 //
-// The codec is deliberately engine-agnostic (no Datum/Table types): the
-// engine layer wraps decoded strips with rank indexes and Datum zone
-// bounds, and the persistence layer concatenates encoded strips into the
-// `table_<t>.strips` generation sidecar.
+// Strips live only in memory: they are rebuilt from the rows, never
+// written to disk. The struct is engine-agnostic (no Datum/Table types):
+// the engine layer wraps strips with rank indexes and Datum zone bounds
+// (engine/columnar.h).
 
 #ifndef SINEW_COMMON_COLUMN_STRIP_H_
 #define SINEW_COMMON_COLUMN_STRIP_H_
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/result.h"
-#include "common/status.h"
 #include "common/value.h"
 
 namespace sinew {
 
-/// One decoded column strip. Only scalar types are strippable — objects,
-/// arrays and multi-typed attributes stay in the row reservoir.
+/// One column strip. Only scalar types are strippable — objects, arrays
+/// and multi-typed attributes stay in the row reservoir.
 struct ColumnStrip {
   uint64_t first_row = 0;  ///< rid of the strip's first covered row
   uint32_t row_count = 0;  ///< rows covered (present or not), >= 1
@@ -57,42 +51,16 @@ struct ColumnStrip {
   /// zone-skippable because NaN breaks ordered comparison.
   bool has_nan = false;
 
-  /// Zone map over present rows; meaningless (and not serialized) when the
-  /// strip is all-null. For strings these hold the raw bytes.
+  /// Zone map over present rows; meaningless when the strip is all-null.
+  /// For strings these hold the raw bytes.
   bool zone_valid = false;
   uint8_t zone_min_bool = 0, zone_max_bool = 0;
   int64_t zone_min_int = 0, zone_max_int = 0;
   double zone_min_double = 0, zone_max_double = 0;
   std::string zone_min_str, zone_max_str;
 
-  uint32_t non_null() const {
-    uint32_t n = 0;
-    for (uint64_t w : presence) n += static_cast<uint32_t>(__builtin_popcountll(w));
-    return n;
-  }
-
-  bool Present(uint32_t i) const {
-    return (presence[i / 64] >> (i % 64)) & 1;
-  }
-
   void SetPresent(uint32_t i) { presence[i / 64] |= uint64_t{1} << (i % 64); }
 };
-
-/// Hard ceiling on row_count accepted by the decoder; engine strips use
-/// 1024, the cap just bounds allocations on adversarial input.
-inline constexpr uint32_t kMaxStripRowCount = 1u << 20;
-
-/// Serializes a strip: fixed header, presence words, typed values, zone map,
-/// masked CRC32C footer. The strip must be structurally valid (presence
-/// sized to row_count, value vectors rank-dense).
-std::string EncodeColumnStrip(const ColumnStrip& strip);
-
-/// Decodes and fully validates a strip. Any corruption — bit flip,
-/// truncation, trailing garbage, internal inconsistency — yields an error
-/// status, never a wrong value: the CRC covers every preceding byte, and
-/// structural invariants (popcount == value count, monotone string offsets,
-/// scalar type, flag bits) are re-checked after the CRC passes.
-Result<ColumnStrip> DecodeColumnStrip(std::string_view data);
 
 }  // namespace sinew
 

@@ -4,13 +4,10 @@
 #include <cmath>
 #include <utility>
 
-#include "common/bytes.h"
 
 namespace sinew::engine {
 
 namespace {
-
-constexpr uint8_t kSegmentFormatVersion = 1;
 
 /// ColumnarSegment's index key for a strip column.
 std::pair<uint32_t, ValueType> AttrKey(const StripColumn& col) {
@@ -227,85 +224,6 @@ const StripColumn* ColumnarSegment::FindPhysical(std::string_view column,
     return nullptr;
   }
   return &*it;
-}
-
-std::string ColumnarSegment::Serialize() const {
-  BufferWriter w;
-  w.PutU8(kSegmentFormatVersion);
-  w.PutU64(row_count_);
-  w.PutVarint(columns_.size());
-  for (const StripColumn& col : columns_) {
-    w.PutLengthPrefixed(col.source_column);
-    w.PutVarint(col.prefix_ids.size());
-    for (uint32_t id : col.prefix_ids) w.PutVarint(id);
-    w.PutVarint(col.attr_id);
-    w.PutU8(static_cast<uint8_t>(col.type));
-    w.PutVarint(col.strips.size());
-    for (const StripRef& ref : col.strips) {
-      w.PutLengthPrefixed(EncodeColumnStrip(ref.strip));
-    }
-  }
-  return w.Release();
-}
-
-Result<ColumnarSegment::Image> ColumnarSegment::Decode(
-    std::string_view payload) {
-  BufferReader r(payload);
-  ASSIGN_OR_RETURN(uint8_t version, r.ReadU8());
-  if (version != kSegmentFormatVersion) {
-    return Status::IOError("unknown columnar segment version ", version);
-  }
-  ASSIGN_OR_RETURN(uint64_t row_count, r.ReadU64());
-  ASSIGN_OR_RETURN(uint64_t num_columns, r.ReadVarint());
-  const uint64_t expected_strips =
-      (row_count + kStripRows - 1) / kStripRows;
-  std::vector<StripColumn> columns;
-  columns.reserve(num_columns);
-  for (uint64_t c = 0; c < num_columns; ++c) {
-    StripColumn col;
-    ASSIGN_OR_RETURN(std::string_view source, r.ReadLengthPrefixed());
-    col.source_column.assign(source);
-    ASSIGN_OR_RETURN(uint64_t num_prefixes, r.ReadVarint());
-    col.prefix_ids.reserve(num_prefixes);
-    for (uint64_t p = 0; p < num_prefixes; ++p) {
-      ASSIGN_OR_RETURN(uint64_t id, r.ReadVarint());
-      col.prefix_ids.push_back(static_cast<uint32_t>(id));
-    }
-    ASSIGN_OR_RETURN(uint64_t attr_id, r.ReadVarint());
-    col.attr_id = static_cast<uint32_t>(attr_id);
-    ASSIGN_OR_RETURN(uint8_t type_byte, r.ReadU8());
-    col.type = static_cast<ValueType>(type_byte);
-    ASSIGN_OR_RETURN(uint64_t num_strips, r.ReadVarint());
-    if (num_strips != expected_strips) {
-      return Status::IOError("columnar segment strip count ", num_strips,
-                                " != expected ", expected_strips);
-    }
-    col.strips.reserve(num_strips);
-    for (uint64_t s = 0; s < num_strips; ++s) {
-      ASSIGN_OR_RETURN(std::string_view encoded, r.ReadLengthPrefixed());
-      ASSIGN_OR_RETURN(ColumnStrip strip, DecodeColumnStrip(encoded));
-      if (strip.first_row != s * kStripRows) {
-        return Status::IOError("columnar segment strip first_row ",
-                                  strip.first_row, " misaligned");
-      }
-      const uint64_t expected_rows =
-          std::min<uint64_t>(kStripRows, row_count - strip.first_row);
-      if (strip.row_count != expected_rows) {
-        return Status::IOError("columnar segment strip covers ",
-                                  strip.row_count, " rows, expected ",
-                                  expected_rows);
-      }
-      if (strip.type != col.type) {
-        return Status::IOError("columnar segment strip type mismatch");
-      }
-      col.strips.push_back(MakeStripRef(std::move(strip)));
-    }
-    columns.push_back(std::move(col));
-  }
-  if (!r.AtEnd()) {
-    return Status::IOError("columnar segment has trailing bytes");
-  }
-  return Image{row_count, std::move(columns)};
 }
 
 }  // namespace sinew::engine

@@ -1,5 +1,5 @@
-// Columnar segment: the engine-side view of a cold table segment's shredded
-// column strips. At flush/compaction time the sinew layer shreds rows
+// Columnar segment: the engine-side view of a table's shredded column
+// strips, an in-memory index over its rows. The sinew layer shreds rows
 // [0, row_count) into kStripRows-sized ColumnStrips of two kinds:
 //
 //   - reservoir strips: one per frequent single-typed scalar attribute that
@@ -8,8 +8,8 @@
 //   - physical strips: one per clean scalar schema column (a materialized
 //     attribute such as NoBench's str1 or num), keyed by column name.
 //
-// This header wraps the decoded strips with rank indexes and Datum zone
-// bounds so the executor can
+// This header wraps the strips with rank indexes and Datum zone bounds so
+// the executor can
 //
 //   - fill a cold chunk's typed columns, in the filter and the output phase
 //     alike, straight from the strips' value vectors (presence-bitmap
@@ -21,11 +21,10 @@
 //
 // The row bytes stay authoritative: any attribute/row not covered here (hot
 // memtable tail, rows written since the shred, rare or multi-typed
-// attributes, columns dirty at shred time, a missing or corrupt sidecar) is
-// read from the row, so a segment is purely an accelerator and dropping it
-// is always correct. Physical strips duplicate
-// the table image, so only reservoir strips persist (Serialize); a loaded
-// segment gets its physical strips rebuilt from the loaded rows.
+// attributes, columns dirty at shred time, a table not shredded since it
+// was loaded) is read from the row, so a segment is purely an accelerator
+// and dropping it is always correct. Segments never reach disk: a reopened
+// store shreds its tables again (DurableDb::Open).
 
 #ifndef SINEW_ENGINE_COLUMNAR_H_
 #define SINEW_ENGINE_COLUMNAR_H_
@@ -37,7 +36,6 @@
 #include <vector>
 
 #include "common/column_strip.h"
-#include "common/result.h"
 #include "engine/datum.h"
 #include "engine/expr.h"
 #include "engine/row_batch.h"
@@ -49,7 +47,7 @@ namespace sinew::engine {
 /// zone-map check in the scan loop lands exactly on strip boundaries.
 inline constexpr uint32_t kStripRows = 1024;
 
-/// A decoded strip plus the access structures the executor needs: Datum zone
+/// A strip plus the access structures the executor needs: Datum zone
 /// bounds and a per-word rank index into the rank-dense value vectors.
 struct StripRef {
   ColumnStrip strip;
@@ -181,22 +179,6 @@ class ColumnarSegment {
   /// column over it reads the strip alone.
   const StripColumn* FindPhysical(std::string_view column,
                                   ValueType type) const;
-
-  /// Payload for the generation sidecar (persistence wraps it in a
-  /// checksummed image footer; each strip additionally carries its own CRC).
-  /// Holds the reservoir strips only: physical strips are rebuilt from the
-  /// table image on load.
-  std::string Serialize() const;
-
-  /// The reservoir strips a sidecar payload holds and the rows they cover.
-  struct Image {
-    uint64_t row_count = 0;
-    std::vector<StripColumn> columns;
-  };
-
-  /// Strict inverse of Serialize: any corruption or inconsistency rejects
-  /// the whole payload (callers fall back to the row reservoir).
-  static Result<Image> Decode(std::string_view payload);
 
  private:
   uint64_t row_count_ = 0;

@@ -1262,16 +1262,20 @@ bool Planner::SelectPlanner::IsPipelineChain(const PlanNode& node) {
   return false;
 }
 
+int GatherDegreeFor(const PlannerOptions& options, uint64_t live_rows) {
+  const double workers =
+      std::ceil(static_cast<double>(live_rows) /
+                std::max(options.parallel_min_rows, 1.0));
+  return std::max(1, static_cast<int>(std::min(
+                         static_cast<double>(options.parallelism), workers)));
+}
+
 int Planner::SelectPlanner::ParallelDegreeFor(const PlanNode& chain) const {
   const PlanNode* leaf = &chain;
   while (!leaf->children.empty()) leaf = leaf->children[0].get();
   auto it = table_rows_by_alias_.find(leaf->alias);
-  double rows = it != table_rows_by_alias_.end() ? it->second : 0.0;
-  // Each worker should have at least parallel_min_rows rows to chew on;
-  // otherwise fan-out overhead dominates and the pipeline stays serial.
-  double workers = std::ceil(rows / std::max(options_.parallel_min_rows, 1.0));
-  return static_cast<int>(
-      std::min(static_cast<double>(options_.parallelism), workers));
+  const double rows = it != table_rows_by_alias_.end() ? it->second : 0.0;
+  return GatherDegreeFor(options_, static_cast<uint64_t>(rows));
 }
 
 // Post-pass: wrap every maximal parallelizable subtree in a Gather node.

@@ -47,6 +47,12 @@ struct PlannerOptions {
   double parallel_min_rows = 8192;
 };
 
+/// The Gather degree of a scan pipeline over a base table of `live_rows`
+/// rows: min(parallelism, ceil(live_rows / parallel_min_rows)), at least 1.
+/// Each worker gets at least parallel_min_rows rows to chew on; otherwise
+/// fan-out overhead dominates. A degree below 2 plans serially.
+int GatherDegreeFor(const PlannerOptions& options, uint64_t live_rows);
+
 class Planner {
  public:
   Planner(Catalog* catalog, const UdfRegistry* udfs,

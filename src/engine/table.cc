@@ -121,16 +121,6 @@ Status Table::ReplaceRowLocked(uint64_t rid, const DatumRow& row) {
   return Status::OK();
 }
 
-std::shared_ptr<const ColumnarSegment> Table::FreshColumnarSegmentSnapshot()
-    const {
-  std::shared_lock lock(latch_);
-  if (columnar_ == nullptr ||
-      MayHoldStaleUnlocked(0, columnar_->row_count())) {
-    return nullptr;
-  }
-  return columnar_;
-}
-
 Status Table::DeleteRow(uint64_t rid) {
   std::unique_lock lock(latch_);
   if (rid >= rows_.size() || rows_[rid].empty()) {

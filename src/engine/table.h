@@ -207,9 +207,6 @@ class Table {
     std::shared_lock lock(latch_);
     return columnar_;
   }
-  /// The attached segment when no row it covers is stale, else nullptr:
-  /// what may be persisted as a description of the rows saved with it.
-  std::shared_ptr<const ColumnarSegment> FreshColumnarSegmentSnapshot() const;
   /// For readers already holding the latch (scan chunk loop).
   const std::shared_ptr<const ColumnarSegment>& ColumnarSegmentUnlocked()
       const {

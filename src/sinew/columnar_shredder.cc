@@ -1,6 +1,7 @@
 #include "sinew/columnar_shredder.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
@@ -75,11 +76,10 @@ class PhysicalStrips {
     }
   }
 
-  /// Row offset (in the open strip) the sink methods append at.
+  /// Row offset (in the open strip) the appends below write at.
   void SetRow(uint32_t offset) { offset_ = offset; }
 
-  // WalkRow sink over slots(): value k belongs to column k.
-  void Null(size_t) {}
+  // Column k's value of the current row (RowSink forwards each walked slot).
   void Int(size_t k, int64_t v) { engine::StripAppend(&current_[k], offset_, v); }
   void Double(size_t k, double v) {
     engine::StripAppend(&current_[k], offset_, v);
@@ -126,26 +126,59 @@ struct RowSink {
   }
 };
 
+/// The candidates sharing one prefix chain, the first of them at `begin` in
+/// the candidate list (sorted by chain), and by attribute id the candidate
+/// each id feeds (kNotShredded for any other id).
+struct CandidateGroup {
+  static constexpr uint32_t kNotShredded = UINT32_MAX;
+  size_t begin = 0;
+  std::vector<uint32_t> candidate_of;
+};
+
+std::vector<CandidateGroup> GroupCandidates(
+    const std::vector<Candidate>& candidates) {
+  std::vector<CandidateGroup> groups;
+  for (size_t g = 0; g < candidates.size();) {
+    size_t h = g;
+    CandidateGroup& group = groups.emplace_back();
+    group.begin = g;
+    for (; h < candidates.size() &&
+           candidates[h].prefix_ids == candidates[g].prefix_ids;
+         ++h) {
+      const uint32_t id = candidates[h].attr.id;
+      if (group.candidate_of.size() <= id) {
+        group.candidate_of.resize(id + 1, CandidateGroup::kNotShredded);
+      }
+      group.candidate_of[id] = static_cast<uint32_t>(h);
+    }
+    g = h;
+  }
+  return groups;
+}
+
+/// Per-document scratch of ShredDocument: the ids one group's (sub)document
+/// holds that are candidates, the candidate each feeds, and their bytes.
+struct DocScratch {
+  std::vector<uint32_t> wanted;
+  std::vector<uint32_t> candidate;
+  std::vector<std::optional<std::string_view>> values;
+};
+
 /// Shreds one serialized document into the strip set: one prefix-chain
-/// descent per candidate group, one ExtractMany header pass per group —
-/// exactly the access pattern of ExtractGroupFromDoc in the executor's
-/// batched extractor, so strip values match reservoir decodes bit for bit.
+/// descent per candidate group, then one pass over the ids the
+/// (sub)document holds and one ExtractMany over those that are candidates,
+/// so the work per document follows its own attributes, not the candidate
+/// count. ExtractMany and the per-type decode are the executor's batched
+/// extractor's, so strip values match reservoir decodes bit for bit.
 Status ShredDocument(const AttributeCatalog& catalog,
                      const std::vector<Candidate>& candidates,
+                     const std::vector<CandidateGroup>& groups,
                      std::string_view doc, uint32_t offset,
-                     std::vector<ColumnStrip>* strips,
-                     std::vector<uint32_t>* wanted_scratch,
-                     std::vector<std::optional<std::string_view>>* values_scratch) {
-  size_t g = 0;
-  while (g < candidates.size()) {
-    size_t h = g;
-    while (h < candidates.size() &&
-           candidates[h].prefix_ids == candidates[g].prefix_ids) {
-      ++h;
-    }
+                     std::vector<ColumnStrip>* strips, DocScratch* scratch) {
+  for (const CandidateGroup& group : groups) {
     std::string_view current = doc;
     bool present = true;
-    for (uint32_t pid : candidates[g].prefix_ids) {
+    for (uint32_t pid : candidates[group.begin].prefix_ids) {
       serial::DocumentView view(current);
       std::optional<std::string_view> sub = view.Extract(pid);
       if (!sub.has_value()) {
@@ -154,21 +187,28 @@ Status ShredDocument(const AttributeCatalog& catalog,
       }
       current = *sub;
     }
-    if (!present) {
-      g = h;
-      continue;
-    }
-    wanted_scratch->clear();
-    for (size_t k = g; k < h; ++k) {
-      wanted_scratch->push_back(candidates[k].attr.id);
-    }
-    values_scratch->assign(h - g, std::nullopt);
     serial::DocumentView view(current);
-    view.ExtractMany(wanted_scratch->data(), wanted_scratch->size(),
-                     values_scratch->data());
-    for (size_t k = g; k < h; ++k) {
-      const std::optional<std::string_view>& bytes = (*values_scratch)[k - g];
+    // Validate bounds the header AttributeIdAt reads; a malformed document
+    // holds no value here, as ExtractMany would find none in it.
+    if (!present || !view.Validate().ok()) continue;
+    scratch->wanted.clear();
+    scratch->candidate.clear();
+    const uint32_t n = *view.attribute_count();
+    for (uint32_t i = 0; i < n; ++i) {
+      const uint32_t id = view.AttributeIdAt(i);
+      if (id < group.candidate_of.size() &&
+          group.candidate_of[id] != CandidateGroup::kNotShredded) {
+        scratch->wanted.push_back(id);
+        scratch->candidate.push_back(group.candidate_of[id]);
+      }
+    }
+    scratch->values.resize(scratch->wanted.size());
+    view.ExtractMany(scratch->wanted.data(), scratch->wanted.size(),
+                     scratch->values.data());
+    for (size_t j = 0; j < scratch->wanted.size(); ++j) {
+      const std::optional<std::string_view>& bytes = scratch->values[j];
       if (!bytes.has_value()) continue;
+      const uint32_t k = scratch->candidate[j];
       const ValueType type = candidates[k].attr.type;
       ASSIGN_OR_RETURN(Value v, serial::DecodeValueBody(type, *bytes, catalog));
       ColumnStrip* strip = &(*strips)[k];
@@ -190,7 +230,6 @@ Status ShredDocument(const AttributeCatalog& catalog,
           break;  // filtered out during candidate selection
       }
     }
-    g = h;
   }
   return Status::OK();
 }
@@ -199,7 +238,7 @@ Status ShredDocument(const AttributeCatalog& catalog,
 
 Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
     engine::Table* table, const AttributeCatalog& catalog,
-    const std::string& table_name, const ShredOptions& options) {
+    const std::string& table_name) {
   static metrics::Counter* strips_written =
       metrics::GetCounter("strips.written");
   static metrics::Counter* segments_built =
@@ -219,8 +258,8 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
     return std::shared_ptr<const ColumnarSegment>();
   }
 
-  // --- strip selection: reservoir-resident, scalar, single-typed, dense
-  //     enough. The reservoir stays authoritative for everything excluded.
+  // --- strip selection: reservoir-resident, scalar, single-typed. The
+  //     reservoir stays authoritative for everything excluded.
   std::vector<Candidate> candidates;
   for (const AttributeState& state : catalog.TableAttributes(table_name)) {
     if (state.materialized || state.dirty || state.count == 0) continue;
@@ -228,10 +267,6 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
     if (!attr.ok()) continue;
     if (!IsScalar(attr->type)) continue;
     if (catalog.FindAllTypes(attr->key).size() > 1) continue;
-    if (static_cast<double>(state.count) <
-        options.min_density * static_cast<double>(row_count)) {
-      continue;
-    }
     Candidate c;
     c.attr = std::move(*attr);
     c.count = state.count;
@@ -252,16 +287,16 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
   if (candidates.empty() && physical.slots().empty()) {
     return std::shared_ptr<const ColumnarSegment>();
   }
-  if (candidates.size() > options.max_columns) {
+  if (candidates.size() > kMaxShredColumns) {
     std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& a, const Candidate& b) {
                 return a.count != b.count ? a.count > b.count
                                           : a.attr.id < b.attr.id;
               });
-    candidates.resize(options.max_columns);
+    candidates.resize(kMaxShredColumns);
   }
-  // Group by prefix chain with ascending attr ids inside each group — the
-  // ExtractMany merge-join contract.
+  // Group by prefix chain, ascending attr ids inside each group: the
+  // segment's column order.
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
               if (a.prefix_ids != b.prefix_ids) {
@@ -269,6 +304,7 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
               }
               return a.attr.id < b.attr.id;
             });
+  const std::vector<CandidateGroup> groups = GroupCandidates(candidates);
 
   std::vector<StripColumn> columns(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -284,8 +320,7 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
   const auto at = std::lower_bound(slots.begin(), slots.end(), *data_slot);
   const size_t reservoir_k = static_cast<size_t>(at - slots.begin());
   slots.insert(at, *data_slot);
-  std::vector<uint32_t> wanted_scratch;
-  std::vector<std::optional<std::string_view>> values_scratch;
+  DocScratch scratch;
   for (uint64_t s = 0; s < num_strips; ++s) {
     const uint64_t first = s * kStripRows;
     const uint64_t end = std::min<uint64_t>(row_count, first + kStripRows);
@@ -314,9 +349,8 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
         RowSink row{reservoir_k, &physical, std::nullopt};
         RETURN_NOT_OK(engine::WalkRow(schema, encoded, slots, row));
         if (!row.doc.has_value() || candidates.empty()) continue;
-        RETURN_NOT_OK(ShredDocument(catalog, candidates, *row.doc, offset,
-                                    &strips, &wanted_scratch,
-                                    &values_scratch));
+        RETURN_NOT_OK(ShredDocument(catalog, candidates, groups, *row.doc,
+                                    offset, &strips, &scratch));
       }
     }
     for (size_t i = 0; i < candidates.size(); ++i) {
@@ -335,33 +369,6 @@ Result<std::shared_ptr<const ColumnarSegment>> ShredAndAttachSegment(
   strips_written->Add(num_strips * num_columns);
   segments_built->Increment();
   return segment;
-}
-
-Result<std::vector<engine::StripColumn>> ShredPhysicalColumns(
-    const engine::Table& table, const AttributeCatalog& catalog,
-    const std::string& table_name, uint64_t row_count) {
-  const engine::Schema schema = table.SchemaSnapshot();
-  const uint64_t num_strips = (row_count + kStripRows - 1) / kStripRows;
-  PhysicalStrips physical(schema, catalog, table_name, num_strips);
-  if (physical.slots().empty()) return std::vector<StripColumn>();
-  std::shared_lock lock(table.latch());
-  if (row_count > table.RowSlotCountUnlocked()) {
-    return Status::InvalidArgument("cannot shred ", row_count, " rows of ",
-                                   table_name, ": it has ",
-                                   table.RowSlotCountUnlocked());
-  }
-  for (uint64_t first = 0; first < row_count; first += kStripRows) {
-    const uint64_t end = std::min<uint64_t>(row_count, first + kStripRows);
-    physical.StartStrip(first, static_cast<uint32_t>(end - first));
-    for (uint64_t rid = first; rid < end; ++rid) {
-      const std::string& encoded = table.RawRowUnlocked(rid);
-      if (encoded.empty()) continue;
-      physical.SetRow(static_cast<uint32_t>(rid - first));
-      RETURN_NOT_OK(engine::WalkRow(schema, encoded, physical.slots(), physical));
-    }
-    physical.FinishStrip();
-  }
-  return physical.Release();
 }
 
 }  // namespace sinew

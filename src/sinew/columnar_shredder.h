@@ -1,14 +1,16 @@
-// Columnar shredder: builds a table's ColumnarSegment at flush/compaction
-// time (paper hybrid thesis at segment granularity — frequent attributes go
-// columnar, the row bytes stay authoritative for everything else). One walk
-// per covered row feeds two kinds of strips:
+// Columnar shredder: builds a table's ColumnarSegment, the in-memory strip
+// index over its rows (paper hybrid thesis at segment granularity —
+// frequent attributes go columnar, the row bytes stay authoritative for
+// everything else). It runs wherever SinewDb::BuildColumnarSegments does:
+// on demand, at each DurableDb flush, and once per DurableDb::Open. One
+// walk per covered row feeds two kinds of strips:
 //
 //   - Reservoir strips. An attribute qualifies when it is
-//     reservoir-resident (not materialized, not dirty), scalar-typed,
+//     reservoir-resident (not materialized, not dirty), scalar-typed and
 //     single-typed (a key observed with more than one type is excluded — its
 //     comparisons are type-dependent and its values would split across
-//     strips), and at least `min_density` dense. The shredder replays the
-//     exact chain-extraction the executor performs — canonical object-id
+//     strips); past kMaxShredColumns the densest win. The shredder replays
+//     the exact chain-extraction the executor performs — canonical object-id
 //     prefix descent plus one ExtractMany header pass per row — so a strip
 //     value is byte-for-byte what the batched extractor would have decoded.
 //   - Physical strips. Every live kBool/kInt/kDouble/kText schema column
@@ -16,9 +18,7 @@
 //     num, thousandth once materialized) gets one strip column keyed by its
 //     name, holding exactly the values the row bytes hold.
 //
-// Physical strips duplicate the table image, so the generation sidecar
-// keeps only the reservoir strips; ShredPhysicalColumns rebuilds the
-// physical ones from the loaded rows.
+// Strips are never written to disk.
 
 #ifndef SINEW_SINEW_COLUMNAR_SHREDDER_H_
 #define SINEW_SINEW_COLUMNAR_SHREDDER_H_
@@ -26,7 +26,6 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "engine/columnar.h"
@@ -35,14 +34,8 @@
 
 namespace sinew {
 
-struct ShredOptions {
-  /// Minimum fraction of rows carrying the attribute. 0 shreds every
-  /// qualifying attribute — sparse attributes benefit most from zone-map
-  /// skipping (an all-null strip skips for free), so the default is 0.
-  double min_density = 0.0;
-  /// Cap on shredded attributes per table, densest first.
-  size_t max_columns = 4096;
-};
+/// Cap on shredded reservoir attributes per table, densest first.
+inline constexpr size_t kMaxShredColumns = 4096;
 
 /// Shreds rows [0, RowSlotCount) of `table` into a ColumnarSegment and
 /// attaches it. Returns the attached segment, or nullptr when there is
@@ -52,14 +45,7 @@ struct ShredOptions {
 /// requirement).
 Result<std::shared_ptr<const engine::ColumnarSegment>> ShredAndAttachSegment(
     engine::Table* table, const AttributeCatalog& catalog,
-    const std::string& table_name, const ShredOptions& options = {});
-
-/// The physical strips ShredAndAttachSegment would build for rows
-/// [0, row_count) of `table`, read under one shared latch acquisition: how a
-/// segment loaded from a sidecar gets them back.
-Result<std::vector<engine::StripColumn>> ShredPhysicalColumns(
-    const engine::Table& table, const AttributeCatalog& catalog,
-    const std::string& table_name, uint64_t row_count);
+    const std::string& table_name);
 
 }  // namespace sinew
 

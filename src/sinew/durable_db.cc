@@ -131,7 +131,15 @@ Result<std::unique_ptr<DurableDb>> DurableDb::Open(const std::string& directory,
   }
   info.generation = db->current_generation_;
 
-  // 5. Only now, with recovery fully done, start logging new writes.
+  // 5. Strips are never persisted: shred every table once, over its
+  //    recovered rows. The recovery flush shreds none (replay runs before
+  //    the hook is installed, so it marks no table touched). Best-effort,
+  //    like the flush's shred.
+  for (const std::string& table : db->db_.Tables()) {
+    (void)db->db_.BuildColumnarSegments(table);
+  }
+
+  // 6. Only now, with recovery fully done, start logging new writes.
   db->db_.SetWriteAheadHook(db.get());
   return db;
 }
@@ -272,9 +280,9 @@ Status DurableDb::FlushLocked() {
     }
   }
   // Columnar shredding rides the same compaction: every table the delta
-  // touched gets a fresh strip segment over its now-cold rows, which the
-  // generation save below persists as a .strips sidecar. Best-effort — a
-  // table that cannot be shredded simply stays on the row reservoir.
+  // touched gets a fresh in-memory strip segment over its now-cold rows.
+  // Best-effort — a table that cannot be shredded simply stays on the row
+  // reservoir.
   if (db_.columnar_segments_enabled()) {
     for (const std::string& table : touched_tables_) {
       (void)db_.BuildColumnarSegments(table);

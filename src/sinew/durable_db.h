@@ -7,6 +7,7 @@
 //   write ──► WAL append + fsync (common/wal.h)          cheap, per commit
 //         ──► in-memory apply (the live engine tables)
 //   flush ──► schema analyze + materialize (compaction-time materialization)
+//         ──► shred the touched tables' columnar segments (in memory only)
 //         ──► next generation image (SaveDatabaseGeneration)
 //         ──► truncate the WAL
 //
@@ -39,7 +40,9 @@
 // during recovery's own flush re-runs the same replay from the same base
 // (double-recovery idempotence). If recovery had to fall back to the
 // previous generation, the newer generation's log cannot be applied to it;
-// it is orphaned (deleted) and reported in DurableOpenInfo::notes.
+// it is orphaned (deleted) and reported in DurableOpenInfo::notes. Columnar
+// segments are never persisted, so Open ends by shredding every table once
+// (the recovery flush shreds none: replay marks no table touched).
 //
 // Replay applies logical records: document batches are re-loaded, DML
 // statements re-executed. A statement that failed to apply originally was
@@ -100,8 +103,8 @@ struct DurableOpenInfo {
 class DurableDb : private WriteAheadHook {
  public:
   /// Opens (creating if absent) the database in `directory`, running crash
-  /// recovery: image load, WAL replay, recovery flush. `env == nullptr`
-  /// means Env::Default().
+  /// recovery: image load, WAL replay, recovery flush, shred. `env ==
+  /// nullptr` means Env::Default().
   static Result<std::unique_ptr<DurableDb>> Open(const std::string& directory,
                                                  DurableDbOptions options = {},
                                                  Env* env = nullptr);

@@ -9,10 +9,8 @@
 #include "common/bytes.h"
 #include "common/image_io.h"
 #include "common/metrics.h"
-#include "engine/columnar.h"
 #include "engine/persist.h"
 #include "engine/table.h"
-#include "sinew/columnar_shredder.h"
 #include "sinew/sinew_db.h"
 
 namespace sinew {
@@ -29,59 +27,6 @@ constexpr std::string_view kGenPrefix = "gen-";
 
 std::string TableImagePath(const std::string& dir, const std::string& table) {
   return dir + "/table_" + table + ".tbl";
-}
-
-/// Columnar strip sidecar: shredded column strips of the table's cold rows,
-/// written next to the row image. Strictly optional — a generation with a
-/// missing, truncated or corrupt sidecar loads fine on the row reservoir.
-std::string StripSidecarPath(const std::string& dir, const std::string& table) {
-  return TableImagePath(dir, table) + ".strips";
-}
-
-/// Best-effort sidecar load: attaches the generation's columnar segment to
-/// the freshly loaded table, its physical strips rebuilt from the loaded
-/// rows (the sidecar holds reservoir strips only). Any failure — unreadable
-/// file, checksum mismatch, malformed strips, or a segment covering rows the
-/// image does not have — discards the sidecar and leaves the table on the
-/// row reservoir, which is always correct.
-void LoadStripSidecar(SinewDb* db, const std::string& table,
-                      const std::string& path, Env* env) {
-  static metrics::Counter* loaded =
-      metrics::GetCounter("columnar.sidecar_loads");
-  static metrics::Counter* rejected =
-      metrics::GetCounter("columnar.sidecar_rejected");
-  Result<std::string> payload = ReadImageFile(env, path);
-  if (!payload.ok()) {
-    rejected->Increment();
-    return;
-  }
-  Result<engine::ColumnarSegment::Image> image =
-      engine::ColumnarSegment::Decode(*payload);
-  if (!image.ok()) {
-    rejected->Increment();
-    return;
-  }
-  Result<engine::Table*> engine_table = db->engine()->catalog()->GetTable(table);
-  if (!engine_table.ok()) {
-    rejected->Increment();
-    return;
-  }
-  // The segment may cover fewer rows than the image (rows appended after the
-  // shred are the hot tail, served by the reservoir) but never more.
-  if (image->row_count > (*engine_table)->RowSlotCount()) {
-    rejected->Increment();
-    return;
-  }
-  Result<std::vector<engine::StripColumn>> physical = ShredPhysicalColumns(
-      **engine_table, *db->catalog(), table, image->row_count);
-  if (!physical.ok()) {
-    rejected->Increment();
-    return;
-  }
-  (*engine_table)
-      ->SetColumnarSegment(std::make_shared<const engine::ColumnarSegment>(
-          image->row_count, std::move(image->columns), std::move(*physical)));
-  loaded->Increment();
 }
 
 std::string ManifestPath(const std::string& dir) {
@@ -182,8 +127,6 @@ Status LoadGeneration(SinewDb* db, const std::string& gen_dir, Env* env) {
     RETURN_NOT_OK(engine::LoadTable(TableImagePath(gen_dir, table),
                                     db->engine()->catalog(), env)
                       .status());
-    const std::string strips = StripSidecarPath(gen_dir, table);
-    if (env->FileExists(strips)) LoadStripSidecar(db, table, strips, env);
   }
   return Status::OK();
 }
@@ -336,18 +279,6 @@ Result<uint64_t> SaveDatabaseGeneration(SinewDb* db,
     }
     if (!copied) {
       RETURN_NOT_OK(engine::SaveTable(*engine_table, dst, env));
-    }
-    // Columnar sidecar: persisted only while the attached segment still
-    // summarizes every row it covers. Rows written since its shred are
-    // stale, and a reload could not tell them apart (loaded rows carry no
-    // stamps), so a segment with stale rows is not written and the
-    // generation loads on the row reservoir until the next shred.
-    // Best-effort — a failed write only costs a re-shred after the next
-    // recovery, never the generation.
-    if (std::shared_ptr<const engine::ColumnarSegment> segment =
-            engine_table->FreshColumnarSegmentSnapshot()) {
-      (void)WriteImageFile(env, StripSidecarPath(gen_dir, table),
-                           segment->Serialize());
     }
   }
 

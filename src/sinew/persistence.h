@@ -29,6 +29,10 @@
 //
 // Text indexes are not persisted (the paper's Solr index is likewise an
 // external, rebuildable artifact): call EnableTextIndex() again after Load.
+// Columnar segments are not persisted either: they are an in-memory index
+// over the loaded rows. A loaded table has none until
+// SinewDb::BuildColumnarSegments runs (DurableDb::Open runs it for every
+// table).
 
 #ifndef SINEW_SINEW_PERSISTENCE_H_
 #define SINEW_SINEW_PERSISTENCE_H_

@@ -1,7 +1,6 @@
 #include "sinew/plan_cache.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/metrics.h"
 
@@ -90,17 +89,12 @@ char KindTag(const engine::Datum& d) {
   }
 }
 
-/// The Gather degree a scan of `table` gets under `options` (the planner's
-/// ParallelDegreeFor over its live rows); every degree below 2 plans
-/// serially, so a serial configuration never reads the row count.
+/// The Gather degree a scan of `table` gets under `options`; a serial
+/// configuration never reads the row count.
 int GatherDegree(const engine::PlannerOptions& options,
                  const engine::Table& table) {
   if (options.parallelism <= 1) return 1;
-  const double workers =
-      std::ceil(static_cast<double>(table.LiveRowCount()) /
-                std::max(options.parallel_min_rows, 1.0));
-  return std::max(1, static_cast<int>(std::min(
-                         static_cast<double>(options.parallelism), workers)));
+  return engine::GatherDegreeFor(options, table.LiveRowCount());
 }
 
 }  // namespace

@@ -72,9 +72,6 @@ SinewDb::SinewDb(SinewOptions options)
   materializer_.SetParallelism(options.parallelism);
   RegisterSinewFunctions(db_.udfs(), &catalog_);
   db_.set_slow_query_threshold_ns(options.slow_query_threshold_ns);
-  if (options.query_log_capacity > 0) {
-    qlog::QueryLog::Global()->SetCapacity(options.query_log_capacity);
-  }
 }
 
 SinewDb::~SinewDb() { StopBackgroundMaintenance(); }
@@ -442,8 +439,7 @@ Status SinewDb::BuildColumnarSegments(const std::string& table) {
   // Serialize against the loader/materializer: both rewrite rows, and a
   // shred racing them would only build a segment it then has to discard.
   std::lock_guard lock(catalog_.MaintenanceLatch(table));
-  return ShredAndAttachSegment(engine_table, catalog_, table, options_.shred)
-      .status();
+  return ShredAndAttachSegment(engine_table, catalog_, table).status();
 }
 
 Status SinewDb::ForceMaterialization(const std::string& table,

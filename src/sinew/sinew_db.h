@@ -54,18 +54,14 @@ struct SinewOptions {
   /// (the default; identical behavior to prior releases).
   int parallelism = 1;
   /// Columnar reservoir segments: when true, BuildColumnarSegments (called
-  /// explicitly or by DurableDb at flush/compaction) shreds frequent
-  /// reservoir attributes of cold rows into column strips with zone maps,
-  /// and the generation image persists them as a sidecar. false = pure
-  /// row-reservoir behavior (identical to prior releases).
+  /// explicitly, or by DurableDb at each flush and once per Open) shreds
+  /// frequent reservoir attributes and clean scalar columns into in-memory
+  /// column strips with zone maps. false = pure row-reservoir behavior.
   bool enable_columnar_segments = true;
-  ShredOptions shred;
   /// Queries whose execution exceeds this wall clock (nanoseconds) dump
   /// their EXPLAIN ANALYZE tree into the metrics trace ring as a
   /// "query.slow" event. 0 (the default) disables slow-query capture.
   uint64_t slow_query_threshold_ns = 0;
-  /// Query-log ring capacity override; 0 keeps the default (1024 records).
-  size_t query_log_capacity = 0;
 };
 
 /// Intercepts every mutating entry point of a SinewDb *before* the mutation
@@ -162,8 +158,9 @@ class SinewDb {
   /// Shreds the table's current cold rows into a columnar segment and
   /// attaches it (sinew/columnar_shredder.h). No-op when
   /// enable_columnar_segments is false or nothing qualifies. DurableDb
-  /// calls this at flush/compaction; tests and benches may call it directly
-  /// to treat the loaded rows as a cold segment.
+  /// calls this at each flush and once per Open (segments are never
+  /// persisted); tests and benches may call it directly to treat the loaded
+  /// rows as a cold segment.
   Status BuildColumnarSegments(const std::string& table);
 
   bool columnar_segments_enabled() const {

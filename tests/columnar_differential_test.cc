@@ -749,10 +749,10 @@ TEST_F(ColumnarDifferentialTest, DirtyColumnAfterAHotLoadReadsItsStrip) {
   }
 }
 
-TEST_F(ColumnarDifferentialTest, ReopenReplaysUpdatesOverTheSidecar) {
-  // A store flushed with a strip sidecar, then updated on covered rows
-  // with those updates only in its WAL. Reopening loads the sidecar and
-  // replays the updates over it; the answers must be the updated rows'.
+TEST_F(ColumnarDifferentialTest, ReopenShredsOverReplayedUpdates) {
+  // A flushed store, then updated on covered rows with those updates only
+  // in its WAL. Reopening replays the updates and then shreds the table;
+  // the answers must be the updated rows', served from strips.
   const std::string dir =
       (std::filesystem::temp_directory_path() /
        ("sinew_stale_reopen_" + std::to_string(::getpid())))
@@ -783,6 +783,12 @@ TEST_F(ColumnarDifferentialTest, ReopenReplaysUpdatesOverTheSidecar) {
     Result<std::unique_ptr<DurableDb>> db = DurableDb::Open(copy, options);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     EXPECT_EQ((*db)->open_info().replayed_records, 2u);
+    Result<engine::QueryResult> analyzed = (*db)->Query(
+        "EXPLAIN ANALYZE SELECT seq AS s, tag AS t FROM docs");
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    EXPECT_NE(AnalyzeText(*analyzed).find("walked=0+0 strip_cols=0+2"),
+              std::string::npos)
+        << AnalyzeText(*analyzed);
     for (const std::string& sql : {
              std::string("SELECT seq AS s, tag AS t FROM docs"),
              std::string("SELECT seq AS s FROM docs WHERE tag = 'replayed'"),
@@ -811,7 +817,7 @@ TEST_F(ColumnarDifferentialTest, ReopenReplaysUpdatesOverTheSidecar) {
 /// Gather degree 1 and ParallelDegree(), in every state a physical strip
 /// can be in: attached over cold rows, with a hot tail past it, next to a
 /// dirty column, detached by an UPDATE, still attached over a deleted row,
-/// rebuilt after a dematerialization and rebuilt from a reopened sidecar.
+/// rebuilt after a dematerialization and rebuilt by a reopen.
 class PhysicalStripsTest : public ::testing::Test {
  protected:
   static constexpr uint64_t kRecords = 2500;  // 3 strips, the last partial
@@ -1057,8 +1063,8 @@ TEST_F(PhysicalStripsTest, DematerializedColumnLosesItsStrip) {
 }
 
 TEST_F(PhysicalStripsTest, ReopenRebuildsPhysicalStripsFromTheImage) {
-  // The sidecar holds reservoir strips only; a reopened store rebuilds the
-  // physical ones from the loaded rows.
+  // Strips never reach disk; a reopened store shreds the physical columns
+  // from the loaded rows.
   const std::string dir =
       (std::filesystem::temp_directory_path() /
        ("sinew_physical_strips_" + std::to_string(::getpid())))

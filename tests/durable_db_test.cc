@@ -22,7 +22,6 @@
 #include "common/fault_env.h"
 #include "common/metrics.h"
 #include "common/wal.h"
-#include "engine/table.h"
 #include "sinew/persistence.h"
 
 namespace sinew {
@@ -476,23 +475,45 @@ TEST(DurableCrashSweep, CrashDuringRecoveryFlushThenRecoverAgain) {
   fs::remove_all(stage);
 }
 
-// ---- columnar strip sidecar: crash safety ----
+// ---- columnar strips across crashes and reopens ----
 //
-// Flush writes a `table_<t>.tbl.strips` sidecar next to the table image
-// when columnar segments are enabled. The sidecar is a pure accelerator:
-// recovery must produce identical query results whether the sidecar landed
-// complete, landed torn (rejected, row fallback) or never landed — and a
-// torn sidecar must never fail Open or serve wrong values.
+// Strips are an in-memory index: a flush shreds the tables it touched, and
+// every Open shreds each table once over its recovered rows. Nothing about
+// them reaches disk, so a crash anywhere must leave a store that reopens
+// with identical query results, served from strips again.
 
 constexpr int kStripRows2 = 2600;  // ~2.5 strips of 1024 rows
 
-size_t CountStripSidecars(const std::string& dir) {
-  size_t n = 0;
-  if (!fs::exists(dir)) return 0;
-  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-    if (entry.path().string().ends_with(".tbl.strips")) ++n;
+/// EXPLAIN ANALYZE of a projection of `columns` over all of `table`.
+std::string AnalyzeScan(SinewDb* db, const std::string& table,
+                        const std::string& columns) {
+  auto analyzed =
+      db->Query("EXPLAIN ANALYZE SELECT " + columns + " FROM " + table);
+  EXPECT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  std::string text;
+  if (analyzed.ok()) {
+    for (const auto& row : analyzed->rows) text += row[0].str() + "\n";
   }
-  return n;
+  return text;
+}
+
+/// `table`'s seq and cat come from strips for every row: the scan walks no
+/// row bytes.
+void ExpectServesStrips(SinewDb* db, const std::string& table) {
+  const std::string text = AnalyzeScan(db, table, "seq, cat");
+  EXPECT_NE(text.find("(walked=0+0 strip_cols=0+"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("strip_cols=0+0"), std::string::npos) << text;
+}
+
+/// JSON lines of rid-correlated "seq"/"cat" documents `[first, first + n)`.
+std::string SeqCatDocs(int first, int n) {
+  std::string jsonl;
+  for (int i = first; i < first + n; ++i) {
+    jsonl += "{\"seq\": " + std::to_string(i) + ", \"cat\": \"c" +
+             std::to_string(i % 5) + "\"}\n";
+  }
+  return jsonl;
 }
 
 /// Loads a rid-correlated corpus and flushes. compact_on_flush is off so
@@ -504,12 +525,7 @@ int RunStripWorkload(const std::string& dir, Env* env) {
   options.compact_on_flush = false;  // keep attributes virtual -> shredded
   auto db = DurableDb::Open(dir, options, env);
   if (!db.ok()) return 0;
-  std::string jsonl;
-  for (int i = 0; i < kStripRows2; ++i) {
-    jsonl += "{\"seq\": " + std::to_string(i) + ", \"cat\": \"c" +
-             std::to_string(i % 5) + "\"}\n";
-  }
-  if (!(*db)->LoadJsonLines("t", jsonl).ok()) return 0;
+  if (!(*db)->LoadJsonLines("t", SeqCatDocs(0, kStripRows2)).ok()) return 0;
   if (!(*db)->Flush().ok()) return 1;
   if (!(*db)->Close().ok()) return 2;
   return 3;
@@ -518,8 +534,7 @@ int RunStripWorkload(const std::string& dir, Env* env) {
 /// Recovery invariant after a crash anywhere in RunStripWorkload: Open
 /// succeeds, and once the load was acked, every query — zone-skippable
 /// range, string equality, full aggregate — returns exactly the loaded
-/// data, whether it is served from a recovered sidecar or from row
-/// fallback.
+/// data from the strips the Open shredded.
 void ExpectStripWorkloadConsistent(const std::string& dir, int acked) {
   auto db = DurableDb::Open(dir);
   ASSERT_TRUE(db.ok()) << "recovery failed: " << db.status().ToString();
@@ -542,14 +557,17 @@ void ExpectStripWorkloadConsistent(const std::string& dir, int acked) {
 }
 
 TEST(DurableCrashSweep, StripSidecarSurvivesCrashesDuringFlush) {
-  // Dry run: the workload must actually persist strips, or the sweep below
-  // proves nothing.
+  // Dry run: the reopened store must actually serve strips, or the sweep
+  // below proves nothing about them.
   std::string dir = TempDir("strips_dry");
   FaultInjectionEnv dry(Env::Default());
   ASSERT_EQ(RunStripWorkload(dir, &dry), 3);
-  ASSERT_GE(CountStripSidecars(dir), 1u)
-      << "flush did not write a strip sidecar";
   ExpectStripWorkloadConsistent(dir, 3);
+  {
+    auto db = DurableDb::Open(dir);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ExpectServesStrips((*db)->db(), "t");
+  }
   int64_t total_ops = dry.ops_issued();
   ASSERT_GT(total_ops, 10);
   fs::remove_all(dir);
@@ -567,7 +585,8 @@ TEST(DurableCrashSweep, StripSidecarSurvivesCrashesDuringFlush) {
 }
 
 TEST(DurableCrashSweep, StripSidecarByteTornWritesNeverServeWrongValues) {
-  // Byte-granular cuts land mid-strip inside the sidecar file itself.
+  // Byte-granular cuts land mid-record in the WAL and mid-image in the
+  // flush; the Open after each one shreds whatever rows survived.
   std::string dir = TempDir("strips_bytes_dry");
   FaultInjectionEnv dry(Env::Default());
   ASSERT_EQ(RunStripWorkload(dir, &dry), 3);
@@ -587,57 +606,13 @@ TEST(DurableCrashSweep, StripSidecarByteTornWritesNeverServeWrongValues) {
   }
 }
 
-TEST(DurableDb, CorruptStripSidecarFallsBackToRows) {
-  // Bit-rot (not a crash): damage every sidecar byte-wise after a clean
-  // shutdown. Open must still succeed and serve exact results from the row
-  // reservoir; the corrupt sidecar is rejected, not trusted.
-  std::string dir = TempDir("strips_rot");
-  ASSERT_EQ(RunStripWorkload(dir, Env::Default()), 3);
-  std::vector<std::string> sidecars;
-  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-    if (entry.path().string().ends_with(".tbl.strips")) {
-      sidecars.push_back(entry.path().string());
-    }
-  }
-  ASSERT_FALSE(sidecars.empty());
-  for (const std::string& path : sidecars) {
-    auto data = Env::Default()->ReadFileToString(path);
-    ASSERT_TRUE(data.ok());
-    (*data)[data->size() / 2] ^= 0x40;  // flip a bit mid-file
-    ASSERT_TRUE(AtomicWriteFile(Env::Default(), path, *data).ok());
-  }
-#if !defined(SINEW_METRICS_DISABLED)
-  uint64_t rejected_before =
-      metrics::GetCounter("columnar.sidecar_rejected")->value();
-#endif
-  ExpectStripWorkloadConsistent(dir, 3);
-#if !defined(SINEW_METRICS_DISABLED)
-  EXPECT_GT(metrics::GetCounter("columnar.sidecar_rejected")->value(),
-            rejected_before)
-      << "corrupt sidecar was not detected";
-#endif
-
-  // Truncation to every eighth prefix length: same contract.
-  for (const std::string& path : sidecars) {
-    auto data = Env::Default()->ReadFileToString(path);
-    ASSERT_TRUE(data.ok());
-    for (size_t len = 0; len < data->size(); len += data->size() / 8 + 1) {
-      ASSERT_TRUE(
-          AtomicWriteFile(Env::Default(), path, data->substr(0, len)).ok());
-      ExpectStripWorkloadConsistent(dir, 3);
-    }
-    ASSERT_TRUE(AtomicWriteFile(Env::Default(), path, *data).ok());
-  }
-  fs::remove_all(dir);
-}
-
 // ---- stale rows: covered-row updates around generation saves ----
 //
 // An UPDATE of a row the segment covers leaves the segment attached and
 // the row stale. A generation is saved after covered-row updates, more
 // updates stay in its WAL, and a crash may land anywhere: the reopened
 // store must hold every acknowledged update and no wrong strip value, and
-// no generation may persist strips that disagree with its rows.
+// serve strips again over the updated rows.
 
 /// RunStripWorkload's corpus and flush, then covered-row updates: one
 /// batch flushed into the next generation, one left in its WAL. Returns
@@ -690,8 +665,12 @@ TEST(DurableCrashSweep, GenerationSavedAfterCoveredRowUpdates) {
   std::string dir = TempDir("stale_dry");
   FaultInjectionEnv dry(Env::Default());
   ASSERT_EQ(RunStaleWorkload(dir, &dry), 6);
-  ASSERT_GE(CountStripSidecars(dir), 1u);
   ExpectStaleWorkloadConsistent(dir, 6);
+  {
+    auto db = DurableDb::Open(dir);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ExpectServesStrips((*db)->db(), "t");
+  }
   const int64_t total_ops = dry.ops_issued();
   fs::remove_all(dir);
 
@@ -707,41 +686,118 @@ TEST(DurableCrashSweep, GenerationSavedAfterCoveredRowUpdates) {
   }
 }
 
-TEST(DurableDb, SegmentWithStaleRowsIsNotPersisted) {
-  // A save while covered rows are stale writes the image but no sidecar:
-  // a reload could not tell the stale rows apart. Re-shredding makes the
-  // segment fresh, and the next save persists it again.
-  std::string dir = TempDir("stale_save");
-  SinewDb db;
-  std::string jsonl;
-  for (int i = 0; i < 3000; ++i) {
-    jsonl += "{\"seq\": " + std::to_string(i) + "}\n";
-  }
-  ASSERT_TRUE(db.LoadJsonLines("t", jsonl).ok());
-  ASSERT_TRUE(db.BuildColumnarSegments("t").ok());
-  ASSERT_TRUE(db.Query("UPDATE t SET seq = 7000 WHERE seq = 1200").ok());
-  Result<engine::Table*> table = db.engine()->catalog()->GetTable("t");
-  ASSERT_TRUE(table.ok()) << table.status().ToString();
-  ASSERT_NE((*table)->ColumnarSegmentSnapshot(), nullptr);
-  EXPECT_EQ((*table)->FreshColumnarSegmentSnapshot(), nullptr);
-  ASSERT_TRUE(SaveDatabaseGeneration(&db, dir, Env::Default()).ok());
-  EXPECT_EQ(CountStripSidecars(dir), 0u);
+TEST(DurableDb, ReopenAfterCoveredRowUpdatesServesStrips) {
+  // A generation saved while a covered row is stale, then a covered-row
+  // update left in the next WAL. Each reopen holds every update and serves
+  // every row from strips again: Open shreds the recovered rows.
+  std::string dir = TempDir("stale_reopen");
   {
-    SinewDb loaded;
-    ASSERT_TRUE(LoadDatabase(&loaded, dir).ok());
-    EXPECT_EQ(Count(&loaded, "SELECT COUNT(*) FROM t WHERE seq = 7000"), 1);
-    EXPECT_EQ(Count(&loaded, "SELECT COUNT(*) FROM t WHERE seq = 1200"), 0);
+    SinewDb db;
+    ASSERT_TRUE(db.LoadJsonLines("t", SeqCatDocs(0, kStripRows2)).ok());
+    ASSERT_TRUE(db.BuildColumnarSegments("t").ok());
+    ASSERT_TRUE(db.Query("UPDATE t SET seq = 7000 WHERE seq = 1200").ok());
+    EXPECT_NE(AnalyzeScan(&db, "t", "seq, cat").find("stale=1)"),
+              std::string::npos);
+    ASSERT_TRUE(SaveDatabaseGeneration(&db, dir, Env::Default()).ok());
   }
-  ASSERT_TRUE(db.BuildColumnarSegments("t").ok());
-  EXPECT_NE((*table)->FreshColumnarSegmentSnapshot(), nullptr);
-  ASSERT_TRUE(SaveDatabaseGeneration(&db, dir, Env::Default()).ok());
-  EXPECT_EQ(CountStripSidecars(dir), 1u);
-  SinewDb reloaded;
-  ASSERT_TRUE(LoadDatabase(&reloaded, dir).ok());
-  EXPECT_EQ(Count(&reloaded, "SELECT COUNT(*) FROM t WHERE seq = 7000"), 1);
-  EXPECT_EQ(Count(&reloaded, "SELECT COUNT(*) FROM t WHERE seq > 2990"), 10);
+  DurableDbOptions options;
+  options.compact_on_flush = false;
+  for (int pass = 0; pass < 3; ++pass) {
+    SCOPED_TRACE("reopen " + std::to_string(pass));
+    auto db = DurableDb::Open(dir, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ((*db)->open_info().replayed_records, pass == 1 ? 1u : 0u);
+    ExpectServesStrips((*db)->db(), "t");
+    EXPECT_NE(AnalyzeScan((*db)->db(), "t", "seq, cat").find("stale=0)"),
+              std::string::npos);
+    EXPECT_EQ(Count((*db)->db(), "SELECT COUNT(*) FROM t WHERE seq = 7000"),
+              1);
+    EXPECT_EQ(Count((*db)->db(), "SELECT COUNT(*) FROM t WHERE seq = 1200"),
+              0);
+    EXPECT_EQ(Count((*db)->db(), "SELECT COUNT(*) FROM t WHERE seq > 2590"),
+              10);
+    if (pass == 0) {
+      // The first reopen leaves one covered-row update in its WAL.
+      ASSERT_TRUE(
+          (*db)->Query("UPDATE t SET cat = 'u' WHERE seq = 2500").ok());
+    } else {
+      EXPECT_EQ(Count((*db)->db(), "SELECT COUNT(*) FROM t WHERE cat = 'u'"),
+                1);
+    }
+    ASSERT_TRUE((*db)->Close().ok());
+  }
   fs::remove_all(dir);
 }
+
+TEST(DurableDb, CleanReopenServesStrips) {
+  // Nothing to replay: no flush runs, and Open shreds the loaded rows.
+  std::string dir = TempDir("clean_reopen");
+  ASSERT_EQ(RunStripWorkload(dir, Env::Default()), 3);
+  auto db = DurableDb::Open(dir);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->open_info().replayed_records, 0u);
+  ExpectServesStrips((*db)->db(), "t");
+  EXPECT_EQ(Count((*db)->db(),
+                  "SELECT COUNT(*) FROM t WHERE seq BETWEEN 1500 AND 1599"),
+            100);
+  fs::remove_all(dir);
+}
+
+TEST(DurableDb, WalTailOverOneTableStillShredsBoth) {
+  // Two flushed tables, then a WAL tail that touches only "a". After Open,
+  // "a" (replayed) and "b" (only loaded) both serve strips.
+  std::string dir = TempDir("two_tables");
+  DurableDbOptions options;
+  options.compact_on_flush = false;
+  {
+    auto db = DurableDb::Open(dir, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->LoadJsonLines("a", SeqCatDocs(0, 2000)).ok());
+    ASSERT_TRUE((*db)->LoadJsonLines("b", SeqCatDocs(0, 1500)).ok());
+    ASSERT_TRUE((*db)->Flush().ok());
+    ASSERT_TRUE((*db)->LoadJsonLines("a", SeqCatDocs(2000, 300)).ok());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  auto db = DurableDb::Open(dir, options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->open_info().replayed_records, 1u);
+  ExpectServesStrips((*db)->db(), "a");
+  ExpectServesStrips((*db)->db(), "b");
+  EXPECT_EQ(Count((*db)->db(), "SELECT COUNT(*) FROM a"), 2300);
+  EXPECT_EQ(Count((*db)->db(), "SELECT COUNT(*) FROM b"), 1500);
+  fs::remove_all(dir);
+}
+
+#if !defined(SINEW_METRICS_DISABLED)
+TEST(DurableDb, ReplayedOpenShredsOnce) {
+  // An Open that replays and flushes writes exactly the strips of one shred
+  // of the table: neither the recovery flush nor a second pass re-shreds.
+  std::string dir = TempDir("shred_once");
+  DurableDbOptions options;
+  options.compact_on_flush = false;
+  {
+    auto db = DurableDb::Open(dir, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->LoadJsonLines("t", SeqCatDocs(0, 2600)).ok());
+    ASSERT_TRUE((*db)->Flush().ok());
+    ASSERT_TRUE((*db)->LoadJsonLines("t", SeqCatDocs(2600, 100)).ok());
+    ASSERT_TRUE((*db)->Query("UPDATE t SET cat = 'u' WHERE seq = 7").ok());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  metrics::Counter* written = metrics::GetCounter("strips.written");
+  const uint64_t before_open = written->value();
+  auto db = DurableDb::Open(dir, options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_EQ((*db)->open_info().replayed_records, 2u);
+  const uint64_t by_open = written->value() - before_open;
+  const uint64_t before_shred = written->value();
+  ASSERT_TRUE((*db)->db()->BuildColumnarSegments("t").ok());
+  const uint64_t one_shred = written->value() - before_shred;
+  EXPECT_GT(one_shred, 0u);
+  EXPECT_EQ(by_open, one_shred);
+  fs::remove_all(dir);
+}
+#endif
 
 }  // namespace
 }  // namespace sinew

@@ -17,7 +17,10 @@
 #    boxed row decoders (DecodeRowSlots, DecodeRowColumn, RowSlotBytes) nor
 #    a scratch decode row (scratch_);
 #  - strip values enter a scan batch only through the typed fill: exec.cc
-#    names no per-value strip accessor (GetDatum).
+#    names no per-value strip accessor (GetDatum);
+#  - strips are an in-memory index, never a file: no file under src/ names
+#    a strip sidecar (.strips, StripSidecar) or a strip encoder
+#    (EncodeColumnStrip).
 #
 #   cmake -DSRC_DIR=<repo>/src -P tests/engine_layering.cmake
 if(NOT IS_DIRECTORY "${SRC_DIR}/engine")
@@ -31,6 +34,13 @@ foreach(source IN LISTS sources)
   if(hits)
     list(APPEND failures
          "${source} names the scalar tree walk, which lives in tests/: ${hits}")
+  endif()
+endforeach()
+file(GLOB_RECURSE sources "${SRC_DIR}/*")
+foreach(source IN LISTS sources)
+  file(STRINGS "${source}" hits REGEX "[\" `>]\\.strips|tbl\\.strips|StripSidecar|EncodeColumnStrip")
+  if(hits)
+    list(APPEND failures "${source} writes strips to disk: ${hits}")
   endif()
 endforeach()
 file(GLOB_RECURSE sources "${ENGINE_DIR}/*")

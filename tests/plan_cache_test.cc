@@ -323,6 +323,33 @@ TEST_F(PlanCacheTest, CapacityEvictsLeastRecentlyUsed) {
   Run("SELECT id FROM t WHERE num = 2 AND id > 3 + 0", "hit");
 }
 
+TEST(PlanCacheGatherTest, CrossingParallelMinRowsReplans) {
+#if defined(SINEW_METRICS_DISABLED)
+  GTEST_SKIP() << "the plan-cache outcome is read from the query log";
+#endif
+  // An entry keeps the Gather degree the planner gave its scan
+  // (engine::GatherDegreeFor over the live rows). Growing the table within
+  // one degree keeps it; crossing parallel_min_rows replans under Gather.
+  SinewOptions options;
+  options.parallelism = 2;
+  options.planner.parallel_min_rows = 300;
+  SinewDb db(options);
+  ASSERT_TRUE(db.LoadJsonLines("t", Docs(0, 250)).ok());
+  const std::string q = "SELECT id, str1 FROM t WHERE num = 4";
+  RunOn(&db, q, "miss");
+  RunOn(&db, q, "hit");
+  ASSERT_TRUE(db.LoadJsonLines("t", Docs(250, 300)).ok());
+  RunOn(&db, q, "hit");
+  ASSERT_TRUE(db.LoadJsonLines("t", Docs(300, 310)).ok());
+  RunOn(&db, q, "miss");
+  RunOn(&db, q, "hit");
+  Result<engine::QueryResult> explained = db.Query("EXPLAIN " + q);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  std::string text;
+  for (const auto& row : explained->rows) text += row[0].str();
+  EXPECT_NE(text.find("Gather (workers=2,"), std::string::npos) << text;
+}
+
 TEST(PlanCacheDurableTest, ReopenPlansAgain) {
 #if defined(SINEW_METRICS_DISABLED)
   GTEST_SKIP() << "the plan-cache outcome is read from the query log";
